@@ -2241,12 +2241,22 @@ let e27 () =
     in
     let fp_payload, fp_s = secs (fun () -> raw fpreq) in
     let fp_resp = ok "fingerprint" fp_payload in
-    let tr_payload, tr_s = secs (fun () -> raw treq) in
+    (* statistics on for the trace alone: fp.tails counts its binomial
+       tail evaluations, a host-speed-independent cost figure *)
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    let since = Obs.snapshot () in
+    let (tr_payload, tr_s), tails =
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+          let r = secs (fun () -> raw treq) in
+          let d = Obs.diff ~since (Obs.snapshot ()) in
+          (r, Option.value ~default:0 (List.assoc_opt "fp.tails" d.Obs.counters)))
+    in
     let tr_resp = ok "trace" tr_payload in
-    (gen_s, prep_s, fp_payload, fp_resp, fp_s, tr_payload, tr_resp, tr_s)
+    (gen_s, prep_s, fp_payload, fp_resp, fp_s, tr_payload, tr_resp, tr_s, tails)
   in
-  let gen1, prep1, fpp1, fpr1, fps1, trp1, trr1, trs1 = run 1 in
-  let _gen2, _prep2, fpp2, _fpr2, fps2, trp2, _trr2, trs2 = run 2 in
+  let gen1, prep1, fpp1, fpr1, fps1, trp1, trr1, trs1, tails1 = run 1 in
+  let _gen2, _prep2, fpp2, _fpr2, fps2, trp2, _trr2, trs2, tails2 = run 2 in
   let serve_identical = String.equal fpp1 fpp2 && String.equal trp1 trp2 in
   let field r k =
     match Serve_protocol.field r k with
@@ -2254,6 +2264,7 @@ let e27 () =
     | None -> failwith ("e27: missing response field " ^ k)
   in
   let leak_traced = field trr1 "accused" = leak && field trr1 "naccused" = "1" in
+  let decided = int_of_string (field trr1 "decided") in
   let digest_lines =
     List.length (String.split_on_char '\n' (Option.value ~default:"" fpr1.Serve_protocol.body))
   in
@@ -2267,6 +2278,8 @@ let e27 () =
   Texttab.addf t "generation throughput|%.0f copies/s" (float_of_int copies /. best_fp_s);
   Texttab.addf t "digest lines returned|%d" digest_lines;
   Texttab.addf t "trace %d candidates (jobs 1 / 2)|%.2f / %.2f s" population trs1 trs2;
+  Texttab.addf t "tail evaluations (jobs 1 / 2), decided bits|%d / %d, %d"
+    tails1 tails2 decided;
   Texttab.addf t "planted leak %s uniquely accused|%b" leak leak_traced;
   Texttab.addf t "responses identical across job counts|%b" serve_identical;
   Texttab.print t;
@@ -2310,6 +2323,8 @@ let e27 () =
       ("fingerprint_s", Json.Float best_fp_s);
       ("copies_per_s", Json.Float (float_of_int copies /. best_fp_s));
       ("trace_s", Json.Float (Float.min trs1 trs2));
+      ("trace_tail_evals", Json.Int (max tails1 tails2));
+      ("trace_decided", Json.Int decided);
       ("serve_identical", Json.Bool serve_identical);
       ("leak_traced", Json.Bool leak_traced);
       ("grid_false_accusations", Json.Int false_total);

@@ -52,16 +52,17 @@ let default w = w.default
    per cell, which dominates the binary search. *)
 let icmp (x : int) y = if x < y then -1 else if x > y then 1 else 0
 
-(* key row [i] vs tuple [t], lexicographic (equal arities). *)
+(* key row [i] vs tuple [t], lexicographic (equal arities).  A plain
+   loop: a local recursive helper would allocate a closure per call on
+   the binary-search and merge hot paths. *)
 let cmp_key w i (t : Tuple.t) =
   let base = i * w.arity in
-  let rec go j =
-    if j = w.arity then 0
-    else
-      let c = icmp w.keys.(base + j) t.(j) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+  let j = ref 0 and c = ref 0 in
+  while !c = 0 && !j < w.arity do
+    c := icmp w.keys.(base + !j) t.(!j);
+    incr j
+  done;
+  !c
 
 (* Index of [t] among the key rows, -1 if absent. *)
 let find_key w t =
@@ -253,12 +254,15 @@ let support w = List.map fst (bindings w)
 
 let add_delta w t d = set w t (get w t + d)
 
-(* Bulk mark application: net delta per tuple, then one merged rebuild
-   of the flat buffers — a mark list touching the whole support costs
-   O(nk + m log m) instead of m overlay inserts with interleaved
-   compactions.  Same observable result as folding [add_delta]: every
-   marked tuple ends with an explicit entry valued [get w t + net t],
-   net-zero marks included. *)
+(* Bulk mark application: net delta per tuple, each resolved to its key
+   row once.  When every marked tuple already has a row — the case for
+   every scheme mark and fingerprint copy, whose pair endpoints carry
+   weights — the result shares [keys] with the input (nothing ever
+   mutates a key array) and only [vals] is copied and patched, O(nk)
+   blit plus O(m log nk).  Otherwise one merged rebuild of both flat
+   buffers, O(nk + m log m).  Either way the same observable result as
+   folding [add_delta]: every marked tuple ends with an explicit entry
+   valued [get w t + net t], net-zero marks included. *)
 let apply_marks w marks =
   if marks = [] then w
   else begin
@@ -297,45 +301,53 @@ let apply_marks w marks =
     let nd = !nd in
     let base = compact w in
     let a = base.arity in
-    let fresh = ref 0 in
-    for j = 0 to nd - 1 do
-      if find_key base dts.(j) < 0 then incr fresh
-    done;
-    let nk = base.nk + !fresh in
-    let keys = Array.make (nk * a) 0 in
+    let rows = Array.init nd (fun j -> find_key base dts.(j)) in
+    let fresh = Array.fold_left (fun n r -> if r < 0 then n + 1 else n) 0 rows in
+    let nk = base.nk + fresh in
     let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
-    let wi = ref 0 and i = ref 0 and j = ref 0 in
-    let put_row src off v =
-      Array.blit src off keys (!wi * a) a;
-      vals.{!wi} <- v;
-      incr wi
-    in
-    while !i < base.nk || !j < nd do
-      if !j >= nd then begin
-        put_row base.keys (!i * a) base.vals.{!i};
-        incr i
-      end
-      else if !i >= base.nk then begin
-        put_row dts.(!j) 0 (base.default + dds.(!j));
-        incr j
-      end
-      else
-        let c = cmp_key base !i dts.(!j) in
-        if c < 0 then begin
+    if fresh = 0 then begin
+      Bigarray.Array1.blit base.vals vals;
+      for j = 0 to nd - 1 do
+        let r = rows.(j) in
+        vals.{r} <- vals.{r} + dds.(j)
+      done;
+      { base with vals }
+    end
+    else begin
+      let keys = Array.make (nk * a) 0 in
+      let wi = ref 0 and i = ref 0 and j = ref 0 in
+      let put_row src off v =
+        Array.blit src off keys (!wi * a) a;
+        vals.{!wi} <- v;
+        incr wi
+      in
+      while !i < base.nk || !j < nd do
+        if !j >= nd then begin
           put_row base.keys (!i * a) base.vals.{!i};
           incr i
         end
-        else if c > 0 then begin
+        else if !i >= base.nk then begin
           put_row dts.(!j) 0 (base.default + dds.(!j));
           incr j
         end
-        else begin
-          put_row dts.(!j) 0 (base.vals.{!i} + dds.(!j));
-          incr i;
-          incr j
-        end
-    done;
-    { base with nk; keys; vals }
+        else
+          let c = cmp_key base !i dts.(!j) in
+          if c < 0 then begin
+            put_row base.keys (!i * a) base.vals.{!i};
+            incr i
+          end
+          else if c > 0 then begin
+            put_row dts.(!j) 0 (base.default + dds.(!j));
+            incr j
+          end
+          else begin
+            put_row dts.(!j) 0 (base.vals.{!i} + dds.(!j));
+            incr i;
+            incr j
+          end
+      done;
+      { base with nk; keys; vals }
+    end
   end
 
 let local_distance a b =

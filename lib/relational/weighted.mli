@@ -53,7 +53,12 @@ val add_delta : t -> Tuple.t -> int -> t
 (** [add_delta w t d] adds [d] to the weight of [t]. *)
 
 val apply_marks : t -> (Tuple.t * int) list -> t
-(** Adds every listed delta; the list is a mark in the paper's sense. *)
+(** Adds every listed delta; the list is a mark in the paper's sense.
+    Same result as folding {!add_delta}.  When every marked tuple already
+    has an explicit entry (as pair endpoints do) the result shares the
+    input's key array and copies only the weights, so the input is left
+    unchanged and copies marked from one base stay independent; a mark
+    that adds keys rebuilds both buffers in one merge. *)
 
 val local_distance : t -> t -> int
 (** sup-distance max_w |W(w) - W'(w)| over {e all} tuples: the union of

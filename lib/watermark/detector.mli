@@ -94,7 +94,11 @@ val read_weights :
 
 val binomial_tail : trials:int -> successes:int -> float
 (** P[X >= successes] for X ~ Binomial(trials, 1/2) — the null-hypothesis
-    p-value of observing that much sign agreement by chance. *)
+    p-value of observing that much sign agreement by chance.  Costs
+    O((trials - successes) * trials) [log]s, since each term rebuilds its
+    binomial coefficient: a caller scoring many tests at one [trials]
+    (e.g. {!Fingerprint.trace}) should evaluate each distinct
+    [successes] once and reuse the result. *)
 
 val binomial_tail_p : p:float -> trials:int -> successes:int -> float
 (** General-[p] upper tail.  Raises [Invalid_argument] unless

@@ -2,6 +2,7 @@
 
    Observability: fp.copies counts generated copies, fp.reads carrier
    reads, fp.traces tracing runs, fp.scored candidates scored,
+   fp.tails binomial-tail evaluations (at most decided + 1 per trace),
    fp.accused accusations made, fp.cells collusion-grid cells; fp.mark /
    fp.read / fp.trace / fp.grid time the corresponding phases. *)
 
@@ -11,6 +12,7 @@ let c_copies = Obs.counter "fp.copies"
 let c_reads = Obs.counter "fp.reads"
 let c_traces = Obs.counter "fp.traces"
 let c_scored = Obs.counter "fp.scored"
+let c_tails = Obs.counter "fp.tails"
 let c_accused = Obs.counter "fp.accused"
 let c_cells = Obs.counter "fp.cells"
 let t_mark = Obs.timer "fp.mark"
@@ -227,13 +229,25 @@ let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
   in
   let n = List.length candidates in
   let threshold = Detector.sidak ~alpha ~tests:n in
+  let counts = Wm_par.Pool.map_list ?jobs (score t decoded) candidates in
+  (* Every candidate is scored against the same decided bits, so trials
+     is always [decided] and a p-value depends on the agreement count
+     alone: one tail per distinct count, filled on this domain in
+     candidate order, instead of one per candidate. *)
+  let tails = Array.make (decided + 1) Float.nan in
+  let tail k =
+    if Float.is_nan tails.(k) then begin
+      Obs.incr c_tails;
+      tails.(k) <- Detector.binomial_tail ~trials:decided ~successes:k
+    end;
+    tails.(k)
+  in
   let scores =
-    Wm_par.Pool.map_list ?jobs
-      (fun rid ->
-        let agreements, trials = score t decoded rid in
-        let pvalue = Detector.binomial_tail ~trials ~successes:agreements in
+    List.map2
+      (fun rid (agreements, trials) ->
+        let pvalue = tail agreements in
         { rid; agreements; trials; pvalue; accused = pvalue <= threshold })
-      candidates
+      candidates counts
   in
   Obs.add c_scored n;
   let accused =

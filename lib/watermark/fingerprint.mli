@@ -116,7 +116,13 @@ val trace :
     (parallel over candidates) and accuse those below the Šidák-corrected
     threshold for [alpha] (default 0.01) over [List.length candidates]
     tests.  Raises [Invalid_argument] on an empty candidate list.
-    Deterministic and bit-identical at every job count. *)
+    Deterministic and bit-identical at every job count.
+
+    Cost: one carrier read, O(candidates x length) scoring, and at most
+    [decided + 1] binomial-tail evaluations — every candidate shares
+    [trials = decided], so each distinct agreement count is evaluated
+    once ({!Detector.binomial_tail}, bit-identical to a per-candidate
+    call) and looked up thereafter. *)
 
 val verify : t -> string -> original:Weighted.t -> suspect:Weighted.t -> bool
 (** Exact single-recipient check: decode the carriers (weights-only

@@ -139,7 +139,7 @@ let mark t message w =
      a serving engine marking against a half-million-pair scheme needs. *)
   let l = Bitvec.length message in
   if l > capacity t then
-    invalid_arg "Pairing.orientation_marks: message longer than capacity";
+    invalid_arg "Local_scheme.mark: message longer than capacity";
   let rec take n = function
     | x :: rest when n > 0 -> x :: take (n - 1) rest
     | _ -> []

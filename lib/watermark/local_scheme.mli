@@ -93,7 +93,9 @@ val query_system : t -> Query_system.t
 
 val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
 (** Embed a message of length <= capacity into the weights (must be the
-    weights [prepare] saw, or a weights-only update of them — Theorem 7). *)
+    weights [prepare] saw, or a weights-only update of them — Theorem 7).
+    Raises [Invalid_argument "Local_scheme.mark: ..."] on a message
+    longer than the capacity. *)
 
 val detect : t -> original:Weighted.t -> server:Query_system.server ->
   length:int -> Bitvec.t

@@ -166,6 +166,60 @@ let test_trace_empty_candidates_rejected () =
   check bool "empty candidate list" true
     (raises (fun () -> Fingerprint.trace t ~original:w ~suspect:w []))
 
+(* Every score's p-value is exactly the per-candidate tail it replaces:
+   trials is the report's decided count, the value equals
+   [Detector.binomial_tail] bit for bit, and at most decided + 1 tails
+   are evaluated however many candidates share an agreement count. *)
+let test_trace_exact_pvalues () =
+  let t, ws = context ~n:900 ~length:256 () in
+  let w = ws.Weighted.weights in
+  let active = List.init 900 Tuple.singleton in
+  let coalition =
+    Adversary.apply_collusion (Prng.create 8) Adversary.Coalition_majority
+      ~active
+      (Array.of_list
+         (List.map (fun rid -> Fingerprint.mark_for t rid w) [ "r5"; "r50"; "r500" ]))
+  in
+  let counter_value snap name =
+    Option.value ~default:0 (List.assoc_opt name snap.Wm_obs.Obs.counters)
+  in
+  let was = Wm_obs.Obs.enabled () in
+  Wm_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Wm_obs.Obs.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (what, suspect, accused) ->
+      let since = Wm_obs.Obs.snapshot () in
+      let rep =
+        Fingerprint.trace ~jobs:1 t ~original:w ~suspect thousand_rids
+      in
+      let d = Wm_obs.Obs.diff ~since (Wm_obs.Obs.snapshot ()) in
+      check (Alcotest.list Alcotest.string) (what ^ ": accused") accused
+        rep.Fingerprint.accused;
+      check bool (what ^ ": tails <= decided + 1") true
+        (counter_value d "fp.tails" <= rep.Fingerprint.decided + 1);
+      List.iter
+        (fun (s : Fingerprint.score) ->
+          check int (what ^ ": trials = decided") rep.Fingerprint.decided
+            s.Fingerprint.trials;
+          check bool (what ^ ": exact tail") true
+            (Float.equal s.Fingerprint.pvalue
+               (Detector.binomial_tail ~trials:s.Fingerprint.trials
+                  ~successes:s.Fingerprint.agreements)))
+        rep.Fingerprint.scores;
+      check bool (what ^ ": jobs 1 = jobs 2") true
+        (rep = Fingerprint.trace ~jobs:2 t ~original:w ~suspect thousand_rids))
+    [
+      ("single leaker", Fingerprint.mark_for t "r421" w, [ "r421" ]);
+      ("coalition of 3", coalition, [ "r5"; "r50"; "r500" ]);
+      ("original", w, []);
+    ];
+  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:w thousand_rids in
+  check int "original: nothing decided" 0 rep.Fingerprint.decided;
+  check bool "original: every p-value is 1" true
+    (List.for_all
+       (fun (s : Fingerprint.score) -> Float.equal s.Fingerprint.pvalue 1.0)
+       rep.Fingerprint.scores)
+
 (* --- determinism across job counts ----------------------------------- *)
 
 let test_trace_jobs_invariant () =
@@ -330,6 +384,7 @@ let suite =
     ("trace single leaker", `Slow, test_trace_single_leaker);
     ("trace clean copy", `Slow, test_trace_clean_copy_accuses_nobody);
     ("trace empty candidates", `Quick, test_trace_empty_candidates_rejected);
+    ("trace exact p-values", `Slow, test_trace_exact_pvalues);
     ("trace jobs invariant", `Slow, test_trace_jobs_invariant);
     ("grid jobs invariant", `Slow, test_grid_jobs_invariant);
     ("grid no-collusion rows clean", `Slow, test_grid_no_collusion_row_clean);

@@ -169,6 +169,92 @@ let prop_weighted_ops =
       ok := !ok && Weighted.equal !w !w && Weighted_ref.equal !wr !wr;
       !ok)
 
+(* --- apply_marks against a fold of add_delta --------------------------
+
+   [apply_marks] shares the input's key array when every mark hits an
+   existing row and merges otherwise; both branches must equal the
+   one-delta-at-a-time fold, and neither may disturb the input. *)
+
+let fold_marks w marks =
+  List.fold_left (fun w (t, d) -> Weighted.add_delta w t d) w marks
+
+let marks_match_fold w marks =
+  let got = Weighted.apply_marks w marks and want = fold_marks w marks in
+  Weighted.default got = Weighted.default want
+  && Weighted.bindings got = Weighted.bindings want
+
+let test_apply_marks_branches () =
+  let t1 x = Tuple.singleton x and t2 x y = Tuple.of_list [ x; y ] in
+  let w1 = Weighted.of_list ~default:3 1 (List.init 50 (fun i -> (t1 (2 * i), i))) in
+  (* a live overlay: one overridden row, one overlay-only key *)
+  let live = Weighted.set (Weighted.set w1 (t1 4) 99) (t1 7) 5 in
+  let w2 =
+    Weighted.of_list 2
+      (List.concat_map (fun x -> List.init 6 (fun y -> (t2 x y, x + y))) [ 0; 2; 4 ])
+  in
+  List.iter
+    (fun (what, w, marks) ->
+      check bool what true (marks_match_fold w marks))
+    [
+      ("existing keys", w1, [ (t1 0, 1); (t1 10, -1); (t1 98, 1) ]);
+      ("fresh keys", w1, [ (t1 0, 1); (t1 1, -1); (t1 99, 1); (t1 200, 1) ]);
+      ("net-zero and duplicates", w1,
+        [ (t1 10, 1); (t1 10, -1); (t1 12, 1); (t1 12, 1); (t1 12, -1) ]);
+      ("fresh net-zero", w1, [ (t1 3, 1); (t1 3, -1); (t1 2, 1) ]);
+      ("unsorted", w1, [ (t1 40, 1); (t1 2, -1); (t1 40, 1); (t1 0, 1) ]);
+      ("live overlay, existing keys", live, [ (t1 4, 1); (t1 7, -1); (t1 8, 1) ]);
+      ("live overlay, fresh keys", live, [ (t1 4, 1); (t1 9, -1) ]);
+      ("arity 2, existing keys", w2, [ (t2 0 1, 1); (t2 4 5, -1) ]);
+      ("arity 2, fresh keys", w2, [ (t2 1 1, 1); (t2 4 5, -1); (t2 9 0, 1) ]);
+    ]
+
+let test_apply_marks_persistent () =
+  let t1 x = Tuple.singleton x in
+  let base = Weighted.of_list 1 (List.init 40 (fun i -> (t1 i, 10 * i))) in
+  let before = Weighted.bindings base in
+  let m1 = [ (t1 3, 1); (t1 4, -1) ] and m2 = [ (t1 20, -1); (t1 21, 1) ] in
+  let c1 = Weighted.apply_marks base m1 in
+  let c2 = Weighted.apply_marks base m2 in
+  let c3 = Weighted.apply_marks c1 [ (t1 3, 1) ] in
+  check bool "base unchanged" true (Weighted.bindings base = before);
+  check int "c1 unchanged by marking c3 from it" 31 (Weighted.get c1 (t1 3));
+  check int "c3 stacked" 32 (Weighted.get c3 (t1 3));
+  let net marks x =
+    List.fold_left (fun n (t, d) -> if Tuple.equal t (t1 x) then n + d else n) 0 marks
+  in
+  for x = 0 to 39 do
+    let v = 10 * x in
+    check int "c1 only at its own marks" (v + net m1 x) (Weighted.get c1 (t1 x));
+    check int "c2 only at its own marks" (v + net m2 x) (Weighted.get c2 (t1 x))
+  done
+
+let prop_apply_marks_fold =
+  QCheck.Test.make ~count:150 ~name:"apply_marks == fold of add_delta"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g = Prng.create (0xA9915 + seed) in
+      let ar = 1 + Prng.int g 2 in
+      let range = 2 + Prng.int g 8 in
+      let init =
+        List.init (1 + Prng.int g 120) (fun _ -> (rand_tuple g ar range, Prng.int g 100))
+      in
+      let w = Weighted.of_list ~default:(Prng.int g 5) ar init in
+      let w =
+        if Prng.bernoulli g 0.5 then w
+        else Weighted.set w (rand_tuple g ar range) (Prng.int g 100)
+      in
+      (* half the time only existing keys, the shared-key branch *)
+      let keys = Array.of_list (Weighted.support w) in
+      let existing = Prng.bernoulli g 0.5 in
+      let marks =
+        List.init (Prng.int g 12) (fun _ ->
+            ( (if existing then keys.(Prng.int g (Array.length keys))
+               else rand_tuple g ar range),
+              Prng.int g 5 - 2 ))
+      in
+      let before = Weighted.bindings w in
+      marks_match_fold w marks && Weighted.bindings w = before)
+
 (* --- the local_distance default-delta bugfix ------------------------- *)
 
 let test_local_distance_defaults () =
@@ -292,6 +378,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_relation_ops;
     QCheck_alcotest.to_alcotest prop_relation_iter_flat;
     QCheck_alcotest.to_alcotest prop_weighted_ops;
+    Alcotest.test_case "apply_marks branches" `Quick test_apply_marks_branches;
+    Alcotest.test_case "apply_marks persistence" `Quick test_apply_marks_persistent;
+    QCheck_alcotest.to_alcotest prop_apply_marks_fold;
     Alcotest.test_case "local_distance default deltas" `Quick
       test_local_distance_defaults;
     Alcotest.test_case "universe iteration" `Quick test_universe_iteration;

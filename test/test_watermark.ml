@@ -224,6 +224,17 @@ let test_local_error_cases () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty active set accepted"
 
+let test_local_mark_over_capacity () =
+  (* the error names the function the caller actually invoked *)
+  let ws = ring_instance 7 40 in
+  match Local_scheme.prepare ~options:{ Local_scheme.default_options with rho = Some 1 } ws adjacency with
+  | Error e -> Alcotest.fail e
+  | Ok scheme ->
+      let message = Codec.random (Prng.create 3) (Local_scheme.capacity scheme + 1) in
+      Alcotest.check_raises "over-capacity message"
+        (Invalid_argument "Local_scheme.mark: message longer than capacity")
+        (fun () -> ignore (Local_scheme.mark scheme message ws.Weighted.weights))
+
 (* --- weights on pairs: result arity s = 2 ----------------------------- *)
 
 let test_local_edge_weights () =
@@ -753,4 +764,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_local_roundtrip;
     QCheck_alcotest.to_alcotest prop_tree_roundtrip;
     QCheck_alcotest.to_alcotest prop_capacity_le_monotone;
+    ("local mark over capacity", `Quick, test_local_mark_over_capacity);
   ]
