@@ -2343,28 +2343,27 @@ let e27 () =
      feed the CI guard.\n"
     copies population
 
-(* --- E28: bounded-width neighborhood typing (PR 10) ----------------
+(* --- E28: decomposition codes in neighborhood typing ---------------
 
-   The decomposition-driven fast path (DESIGN.md 5.14) against the
-   generic iso-classifying indexer on the three ISSUE workloads: the
-   40x40 grid, a random sparse graph at average degree ~3, and the
-   biblio-XML element tree flattened to an E-edge structure.  Each
-   workload is typed twice per path (best-of-2) with the bound set to
-   the workload's surveyed max sphere width, outputs asserted
-   bit-identical in-bench.  Typing time is the nbh.index.codes +
-   nbh.index.prep + nbh.index.classify timer total, so the bounded
-   path's own decomposition probes, canonical codes and grouping are
-   charged against the prep + classify work they replace; sphere
-   extraction (identical on both paths) is reported separately.
-   grid_typing_speedup and outputs_equal feed the >= 2x CI guard via
-   BENCH_PR10.json.
+   The one typing path (DESIGN.md 5.14) on four workloads: the 40x40
+   grid, a random sparse graph at average degree ~3 and the biblio-XML
+   element tree flattened to an E-edge structure, all at rho 2, plus
+   the known anti-case, a random graph of degree <= 30 at rho 1 where
+   every sphere is its own type.  Each workload is typed twice
+   (best-of-2).  Typing time is the nbh.index.codes + nbh.index.prep +
+   nbh.index.classify timer total, so the code step is charged its own
+   decompositions and grouping; sphere extraction is the separate
+   column.  Every index is checked against Neighborhood_ref in-bench.
+   outputs_equal, grid_width_fallbacks and grid_iso_bypassed feed the
+   CI guard via BENCH_PR10.json; they are counters and flags, so the
+   guard does not depend on host speed.
 
    WMARK_E28_GRID / WMARK_E28_N / WMARK_E28_ARTICLES override the
    workload sizes so CI runs small; the committed BENCH_PR10.json comes
    from the full run. *)
 
 let e28 () =
-  header "E28. Bounded-width typing: decomposition codes vs generic iso";
+  header "E28. Decomposition codes in neighborhood typing";
   let env_int name default floor =
     match Option.bind (Sys.getenv_opt name) int_of_string_opt with
     | Some v when v >= floor -> v
@@ -2381,6 +2380,11 @@ let e28 () =
   let sparse =
     (Random_struct.graph (Prng.create 0xE28) ~n:nrand ~max_degree:3
        ~edges:(3 * nrand / 2))
+      .Weighted.graph
+  in
+  let dense =
+    (Random_struct.graph (Prng.create 0xE28) ~n:400 ~max_degree:30
+       ~edges:(15 * 400))
       .Weighted.graph
   in
   (* the biblio-XML document tree as a relational structure: one element
@@ -2401,28 +2405,28 @@ let e28 () =
     | Some t -> t.Obs.seconds
     | None -> 0.0
   in
-  (* Typing = everything downstream of sphere extraction: the generic
-     path pays Iso.prep for every distinct sphere plus the iso-check
-     classification; the bounded path pays decomposition + canonical
-     codes + grouping (nbh.index.codes), prep for group leaders only,
-     and a classification that answers per group.  Sphere extraction
-     (BFS + substructure materialization) is identical on both paths
-     and reported separately. *)
+  let counter_of d name =
+    match List.assoc_opt name d.Obs.counters with Some v -> v | None -> 0
+  in
   let typing d =
     timer_s d "nbh.index.codes" +. timer_s d "nbh.index.prep"
     +. timer_s d "nbh.index.classify"
   in
-  (* one measured index run: (index, typing s, spheres-span s, diff) *)
-  let measure g ~rho ~width_bound =
+  (* pure extraction: the spheres span minus its nested code/prep *)
+  let extraction d =
+    timer_s d "nbh.index.spheres" -. timer_s d "nbh.index.codes"
+    -. timer_s d "nbh.index.prep"
+  in
+  (* one measured index run: (index, typing s, diff) *)
+  let measure g ~rho =
     let since = Obs.snapshot () in
-    let ix = Neighborhood.index_universe ~width_bound g ~rho ~arity:1 in
+    let ix = Neighborhood.index_universe g ~rho ~arity:1 in
     let d = Obs.diff ~since (Obs.snapshot ()) in
     (ix, typing d, d)
   in
-  let best_of_2 g ~rho ~width_bound =
-    let r1 = measure g ~rho ~width_bound in
-    let r2 = measure g ~rho ~width_bound in
-    let (_, t1, _) = r1 and (_, t2, _) = r2 in
+  let best_of_2 g ~rho =
+    let ((_, t1, _) as r1) = measure g ~rho in
+    let ((_, t2, _) as r2) = measure g ~rho in
     if t1 <= t2 then r1 else r2
   in
   (* local-scheme capacity of an index: same-type elements pair up *)
@@ -2437,96 +2441,81 @@ let e28 () =
   in
   let t =
     Texttab.create
-      [ "workload"; "n"; "rho"; "bound"; "ntp"; "capacity"; "spheres s";
-        "generic s"; "bounded s"; "speedup"; "identical" ]
+      [ "workload"; "n"; "rho"; "width"; "ntp"; "capacity"; "spheres s";
+        "typing s"; "groups"; "bypassed"; "fallbacks"; "= ref" ]
   in
   let outputs_equal = ref true in
   let results =
     List.map
       (fun (name, g, rho) ->
         let width = Neighborhood.max_sphere_width g ~rho in
-        let gen, gen_s, d_gen = best_of_2 g ~rho ~width_bound:0 in
-        let bnd, bnd_s, d_bnd = best_of_2 g ~rho ~width_bound:width in
-        (* pure extraction: the spheres span minus its nested code/prep *)
-        let extraction d =
-          timer_s d "nbh.index.spheres"
-          -. timer_s d "nbh.index.codes"
-          -. timer_s d "nbh.index.prep"
-        in
-        let gen_ext = extraction d_gen and bnd_ext = extraction d_bnd in
+        let ix, typing_s, d = best_of_2 g ~rho in
+        let reference = Neighborhood_ref.index_universe g ~rho ~arity:1 in
         let same =
-          gen.Neighborhood.rho = bnd.Neighborhood.rho
-          && Tuple.Map.equal Int.equal gen.Neighborhood.types
-               bnd.Neighborhood.types
-          && gen.Neighborhood.representatives = bnd.Neighborhood.representatives
+          Tuple.Map.equal Int.equal ix.Neighborhood.types
+            reference.Neighborhood.types
+          && ix.Neighborhood.representatives
+             = reference.Neighborhood.representatives
         in
         outputs_equal := !outputs_equal && same;
-        let speedup = gen_s /. bnd_s in
-        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%.4f|%.2fx|%s" name
-          (Structure.size g) rho width (Neighborhood.ntp gen) (capacity gen)
-          gen_ext gen_s bnd_s speedup
+        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%d|%d|%d|%s" name
+          (Structure.size g) rho width (Neighborhood.ntp ix) (capacity ix)
+          (extraction d) typing_s
+          (counter_of d "nbh.bw.groups")
+          (counter_of d "nbh.bw.iso_bypassed")
+          (counter_of d "nbh.bw.width_fallbacks")
           (if same then "yes" else "NO");
-        if not same then failwith ("e28: bounded path diverged on " ^ name);
-        (name, width, gen_s, bnd_s, gen_ext, bnd_ext, speedup, d_bnd,
-         capacity gen, Neighborhood.ntp gen))
+        if not same then failwith ("e28: typing diverged from reference on " ^ name);
+        let p = String.map (function ' ' | '~' | '=' | '<' -> '_' | c -> c) name in
+        [
+          (p ^ "_sphere_width", Json.Int width);
+          (p ^ "_ntp", Json.Int (Neighborhood.ntp ix));
+          (p ^ "_capacity", Json.Int (capacity ix));
+          (p ^ "_spheres_s", Json.Float (extraction d));
+          (p ^ "_typing_s", Json.Float typing_s);
+          (p ^ "_groups", Json.Int (counter_of d "nbh.bw.groups"));
+          (p ^ "_iso_bypassed", Json.Int (counter_of d "nbh.bw.iso_bypassed"));
+          (p ^ "_decompositions",
+           Json.Int (counter_of d "nbh.bw.decompositions"));
+          (p ^ "_width_fallbacks",
+           Json.Int (counter_of d "nbh.bw.width_fallbacks"));
+        ])
       [
         (Printf.sprintf "grid %dx%d" gside gside, grid, 2);
         (Printf.sprintf "random n=%d d~3" nrand, sparse, 2);
         (Printf.sprintf "biblio-xml a=%d" articles, xmltree, 2);
+        ("random n=400 d<=30", dense, 1);
       ]
   in
   Texttab.print t;
-  let counter_of d name =
-    match List.assoc_opt name d.Obs.counters with Some v -> v | None -> 0
-  in
-  let scalars_of
-      (name, width, gen_s, bnd_s, gen_ext, bnd_ext, speedup, d_bnd, cap, ntp) =
-    let p = String.map (function ' ' | '~' | '=' -> '_' | c -> c) name in
-    [
-      (p ^ "_width_bound", Json.Int width);
-      (p ^ "_ntp", Json.Int ntp);
-      (p ^ "_capacity", Json.Int cap);
-      (p ^ "_generic_spheres_s", Json.Float gen_ext);
-      (p ^ "_bounded_spheres_s", Json.Float bnd_ext);
-      (p ^ "_generic_typing_s", Json.Float gen_s);
-      (p ^ "_bounded_typing_s", Json.Float bnd_s);
-      (p ^ "_typing_speedup", Json.Float speedup);
-      (p ^ "_iso_bypassed", Json.Int (counter_of d_bnd "nbh.bw.iso_bypassed"));
-      (p ^ "_decompositions",
-       Json.Int (counter_of d_bnd "nbh.bw.decompositions"));
-      (p ^ "_width_fallbacks",
-       Json.Int (counter_of d_bnd "nbh.bw.width_fallbacks"));
-    ]
-  in
   (* stable grid_* names for the CI guard, independent of the
      size-carrying per-workload prefixes above *)
   let grid_stable =
     match results with
-    | (_, width, _, _, _, _, s, d_bnd, _, _) :: _ ->
-        [
-          ("grid_typing_speedup", Json.Float s);
-          ("grid_width_bound", Json.Int width);
-          ("grid_iso_bypassed",
-           Json.Int (counter_of d_bnd "nbh.bw.iso_bypassed"));
-          ("grid_width_fallbacks",
-           Json.Int (counter_of d_bnd "nbh.bw.width_fallbacks"));
-        ]
-    | [] -> [ ("grid_typing_speedup", Json.Float 0.0) ]
+    | grid_row :: _ ->
+        List.map
+          (fun suffix ->
+            let key = "_" ^ suffix in
+            ( "grid" ^ key,
+              snd
+                (List.find
+                   (fun (k, _) -> String.ends_with ~suffix:key k)
+                   grid_row) ))
+          [ "typing_s"; "iso_bypassed"; "width_fallbacks" ]
+    | [] -> []
   in
   record_scalars ~experiment:"e28"
-    (List.concat_map scalars_of results
-    @ grid_stable
+    (List.concat results @ grid_stable
     @ [ ("outputs_equal", Json.Bool !outputs_equal) ]);
   Printf.printf
-    "Per workload the bound is the surveyed max sphere width, so every\n\
-     sphere takes the decomposition-code path and exact iso runs only\n\
-     once per code group.  Typing time is the codes+prep+classify timer\n\
-     total: the bounded path's decomposition probes, canonical codes\n\
-     and grouping are charged against the prep+classify work they\n\
-     replace, and sphere extraction (identical on both paths) is the\n\
-     separate spheres column.  Outputs are asserted bit-identical\n\
-     in-bench; grid_typing_speedup and outputs_equal feed the >= 2x CI\n\
-     guard.\n"
+    "Every sphere of at most 62 elements is typed by a decomposition code\n\
+     (groups = distinct codes, bypassed = tuples that inherit a group\n\
+     leader's type without an isomorphism test); larger spheres fall back\n\
+     to the generic prep (fallbacks).  Typing time is the\n\
+     codes+prep+classify timer total; sphere extraction is the separate\n\
+     spheres column.  Every index is asserted equal to Neighborhood_ref\n\
+     in-bench; outputs_equal, grid_width_fallbacks and grid_iso_bypassed\n\
+     feed the CI guard.\n"
 
 (* ------------------------------------------------------------------ *)
 
@@ -2545,11 +2534,6 @@ let () =
     | [] -> (List.rev acc, jobs, json)
     | "--jobs" :: v :: rest -> parse acc (int_of_string_opt v) json rest
     | "--json" :: path :: rest -> parse acc jobs (Some path) rest
-    | "--width-bound" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some k when k >= 0 -> Neighborhood.set_width_bound (Some k)
-        | _ -> Printf.eprintf "ignoring --width-bound %s\n" v);
-        parse acc jobs json rest
     | a :: rest -> parse (a :: acc) jobs json rest
   in
   let args, jobs_arg, json_path = parse [] None None args in

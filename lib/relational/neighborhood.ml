@@ -27,7 +27,6 @@ let c_bw_decomp_hits = Obs.counter "nbh.bw.decomp_cache_hits"
 let c_bw_groups = Obs.counter "nbh.bw.groups"
 let c_bw_bypassed = Obs.counter "nbh.bw.iso_bypassed"
 let c_bw_fallbacks = Obs.counter "nbh.bw.width_fallbacks"
-let c_bw_max_width = Obs.counter "nbh.bw.max_width_seen"
 let t_index = Obs.timer "nbh.index"
 let t_reindex = Obs.timer "nbh.reindex"
 let t_spheres = Obs.timer "nbh.index.spheres"
@@ -35,66 +34,6 @@ let t_codes = Obs.timer "nbh.index.codes"
 let t_prep = Obs.timer "nbh.index.prep"
 let t_classify = Obs.timer "nbh.index.classify"
 let t_renumber = Obs.timer "nbh.index.renumber"
-
-(* [nbh.bw.max_width_seen] is a high-water mark dressed as a counter:
-   counters merge across domains by summation, so the running max lives
-   in a process-global atomic and only the *increase* is added to the
-   counter — the deltas telescope to the max.  Widths above the active
-   bound are recorded as bound + 1 (the probe aborts there). *)
-let bw_max_seen = Atomic.make 0
-
-let note_width w =
-  let rec go () =
-    let cur = Atomic.get bw_max_seen in
-    if w > cur then
-      if Atomic.compare_and_set bw_max_seen cur w then
-        Obs.add c_bw_max_width (w - cur)
-      else go ()
-  in
-  go ()
-
-(* --- width-bound resolution (DESIGN.md 5.14) ------------------------
-   ?width_bound argument > set_width_bound > WMARK_WIDTH_BOUND > off.
-   [None] means the generic typing path; [Some k] enables the bounded
-   decomposition-code path for spheres of heuristic width <= k.  The
-   environment is parsed once at module initialization, mirroring
-   Pool.env_jobs, so a mis-set CI variable warns exactly once. *)
-
-let env_width_bound =
-  match Sys.getenv_opt "WMARK_WIDTH_BOUND" with
-  | None -> None
-  | Some s -> (
-      match String.trim s with
-      | "" | "0" -> None
-      | ts -> (
-          match int_of_string_opt ts with
-          | Some k when k >= 1 -> Some k
-          | _ ->
-              Printf.eprintf
-                "wmark: ignoring WMARK_WIDTH_BOUND=%s (not a nonnegative \
-                 integer), using the generic typing path\n\
-                 %!"
-                (Filename.quote s);
-              None))
-
-let wb_override : int option option Atomic.t = Atomic.make None
-
-let set_width_bound = function
-  | None -> Atomic.set wb_override None
-  | Some k when k < 0 ->
-      invalid_arg "Neighborhood.set_width_bound: bound must be >= 0"
-  | Some 0 -> Atomic.set wb_override (Some None)
-  | Some k -> Atomic.set wb_override (Some (Some k))
-
-let width_bound () =
-  match Atomic.get wb_override with Some b -> b | None -> env_width_bound
-
-let resolve_bound = function
-  | Some k when k < 0 ->
-      invalid_arg "Neighborhood: width_bound must be >= 0"
-  | Some 0 -> None
-  | Some k -> Some k
-  | None -> width_bound ()
 
 let iso_check pa pb =
   Obs.incr c_iso_checks;
@@ -173,76 +112,47 @@ let all_tuples_array g ~arity =
    parallel phases read frozen entries, which keeps the pool's
    bit-identical-for-every-job-count contract. *)
 
-(* Per-sphere decomposition data for the bounded path: the min-degree
-   tree decomposition of the sphere's sub-Gaifman graph (over the
-   sphere-local ascending renaming, which is center-independent and so
-   shared by every tuple with this sphere) plus iso-invariant vertex
-   colors.  [d_dec] is an aborted width probe when [d_width] exceeds the
-   bound — such spheres fall back to the generic per-tuple prep. *)
-type dinfo = {
-  mutable d_id : int;
-      (* dense per-ctx id, assigned sequentially after the parallel
-         probe pass: the dedup key for per-tuple canonical codes
-         ((d_id, center labels) determines the code).  [-1] until
-         assigned; never assigned on the uncached path, which computes
-         codes directly. *)
-  d_width : int;
-  d_dec : Tdecomp.t;
-  d_colors : int array;
-  d_rels : (int * int * int array array) array;
-      (* (rel_id, arity, sphere-locally renamed member tuples),
-         rel_id-ascending — precomputed so the per-tuple encoder only
-         applies the canonical relabeling and sorts *)
-}
-
 type ctx = {
   cg : Structure.t;
   cgf : Gaifman.t;
   crho : int;
-  use_cache : bool;
-  bound : int option;
-  rel_id : (string, int) Hashtbl.t;
-      (* schema name -> dense id, name-sorted: an injective, structure-
-         independent relation code for the flat sphere encodings *)
-  incident : (string * Tuple.t) list array;
+  rel_names : string array;
+      (* dense relation id -> schema name, name-sorted: the ids are an
+         injective, structure-independent relation code for the flat
+         sphere encodings *)
+  incident : (int * Tuple.t) list array;
   spheres : int array option array;
-  groups : (int array, (string * Tuple.t) list option ref) Hashtbl.t;
-  decomps : (int array, dinfo option ref) Hashtbl.t;
-  mutable next_did : int;  (* next dinfo id (sequential phases only) *)
+  groups : (int array, (int * Tuple.t) list option ref) Hashtbl.t;
 }
 
-let make_ctx ?(use_cache = true) ?bound g gf ~rho =
+let make_ctx g gf ~rho =
   let n = Structure.size g in
+  let rel_names =
+    Array.of_list
+      (List.sort compare
+         (Structure.fold_relations (fun name _ acc -> name :: acc) g []))
+  in
   let incident = Array.make n [] in
-  Structure.fold_relations
-    (fun name r () ->
+  Array.iteri
+    (fun id name ->
       Relation.iter
         (fun t ->
           Array.iteri
             (fun i x ->
               (* record once per distinct element of the tuple *)
               let rec first j = if t.(j) = x then j else first (j + 1) in
-              if first 0 = i then incident.(x) <- (name, t) :: incident.(x))
+              if first 0 = i then incident.(x) <- (id, t) :: incident.(x))
             t)
-        r)
-    g ();
-  let rel_id = Hashtbl.create 8 in
-  let names = Structure.fold_relations (fun name _ acc -> name :: acc) g [] in
-  List.iteri
-    (fun i name -> Hashtbl.replace rel_id name i)
-    (List.sort compare names);
+        (Structure.relation g name))
+    rel_names;
   {
     cg = g;
     cgf = gf;
     crho = rho;
-    use_cache;
-    bound;
-    rel_id;
+    rel_names;
     incident;
     spheres = Array.make n None;
     groups = Hashtbl.create 256;
-    decomps = Hashtbl.create 256;
-    next_did = 0;
   }
 
 (* Tuples of the structure lying entirely inside the sphere [s] (sorted
@@ -286,21 +196,23 @@ let idx_sorted (s : int array) y =
   done;
   !r
 
-(* --- the bounded-width fast path (DESIGN.md 5.14) -------------------
+(* The member scan of a sphere already grouped by [materialize]. *)
+let members_of ctx s =
+  match !(Hashtbl.find ctx.groups s) with Some m -> m | None -> assert false
 
-   When a width bound k is active, each distinct renamed sphere shape
-   gets one decomposition probe: rename the sphere to 0..|s|-1 in
+(* --- decomposition codes (DESIGN.md 5.14) ----------------------------
+
+   Every sphere of at most [max_code_sphere] elements is typed through a
+   {e canonical decomposition code}.  Rename the sphere to 0..|s|-1 in
    ascending element order (center-independent, so the result is shared
-   by every tuple with this sphere), key it by the injective flat
-   encoding of its renamed member list — equal keys are literally the
+   by every tuple with this sphere) and key it by the injective flat
+   encoding of its renamed member list: equal keys are literally the
    same renamed structure, so on translation-regular instances (grids,
    paths, balanced trees) thousands of spheres collapse onto a handful
-   of representatives — and run bitmask min-degree elimination capped at
-   k on each representative.  Spheres within the bound are typed by a
-   {e canonical decomposition code} per tuple — a flat int encoding of
-   the whole pointed sphere under the relabeling the rooted
-   decomposition induces, computed once per distinct (shape, center
-   labels) pair — and tuples with equal codes inherit their group
+   of shapes.  Each shape gets one min-degree decomposition, and each
+   distinct (shape, center labels) pair one code: a flat int encoding
+   of the whole pointed sphere under the relabeling the rooted
+   decomposition induces.  Tuples with equal codes inherit their group
    leader's materialization and classification outright.
 
    Soundness is one-directional by construction: the encoding lists
@@ -313,7 +225,14 @@ let idx_sorted (s : int array) y =
    the relabeling depends on the min-degree decomposition — and a miss
    only costs a redundant leader, never a wrong type: leaders still go
    through the exact certificate-bucketed isomorphism scan.  Output is
-   therefore bit-identical to the generic path at every job count. *)
+   therefore bit-identical to the plain isomorphism classification at
+   every job count. *)
+
+(* The largest sphere the code step takes: the word-sized limit of the
+   bitmask engine {!Tdecomp.eliminate_masks}, a property of that engine
+   rather than a setting.  Larger spheres go straight to the generic
+   prep, which every group leader runs anyway. *)
+let max_code_sphere = 62
 
 let popcount x =
   let c = ref 0 and x = ref x in
@@ -323,39 +242,41 @@ let popcount x =
   done;
   !c
 
-(* Sphere-locally renamed member tuples tagged with their dense relation
-   ids, in member-scan order. *)
-let rename_members ctx s members =
-  List.map
-    (fun (name, t) ->
-      (Hashtbl.find ctx.rel_id name, Array.map (fun x -> idx_sorted s x) t))
-    members
-
-(* Flat injective key of a renamed member list: [k; rel_id; arity;
-   elems...; rel_id; arity; elems...] is uniquely decodable, so equal
-   keys mean literally the same renamed structure.  Everything the
-   bounded path derives per sphere (decomposition, colors, relation
-   tables, and — given center labels — the canonical code) is a
-   deterministic function of this key, which is what makes sharing one
-   [dinfo] across equal-key spheres sound.  On translation-regular
-   instances (grids, long paths, balanced trees) almost every sphere
-   collapses onto a handful of representatives. *)
-let rep_key k rmembers =
+(* Flat injective key of sphere [s] with member tuples [members], over
+   the sphere-local ascending renaming: [k; rel_id; arity; elems...;
+   rel_id; arity; elems...] is uniquely decodable, so equal keys mean
+   literally the same renamed structure.  Everything the code step
+   derives per sphere (decomposition, colors and — given center labels
+   — the canonical code) is a deterministic function of this key, which
+   is what makes one decomposition per shape sound. *)
+let shape_key s members =
   let total =
-    List.fold_left (fun acc (_, rt) -> acc + 2 + Array.length rt) 1 rmembers
+    List.fold_left (fun acc (_, t) -> acc + 2 + Array.length t) 1 members
   in
   let out = Array.make total 0 in
-  out.(0) <- k;
+  out.(0) <- Array.length s;
   let p = ref 1 in
   List.iter
-    (fun (id, rt) ->
-      let a = Array.length rt in
+    (fun (id, t) ->
+      let a = Array.length t in
       out.(!p) <- id;
       out.(!p + 1) <- a;
-      Array.blit rt 0 out (!p + 2) a;
+      for j = 0 to a - 1 do
+        out.(!p + 2 + j) <- idx_sorted s t.(j)
+      done;
       p := !p + 2 + a)
-    rmembers;
+    members;
   out
+
+(* [f id off a] for every tuple of a shape key: relation id, offset of
+   its first element in the key, arity. *)
+let iter_key_tuples key f =
+  let p = ref 1 in
+  while !p < Array.length key do
+    let a = key.(!p + 1) in
+    f key.(!p) (!p + 2) a;
+    p := !p + 2 + a
+  done
 
 (* Int-array-keyed tables that hash the whole key: the stdlib
    polymorphic hash stops after ten meaningful words, and sphere keys
@@ -369,87 +290,42 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-let dinfo_of ~bound k rmembers =
-  Obs.incr c_bw_decomps;
-  (* Word-sized spheres (every bounded-width workload in practice) get
-     bitmask adjacency straight from the renamed member tuples; larger
-     spheres fall back to the CSR Gaifman build. *)
-  let dec, degree =
-    if k <= 62 then begin
-      let adj = Array.make k 0 in
-      List.iter
-        (fun (_, rt) ->
-          let a = Array.length rt in
-          for i = 0 to a - 1 do
-            for j = 0 to a - 1 do
-              if i <> j && rt.(i) <> rt.(j) then
-                adj.(rt.(i)) <- adj.(rt.(i)) lor (1 lsl rt.(j))
-            done
-          done)
-        rmembers;
-      (Tdecomp.eliminate_masks ~cap:bound adj, fun v -> popcount adj.(v))
-    end
-    else begin
-      let gf_s = Gaifman.of_tuples ~n:k (List.map snd rmembers) in
-      (Tdecomp.eliminate ~cap:bound gf_s, Gaifman.degree gf_s)
-    end
-  in
-  note_width dec.Tdecomp.width;
-  if dec.Tdecomp.width > bound then
-    (* aborted probe: the sphere falls back to the generic path, so the
-       colors and relation tables are never consulted *)
-    {
-      d_id = -1;
-      d_width = dec.Tdecomp.width;
-      d_dec = dec;
-      d_colors = [||];
-      d_rels = [||];
-    }
-  else begin
-    (* Iso-invariant vertex colors: degree plus the sorted multiset of
-       (relation id, position) incidences.  Relation ids are name-sorted
-       dense ids, fixed per ctx, so the invariant holds across every
-       sphere one index call compares. *)
-    let inc = Array.make k [] in
-    List.iter
-      (fun (id, rt) ->
-        Array.iteri (fun pos v -> inc.(v) <- Iso.mix id pos :: inc.(v)) rt)
-      rmembers;
-    let colors =
-      Array.init k (fun v ->
-          let l = List.sort icmp inc.(v) in
-          List.fold_left Iso.mix (Iso.mix 0x811c9dc5 (degree v)) l)
-    in
-    let by_rel : (int, int array list ref) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (id, rt) ->
-        match Hashtbl.find_opt by_rel id with
-        | Some l -> l := rt :: !l
-        | None -> Hashtbl.add by_rel id (ref [ rt ]))
-      rmembers;
-    let d_rels =
-      Array.of_list
-        (List.sort
-           (fun (a, _, _) (b, _, _) -> icmp a b)
-           (Hashtbl.fold
-              (fun id l acc ->
-                let ts = Array.of_list !l in
-                (id, Array.length ts.(0), ts) :: acc)
-              by_rel []))
-    in
-    { d_id = -1; d_width = dec.Tdecomp.width; d_dec = dec; d_colors = colors; d_rels }
-  end
+(* One shape's decomposition data, alive only inside its code task: the
+   shape key, the min-degree tree decomposition of its Gaifman graph and
+   iso-invariant vertex colors. *)
+type dinfo = { d_key : int array; d_dec : Tdecomp.t; d_colors : int array }
 
-let build_dinfo ctx s members ~bound =
-  dinfo_of ~bound (Array.length s) (rename_members ctx s members)
+let dinfo_of key =
+  let k = key.(0) in
+  let adj = Array.make k 0 in
+  let inc = Array.make k [] in
+  iter_key_tuples key (fun id off a ->
+      for i = 0 to a - 1 do
+        let v = key.(off + i) in
+        inc.(v) <- Iso.mix id i :: inc.(v);
+        for j = 0 to a - 1 do
+          let w = key.(off + j) in
+          if v <> w then adj.(v) <- adj.(v) lor (1 lsl w)
+        done
+      done);
+  (* Iso-invariant vertex colors: degree plus the sorted multiset of
+     (relation id, position) incidences.  Relation ids are name-sorted
+     dense ids, fixed per ctx, so the invariant holds across every
+     sphere one index call compares. *)
+  let colors =
+    Array.init k (fun v ->
+        let l = List.sort icmp inc.(v) in
+        List.fold_left Iso.mix (Iso.mix 0x811c9dc5 (popcount adj.(v))) l)
+  in
+  { d_key = key; d_dec = Tdecomp.eliminate_masks adj; d_colors = colors }
 
 (* The flat injective encoding of one pointed sphere under the
-   decomposition's canonical relabeling.  Every component is length-
-   prefixed, so the encoding is uniquely decodable: equal arrays imply
-   equal renamed structures, centers included. *)
+   decomposition's canonical relabeling: [k; #centers; center labels;
+   #tuples] and then every member tuple as [rel_id; arity; labels...],
+   sorted.  Every component is length-prefixed, so the encoding is
+   uniquely decodable: equal arrays imply equal relabeled structures,
+   centers included. *)
 let cmp_tuple (a : int array) (b : int array) =
-  (* same-arity lexicographic; arity differences can't arise within a
-     relation but keep the order total anyway *)
   let la = Array.length a and lb = Array.length b in
   if la <> lb then icmp la lb
   else begin
@@ -462,7 +338,7 @@ let cmp_tuple (a : int array) (b : int array) =
   end
 
 let code_of di cl =
-  let k = Array.length di.d_colors in
+  let key = di.d_key in
   let colors =
     if Array.length cl = 0 then di.d_colors
     else begin
@@ -472,40 +348,35 @@ let code_of di cl =
     end
   in
   let pi = Tdecomp.canonical_labels di.d_dec ~colors ~root:cl.(0) in
-  let total =
-    Array.fold_left
-      (fun acc (_, ar, ts) -> acc + 3 + (ar * Array.length ts))
-      (2 + Array.length cl) di.d_rels
-  in
-  let out = Array.make total 0 in
-  let p = ref 0 in
-  let push x =
-    out.(!p) <- x;
-    incr p
-  in
-  push k;
-  push (Array.length cl);
-  Array.iter (fun v -> push pi.(v)) cl;
+  let ts = ref [] and nts = ref 0 in
+  iter_key_tuples key (fun id off a ->
+      let t = Array.make (a + 2) id in
+      t.(1) <- a;
+      for j = 0 to a - 1 do
+        t.(j + 2) <- pi.(key.(off + j))
+      done;
+      ts := t :: !ts;
+      incr nts);
+  let ts = Array.of_list !ts in
+  Array.sort cmp_tuple ts;
+  let ncl = Array.length cl in
+  (* the key and the tuple records have the same length *)
+  let out = Array.make (Array.length key + ncl + 2) 0 in
+  out.(0) <- key.(0);
+  out.(1) <- ncl;
+  Array.iteri (fun j v -> out.(2 + j) <- pi.(v)) cl;
+  out.(2 + ncl) <- !nts;
+  let p = ref (3 + ncl) in
   Array.iter
-    (fun (id, ar, ts) ->
-      push id;
-      push (Array.length ts);
-      push ar;
-      let mapped = Array.map (Array.map (fun v -> pi.(v))) ts in
-      Array.sort cmp_tuple mapped;
-      Array.iter (fun t -> Array.iter push t) mapped)
-    di.d_rels;
+    (fun t ->
+      Array.blit t 0 out !p (Array.length t);
+      p := !p + Array.length t)
+    ts;
   out
 
-(* Sorted union of the (cached) element spheres of [c]. *)
+(* Sorted union of the cached element spheres of [c]. *)
 let sphere_union ctx c =
-  let sphere_of x =
-    match ctx.spheres.(x) with
-    | Some s -> s
-    | None ->
-        Obs.incr c_spheres;
-        Gaifman.sphere_array ctx.cgf ~rho:ctx.crho x
-  in
+  let sphere_of x = Option.get ctx.spheres.(x) in
   match Array.length c with
   | 0 -> [||]
   | 1 -> sphere_of c.(0)
@@ -530,194 +401,157 @@ let sphere_union ctx c =
         buf;
       Array.sub buf 0 !w
 
+(* Phase C' of [materialize]: group the slots whose pointed spheres have
+   equal decomposition codes.  [grp.(i)] is the slot whose
+   materialization slot [i] inherits; leaders have [grp.(i) = i].
+
+   The call's distinct spheres are renamed and keyed in parallel, and
+   equal keys share one shape; only a shape's first sphere is kept.
+   Each shape is one parallel task: it rebuilds the key from that
+   sphere, builds the shape's decomposition, emits the code of every
+   distinct center-label vector the shape serves, and drops the
+   decomposition, so nothing per sphere outlives this step.  Equal codes
+   are grouped sequentially in slot order, so the first slot of a code
+   leads. *)
+let code_groups ctx ?jobs tups sets =
+  let nt = Array.length tups in
+  let grp = Array.init nt (fun i -> i) in
+  (* distinct spheres of the call in first-seen order; sid.(i) is slot
+     i's (arity 0 has no center to root a code at) *)
+  let stbl = Ktbl.create (max 16 nt) in
+  let sid = Array.make nt (-1) in
+  let dist = ref [] and nd = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if Array.length c > 0 then
+        match Ktbl.find_opt stbl sets.(i) with
+        | Some d -> sid.(i) <- d
+        | None ->
+            Ktbl.add stbl sets.(i) !nd;
+            sid.(i) <- !nd;
+            dist := sets.(i) :: !dist;
+            incr nd)
+    tups;
+  let dist = Array.of_list (List.rev !dist) in
+  (* shape keys; [||] marks a sphere past the engine's size limit *)
+  let keys =
+    Wm_par.Pool.parallel_map ?jobs
+      (fun s ->
+        let k = Array.length s in
+        if k > max_code_sphere then [||]
+        else shape_key s (members_of ctx s))
+      dist
+  in
+  let shape = Array.make !nd (-1) in
+  let ktbl = Ktbl.create (max 16 !nd) in
+  let reps = ref [] and nshapes = ref 0 in
+  Array.iteri
+    (fun d key ->
+      if Array.length key = 0 then Obs.incr c_bw_fallbacks
+      else
+        match Ktbl.find_opt ktbl key with
+        | Some u -> shape.(d) <- u
+        | None ->
+            Ktbl.add ktbl key !nshapes;
+            shape.(d) <- !nshapes;
+            reps := dist.(d) :: !reps;
+            incr nshapes)
+    keys;
+  (* distinct center-label vectors per shape: slot i's code is
+     codes.(su.(i)).(sj.(i)) *)
+  let su = Array.make nt (-1) and sj = Array.make nt (-1) in
+  let cls = Array.make !nshapes [] and ncls = Array.make !nshapes 0 in
+  let ctbl = Ktbl.create (max 16 nt) in
+  Array.iteri
+    (fun i c ->
+      let u = if sid.(i) < 0 then -1 else shape.(sid.(i)) in
+      if u >= 0 then begin
+        su.(i) <- u;
+        let s = sets.(i) in
+        let ckey = Array.make (1 + Array.length c) u in
+        Array.iteri (fun j x -> ckey.(j + 1) <- idx_sorted s x) c;
+        match Ktbl.find_opt ctbl ckey with
+        | Some j -> sj.(i) <- j
+        | None ->
+            Ktbl.add ctbl ckey ncls.(u);
+            sj.(i) <- ncls.(u);
+            cls.(u) <- Array.sub ckey 1 (Array.length c) :: cls.(u);
+            ncls.(u) <- ncls.(u) + 1
+      end)
+    tups;
+  Obs.add c_bw_decomps !nshapes;
+  Obs.add c_bw_decomp_hits
+    (Array.fold_left (fun acc u -> if u >= 0 then acc + 1 else acc) 0 su
+    - !nshapes);
+  let codes =
+    Wm_par.Pool.parallel_mapi ?jobs
+      (fun u s ->
+        let di = dinfo_of (shape_key s (members_of ctx s)) in
+        Array.of_list (List.rev_map (code_of di) cls.(u)))
+      (Array.of_list (List.rev !reps))
+  in
+  let tbl = Ktbl.create (max 16 nt) in
+  for i = 0 to nt - 1 do
+    if su.(i) >= 0 then begin
+      let cd = codes.(su.(i)).(sj.(i)) in
+      match Ktbl.find_opt tbl cd with
+      | Some l ->
+          grp.(i) <- l;
+          Obs.incr c_bw_bypassed
+      | None -> Ktbl.add tbl cd i
+    end
+  done;
+  Obs.add c_bw_groups (Ktbl.length tbl);
+  grp
+
 (* Materialize classification data for every tuple: bucket key (cheap
    invariants), certificate, and the {!Iso.prep} reused by every exact
-   in-bucket test.  The induced substructure and its Gaifman graph are
-   built once per tuple and threaded through all three consumers. *)
+   in-bucket test, for code-group leaders only; members share their
+   leader's triple. *)
 let materialize ctx ?jobs tups =
   (* Phase A (parallel): BFS the spheres of elements not yet cached. *)
-  if ctx.use_cache then begin
-    let n = Structure.size ctx.cg in
-    let pending = Array.make n false in
-    let missing = ref [] and nmiss = ref 0 and lookups = ref 0 in
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun x ->
-            incr lookups;
-            if ctx.spheres.(x) = None && not pending.(x) then begin
-              pending.(x) <- true;
-              missing := x :: !missing;
-              incr nmiss
-            end)
-          c)
-      tups;
-    let missing = Array.of_list (List.rev !missing) in
-    let computed =
-      Wm_par.Pool.parallel_map ?jobs
-        (fun x -> Gaifman.sphere_array ctx.cgf ~rho:ctx.crho x)
-        missing
-    in
-    Array.iteri (fun i x -> ctx.spheres.(x) <- Some computed.(i)) missing;
-    Obs.add c_spheres !nmiss;
-    Obs.add c_sphere_hits (!lookups - !nmiss)
-  end;
+  let n = Structure.size ctx.cg in
+  let pending = Array.make n false in
+  let missing = ref [] and nmiss = ref 0 and lookups = ref 0 in
+  Array.iter
+    (fun c ->
+      Array.iter
+        (fun x ->
+          incr lookups;
+          if ctx.spheres.(x) = None && not pending.(x) then begin
+            pending.(x) <- true;
+            missing := x :: !missing;
+            incr nmiss
+          end)
+        c)
+    tups;
+  let missing = Array.of_list (List.rev !missing) in
+  let computed =
+    Wm_par.Pool.parallel_map ?jobs
+      (fun x -> Gaifman.sphere_array ctx.cgf ~rho:ctx.crho x)
+      missing
+  in
+  Array.iteri (fun i x -> ctx.spheres.(x) <- Some computed.(i)) missing;
+  Obs.add c_spheres !nmiss;
+  Obs.add c_sphere_hits (!lookups - !nmiss);
   (* Phase B (sequential, cheap): tuple spheres by union, grouped by
      sphere so the member scan below runs once per distinct sphere. *)
   let sets = Array.map (fun c -> sphere_union ctx c) tups in
   let fresh = ref [] in
-  if ctx.use_cache then
-    Array.iter
-      (fun s ->
-        if Hashtbl.mem ctx.groups s then Obs.incr c_subs_deduped
-        else begin
-          Hashtbl.add ctx.groups s (ref None);
-          fresh := s :: !fresh
-        end)
-      sets;
+  Array.iter
+    (fun s ->
+      if Hashtbl.mem ctx.groups s then Obs.incr c_subs_deduped
+      else begin
+        Hashtbl.add ctx.groups s (ref None);
+        fresh := s :: !fresh
+      end)
+    sets;
   (* Phase C (parallel): one member scan per fresh sphere group. *)
   let fresh = Array.of_list (List.rev !fresh) in
   let scanned = Wm_par.Pool.parallel_map ?jobs (fun s -> members_in ctx s) fresh in
   Array.iteri (fun i s -> Hashtbl.find ctx.groups s := Some scanned.(i)) fresh;
-  let members_of s =
-    if ctx.use_cache then
-      match !(Hashtbl.find ctx.groups s) with
-      | Some m -> m
-      | None -> assert false
-    else members_in ctx s
-  in
   let nt = Array.length tups in
-  (* Phase C' (bounded path): probe each distinct sphere's decomposition
-     once (parallel over fresh spheres when the cache is on), then derive
-     one canonical code per tuple (parallel) and group equal codes
-     (sequential).  grp.(i) is the slot whose materialization slot i
-     inherits; leaders have grp.(i) = i. *)
-  let grp = Array.init nt (fun i -> i) in
-  (match ctx.bound with
-   | None -> ()
-   | Some bound ->
-       Obs.span t_codes @@ fun () ->
-       if ctx.use_cache then begin
-         let dfresh = ref [] in
-         Array.iter
-           (fun s ->
-             if Hashtbl.mem ctx.decomps s then Obs.incr c_bw_decomp_hits
-             else begin
-               Hashtbl.add ctx.decomps s (ref None);
-               dfresh := s :: !dfresh
-             end)
-           sets;
-         let dfresh = Array.of_list (List.rev !dfresh) in
-         (* Rename each fresh sphere and dedup on the injective renamed
-            key: equal-key spheres are the same structure up to the
-            renaming, so one decomposition probe serves them all.  Only
-            distinct shapes reach the (parallel) probe. *)
-         let nf = Array.length dfresh in
-         let rens =
-           Array.map (fun s -> rename_members ctx s (members_of s)) dfresh
-         in
-         let ktbl = Ktbl.create (max 16 nf) in
-         let uid = Array.make nf 0 in
-         let uniq = ref [] and nu = ref 0 in
-         Array.iteri
-           (fun i s ->
-             let key = rep_key (Array.length s) rens.(i) in
-             match Ktbl.find_opt ktbl key with
-             | Some u ->
-                 uid.(i) <- u;
-                 Obs.incr c_bw_decomp_hits
-             | None ->
-                 Ktbl.add ktbl key !nu;
-                 uid.(i) <- !nu;
-                 uniq := i :: !uniq;
-                 incr nu)
-           dfresh;
-         let uniq = Array.of_list (List.rev !uniq) in
-         let udinfos =
-           Wm_par.Pool.parallel_map ?jobs
-             (fun i -> dinfo_of ~bound (Array.length dfresh.(i)) rens.(i))
-             uniq
-         in
-         Array.iter
-           (fun di ->
-             di.d_id <- ctx.next_did;
-             ctx.next_did <- ctx.next_did + 1)
-           udinfos;
-         Array.iteri
-           (fun i s -> Hashtbl.find ctx.decomps s := Some udinfos.(uid.(i)))
-           dfresh
-       end;
-       let codes =
-         if not ctx.use_cache then
-           Wm_par.Pool.parallel_mapi ?jobs
-             (fun i c ->
-               if Array.length c = 0 then None
-               else begin
-                 let s = sets.(i) in
-                 let di = build_dinfo ctx s (members_of s) ~bound in
-                 if di.d_width > bound then begin
-                   Obs.incr c_bw_fallbacks;
-                   None
-                 end
-                 else
-                   Some (code_of di (Array.map (fun x -> idx_sorted s x) c))
-               end)
-             tups
-         else begin
-           (* Per-tuple codes are a function of (shared dinfo, center
-              labels); dedup on that pair so each distinct pointed shape
-              is encoded once, then fan the codes back out. *)
-           let slot = Array.make nt (-1) in
-           let ctbl = Ktbl.create (max 16 nt) in
-           let uwork = ref [] and nu = ref 0 in
-           Array.iteri
-             (fun i c ->
-               if Array.length c > 0 then begin
-                 let di =
-                   match !(Hashtbl.find ctx.decomps sets.(i)) with
-                   | Some di -> di
-                   | None -> assert false
-                 in
-                 if di.d_width > bound then Obs.incr c_bw_fallbacks
-                 else begin
-                   let s = sets.(i) in
-                   let cl = Array.map (fun x -> idx_sorted s x) c in
-                   let ckey = Array.make (1 + Array.length cl) di.d_id in
-                   Array.iteri (fun j v -> ckey.(j + 1) <- v) cl;
-                   match Ktbl.find_opt ctbl ckey with
-                   | Some u -> slot.(i) <- u
-                   | None ->
-                       Ktbl.add ctbl ckey !nu;
-                       slot.(i) <- !nu;
-                       uwork := (di, cl) :: !uwork;
-                       incr nu
-                 end
-               end)
-             tups;
-           let uwork = Array.of_list (List.rev !uwork) in
-           let ucodes =
-             Wm_par.Pool.parallel_map ?jobs
-               (fun (di, cl) -> code_of di cl)
-               uwork
-           in
-           Array.map
-             (fun u -> if u < 0 then None else Some ucodes.(u))
-             slot
-         end
-       in
-       let tbl : (int array, int) Hashtbl.t = Hashtbl.create (max 16 nt) in
-       Array.iteri
-         (fun i code ->
-           match code with
-           | None -> ()
-           | Some cd -> (
-               match Hashtbl.find_opt tbl cd with
-               | Some l ->
-                   grp.(i) <- l;
-                   Obs.incr c_bw_bypassed
-               | None -> Hashtbl.add tbl cd i))
-         codes;
-       Obs.add c_bw_groups (Hashtbl.length tbl));
+  let grp = Obs.span t_codes @@ fun () -> code_groups ctx ?jobs tups sets in
   (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
      cheap key, certificate, refinement prep.  Group members inherit
      their leader's triple — physically the same prep, so every
@@ -732,7 +566,7 @@ let materialize ctx ?jobs tups =
     (fun i ->
       let c = tups.(i) in
       let s = sets.(i) in
-      let members = members_of s in
+      let members = members_of ctx s in
       let k = Array.length s in
       (* Renaming: the tuple's own elements first (stable center ids),
          then the rest of the sphere in ascending order. *)
@@ -747,24 +581,24 @@ let materialize ctx ?jobs tups =
       Array.iter place c;
       Array.iter place s;
       let ren t = Array.map (fun x -> Hashtbl.find new_id x) t in
-      let by_rel : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
+      let by_rel = Array.make (Array.length ctx.rel_names) [] in
       let renamed_all = ref [] in
       List.iter
-        (fun (name, t) ->
+        (fun (id, t) ->
           let rt = ren t in
           renamed_all := rt :: !renamed_all;
-          match Hashtbl.find_opt by_rel name with
-          | Some l -> l := rt :: !l
-          | None -> Hashtbl.add by_rel name (ref [ rt ]))
+          by_rel.(id) <- rt :: by_rel.(id))
         members;
-      let sub =
-        Hashtbl.fold
-          (fun name ts acc ->
-            let arity = Relation.arity (Structure.relation acc name) in
-            Structure.set_relation acc name (Relation.of_list arity !ts))
-          by_rel
-          (Structure.create schema k)
-      in
+      let sub = ref (Structure.create schema k) in
+      Array.iteri
+        (fun id ts ->
+          if ts <> [] then begin
+            let name = ctx.rel_names.(id) in
+            let arity = Relation.arity (Structure.relation !sub name) in
+            sub := Structure.set_relation !sub name (Relation.of_list arity ts)
+          end)
+        by_rel;
+      let sub = !sub in
       let gf_sub = Gaifman.of_tuples ~n:k !renamed_all in
       let center = List.map (Hashtbl.find new_id) (Array.to_list c) in
       let prep = Iso.prep ~gf:gf_sub sub center in
@@ -799,15 +633,9 @@ let distinct_tuples tuples =
       end)
     tuples
 
-let run_index ctx ?jobs tups ~rho ~arity =
-  let n = Array.length tups in
-  Obs.add c_tuples_typed n;
-  (* Phase 1 (parallel): materialize every neighborhood's classification
-     data through the shared context. *)
-  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx ?jobs tups in
-  (* Phase 2 (sequential, cheap): group slots into buckets keyed by
-     (cheap invariants, certificate), keeping first-seen order both of
-     buckets and within each bucket. *)
+(* Slots grouped into buckets keyed by (cheap invariants, certificate),
+   keeping first-seen order both of buckets and within each bucket. *)
+let bucket_slots keyed =
   let btbl : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
   let border = ref [] in
   Array.iteri
@@ -818,12 +646,19 @@ let run_index ctx ?jobs tups ~rho ~arity =
           Hashtbl.add btbl (ck, cert) (ref [ i ]);
           border := (ck, cert) :: !border)
     keyed;
-  let buckets =
-    Array.of_list
-      (List.rev_map
-         (fun k -> Array.of_list (List.rev !(Hashtbl.find btbl k)))
-         !border)
-  in
+  Array.of_list
+    (List.rev_map
+       (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find btbl k))))
+       !border)
+
+let run_index ctx ?jobs tups ~rho ~arity =
+  let n = Array.length tups in
+  Obs.add c_tuples_typed n;
+  (* Phase 1 (parallel): materialize every neighborhood's classification
+     data through the shared context. *)
+  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx ?jobs tups in
+  (* Phase 2 (sequential, cheap): bucket the slots. *)
+  let buckets = Array.map snd (bucket_slots keyed) in
   Obs.add c_buckets (Array.length buckets);
   (* Phase 3 (parallel): exact classification inside each bucket.
      Buckets are independent; within one bucket the search is the
@@ -832,7 +667,7 @@ let run_index ctx ?jobs tups ~rho ~arity =
      is isomorphic to.  Representatives of one bucket are pairwise
      non-isomorphic, so a member matches at most one of them and the
      leader is well defined regardless of search order.  A slot whose
-     materialization group leader (grp, bounded path) sits earlier in
+     code group leader (grp, Phase C' of [materialize]) sits earlier in
      the same bucket — it shares the triple, so it must — copies that
      slot's answer without scanning: its prep is physically the
      leader's, so the scan could only repeat the leader's matches. *)
@@ -908,25 +743,18 @@ let run_index ctx ?jobs tups ~rho ~arity =
     tups;
   { rho; arity; types = !types; representatives = Array.of_list (List.rev !reps) }
 
-let index ?(sphere_cache = true) ?jobs ?width_bound g ~rho tuples =
+let index ?jobs g ~rho tuples =
   Obs.span t_index @@ fun () ->
-  let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
-  let ctx = make_ctx ~use_cache:sphere_cache ?bound g gf ~rho in
+  let ctx = make_ctx g gf ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
   run_index ctx ?jobs tups ~rho ~arity
 
-let index_bounded ?sphere_cache ?jobs ~width g ~rho tuples =
-  if width < 1 then
-    invalid_arg "Neighborhood.index_bounded: width must be >= 1";
-  index ?sphere_cache ?jobs ~width_bound:width g ~rho tuples
-
-let index_universe ?sphere_cache ?jobs ?width_bound g ~rho ~arity =
+let index_universe ?jobs g ~rho ~arity =
   Obs.span t_index @@ fun () ->
-  let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
-  let ctx = make_ctx ?use_cache:sphere_cache ?bound g gf ~rho in
+  let ctx = make_ctx g gf ~rho in
   run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =
@@ -937,9 +765,8 @@ let affected_elements ~old_gf ~gf ~rho ~dirty =
     (Gaifman.reach old_gf ~sources:dirty ~bound:rho
     @ Gaifman.reach gf ~sources:dirty ~bound:rho)
 
-let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
+let reindex ?jobs ?(threshold = 0.5) ~old g ~prev ~dirty =
   Obs.span t_reindex @@ fun () ->
-  let bound = resolve_bound width_bound in
   let rho = prev.rho and arity = prev.arity in
   let old_gf = Gaifman.of_structure old in
   let gf = Gaifman.refresh g ~prev:old_gf ~dirty in
@@ -953,10 +780,10 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
   let affected_tuples = total -. (float_of_int (n - a_new) ** float_of_int arity) in
   if total = 0. || affected_tuples > threshold *. total then begin
     Obs.incr c_fallbacks;
-    index_universe ?jobs ?width_bound g ~rho ~arity
+    index_universe ?jobs g ~rho ~arity
   end
   else begin
-    let ctx = make_ctx ?bound g gf ~rho in
+    let ctx = make_ctx g gf ~rho in
     let touches c = Array.exists (fun x -> in_a.(x)) c in
     (* Anchors: for every old type that still has a member untouched by the
        affected region, any such member — its neighborhood is unchanged, so
@@ -982,8 +809,8 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
       Array.of_list !acc
     in
     (* Anchors are one per surviving class, pairwise non-isomorphic, so
-       the bounded path's code grouping never merges them — the grp
-       component is irrelevant here. *)
+       the code grouping never merges them — the grp component is
+       irrelevant here. *)
     let anchor_keyed, _ = materialize ctx ?jobs (Array.map snd anchors) in
     let atbl : (int * int, (int * Iso.prep) list ref) Hashtbl.t =
       Hashtbl.create 64
@@ -1005,22 +832,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
     in
     Obs.add c_affected_tuples (Array.length at);
     let keyed, grp = materialize ctx ?jobs at in
-    let btbl : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-    let border = ref [] in
-    Array.iteri
-      (fun i (ck, cert, _) ->
-        match Hashtbl.find_opt btbl (ck, cert) with
-        | Some slots -> slots := i :: !slots
-        | None ->
-            Hashtbl.add btbl (ck, cert) (ref [ i ]);
-            border := (ck, cert) :: !border)
-      keyed;
-    let buckets =
-      Array.of_list
-        (List.rev_map
-           (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find btbl k))))
-           !border)
-    in
+    let buckets = bucket_slots keyed in
     (* Class keys: [0 .. ntp_old-1] are surviving old classes, [ntp_old + i]
        is a fresh class led by affected slot [i].  A fresh leader is not
        isomorphic to any anchor of its bucket, hence to no surviving old
@@ -1040,7 +852,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
             (fun i ->
               let cls =
                 if grp.(i) <> i then
-                  (* bounded path: the slot's prep is physically its
+                  (* code group: the slot's prep is physically its
                      group leader's, so the scan below would repeat the
                      leader's matches — copy its class. *)
                   match Hashtbl.find_opt local grp.(i) with
@@ -1107,9 +919,8 @@ let type_of ix c =
   | None -> raise Not_found
 
 (* Per-sphere width survey for `wmark info`: the min-degree heuristic
-   width of every element's rho-sphere substructure — the exact graphs
-   the bounded path probes — so users can pick a --width-bound that
-   covers (most of) the instance. *)
+   width of every element's rho-sphere substructure — the graphs whose
+   decompositions the code step builds. *)
 let max_sphere_width ?jobs g ~rho =
   let gf = Gaifman.of_structure g in
   let ctx = make_ctx g gf ~rho in

@@ -29,14 +29,7 @@ type index = {
     [0 .. ntp-1] and [representatives] realizes the paper's canonical
     parameter set S. *)
 
-val index :
-  ?sphere_cache:bool ->
-  ?jobs:int ->
-  ?width_bound:int ->
-  Structure.t ->
-  rho:int ->
-  Tuple.t list ->
-  index
+val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
 (** Types every listed tuple: pre-buckets by cheap invariants (sphere
     size, tuple count, degree multiset, center pattern) and by
     {!Iso.certificate}, then verifies with exact isomorphism inside each
@@ -45,59 +38,23 @@ val index :
     the result — type ids included — is bit-identical to the sequential
     [jobs:1] fold for every job count.
 
-    The fast path (DESIGN.md 5.9) memoizes element spheres per call and
-    dedupes the induced-substructure member scan across tuples sharing a
-    sphere; [sphere_cache:false] disables both memo tables (same result,
-    per-tuple recomputation — exists so tests can assert the identity).
-
-    [width_bound] dispatches spheres through the bounded-width
-    decomposition-code path (DESIGN.md 5.14): spheres whose min-degree
-    tree decomposition stays within the bound are typed by canonical
-    decomposition codes — equal codes imply isomorphic pointed spheres,
-    so only one tuple per code group runs the refinement prep and the
-    in-bucket isomorphism scan — while wider spheres fall back,
-    per sphere, to the generic path above.  [0] forces the generic path;
-    omitting it defers to {!set_width_bound} and then
-    [WMARK_WIDTH_BOUND].  The result is bit-identical to the generic
-    path for every bound and job count.
-    @raise Invalid_argument on a negative [width_bound]. *)
-
-val index_bounded :
-  ?sphere_cache:bool ->
-  ?jobs:int ->
-  width:int ->
-  Structure.t ->
-  rho:int ->
-  Tuple.t list ->
-  index
-(** [index] with the bounded-width path forced on: [index_bounded ~width]
-    is [index ~width_bound:width].  @raise Invalid_argument when
-    [width < 1] (use [index] to run the generic path). *)
-
-val set_width_bound : int option -> unit
-(** Process-wide width bound for {!index}/{!index_universe}/{!reindex}
-    calls that don't pass [?width_bound]: [Some k] (k >= 1) enables the
-    bounded path, [Some 0] forces the generic path, [None] falls back to
-    the [WMARK_WIDTH_BOUND] environment variable (unset, empty or [0]:
-    generic).  @raise Invalid_argument on a negative bound. *)
-
-val width_bound : unit -> int option
-(** The bound that would apply to a call without [?width_bound]. *)
+    Element spheres are memoized per call, and the induced-substructure
+    member scan is shared by all tuples with one sphere (DESIGN.md
+    5.9).  Every sphere of at most 62 elements — the word-sized limit of
+    {!Tdecomp.eliminate_masks} — is first typed by a canonical
+    decomposition code (DESIGN.md 5.14), computed in one task per
+    distinct renamed sphere shape.  Equal codes imply isomorphic
+    pointed spheres, so only one tuple per code group runs the
+    refinement prep and the in-bucket isomorphism scan.  Larger spheres
+    go straight to that generic prep.  The choice depends only on the
+    input, and the result equals plain isomorphism classification. *)
 
 val max_sphere_width : ?jobs:int -> Structure.t -> rho:int -> int
 (** The largest min-degree heuristic width over all elements' rho-sphere
-    substructures — the exact graphs the bounded path probes, so any
-    [width_bound >= max_sphere_width] makes every arity-1 sphere take
-    the decomposition-code path ([wmark info] surfaces it). *)
+    substructures — the graphs whose decompositions the code step
+    builds ([wmark info] surfaces it). *)
 
-val index_universe :
-  ?sphere_cache:bool ->
-  ?jobs:int ->
-  ?width_bound:int ->
-  Structure.t ->
-  rho:int ->
-  arity:int ->
-  index
+val index_universe : ?jobs:int -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no
     [n^arity] cons-list is ever materialized). *)
 
@@ -111,7 +68,6 @@ val affected_elements :
 val reindex :
   ?jobs:int ->
   ?threshold:float ->
-  ?width_bound:int ->
   old:Structure.t ->
   Structure.t ->
   prev:index ->

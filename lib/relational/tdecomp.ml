@@ -2,8 +2,8 @@
 
    This is the engine behind both Treewidth (lib/cliquewidth, which
    wraps it over whole structures for the Theorem 4 tooling) and the
-   bounded-width neighborhood-typing fast path (Neighborhood, DESIGN.md
-   5.14), which runs it on per-sphere sub-Gaifman graphs.  It lives in
+   decomposition codes of neighborhood typing (Neighborhood, DESIGN.md
+   5.14), which run it on renamed sphere shapes.  It lives in
    wm_relational because Neighborhood cannot depend on wm_cliquewidth
    (the dependency points the other way).
 
@@ -61,13 +61,8 @@ let glue_edges n bags step_of =
   done;
   !edges
 
-let capped cap =
-  match cap with
-  | Some c -> { bags = [||]; edges = []; step_of = [||]; width = c + 1 }
-  | None -> assert false
-
 (* Bitmask fast path for graphs that fit one machine word — every
-   per-sphere probe of the neighborhood indexer lands here.  Same
+   decomposition code of the neighborhood indexer is built here.  Same
    heuristic keys, same strict-< lowest-id tie-breaks, same bags (bit
    iteration is ascending), so the result is identical to the generic
    Iset path below. *)
@@ -79,7 +74,7 @@ let popcount x =
   done;
   !c
 
-let eliminate_small ~heuristic ~cap adj n =
+let eliminate_small ~heuristic adj n =
   let fill_small v =
     (* missing edges among neighbors: for each neighbor a, the higher
        neighbors of v that a misses *)
@@ -97,9 +92,7 @@ let eliminate_small ~heuristic ~cap adj n =
   let step_of = Array.make n (-1) in
   let bags = Array.make n [||] in
   let wid = ref 0 in
-  let exceeded = ref false in
-  let step = ref 0 in
-  while (not !exceeded) && !step < n do
+  for step = 0 to n - 1 do
     let best = ref (-1) and bk1 = ref max_int and bk2 = ref max_int in
     for v = 0 to n - 1 do
       if !alive land (1 lsl v) <> 0 then begin
@@ -118,43 +111,34 @@ let eliminate_small ~heuristic ~cap adj n =
     let v = !best in
     let bag_width = popcount adj.(v) in
     wid := max !wid bag_width;
-    match cap with
-    | Some c when bag_width > c -> exceeded := true
-    | _ ->
-        step_of.(v) <- !step;
-        let bagm = adj.(v) lor (1 lsl v) in
-        let bag = Array.make (bag_width + 1) 0 in
-        let i = ref 0 in
-        for u = 0 to n - 1 do
-          if bagm land (1 lsl u) <> 0 then begin
-            bag.(!i) <- u;
-            incr i
-          end
-        done;
-        bags.(!step) <- bag;
-        let nbv = adj.(v) in
-        for a = 0 to n - 1 do
-          if nbv land (1 lsl a) <> 0 then
-            adj.(a) <- (adj.(a) lor nbv) land lnot ((1 lsl a) lor (1 lsl v))
-        done;
-        alive := !alive land lnot (1 lsl v);
-        incr step
+    step_of.(v) <- step;
+    let bagm = adj.(v) lor (1 lsl v) in
+    let bag = Array.make (bag_width + 1) 0 in
+    let i = ref 0 in
+    for u = 0 to n - 1 do
+      if bagm land (1 lsl u) <> 0 then begin
+        bag.(!i) <- u;
+        incr i
+      end
+    done;
+    bags.(step) <- bag;
+    let nbv = adj.(v) in
+    for a = 0 to n - 1 do
+      if nbv land (1 lsl a) <> 0 then
+        adj.(a) <- (adj.(a) lor nbv) land lnot ((1 lsl a) lor (1 lsl v))
+    done;
+    alive := !alive land lnot (1 lsl v)
   done;
-  if !exceeded then capped cap
-  else { bags; edges = glue_edges n bags step_of; step_of; width = !wid }
+  { bags; edges = glue_edges n bags step_of; step_of; width = !wid }
 
-let eliminate ?(heuristic = Min_degree) ?cap gf =
-  (match cap with
-  | Some c when c < 0 ->
-      invalid_arg "Tdecomp.eliminate: cap must be nonnegative"
-  | _ -> ());
+let eliminate ?(heuristic = Min_degree) gf =
   let n = Gaifman.size gf in
   if n <= 62 then begin
     let adj = Array.make n 0 in
     for v = 0 to n - 1 do
       Gaifman.iter_neighbors gf v (fun w -> adj.(v) <- adj.(v) lor (1 lsl w))
     done;
-    eliminate_small ~heuristic ~cap adj n
+    eliminate_small ~heuristic adj n
   end
   else
   let adj =
@@ -167,9 +151,7 @@ let eliminate ?(heuristic = Min_degree) ?cap gf =
   let step_of = Array.make n (-1) in
   let bags = Array.make n [||] in
   let wid = ref 0 in
-  let exceeded = ref false in
-  let step = ref 0 in
-  while (not !exceeded) && !step < n do
+  for step = 0 to n - 1 do
     (* minimum-key alive vertex; strict [<] keeps the lowest id on ties *)
     let best = ref (-1) and best_key = ref (max_int, max_int) in
     for v = 0 to n - 1 do
@@ -189,40 +171,26 @@ let eliminate ?(heuristic = Min_degree) ?cap gf =
     let bag_width = Iset.cardinal adj.(v) in
     (* = |bag| - 1 *)
     wid := max !wid bag_width;
-    match cap with
-    | Some c when bag_width > c ->
-        (* Every remaining elimination bag would be at least this wide;
-           the caller only needs to know the bound is exceeded. *)
-        exceeded := true
-    | _ ->
-        step_of.(v) <- !step;
-        bags.(!step) <- Array.of_list (Iset.elements (Iset.add v adj.(v)));
-        (* make the neighborhood a clique, drop v *)
+    step_of.(v) <- step;
+    bags.(step) <- Array.of_list (Iset.elements (Iset.add v adj.(v)));
+    (* make the neighborhood a clique, drop v *)
+    Iset.iter
+      (fun a ->
         Iset.iter
-          (fun a ->
-            Iset.iter
-              (fun b -> if a <> b then adj.(a) <- Iset.add b adj.(a))
-              adj.(v);
-            adj.(a) <- Iset.remove v adj.(a))
+          (fun b -> if a <> b then adj.(a) <- Iset.add b adj.(a))
           adj.(v);
-        alive.(v) <- false;
-        incr step
+        adj.(a) <- Iset.remove v adj.(a))
+      adj.(v);
+    alive.(v) <- false
   done;
-  if !exceeded then capped cap
-  else { bags; edges = glue_edges n bags step_of; step_of; width = !wid }
+  { bags; edges = glue_edges n bags step_of; step_of; width = !wid }
 
-let eliminate_masks ?(heuristic = Min_degree) ?cap adj =
-  (match cap with
-  | Some c when c < 0 ->
-      invalid_arg "Tdecomp.eliminate_masks: cap must be nonnegative"
-  | _ -> ());
+let eliminate_masks ?(heuristic = Min_degree) adj =
   let n = Array.length adj in
   if n > 62 then
     invalid_arg "Tdecomp.eliminate_masks: more than 62 vertices";
   (* the elimination loop consumes the adjacency in place *)
-  eliminate_small ~heuristic ~cap (Array.copy adj) n
-
-let exceeded ~cap t = t.width > cap
+  eliminate_small ~heuristic (Array.copy adj) n
 
 (* --- canonical relabeling from a rooted decomposition ----------------
 

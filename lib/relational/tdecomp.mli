@@ -1,14 +1,13 @@
 (** Elimination-ordering tree decompositions over CSR Gaifman graphs.
 
     The shared engine behind {!Wm_cliquewidth.Treewidth} (whole
-    structures, Theorem 4 tooling) and the bounded-width
-    neighborhood-typing fast path (per-sphere sub-Gaifman graphs,
-    DESIGN.md 5.14).  It lives here, below the cliquewidth layer,
+    structures, Theorem 4 tooling) and the decomposition codes of
+    neighborhood typing (renamed sphere shapes, DESIGN.md 5.14).  It lives here, below the cliquewidth layer,
     because [Neighborhood] cannot depend on [wm_cliquewidth].
 
     All tie-breaks go to the lowest vertex id, so every decomposition is
     a deterministic function of its input graph — the canonical-code
-    machinery of the fast path depends on that. *)
+    machinery of neighborhood typing depends on that. *)
 
 type t = {
   bags : int array array;
@@ -22,30 +21,23 @@ type heuristic = Min_degree | Min_fill
 
 val width : t -> int
 
-val eliminate : ?heuristic:heuristic -> ?cap:int -> Gaifman.t -> t
+val eliminate : ?heuristic:heuristic -> Gaifman.t -> t
 (** Eliminate all vertices in heuristic order ([Min_degree] by default;
     [Min_fill] picks the vertex adding the fewest fill edges, degree
     then id as tie-breaks), turning each eliminated vertex's remaining
     neighborhood into a clique.  Bags are the elimination cliques; each
     bag attaches to the bag of its earliest-eliminated remaining member,
     and component-final bags glue to the last bag, so the result is one
-    tree even on disconnected graphs.
+    tree even on disconnected graphs. *)
 
-    With [cap], elimination aborts as soon as a bag would exceed width
-    [cap]: the result then has [width = cap + 1] and empty [bags] /
-    [step_of] — a width probe, not a decomposition (test with
-    {!exceeded}).  @raise Invalid_argument on a negative [cap]. *)
-
-val eliminate_masks : ?heuristic:heuristic -> ?cap:int -> int array -> t
+val eliminate_masks : ?heuristic:heuristic -> int array -> t
 (** {!eliminate} on bitmask adjacency: [adj.(v)] has bit [w] set iff
     [{v, w}] is an edge (self-bits ignored; the mask array is copied,
-    not consumed).  This is the word-sized fast path the neighborhood
-    indexer probes every sphere with — identical output to building a
-    {!Gaifman.t} and calling {!eliminate}.  @raise Invalid_argument on
-    more than 62 vertices or a negative [cap]. *)
-
-val exceeded : cap:int -> t -> bool
-(** Whether an [eliminate ~cap] run aborted (width above the cap). *)
+    not consumed).  This is the word-sized engine behind every
+    decomposition code of the neighborhood indexer, whose 62-vertex
+    limit decides which spheres get a code — identical output to
+    building a {!Gaifman.t} and calling {!eliminate}.
+    @raise Invalid_argument on more than 62 vertices. *)
 
 val canonical_labels : t -> colors:int array -> root:int -> int array
 (** [canonical_labels t ~colors ~root] is a permutation of [0..n-1]
@@ -60,5 +52,5 @@ val canonical_labels : t -> colors:int array -> root:int -> int array
     running isomorphism tests.
 
     @raise Invalid_argument if [root] or a bag edge is out of range, if
-    [colors] has the wrong length, if the bag graph is disconnected, or
-    if [t] is an aborted width probe. *)
+    [colors] has the wrong length, or if the bag graph is
+    disconnected. *)

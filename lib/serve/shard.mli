@@ -15,7 +15,6 @@ val ncomps : plan -> int
 
 val index :
   ?jobs:int ->
-  ?width_bound:int ->
   Structure.t ->
   Gaifman.t ->
   plan ->
@@ -27,11 +26,9 @@ val index :
     merged across shards by exact (certificate-filtered) neighborhood
     isomorphism, numbered by first occurrence in the global parameter
     order.  Only arity-1 parameter sets shard (higher arities may
-    straddle components); other inputs return [Error].  [width_bound]
-    is forwarded to the per-shard {!Neighborhood.index} calls (omitted:
-    the process-wide {!Neighborhood.set_width_bound} /
-    [WMARK_WIDTH_BOUND] resolution applies, so the serve path honors
-    the global knob). *)
+    straddle components); other inputs return [Error].  Each shard runs
+    the one {!Neighborhood.index} path, so a sphere gets the same
+    decomposition code sharded or not. *)
 
 val read_weights :
   ?jobs:int ->

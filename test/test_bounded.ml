@@ -1,8 +1,9 @@
-(* The bounded-width fast path (DESIGN.md 5.14): decomposition-driven
-   canonical codes must be a pure speedup — bit-identical to the generic
-   path and to the frozen Neighborhood_ref pipeline for any structure,
-   width bound, job count and cache setting, spheres straddling the
-   bound included. *)
+(* Decomposition codes in neighborhood typing (DESIGN.md 5.14): every
+   sphere of at most 62 elements is typed through a canonical
+   decomposition code, larger ones through the generic prep.  The codes
+   must be a pure speedup — bit-identical to the frozen Neighborhood_ref
+   pipeline for any structure and job count, spheres on both sides of
+   the size limit included. *)
 
 open Wm_util
 
@@ -29,9 +30,7 @@ let tree_graph g =
 
 let grid_graph w h = (Wm_workload.Grid.structure ~w ~h).Weighted.graph
 
-(* A 5-clique (sphere width 4) bridged to a path (sphere width 1): with
-   bounds 1..3 the clique-side spheres fall back while the path-side
-   spheres take the code path — the straddling case. *)
+(* A 5-clique (sphere width 4) bridged to a path (sphere width 1). *)
 let straddle_graph () =
   let n = 12 in
   let s = Structure.create Schema.graph n in
@@ -44,7 +43,16 @@ let straddle_graph () =
   let path = List.init (n - 5) (fun i -> Tuple.pair (4 + i) (min (n - 1) (5 + i))) in
   Structure.set_relation s "E" (Relation.of_list 2 (!clique @ path))
 
-(* --- bounded == generic == reference, across workloads ---------------- *)
+(* Two stars with [a] and [b] leaves: at rho 1 their hubs have spheres
+   of a + 1 and b + 1 elements, every leaf a sphere of 2. *)
+let two_stars a b =
+  let s = Structure.create Schema.graph (a + b + 2) in
+  let star hub k = List.init k (fun i -> Tuple.pair hub (hub + 1 + i)) in
+  Structure.set_relation s "E" (Relation.of_list 2 (star 0 a @ star (a + 1) b))
+
+let both_jobs f = List.for_all f [ 1; 2 ]
+
+(* --- index == reference, across workloads and job counts -------------- *)
 
 let prop_bounded_matches ~name ~count mk =
   QCheck.Test.make ~count ~name
@@ -54,15 +62,10 @@ let prop_bounded_matches ~name ~count mk =
       let base = mk g in
       let rho = Prng.int g 3 in
       let arity = 1 + Prng.int g 2 in
-      let width = 1 + Prng.int g 5 in
-      let jobs = 1 + Prng.int g 2 in
-      let tuples =
-        Neighborhood.all_tuples base ~arity
-      in
-      let generic = Neighborhood.index ~jobs ~width_bound:0 base ~rho tuples in
-      let bounded = Neighborhood.index_bounded ~jobs ~width base ~rho tuples in
+      let tuples = Neighborhood.all_tuples base ~arity in
       let reference = Neighborhood_ref.index base ~rho tuples in
-      equal_index bounded generic && equal_index bounded reference)
+      both_jobs (fun jobs ->
+          equal_index (Neighborhood.index ~jobs base ~rho tuples) reference))
 
 let prop_sparse =
   prop_bounded_matches ~count:30
@@ -83,12 +86,13 @@ let prop_cache_off =
       let g = Prng.create (0x0FF + seed) in
       let base = sparse_graph g in
       let rho = Prng.int g 3 in
-      equal_index
-        (Neighborhood.index_universe ~sphere_cache:false ~width_bound:3 base
-           ~rho ~arity:2)
-        (Neighborhood.index_universe ~width_bound:3 base ~rho ~arity:2))
+      let reference = Neighborhood_ref.index_universe base ~rho ~arity:2 in
+      both_jobs (fun jobs ->
+          equal_index
+            (Neighborhood.index_universe ~jobs base ~rho ~arity:2)
+            reference))
 
-(* --- the width-fallback boundary -------------------------------------- *)
+(* --- the sphere-size boundary ----------------------------------------- *)
 
 let counter_of snap name =
   match List.assoc_opt name snap.Wm_obs.Obs.counters with
@@ -100,45 +104,55 @@ let with_stats f =
   Wm_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Wm_obs.Obs.set_enabled was) f
 
+let obs_delta f =
+  let before = Wm_obs.Obs.snapshot () in
+  let r = f () in
+  (r, Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()))
+
+(* Hubs of 62 and 63 elements: the first is the largest sphere the code
+   step takes, the second the smallest it leaves to the generic prep. *)
 let test_straddle () =
   with_stats @@ fun () ->
-  let base = straddle_graph () in
+  let base = two_stars 61 62 in
+  let tuples = Neighborhood.all_tuples base ~arity:1 in
+  let reference = Neighborhood_ref.index base ~rho:1 tuples in
   List.iter
-    (fun width ->
-      let before = Wm_obs.Obs.snapshot () in
-      let bounded = Neighborhood.index_bounded ~width base ~rho:1
-          (Neighborhood.all_tuples base ~arity:1) in
-      let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
-      let generic = Neighborhood.index ~width_bound:0 base ~rho:1
-          (Neighborhood.all_tuples base ~arity:1) in
+    (fun jobs ->
+      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho:1 tuples) in
       check bool
-        (Printf.sprintf "straddle width %d identical" width)
-        true
-        (equal_index bounded generic);
+        (Printf.sprintf "jobs %d: identical to the reference" jobs)
+        true (equal_index ix reference);
+      check Alcotest.int
+        (Printf.sprintf "jobs %d: only the 63-element hub falls back" jobs)
+        1
+        (counter_of d "nbh.bw.width_fallbacks");
       check bool
-        (Printf.sprintf "width %d: clique spheres fall back" width)
-        true
-        (counter_of d "nbh.bw.width_fallbacks" > 0);
-      check bool
-        (Printf.sprintf "width %d: path spheres bypass iso" width)
+        (Printf.sprintf "jobs %d: leaf spheres bypass iso" jobs)
         true
         (counter_of d "nbh.bw.iso_bypassed" > 0))
-    [ 1; 2; 3 ]
+    [ 1; 2 ]
 
 let test_counters () =
   with_stats @@ fun () ->
   let base = grid_graph 6 6 in
-  let before = Wm_obs.Obs.snapshot () in
-  ignore (Neighborhood.index_universe ~width_bound:8 base ~rho:1 ~arity:2);
-  let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
-  check bool "decompositions built" true
-    (counter_of d "nbh.bw.decompositions" > 0);
-  (* arity 2: many tuples share a sphere set, so the per-sphere
-     decomposition cache must be hit *)
-  check bool "decomposition cache hit" true
-    (counter_of d "nbh.bw.decomp_cache_hits" > 0);
-  check bool "groups formed" true (counter_of d "nbh.bw.groups" > 0);
-  check bool "iso bypassed" true (counter_of d "nbh.bw.iso_bypassed" > 0)
+  let reference = Neighborhood_ref.index_universe base ~rho:1 ~arity:2 in
+  List.iter
+    (fun jobs ->
+      let ix, d =
+        obs_delta (fun () -> Neighborhood.index_universe ~jobs base ~rho:1 ~arity:2)
+      in
+      check bool "identical to the reference" true (equal_index ix reference);
+      check bool "decompositions built" true
+        (counter_of d "nbh.bw.decompositions" > 0);
+      (* arity 2: many tuples share a sphere shape, so most are served
+         without a decomposition of their own *)
+      check bool "decomposition cache hit" true
+        (counter_of d "nbh.bw.decomp_cache_hits" > 0);
+      check bool "groups formed" true (counter_of d "nbh.bw.groups" > 0);
+      check bool "iso bypassed" true (counter_of d "nbh.bw.iso_bypassed" > 0);
+      check Alcotest.int "no fallbacks" 0
+        (counter_of d "nbh.bw.width_fallbacks"))
+    [ 1; 2 ]
 
 (* --- reindex over edit scripts under the bound ------------------------ *)
 
@@ -171,7 +185,7 @@ let random_script g base steps =
   done;
   List.rev !script
 
-let prop_reindex_bounded =
+let prop_reindex_one_path =
   QCheck.Test.make ~count:30 ~name:"bounded reindex == reference from scratch"
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -179,52 +193,39 @@ let prop_reindex_bounded =
       let base = sparse_graph g in
       let rho = Prng.int g 3 in
       let arity = 1 + Prng.int g 2 in
-      let width = 1 + Prng.int g 4 in
-      let jobs = 1 + Prng.int g 2 in
-      let prev =
-        Neighborhood.index_universe ~jobs ~width_bound:width base ~rho ~arity
-      in
       let script = random_script g base (1 + Prng.int g 5) in
       let edited, dirty = Structure.apply_edits base script in
-      let inc =
-        Neighborhood.reindex ~jobs ~threshold:2.0 ~width_bound:width ~old:base
-          edited ~prev ~dirty
-      in
-      equal_index inc (Neighborhood_ref.index_universe edited ~rho ~arity))
+      let reference = Neighborhood_ref.index_universe edited ~rho ~arity in
+      both_jobs (fun jobs ->
+          let prev = Neighborhood.index_universe ~jobs base ~rho ~arity in
+          let inc =
+            Neighborhood.reindex ~jobs ~threshold:2.0 ~old:base edited ~prev
+              ~dirty
+          in
+          equal_index inc reference))
 
-(* --- the dispatcher: set_width_bound / WMARK_WIDTH_BOUND -------------- *)
+(* --- dispatch depends only on the input ------------------------------- *)
+
+let bw_counters d =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"nbh.bw." name)
+    d.Wm_obs.Obs.counters
 
 let test_dispatcher () =
-  let base = straddle_graph () in
-  let explicit = Neighborhood.index_universe ~width_bound:2 base ~rho:1 ~arity:1 in
-  Fun.protect ~finally:(fun () -> Neighborhood.set_width_bound None)
-  @@ fun () ->
-  Neighborhood.set_width_bound (Some 2);
-  check bool "set_width_bound applies to bare calls" true
-    (Neighborhood.width_bound () = Some 2
-    && equal_index explicit (Neighborhood.index_universe base ~rho:1 ~arity:1));
-  Neighborhood.set_width_bound (Some 0);
-  check bool "Some 0 forces the generic path" true
-    (Neighborhood.width_bound () = None);
-  Neighborhood.set_width_bound None;
-  check bool "None defers to the environment" true
-    (Neighborhood.width_bound ()
-    = (match Sys.getenv_opt "WMARK_WIDTH_BOUND" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some k when k >= 1 -> Some k
-          | _ -> None)
-      | None -> None));
-  check bool "negative bound rejected" true
-    (try
-       Neighborhood.set_width_bound (Some (-1));
-       false
-     with Invalid_argument _ -> true);
-  check bool "index_bounded rejects width 0" true
-    (try
-       ignore (Neighborhood.index_bounded ~width:0 base ~rho:1 []);
-       false
-     with Invalid_argument _ -> true)
+  with_stats @@ fun () ->
+  List.iter
+    (fun (name, base) ->
+      let run jobs =
+        obs_delta (fun () -> Neighborhood.index_universe ~jobs base ~rho:1 ~arity:1)
+      in
+      let ix1, d1 = run 1 and ix2, d2 = run 2 in
+      check bool (name ^ ": index identical at jobs 1 and 2") true
+        (equal_index ix1 ix2);
+      check
+        Alcotest.(list (pair string int))
+        (name ^ ": nbh.bw.* deltas identical at jobs 1 and 2")
+        (bw_counters d1) (bw_counters d2))
+    [ ("straddle", straddle_graph ()); ("two stars", two_stars 61 62) ]
 
 let test_max_sphere_width () =
   (* path: rho-1 spheres are sub-paths, width 1; the straddle graph's
@@ -235,15 +236,13 @@ let test_max_sphere_width () =
   let st = straddle_graph () in
   check Alcotest.int "straddle max sphere width" 4
     (Neighborhood.max_sphere_width st ~rho:1);
-  (* the survey names the exact threshold that ends fallbacks *)
+  (* width is no gate: the clique's width-4 spheres take the code path *)
   with_stats @@ fun () ->
-  let w = Neighborhood.max_sphere_width st ~rho:1 in
-  let before = Wm_obs.Obs.snapshot () in
-  ignore
-    (Neighborhood.index_bounded ~width:w st ~rho:1
-       (Neighborhood.all_tuples st ~arity:1));
-  let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
-  check Alcotest.int "no fallbacks at the surveyed width" 0
+  let _, d =
+    obs_delta (fun () ->
+        Neighborhood.index st ~rho:1 (Neighborhood.all_tuples st ~arity:1))
+  in
+  check Alcotest.int "no fallbacks on small spheres" 0
     (counter_of d "nbh.bw.width_fallbacks")
 
 let suite =
@@ -252,7 +251,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tree;
     QCheck_alcotest.to_alcotest prop_grid;
     QCheck_alcotest.to_alcotest prop_cache_off;
-    QCheck_alcotest.to_alcotest prop_reindex_bounded;
+    QCheck_alcotest.to_alcotest prop_reindex_one_path;
     Alcotest.test_case "width-fallback boundary (straddling)" `Quick
       test_straddle;
     Alcotest.test_case "bw counters" `Quick test_counters;

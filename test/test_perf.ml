@@ -62,9 +62,13 @@ let prop_cache_off_identity =
       let base = random_graph g in
       let rho = Prng.int g 3 in
       let arity = 1 + Prng.int g 2 in
-      equal_index
-        (Neighborhood.index_universe ~sphere_cache:false base ~rho ~arity)
-        (Neighborhood.index_universe base ~rho ~arity))
+      let reference = Neighborhood_ref.index_universe base ~rho ~arity in
+      List.for_all
+        (fun jobs ->
+          equal_index
+            (Neighborhood.index_universe ~jobs base ~rho ~arity)
+            reference)
+        [ 1; 2 ])
 
 let prop_jobs_independent =
   QCheck.Test.make ~count:20 ~name:"fast path is job-count independent"
