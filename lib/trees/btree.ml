@@ -119,12 +119,8 @@ let lca t x y =
 
 let postorder t = t.post
 
-let subtree_nodes t v =
-  let acc = ref [] in
-  for u = size t - 1 downto 0 do
-    if ancestor_or_equal t v u then acc := u :: !acc
-  done;
-  !acc
+(* Preorder numbering makes every subtree an interval of ids. *)
+let subtree_nodes t v = List.init t.size_below.(v) (fun i -> v + i)
 
 let subtree_size t v = t.size_below.(v)
 

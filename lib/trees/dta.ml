@@ -130,16 +130,54 @@ let run_with_hole_states t tree ~label_of ~hole q =
 let run_with_hole t tree ~label_of ~hole q =
   (run_with_hole_states t tree ~label_of ~hole q).(Btree.root tree)
 
+(* Only the bottom-up-reachable pairs are built, numbered in ascending
+   pair index [qa * nb + qb]: exactly the numbering [reduce] gives the
+   full pairing table, which the compiler's output depends on (see
+   DESIGN.md 5.4).  Reachability is a worklist closure over pairs, each
+   new pair combined with every pair found so far. *)
 let product a b ~final =
   if a.nlabels <> b.nlabels then invalid_arg "Dta.product: alphabet mismatch";
-  let n = a.nstates * b.nstates in
-  let pair qa qb = (qa * b.nstates) + qb in
-  make ~nstates:n ~nlabels:a.nlabels
-    ~final:(fun q -> final a.final.(q / b.nstates) b.final.(q mod b.nstates))
-    (fun ql qr l ->
-      let split q = if q < 0 then (-1, -1) else (q / b.nstates, q mod b.nstates) in
-      let qla, qlb = split ql and qra, qrb = split qr in
-      pair (delta a qla qra l) (delta b qlb qrb l))
+  let nb = b.nstates and nl = a.nlabels in
+  (* Successor pair index of two pair indices ([-1] = [*]). *)
+  let succ pl pr l =
+    let fst p = if p < 0 then -1 else p / nb
+    and snd p = if p < 0 then -1 else p mod nb in
+    (delta a (fst pl) (fst pr) l * nb) + delta b (snd pl) (snd pr) l
+  in
+  let id = Array.make (a.nstates * nb) (-1) in
+  let found = Array.make (a.nstates * nb) 0 in
+  let count = ref 0 in
+  let visit pl pr l =
+    let p = succ pl pr l in
+    if id.(p) < 0 then begin
+      id.(p) <- 0;
+      found.(!count) <- p;
+      incr count
+    end
+  in
+  for l = 0 to nl - 1 do
+    visit (-1) (-1) l
+  done;
+  let processed = ref 0 in
+  while !processed < !count do
+    let p = found.(!processed) in
+    incr processed;
+    for l = 0 to nl - 1 do
+      visit p (-1) l;
+      visit (-1) p l;
+      for i = 0 to !processed - 1 do
+        visit p found.(i) l;
+        visit found.(i) p l
+      done
+    done
+  done;
+  let pairs = Array.sub found 0 !count in
+  Array.sort compare pairs;
+  Array.iteri (fun i p -> id.(p) <- i) pairs;
+  let pair q = if q < 0 then -1 else pairs.(q) in
+  make ~nstates:!count ~nlabels:nl
+    ~final:(fun q -> final a.final.(pairs.(q) / nb) b.final.(pairs.(q) mod nb))
+    (fun ql qr l -> id.(succ (pair ql) (pair qr) l))
 
 let complement t = { t with final = Array.map not t.final }
 
@@ -187,62 +225,90 @@ let reduce t =
         incr k
       end)
     reach;
-  let n' = max 1 !k in
-  let back = Array.make n' 0 in
-  Array.iteri (fun q m -> if m >= 0 then back.(m) <- q) remap;
-  make ~nstates:n' ~nlabels:t.nlabels
-    ~final:(fun q -> !k > 0 && t.final.(back.(q)))
-    (fun ql qr l ->
-      if !k = 0 then 0
-      else
-        let lift q = if q < 0 then -1 else back.(q) in
-        let q = delta t (lift ql) (lift qr) l in
-        (* Images of reachable states are reachable; other entries are
-           irrelevant, point them anywhere valid. *)
-        if remap.(q) >= 0 then remap.(q) else 0)
+  (* Everything reachable: the renumbering is the identity. *)
+  if !k = t.nstates then t
+  else begin
+    let n' = max 1 !k in
+    let back = Array.make n' 0 in
+    Array.iteri (fun q m -> if m >= 0 then back.(m) <- q) remap;
+    make ~nstates:n' ~nlabels:t.nlabels
+      ~final:(fun q -> !k > 0 && t.final.(back.(q)))
+      (fun ql qr l ->
+        if !k = 0 then 0
+        else
+          let lift q = if q < 0 then -1 else back.(q) in
+          let q = delta t (lift ql) (lift qr) l in
+          (* Images of reachable states are reachable; other entries are
+             irrelevant, point them anywhere valid. *)
+          if remap.(q) >= 0 then remap.(q) else 0)
+  end
 
+(* Moore refinement.  A state's signature is its class followed by the
+   classes of every transition it takes part in, as left or right child,
+   against every state and [*].  Signatures are hashed in full and compared
+   element by element against the class representatives sharing the hash,
+   so nothing the length of a signature is ever allocated.  Classes are
+   numbered by their smallest member, in every round. *)
 let minimize t =
   let t = reduce t in
-  let n = t.nstates in
+  let n = t.nstates and nl = t.nlabels in
+  let table = t.table in
   let cls = Array.init n (fun q -> if t.final.(q) then 1 else 0) in
+  (* Offsets of the rows (q, r) and (r, q), r in [-1 .. n-1]. *)
+  let row_l q r = (((q + 1) * (n + 1)) + r + 1) * nl
+  and row_r q r = (((r + 1) * (n + 1)) + q + 1) * nl in
+  let hash q =
+    let h = ref cls.(q) in
+    for r = -1 to n - 1 do
+      let a = row_l q r and b = row_r q r in
+      for l = 0 to nl - 1 do
+        h := (!h * 0x100000001b3) lxor cls.(table.(a + l));
+        h := (!h * 0x100000001b3) lxor cls.(table.(b + l))
+      done
+    done;
+    !h
+  in
+  let same q q' =
+    cls.(q) = cls.(q')
+    &&
+    let r = ref (-1) and ok = ref true in
+    while !ok && !r < n do
+      let a = row_l q !r and a' = row_l q' !r in
+      let b = row_r q !r and b' = row_r q' !r in
+      for l = 0 to nl - 1 do
+        if
+          cls.(table.(a + l)) <> cls.(table.(a' + l))
+          || cls.(table.(b + l)) <> cls.(table.(b' + l))
+        then ok := false
+      done;
+      incr r
+    done;
+    !ok
+  in
   let changed = ref true in
   while !changed do
-    changed := false;
-    let sig_of q =
-      let acc = ref [ cls.(q) ] in
-      for l = 0 to t.nlabels - 1 do
-        acc := cls.(delta t q (-1) l) :: cls.(delta t (-1) q l) :: !acc;
-        for r = 0 to n - 1 do
-          acc := cls.(delta t q r l) :: cls.(delta t r q l) :: !acc
-        done
-      done;
-      !acc
-    in
-    let sigs = Array.init n sig_of in
-    let fresh = Hashtbl.create 16 in
+    let reps : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
     let next = ref 0 in
     let newcls =
       Array.init n (fun q ->
-          let key = (cls.(q), sigs.(q)) in
-          match Hashtbl.find_opt fresh key with
-          | Some c -> c
+          let h = hash q in
+          match List.find_opt (fun (q', _) -> same q q') (Hashtbl.find_all reps h) with
+          | Some (_, c) -> c
           | None ->
               let c = !next in
               incr next;
-              Hashtbl.add fresh key c;
+              Hashtbl.add reps h (q, c);
               c)
     in
-    if newcls <> cls then begin
-      Array.blit newcls 0 cls 0 n;
-      changed := true
-    end
+    changed := newcls <> cls;
+    Array.blit newcls 0 cls 0 n
   done;
   let nclasses = Array.fold_left max 0 cls + 1 in
   let rep = Array.make nclasses 0 in
   for q = n - 1 downto 0 do
     rep.(cls.(q)) <- q
   done;
-  make ~nstates:nclasses ~nlabels:t.nlabels
+  make ~nstates:nclasses ~nlabels:nl
     ~final:(fun c -> t.final.(rep.(c)))
     (fun cl cr l ->
       let lift c = if c < 0 then -1 else rep.(c) in

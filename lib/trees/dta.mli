@@ -63,7 +63,11 @@ val run_with_hole_states :
 val product : t -> t -> final:(bool -> bool -> bool) -> t
 (** Pairing construction; [final] combines the two finality predicates
     (conjunction = intersection, disjunction = union, xor = symmetric
-    difference). *)
+    difference).  Only the bottom-up-reachable pairs become states, at
+    most [nstates a * nstates b] of them, numbered in ascending
+    [qa * nstates b + qb]: the result equals [reduce] of the full pairing
+    table, state numbers included (DESIGN.md 5.4).  Cost: O(R^2 * labels)
+    for R reachable pairs. *)
 
 val complement : t -> t
 
@@ -71,14 +75,18 @@ val accept_all : nlabels:int -> t
 val accept_none : nlabels:int -> t
 
 val reduce : t -> t
-(** Restricts to bottom-up-reachable states (and renumbers).  The language
-    is unchanged; unreachable states would otherwise poison minimization
-    and inflate the m of Theorem 5. *)
+(** Restricts to bottom-up-reachable states, renumbered in ascending
+    order (the automaton itself when all are reachable).  The language is
+    unchanged; unreachable states would otherwise poison minimization and
+    inflate the m of Theorem 5. *)
 
 val minimize : t -> t
-(** Moore partition refinement on a reduced automaton.  Quadratic in the
-    state count per round; intended for the small automata of pattern
-    queries. *)
+(** Moore partition refinement on the reduced automaton.  Each round
+    streams every state's signature (its class and the classes of the
+    O(states * labels) transitions it takes part in), hashed in full and
+    compared only against class representatives with the same hash, so a
+    round costs O(states^2 * labels) time and O(states) space.  Classes
+    are numbered by their smallest member. *)
 
 val is_empty : t -> bool
 (** No reachable final state. *)

@@ -7,6 +7,16 @@ type t = {
 
 exception Unsupported of string
 
+(* Where a compile goes: the pairing products, the subset constructions
+   (with their projections) and the reduce-and-minimize steps. *)
+module Obs = Wm_obs.Obs
+
+let t_product = Obs.timer "trees.product"
+let t_determinize = Obs.timer "trees.determinize"
+let t_minimize = Obs.timer "trees.minimize"
+
+let product a b ~final = Obs.time t_product (fun () -> Dta.product a b ~final)
+
 (* ------------------------------------------------------------------ *)
 (* Alpha-renaming: make every bound variable unique and distinct from
    free variables, so each variable owns one pebble bit. *)
@@ -74,7 +84,7 @@ let one_node_satisfying alpha i ok =
 let eq_atom alpha i j =
   if i = j then sing alpha i
   else
-    Dta.product
+    product
       (one_node_satisfying alpha i (fun l -> Alphabet.bit alpha l j))
       (sing alpha j) ~final:( && )
 
@@ -163,6 +173,7 @@ let rec classify (phi : Mso.t) (elems, sets) =
 let minimize_threshold = 220
 
 let tidy auto =
+  Obs.time t_minimize @@ fun () ->
   let auto = Dta.reduce auto in
   if Dta.nstates auto <= minimize_threshold then Dta.minimize auto else auto
 
@@ -226,7 +237,7 @@ let compile ~base ~free phi =
     List.fold_left
       (fun acc v ->
         if Svars.mem v elem_vars then
-          Dta.product acc (sing alpha (pos a.fv v)) ~final:( && )
+          product acc (sing alpha (pos a.fv v)) ~final:( && )
         else acc)
       (Dta.accept_all ~nlabels:(Alphabet.size alpha))
       a.fv
@@ -234,7 +245,7 @@ let compile ~base ~free phi =
   let binary a b ~final =
     let a = cylindrify a b.fv in
     let b = cylindrify b a.fv in
-    { dta = tidy (Dta.product a.dta b.dta ~final); fv = a.fv }
+    { dta = tidy (product a.dta b.dta ~final); fv = a.fv }
   in
   let quantify ~elem x body =
     if not (List.mem x body.fv) then body
@@ -243,11 +254,14 @@ let compile ~base ~free phi =
       let alpha = alpha_for body.fv in
       let p = pos body.fv x in
       let dta =
-        if elem then Dta.product body.dta (sing alpha p) ~final:( && )
+        if elem then product body.dta (sing alpha p) ~final:( && )
         else body.dta
       in
-      let nta = Nta.project dta ~alpha ~bit:p in
-      { dta = tidy (Nta.determinize nta); fv = List.filter (( <> ) x) body.fv }
+      let det =
+        Obs.time t_determinize (fun () ->
+            Nta.determinize (Nta.project dta ~alpha ~bit:p))
+      in
+      { dta = tidy det; fv = List.filter (( <> ) x) body.fv }
     end
   in
   let rec go (phi : Mso.t) : partial =
@@ -282,7 +296,7 @@ let compile ~base ~free phi =
     | Not a ->
         let a = go a in
         {
-          dta = tidy (Dta.product (Dta.complement a.dta) (valid_of a) ~final:( && ));
+          dta = tidy (product (Dta.complement a.dta) (valid_of a) ~final:( && ));
           fv = a.fv;
         }
     | Exists (x, a) -> quantify ~elem:true x (go a)

@@ -1,140 +1,151 @@
-module Iset = Set.Make (Int)
-
 type t = {
   nstates : int;
   nlabels : int;
-  (* (ql+1, qr+1, label) -> possible states; key uses 0 for '*'. *)
-  trans : (int * int * int, Iset.t) Hashtbl.t;
+  (* Entry [e = ((ql+1) * (nstates+1) + (qr+1)) * nlabels + label] has at
+     most two successors, at [2e] and [2e+1]; [-1] marks an absent one. *)
+  succ : int array;
   final : bool array;
 }
 
 let nstates t = t.nstates
 let nlabels t = t.nlabels
 
-let of_dta d =
-  let n = Dta.nstates d and nl = Dta.nlabels d in
-  let trans = Hashtbl.create (n * n * nl / 2) in
+let entry t ql qr l = ((((ql + 1) * (t.nstates + 1)) + qr + 1) * t.nlabels) + l
+
+let tabulate d ~nlabels f =
+  let n = Dta.nstates d in
+  let t =
+    {
+      nstates = n;
+      nlabels;
+      succ = Array.make (2 * (n + 1) * (n + 1) * nlabels) (-1);
+      final = Array.init n (Dta.is_final d);
+    }
+  in
   for ql = -1 to n - 1 do
     for qr = -1 to n - 1 do
-      for l = 0 to nl - 1 do
-        Hashtbl.replace trans (ql + 1, qr + 1, l)
-          (Iset.singleton (Dta.delta d ql qr l))
+      for l = 0 to nlabels - 1 do
+        let e = entry t ql qr l in
+        let q0, q1 = f ql qr l in
+        t.succ.(2 * e) <- min q0 q1;
+        if q1 <> q0 then t.succ.((2 * e) + 1) <- max q0 q1
       done
     done
   done;
-  { nstates = n; nlabels = nl; trans; final = Array.init n (Dta.is_final d) }
+  t
 
-let lookup t key =
-  match Hashtbl.find_opt t.trans key with Some s -> s | None -> Iset.empty
+let of_dta d =
+  tabulate d ~nlabels:(Dta.nlabels d) (fun ql qr l ->
+      let q = Dta.delta d ql qr l in
+      (q, q))
 
 let project d ~alpha ~bit =
-  let n = Dta.nstates d in
   let small =
     Alphabet.make ~base_size:alpha.Alphabet.base_size
       ~bits:(alpha.Alphabet.bits - 1)
   in
-  let nl = Alphabet.size small in
-  let trans = Hashtbl.create (n * n * nl / 2) in
-  for ql = -1 to n - 1 do
-    for qr = -1 to n - 1 do
-      for l = 0 to nl - 1 do
-        let l0 = Alphabet.insert_bit small bit false l in
-        let l1 = Alphabet.insert_bit small bit true l in
-        Hashtbl.replace trans
-          (ql + 1, qr + 1, l)
-          (Iset.of_list [ Dta.delta d ql qr l0; Dta.delta d ql qr l1 ])
-      done
-    done
-  done;
-  { nstates = n; nlabels = nl; trans; final = Array.init n (Dta.is_final d) }
+  tabulate d ~nlabels:(Alphabet.size small) (fun ql qr l ->
+      ( Dta.delta d ql qr (Alphabet.insert_bit small bit false l),
+        Dta.delta d ql qr (Alphabet.insert_bit small bit true l) ))
+
+(* The successor set of a pair of state sets on one letter, sorted; [*] is
+   the one-element side [[| -1 |]]. *)
+let step t ~seen ~stamp left right l =
+  let acc = ref [] in
+  let add q =
+    if q >= 0 && seen.(q) <> stamp then begin
+      seen.(q) <- stamp;
+      acc := q :: !acc
+    end
+  in
+  Array.iter
+    (fun ql ->
+      Array.iter
+        (fun qr ->
+          let e = entry t ql qr l in
+          add t.succ.(2 * e);
+          add t.succ.((2 * e) + 1))
+        right)
+    left;
+  let s = Array.of_list !acc in
+  Array.sort compare s;
+  s
+
+let star = [| -1 |]
 
 let accepts t tree ~label_of =
   let n = Btree.size tree in
-  let state = Array.make n Iset.empty in
-  let states_of = function
-    | None -> [ 0 ]
-    | Some c -> List.map (fun q -> q + 1) (Iset.elements state.(c))
-  in
+  let state = Array.make n [||] in
+  let seen = Array.make t.nstates (-1) in
+  let side = function None -> star | Some c -> state.(c) in
   Array.iter
     (fun v ->
-      let ls = states_of (Btree.left tree v) in
-      let rs = states_of (Btree.right tree v) in
-      let l = label_of v in
-      let acc = ref Iset.empty in
-      List.iter
-        (fun ql ->
-          List.iter
-            (fun qr -> acc := Iset.union !acc (lookup t (ql, qr, l)))
-            rs)
-        ls;
-      state.(v) <- !acc)
+      state.(v) <-
+        step t ~seen ~stamp:v
+          (side (Btree.left tree v))
+          (side (Btree.right tree v))
+          (label_of v))
     (Btree.postorder tree);
-  Iset.exists (fun q -> t.final.(q)) state.(Btree.root tree)
+  Array.exists (fun q -> t.final.(q)) state.(Btree.root tree)
 
+module Subsets = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash s = Array.fold_left (fun h q -> (h * 0x100000001b3) lxor q) 0 s
+end)
+
+(* Subset construction by rounds.  Round [r] fills, in lexicographic
+   order of (left, right, letter), the pairs of subset ids that involve a
+   subset found during round [r-1]; a subset is numbered when first
+   produced.  The numbering is part of the compiler's output contract
+   (DESIGN.md 5.4), so it must not become a worklist order. *)
 let determinize t =
-  let subset_ids : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let subsets : Iset.t array ref = ref (Array.make 8 Iset.empty) in
+  let nl = t.nlabels in
+  let ids = Subsets.create 64 in
+  let subsets = ref (Array.make 8 [||]) in
   let count = ref 0 in
   let intern s =
-    let key = Iset.elements s in
-    match Hashtbl.find_opt subset_ids key with
-    | Some id -> (id, false)
+    match Subsets.find_opt ids s with
+    | Some id -> id
     | None ->
         let id = !count in
         incr count;
         if id >= Array.length !subsets then begin
-          let bigger = Array.make (2 * Array.length !subsets) Iset.empty in
-          Array.blit !subsets 0 bigger 0 (Array.length !subsets);
+          let bigger = Array.make (2 * id) [||] in
+          Array.blit !subsets 0 bigger 0 id;
           subsets := bigger
         end;
         !subsets.(id) <- s;
-        Hashtbl.add subset_ids key id;
-        (id, true)
+        Subsets.add ids s id;
+        id
+  in
+  let seen = Array.make t.nstates (-1) in
+  let stamp = ref 0 in
+  (* Row (sl, sr) holds the successor ids of the pair on every letter. *)
+  let rows : (int * int, int array) Hashtbl.t = Hashtbl.create 256 in
+  let fill sl sr =
+    let side s = if s < 0 then star else !subsets.(s) in
+    let row =
+      Array.init nl (fun l ->
+          incr stamp;
+          intern (step t ~seen ~stamp:!stamp (side sl) (side sr) l))
     in
-  (* delta on subset ids; -1 encodes '*'. *)
-  let step sl sr l =
-    let side s = if s < 0 then [ 0 ] else List.map (fun q -> q + 1) (Iset.elements !subsets.(s)) in
-    let acc = ref Iset.empty in
-    List.iter
-      (fun ql ->
-        List.iter (fun qr -> acc := Iset.union !acc (lookup t (ql, qr, l))) (side sr))
-      (side sl);
-    !acc
+    Hashtbl.replace rows (sl, sr) row
   in
-  let table : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let fill sl sr l =
-    if not (Hashtbl.mem table (sl, sr, l)) then begin
-      let id, fresh = intern (step sl sr l) in
-      Hashtbl.replace table (sl, sr, l) id;
-      fresh
-    end
-    else false
-  in
-  (* Seed with leaf transitions, then close under pairing until no new
-     subset-state appears.  Every state materialized this way is bottom-up
-     reachable, so no separate reduction pass is needed. *)
-  for l = 0 to t.nlabels - 1 do
-    ignore (fill (-1) (-1) l)
-  done;
+  fill (-1) (-1);
+  let prev = ref 0 in
   let stable = ref false in
   while not !stable do
-    stable := true;
     let n = !count in
     for sl = -1 to n - 1 do
-      for sr = -1 to n - 1 do
-        if sl >= 0 || sr >= 0 then
-          for l = 0 to t.nlabels - 1 do
-            if fill sl sr l then stable := false
-          done
+      for sr = (if sl < !prev then !prev else -1) to n - 1 do
+        fill sl sr
       done
     done;
-    if !count > n then stable := false
+    stable := !count = n;
+    prev := n
   done;
-  let nst = max 1 !count in
-  Dta.make ~nstates:nst ~nlabels:t.nlabels
-    ~final:(fun id ->
-      id < !count && Iset.exists (fun q -> t.final.(q)) !subsets.(id))
-    (fun ql qr l ->
-      match Hashtbl.find_opt table (ql, qr, l) with
-      | Some id -> id
-      | None -> 0)
+  Dta.make ~nstates:!count ~nlabels:nl
+    ~final:(fun id -> Array.exists (fun q -> t.final.(q)) !subsets.(id))
+    (fun ql qr l -> (Hashtbl.find rows (ql, qr)).(l))

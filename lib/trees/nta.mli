@@ -4,7 +4,9 @@
     nondeterminism: projecting a pebble bit away (the automaton guesses
     where the quantified variable sits) and its undoing, determinization by
     subset construction.  NTAs are transient values between a {!Dta.t} and
-    the next {!determinize}. *)
+    the next {!determinize}: flat transition arrays with at most two
+    successors per (left, right, letter) entry, which is all that
+    {!of_dta} and one {!project} produce. *)
 
 type t
 
@@ -21,7 +23,10 @@ val project : Dta.t -> alpha:Alphabet.t -> bit:int -> t
 
 val determinize : t -> Dta.t
 (** Subset construction; only reachable subset-states are materialized, and
-    the result is complete (the empty subset is the sink). *)
+    the result is complete (the empty subset is the sink).  Subsets are
+    numbered in the order rounds discover them: each round fills, in
+    lexicographic order of (left, right, letter), the pairs of subset ids
+    that involve a subset found in the previous round (DESIGN.md 5.4). *)
 
 val accepts : t -> Btree.t -> label_of:(int -> int) -> bool
 (** Direct nondeterministic evaluation (set-of-states simulation); used by

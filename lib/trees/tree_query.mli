@@ -27,17 +27,25 @@ val alpha : t -> Alphabet.t
 val member : t -> Btree.t -> Tuple.t -> Tuple.t -> bool
 (** [member q tree a b]: is b in B(a, T)?  One automaton run. *)
 
+val result_sets : t -> Btree.t -> Tuple.Set.t array
+(** Every W_a at once, indexed by the parameter node, for a query with
+    k = s = 1: one bottom-up and one top-down pass split each pair at its
+    lca, then shared per-(node, state) tails enumerate the outputs —
+    O(size * states^2) plus the output.
+    @raise Invalid_argument unless k = s = 1. *)
+
 val result_set : t -> Btree.t -> Tuple.t -> Tuple.Set.t
-(** W_a.  For s = 1, computed by a bottom-up run plus a top-down
-    context-acceptance pass — O(size * states) per parameter; for s > 1,
-    brute force over candidate tuples (size^s runs). *)
+(** W_a.  For k = s = 1, the {!result_sets} pass restricted to one
+    parameter — O(size * states) plus the output; otherwise brute force
+    over candidate tuples (size^s runs). *)
 
 val all_params : t -> Btree.t -> Tuple.t list
 (** All k-tuples of nodes (size^k of them). *)
 
 val active : t -> Btree.t -> Tuple.Set.t
-(** W = union of W_a; size^(k+s) automaton runs — see DESIGN.md 5.2 on
-    evaluator cost being part of the reproduced substrate. *)
+(** W = union of W_a: the {!result_sets} pass for k = s = 1, otherwise
+    size^(k+s) automaton runs — see DESIGN.md 5.2 on evaluator cost being
+    part of the reproduced substrate. *)
 
 val f : t -> Btree.t -> weights:Weighted.t -> Tuple.t -> int
 (** Weight of the query result for a parameter (the f of Section 1). *)

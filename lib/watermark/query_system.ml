@@ -37,10 +37,14 @@ let of_relational g q =
   make (Query.all_params g q) (Query.result_set g q) (Query.result_arity q)
 
 let of_tree tq tree =
-  make
-    (Wm_trees.Tree_query.all_params tq tree)
-    (Wm_trees.Tree_query.result_set tq tree)
-    (Wm_trees.Tree_query.s tq)
+  let module Tq = Wm_trees.Tree_query in
+  let result_fn =
+    if Tq.k tq = 1 && Tq.s tq = 1 then
+      let sets = Tq.result_sets tq tree in
+      fun a -> sets.(a.(0))
+    else Tq.result_set tq tree
+  in
+  make (Tq.all_params tq tree) result_fn (Tq.s tq)
 
 let of_custom ~params ~result_set ~weight_arity =
   make params result_set weight_arity

@@ -27,43 +27,53 @@ type t = {
   rep : report;
 }
 
-(* Postorder of the nodes of subtree(root) excluding everything strictly
-   below [hole] ([hole] itself included, as the summary point). *)
-let region_postorder tree broot hole =
-  let keep v =
-    Btree.ancestor_or_equal tree broot v
-    && match hole with
-       | Some h -> not (Btree.strictly_below tree h v)
-       | None -> true
+(* Behaviors of the candidates of one block: for each entering state q of
+   the hole (just [-1] without a hole), the state reached at [broot] with
+   the result pebble (bit [bit]) on the candidate.  The pebble only
+   changes the states on the candidate's path to [broot], so the region
+   ([region], a postorder) is run once per q without it, and each
+   candidate walks its path against those states.  [local] is scratch
+   indexed by node. *)
+let behaviors auto alpha tree ~local region broot hole ~bit members =
+  let letter v mask = Alphabet.encode alpha ~base:(Btree.label tree v) ~mask in
+  let entering =
+    match hole with None -> [ -1 ] | Some _ -> List.init (Dta.nstates auto) Fun.id
   in
-  Array.to_list (Btree.postorder tree) |> List.filter keep
-
-(* State reached at [broot] when running [auto] over the region with the
-   result pebble (bit [bit]) on node [b] and the hole (if any) entering in
-   state [q]. *)
-let region_state auto alpha tree region broot hole q ~bit b =
-  let state = Hashtbl.create (List.length region) in
-  let get v = match Hashtbl.find_opt state v with Some s -> s | None -> -1 in
-  List.iter
-    (fun v ->
-      if hole = Some v then Hashtbl.replace state v q
-      else begin
-        let ql = match Btree.left tree v with Some c -> get c | None -> -1 in
-        let qr = match Btree.right tree v with Some c -> get c | None -> -1 in
-        let base = Btree.label tree v in
-        let mask = if v = b then 1 lsl bit else 0 in
-        let letter = Alphabet.encode alpha ~base ~mask in
-        Hashtbl.replace state v (Dta.delta auto ql qr letter)
-      end)
-    region;
-  get broot
-
-let behavior auto alpha tree region broot hole ~bit b =
-  match hole with
-  | None -> [ region_state auto alpha tree region broot hole (-1) ~bit b ]
-  | Some _ ->
-      List.init (Dta.nstates auto) (fun q ->
-          region_state auto alpha tree region broot hole q ~bit b)
+  let size = List.length region in
+  List.iteri (fun i v -> local.(v) <- i) region;
+  let runs =
+    List.map
+      (fun q ->
+        let run = Array.make size (-1) in
+        let get = function Some c -> run.(local.(c)) | None -> -1 in
+        List.iter
+          (fun v ->
+            run.(local.(v)) <-
+              (if hole = Some v then q
+               else
+                 Dta.delta auto (get (Btree.left tree v)) (get (Btree.right tree v))
+                   (letter v 0)))
+          region;
+        get)
+      entering
+  in
+  List.map
+    (fun u ->
+      List.map
+        (fun get ->
+          let below = Dta.delta auto (get (Btree.left tree u)) (get (Btree.right tree u)) in
+          let s = ref (below (letter u (1 lsl bit))) and w = ref u in
+          while !w <> broot do
+            let p = Option.get (Btree.parent tree !w) in
+            s :=
+              if Btree.left tree p = Some !w then
+                Dta.delta auto !s (get (Btree.right tree p)) (letter p 0)
+              else Dta.delta auto (get (Btree.left tree p)) !s (letter p 0);
+            w := p
+          done;
+          !s)
+        runs)
+    members
 
 let prepare ?(options = default_options) tree query =
   if Tree_query.k query <> 1 || Tree_query.s query <> 1 then
@@ -74,80 +84,83 @@ let prepare ?(options = default_options) tree query =
     let m = Dta.nstates auto in
     let qs = Query_system.of_tree query tree in
     let active = Query_system.active_set qs in
-    let active_node v = Tuple.Set.mem (Tuple.singleton v) active in
+    let n = Btree.size tree in
+    let active_node = Array.make n false in
+    Tuple.Set.iter (fun b -> active_node.(b.(0)) <- true) active;
     let nactive = Tuple.Set.cardinal active in
     if nactive = 0 then Error "query has no active weighted elements"
     else begin
       let threshold =
         match options.block_size with Some b -> max 2 b | None -> 2 * m
       in
-      (* Phase 1: minimal blocks of >= threshold ungrouped active nodes. *)
-      let n = Btree.size tree in
-      let cnt = Array.make n 0 in
-      let grouped = Array.make n false in
+      (* Phase 1: minimal blocks of >= threshold ungrouped active nodes.
+         [pending.(v)] lists the ungrouped active nodes of subtree(v) in
+         ascending (pre)order; it stays below the threshold unless a block
+         forms at v and takes it all. *)
+      let pending = Array.make n [] in
       let blocks = ref [] in
+      let of_child = function Some c -> pending.(c) | None -> [] in
       Array.iter
         (fun v ->
-          let c =
-            (match Btree.left tree v with Some c -> cnt.(c) | None -> 0)
-            + (match Btree.right tree v with Some c -> cnt.(c) | None -> 0)
-            + if active_node v then 1 else 0
-          in
-          if c >= threshold then begin
-            let members =
-              List.filter
-                (fun u -> active_node u && not grouped.(u))
-                (Btree.subtree_nodes tree v)
-            in
-            List.iter (fun u -> grouped.(u) <- true) members;
-            blocks := (v, members) :: !blocks;
-            cnt.(v) <- 0
-          end
-          else cnt.(v) <- c)
+          let below = of_child (Btree.left tree v) @ of_child (Btree.right tree v) in
+          let here = if active_node.(v) then v :: below else below in
+          if List.length here >= threshold then blocks := (v, here) :: !blocks
+          else pending.(v) <- here)
         (Btree.postorder tree);
       let blocks = List.rev !blocks in
       let blocks_formed = List.length blocks in
       (* Phase 2: the forest over block roots; keep blocks with <= 1
-         child. *)
-      let roots = List.map fst blocks in
-      let parent_of r =
-        (* nearest strict ancestor among block roots *)
-        List.filter
-          (fun r' -> r' <> r && Btree.ancestor_or_equal tree r' r)
-          roots
-        |> List.fold_left
-             (fun best r' ->
-               match best with
-               | None -> Some r'
-               | Some b ->
-                   if Btree.ancestor_or_equal tree b r' then Some r' else best)
-             None
+         child.  [owner.(v)] is the nearest block root at or above v (-1:
+         none); nodes are numbered in preorder, so parents come first. *)
+      let owner = Array.make n (-1) in
+      List.iter (fun (r, _) -> owner.(r) <- r) blocks;
+      for v = 0 to n - 1 do
+        if owner.(v) <> v then
+          owner.(v) <- (match Btree.parent tree v with Some u -> owner.(u) | None -> -1)
+      done;
+      let parent_block r =
+        match Btree.parent tree r with Some u -> owner.(u) | None -> -1
       in
-      let children = Hashtbl.create 16 in
+      let nchildren = Array.make n 0 and child = Array.make n (-1) in
       List.iter
-        (fun r ->
-          match parent_of r with
-          | Some p ->
-              Hashtbl.replace children p (r :: Option.value ~default:[] (Hashtbl.find_opt children p))
-          | None -> ())
-        roots;
+        (fun (r, _) ->
+          let p = parent_block r in
+          if p >= 0 then begin
+            nchildren.(p) <- nchildren.(p) + 1;
+            child.(p) <- r
+          end)
+        blocks;
       let kept =
         List.filter_map
           (fun (r, members) ->
-            match Option.value ~default:[] (Hashtbl.find_opt children r) with
-            | [] -> Some { broot = r; hole = None; members }
-            | [ c ] -> Some { broot = r; hole = Some c; members }
+            match nchildren.(r) with
+            | 0 -> Some { broot = r; hole = None; members }
+            | 1 -> Some { broot = r; hole = Some child.(r); members }
             | _ -> None)
           blocks
       in
       let blocks_kept = List.length kept in
+      (* Each kept block's region in postorder: the nodes it owns, plus its
+         child block's root as the hole, in one pass. *)
+      let regions = Array.make n [] in
+      let is_kept = Array.make n false in
+      List.iter (fun b -> is_kept.(b.broot) <- true) kept;
+      Array.iter
+        (fun v ->
+          let o = owner.(v) in
+          if o >= 0 && is_kept.(o) then regions.(o) <- v :: regions.(o);
+          if o = v then begin
+            let p = parent_block v in
+            if p >= 0 && is_kept.(p) then regions.(p) <- v :: regions.(p)
+          end)
+        (Btree.postorder tree);
       (* Phase 3: behavioral collisions. *)
       let bit = Tree_query.k query in
-      let rng = Prng.create options.seed in
+      let local = Array.make n 0 in
       let paired =
         List.filter_map
           (fun b ->
-            let region = region_postorder tree b.broot b.hole in
+            let region = List.rev regions.(b.broot) in
             let members =
               (* Defensive: candidates must lie in the region (which, like
                  the paper's V_i, excludes the child block's root). *)
@@ -159,12 +172,12 @@ let prepare ?(options = default_options) tree query =
                 b.members
             in
             let groups = Hashtbl.create 16 in
-            List.iter
-              (fun u ->
-                let beh = behavior auto alpha tree region b.broot b.hole ~bit u in
+            List.iter2
+              (fun u beh ->
                 Hashtbl.replace groups beh
                   (u :: Option.value ~default:[] (Hashtbl.find_opt groups beh)))
-              members;
+              members
+              (behaviors auto alpha tree ~local region b.broot b.hole ~bit members);
             let collisions =
               Hashtbl.fold
                 (fun _ us acc -> if List.length us >= 2 then us :: acc else acc)
@@ -185,7 +198,6 @@ let prepare ?(options = default_options) tree query =
                     (List.sort compare us))
                 [] collisions
             in
-            ignore rng;
             if pairs = [] then None else Some (b, pairs))
           kept
       in

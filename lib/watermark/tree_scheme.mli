@@ -19,7 +19,7 @@
     of the lemma when several pairs are marked at once. *)
 
 type options = {
-  seed : int;
+  seed : int;  (** not read: preparation is deterministic *)
   block_size : int option;  (** override the 2m member threshold *)
   pairs_per_block : int;  (** default 1; raising it trades distortion for capacity *)
 }

@@ -378,6 +378,94 @@ let prop_result_set_fast_agrees =
             (List.init n Fun.id))
         (List.init n Fun.id))
 
+(* The one-pass result sets against one automaton run per (a, b) pair,
+   on queries whose outputs range from one node per parameter to whole
+   subtrees, and lie below, above and beside the parameter. *)
+let one_pass_queries =
+  lazy
+    (List.map
+       (fun src ->
+         let compiled =
+           Mso_compile.compile ~base ~free:[ "x"; "y" ] (Parser.mso_of_string src)
+         in
+         (src, Tree_query.of_compiled compiled ~params:[ "x" ] ~results:[ "y" ]))
+       [
+         "Leq(x,y)"; "Leq(x,y) & a(y)"; "S1(x,y) | S2(x,y)"; "S1(x,y)"; "x = y";
+         "Leq(y,x)"; "exists z. (S1(z,x) & S2(z,y))"; "~Leq(x,y) & ~Leq(y,x) & b(y)";
+       ])
+
+let prop_result_sets_agree =
+  QCheck.Test.make ~count:40 ~name:"result_sets = per-pair member runs"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let g = Prng.create seed in
+      let tree =
+        Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 40)
+      in
+      let n = Btree.size tree in
+      List.for_all
+        (fun (_, q) ->
+          let sets = Tree_query.result_sets q tree in
+          Array.length sets = n
+          && List.for_all
+               (fun a ->
+                 List.for_all
+                   (fun b ->
+                     Tuple.Set.mem (Tuple.singleton b) sets.(a)
+                     = Tree_query.member q tree (Tuple.singleton a) (Tuple.singleton b))
+                   (List.init n Fun.id))
+               (List.init n Fun.id))
+        (Lazy.force one_pass_queries))
+
+(* Random automata with a few "hot" states most transitions lead to, so
+   that some states are unreachable and some are equivalent. *)
+let skewed_dta g ~nlabels =
+  let nstates = 1 + Prng.int g 7 in
+  let hot = 1 + Prng.int g nstates in
+  let table =
+    Array.init ((nstates + 1) * (nstates + 1) * nlabels) (fun _ ->
+        if Prng.int g 10 < 8 then Prng.int g hot else Prng.int g nstates)
+  in
+  let finals = Array.init nstates (fun _ -> Prng.bool g) in
+  Dta.make ~nstates ~nlabels
+    ~final:(fun q -> finals.(q))
+    (fun ql qr l -> table.((((ql + 1) * (nstates + 1)) + (qr + 1)) * nlabels + l))
+
+let same_table a b = Tree_ref.table_string a = Tree_ref.table_string b
+
+let prop_product_is_reduced_pairing =
+  QCheck.Test.make ~count:100 ~name:"product = reduce of the full pairing table"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let nlabels = 1 + Prng.int g 4 in
+      let a = skewed_dta g ~nlabels and b = skewed_dta g ~nlabels in
+      List.for_all
+        (fun final ->
+          same_table (Dta.product a b ~final)
+            (Dta.reduce (Tree_ref.full_product a b ~final)))
+        [ ( && ); ( || ); ( <> ) ])
+
+let prop_minimize_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"minimize = list-signature minimize"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let a = skewed_dta g ~nlabels:(1 + Prng.int g 4) in
+      same_table (Dta.minimize a) (Tree_ref.minimize a))
+
+let prop_determinize_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"project+determinize = Hashtbl subsets"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let alpha = Alphabet.make ~base_size:(1 + Prng.int g 2) ~bits:(1 + Prng.int g 2) in
+      let d = skewed_dta g ~nlabels:(Alphabet.size alpha) in
+      let bit = Prng.int g alpha.Alphabet.bits in
+      same_table
+        (Nta.determinize (Nta.project d ~alpha ~bit))
+        (Tree_ref.project_determinize d ~alpha ~bit))
+
 let suite =
   [
     ("btree shape", `Quick, test_btree_shape);
@@ -410,4 +498,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_minimize_preserves_language;
     QCheck_alcotest.to_alcotest prop_de_morgan_automata;
     QCheck_alcotest.to_alcotest prop_determinize_of_dta_is_identity_language;
+    QCheck_alcotest.to_alcotest prop_result_sets_agree;
+    QCheck_alcotest.to_alcotest prop_product_is_reduced_pairing;
+    QCheck_alcotest.to_alcotest prop_minimize_matches_reference;
+    QCheck_alcotest.to_alcotest prop_determinize_matches_reference;
   ]

@@ -725,6 +725,53 @@ let prop_capacity_le_monotone =
         && Capacity.count qs (Capacity.Max_le 1)
            <= Capacity.count qs (Capacity.Max_le 2))
 
+(* The pairs and regions the tree scheme selects, pinned by digest: the
+   query pass, the block phases and the behavior tabulation may change
+   speed, never which pairs carry the message. *)
+let test_tree_scheme_pairs_pinned () =
+  let digest s =
+    let b = Buffer.create 256 in
+    List.iter
+      (fun { Pairing.fst; snd } -> Printf.bprintf b "%d,%d;" fst.(0) snd.(0))
+      (Tree_scheme.pairs s);
+    List.iter
+      (fun (r, h) -> Printf.bprintf b "%d/%d;" r (Option.value ~default:(-1) h))
+      (Tree_scheme.regions s);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let prepared name ?block_size tree q expected =
+    match Tree_scheme.prepare ~options:{ Tree_scheme.default_options with block_size } tree q with
+    | Ok s -> check string name expected (digest s)
+    | Error e -> Alcotest.fail e
+  in
+  let query src =
+    let compiled =
+      Wm_trees.Mso_compile.compile ~base:[| "a"; "b" |] ~free:[ "x"; "y" ]
+        (Parser.mso_of_string src)
+    in
+    Wm_trees.Tree_query.of_compiled compiled ~params:[ "x" ] ~results:[ "y" ]
+  in
+  List.iter
+    (fun (src, size, seed, default, small) ->
+      let tree = Trees_gen.random_tree (Prng.create seed) ~alphabet:[ "a"; "b" ] ~size in
+      let q = query src in
+      prepared src tree q default;
+      prepared (src ^ ", blocks of 3") ~block_size:3 tree q small)
+    [
+      ( "S1(x,y) | S2(x,y)", 300, 7, "d6ce6e2e95d692572be20fbd06a7a39b",
+        "a4d011e0ff3f096e66fce8c7894fda27" );
+      ( "Leq(x,y) & a(y)", 300, 8, "453f06a3f0c49a54c574d03c23c27f6a",
+        "82c036af37879f763c0a16c9ceadb1ba" );
+      ( "Leq(y,x)", 200, 9, "57dbd024b6701b4414c2811c600c7bdf",
+        "819534c9ac879367fd4e006952b21937" );
+    ];
+  let p = Wm_xml.Pattern.parse "bibliography//article[author=$a]/citations" in
+  let constants = Wm_xml.Pattern.constants p in
+  let doc = Biblio_xml.generate (Prng.create 2) ~articles:60 () in
+  let q = Wm_xml.Pattern.compile p ~alphabet:(Wm_xml.Encode.abstract_alphabet ~constants doc) in
+  prepared "biblio, 60 articles" (Wm_xml.Encode.to_binary_abstract ~constants doc) q
+    "00badb5f7526d5de6a37c7429e816ef3"
+
 let suite =
   [
     ("query system mirrors query", `Quick, test_qs_matches_query);
@@ -765,4 +812,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tree_roundtrip;
     QCheck_alcotest.to_alcotest prop_capacity_le_monotone;
     ("local mark over capacity", `Quick, test_local_mark_over_capacity);
+    ("tree scheme pairs pinned", `Quick, test_tree_scheme_pairs_pinned);
   ]

@@ -486,6 +486,46 @@ let prop_value_query_is_union =
           by_value = by_union)
         [ "John"; "Robert"; "Alice"; "Zed" ])
 
+(* Six patterns compiled over fixed documents.  The tables are pinned
+   byte for byte: the tree scheme picks its pairs in an order that follows
+   the state numbering, so a renumbered automaton with the same language
+   would change every marked document. *)
+let pinned_patterns =
+  lazy
+    (let biblio = Biblio_xml.generate (Prng.create 1) ~articles:16 () in
+     let school = School_xml.generate (Prng.create 1) ~students:16 () in
+     List.map
+       (fun (doc, src, digest) ->
+         let p = Pattern.parse src in
+         let constants = Pattern.constants p in
+         let q = Pattern.compile p ~alphabet:(Encode.abstract_alphabet ~constants doc) in
+         (src, digest, q, Encode.to_binary_abstract ~constants doc))
+       [
+         (biblio, "bibliography//article[author=$a]/citations", "561b3b20faff1edcc3e4fa6d053e5581");
+         (biblio, "bibliography/year/article[author=$a]/citations", "4b98cb5778a1fa3ef11b8588c256cc4d");
+         (biblio, "bibliography//year[label=$a]//citations", "acf00b6293d61a9e480fe0157220199b");
+         (school, "school/student[firstname=$a]/exam", "d413f7683f428c2d0e903732921fd6b5");
+         (school, "school//student[firstname=$a]/exam", "fa77b2b61b9fe8fa342e88dcfa853238");
+         (school, "school/student[firstname=$a][lastname=Smith]/exam", "cc9ea7748e18b7fca4ad80e79cb8655a");
+       ])
+
+let test_compiled_tables_pinned () =
+  List.iter
+    (fun (src, digest, q, _) ->
+      check string src digest (Tree_ref.table_digest (Wm_trees.Tree_query.automaton q)))
+    (Lazy.force pinned_patterns)
+
+let test_pattern_result_sets_agree () =
+  List.iter
+    (fun (src, _, q, b) ->
+      let sets = Wm_trees.Tree_query.result_sets q b in
+      Array.iteri
+        (fun a set ->
+          check bool (Printf.sprintf "%s, a = %d" src a) true
+            (Tuple.Set.equal set (Tree_ref.result_set_s1 q b (Tuple.singleton a))))
+        sets)
+    (Lazy.force pinned_patterns)
+
 let suite =
   [
     ("xml parse basic", `Quick, test_parse_basic);
@@ -521,4 +561,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xml_roundtrip;
     QCheck_alcotest.to_alcotest prop_encode_roundtrip;
     QCheck_alcotest.to_alcotest prop_value_query_is_union;
+    ("compiled pattern tables pinned", `Quick, test_compiled_tables_pinned);
+    ("pattern result_sets = per-parameter oracle", `Quick, test_pattern_result_sets_agree);
   ]
