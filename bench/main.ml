@@ -1664,7 +1664,13 @@ let e23 () =
       && ix_new.Neighborhood.representatives = ix_ref.Neighborhood.representatives
     in
     if not same then failwith ("e23: fast path diverged from reference on " ^ name);
-    let sp_new = timer_s d_new "nbh.index.spheres" in
+    (* the work of the pre-split spheres span: extraction, codes, prep
+       and the tree path that replaces codes on tree-shaped balls *)
+    let sp_new =
+      List.fold_left
+        (fun acc k -> acc +. timer_s d_new ("nbh.index." ^ k))
+        0. [ "spheres"; "codes"; "prep"; "tree" ]
+    in
     let sp_ref = timer_s d_ref "nbh.ref.index.spheres" in
     let ic_new = counter_v d_new "nbh.iso_checks" in
     let ic_ref = counter_v d_ref "nbh.ref.iso_checks" in
@@ -2437,12 +2443,14 @@ let e27 () =
    the known anti-case, a random graph of degree <= 30 at rho 1 where
    every sphere is its own type.  Each workload is typed twice
    (best-of-2).  Typing time is the nbh.index.codes + nbh.index.prep +
-   nbh.index.classify timer total, so the code step is charged its own
-   decompositions and grouping; sphere extraction is the separate
+   nbh.index.classify + nbh.index.tree timer total, so the code step is
+   charged its own decompositions and grouping and the tree path
+   (DESIGN.md 5.15) its refinement; sphere extraction is the separate
    column.  Every index is checked against Neighborhood_ref in-bench.
-   outputs_equal, grid_width_fallbacks and grid_iso_bypassed feed the
-   CI guard via BENCH_PR10.json; they are counters and flags, so the
-   guard does not depend on host speed.
+   outputs_equal, grid_width_fallbacks, grid_iso_bypassed and the
+   per-row tree_typed counts feed the CI guard via BENCH_PR10.json;
+   they are counters and flags, so the guard does not depend on host
+   speed.
 
    WMARK_E28_GRID / WMARK_E28_N / WMARK_E28_ARTICLES override the
    workload sizes so CI runs small; the committed BENCH_PR10.json comes
@@ -2496,13 +2504,10 @@ let e28 () =
   in
   let typing d =
     timer_s d "nbh.index.codes" +. timer_s d "nbh.index.prep"
-    +. timer_s d "nbh.index.classify"
+    +. timer_s d "nbh.index.classify" +. timer_s d "nbh.index.tree"
   in
-  (* pure extraction: the spheres span minus its nested code/prep *)
-  let extraction d =
-    timer_s d "nbh.index.spheres" -. timer_s d "nbh.index.codes"
-    -. timer_s d "nbh.index.prep"
-  in
+  (* the nbh.index.* timers are disjoint: spheres is pure extraction *)
+  let extraction d = timer_s d "nbh.index.spheres" in
   (* one measured index run: (index, typing s, diff) *)
   let measure g ~rho =
     let since = Obs.snapshot () in
@@ -2528,7 +2533,7 @@ let e28 () =
   let t =
     Texttab.create
       [ "workload"; "n"; "rho"; "width"; "ntp"; "capacity"; "spheres s";
-        "typing s"; "groups"; "bypassed"; "fallbacks"; "= ref" ]
+        "typing s"; "tree"; "groups"; "bypassed"; "fallbacks"; "= ref" ]
   in
   let outputs_equal = ref true in
   let results =
@@ -2544,9 +2549,10 @@ let e28 () =
              = reference.Neighborhood.representatives
         in
         outputs_equal := !outputs_equal && same;
-        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%d|%d|%d|%s" name
+        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%d|%d|%d|%d|%s" name
           (Structure.size g) rho width (Neighborhood.ntp ix) (capacity ix)
           (extraction d) typing_s
+          (counter_of d "nbh.tree.typed")
           (counter_of d "nbh.bw.groups")
           (counter_of d "nbh.bw.iso_bypassed")
           (counter_of d "nbh.bw.width_fallbacks")
@@ -2559,6 +2565,7 @@ let e28 () =
           (p ^ "_capacity", Json.Int (capacity ix));
           (p ^ "_spheres_s", Json.Float (extraction d));
           (p ^ "_typing_s", Json.Float typing_s);
+          (p ^ "_tree_typed", Json.Int (counter_of d "nbh.tree.typed"));
           (p ^ "_groups", Json.Int (counter_of d "nbh.bw.groups"));
           (p ^ "_iso_bypassed", Json.Int (counter_of d "nbh.bw.iso_bypassed"));
           (p ^ "_decompositions",
@@ -2587,20 +2594,22 @@ let e28 () =
                 (List.find
                    (fun (k, _) -> String.ends_with ~suffix:key k)
                    grid_row) ))
-          [ "typing_s"; "iso_bypassed"; "width_fallbacks" ]
+          [ "typing_s"; "iso_bypassed"; "width_fallbacks"; "tree_typed" ]
     | [] -> []
   in
   record_scalars ~experiment:"e28"
     (List.concat results @ grid_stable
     @ [ ("outputs_equal", Json.Bool !outputs_equal) ]);
   Printf.printf
-    "Every sphere of at most 62 elements is typed by a decomposition code\n\
-     (groups = distinct codes, bypassed = tuples that inherit a group\n\
-     leader's type without an isomorphism test); larger spheres fall back\n\
-     to the generic prep (fallbacks).  Typing time is the\n\
-     codes+prep+classify timer total; sphere extraction is the separate\n\
-     spheres column.  Every index is asserted equal to Neighborhood_ref\n\
-     in-bench; outputs_equal, grid_width_fallbacks and grid_iso_bypassed\n\
+    "Elements whose sphere is a tree are typed by rho rounds of color\n\
+     refinement (tree).  Every other sphere of at most 62 elements is\n\
+     typed by a decomposition code (groups = distinct codes, bypassed =\n\
+     tuples that inherit a group leader's type without an isomorphism\n\
+     test); larger spheres fall back to the generic prep (fallbacks).\n\
+     Typing time is the codes+prep+classify+tree timer total; sphere\n\
+     extraction is the separate spheres column.  Every index is asserted\n\
+     equal to Neighborhood_ref in-bench; outputs_equal,\n\
+     grid_width_fallbacks, grid_iso_bypassed and the tree_typed counts\n\
      feed the CI guard.\n"
 
 (* ------------------------------------------------------------------ *)

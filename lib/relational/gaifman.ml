@@ -18,6 +18,25 @@ let iter_neighbors g a f =
     f g.nbr.(i)
   done
 
+(* Directed edges are numbered by their position in the flat neighbor
+   array: row [a] holds slots [off.(a) .. off.(a + 1) - 1]. *)
+let edge_slots g = Array.length g.nbr
+
+let iteri_neighbors g a f =
+  for i = g.off.(a) to g.off.(a + 1) - 1 do
+    f i g.nbr.(i)
+  done
+
+let edge_slot g a b =
+  let lo = ref g.off.(a) and hi = ref (g.off.(a + 1) - 1) and r = ref (-1) in
+  while !r < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = g.nbr.(mid) in
+    if v = b then r := mid else if v < b then lo := mid + 1 else hi := mid - 1
+  done;
+  if !r < 0 then raise Not_found;
+  !r
+
 let max_degree g =
   let best = ref 0 in
   for a = 0 to size g - 1 do
@@ -194,17 +213,28 @@ let distance g a b =
 (* Bounded BFS with a local visited table: spheres are degree-bounded
    and small, and this runs once per element of the universe — [bfs]'s
    O(n) distance array per call would make sphere extraction quadratic
-   over the whole instance. *)
-let sphere_array g ~rho a =
+   over the whole instance.
+
+   With [~tree], the same walk also decides whether the sphere induces
+   a tree.  The sphere is connected, so it does iff its in-sphere degree
+   sum is 2(|s| - 1).  Rows of inner nodes (distance < rho) lie wholly
+   inside the sphere and are summed as the walk goes; every shell node
+   (distance rho, not the root) has at least its parent edge.  So the
+   sphere is a tree iff those two counts already make 2(|s| - 1) and no
+   shell node has a second in-sphere neighbor — the only membership
+   tests, and the one place edges between two shell nodes show. *)
+let sphere_walk g ~rho ~tree a =
   let dist = Hashtbl.create 16 in
   let q = Queue.create () in
   Hashtbl.replace dist a 0;
   Queue.add a q;
   let acc = ref [ a ] and count = ref 1 in
+  let inner = ref 0 and outer = ref 0 in
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     let du = Hashtbl.find dist u in
-    if du < rho then
+    if du < rho then begin
+      inner := !inner + degree g u;
       iter_neighbors g u (fun v ->
           if not (Hashtbl.mem dist v) then begin
             Hashtbl.replace dist v (du + 1);
@@ -212,7 +242,24 @@ let sphere_array g ~rho a =
             acc := v :: !acc;
             incr count
           end)
+    end
+    else if u <> a then incr outer
   done;
+  let is_tree =
+    tree
+    &&
+    !inner + !outer = 2 * (!count - 1)
+    &&
+    (* [acc] is newest first, so the shell is its first [outer] nodes *)
+    let rec leaves i = function
+      | u :: rest when i < !outer ->
+          let k = ref 0 in
+          iter_neighbors g u (fun v -> if Hashtbl.mem dist v then incr k);
+          !k = 1 && leaves (i + 1) rest
+      | _ -> true
+    in
+    leaves 0 !acc
+  in
   let s = Array.make !count 0 in
   List.iter
     (fun u ->
@@ -220,7 +267,9 @@ let sphere_array g ~rho a =
       s.(!count) <- u)
     !acc;
   Array.sort icmp s;
-  s
+  (s, is_tree)
+
+let sphere_array g ~rho a = fst (sphere_walk g ~rho ~tree:false a)
 
 let sphere g ~rho a = Array.to_list (sphere_array g ~rho a)
 

@@ -79,3 +79,20 @@ val local_groups : t -> max_size:int -> int list array
     their rho-spheres).  The recovery layer partitions its integrity
     certificates along these groups.  Sorted members, groups in seed
     (first-element) order; every element belongs to exactly one group. *)
+
+val sphere_walk : t -> rho:int -> tree:bool -> int -> int array * bool
+(** [sphere_array] plus, when [tree], whether the sphere induces a tree
+    in this graph (edges between two elements at distance [rho]
+    included), decided in the same walk; [false] otherwise. *)
+
+val edge_slots : t -> int
+(** Number of directed edges: each edge [{a, b}] is two slots, one in
+    [a]'s row and one in [b]'s, numbered densely from 0. *)
+
+val edge_slot : t -> int -> int -> int
+(** [edge_slot g a b] is the slot of [b] in [a]'s row, for per-edge
+    data in a flat array.  @raise Not_found if [a] and [b] are not
+    adjacent. *)
+
+val iteri_neighbors : t -> int -> (int -> int -> unit) -> unit
+(** [iter_neighbors] passing each neighbor's slot first. *)

@@ -27,6 +27,7 @@ let c_bw_decomp_hits = Obs.counter "nbh.bw.decomp_cache_hits"
 let c_bw_groups = Obs.counter "nbh.bw.groups"
 let c_bw_bypassed = Obs.counter "nbh.bw.iso_bypassed"
 let c_bw_fallbacks = Obs.counter "nbh.bw.width_fallbacks"
+let c_tree_typed = Obs.counter "nbh.tree.typed"
 let t_index = Obs.timer "nbh.index"
 let t_reindex = Obs.timer "nbh.reindex"
 let t_spheres = Obs.timer "nbh.index.spheres"
@@ -34,6 +35,7 @@ let t_codes = Obs.timer "nbh.index.codes"
 let t_prep = Obs.timer "nbh.index.prep"
 let t_classify = Obs.timer "nbh.index.classify"
 let t_renumber = Obs.timer "nbh.index.renumber"
+let t_tree = Obs.timer "nbh.index.tree"
 
 let iso_check pa pb =
   Obs.incr c_iso_checks;
@@ -110,7 +112,9 @@ let all_tuples_array g ~arity =
 
    The tables are only mutated in the sequential grouping phases; the
    parallel phases read frozen entries, which keeps the pool's
-   bit-identical-for-every-job-count contract. *)
+   bit-identical-for-every-job-count contract.  The one exception is
+   [tree], written by the sphere walks one element slot per task, the
+   pool's own slot-addressed discipline. *)
 
 type ctx = {
   cg : Structure.t;
@@ -121,7 +125,13 @@ type ctx = {
          injective, structure-independent relation code for the flat
          sphere encodings *)
   incident : (int * Tuple.t) list array;
-  spheres : int array option array;
+  tree_ok : bool;
+      (* the tree path applies: every relation has arity 1 or 2, and
+         there are at most 31, so fact and label sets fit a word *)
+  spheres : int array array;  (* [||] until computed: spheres are nonempty *)
+  tree : bool array;
+      (* the cached sphere induces a tree; only set by a walk that
+         checks, so a [false] is always safe *)
   groups : (int array, (int * Tuple.t) list option ref) Hashtbl.t;
 }
 
@@ -151,7 +161,13 @@ let make_ctx g gf ~rho =
     crho = rho;
     rel_names;
     incident;
-    spheres = Array.make n None;
+    tree_ok =
+      Array.length rel_names <= 31
+      && Structure.fold_relations
+           (fun _ r acc -> acc && (Relation.arity r = 1 || Relation.arity r = 2))
+           g true;
+    spheres = Array.make n [||];
+    tree = Array.make n false;
     groups = Hashtbl.create 256;
   }
 
@@ -376,7 +392,7 @@ let code_of di cl =
 
 (* Sorted union of the cached element spheres of [c]. *)
 let sphere_union ctx c =
-  let sphere_of x = Option.get ctx.spheres.(x) in
+  let sphere_of x = ctx.spheres.(x) in
   match Array.length c with
   | 0 -> [||]
   | 1 -> sphere_of c.(0)
@@ -504,12 +520,11 @@ let code_groups ctx ?jobs tups sets =
   Obs.add c_bw_groups (Ktbl.length tbl);
   grp
 
-(* Materialize classification data for every tuple: bucket key (cheap
-   invariants), certificate, and the {!Iso.prep} reused by every exact
-   in-bucket test, for code-group leaders only; members share their
-   leader's triple. *)
-let materialize ctx ?jobs tups =
-  (* Phase A (parallel): BFS the spheres of elements not yet cached. *)
+(* Phase A (parallel): BFS the spheres of [tups]' elements not yet
+   cached; with [~tree] the same walk records whether each sphere
+   induces a tree. *)
+let fill_spheres ctx ?jobs ~tree tups =
+  Obs.span t_spheres @@ fun () ->
   let n = Structure.size ctx.cg in
   let pending = Array.make n false in
   let missing = ref [] and nmiss = ref 0 and lookups = ref 0 in
@@ -518,7 +533,7 @@ let materialize ctx ?jobs tups =
       Array.iter
         (fun x ->
           incr lookups;
-          if ctx.spheres.(x) = None && not pending.(x) then begin
+          if Array.length ctx.spheres.(x) = 0 && not pending.(x) then begin
             pending.(x) <- true;
             missing := x :: !missing;
             incr nmiss
@@ -526,30 +541,46 @@ let materialize ctx ?jobs tups =
         c)
     tups;
   let missing = Array.of_list (List.rev !missing) in
+  (* each task records its element's tree bit in its own slot, so no
+     pair outlives the walk *)
   let computed =
     Wm_par.Pool.parallel_map ?jobs
-      (fun x -> Gaifman.sphere_array ctx.cgf ~rho:ctx.crho x)
+      (fun x ->
+        let s, t = Gaifman.sphere_walk ctx.cgf ~rho:ctx.crho ~tree x in
+        ctx.tree.(x) <- t;
+        s)
       missing
   in
-  Array.iteri (fun i x -> ctx.spheres.(x) <- Some computed.(i)) missing;
+  Array.iteri (fun i x -> ctx.spheres.(x) <- computed.(i)) missing;
   Obs.add c_spheres !nmiss;
-  Obs.add c_sphere_hits (!lookups - !nmiss);
+  Obs.add c_sphere_hits (!lookups - !nmiss)
+
+(* Materialize classification data for every tuple, whose element
+   spheres {!fill_spheres} has cached: bucket key (cheap invariants),
+   certificate, and the {!Iso.prep} reused by every exact in-bucket
+   test, for code-group leaders only; members share their leader's
+   triple. *)
+let materialize ctx ?jobs tups =
   (* Phase B (sequential, cheap): tuple spheres by union, grouped by
      sphere so the member scan below runs once per distinct sphere. *)
-  let sets = Array.map (fun c -> sphere_union ctx c) tups in
-  let fresh = ref [] in
-  Array.iter
-    (fun s ->
-      if Hashtbl.mem ctx.groups s then Obs.incr c_subs_deduped
-      else begin
-        Hashtbl.add ctx.groups s (ref None);
-        fresh := s :: !fresh
-      end)
-    sets;
-  (* Phase C (parallel): one member scan per fresh sphere group. *)
-  let fresh = Array.of_list (List.rev !fresh) in
-  let scanned = Wm_par.Pool.parallel_map ?jobs (fun s -> members_in ctx s) fresh in
-  Array.iteri (fun i s -> Hashtbl.find ctx.groups s := Some scanned.(i)) fresh;
+  let sets =
+    Obs.span t_spheres @@ fun () ->
+    let sets = Array.map (fun c -> sphere_union ctx c) tups in
+    let fresh = ref [] in
+    Array.iter
+      (fun s ->
+        if Hashtbl.mem ctx.groups s then Obs.incr c_subs_deduped
+        else begin
+          Hashtbl.add ctx.groups s (ref None);
+          fresh := s :: !fresh
+        end)
+      sets;
+    (* Phase C (parallel): one member scan per fresh sphere group. *)
+    let fresh = Array.of_list (List.rev !fresh) in
+    let scanned = Wm_par.Pool.parallel_map ?jobs (fun s -> members_in ctx s) fresh in
+    Array.iteri (fun i s -> Hashtbl.find ctx.groups s := Some scanned.(i)) fresh;
+    sets
+  in
   let nt = Array.length tups in
   let grp = Obs.span t_codes @@ fun () -> code_groups ctx ?jobs tups sets in
   (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
@@ -651,12 +682,99 @@ let bucket_slots keyed =
        (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find btbl k))))
        !border)
 
-let run_index ctx ?jobs tups ~rho ~arity =
+(* --- tree-shaped balls (DESIGN.md 5.15) ------------------------------
+
+   When every relation has arity 1 or 2, an element whose sphere induces
+   a tree is typed by its color after exactly [rho] rounds of exact color
+   refinement over the whole structure.  Color 0 is the set of facts on
+   the element alone (unary facts and self-loops, by relation id) —
+   never a degree or incidence count, which would see past the ball.  A
+   round-r signature is the element's round-(r-1) color, then one
+   (label, round-(r-1) color) pair per Gaifman neighbor, sorted; the
+   label is the set of (relation id, position of the element) over every
+   tuple joining the two, grouped per neighbor.  Ids are dense by exact
+   signature comparison ({!Iso.dense_renumber}), never a hash.
+
+   The round-r color of y depends only on the r-ball of y, so the final
+   color of x is an invariant of its pointed sphere.  On a tree sphere it
+   also determines the sphere: a neighbor's signature lists the parent
+   exactly once, so peeling that entry off leaves its children, down to
+   depth [rho].  Equal colors are therefore exactly isomorphic tree
+   spheres.  More rounds would see past the ball, so there are exactly
+   [rho].  Returns the colors, one per element. *)
+let tree_colors ctx =
+  let gf = ctx.cgf and n = Structure.size ctx.cg in
+  (* own facts as a relation-id set, labels as (relation id, position)
+     sets; both fit a word, [tree_ok] caps the relation count *)
+  let own = Array.make n 0 and label = Array.make (Gaifman.edge_slots gf) 0 in
+  let set a i bit = a.(i) <- a.(i) lor (1 lsl bit) in
+  Array.iteri
+    (fun id name ->
+      let r = Structure.relation ctx.cg name in
+      if Relation.arity r = 1 then
+        Relation.iter_flat (fun buf o -> set own buf.(o) id) r
+      else
+        Relation.iter_flat
+          (fun buf o ->
+            let u = buf.(o) and v = buf.(o + 1) in
+            if u = v then set own u id
+            else begin
+              set label (Gaifman.edge_slot gf u v) (2 * id);
+              set label (Gaifman.edge_slot gf v u) ((2 * id) + 1)
+            end)
+          r)
+    ctx.rel_names;
+  (* dense label ids by rank among the distinct labels *)
+  let distinct = Array.of_list (List.sort_uniq icmp (Array.to_list label)) in
+  let lid = Array.map (idx_sorted distinct) label in
+  let col = ref (Iso.dense_renumber (Array.map (fun m -> [| m |]) own)) in
+  for _ = 1 to ctx.crho do
+    let c, k = !col in
+    col :=
+      Iso.dense_renumber
+        (Array.init n (fun x ->
+             let d = Gaifman.degree gf x in
+             let s = Array.make (d + 1) c.(x) in
+             (* label id and color packed into one int: exact, as every
+                color is below [k] *)
+             let i = ref 1 in
+             Gaifman.iteri_neighbors gf x (fun e w ->
+                 s.(!i) <- (lid.(e) * k) + c.(w);
+                 incr i);
+             Iso.isort s 1 d;
+             s))
+  done;
+  fst !col
+
+(* The tree path of [run_index]: every slot whose element's sphere is a
+   tree gets its leader, the first slot with its final color; returns
+   how many did.  Tree and cyclic spheres are never isomorphic, so the
+   slots left at -1 form whole classes of their own. *)
+let tree_leaders ctx tups leader =
+  (* the refinement runs only once some slot needs it *)
+  let colors = lazy (tree_colors ctx, Array.make (Structure.size ctx.cg) (-1)) in
+  let typed = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if ctx.tree.(c.(0)) then begin
+        let col, first = Lazy.force colors in
+        let k = col.(c.(0)) in
+        if first.(k) < 0 then first.(k) <- i;
+        leader.(i) <- first.(k);
+        incr typed
+      end)
+    tups;
+  Obs.add c_tree_typed !typed;
+  !typed
+
+(* Exact classification of [tups]: each slot's leader, the first slot of
+   its isomorphism class. *)
+let classify_slots ctx ?jobs tups =
   let n = Array.length tups in
-  Obs.add c_tuples_typed n;
   (* Phase 1 (parallel): materialize every neighborhood's classification
      data through the shared context. *)
-  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx ?jobs tups in
+  let keyed, grp = materialize ctx ?jobs tups in
+  Obs.span t_classify @@ fun () ->
   (* Phase 2 (sequential, cheap): bucket the slots. *)
   let buckets = Array.map snd (bucket_slots keyed) in
   Obs.add c_buckets (Array.length buckets);
@@ -673,7 +791,6 @@ let run_index ctx ?jobs tups ~rho ~arity =
      leader's, so the scan could only repeat the leader's matches. *)
   let leader = Array.make n (-1) in
   let classified =
-    Obs.span t_classify @@ fun () ->
     Wm_par.Pool.parallel_map ?jobs
       (fun slots ->
         let reps = ref [] in
@@ -719,6 +836,37 @@ let run_index ctx ?jobs tups ~rho ~arity =
          Obs.add c_iso_avoided
            (Array.length slots * (total_reps - snd classified.(b))))
        buckets);
+  leader
+
+let run_index ctx ?jobs tups ~rho ~arity =
+  let n = Array.length tups in
+  Obs.add c_tuples_typed n;
+  let trees = arity = 1 && ctx.tree_ok in
+  fill_spheres ctx ?jobs ~tree:trees tups;
+  let leader = Array.make n (-1) in
+  let typed =
+    if trees then Obs.span t_tree (fun () -> tree_leaders ctx tups leader) else 0
+  in
+  let leader =
+    if typed = 0 then classify_slots ctx ?jobs tups
+    else begin
+      (* the cyclic slots, on a sub-array that keeps slot order so their
+         leaders map back to first slots *)
+      let rest = Array.make (n - typed) 0 and j = ref 0 in
+      Array.iteri
+        (fun i l ->
+          if l < 0 then begin
+            rest.(!j) <- i;
+            incr j
+          end)
+        leader;
+      if typed < n then
+        Array.iteri
+          (fun j l -> leader.(rest.(j)) <- rest.(l))
+          (classify_slots ctx ?jobs (Array.map (fun i -> tups.(i)) rest));
+      leader
+    end
+  in
   (* Phase 4 (sequential): number the classes by first occurrence, which
      reproduces the type ids of the plain sequential fold exactly. *)
   Obs.span t_renumber @@ fun () ->
@@ -743,18 +891,21 @@ let run_index ctx ?jobs tups ~rho ~arity =
     tups;
   { rho; arity; types = !types; representatives = Array.of_list (List.rev !reps) }
 
+(* The context's Gaifman graph and incidence lists are charged to the
+   spheres timer, so the [nbh.index.*] timers add up to [nbh.index]. *)
+let make_index_ctx g ~rho =
+  Obs.span t_spheres @@ fun () -> make_ctx g (Gaifman.of_structure g) ~rho
+
 let index ?jobs g ~rho tuples =
   Obs.span t_index @@ fun () ->
-  let gf = Gaifman.of_structure g in
-  let ctx = make_ctx g gf ~rho in
+  let ctx = make_index_ctx g ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
   run_index ctx ?jobs tups ~rho ~arity
 
 let index_universe ?jobs g ~rho ~arity =
   Obs.span t_index @@ fun () ->
-  let gf = Gaifman.of_structure g in
-  let ctx = make_ctx g gf ~rho in
+  let ctx = make_index_ctx g ~rho in
   run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =
@@ -811,7 +962,9 @@ let reindex ?jobs ?(threshold = 0.5) ~old g ~prev ~dirty =
     (* Anchors are one per surviving class, pairwise non-isomorphic, so
        the code grouping never merges them — the grp component is
        irrelevant here. *)
-    let anchor_keyed, _ = materialize ctx ?jobs (Array.map snd anchors) in
+    let anchor_tups = Array.map snd anchors in
+    fill_spheres ctx ?jobs ~tree:false anchor_tups;
+    let anchor_keyed, _ = materialize ctx ?jobs anchor_tups in
     let atbl : (int * int, (int * Iso.prep) list ref) Hashtbl.t =
       Hashtbl.create 64
     in
@@ -831,6 +984,7 @@ let reindex ?jobs ?(threshold = 0.5) ~old g ~prev ~dirty =
       Array.of_list (List.rev !acc)
     in
     Obs.add c_affected_tuples (Array.length at);
+    fill_spheres ctx ?jobs ~tree:false at;
     let keyed, grp = materialize ctx ?jobs at in
     let buckets = bucket_slots keyed in
     (* Class keys: [0 .. ntp_old-1] are surviving old classes, [ntp_old + i]

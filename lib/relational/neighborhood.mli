@@ -47,7 +47,16 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
     pointed spheres, so only one tuple per code group runs the
     refinement prep and the in-bucket isomorphism scan.  Larger spheres
     go straight to that generic prep.  The choice depends only on the
-    input, and the result equals plain isomorphism classification. *)
+    input, and the result equals plain isomorphism classification.
+
+    Tree path (DESIGN.md 5.15): for arity-1 tuples over relations of
+    arity 1 or 2, every element whose rho-ball induces a tree — decided
+    in the sphere BFS itself — is typed by its color after exactly
+    [rho] rounds of exact color refinement over the whole structure.
+    That costs O(rho * (n + |E|) * log n) once per call, on one domain,
+    with no member scan, shape key, decomposition or prep for those
+    elements; only the elements with cyclic balls pay the per-sphere
+    costs above.  The refinement is skipped when no ball is a tree. *)
 
 val max_sphere_width : ?jobs:int -> Structure.t -> rho:int -> int
 (** The largest min-degree heuristic width over all elements' rho-sphere

@@ -50,6 +50,14 @@ let two_stars a b =
   let star hub k = List.init k (fun i -> Tuple.pair hub (hub + 1 + i)) in
   Structure.set_relation s "E" (Relation.of_list 2 (star 0 a @ star (a + 1) b))
 
+(* [two_stars a b] plus one leaf-leaf chord per star: the hubs' spheres
+   keep their a + 1 and b + 1 elements but are no longer trees, so they
+   take the code step instead of the tree path. *)
+let chorded_stars a b =
+  let s = two_stars a b in
+  let hub2 = a + 1 in
+  Structure.add_pairs s "E" [ (1, 2); (hub2 + 1, hub2 + 2) ]
+
 let both_jobs f = List.for_all f [ 1; 2 ]
 
 (* --- index == reference, across workloads and job counts -------------- *)
@@ -110,10 +118,26 @@ let obs_delta f =
   (r, Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()))
 
 (* Hubs of 62 and 63 elements: the first is the largest sphere the code
-   step takes, the second the smallest it leaves to the generic prep. *)
+   step takes, the second the smallest it leaves to the generic prep.
+   Plain star spheres are trees and never reach the code step, so each
+   star carries one chord; the unchorded pair is all tree-typed. *)
 let test_straddle () =
   with_stats @@ fun () ->
-  let base = two_stars 61 62 in
+  let plain = two_stars 61 62 in
+  let tuples = Neighborhood.all_tuples plain ~arity:1 in
+  let reference = Neighborhood_ref.index plain ~rho:1 tuples in
+  List.iter
+    (fun jobs ->
+      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs plain ~rho:1 tuples) in
+      check bool
+        (Printf.sprintf "jobs %d: plain stars identical to the reference" jobs)
+        true (equal_index ix reference);
+      check Alcotest.int
+        (Printf.sprintf "jobs %d: plain stars fully tree-typed" jobs)
+        (Structure.size plain)
+        (counter_of d "nbh.tree.typed"))
+    [ 1; 2 ];
+  let base = chorded_stars 61 62 in
   let tuples = Neighborhood.all_tuples base ~arity:1 in
   let reference = Neighborhood_ref.index base ~rho:1 tuples in
   List.iter
@@ -245,6 +269,115 @@ let test_max_sphere_width () =
   check Alcotest.int "no fallbacks on small spheres" 0
     (counter_of d "nbh.bw.width_fallbacks")
 
+(* --- tree-shaped balls: rho rounds of exact color refinement -------- *)
+
+let mixed_schema =
+  Schema.make
+    [
+      { Schema.name = "U"; arity = 1 };
+      { Schema.name = "E"; arity = 2 };
+      { Schema.name = "F"; arity = 2 };
+    ]
+
+(* A random forest with one-way and two-way edges over two binary
+   relations, self-loops, a unary relation and 0-3 chords: a mix of
+   tree and cyclic balls at every rho. *)
+let mixed_forest g =
+  let n = 2 + Prng.int g 23 in
+  let s = ref (Structure.create mixed_schema n) in
+  let add rel a b = s := Structure.add_tuple !s rel (Tuple.pair a b) in
+  let edge a b =
+    let rel = if Prng.int g 4 = 0 then "F" else "E" in
+    (match Prng.int g 3 with
+    | 0 -> add rel a b
+    | 1 -> add rel b a
+    | _ ->
+        add rel a b;
+        add rel b a);
+    if Prng.int g 6 = 0 then add (if rel = "E" then "F" else "E") a b
+  in
+  for i = 1 to n - 1 do
+    if Prng.int g 5 > 0 then edge (Prng.int g i) i
+  done;
+  for _ = 1 to Prng.int g 4 do
+    let a = Prng.int g n and b = Prng.int g n in
+    if a <> b then edge a b
+  done;
+  for _ = 1 to Prng.int g 3 do
+    let a = Prng.int g n in
+    add (if Prng.int g 2 = 0 then "E" else "F") a a
+  done;
+  for _ = 1 to Prng.int g 4 do
+    s := Structure.add_tuple !s "U" (Tuple.singleton (Prng.int g n))
+  done;
+  !s
+
+let prop_tree_path =
+  QCheck.Test.make ~count:60
+    ~name:"tree-path index == ref (mixed tree/cycle balls)"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = Prng.create (0x7EE + seed) in
+      let base = mixed_forest g in
+      let rho = Prng.int g 4 in
+      let tuples = Neighborhood.all_tuples base ~arity:1 in
+      let reference = Neighborhood_ref.index base ~rho tuples in
+      both_jobs (fun jobs ->
+          equal_index (Neighborhood.index ~jobs base ~rho tuples) reference))
+
+(* Index [base] at [rho] at jobs 1 and 2, check it against the reference
+   and [nbh.tree.typed] against [typed], and return it. *)
+let tree_case name base ~rho ~typed =
+  with_stats @@ fun () ->
+  let tuples = Neighborhood.all_tuples base ~arity:1 in
+  let reference = Neighborhood_ref.index base ~rho tuples in
+  List.iter
+    (fun jobs ->
+      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho tuples) in
+      check bool
+        (Printf.sprintf "%s, jobs %d: identical to the reference" name jobs)
+        true (equal_index ix reference);
+      check Alcotest.int
+        (Printf.sprintf "%s, jobs %d: tree-typed elements" name jobs)
+        typed
+        (counter_of d "nbh.tree.typed"))
+    [ 1; 2 ];
+  reference
+
+let graph_of n pairs =
+  Structure.add_pairs (Structure.create Schema.graph n) "E" pairs
+
+(* Paths 0->1->2 and 4->5->6 at rho 2: the depth-2 endpoint 2 has a
+   neighbor outside the ball, 6 has none.  Initial colors carry no
+   degree, so 0 and 4 share a type. *)
+let test_tree_degree_leak () =
+  let base = graph_of 7 [ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6) ] in
+  let ix = tree_case "degree leak" base ~rho:2 ~typed:7 in
+  check Alcotest.int "0 and 4 share a type" (Neighborhood.type_of ix [| 0 |])
+    (Neighborhood.type_of ix [| 4 |])
+
+(* A two-way 5-cycle beside a two-way 7-path at rho 2: every cycle ball
+   closes through an edge between two depth-2 elements, so the cycle
+   stays on the code path and does not take the path center's type,
+   which two refinement rounds alone would give it. *)
+let test_tree_depth_chord () =
+  let both (a, b) = [ (a, b); (b, a) ] in
+  let cycle = List.init 5 (fun i -> (i, (i + 1) mod 5)) in
+  let path = List.init 6 (fun i -> (5 + i, 6 + i)) in
+  let base = graph_of 12 (List.concat_map both (cycle @ path)) in
+  let ix = tree_case "depth-rho chord" base ~rho:2 ~typed:7 in
+  check bool "cycle element and path center differ" true
+    (Neighborhood.type_of ix [| 0 |] <> Neighborhood.type_of ix [| 8 |])
+
+(* 0 joined to 1 by E(0,1) and E(1,0), against 2 with one-way neighbors
+   E(2,3) and E(4,2): per-tuple (label, color) entries would agree, the
+   per-neighbor labels do not. *)
+let test_tree_grouping () =
+  let base = graph_of 5 [ (0, 1); (1, 0); (2, 3); (4, 2) ] in
+  let ix = tree_case "grouping" base ~rho:1 ~typed:5 in
+  check bool "0 and 2 differ" true
+    (Neighborhood.type_of ix [| 0 |] <> Neighborhood.type_of ix [| 2 |])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_sparse;
@@ -257,4 +390,8 @@ let suite =
     Alcotest.test_case "bw counters" `Quick test_counters;
     Alcotest.test_case "dispatcher precedence" `Quick test_dispatcher;
     Alcotest.test_case "max_sphere_width survey" `Quick test_max_sphere_width;
+    QCheck_alcotest.to_alcotest prop_tree_path;
+    Alcotest.test_case "tree path: no degree leak" `Quick test_tree_degree_leak;
+    Alcotest.test_case "tree path: depth-rho chord" `Quick test_tree_depth_chord;
+    Alcotest.test_case "tree path: per-neighbor labels" `Quick test_tree_grouping;
   ]
