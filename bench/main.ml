@@ -1356,7 +1356,12 @@ let e19 () =
               Pipeline.detect_xml xs ~original:doc ~suspect ~length:(bits * times)
             with
             | decoded ->
-                Bitvec.equal message (Codec.majority_decode ~times decoded)
+                let votes =
+                  Codec.vote ~times ~length:bits (fun j ->
+                      Some (Bitvec.get decoded j))
+                in
+                Bitvec.equal message
+                  (Bitvec.of_bools (Array.map (( = ) (Some true)) votes))
             | exception _ -> false
           in
           Texttab.addf t "%s|%d/%d|%.2g|%s|%s"

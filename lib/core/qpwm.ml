@@ -3,7 +3,8 @@
     One [open Qpwm] (or qualified access) reaches the whole system:
 
     - {!Prng}, {!Bitvec}, {!Codec}, {!Stats}, {!Texttab}, {!Json}:
-      utilities;
+      utilities ({!Codec.vote} is the one repetition-code majority
+      decoder);
     - {!Obs}, {!Obs_report}: observability — counters, timers and trace
       spans ([WMARK_STATS] / [--stats] / [--trace-json] control);
     - {!Par}: the multicore execution engine (domain pool, deterministic
@@ -24,7 +25,12 @@
       length-prefixed wire protocol, batching scheduler, and
       Gaifman-component sharding;
     - {!Paper_examples}, {!Random_struct}, {!Shatter}, {!Grid},
-      {!Trees_gen}, {!School_xml}, {!Bipartite}: workloads. *)
+      {!Trees_gen}, {!School_xml}, {!Bipartite}: workloads.
+
+    The frozen reference implementations the tests compare against
+    ([Neighborhood_ref], [Relation_ref], [Weighted_ref], [Tree_ref]) are
+    not part of this API: they live in the private test-only library
+    [wm_oracle] under [test/oracle/]. *)
 
 (* utilities *)
 module Prng = Wm_util.Prng
@@ -45,15 +51,12 @@ module Par = Wm_par.Pool
 module Tuple = Wm_relational.Tuple
 module Schema = Wm_relational.Schema
 module Relation = Wm_relational.Relation
-module Relation_ref = Wm_relational.Relation_ref
 module Structure = Wm_relational.Structure
 module Weighted = Wm_relational.Weighted
-module Weighted_ref = Wm_relational.Weighted_ref
 module Gaifman = Wm_relational.Gaifman
 module Tdecomp = Wm_relational.Tdecomp
 module Iso = Wm_relational.Iso
 module Neighborhood = Wm_relational.Neighborhood
-module Neighborhood_ref = Wm_relational.Neighborhood_ref
 module Textio = Wm_relational.Textio
 
 (* logic *)

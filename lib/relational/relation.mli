@@ -5,7 +5,8 @@
     functional add/remove overlay folded back in once it grows past a
     fraction of the array.  [mem] is binary search; bulk builders and
     {!iter_flat} touch no per-tuple heap blocks.  All observable
-    behavior matches the frozen {!Relation_ref}. *)
+    behavior matches the frozen pre-flat implementation, kept as a
+    test oracle in [test/oracle/relation_ref.ml]. *)
 
 type t
 

@@ -15,8 +15,8 @@
    An explicit entry whose value equals [default] is still an entry: it
    shows up in [bindings]/[support] exactly as the pre-flat map did.
 
-   Semantic bugfix carried by this PR (mirrored in [Weighted_ref] so
-   the equivalence suite pins it): [local_distance] now accounts for
+   Semantic bugfix over the pre-flat map (mirrored in the test oracle
+   test/oracle/weighted_ref.ml so the equivalence suite pins it): [local_distance] now accounts for
    the |default - default'| delta of tuples outside both supports —
    previously two assignments with different defaults but equal
    supports could report distance 0. *)

@@ -16,7 +16,8 @@ type t
     [default] (0 unless stated otherwise).  Flat-memory representation
     (DESIGN.md 5.12): explicit entries are a sorted contiguous key
     array plus an unboxed Bigarray of weights; behavior matches the
-    frozen {!Weighted_ref}. *)
+    frozen pre-flat implementation, kept as a test oracle in
+    [test/oracle/weighted_ref.ml]. *)
 
 val create : ?default:int -> int -> t
 (** [create arity] is the empty assignment on [arity]-tuples. *)

@@ -481,15 +481,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                   (Fingerprint.digest (Fingerprint.mark_for fp rid w)))
               (List.init count Fun.id)
           in
-          let combined =
-            List.fold_left
-              (fun h line ->
-                String.fold_left
-                  (fun h c -> (h lxor Char.code c) * 0x100000001B3)
-                  h line)
-              0 lines
-            land max_int
-          in
+          let combined = List.fold_left Fnv.string 0 lines land max_int in
           ok "fingerprint"
             [
               ("count", itoa count);

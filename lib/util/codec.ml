@@ -66,36 +66,23 @@ let repeat ~times m =
   done;
   v
 
-let majority_decode ~times v =
-  let n = Bitvec.length v in
-  if times <= 0 then invalid_arg "Codec.majority_decode: times must be positive";
-  if n mod times <> 0 then
-    invalid_arg "Codec.majority_decode: length not a multiple of times";
-  let l = n / times in
-  let out = Bitvec.create l in
-  for i = 0 to l - 1 do
-    let ones = ref 0 in
-    for t = 0 to times - 1 do
-      if Bitvec.get v ((t * l) + i) then incr ones
-    done;
-    (* strict majority: an even [times] split (ones = times/2) is a tie
-       and decodes to false — the documented bias, not an accident *)
-    Bitvec.set out i (2 * !ones > times)
-  done;
-  out
-
-let majority_decode_opt ~times v =
-  let n = Bitvec.length v in
-  if times <= 0 then
-    invalid_arg "Codec.majority_decode_opt: times must be positive";
-  if n mod times <> 0 then
-    invalid_arg "Codec.majority_decode_opt: length not a multiple of times";
-  let l = n / times in
-  Array.init l (fun i ->
-      let ones = ref 0 in
+let vote ~times ~length carrier =
+  if times <= 0 then invalid_arg "Codec.vote: times must be positive";
+  if length < 0 then invalid_arg "Codec.vote: negative length";
+  Array.init length (fun i ->
+      let ones = ref 0 and votes = ref 0 in
       for t = 0 to times - 1 do
-        if Bitvec.get v ((t * l) + i) then incr ones
+        match carrier ((t * length) + i) with
+        | Some b ->
+            incr votes;
+            if b then incr ones
+        | None -> ()
       done;
-      if 2 * !ones > times then Some true
-      else if 2 * !ones < times then Some false
+      if 2 * !ones > !votes then Some true
+      else if 2 * !ones < !votes then Some false
       else None)
+
+let redundancy ~capacity ~length =
+  if length <= 0 then invalid_arg "Codec.redundancy: length must be positive";
+  let r = max 1 (capacity / length) in
+  if r mod 2 = 0 then max 1 (r - 1) else r

@@ -35,17 +35,16 @@ val repeat : times:int -> Bitvec.t -> Bitvec.t
 (** [repeat ~times m] concatenates [times] copies of [m]: the redundancy
     encoding used by the adversarial (Khanna-Zane style) wrapper. *)
 
-val majority_decode : times:int -> Bitvec.t -> Bitvec.t
-(** Inverse of {!repeat} by per-position strict majority vote.  Raises
-    [Invalid_argument] unless [times > 0] and the input length is a
-    multiple of [times].  With an even [times], a position that splits
-    exactly [times/2] vs [times/2] is a tie and decodes to [false]; use
-    odd redundancies when that bias matters. *)
+val vote : times:int -> length:int -> (int -> bool option) -> bool option array
+(** Inverse of {!repeat}: a per-position vote over [times] interleaved
+    copies of a [length]-bit message.  Carrier [t*length + i] votes for
+    bit [i]; [carrier j = None] abstains (an erased or silent carrier).
+    Bit [i] is [Some b] on a strict majority of the non-abstaining votes
+    for [b], and [None] on a tie or when every carrier abstains.  Raises
+    [Invalid_argument] unless [times > 0] and [length >= 0]. *)
 
-val majority_decode_opt : times:int -> Bitvec.t -> bool option array
-(** Tie-explicit {!majority_decode}: position [i] is [Some b] on a strict
-    majority for [b] and [None] on an exact [times/2] split.  Collusion
-    voting (k copies spliced into one) produces even splits constantly;
-    callers that score agreement must see the tie as an abstention, not a
-    silent [false] — {!Wm_watermark.Fingerprint} decodes through this.
-    Same [Invalid_argument] conditions as {!majority_decode}. *)
+val redundancy : capacity:int -> length:int -> int
+(** The default repetition factor: the largest odd [R] with
+    [R * length <= capacity], and at least 1.  Odd, so a vote over all
+    [R] copies never ties.  Raises [Invalid_argument] unless
+    [length > 0]. *)

@@ -39,18 +39,10 @@ let master t = t.master
 (* FNV-1a with the master key mixed in as a prefix (same construction as
    the recovery layer's keyed certificates): without the master key the
    per-recipient keys, and hence the codewords, are unpredictable. *)
-let fnv_prime = 0x100000001B3
-let fnv_basis = Int64.to_int 0xCBF29CE484222325L (* 64-bit basis mod 2^63 *)
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
-  !h
-
 let recipient_key ~master rid =
-  let h = fnv_string fnv_basis (string_of_int master) in
-  let h = (h lxor 0x7C) * fnv_prime in
-  fnv_string h rid land max_int
+  let h = Fnv.string Fnv.basis (string_of_int master) in
+  let h = (h lxor 0x7C) * Fnv.prime in
+  Fnv.string h rid land max_int
 
 let codeword t rid =
   Codec.random (Prng.create (recipient_key ~master:t.master rid)) t.length
@@ -68,9 +60,7 @@ let geometry ?length ?times capacity =
     let times =
       match times with
       | Some r -> r
-      | None ->
-          let r = capacity / length in
-          if r mod 2 = 0 then max 1 (r - 1) else r
+      | None -> Codec.redundancy ~capacity ~length
     in
     if times < 1 then Error "fingerprint: times must be >= 1"
     else if times * length > capacity then
@@ -132,8 +122,8 @@ let mark_for t rid w =
   t.embed (Codec.repeat ~times:t.times (codeword t rid)) w
 
 let digest w =
-  let h = ref (fnv_string fnv_basis "qpwm-fp/1") in
-  let mix x = h := (!h lxor x) * fnv_prime in
+  let h = ref (Fnv.string Fnv.basis "qpwm-fp/1") in
+  let mix x = h := (!h lxor x) * Fnv.prime in
   mix (Weighted.arity w);
   mix (Weighted.default w);
   let arity = Weighted.arity w in
@@ -173,18 +163,10 @@ let read ?jobs t ~original ~suspect =
 let decode t carriers =
   if Array.length carriers <> t.times * t.length then
     invalid_arg "Fingerprint.decode: carrier count mismatch";
-  Array.init t.length (fun i ->
-      let ones = ref 0 and votes = ref 0 in
-      for c = 0 to t.times - 1 do
-        match carriers.((c * t.length) + i) with
-        | Detector.Cell (bit, (`Strong | `Weak)) ->
-            incr votes;
-            if bit then incr ones
-        | Detector.Cell (_, `Silent) | Detector.Erased -> ()
-      done;
-      if 2 * !ones > !votes && !votes > 0 then Some true
-      else if 2 * !ones < !votes then Some false
-      else None)
+  Codec.vote ~times:t.times ~length:t.length (fun j ->
+      match carriers.(j) with
+      | Detector.Cell (bit, (`Strong | `Weak)) -> Some bit
+      | Detector.Cell (_, `Silent) | Detector.Erased -> None)
 
 type score = {
   rid : string;
@@ -259,23 +241,10 @@ let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
   { candidates = n; alpha; threshold; decided; scores; accused }
 
 let verify t rid ~original ~suspect =
-  let carriers = read t ~original ~suspect in
-  let raw = Bitvec.create (Array.length carriers) in
-  Array.iteri
-    (fun j c ->
-      match c with
-      | Detector.Cell (bit, _) -> Bitvec.set raw j bit
-      | Detector.Erased -> ())
-    carriers;
-  let votes = Codec.majority_decode_opt ~times:t.times raw in
   let cw = codeword t rid in
+  let votes = decode t (read t ~original ~suspect) in
   let ok = ref true in
-  Array.iteri
-    (fun i v ->
-      match v with
-      | Some b when b = Bitvec.get cw i -> ()
-      | _ -> ok := false)
-    votes;
+  Array.iteri (fun i v -> if v <> Some (Bitvec.get cw i) then ok := false) votes;
   !ok
 
 (* --- the collusion grid ---------------------------------------------- *)

@@ -14,8 +14,9 @@
 
     Tracing scores every candidate recipient against a suspect copy: the
     carriers are read once, each message bit is decoded by tie-explicit
-    majority over its surviving signal carriers (ties and silent carriers
-    abstain — see {!Wm_util.Codec.majority_decode_opt}), and a
+    majority over its surviving signal carriers (silent and erased
+    carriers abstain, and a tie decides nothing — see
+    {!Wm_util.Codec.vote}), and a
     candidate's p-value is the binomial tail of its codeword's agreement
     with the decided bits.  Because bits are decided independently and an
     innocent's codeword bits are uniform, the null distribution is
@@ -83,9 +84,10 @@ val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
     parallel over carriers, bit-identical at every job count. *)
 
 val decode : t -> Detector.carrier array -> bool option array
-(** Per message bit, the tie-explicit majority over its surviving signal
-    carriers: [Some b] on a strict majority, [None] when erased, silent
-    or split carriers leave no decided majority. *)
+(** Per message bit, {!Wm_util.Codec.vote} over its carriers: strong and
+    weak carriers vote their orientation, silent and erased ones
+    abstain.  [Some b] on a strict majority, [None] when the carriers
+    tie or all abstain. *)
 
 type score = {
   rid : string;
@@ -125,12 +127,12 @@ val trace :
     call) and looked up thereafter. *)
 
 val verify : t -> string -> original:Weighted.t -> suspect:Weighted.t -> bool
-(** Exact single-recipient check: decode the carriers (weights-only
-    read), majority-vote each bit tie-explicitly
-    ({!Wm_util.Codec.majority_decode_opt}), and require every bit decided
-    and equal to [rid]'s codeword.  A copy marked for another recipient —
+(** Exact single-recipient check: {!read} then {!decode} the carriers
+    (weights-only read), and require every bit decided and equal to
+    [rid]'s codeword.  A copy marked for another recipient —
     equivalently, a detect under the wrong recipient key — fails with
-    overwhelming probability. *)
+    overwhelming probability, and an unmarked copy (every carrier
+    silent, no bit decided) verifies for nobody. *)
 
 (** {1 The collusion grid}
 

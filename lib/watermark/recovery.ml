@@ -45,14 +45,6 @@ type capsule = {
 (* FNV-1a over the canonical serialization; the key is mixed in as a
    prefix, so an attacker without it cannot recompute a verifying
    certificate for altered content. *)
-let fnv_prime = 0x100000001B3
-let fnv_basis = Int64.to_int 0xCBF29CE484222325L (* 64-bit basis mod 2^63 *)
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
-  !h
-
 let canon r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "g%d|" r.r_gid);
@@ -85,8 +77,8 @@ let canon r =
     r.r_weights;
   Buffer.contents buf
 
-let mac ~key r = fnv_string (fnv_string fnv_basis (string_of_int key)) (canon r)
-let unkeyed_mac r = fnv_string fnv_basis (canon r)
+let mac ~key r = Fnv.string (Fnv.string Fnv.basis (string_of_int key)) (canon r)
+let unkeyed_mac r = Fnv.string Fnv.basis (canon r)
 let verify ~key r = r.r_mac = mac ~key r
 let seal ~key r = { r with r_mac = mac ~key r }
 
@@ -186,6 +178,7 @@ let protect ?(options = default_options) (ws : Weighted.structure) =
 let groups c = c.groups
 let group_of c x = c.grp_of.(x)
 let ngroups c = Array.length c.groups
+let certificates c = Array.map (Array.map (fun r -> r.r_mac)) c.copies
 
 (* --- capsule-level attacks ------------------------------------------- *)
 

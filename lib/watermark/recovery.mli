@@ -160,3 +160,9 @@ val render_audit : capsule -> audit -> string
 
 val audit_json : capsule -> audit -> Wm_util.Json.t
 val repair_json : repair_report -> Wm_util.Json.t
+
+val certificates : capsule -> int array array
+(** The keyed certificate of every record copy, by group id, then in
+    host order.  Certificates travel with the data, so exposing them
+    reveals nothing the key protects; tests pin them to catch any
+    change in the certificate construction. *)

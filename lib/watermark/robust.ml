@@ -25,9 +25,7 @@ let of_tree scheme =
   }
 
 let redundancy_for base ~message_length =
-  if message_length <= 0 then invalid_arg "Robust.redundancy_for";
-  let r = max 1 (base.capacity / message_length) in
-  if r mod 2 = 0 then max 1 (r - 1) else r
+  Codec.redundancy ~capacity:base.capacity ~length:message_length
 
 let pad v n =
   let out = Bitvec.create n in
@@ -43,8 +41,5 @@ let mark base ~times message w =
 
 let detect base ~times ~length ~original ~server =
   let raw = base.extract ~original ~server in
-  let used = Bitvec.create (times * length) in
-  for i = 0 to (times * length) - 1 do
-    Bitvec.set used i (Bitvec.get raw i)
-  done;
-  Codec.majority_decode ~times used
+  let votes = Codec.vote ~times ~length (fun j -> Some (Bitvec.get raw j)) in
+  Bitvec.of_bools (Array.map (( = ) (Some true)) votes)

@@ -21,7 +21,8 @@ val of_local : Local_scheme.t -> base
 val of_tree : Tree_scheme.t -> base
 
 val redundancy_for : base -> message_length:int -> int
-(** Largest odd R with R * message_length <= capacity (>= 1). *)
+(** {!Wm_util.Codec.redundancy} of the base's capacity: the largest odd
+    R with R * message_length <= capacity (>= 1). *)
 
 val mark : base -> times:int -> Bitvec.t -> Weighted.t -> Weighted.t
 (** Embed [times] interleaved copies. *)
@@ -29,4 +30,6 @@ val mark : base -> times:int -> Bitvec.t -> Weighted.t -> Weighted.t
 val detect :
   base -> times:int -> length:int -> original:Weighted.t ->
   server:Query_system.server -> Bitvec.t
-(** Majority-vote decode of a length-[length] message. *)
+(** Decode a length-[length] message by {!Wm_util.Codec.vote} over the
+    first [times * length] carriers; a tied bit (even [times]) reads
+    as 0. *)

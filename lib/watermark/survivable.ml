@@ -162,19 +162,20 @@ type robust_verdict = {
 
 let detect_robust ?jobs ~pairs ~times ~length ~original alignment =
   let carriers = read ?jobs pairs ~original alignment ~length:(times * length) in
-  let message = Bitvec.create length in
+  let erasure = carriers.Detector.erasure in
+  let votes =
+    Codec.vote ~times ~length (fun j ->
+        if Bitvec.get erasure j then None
+        else Some (Bitvec.get carriers.Detector.decoded j))
+  in
+  let message = Bitvec.of_bools (Array.map (( = ) (Some true)) votes) in
   let erased_bits = ref 0 in
   for i = 0 to length - 1 do
-    let ones = ref 0 and alive = ref 0 in
+    let lost = ref true in
     for t = 0 to times - 1 do
-      let j = (t * length) + i in
-      if not (Bitvec.get carriers.Detector.erasure j) then begin
-        incr alive;
-        if Bitvec.get carriers.Detector.decoded j then incr ones
-      end
+      if not (Bitvec.get erasure ((t * length) + i)) then lost := false
     done;
-    if !alive = 0 then incr erased_bits;
-    Bitvec.set message i (2 * !ones > !alive)
+    if !lost then incr erased_bits
   done;
   (* Total wipe-out is an explicit verdict, not a zero-trials binomial
      call decoding to a confident all-zero message. *)

@@ -64,7 +64,8 @@ val read :
 
 type robust_verdict = {
   message : Bitvec.t;
-      (** majority vote per message bit over the {e surviving} copies *)
+      (** {!Wm_util.Codec.vote} per message bit over the {e surviving}
+          copies; a tie or an all-erased bit reads as 0 *)
   carriers : Detector.verdict;  (** the raw carrier-level verdict *)
   times : int;
   erased_bits : int;  (** message bits all of whose copies were erased *)
@@ -81,9 +82,11 @@ val detect_robust :
   ?jobs:int -> pairs:Pairing.pair list -> times:int -> length:int ->
   original:Weighted.t -> alignment -> robust_verdict
 (** Decode a [length]-bit message embedded with {!Robust.mark} [~times]
-    from whatever carriers survived.  Erased copies abstain from the
-    majority instead of voting 0, so a bit is lost only when a majority of
-    its {e surviving} copies is corrupted, or every copy is erased. *)
+    (the {!Wm_util.Codec.repeat} layout) from whatever carriers survived,
+    by {!Wm_util.Codec.vote}, the same vote as {!Robust.detect}.  Erased
+    copies abstain from the majority instead of voting 0, so a bit is lost
+    only when a majority of its {e surviving} copies is corrupted, or
+    every copy is erased. *)
 
 val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
 (** Carrier-level p-value of the suspect agreeing with [expected],

@@ -354,23 +354,76 @@ let test_corrections () =
   check bool "tests 0 rejected" true
     (raises (fun () -> Detector.bonferroni ~alpha:0.05 ~tests:0))
 
-let test_majority_decode_opt_ties () =
-  (* times 2, bits [1 0; 0 0]: bit 0 splits 1-1 (a tie the biased
-     decoder would silently call 0), bit 1 is a clean 0 *)
-  let v = Codec.of_bool_list [ true; false; false; false ] in
-  (match Codec.majority_decode_opt ~times:2 v with
+let test_vote_ties () =
+  (* times 2, carriers [1 0; 0 0]: bit 0 splits 1-1 (a tie), bit 1 is a
+     clean 0 *)
+  let of_bits bits j = Some (List.nth bits j) in
+  (match Codec.vote ~times:2 ~length:2 (of_bits [ true; false; false; false ]) with
   | [| None; Some false |] -> ()
   | _ -> Alcotest.fail "tie not surfaced");
   (* interleaved layout: bit i's votes sit at positions t*l + i *)
-  let v3 = Codec.of_bool_list [ true; true; false; true; false; false ] in
-  (match Codec.majority_decode_opt ~times:3 v3 with
+  (match
+     Codec.vote ~times:3 ~length:2
+       (of_bits [ true; true; false; true; false; false ])
+   with
   | [| Some false; Some true |] -> ()
   | _ -> Alcotest.fail "odd majority wrong");
+  (* abstentions: one surviving vote decides; none decides nothing *)
+  (match
+     Codec.vote ~times:3 ~length:2 (fun j ->
+         if j = 3 then Some true else None)
+   with
+  | [| None; Some true |] -> ()
+  | _ -> Alcotest.fail "abstentions miscounted");
   check bool "bad times rejected" true
-    (raises (fun () -> Codec.majority_decode_opt ~times:0 v));
-  check bool "length mismatch rejected" true
-    (raises (fun () ->
-         Codec.majority_decode_opt ~times:3 (Codec.of_bool_list [ true; false ])))
+    (raises (fun () -> Codec.vote ~times:0 ~length:2 (fun _ -> None)))
+
+(* On the unmarked original every carrier is silent, so no bit is decided
+   and no recipient's codeword verifies. *)
+let test_verify_unmarked_original () =
+  let t, ws = context ~length:4 ~times:3 ~n:200 () in
+  let w = ws.Weighted.weights in
+  List.iter
+    (fun i ->
+      let rid = "r" ^ string_of_int i in
+      check bool (rid ^ " does not verify") false
+        (Fingerprint.verify t rid ~original:w ~suspect:w))
+    (List.init 200 Fun.id)
+
+(* Keyed-hash outputs pinned: any change to the FNV-1a construction or
+   to how a key is mixed in moves them. *)
+let test_keyed_hashes_pinned () =
+  check int "key 7 alice" 4518028739014441110
+    (Fingerprint.recipient_key ~master:7 "alice");
+  check int "key beef r44" 3294876156221037545
+    (Fingerprint.recipient_key ~master:0xBEEF "r44");
+  check int "key 0 empty" 575418448377379465
+    (Fingerprint.recipient_key ~master:0 "");
+  let w =
+    Weighted.of_list ~default:3 2
+      [ ([| 0; 1 |], 5); ([| 2; 3 |], -7); ([| 4; 0 |], 11) ]
+  in
+  check int "digest" 4533268953166739639 (Fingerprint.digest w);
+  check int "digest empty" 3762144687428148148
+    (Fingerprint.digest (Weighted.create 1));
+  let cap =
+    Recovery.protect (Random_struct.regular_rings (Prng.create 3) ~n:12)
+  in
+  let certs = Alcotest.(array (array int)) in
+  check certs "keyed mac"
+    [|
+      [| 4447955290041694754; 4447955290041694754 |];
+      [| -754410636007615676; -754410636007615676 |];
+    |]
+    (Recovery.certificates cap);
+  (* amplitude 0 rewrites nothing but the certificate: the unkeyed mac *)
+  check certs "unkeyed mac"
+    [|
+      [| -905040634329360685; -905040634329360685 |];
+      [| 3671423951022403017; 3671423951022403017 |];
+    |]
+    (Recovery.certificates
+       (Recovery.forge (Prng.create 1) ~fraction:1.0 ~amplitude:0 cap))
 
 let suite =
   [
@@ -391,5 +444,7 @@ let suite =
     ("copy prng streams", `Quick, test_copy_prng_streams_independent);
     ("collusion draw order pinned", `Quick, test_collusion_draw_order_pinned);
     ("corrected thresholds", `Quick, test_corrections);
-    ("majority decode ties", `Quick, test_majority_decode_opt_ties);
+    ("majority decode ties", `Quick, test_vote_ties);
+    ("verify rejects the unmarked original", `Quick, test_verify_unmarked_original);
+    ("keyed hashes pinned", `Quick, test_keyed_hashes_pinned);
   ]

@@ -101,6 +101,11 @@ let test_codec_string_roundtrip () =
     (fun s -> check string "roundtrip" s (Codec.to_string (Codec.of_string s)))
     [ ""; "a"; "server-17"; "\x00\xff" ]
 
+(* Every carrier of [r] votes its bit; none abstains. *)
+let vote_all ~times r =
+  Codec.vote ~times ~length:(Bitvec.length r / times) (fun j ->
+      Some (Bitvec.get r j))
+
 let test_codec_majority () =
   let m = Codec.of_bool_list [ true; false; true ] in
   let r = Codec.repeat ~times:3 m in
@@ -108,8 +113,9 @@ let test_codec_majority () =
   Bitvec.set r 0 false;
   Bitvec.set r 4 true;
   Bitvec.set r 8 false;
-  let d = Codec.majority_decode ~times:3 r in
-  check (list bool) "decoded" [ true; false; true ] (Codec.to_bool_list d)
+  check (array (option bool)) "decoded"
+    [| Some true; Some false; Some true |]
+    (vote_all ~times:3 r)
 
 let test_codec_hamming () =
   let a = Codec.of_bool_list [ true; true; false; false ] in
@@ -154,18 +160,18 @@ let test_codec_validation () =
   raises_invalid "to_string ragged" (fun () -> Codec.to_string (Bitvec.create 3));
   raises_invalid "hamming mismatch" (fun () ->
       Codec.hamming (Bitvec.create 3) (Bitvec.create 4));
-  raises_invalid "majority times 0" (fun () ->
-      Codec.majority_decode ~times:0 (Bitvec.create 4));
-  raises_invalid "majority ragged" (fun () ->
-      Codec.majority_decode ~times:3 (Bitvec.create 4))
+  raises_invalid "vote times 0" (fun () ->
+      Codec.vote ~times:0 ~length:4 (fun _ -> None));
+  raises_invalid "vote negative length" (fun () ->
+      Codec.vote ~times:3 ~length:(-1) (fun _ -> None));
+  raises_invalid "redundancy length 0" (fun () ->
+      Codec.redundancy ~capacity:10 ~length:0)
 
 let test_codec_even_tie () =
-  (* Two copies of [true], one flipped: the 1-1 tie decodes to false (the
-     documented strict-majority bias). *)
+  (* Two copies of [true], one flipped: the 1-1 tie decides nothing. *)
   let r = Codec.repeat ~times:2 (Codec.of_bool_list [ true ]) in
   Bitvec.set r 1 false;
-  check (list bool) "tie decodes false" [ false ]
-    (Codec.to_bool_list (Codec.majority_decode ~times:2 r))
+  check (array (option bool)) "tie is None" [| None |] (vote_all ~times:2 r)
 
 let test_texttab_render () =
   let t = Texttab.create [ "name"; "n" ] in
@@ -201,13 +207,53 @@ let prop_union_popcount =
       = Bitvec.popcount a + Bitvec.popcount b)
 
 let prop_repeat_decode =
-  QCheck.Test.make ~count:200 ~name:"repeat then majority_decode is identity"
+  QCheck.Test.make ~count:200 ~name:"repeat then vote is identity"
     QCheck.(pair (list bool) (int_range 1 7))
     (fun (bits, times) ->
       QCheck.assume (bits <> []);
       let m = Codec.of_bool_list bits in
-      Codec.to_bool_list (Codec.majority_decode ~times (Codec.repeat ~times m))
-      = bits)
+      vote_all ~times (Codec.repeat ~times m)
+      = Array.of_list (List.map Option.some bits))
+
+(* [Codec.vote] against a plain count.  Carrier [j] follows the
+   pattern cyclically (0 abstains, 1 votes true, 2 votes false), and
+   every carrier of a bit in [silent] abstains. *)
+let prop_vote_spec =
+  QCheck.Test.make ~count:300 ~name:"vote == per-bit count spec"
+    QCheck.(
+      quad (int_range 1 6) (int_range 0 6) (list (int_bound 2)) (int_bound 63))
+    (fun (times, length, pattern, silent) ->
+      let n = times * length in
+      let pattern = Array.of_list pattern in
+      let carrier j =
+        if Array.length pattern = 0 || (silent lsr (j mod length)) land 1 = 1
+        then None
+        else
+          match pattern.(j mod Array.length pattern) with
+          | 0 -> None
+          | 1 -> Some true
+          | _ -> Some false
+      in
+      let spec i =
+        let ones = ref 0 and zeros = ref 0 in
+        for j = 0 to n - 1 do
+          if j mod length = i then
+            match carrier j with
+            | Some true -> incr ones
+            | Some false -> incr zeros
+            | None -> ()
+        done;
+        if !ones > !zeros then Some true
+        else if !zeros > !ones then Some false
+        else None
+      in
+      Codec.vote ~times ~length carrier = Array.init length spec)
+
+let test_redundancy () =
+  check int "largest odd fit" 3 (Codec.redundancy ~capacity:17 ~length:4);
+  check int "odd quotient kept" 5 (Codec.redundancy ~capacity:10 ~length:2);
+  check int "at least one" 1 (Codec.redundancy ~capacity:3 ~length:4);
+  check int "even quotient rounds down" 1 (Codec.redundancy ~capacity:8 ~length:4)
 
 let suite =
   [
@@ -235,4 +281,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitvec_of_to_list;
     QCheck_alcotest.to_alcotest prop_union_popcount;
     QCheck_alcotest.to_alcotest prop_repeat_decode;
+    QCheck_alcotest.to_alcotest prop_vote_spec;
+    ("codec redundancy", `Quick, test_redundancy);
   ]
