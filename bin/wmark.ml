@@ -280,15 +280,17 @@ let update_cmd =
         (Weighted.bindings ws.Weighted.weights)
     in
     let ws' = Weighted.make edited weights' in
-    match Local_scheme.update scheme ~old:ws ws' q ~dirty with
+    let old_gf = Gaifman.of_structure ws.Weighted.graph in
+    let gf = Gaifman.refresh edited ~prev:old_gf ~dirty in
+    match Local_scheme.update scheme ~old:ws ~old_gf ws' ~gf q ~dirty with
     | Error e -> failwith ("update: " ^ e)
     | Ok scheme' ->
         let r = Local_scheme.report scheme in
         let r' = Local_scheme.report scheme' in
         let decision =
-          Incremental.update_decision_ix ~old_graph:ws.Weighted.graph
-            ~old_index:(Local_scheme.index scheme) ~new_graph:edited
-            ~new_index:(Local_scheme.index scheme')
+          Incremental.update_decision_ix ~old_graph:ws.Weighted.graph ~old_gf
+            ~old_index:(Local_scheme.index scheme) ~new_graph:edited ~gf
+            ~new_index:(Local_scheme.index scheme') ~dirty
         in
         Printf.printf "edits          : %d (%d dirty elements)\n"
           (List.length edits) (List.length dirty);

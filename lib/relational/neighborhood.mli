@@ -78,21 +78,27 @@ val reindex :
   ?jobs:int ->
   ?threshold:float ->
   old:Structure.t ->
+  old_gf:Gaifman.t ->
   Structure.t ->
+  gf:Gaifman.t ->
   prev:index ->
   dirty:int list ->
   index
-(** [reindex ~old g ~prev ~dirty] is [index_universe g ~rho:prev.rho
-    ~arity:prev.arity] — bit-identical, type numbering and representatives
-    included — computed incrementally from [prev], the universe index of the
-    pre-edit structure [old], and the dirty set its edits reported (see
-    {!Structure.apply_edits}).  Only tuples touching {!affected_elements}
-    are re-materialized and re-bucketed; each one is matched against an
-    {e anchor} (an untouched member) of every surviving old class before
-    opening a fresh class, and a final sequential pass renumbers classes by
-    first occurrence.  Falls back to a full rebuild when the affected
-    tuples exceed [threshold] (default [0.5]) of the universe.  Only
-    meaningful when [prev] indexes all of [old]'s U^arity. *)
+(** [reindex ~old ~old_gf g ~gf ~prev ~dirty] is [index_universe g
+    ~rho:prev.rho ~arity:prev.arity] — bit-identical, type numbering and
+    representatives included — computed incrementally from [prev], the
+    universe index of the pre-edit structure [old], and the dirty set its
+    edits reported (see {!Structure.apply_edits}).  [old_gf] and [gf] are
+    the Gaifman graphs of [old] and [g]; the caller holds them (see
+    {!Gaifman.refresh}), so none is built here.  Only tuples touching
+    {!affected_elements} are re-materialized and re-bucketed; each one is
+    matched against an {e anchor} (the first untouched member) of every
+    surviving old class before opening a fresh class.  Classes are then
+    renumbered by first occurrence; when no surviving class changes id,
+    the old type map is kept and only the affected tuples are patched
+    in.  Falls back to a full rebuild when the affected tuples exceed
+    [threshold] (default [0.5]) of the universe.  Only meaningful when
+    [prev] indexes all of [old]'s U^arity. *)
 
 val ntp : index -> int
 (** Number of types = |S|. *)

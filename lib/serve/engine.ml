@@ -136,15 +136,19 @@ let put_structure t ~op id ws =
   | Ok () -> ok op (dataset_fields ds)
 
 (* Mirror [wmark update]'s weight carry-over: entries all of whose
-   elements survive in the edited universe keep their value. *)
-let carry_weights n' w =
-  List.fold_left
-    (fun acc (tup, v) ->
-      if Array.for_all (fun x -> x >= 0 && x < n') tup then
-        Weighted.set acc tup v
-      else acc)
-    (Weighted.create ~default:(Weighted.default w) (Weighted.arity w))
-    (Weighted.bindings w)
+   elements survive in the edited universe keep their value.  Only a
+   universe that shrank can drop any, so otherwise the weights are kept
+   as they are, uncopied. *)
+let carry_weights ~n n' w =
+  if n' >= n then w
+  else
+    List.fold_left
+      (fun acc (tup, v) ->
+        if Array.for_all (fun x -> x >= 0 && x < n') tup then
+          Weighted.set acc tup v
+        else acc)
+      (Weighted.create ~default:(Weighted.default w) (Weighted.arity w))
+      (Weighted.bindings w)
 
 (* --- dispatch -------------------------------------------------------- *)
 
@@ -346,14 +350,24 @@ let rec dispatch t ~jobs (req : Protocol.req) =
             match g' with
             | Error m -> Error ("update: " ^ m)
             | Ok (g', dirty) -> (
+                let n = Structure.size ds.base.Weighted.graph in
                 let n' = Structure.size g' in
                 let base =
-                  Weighted.make g' (carry_weights n' ds.base.Weighted.weights)
+                  {
+                    Weighted.graph = g';
+                    weights = carry_weights ~n n' ds.base.Weighted.weights;
+                  }
                 in
-                let cur = carry_weights n' ds.cur in
+                let cur = carry_weights ~n n' ds.cur in
+                (* the one Gaifman refresh of this edit script: the
+                   reindex, the Theorem 8 decision and the shard plan
+                   all read it *)
                 let gf' = Gaifman.refresh g' ~prev:ds.gf ~dirty in
+                (* a structural edit invalidates the capsule's
+                   certificates; say so when there was one *)
                 let fields =
                   [ ("size", itoa n'); ("dirty", itoa (List.length dirty)) ]
+                  @ if ds.cap = None then [] else [ ("capsule_dropped", "1") ]
                 in
                 match ds.prep with
                 | None ->
@@ -368,9 +382,15 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                         },
                         fields )
                 | Some prep -> (
+                    (* the identity query keeps its O(1) evaluator *)
+                    let qs =
+                      if prep.qspec = Protocol.string_of_qspec Identity then
+                        Some (identity_qs n')
+                      else None
+                    in
                     match
-                      Local_scheme.update ~old_gf:ds.gf prep.scheme
-                        ~old:ds.base base prep.query ~dirty
+                      Local_scheme.update ?qs prep.scheme ~old:ds.base
+                        ~old_gf:ds.gf base ~gf:gf' prep.query ~dirty
                     with
                     | Error m -> Error ("update: " ^ m)
                     | Ok scheme' ->
@@ -379,10 +399,10 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                            the owner must re-mark. *)
                         let decision =
                           Incremental.update_decision_ix
-                            ~old_graph:ds.base.Weighted.graph
+                            ~old_graph:ds.base.Weighted.graph ~old_gf:ds.gf
                             ~old_index:(Local_scheme.index prep.scheme)
-                            ~new_graph:g'
-                            ~new_index:(Local_scheme.index scheme')
+                            ~new_graph:g' ~gf:gf'
+                            ~new_index:(Local_scheme.index scheme') ~dirty
                         in
                         let type_preserving = decision = `Keep_mark in
                         Ok

@@ -199,6 +199,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
                 cells
         in
         let base_ix = Local_scheme.index scheme in
+        let base_gf = Gaifman.of_structure ws.Weighted.graph in
         let run_cell (times, marked, marked_ws, cap, other, other_cap, index, spec)
             =
           let g = cell_prng ~seed ~redundancy:times ~index in
@@ -252,14 +253,20 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
                 let suspect, _script, dirty =
                   Adversary.apply_edit_attack g a marked_ws
                 in
+                let gf =
+                  Gaifman.refresh suspect.Weighted.graph ~prev:base_gf ~dirty
+                in
                 let suspect_ix =
                   Neighborhood.reindex ~jobs:1 ~old:ws.Weighted.graph
-                    suspect.Weighted.graph ~prev:base_ix ~dirty
+                    ~old_gf:base_gf suspect.Weighted.graph ~gf ~prev:base_ix
+                    ~dirty
                 in
                 let drift =
                   not
-                    (Incremental.type_preserving_ix ws.Weighted.graph base_ix
-                       suspect.Weighted.graph suspect_ix)
+                    (Incremental.type_preserving_ix ~old_graph:ws.Weighted.graph
+                       ~old_gf:base_gf ~old_index:base_ix
+                       ~new_graph:suspect.Weighted.graph ~gf
+                       ~new_index:suspect_ix ~dirty)
                 in
                 (suspect, None, Some drift)
           in

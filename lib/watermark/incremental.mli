@@ -31,19 +31,24 @@ val update_decision :
     publishing an update. *)
 
 val type_preserving_ix :
-  Structure.t -> Neighborhood.index -> Structure.t -> Neighborhood.index ->
-  bool
-(** {!type_preserving} when both universe indexes are already in hand —
-    e.g. before and after {!Wm_relational.Neighborhood.reindex} — so only
-    the representatives are compared, with no universe re-typing.  The
-    indexes must share [rho]. *)
+  old_graph:Structure.t -> old_gf:Gaifman.t -> old_index:Neighborhood.index ->
+  new_graph:Structure.t -> gf:Gaifman.t -> new_index:Neighborhood.index ->
+  dirty:int list -> bool
+(** {!type_preserving} across an edit script, from what an incremental
+    update already holds: both universe indexes (before and after
+    {!Wm_relational.Neighborhood.reindex}), both Gaifman graphs and the
+    dirty set the edits reported.  A representative untouched by the
+    edits pairs its class with the other side's by lookup; only classes
+    left unpaired are materialized, on their spheres alone, and compared
+    by isomorphism.  No universe re-typing and no pass over the whole
+    structure.  The indexes must share [rho]. *)
 
 val update_decision_ix :
-  old_graph:Structure.t -> old_index:Neighborhood.index ->
-  new_graph:Structure.t -> new_index:Neighborhood.index ->
-  [ `Keep_mark | `Remark_required ]
+  old_graph:Structure.t -> old_gf:Gaifman.t -> old_index:Neighborhood.index ->
+  new_graph:Structure.t -> gf:Gaifman.t -> new_index:Neighborhood.index ->
+  dirty:int list -> [ `Keep_mark | `Remark_required ]
 (** {!update_decision} via {!type_preserving_ix} — the cheap path used by
-    [wmark update]. *)
+    [wmark update] and the serving engine. *)
 
 val average : Weighted.t -> Weighted.t -> Weighted.t
 (** The auto-collusion attack: per-element integer average (rounding

@@ -40,7 +40,7 @@ let assemble ~options ~g ~q ~qs ~degree ~rho ~ix =
     let all_pairs = Pairing.s_partition qs ~canonical in
     let budget = int_of_float (ceil (1.0 /. options.epsilon)) in
     let eta = Locality.eta q ~k:degree ~rho in
-    let selected =
+    let selected, max_split =
       let g0 = Prng.create options.seed in
       match options.selection with
       | `Greedy -> Pairing.select_greedy g0 qs all_pairs ~budget
@@ -58,7 +58,8 @@ let assemble ~options ~g ~q ~qs ~degree ~rho ~ix =
               | Some pairs when pairs <> [] -> pairs
               | _ -> attempt (i - 1)
           in
-          attempt tries
+          let pairs = attempt tries in
+          (pairs, if pairs = [] then 0 else Pairing.max_split qs pairs)
     in
     if selected = [] then Error "no pair survived eps-good selection"
     else
@@ -72,7 +73,7 @@ let assemble ~options ~g ~q ~qs ~degree ~rho ~ix =
           pairs_selected = List.length selected;
           eta;
           budget;
-          max_split = Pairing.max_split qs selected;
+          max_split;
         }
       in
       Ok { qs; selected; rep; ix; options }
@@ -104,25 +105,27 @@ let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
     assemble ~options ~g ~q ~qs ~degree ~rho ~ix
   end
 
-let update ?old_gf t ~old (ws : Weighted.structure) q ~dirty =
-  let options = t.options in
+let update ?qs t ~old ~old_gf (ws : Weighted.structure) ~gf q ~dirty =
   let g = ws.Weighted.graph in
   if Query.result_arity q <> Weighted.arity ws.Weighted.weights then
     Error "result arity differs from weight arity"
   else begin
-    let old_g = old.Weighted.graph in
     let rho = t.ix.Neighborhood.rho in
-    let old_gf =
-      match old_gf with
-      | Some gf -> gf
-      | None -> Gaifman.of_structure old_g
+    let ix =
+      Neighborhood.reindex ~old:old.Weighted.graph ~old_gf g ~gf ~prev:t.ix
+        ~dirty
     in
-    let gf = Gaifman.refresh g ~prev:old_gf ~dirty in
-    let degree = Gaifman.max_degree gf in
-    let affected = Neighborhood.affected_elements ~old_gf ~gf ~rho ~dirty in
-    let ix = Neighborhood.reindex ~old:old_g g ~prev:t.ix ~dirty in
-    let qs = Query_system.refresh_relational t.qs g q ~affected in
-    assemble ~options ~g ~q ~qs ~degree ~rho ~ix
+    let qs =
+      match qs with
+      | Some qs -> qs
+      | None ->
+          let affected =
+            Neighborhood.affected_elements ~old_gf ~gf ~rho ~dirty
+          in
+          Query_system.refresh_relational t.qs g q ~affected
+    in
+    assemble ~options:t.options ~g ~q ~qs ~degree:(Gaifman.max_degree gf) ~rho
+      ~ix
   end
 
 let report t = t.rep

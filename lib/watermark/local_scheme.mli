@@ -61,25 +61,30 @@ val prepare :
     provided they describe the same structure. *)
 
 val update :
-  ?old_gf:Gaifman.t ->
+  ?qs:Query_system.t ->
   t ->
   old:Weighted.structure ->
+  old_gf:Gaifman.t ->
   Weighted.structure ->
+  gf:Gaifman.t ->
   Query.t ->
   dirty:int list ->
   (t, string) result
-(** Re-prepare after structural edits, incrementally: [update t ~old ws q
-    ~dirty] is [prepare ~options ws q] for the options [t] was prepared
-    with — same pairs, same report, bit for bit — but the neighborhood
-    index comes from {!Wm_relational.Neighborhood.reindex} over the dirty
-    set the edits reported (see {!Wm_relational.Structure.apply_edits}) and
-    the query memo is carried over through {!Query_system.refresh} instead
-    of starting cold.  [old] is the instance [t] was prepared on; [old_gf]
-    optionally supplies its (cached) Gaifman graph so a serving engine
-    does not rebuild it per edit script.  After a
-    type-changing update the marker re-embeds (Theorem 8's dichotomy):
-    compare {!index} before and after, or use
-    {!Wm_watermark.Incremental.update_decision}. *)
+(** Re-prepare after structural edits, incrementally: [update t ~old
+    ~old_gf ws ~gf q ~dirty] is [prepare ~options ws q] for the options [t]
+    was prepared with — same pairs, same report, bit for bit — but the
+    neighborhood index comes from {!Wm_relational.Neighborhood.reindex}
+    over the dirty set the edits reported (see
+    {!Wm_relational.Structure.apply_edits}).  [old] is the instance [t] was
+    prepared on; [old_gf] and [gf] are the Gaifman graphs of [old] and of
+    [ws] — the caller holds them already (a serving engine caches one per
+    dataset and refreshes it once per edit script with
+    {!Wm_relational.Gaifman.refresh}), so the update builds none.  [qs]
+    is the query system of [ws], as in {!prepare}; without it the query
+    memo of [t] is carried over through {!Query_system.refresh} instead
+    of starting cold.  After a type-changing update the marker re-embeds
+    (Theorem 8's dichotomy): use
+    {!Wm_watermark.Incremental.update_decision_ix}. *)
 
 val index : t -> Neighborhood.index
 (** The scheme's neighborhood type index (what {!update} maintains). *)

@@ -56,7 +56,7 @@ let assemble ~options ~queries ~systems ~indexes =
     in
     let all_pairs = Pairing.s_partition combined ~canonical in
     let budget = int_of_float (ceil (1.0 /. options.Local_scheme.epsilon)) in
-    let selected =
+    let selected, max_split =
       Pairing.select_greedy
         (Prng.create options.Local_scheme.seed)
         combined all_pairs ~budget
@@ -79,7 +79,7 @@ let assemble ~options ~queries ~systems ~indexes =
               pairs_available = List.length all_pairs;
               pairs_selected = List.length selected;
               budget;
-              max_split = Pairing.max_split combined selected;
+              max_split;
             };
         }
   end
@@ -137,7 +137,8 @@ let update t ~old (ws : Weighted.structure) queries ~dirty =
     in
     let indexes =
       List.map
-        (fun ix -> Neighborhood.reindex ~old:old_g g ~prev:ix ~dirty)
+        (fun ix ->
+          Neighborhood.reindex ~old:old_g ~old_gf g ~gf ~prev:ix ~dirty)
         t.indexes
     in
     assemble ~options ~queries ~systems ~indexes

@@ -10,6 +10,12 @@ open Wm_util
 let check = Alcotest.check
 let bool = Alcotest.bool
 
+(* [Neighborhood.reindex] with both Gaifman graphs built from scratch, so
+   the contract is checked independently of [Gaifman.refresh]. *)
+let reindex ?jobs ?threshold ~old g ~prev ~dirty =
+  Neighborhood.reindex ?jobs ?threshold ~old ~old_gf:(Gaifman.of_structure old)
+    g ~gf:(Gaifman.of_structure g) ~prev ~dirty
+
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
   a.rho = b.rho && a.arity = b.arity
   && Tuple.Map.equal Int.equal a.types b.types
@@ -223,7 +229,7 @@ let prop_reindex_one_path =
       both_jobs (fun jobs ->
           let prev = Neighborhood.index_universe ~jobs base ~rho ~arity in
           let inc =
-            Neighborhood.reindex ~jobs ~threshold:2.0 ~old:base edited ~prev
+            reindex ~jobs ~threshold:2.0 ~old:base edited ~prev
               ~dirty
           in
           equal_index inc reference))

@@ -10,6 +10,12 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+(* [Neighborhood.reindex] with both Gaifman graphs built from scratch, so
+   the contract is checked independently of [Gaifman.refresh]. *)
+let reindex ?jobs ?threshold ~old g ~prev ~dirty =
+  Neighborhood.reindex ?jobs ?threshold ~old ~old_gf:(Gaifman.of_structure old)
+    g ~gf:(Gaifman.of_structure g) ~prev ~dirty
+
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
   a.rho = b.rho && a.arity = b.arity
   && Tuple.Map.equal Int.equal a.types b.types
@@ -125,7 +131,7 @@ let prop_reindex_matches_ref =
       let prev = Neighborhood.index_universe base ~rho ~arity in
       let script = random_script g base (1 + Prng.int g 5) in
       let edited, dirty = Structure.apply_edits base script in
-      let inc = Neighborhood.reindex ~threshold:2.0 ~old:base edited ~prev ~dirty in
+      let inc = reindex ~threshold:2.0 ~old:base edited ~prev ~dirty in
       equal_index inc (Neighborhood_ref.index_universe edited ~rho ~arity))
 
 (* --- certificates ----------------------------------------------------- *)

@@ -298,6 +298,102 @@ let test_reports_render () =
   let rj = Json.to_string (Recovery.repair_json report) in
   check bool "repair json nonempty" true (String.length rj > 0)
 
+
+(* --- repair output pinned ---------------------------------------------- *)
+
+(* The attack cases above plus two spliced capsules, repaired and
+   digested with the report.  The digests pin repair's output as the
+   unconditional renumbering and the per-group rebuild of the whole
+   structure's incidence produced it: skipping the renumbering when the
+   protected numbering is already in place, and keeping one incidence
+   of the damaged members current, must reproduce it byte for byte. *)
+let repair_cases () =
+  let ws, scheme, marked, cap = Lazy.force prepared in
+  let structural seed a = Adversary.apply_structural (Prng.create seed) a marked in
+  let edited =
+    let g = marked.Weighted.graph in
+    let e = Structure.relation g "Route" in
+    let t = List.hd (Relation.to_list e) in
+    { marked with
+      Weighted.graph =
+        fst
+          (Structure.apply_edits g
+             [ Structure.Delete_tuple ("Route", t);
+               Structure.Insert_tuple ("Route", Tuple.pair t.(0) t.(0)) ]) }
+  in
+  let spliced =
+    let other =
+      { ws with
+        Weighted.weights =
+          Robust.mark (Robust.of_local scheme) ~times (Codec.of_int ~bits 0b0100)
+            ws.Weighted.weights }
+    in
+    Recovery.splice (Prng.create 47) ~fraction:0.5 cap ~other:(Recovery.protect other)
+  in
+  (* records of a copy that also holds every Route tuple reversed — the
+     same Gaifman graph, hence the same groups: groups whose record comes
+     from it list tuples the other groups' records do not, so repair
+     inserts tuples that a later group then removes *)
+  let spliced_reversed =
+    let g = marked.Weighted.graph in
+    let reversed =
+      List.map
+        (fun t -> Structure.Insert_tuple ("Route", Tuple.pair t.(1) t.(0)))
+        (Relation.to_list (Structure.relation g "Route"))
+    in
+    let other = { marked with Weighted.graph = fst (Structure.apply_edits g reversed) } in
+    Recovery.splice (Prng.create 59) ~fraction:0.5 cap ~other:(Recovery.protect other)
+  in
+  let flipped =
+    let active = Query_system.active (Local_scheme.query_system scheme) in
+    { marked with
+      Weighted.weights =
+        Adversary.apply (Prng.create 41)
+          (Adversary.Random_flips { count = List.length active * 8 / 10; amplitude = 2 })
+          ~active marked.Weighted.weights }
+  in
+  [
+    ("identity", cap, marked);
+    ("delete tuples 0.15", cap, structural 13 (Adversary.Delete_tuples { fraction = 0.15 }));
+    ("delete tuples 0.2", cap, structural 29 (Adversary.Delete_tuples { fraction = 0.2 }));
+    ("sample 0.5", cap, structural 11 (Adversary.Subset_sample { keep = 0.5 }));
+    ("sample 0.7", cap, structural 53 (Adversary.Subset_sample { keep = 0.7 }));
+    ("edit script", cap, edited);
+    ("weight flips", cap, flipped);
+    ("forged capsule", Recovery.forge (Prng.create 43) ~fraction:1.0 ~amplitude:3 cap, marked);
+    ("spliced capsule", spliced, structural 13 (Adversary.Delete_tuples { fraction = 0.15 }));
+    ("spliced from a reversed copy", spliced_reversed, flipped);
+  ]
+
+let repair_digest cap suspect =
+  let repaired, r = Recovery.repair cap ~suspect in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|%d|%d|%d|%d|%d|%h" (Textio.to_string repaired)
+          r.Recovery.repaired r.Recovery.unrepairable r.Recovery.restored_weights
+          r.Recovery.restored_elements r.Recovery.restored_tuples
+          r.Recovery.confidence))
+
+let test_repair_pinned () =
+  let pinned =
+    [
+      ("identity", "8760c7aacee4400525a8701dcec972df");
+      ("delete tuples 0.15", "bbb30afb6c077d37d16af29e2b3b2a85");
+      ("delete tuples 0.2", "ba4c4b939acae5854b45b04a059956a3");
+      ("sample 0.5", "b2af7653a427dd9026202b83e57abb7e");
+      ("sample 0.7", "19ffc8b938b42fe2a0f9510e89d14eaf");
+      ("edit script", "adc8d095255b3e024f735aa9546dd57c");
+      ("weight flips", "8a49107d697e8ea5f760a2b81d22b9bf");
+      ("forged capsule", "87fb22e834080315bb7c295f19cb480e");
+      ("spliced capsule", "7eec661abfd53133146be86dfe165743");
+      ("spliced from a reversed copy", "91f81260b48796c307be9cc808769e73");
+    ]
+  in
+  List.iter
+    (fun (name, cap, suspect) ->
+      check string name (List.assoc name pinned) (repair_digest cap suspect))
+    (repair_cases ())
+
 let suite =
   [
     ("groups partition the universe", `Slow, test_groups_partition);
@@ -312,4 +408,5 @@ let suite =
     ("forged certificates rejected", `Slow, test_forged_records_rejected);
     ("capsule splicing false-repairs", `Slow, test_splice_causes_false_repairs);
     ("reports render", `Slow, test_reports_render);
+    ("repair output pinned", `Slow, test_repair_pinned);
   ]
