@@ -10,8 +10,10 @@
    live tuples absent from [data], [dels] the data rows removed.  Both
    stay bounded — any update pushing the overlay past max(64, nrows/4)
    folds it into a fresh flat array — so single edits are cheap and a
-   long add-chain (the Textio load path, the attack generators) costs
-   amortized O(arity) per tuple in array copies plus small-set inserts.
+   long add-chain (the attack generators) costs amortized O(arity) per
+   tuple in array copies plus small-set inserts.  Bulk sources skip the
+   overlay altogether: Textio hands each relation over as one flat row
+   buffer ([of_flat]), which an already sorted file keeps as is.
 
    Every observable behavior (ascending iteration order, error
    messages, [equal]) is bit-identical to the frozen pre-flat
@@ -257,6 +259,14 @@ let remove t r =
 
 (* --- bulk builders --------------------------------------------------- *)
 
+(* [buf] holds [k] rows in its first [k * ar] cells and is given up by
+   the caller: it becomes the relation's array when it is already exact,
+   ascending and distinct (a file saved by Textio). *)
+let of_flat ar buf k =
+  if ar < 1 then invalid_arg "Relation.empty: arity < 1";
+  let buf = if Array.length buf = k * ar then buf else Array.sub buf 0 (k * ar) in
+  of_rows ar (sort_dedup_rows ar buf k)
+
 let of_list ar ts =
   if ar < 1 then invalid_arg "Relation.empty: arity < 1";
   let k = List.length ts in
@@ -266,7 +276,7 @@ let of_list ar ts =
       if Tuple.arity t <> ar then invalid_arg "Relation.add: arity mismatch";
       Array.blit t 0 buf (i * ar) ar)
     ts;
-  of_rows ar (sort_dedup_rows ar buf k)
+  of_flat ar buf k
 
 let of_pairs ps = of_list 2 (List.map (fun (a, b) -> Tuple.pair a b) ps)
 

@@ -70,3 +70,11 @@ val flatten : t -> t
     relation. *)
 
 val pp : Format.formatter -> t -> unit
+
+val of_flat : int -> int array -> int -> t
+(** [of_flat arity buf k] builds the relation of the [k] rows stored
+    row-major in the first [k * arity] cells of [buf] — one sort and
+    dedup sweep, skipped when the rows are already ascending.  [buf] is
+    taken over: it may become the relation's own storage, so the caller
+    must not use it afterwards.
+    @raise Invalid_argument if [arity < 1]. *)

@@ -52,6 +52,9 @@ val of_string : string -> Weighted.structure
     {!of_string_result}). *)
 
 val save : string -> Weighted.structure -> unit
+(** Writes {!to_string} through [Wm_util.Atomic_file.write]: a sibling
+    temporary file renamed over [path], so a failed save leaves the
+    previous file intact. *)
 
 val load : string -> Weighted.structure
 (** @raise Sys_error on IO problems, @raise Format_error on malformed

@@ -183,64 +183,76 @@ let set w t v =
 let set_elt w x v = set w (Tuple.singleton x) v
 let get_elt w x = get w (Tuple.singleton x)
 
-(* Bulk build: one sort over the pairs instead of a functional insert
-   each.  Later occurrences of a key win, like the fold of [set] this
-   replaces — ties are broken by list position. *)
-let of_list ?(default = 0) arity l =
+(* Bulk build from [k] flat entries: key row [i] in cells
+   [i * arity ..] of [keys], its weight in [vals.(i)].  Both buffers are
+   taken over.  Later occurrences of a key win, like the fold of [set]
+   this replaces.  Already-ascending input (bindings of another
+   assignment, a saved file) skips the sort; otherwise a stable sort
+   keeps equal keys in input order.  Runs of equal keys then collapse
+   in place, the last value kept. *)
+let of_flat ?(default = 0) arity keys vals k =
   let w0 = create ~default arity in
-  let arr = Array.of_list l in
-  let k = Array.length arr in
   if k = 0 then w0
   else begin
-    Array.iter
-      (fun (t, _) ->
-        if Tuple.arity t <> arity then
-          invalid_arg "Weighted.set: arity mismatch")
-      arr;
-    (* Already-ascending input (bindings of another assignment, a saved
-       file) skips the sort; the dedup sweep below handles equal
-       adjacent keys either way, later occurrence winning. *)
+    let cmp_rows (keys : int array) i j =
+      let bi = i * arity and bj = j * arity in
+      let p = ref 0 and c = ref 0 in
+      while !c = 0 && !p < arity do
+        c := icmp keys.(bi + !p) keys.(bj + !p);
+        incr p
+      done;
+      !c
+    in
     let sorted = ref true in
     let i = ref 1 in
     while !sorted && !i < k do
-      if Tuple.compare (fst arr.(!i - 1)) (fst arr.(!i)) > 0 then
-        sorted := false;
+      if cmp_rows keys (!i - 1) !i > 0 then sorted := false;
       incr i
     done;
-    let idx = Array.init k (fun i -> i) in
-    if not !sorted then
-      Array.sort
-        (fun i j ->
-          let ti, _ = arr.(i) and tj, _ = arr.(j) in
-          let c = Tuple.compare ti tj in
-          if c <> 0 then c else icmp i j)
-        idx;
-    let keys = Array.make (k * arity) 0 in
-    let vtmp = Array.make k 0 in
-    let row_equals r (t : Tuple.t) =
-      let base = r * arity in
-      let rec go p = p = arity || (keys.(base + p) = t.(p) && go (p + 1)) in
-      go 0
+    let keys, vals =
+      if !sorted then (keys, vals)
+      else begin
+        let order = Array.init k Fun.id in
+        Array.stable_sort (cmp_rows keys) order;
+        ( Array.init (k * arity) (fun c ->
+              keys.((order.(c / arity) * arity) + (c mod arity))),
+          Array.init k (fun i -> vals.(order.(i))) )
+      end
     in
-    let w = ref (-1) in
-    Array.iter
-      (fun i ->
-        let t, v = arr.(i) in
-        if !w >= 0 && row_equals !w t then vtmp.(!w) <- v
-        else begin
-          incr w;
-          Array.blit t 0 keys (!w * arity) arity;
-          vtmp.(!w) <- v
-        end)
-      idx;
-    let nk = !w + 1 in
-    let keys = if nk = k then keys else Array.sub keys 0 (nk * arity) in
-    let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
-    for i = 0 to nk - 1 do
-      vals.{i} <- vtmp.(i)
+    let nk = ref 0 in
+    for r = 0 to k - 1 do
+      if !nk > 0 && cmp_rows keys (!nk - 1) r = 0 then vals.(!nk - 1) <- vals.(r)
+      else begin
+        if !nk < r then begin
+          Array.blit keys (r * arity) keys (!nk * arity) arity;
+          vals.(!nk) <- vals.(r)
+        end;
+        incr nk
+      end
     done;
-    { w0 with nk; keys; vals }
+    let nk = !nk in
+    let keys =
+      if Array.length keys = nk * arity then keys
+      else Array.sub keys 0 (nk * arity)
+    in
+    let vbig = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
+    for i = 0 to nk - 1 do
+      vbig.{i} <- vals.(i)
+    done;
+    { w0 with nk; keys; vals = vbig }
   end
+
+let of_list ?default arity l =
+  if arity < 1 then invalid_arg "Weighted.create: arity < 1";
+  let k = List.length l in
+  let keys = Array.make (k * arity) 0 and vals = Array.make k 0 in
+  List.iteri
+    (fun i (t, v) ->
+      if Tuple.arity t <> arity then invalid_arg "Weighted.set: arity mismatch";
+      Array.blit t 0 keys (i * arity) arity;
+      vals.(i) <- v)
+    l;
+  of_flat ?default arity keys vals k
 
 let tup arity (buf : int array) off =
   if off = 0 && Array.length buf = arity then buf else Array.sub buf off arity

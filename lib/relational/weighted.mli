@@ -86,3 +86,11 @@ val make : Structure.t -> t -> structure
 val weigh : (int -> int) -> Structure.t -> structure
 (** [weigh f g] puts weight [f x] on every element [x] — s = 1
     convenience. *)
+
+val of_flat : ?default:int -> int -> int array -> int array -> int -> t
+(** [of_flat arity keys vals k] is [of_list] over [k] flat entries: key
+    [i] in cells [i * arity .. i * arity + arity - 1] of [keys], its
+    weight [vals.(i)]; a later entry for the same key wins.  Skips the
+    sort when the keys are already ascending.  Both buffers are taken
+    over (they may be reordered in place or become the value's own), so
+    the caller must not use them afterwards. *)

@@ -79,9 +79,6 @@ let to_string ?(pretty = true) v =
   Buffer.contents buf
 
 let to_file path v =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Atomic_file.write path (fun oc ->
       output_string oc (to_string v);
       output_char oc '\n')

@@ -19,4 +19,5 @@ val to_string : ?pretty:bool -> t -> string
 (** Serialize; [pretty] (default [true]) indents with two spaces. *)
 
 val to_file : string -> t -> unit
-(** Write [to_string] plus a trailing newline to a file. *)
+(** Write [to_string] plus a trailing newline to a file, through
+    {!Atomic_file.write}: a failed write leaves the old file in place. *)

@@ -329,6 +329,193 @@ let test_xml_valid_roundtrip () =
       Alcotest.failf "valid XML rejected: %s" (Wm_xml.Xml.error_to_string e)
   | Ok doc -> check string "fixpoint" base (Wm_xml.Xml.to_string doc)
 
+(* --- the one-pass codec against the frozen line-splitting one --------- *)
+
+(* Valid files to start from: unnamed rings, the travel schema, and a
+   named structure with weights on pairs. *)
+let named_pairs =
+  lazy
+    (let names = [| "a"; "with#hash"; " lead"; "two  spaces"; "5"; "pct%" |] in
+     let schema =
+       Schema.make ~weight_arity:2
+         [ { Schema.name = "E"; arity = 2 }; { Schema.name = "P"; arity = 1 } ]
+     in
+     let g = Structure.create ~names schema 6 in
+     let g =
+       List.fold_left
+         (fun g (r, t) -> Structure.add_tuple g r (Tuple.of_list t))
+         g
+         [ ("E", [ 3; 1 ]); ("E", [ 0; 5 ]); ("P", [ 4 ]); ("E", [ 1; 3 ]); ("P", [ 0 ]) ]
+     in
+     let w =
+       List.fold_left
+         (fun w (t, v) -> Weighted.set w (Tuple.of_list t) v)
+         (Weighted.create 2)
+         [ ([ 5; 0 ], 7); ([ 0; 1 ], -3); ([ 2; 2 ], max_int); ([ 1; 4 ], min_int);
+           ([ 0; 1 ], 12) ]
+     in
+     Weighted.make g w)
+
+let codec_bases =
+  lazy
+    [
+      Textio.to_string (Wm_workload.Random_struct.regular_rings (Prng.create 3) ~n:24);
+      Lazy.force valid_textio;
+      Textio.to_string (Lazy.force named_pairs);
+    ]
+
+let splice_tokens =
+  [| "\t"; "#"; "%"; "%23"; "-"; "+4"; "0x1"; "1_0"; "-0"; "007"; "0b11";
+     "1234567890123456789"; "-4611686018427387904"; "4611686018427387904";
+     "99999999999999999999"; "rel"; "weight"; "name"; "size"; "schema"; "\r";
+     "  "; "x"; "E"; "Route" |]
+
+let splice_lines =
+  [| "rel"; "weight"; "rel E"; "rel E 0"; "rel E 0 1 2"; "rel E 0 99999";
+     "rel E -1 0"; "rel Nope 0 1"; "rel Route 1 0"; "rel Timetable 0 1 2 3";
+     "weight 0"; "weight 0 1"; "weight 0 1 2"; "weight 99999 5"; "weight 0 x y";
+     "weight x 1 y"; "weight 1 0x10"; "schema E/2"; "schema E/2 P/1";
+     "schema Route/2 Timetable/4"; "schema E/2 E/2"; "schema E/0"; "schema E";
+     "size 3"; "size 100"; "size -1"; "size 0"; "name 0 again"; "name 999 far";
+     "name -1 x"; "name 1"; "weight_arity 2"; "weight_arity 0"; "weight_arity x";
+     "bogus"; "# comment"; "\t"; "" |]
+
+let edit_tokens =
+  [| "insert"; "delete"; "add"; "remove"; "insert E"; "insert E 0 x"; "delete E 1 2";
+     "remove 3"; "remove x"; "add x  y"; "add %20"; "add"; "frobnicate 2" |]
+
+(* One to three edits: splice a token into a line, replace a word,
+   insert a directive line, duplicate, swap or delete lines. *)
+let splice g ~tokens ~lines:extra text =
+  let lines = ref (Array.of_list (String.split_on_char '\n' text)) in
+  for _ = 0 to Prng.int g 3 do
+    let a = !lines in
+    let n = Array.length a in
+    let i = Prng.int g n in
+    let sep () = if Prng.bool g then " " else "" in
+    match Prng.int g 6 with
+    | 0 ->
+        let l = a.(i) in
+        let p = Prng.int g (String.length l + 1) in
+        a.(i) <-
+          String.sub l 0 p ^ sep () ^ Prng.choose g tokens ^ sep ()
+          ^ String.sub l p (String.length l - p)
+    | 1 ->
+        let ws = String.split_on_char ' ' a.(i) in
+        let j = Prng.int g (List.length ws) in
+        a.(i) <-
+          String.concat " "
+            (List.mapi (fun k w -> if k = j then Prng.choose g tokens else w) ws)
+    | 2 ->
+        lines :=
+          Array.concat
+            [ Array.sub a 0 i; [| Prng.choose g extra |]; Array.sub a i (n - i) ]
+    | 3 -> lines := Array.concat [ Array.sub a 0 i; [| a.(i) |]; Array.sub a i (n - i) ]
+    | 4 ->
+        let j = Prng.int g n in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+    | _ -> lines := Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (n - i - 1))
+  done;
+  String.concat "\n" (Array.to_list !lines)
+
+let same_error input (a : Textio.error) (b : Textio_ref.error) =
+  if (a.Textio.line, a.Textio.message) <> (b.Textio_ref.line, b.Textio_ref.message)
+  then
+    Alcotest.failf "error %S vs reference %S on %S" (Textio.error_to_string a)
+      (Textio_ref.error_to_string b) input
+
+(* Every spliced (or byte-mutated) file parses to the same structure as
+   the reference parser (same relations, weights and printed bytes) or fails with the
+   same {line; message}. *)
+let test_textio_differential () =
+  let g = Prng.create 0xC0DEC in
+  let oks = ref 0 and errors = ref 0 in
+  List.iter
+    (fun base ->
+      for _ = 1 to 1500 do
+        let input =
+          if Prng.int g 4 = 0 then mutate g base
+          else splice g ~tokens:splice_tokens ~lines:splice_lines base
+        in
+        match (Textio.of_string_result input, Textio_ref.of_string_result input) with
+        | Ok a, Ok b ->
+            incr oks;
+            (* The reference printer walks the whole universe, so a
+               spliced "size 1234567890123456789" is compared through
+               the one-pass printer, checked against it below. *)
+            let small = Structure.size b.Weighted.graph <= 100_000 in
+            if
+              not
+                (Structure.equal a.Weighted.graph b.Weighted.graph
+                && Weighted.equal a.Weighted.weights b.Weighted.weights
+                && Textio.to_string a
+                   = if small then Textio_ref.to_string b else Textio.to_string b)
+            then Alcotest.failf "different structures from %S" input
+        | Error a, Error b ->
+            incr errors;
+            same_error input a b
+        | Ok _, Error b ->
+            Alcotest.failf "accepted %S, reference: %s" input
+              (Textio_ref.error_to_string b)
+        | Error a, Ok _ ->
+            Alcotest.failf "rejected %S (%s), reference accepts" input
+              (Textio.error_to_string a)
+      done)
+    (Lazy.force codec_bases);
+  check bool "both outcomes exercised" true (!oks > 100 && !errors > 100)
+
+let test_edits_differential () =
+  let g = Prng.create 0xED17 in
+  let base =
+    Textio.edits_to_string
+      [
+        Structure.Insert_tuple ("E", Tuple.of_list [ 0; 3 ]);
+        Structure.Delete_tuple ("Timetable", Tuple.of_list [ 3; 9; 10; 15 ]);
+        Structure.Add_element None;
+        Structure.Add_element (Some "with#hash and  spaces ");
+        Structure.Remove_element 17;
+      ]
+  in
+  let oks = ref 0 and errors = ref 0 in
+  for _ = 1 to 1500 do
+    let input = splice g ~tokens:splice_tokens ~lines:edit_tokens base in
+    match (Textio.edits_of_string_result input, Textio_ref.edits_of_string_result input) with
+    | Ok a, Ok b ->
+        incr oks;
+        if a <> b then Alcotest.failf "different edits from %S" input
+    | Error a, Error b ->
+        incr errors;
+        same_error input a b
+    | Ok _, Error _ | Error _, Ok _ -> Alcotest.failf "outcomes differ on %S" input
+  done;
+  check bool "both outcomes exercised" true (!oks > 100 && !errors > 100)
+
+(* Printing is byte-identical to the reference printer, with and without
+   a names array, on flat and overlaid weights, at the int extremes. *)
+let test_textio_print_reference () =
+  let rings = Wm_workload.Random_struct.regular_rings (Prng.create 5) ~n:60 in
+  let travel = Wm_workload.Random_struct.travel (Prng.create 2) ~travels:6 ~transports:15 in
+  let named = Lazy.force named_pairs in
+  let default_named =
+    { rings with Weighted.graph = Structure.with_default_names rings.Weighted.graph }
+  in
+  let overlaid =
+    {
+      rings with
+      Weighted.weights =
+        List.fold_left
+          (fun w x -> Weighted.set_elt w x (if x mod 2 = 0 then -x else x * 1000))
+          rings.Weighted.weights [ 59; 3; 0; 17 ];
+    }
+  in
+  List.iteri
+    (fun i ws ->
+      check string (Printf.sprintf "structure %d" i) (Textio_ref.to_string ws)
+        (Textio.to_string ws))
+    [ rings; travel; named; default_named; overlaid ]
+
 let suite =
   [
     ("textio fuzz (60 mutants)", `Quick, test_textio_fuzz);
@@ -349,4 +536,7 @@ let suite =
     ("xml error positions", `Quick, test_xml_error_positions);
     ("xml exception API delegates", `Quick, test_xml_exception_api_delegates);
     ("xml serialization fixpoint", `Quick, test_xml_valid_roundtrip);
+    ("textio == reference (4500 spliced files)", `Quick, test_textio_differential);
+    ("edit scripts == reference (1500 spliced)", `Quick, test_edits_differential);
+    ("textio printing == reference", `Quick, test_textio_print_reference);
   ]

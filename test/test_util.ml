@@ -255,6 +255,48 @@ let test_redundancy () =
   check int "at least one" 1 (Codec.redundancy ~capacity:3 ~length:4);
   check int "even quotient rounds down" 1 (Codec.redundancy ~capacity:8 ~length:4)
 
+(* --- crash-safe writes ------------------------------------------------ *)
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* A writer that dies midway leaves the previous file byte for byte,
+   still loadable, and no temporary file beside it; a writer that
+   finishes replaces it. *)
+let test_atomic_write_keeps_old_file () =
+  let dir = Filename.temp_file "qpwm_atomic" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "d.qpwm" in
+  let ws = Wm_workload.Random_struct.regular_rings (Prng.create 4) ~n:30 in
+  Textio.save path ws;
+  let before = read_all path in
+  (match
+     Atomic_file.write path (fun oc ->
+         output_string oc "# qpwm weighted structure\nschema E/2\n";
+         failwith "writer died")
+   with
+  | () -> Alcotest.fail "the writer's exception was swallowed"
+  | exception Failure m -> check string "the writer's exception" "writer died" m);
+  check string "old bytes intact" before (read_all path);
+  (match Textio.load_result path with
+  | Error e -> Alcotest.failf "old file no longer loads: %s" (Textio.error_to_string e)
+  | Ok ws' ->
+      check bool "old file loads unchanged" true
+        (Structure.equal ws.Weighted.graph ws'.Weighted.graph
+        && Weighted.equal ws.Weighted.weights ws'.Weighted.weights));
+  check (list string) "no temporary file left" [ "d.qpwm" ]
+    (Array.to_list (Sys.readdir dir));
+  Json.to_file path (Json.Int 7);
+  check string "a finished write replaces the file" "7\n" (read_all path);
+  check (list string) "still one file" [ "d.qpwm" ] (Array.to_list (Sys.readdir dir));
+  (match Textio.save (Filename.concat dir "missing/d.qpwm") ws with
+  | () -> Alcotest.fail "wrote into a missing directory"
+  | exception Sys_error m ->
+      check bool "the error names the target" true
+        (String.starts_with ~prefix:(Filename.concat dir "missing/d.qpwm: ") m));
+  Sys.remove path;
+  Sys.rmdir dir
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -283,4 +325,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_repeat_decode;
     QCheck_alcotest.to_alcotest prop_vote_spec;
     ("codec redundancy", `Quick, test_redundancy);
+    ("atomic write keeps the old file", `Quick, test_atomic_write_keeps_old_file);
   ]
