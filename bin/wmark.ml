@@ -9,6 +9,7 @@
      wmark info db.txt -q "Route(u,v)"
      wmark mark db.txt -q "Route(u,v)" --message 11 --bits 5 -o marked.txt
      wmark detect db.txt marked.txt -q "Route(u,v)" --bits 5
+     wmark mark db.txt -q "Route(u,v)" -q "Route(v,u)" --message 3 --bits 2 -o m2.txt
      wmark update db.txt --edits script.txt -q "Route(u,v)" -o edited.txt
      wmark perturb marked.txt -q "Route(u,v)" --kind flips --count 5 -o att.txt
      wmark perturb marked.txt -q "Route(u,v)" --kind delete --fraction 0.2 -o att.txt
@@ -30,6 +31,13 @@ open Cmdliner
 let query_term =
   let doc = "Parametric query formula, e.g. 'Route(u,v)'." in
   Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"FORMULA" ~doc)
+
+let queries_term =
+  let doc =
+    "Parametric query formula, e.g. 'Route(u,v)'; repeatable to preserve \
+     several queries at once (all share $(b,--params) and $(b,--results))."
+  in
+  Arg.(non_empty & opt_all string [] & info [ "q"; "query" ] ~docv:"FORMULA" ~doc)
 
 let params_term =
   let doc = "Comma-separated parameter variables." in
@@ -119,12 +127,12 @@ let parse_query ~query ~params ~results =
   Parser.query_of_string ~params:(split_commas params)
     ~results:(split_commas results) query
 
-let prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed =
+let prepare_scheme file ~queries ~params ~results ~rho ~epsilon ~seed =
   let ws = Textio.load file in
-  let q = parse_query ~query ~params ~results in
-  let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
-  match Local_scheme.prepare ~options ws q with
-  | Ok scheme -> (ws, q, scheme)
+  let qs = List.map (fun query -> parse_query ~query ~params ~results) queries in
+  let options = { Multi_scheme.seed; rho; epsilon; selection = `Greedy } in
+  match Multi_scheme.prepare ~options ws qs with
+  | Ok scheme -> (ws, qs, scheme)
   | Error e -> failwith ("prepare: " ^ e)
 
 let handle f =
@@ -156,82 +164,89 @@ let handle f =
 (* info *)
 
 let info_cmd =
-  let run file query params results rho epsilon seed jobs stats trace =
+  let run file queries params results rho epsilon seed jobs stats trace =
     handle @@ fun () ->
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
-      prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
+      prepare_scheme file ~queries ~params ~results ~rho ~epsilon ~seed
     in
-    let r = Local_scheme.report scheme in
-    Printf.printf "gaifman degree : %d\n" r.Local_scheme.degree;
-    Printf.printf "locality rank  : %d\n" r.Local_scheme.rho;
-    Printf.printf "types (ntp)    : %d\n" r.Local_scheme.ntp;
-    Printf.printf "active |W|     : %d\n" r.Local_scheme.active;
+    let r = Multi_scheme.report scheme in
+    (* per-query figures, comma-separated in query order *)
+    let each l = String.concat ", " (List.map string_of_int l) in
+    Printf.printf "gaifman degree : %d\n" r.Multi_scheme.degree;
+    Printf.printf "locality rank  : %s\n" (each r.Multi_scheme.rho);
+    Printf.printf "types (ntp)    : %s\n" (each r.Multi_scheme.ntp);
+    Printf.printf "active |W|     : %d\n" r.Multi_scheme.active;
     Printf.printf "pairs          : %d available, %d selected\n"
-      r.Local_scheme.pairs_available r.Local_scheme.pairs_selected;
-    Printf.printf "capacity       : %d bits\n" r.Local_scheme.pairs_selected;
+      r.Multi_scheme.pairs_available r.Multi_scheme.pairs_selected;
+    Printf.printf "capacity       : %d bits\n" r.Multi_scheme.pairs_selected;
     Printf.printf "budget         : %d (certified max distortion %d)\n"
-      r.Local_scheme.budget r.Local_scheme.max_split;
+      r.Multi_scheme.budget r.Multi_scheme.max_split;
     (* Width survey: the instance-level heuristic treewidth, and the max
-       over the per-sphere decompositions that typing builds. *)
+       over the per-sphere decompositions that typing builds, at the
+       largest rank in use. *)
     let g = ws.Weighted.graph in
+    let rho = List.fold_left max 0 r.Multi_scheme.rho in
     Printf.printf "treewidth      : <= %d (min-degree heuristic)\n"
       (Treewidth.heuristic_width g);
     Printf.printf "sphere width   : max %d at rho %d\n"
-      (Neighborhood.max_sphere_width g ~rho:r.Local_scheme.rho)
-      r.Local_scheme.rho
+      (Neighborhood.max_sphere_width g ~rho)
+      rho
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "info" ~doc:"Report a scheme's capacity and certificates.")
     Term.(
-      const run $ file $ query_term $ params_term $ results_term $ rho_term
+      const run $ file $ queries_term $ params_term $ results_term $ rho_term
       $ epsilon_term $ seed_term $ jobs_term $ stats_term
       $ trace_term)
 
 (* mark *)
 
 let mark_cmd =
-  let run file query params results rho epsilon seed jobs stats trace
+  let run file queries params results rho epsilon seed jobs stats trace
       message bits out =
     handle @@ fun () ->
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
-      prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
+      prepare_scheme file ~queries ~params ~results ~rho ~epsilon ~seed
     in
-    if bits > Local_scheme.capacity scheme then
+    if bits > Multi_scheme.capacity scheme then
       failwith
         (Printf.sprintf "message needs %d bits, capacity is %d" bits
-           (Local_scheme.capacity scheme));
+           (Multi_scheme.capacity scheme));
     let m = Codec.of_int ~bits message in
-    let marked = Local_scheme.mark scheme m ws.Weighted.weights in
+    let marked = Multi_scheme.mark scheme m ws.Weighted.weights in
     Textio.save out { ws with Weighted.weights = marked };
     Printf.printf "embedded %d (%d bits) into %s\n" message bits out
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
-    (Cmd.info "mark" ~doc:"Embed a message into a weighted structure.")
+    (Cmd.info "mark"
+       ~doc:
+         "Embed a message into a weighted structure, preserving every \
+          given query.")
     Term.(
-      const run $ file $ query_term $ params_term $ results_term $ rho_term
+      const run $ file $ queries_term $ params_term $ results_term $ rho_term
       $ epsilon_term $ seed_term $ jobs_term $ stats_term
       $ trace_term $ message_term $ bits_term $ out_term)
 
 (* detect *)
 
 let detect_cmd =
-  let run original suspect query params results rho epsilon seed jobs
+  let run original suspect queries params results rho epsilon seed jobs
       stats trace bits =
     handle @@ fun () ->
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
-      prepare_scheme original ~query ~params ~results ~rho ~epsilon ~seed
+      prepare_scheme original ~queries ~params ~results ~rho ~epsilon ~seed
     in
     let sus = Textio.load suspect in
     let decoded =
-      Local_scheme.detect_weights scheme ~original:ws.Weighted.weights
+      Multi_scheme.detect_weights scheme ~original:ws.Weighted.weights
         ~suspect:sus.Weighted.weights ~length:bits
     in
     Printf.printf "decoded: %d (bits %s)\n" (Codec.to_int decoded)
@@ -240,9 +255,10 @@ let detect_cmd =
   let original = Arg.(required & pos 0 (some file) None & info [] ~docv:"ORIGINAL") in
   let suspect = Arg.(required & pos 1 (some file) None & info [] ~docv:"SUSPECT") in
   Cmd.v
-    (Cmd.info "detect" ~doc:"Read a mark back from a suspect copy.")
+    (Cmd.info "detect"
+       ~doc:"Read a mark back from a suspect copy (same queries as mark).")
     Term.(
-      const run $ original $ suspect $ query_term $ params_term $ results_term
+      const run $ original $ suspect $ queries_term $ params_term $ results_term
       $ rho_term $ epsilon_term $ seed_term $ jobs_term
       $ stats_term $ trace_term $ bits_term)
 
@@ -255,8 +271,9 @@ let update_cmd =
     handle @@ fun () ->
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
-    let ws, q, scheme =
-      prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
+    let ws, queries, scheme =
+      prepare_scheme file ~queries:[ query ] ~params ~results ~rho ~epsilon
+        ~seed
     in
     let edits =
       let ic = open_in edits_path in
@@ -282,11 +299,9 @@ let update_cmd =
     let ws' = Weighted.make edited weights' in
     let old_gf = Gaifman.of_structure ws.Weighted.graph in
     let gf = Gaifman.refresh edited ~prev:old_gf ~dirty in
-    match Local_scheme.update scheme ~old:ws ~old_gf ws' ~gf q ~dirty with
+    match Multi_scheme.update scheme ~old:ws ~old_gf ws' ~gf queries ~dirty with
     | Error e -> failwith ("update: " ^ e)
     | Ok scheme' ->
-        let r = Local_scheme.report scheme in
-        let r' = Local_scheme.report scheme' in
         let decision =
           Incremental.update_decision_ix ~old_graph:ws.Weighted.graph ~old_gf
             ~old_index:(Local_scheme.index scheme) ~new_graph:edited ~gf
@@ -297,11 +312,12 @@ let update_cmd =
         Printf.printf "universe       : %d -> %d elements\n"
           (Structure.size ws.Weighted.graph)
           n';
-        Printf.printf "types (ntp)    : %d -> %d\n" r.Local_scheme.ntp
-          r'.Local_scheme.ntp;
+        Printf.printf "types (ntp)    : %d -> %d\n"
+          (Local_scheme.report scheme).Local_scheme.ntp
+          (Local_scheme.report scheme').Local_scheme.ntp;
         Printf.printf "capacity       : %d -> %d bits\n"
-          (Local_scheme.capacity scheme)
-          (Local_scheme.capacity scheme');
+          (Multi_scheme.capacity scheme)
+          (Multi_scheme.capacity scheme');
         Printf.printf "decision       : %s\n"
           (match decision with
           | `Keep_mark ->
@@ -440,7 +456,7 @@ let attack_cmd =
             "generated travel database (100 travels, 400 transports)" )
     in
     let q = parse_query ~query ~params ~results in
-    let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
+    let options = { Multi_scheme.seed; rho; epsilon; selection = `Greedy } in
     let redundancies = if redundancies = [] then [ 1; 3; 5 ] else redundancies in
     let only = if only = [] then None else Some only in
     match
@@ -529,7 +545,8 @@ let fingerprint_cmd =
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
-      prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
+      prepare_scheme file ~queries:[ query ] ~params ~results ~rho ~epsilon
+        ~seed
     in
     let fp = fingerprint_of_scheme ?length ?times ~master scheme in
     let marked = Fingerprint.mark_for fp recipient ws.Weighted.weights in
@@ -565,7 +582,8 @@ let trace_cmd =
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
-      prepare_scheme original ~query ~params ~results ~rho ~epsilon ~seed
+      prepare_scheme original ~queries:[ query ] ~params ~results ~rho
+        ~epsilon ~seed
     in
     let fp = fingerprint_of_scheme ?length ?times ~master scheme in
     let sus = Textio.load suspect in
@@ -728,78 +746,6 @@ let repair_cmd =
     Term.(
       const run $ marked $ suspect $ key_term $ copies_term $ group_size_term
       $ jobs_term $ stats_term $ trace_term $ out_term $ json)
-
-(* multi-query mark/detect: -q can be repeated; all queries share the
-   default u/v variable convention. *)
-
-let queries_term =
-  let doc = "Query formula; repeatable to preserve several queries at once." in
-  Arg.(non_empty & opt_all string [] & info [ "q"; "query" ] ~docv:"FORMULA" ~doc)
-
-let parse_queries ~queries ~params ~results =
-  List.map (fun query -> parse_query ~query ~params ~results) queries
-
-let multi_mark_cmd =
-  let run file queries params results rho epsilon seed jobs stats trace message
-      bits out =
-    handle @@ fun () ->
-    set_jobs jobs;
-    with_obs ~stats ~trace @@ fun () ->
-    let ws = Textio.load file in
-    let qs = parse_queries ~queries ~params ~results in
-    let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
-    match Multi_scheme.prepare ~options ws qs with
-    | Error e -> failwith ("prepare: " ^ e)
-    | Ok scheme ->
-        if bits > Multi_scheme.capacity scheme then
-          failwith
-            (Printf.sprintf "message needs %d bits, capacity is %d" bits
-               (Multi_scheme.capacity scheme));
-        let marked =
-          Multi_scheme.mark scheme (Codec.of_int ~bits message) ws.Weighted.weights
-        in
-        Textio.save out { ws with Weighted.weights = marked };
-        Printf.printf "embedded %d (%d bits) preserving %d queries into %s\n"
-          message bits (List.length qs) out
-  in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  Cmd.v
-    (Cmd.info "multi-mark"
-       ~doc:"Embed a message while preserving several queries at once.")
-    Term.(
-      const run $ file $ queries_term $ params_term $ results_term $ rho_term
-      $ epsilon_term $ seed_term $ jobs_term $ stats_term $ trace_term
-      $ message_term $ bits_term $ out_term)
-
-let multi_detect_cmd =
-  let run original suspect queries params results rho epsilon seed jobs stats
-      trace bits =
-    handle @@ fun () ->
-    set_jobs jobs;
-    with_obs ~stats ~trace @@ fun () ->
-    let ws = Textio.load original in
-    let sus = Textio.load suspect in
-    let qs = parse_queries ~queries ~params ~results in
-    let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
-    match Multi_scheme.prepare ~options ws qs with
-    | Error e -> failwith ("prepare: " ^ e)
-    | Ok scheme ->
-        let decoded =
-          Multi_scheme.detect_weights scheme ~original:ws.Weighted.weights
-            ~suspect:sus.Weighted.weights ~length:bits
-        in
-        Printf.printf "decoded: %d (bits %s)\n" (Codec.to_int decoded)
-          (Format.asprintf "%a" Bitvec.pp decoded)
-  in
-  let original = Arg.(required & pos 0 (some file) None & info [] ~docv:"ORIGINAL") in
-  let suspect = Arg.(required & pos 1 (some file) None & info [] ~docv:"SUSPECT") in
-  Cmd.v
-    (Cmd.info "multi-detect"
-       ~doc:"Read a multi-query mark back from a suspect copy.")
-    Term.(
-      const run $ original $ suspect $ queries_term $ params_term
-      $ results_term $ rho_term $ epsilon_term $ seed_term $ jobs_term
-      $ stats_term $ trace_term $ bits_term)
 
 (* vc *)
 
@@ -1029,11 +975,10 @@ let main =
   Cmd.group
     (Cmd.info "wmark" ~version:"1.0.0" ~doc)
     [
-      info_cmd; mark_cmd; detect_cmd; update_cmd; multi_mark_cmd;
-      multi_detect_cmd; capacity_cmd; vc_cmd; perturb_cmd; attack_cmd;
-      fingerprint_cmd; trace_cmd; audit_cmd; repair_cmd; serve_cmd;
-      gen_travel_cmd; gen_school_cmd; gen_biblio_cmd; xml_mark_cmd;
-      xml_detect_cmd;
+      info_cmd; mark_cmd; detect_cmd; update_cmd; capacity_cmd; vc_cmd;
+      perturb_cmd; attack_cmd; fingerprint_cmd; trace_cmd; audit_cmd;
+      repair_cmd; serve_cmd; gen_travel_cmd; gen_school_cmd; gen_biblio_cmd;
+      xml_mark_cmd; xml_detect_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -16,7 +16,8 @@
       trees and automata;
     - {!Xml}, {!Utree}, {!Encode}, {!Pattern}: XML documents;
     - {!Setfam}, {!Vc}, {!Query_vc}: VC-dimension;
-    - {!Query_system}, {!Distortion}, {!Pairing}, {!Local_scheme},
+    - {!Query_system}, {!Distortion}, {!Pairing}, {!Multi_scheme} (and
+      its one-query view {!Local_scheme}),
       {!Tree_scheme}, {!Detectors via schemes}, {!Adversary}, {!Robust},
       {!Capacity}, {!Incremental}, {!Agrawal_kiernan}, {!Pipeline}:
       the watermarking core;

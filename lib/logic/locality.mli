@@ -30,7 +30,7 @@ val cq_rank : Fo.t -> int option
 
 val best_rank : Fo.t -> int
 (** [cq_rank] when the formula is a CQ, the Gaifman bound otherwise — the
-    rank {!Wm_watermark.Local_scheme} should default to. *)
+    rank {!Wm_watermark.Multi_scheme} should default to. *)
 
 val respects_rank : Structure.t -> Fo.t -> rho:int -> bool
 (** Checks Definition 5 on one structure: for every pair of tuples (over

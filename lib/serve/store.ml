@@ -14,7 +14,7 @@
    an immutable value while the next version is being built. *)
 
 type prep = {
-  scheme : Local_scheme.t;
+  scheme : Multi_scheme.t;
   query : Query.t;
   qspec : string;  (* the query text the client sent, echoed by [info] *)
   sharded : bool;  (* whether the index was built via Shard.index *)

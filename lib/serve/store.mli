@@ -14,7 +14,7 @@
     started from. *)
 
 type prep = {
-  scheme : Local_scheme.t;
+  scheme : Multi_scheme.t;
   query : Query.t;
   qspec : string;  (** the query text the client sent, echoed by info *)
   sharded : bool;  (** whether the index came from {!Shard.index} *)

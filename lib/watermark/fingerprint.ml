@@ -93,25 +93,9 @@ let make ?length ?times ~master ~capacity ~pairs ~active embed =
 
 let of_local ?length ?times ~master scheme =
   make ?length ?times ~master
-    ~capacity:(Local_scheme.capacity scheme)
-    ~pairs:(Local_scheme.pairs scheme)
-    ~active:(Query_system.active (Local_scheme.query_system scheme))
-    (Local_scheme.mark scheme)
-
-(* Multi_scheme exposes no query system; the union of pair endpoints is
-   the carrier-relevant active set. *)
-let active_of_pairs pairs =
-  Tuple.Set.elements
-    (List.fold_left
-       (fun acc { Pairing.fst; snd } ->
-         Tuple.Set.add fst (Tuple.Set.add snd acc))
-       Tuple.Set.empty pairs)
-
-let of_multi ?length ?times ~master scheme =
-  let pairs = Multi_scheme.pairs scheme in
-  make ?length ?times ~master
     ~capacity:(Multi_scheme.capacity scheme)
-    ~pairs ~active:(active_of_pairs pairs)
+    ~pairs:(Multi_scheme.pairs scheme)
+    ~active:(Query_system.active (Multi_scheme.query_system scheme))
     (Multi_scheme.mark scheme)
 
 (* --- generation ------------------------------------------------------ *)

@@ -39,18 +39,15 @@ type t
     key and the codeword geometry (length, repetitions). *)
 
 val of_local :
-  ?length:int -> ?times:int -> master:int -> Local_scheme.t ->
-  (t, string) result
-(** Layer over a prepared {!Local_scheme}.  [length] is the codeword size
-    in bits (default [min 128 capacity]); [times] the repetition count
-    (default the largest odd value with [times * length <= capacity]).
-    [Error _] when the geometry does not fit the scheme's capacity. *)
-
-val of_multi :
   ?length:int -> ?times:int -> master:int -> Multi_scheme.t ->
   (t, string) result
-(** Same layering over a {!Multi_scheme}: each recipient's copy preserves
-    every registered query at once. *)
+(** Layer over a prepared {!Multi_scheme} (so also a {!Local_scheme}):
+    each recipient's copy preserves every registered query at once, and
+    the active set is that of {!Multi_scheme.query_system}.  [length] is
+    the codeword size in bits (default [min 128 capacity]); [times] the
+    repetition count (default the largest odd value with
+    [times * length <= capacity]).  [Error _] when the geometry does not
+    fit the scheme's capacity. *)
 
 val length : t -> int
 val times : t -> int

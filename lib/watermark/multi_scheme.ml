@@ -1,9 +1,19 @@
-type options = Local_scheme.options
+type options = {
+  seed : int;
+  rho : int option;
+  epsilon : float;
+  selection : [ `Greedy | `Random of int ];
+}
+
+let default_options =
+  { seed = 0xC0FFEE; rho = None; epsilon = 1.0; selection = `Greedy }
 
 type report = {
   queries : int;
+  degree : int;
   rho : int list;
   ntp : int list;
+  eta : int list;
   active : int;
   pairs_available : int;
   pairs_selected : int;
@@ -20,46 +30,81 @@ type t = {
   options : options;
 }
 
-(* Disjoint union of query systems: parameters carry their query index as
-   a leading component.  Result sets (hence active sets, split counts,
-   distortion) are untouched — only parameter identity is enriched. *)
+(* Disjoint union of query systems, with the canonical parameters of each
+   query's type index: parameters carry their query index as a leading
+   component.  Result sets (hence active sets, split counts, distortion)
+   are untouched — only parameter identity is enriched.  A union of one
+   system is that system itself: no tag, no second memo, so a one-query
+   scheme pairs exactly as the paper's single-query construction does. *)
 let tag i a = Tuple.concat (Tuple.singleton i) a
 
-let combined_of systems =
-  let arr = Array.of_list systems in
-  let params =
-    List.concat
-      (List.mapi
-         (fun i qs -> List.map (tag i) (Query_system.params qs))
-         systems)
-  in
-  Query_system.of_custom ~params
-    ~result_set:(fun tagged ->
-      let i = tagged.(0) in
-      let a = Array.sub tagged 1 (Array.length tagged - 1) in
-      Query_system.result_set arr.(i) a)
-    ~weight_arity:(Query_system.weight_arity (List.hd systems))
+let canonical ix = Array.to_list ix.Neighborhood.representatives
 
-(* Tail shared by [prepare] and [update]; deterministic in its inputs, so
-   incrementally refreshed systems/indexes reproduce the scheme exactly. *)
-let assemble ~options ~queries ~systems ~indexes =
-  let combined = combined_of systems in
-  if Query_system.active combined = [] then
-    Error "queries have no active weighted elements"
+let union systems indexes =
+  match (systems, indexes) with
+  | [ qs ], [ ix ] -> (qs, canonical ix)
+  | _ ->
+      let arr = Array.of_list systems in
+      let tagged f l =
+        List.concat (List.mapi (fun i x -> List.map (tag i) (f x)) l)
+      in
+      let combined =
+        Query_system.of_custom
+          ~params:(tagged Query_system.params systems)
+          ~result_set:(fun tagged ->
+            let i = tagged.(0) in
+            let a = Array.sub tagged 1 (Array.length tagged - 1) in
+            Query_system.result_set arr.(i) a)
+          ~weight_arity:(Query_system.weight_arity arr.(0))
+      in
+      (combined, tagged canonical indexes)
+
+(* Sum of the per-query counts N, saturating like each count does. *)
+let count_bound g queries =
+  List.fold_left
+    (fun acc q ->
+      let n = Locality.query_count_bound g q in
+      if acc > max_int - n then max_int else acc + n)
+    0 queries
+
+(* The pairing/selection/report tail shared by [prepare] and [update]: a
+   deterministic function of (options, queries, query systems, degree,
+   indexes), so an incremental update that reproduces the same inputs
+   reproduces the same scheme. *)
+let assemble ~options ~g ~queries ~systems ~degree ~indexes =
+  let combined, canonical = union systems indexes in
+  let active = Query_system.active combined in
+  if active = [] then Error "query has no active weighted elements"
   else begin
-    let canonical =
-      List.concat
-        (List.mapi
-           (fun i ix ->
-             List.map (tag i) (Array.to_list ix.Neighborhood.representatives))
-           indexes)
-    in
     let all_pairs = Pairing.s_partition combined ~canonical in
-    let budget = int_of_float (ceil (1.0 /. options.Local_scheme.epsilon)) in
+    let budget = int_of_float (ceil (1.0 /. options.epsilon)) in
+    let eta =
+      List.map2
+        (fun q ix -> Locality.eta q ~k:degree ~rho:ix.Neighborhood.rho)
+        queries indexes
+    in
     let selected, max_split =
-      Pairing.select_greedy
-        (Prng.create options.Local_scheme.seed)
-        combined all_pairs ~budget
+      let g0 = Prng.create options.seed in
+      match options.selection with
+      | `Greedy -> Pairing.select_greedy g0 combined all_pairs ~budget
+      | `Random tries ->
+          (* p = 1 / (eta (2N)^eps) with the largest per-query eta and N
+             summed over the queries: the union's parameters are the
+             disjoint union of the queries' parameters. *)
+          let p =
+            1.0
+            /. (float_of_int (List.fold_left max 1 eta)
+               *. (float_of_int (2 * count_bound g queries) ** options.epsilon))
+          in
+          let rec attempt i =
+            if i = 0 then []
+            else
+              match Pairing.select_random g0 combined all_pairs ~p ~budget with
+              | Some pairs when pairs <> [] -> pairs
+              | _ -> attempt (i - 1)
+          in
+          let pairs = attempt tries in
+          (pairs, if pairs = [] then 0 else Pairing.max_split combined pairs)
     in
     if selected = [] then Error "no pair survived eps-good selection"
     else
@@ -73,9 +118,11 @@ let assemble ~options ~queries ~systems ~indexes =
           rep =
             {
               queries = List.length queries;
+              degree;
               rho = List.map (fun ix -> ix.Neighborhood.rho) indexes;
               ntp = List.map Neighborhood.ntp indexes;
-              active = List.length (Query_system.active combined);
+              eta;
+              active = List.length active;
               pairs_available = List.length all_pairs;
               pairs_selected = List.length selected;
               budget;
@@ -84,81 +131,120 @@ let assemble ~options ~queries ~systems ~indexes =
         }
   end
 
-let check_arity (ws : Weighted.structure) queries =
-  List.exists
-    (fun q -> Query.result_arity q <> Weighted.arity ws.Weighted.weights)
-    queries
+(* [Error] unless every query has the weight arity and each optional
+   per-query list has one entry per query. *)
+let check (ws : Weighted.structure) queries lists =
+  let k = List.length queries in
+  if queries = [] then Error "no queries"
+  else if List.exists (fun l -> l <> k) lists then
+    Error "one query system and one index per query"
+  else if
+    List.exists
+      (fun q -> Query.result_arity q <> Weighted.arity ws.Weighted.weights)
+      queries
+  then Error "result arity differs from weight arity"
+  else Ok ()
 
-let prepare ?(options = Local_scheme.default_options) (ws : Weighted.structure)
+let length_of = function None -> [] | Some l -> [ List.length l ]
+
+let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
     queries =
   let g = ws.Weighted.graph in
-  if queries = [] then Error "no queries"
-  else if check_arity ws queries then
-    Error "some query's result arity differs from the weight arity"
-  else begin
-    let systems = List.map (Query_system.of_relational g) queries in
-    let rhos =
-      List.map
-        (fun q ->
-          match options.Local_scheme.rho with
-          | Some r -> r
-          | None -> Locality.best_rank q.Query.phi)
-        queries
-    in
-    let indexes =
-      List.map2
-        (fun q rho -> Neighborhood.index g ~rho (Query.all_params g q))
-        queries rhos
-    in
-    assemble ~options ~queries ~systems ~indexes
-  end
+  match check ws queries (length_of qs @ length_of ix) with
+  | Error _ as e -> e
+  | Ok () when options.epsilon <= 0. || options.epsilon > 1. ->
+      Error "epsilon must lie in (0, 1]"
+  | Ok () ->
+      let systems =
+        match qs with
+        | Some qs -> qs
+        | None -> List.map (Query_system.of_relational g) queries
+      in
+      let gf = match gf with Some gf -> gf | None -> Gaifman.of_structure g in
+      let given =
+        match ix with
+        | Some ix -> List.map Option.some ix
+        | None -> List.map (fun _ -> None) queries
+      in
+      let indexes =
+        List.map2
+          (fun (q, qs) ix ->
+            let rho =
+              match options.rho with
+              | Some r -> r
+              | None -> Locality.best_rank q.Query.phi
+            in
+            match ix with
+            | Some ix when ix.Neighborhood.rho = rho -> ix
+            | Some _ | None ->
+                Neighborhood.index g ~rho (Query_system.params qs))
+          (List.combine queries systems)
+          given
+      in
+      assemble ~options ~g ~queries ~systems ~degree:(Gaifman.max_degree gf)
+        ~indexes
 
-let update t ~old (ws : Weighted.structure) queries ~dirty =
-  let options = t.options in
+let update ?qs t ~old ~old_gf (ws : Weighted.structure) ~gf queries ~dirty =
   let g = ws.Weighted.graph in
   if List.length queries <> List.length t.systems then
-    Error "update: query list differs from the prepared one"
-  else if check_arity ws queries then
-    Error "some query's result arity differs from the weight arity"
-  else begin
-    let old_g = old.Weighted.graph in
-    let old_gf = Gaifman.of_structure old_g in
-    let gf = Gaifman.refresh g ~prev:old_gf ~dirty in
-    let systems =
-      List.map2
-        (fun (qs, ix) q ->
-          let rho = ix.Neighborhood.rho in
-          let affected =
-            Neighborhood.affected_elements ~old_gf ~gf ~rho ~dirty
-          in
-          Query_system.refresh_relational qs g q ~affected)
-        (List.combine t.systems t.indexes)
-        queries
-    in
-    let indexes =
-      List.map
-        (fun ix ->
-          Neighborhood.reindex ~old:old_g ~old_gf g ~gf ~prev:ix ~dirty)
-        t.indexes
-    in
-    assemble ~options ~queries ~systems ~indexes
-  end
+    Error "query list differs from the prepared one"
+  else
+    match check ws queries (length_of qs) with
+    | Error _ as e -> e
+    | Ok () ->
+        let indexes =
+          List.map
+            (fun ix ->
+              Neighborhood.reindex ~old:old.Weighted.graph ~old_gf g ~gf
+                ~prev:ix ~dirty)
+            t.indexes
+        in
+        let systems =
+          match qs with
+          | Some qs -> qs
+          | None ->
+              List.map2
+                (fun (qs, ix) q ->
+                  let affected =
+                    Neighborhood.affected_elements ~old_gf ~gf
+                      ~rho:ix.Neighborhood.rho ~dirty
+                  in
+                  Query_system.refresh_relational qs g q ~affected)
+                (List.combine t.systems t.indexes)
+                queries
+        in
+        assemble ~options:t.options ~g ~queries ~systems
+          ~degree:(Gaifman.max_degree gf) ~indexes
 
 let report t = t.rep
-let capacity t = List.length t.selected
+(* O(1): the report already carries the selected-pair count, and a
+   serving engine consults the capacity on every mark/detect request. *)
+let capacity t = t.rep.pairs_selected
 let pairs t = t.selected
+let query_system t = t.combined
 let indexes t = t.indexes
 
 let mark t message w =
-  Weighted.apply_marks w (Pairing.orientation_marks t.selected message)
+  (* Pairs beyond the message carry no marks; truncating first keeps a
+     short-message mark O(message) instead of O(capacity), which is what
+     a serving engine marking against a half-million-pair scheme needs. *)
+  let l = Bitvec.length message in
+  if l > capacity t then
+    invalid_arg "Multi_scheme.mark: message longer than capacity";
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+  in
+  Weighted.apply_marks w (Pairing.orientation_marks (take l t.selected) message)
+
+let detect t ~original ~server ~length =
+  if length > capacity t then
+    invalid_arg "Multi_scheme.detect: length exceeds capacity";
+  let observed = Query_system.reconstruct t.combined server in
+  (Detector.read t.selected ~original ~observed ~length).Detector.decoded
 
 let detect_weights t ~original ~suspect ~length =
-  if length > capacity t then
-    invalid_arg "Multi_scheme.detect_weights: length exceeds capacity";
-  let observed =
-    Query_system.reconstruct t.combined (Query_system.server t.combined suspect)
-  in
-  (Detector.read t.selected ~original ~observed ~length).Detector.decoded
+  detect t ~original ~server:(Query_system.server t.combined suspect) ~length
 
 let distortion t w w' =
   List.mapi (fun i qs -> (i, Distortion.global qs w w')) t.systems

@@ -6,12 +6,12 @@ type base = {
 
 let of_local scheme =
   {
-    capacity = Local_scheme.capacity scheme;
-    embed = (fun m w -> Local_scheme.mark scheme m w);
+    capacity = Multi_scheme.capacity scheme;
+    embed = (fun m w -> Multi_scheme.mark scheme m w);
     extract =
       (fun ~original ~server ->
-        Local_scheme.detect scheme ~original ~server
-          ~length:(Local_scheme.capacity scheme));
+        Multi_scheme.detect scheme ~original ~server
+          ~length:(Multi_scheme.capacity scheme));
   }
 
 let of_tree scheme =

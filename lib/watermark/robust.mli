@@ -17,7 +17,7 @@ type base = {
 }
 (** A non-adversarial scheme reduced to its carrier interface. *)
 
-val of_local : Local_scheme.t -> base
+val of_local : Multi_scheme.t -> base
 val of_tree : Tree_scheme.t -> base
 
 val redundancy_for : base -> message_length:int -> int

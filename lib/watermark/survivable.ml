@@ -194,7 +194,7 @@ let match_pvalue ~expected rv =
 
 let detect_structure ?jobs scheme ~times ~length
     ~(original : Weighted.structure) ~(suspect : Weighted.structure) =
-  let pairs = Local_scheme.pairs scheme in
+  let pairs = Multi_scheme.pairs scheme in
   let endpoints =
     List.concat_map (fun { Pairing.fst; snd } -> [ fst; snd ]) pairs
   in

@@ -95,7 +95,7 @@ val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
 (** {1 End-to-end conveniences} *)
 
 val detect_structure :
-  ?jobs:int -> Local_scheme.t -> times:int -> length:int ->
+  ?jobs:int -> Multi_scheme.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   robust_verdict * alignment
 (** Align (on the scheme's pair endpoints) and decode in one step. *)

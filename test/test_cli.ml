@@ -138,6 +138,21 @@ let test_cli_update () =
       check bool "diagnostic" true (contains out "wmark:")
   | None -> ()
 
+(* -q repeats: mark and detect preserve both queries at once. *)
+let test_cli_two_queries () =
+  skip_or @@ fun () ->
+  let db = tmp "db5.txt" and marked = tmp "marked5.txt" in
+  let qs = "-q \"Route(u,v)\" -q \"Route(v,u)\"" in
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 25 --transports 60 --seed 5 -o %s" db));
+  (match run_cli (Printf.sprintf "mark %s %s -m 5 --bits 3 -o %s" db qs marked) with
+  | Some (0, _) -> ()
+  | Some (c, out) -> Alcotest.fail (Printf.sprintf "mark exit %d: %s" c out)
+  | None -> ());
+  match run_cli (Printf.sprintf "detect %s %s %s --bits 3" db marked qs) with
+  | Some (0, out) -> check bool "decoded 5" true (contains out "decoded: 5")
+  | Some (c, out) -> Alcotest.fail (Printf.sprintf "detect exit %d: %s" c out)
+  | None -> ()
+
 let suite =
   [
     ("cli relational cycle", `Slow, test_cli_relational_cycle);
@@ -146,4 +161,5 @@ let suite =
     ("cli rejects bad input", `Slow, test_cli_bad_input);
     ("cli rejects --jobs 0", `Slow, test_cli_jobs_zero);
     ("cli update subcommand", `Slow, test_cli_update);
+    ("cli marks two queries", `Slow, test_cli_two_queries);
   ]

@@ -294,6 +294,40 @@ let prop_textio_roundtrip =
       Structure.equal ws.Weighted.graph ws2.Weighted.graph
       && Weighted.equal ws.Weighted.weights ws2.Weighted.weights)
 
+(* One query is the case k = 1 of the query-list scheme: whatever the
+   selection rule, [Multi_scheme] on [q] selects what [Local_scheme] on
+   [q] selects, or fails with the same message. *)
+let prop_one_query_list_is_local =
+  QCheck.Test.make ~count:16 ~name:"multi-scheme on [q] == local scheme on q"
+    (* the two-away query's FO evaluation grows steeply with n, so it
+       stops at 60 elements *)
+    QCheck.(
+      triple (int_range 1 50)
+        (oneofl
+           [ (30, figq); (60, figq); (200, figq); (30, two_away); (60, two_away) ])
+        (int_range 1 2))
+    (fun (seed, (n, q), rho) ->
+      let ws = Random_struct.regular_rings (Wm_util.Prng.create seed) ~n in
+      List.for_all
+        (fun selection ->
+          let options =
+            { Local_scheme.default_options with seed; rho = Some rho; selection }
+          in
+          Result.map Multi_scheme.pairs (Multi_scheme.prepare ~options ws [ q ])
+          = Result.map Local_scheme.pairs (Local_scheme.prepare ~options ws q))
+        [ `Greedy; `Random 20 ])
+
+(* A union of one query system is that system: nothing tagged, no
+   second memo, and the scheme hands back the caller's own system. *)
+let test_one_query_keeps_system () =
+  let ws = Random_struct.regular_rings (Wm_util.Prng.create 8) ~n:60 in
+  let qs = Query_system.of_relational ws.Weighted.graph figq in
+  let options = { Local_scheme.default_options with rho = Some 1 } in
+  match Multi_scheme.prepare ~options ~qs:[ qs ] ws [ figq ] with
+  | Error e -> Alcotest.fail e
+  | Ok scheme ->
+      check bool "same system" true (Multi_scheme.query_system scheme == qs)
+
 let suite =
   [
     ("aggregates on figure 1", `Quick, test_aggregates_basic);
@@ -311,4 +345,6 @@ let suite =
     ("textio roundtrip (example 1)", `Quick, test_textio_roundtrip_travel);
     ("textio rejects junk", `Quick, test_textio_errors);
     QCheck_alcotest.to_alcotest prop_textio_roundtrip;
+    QCheck_alcotest.to_alcotest prop_one_query_list_is_local;
+    ("one query keeps the caller's system", `Quick, test_one_query_keeps_system);
   ]

@@ -284,7 +284,12 @@ let test_multi_scheme_update_matches_prepare () =
         let script = random_keeping_script g ws.Weighted.graph 3 in
         let edited, dirty = Structure.apply_edits ws.Weighted.graph script in
         let ws' = { ws with Weighted.graph = edited } in
-        (match (M.update scheme ~old:ws ws' queries ~dirty, M.prepare ws' queries) with
+        let old_gf = Gaifman.of_structure ws.Weighted.graph in
+        let gf = Gaifman.of_structure edited in
+        (match
+           ( M.update scheme ~old:ws ~old_gf ws' ~gf queries ~dirty,
+             M.prepare ws' queries )
+         with
         | Ok u, Ok p ->
             check bool
               (Printf.sprintf "seed %d: same report" seed)
