@@ -8,7 +8,13 @@
    info / batch) against a prepared dataset, and fails — nonzero exit —
    on any [err] response, undecodable frame, or unclean server exit.
    CI uses it as the serve smoke test; locally it doubles as a quick
-   throughput probe. *)
+   throughput probe.
+
+   Requests still carry the [shard] operand of [prepare] and [detect]:
+   the server validates it as 0/1 and ignores it, since there is one
+   index path and one detector.  E25's [sharded_index_equal] and
+   [sharded_detect_equal] scalars now pin exactly that, i.e. that the
+   operand changes no response. *)
 
 open Qpwm
 
@@ -96,7 +102,7 @@ let () =
           (Serve_protocol.op_name req);
         exit 1
   in
-  (* setup: one dataset, sharded scheme, a mark to detect *)
+  (* setup: one dataset, a prepared scheme, a mark to detect *)
   let _ = must Serve_protocol.Ping in
   let _ = must (Serve_protocol.Gen { id = "d"; n; seed }) in
   let _ =

@@ -18,13 +18,12 @@
     - {!Setfam}, {!Vc}, {!Query_vc}: VC-dimension;
     - {!Query_system}, {!Distortion}, {!Pairing}, {!Multi_scheme} (and
       its one-query view {!Local_scheme}),
-      {!Tree_scheme}, {!Detectors via schemes}, {!Adversary}, {!Robust},
+      {!Tree_scheme}, {!Detector}, {!Adversary}, {!Robust},
       {!Capacity}, {!Incremental}, {!Agrawal_kiernan}, {!Pipeline}:
       the watermarking core;
-    - {!Serve_store}, {!Serve_protocol}, {!Serve_engine}, {!Serve_shard},
-      {!Frame}: the [wmark serve] layer — persistent dataset store,
-      length-prefixed wire protocol, batching scheduler, and
-      Gaifman-component sharding;
+    - {!Serve_store}, {!Serve_protocol}, {!Serve_engine}, {!Frame}: the
+      [wmark serve] layer — persistent dataset store, length-prefixed
+      wire protocol and batching scheduler;
     - {!Paper_examples}, {!Random_struct}, {!Shatter}, {!Grid},
       {!Trees_gen}, {!School_xml}, {!Bipartite}: workloads.
 
@@ -112,11 +111,10 @@ module Cw_parse = Wm_cliquewidth.Cw_parse
 module Cw_adjacency = Wm_cliquewidth.Cw_adjacency
 module Treewidth = Wm_cliquewidth.Treewidth
 
-(* serving layer: store, wire protocol, scheduler, sharding *)
+(* serving layer: store, wire protocol, scheduler *)
 module Serve_store = Wm_serve.Store
 module Serve_protocol = Wm_serve.Protocol
 module Serve_engine = Wm_serve.Engine
-module Serve_shard = Wm_serve.Shard
 module Frame = Wm_util.Frame
 
 (* workloads *)

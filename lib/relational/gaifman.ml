@@ -325,8 +325,8 @@ let sphere_tuple g ~rho t =
    assigned in order of each component's lowest element.  One shared
    queue and label array across all components — [bfs] would allocate an
    O(n) distance array per component, which is quadratic on a structure
-   made of hundreds of thousands of small components (the serve layer's
-   shard plan labels million-element instances on every [gen]). *)
+   made of hundreds of thousands of small components (the serve layer
+   counts the components of million-element instances on every [gen]). *)
 let component_labels g =
   let n = size g in
   let comp = Array.make n (-1) in

@@ -64,10 +64,8 @@ val connected_components : t -> int list list
 val component_labels : t -> int array * int
 (** [(comp, ncomps)] with [comp.(x)] the dense id of [x]'s connected
     component; ids follow the order of {!connected_components} (each
-    component numbered at its lowest element).  The serving layer shards
-    index and detect work along these labels — a rho-sphere never
-    crosses a component, so per-component results merge exactly
-    (DESIGN.md 5.11). *)
+    component numbered at its lowest element).  The serving layer
+    reports [ncomps] for every stored dataset (DESIGN.md 5.11). *)
 
 val local_groups : t -> max_size:int -> int list array
 (** Deterministic partition of the universe into {e Gaifman-local groups}:

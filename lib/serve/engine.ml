@@ -126,7 +126,7 @@ let dataset_fields (ds : Store.dataset) =
   [
     ("size", itoa (Structure.size ds.base.Weighted.graph));
     ("weight_arity", itoa (Weighted.arity ds.base.Weighted.weights));
-    ("components", itoa (Shard.ncomps ds.plan));
+    ("components", itoa ds.components);
   ]
 
 let put_structure t ~op id ws =
@@ -172,7 +172,6 @@ let rec dispatch t ~jobs (req : Protocol.req) =
             [
               ("prepared", "1");
               ("query", Textio.escape_name p.qspec);
-              ("sharded", if p.sharded then "1" else "0");
               ("capacity", itoa (Local_scheme.capacity p.scheme));
               ("rho", itoa rep.Local_scheme.rho);
               ("ntp", itoa rep.Local_scheme.ntp);
@@ -201,7 +200,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
       match Store.snapshot t.store id ?path () with
       | Error m -> err m
       | Ok _ -> ok "snapshot" [ ("id", id) ])
-  | Prepare { id; seed; rho; epsilon; shard; qspec } ->
+  | Prepare { id; seed; rho; epsilon; shard = _; qspec } ->
       let result =
         Store.update t.store id @@ fun ds ->
         match resolve_query ds qspec with
@@ -220,43 +219,23 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                 epsilon;
               }
             in
-            let g = ds.base.Weighted.graph in
-            let ix =
-              if not shard then Ok None
-              else
-                Result.map Option.some
-                  (Shard.index ?jobs g ds.gf ds.plan ~rho
-                     (Query_system.params qs))
-            in
-            match ix with
+            match Local_scheme.prepare ~options ~qs ~gf:ds.gf ds.base q with
             | Error m -> Error m
-            | Ok ix -> (
-                match
-                  Local_scheme.prepare ~options ~qs ~gf:ds.gf ?ix
-                    { Weighted.graph = g; weights = ds.base.Weighted.weights }
-                    q
-                with
-                | Error m -> Error m
-                | Ok scheme ->
-                    let rep = Local_scheme.report scheme in
-                    Ok
-                      ( {
-                          ds with
-                          prep =
-                            Some
-                              { Store.scheme; query = q; qspec = qtext;
-                                sharded = shard };
-                        },
-                        [
-                          ("capacity", itoa (Local_scheme.capacity scheme));
-                          ("rho", itoa rep.Local_scheme.rho);
-                          ("ntp", itoa rep.Local_scheme.ntp);
-                          ("active", itoa rep.Local_scheme.active);
-                          ("pairs_available",
-                           itoa rep.Local_scheme.pairs_available);
-                          ("max_split", itoa rep.Local_scheme.max_split);
-                          ("sharded", if shard then "1" else "0");
-                        ] )))
+            | Ok scheme ->
+                let rep = Local_scheme.report scheme in
+                Ok
+                  ( {
+                      ds with
+                      prep = Some { Store.scheme; query = q; qspec = qtext };
+                    },
+                    [
+                      ("capacity", itoa (Local_scheme.capacity scheme));
+                      ("rho", itoa rep.Local_scheme.rho);
+                      ("ntp", itoa rep.Local_scheme.ntp);
+                      ("active", itoa rep.Local_scheme.active);
+                      ("pairs_available", itoa rep.Local_scheme.pairs_available);
+                      ("max_split", itoa rep.Local_scheme.max_split);
+                    ] ))
       in
       (match result with Error m -> err m | Ok fields -> ok "prepare" fields)
   | Mark (id, bits) ->
@@ -283,7 +262,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                   ] )
       in
       (match result with Error m -> err m | Ok fields -> ok "mark" fields)
-  | Detect { id; length; shard } ->
+  | Detect { id; length; shard = _ } ->
       with_dataset t id @@ fun ds ->
       with_prep ds @@ fun prep ->
       let capacity = Local_scheme.capacity prep.scheme in
@@ -292,12 +271,10 @@ let rec dispatch t ~jobs (req : Protocol.req) =
           (Printf.sprintf "detect length %d exceeds capacity %d" length
              capacity)
       else
-        let pairs = Local_scheme.pairs prep.scheme in
-        let original = ds.base.Weighted.weights and suspect = ds.cur in
         let verdict =
-          if shard then
-            Shard.read_weights ?jobs ds.plan pairs ~original ~suspect ~length
-          else Detector.read_weights ?jobs pairs ~original ~suspect ~length
+          Detector.read_weights ?jobs
+            (Local_scheme.pairs prep.scheme)
+            ~original:ds.base.Weighted.weights ~suspect:ds.cur ~length
         in
         ok "detect"
           [
@@ -360,9 +337,10 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                 in
                 let cur = carry_weights ~n n' ds.cur in
                 (* the one Gaifman refresh of this edit script: the
-                   reindex, the Theorem 8 decision and the shard plan
-                   all read it *)
+                   reindex, the Theorem 8 decision and the component
+                   count all read it *)
                 let gf' = Gaifman.refresh g' ~prev:ds.gf ~dirty in
+                let components = snd (Gaifman.component_labels gf') in
                 (* a structural edit invalidates the capsule's
                    certificates; say so when there was one *)
                 let fields =
@@ -377,7 +355,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                           base;
                           cur = base.Weighted.weights;
                           gf = gf';
-                          plan = Shard.plan gf';
+                          components;
                           cap = None;
                         },
                         fields )
@@ -413,7 +391,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
                                 (if type_preserving then cur
                                  else base.Weighted.weights);
                               gf = gf';
-                              plan = Shard.plan gf';
+                              components;
                               prep = Some { prep with scheme = scheme' };
                               cap = None;
                             },

@@ -6,7 +6,13 @@
     ["err <message>"], followed by ["key value"] lines and an optional
     body after a blank line.  Responses are free of timings and other
     nondeterminism: equal requests against equal store state yield
-    byte-identical responses at every job count. *)
+    byte-identical responses at every job count.
+
+    [prepare] and [detect] still carry a [shard] operand: it must be 0
+    or 1, and it changes nothing, since the engine has one index path
+    and one detector.  It stays on the wire so that existing clients
+    (the load generator, the pipeline bench's serve workload) keep
+    working unchanged. *)
 
 type query_spec =
   | Identity
@@ -30,11 +36,12 @@ type req =
       seed : int;
       rho : int option;  (** [None] = the scheme's default rank *)
       epsilon : float;
-      shard : bool;  (** build the index via {!Shard.index} *)
+      shard : bool;  (** validated, then ignored (see above) *)
       qspec : query_spec;
     }
   | Mark of string * string  (** id, message as 0/1 text *)
   | Detect of { id : string; length : int; shard : bool }
+      (** [shard] is validated, then ignored (see above) *)
   | Setw of { id : string; value : int; elt : int list }
       (** weights-only update of one tuple (Theorem 7 territory) *)
   | Update of string * string  (** id, edit script as body *)

@@ -2,10 +2,10 @@
 
    One entry per dataset id: the structure, its published weights, and
    the derived state the endpoints reuse across requests — Gaifman
-   graph, shard plan, prepared scheme, recovery capsule.  Derived state
-   is deterministic from (structure, options), so only the weighted
-   structure itself is persisted (Textio under [dir]); everything else
-   is rebuilt on demand after a restart.
+   graph and its component count, prepared scheme, recovery capsule.
+   Derived state is deterministic from (structure, options), so only
+   the weighted structure itself is persisted (Textio under [dir]);
+   everything else is rebuilt on demand after a restart.
 
    Concurrency contract: the registry mutex only guards the id table.
    Each entry carries its own writer mutex; a writer recomputes a fresh
@@ -17,7 +17,6 @@ type prep = {
   scheme : Multi_scheme.t;
   query : Query.t;
   qspec : string;  (* the query text the client sent, echoed by [info] *)
-  sharded : bool;  (* whether the index was built via Shard.index *)
 }
 
 type dataset = {
@@ -25,7 +24,7 @@ type dataset = {
   base : Weighted.structure;  (* original weights — detection reference *)
   cur : Weighted.t;  (* published (possibly marked) weights *)
   gf : Gaifman.t;
-  plan : Shard.plan;
+  components : int;  (* connected components of [gf] *)
   prep : prep option;
   cap : (Recovery.options * Recovery.capsule) option;
 }
@@ -53,7 +52,7 @@ let of_structure id (ws : Weighted.structure) =
     base = ws;
     cur = ws.Weighted.weights;
     gf;
-    plan = Shard.plan gf;
+    components = snd (Gaifman.component_labels gf);
     prep = None;
     cap = None;
   }

@@ -1,8 +1,8 @@
 (** Persistent dataset store keyed by dataset id (DESIGN.md 5.11).
 
     Holds, per id, the weighted structure plus the derived state the
-    serving endpoints reuse across requests: the cached Gaifman graph,
-    the component shard plan, the prepared scheme (with its frozen
+    serving endpoints reuse across requests: the cached Gaifman graph
+    and its component count, the prepared scheme (with its frozen
     query-system memo and neighborhood index), and a recovery capsule.
     Only the weighted structure persists to disk (one Textio file per id
     under the store directory); derived state is a deterministic
@@ -17,7 +17,6 @@ type prep = {
   scheme : Multi_scheme.t;
   query : Query.t;
   qspec : string;  (** the query text the client sent, echoed by info *)
-  sharded : bool;  (** whether the index came from {!Shard.index} *)
 }
 
 type dataset = {
@@ -25,7 +24,7 @@ type dataset = {
   base : Weighted.structure;  (** original weights — detection reference *)
   cur : Weighted.t;  (** published (possibly marked) weights *)
   gf : Gaifman.t;
-  plan : Shard.plan;
+  components : int;  (** connected components of [gf], reported by info *)
   prep : prep option;
   cap : (Recovery.options * Recovery.capsule) option;
 }
@@ -41,8 +40,8 @@ val valid_id : string -> bool
     directory). *)
 
 val of_structure : string -> Weighted.structure -> dataset
-(** A fresh dataset: [cur = base.weights], Gaifman graph and shard plan
-    computed, nothing prepared. *)
+(** A fresh dataset: [cur = base.weights], Gaifman graph and its
+    component count computed, nothing prepared. *)
 
 val put : t -> dataset -> (unit, string) result
 (** Insert or replace (id taken from the dataset). *)

@@ -37,6 +37,11 @@ let suspicion t =
    unit of work the domain pool parallelizes. *)
 type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
 
+(* [d] is the observed difference delta(fst) - delta(snd). *)
+let cell d =
+  Cell
+    (d > 0, if d = 2 || d = -2 then `Strong else if d <> 0 then `Weak else `Silent)
+
 let classify_carrier ~original ~observed { Pairing.fst; snd } =
   let seen t = Tuple.Map.mem t observed in
   if (not (seen fst)) && not (seen snd) then Erased
@@ -46,17 +51,20 @@ let classify_carrier ~original ~observed { Pairing.fst; snd } =
       | Some v -> v - Weighted.get original t
       | None -> 0
     in
-    let d = delta fst - delta snd in
-    Cell
-      ( d > 0,
-        if d = 2 || d = -2 then `Strong else if d <> 0 then `Weak else `Silent
-      )
+    cell (delta fst - delta snd)
   end
 
+(* Total observation: both endpoints are read straight from [suspect],
+   so no carrier is erased and no observation map is needed. *)
+let classify_weights ?jobs ~original ~suspect pairs =
+  let delta t = Weighted.get suspect t - Weighted.get original t in
+  Wm_par.Pool.parallel_map ?jobs
+    (fun { Pairing.fst; snd } -> cell (delta fst - delta snd))
+    pairs
+
 (* Sequential accumulation of per-carrier classifications, in index
-   order — shared by the plain reader and the sharded serving path, so
-   both produce the same verdict from the same carrier array by
-   construction. *)
+   order — shared by both readers, so a total observation decodes the
+   same verdict through either. *)
 let verdict_of_carriers carriers =
   let length = Array.length carriers in
   let decoded = Bitvec.create length in
@@ -99,39 +107,33 @@ let take n l =
   in
   go n [] l
 
-let read ?jobs pairs ~original ~observed ~length =
+let take_asked who pairs length =
   let asked = take length pairs in
   if List.length asked < length then
-    invalid_arg "Detector.read: length exceeds pair count";
+    invalid_arg (who ^ ": length exceeds pair count");
+  Array.of_list asked
+
+let counted length classify =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
   Obs.add c_carriers length;
-  let carriers =
-    (* parallel phase: each carrier is classified on its own; the
-       sequential accumulation is in index order, so the verdict is
-       bit-identical to the jobs=1 loop *)
-    Wm_par.Pool.parallel_map ?jobs
-      (classify_carrier ~original ~observed)
-      (Array.of_list asked)
-  in
-  verdict_of_carriers carriers
+  verdict_of_carriers (classify ())
+
+let read ?jobs pairs ~original ~observed ~length =
+  let asked = take_asked "Detector.read" pairs length in
+  counted length @@ fun () ->
+  (* parallel phase: each carrier is classified on its own; the
+     sequential accumulation is in index order, so the verdict is
+     bit-identical to the jobs=1 loop *)
+  Wm_par.Pool.parallel_map ?jobs (classify_carrier ~original ~observed) asked
 
 let read_weights ?jobs pairs ~original ~suspect ~length =
-  (* Only the first [length] carriers are read, so only their endpoints
-     need observing — a serving engine answering thousands of short
-     detects per second on a scheme with hundreds of thousands of pairs
-     must not pay O(capacity) per request. *)
-  let asked = take length pairs in
-  if List.length asked < length then
-    invalid_arg "Detector.read_weights: length exceeds pair count";
-  let observed =
-    List.fold_left
-      (fun acc { Pairing.fst; snd } ->
-        Tuple.Map.add fst (Weighted.get suspect fst)
-          (Tuple.Map.add snd (Weighted.get suspect snd) acc))
-      Tuple.Map.empty asked
-  in
-  read ?jobs asked ~original ~observed ~length
+  (* Only the first [length] carriers are read — a serving engine
+     answering thousands of short detects per second on a scheme with
+     hundreds of thousands of pairs must not pay O(capacity) per
+     request. *)
+  let asked = take_asked "Detector.read_weights" pairs length in
+  counted length @@ fun () -> classify_weights ?jobs ~original ~suspect asked
 
 (* log C(n,k) via lgamma-free accumulation to stay in float range. *)
 let log_choose n k =

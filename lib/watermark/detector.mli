@@ -55,26 +55,20 @@ val suspicion : tamper -> float
     copy, 1 when every group was distorted, erased or lost its
     certificate. *)
 
-(** {1 Carrier-level interface}
-
-    The serving layer's sharded detector classifies carriers
-    shard-by-shard and reassembles; exposing the per-carrier step and the
-    accumulation separately lets it reuse both ends of {!read} unchanged,
-    which is what makes "sharded detect = unsharded detect" true by
-    construction rather than by test alone. *)
+(** {1 Carriers} *)
 
 type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
 (** What one pair contributes: no surviving endpoint ([Erased]), or a
     decoded bit with its signal class. *)
 
-val classify_carrier :
-  original:Weighted.t -> observed:int Tuple.Map.t -> Pairing.pair -> carrier
-(** Classify one pair from the observed weights — pure and independent
-    per pair, the unit of work the pool parallelizes. *)
-
-val verdict_of_carriers : carrier array -> verdict
-(** Accumulate classifications in index order into a verdict; the array
-    length is the read length. *)
+val classify_weights :
+  ?jobs:int -> original:Weighted.t -> suspect:Weighted.t ->
+  Pairing.pair array -> carrier array
+(** Classify each pair with both endpoints read straight from [suspect]
+    (total observation: no carrier is erased), on the {!Wm_par.Pool}
+    when [jobs] exceeds 1; bit-identical at every job count.  Builds no
+    observation map and counts nothing: the one classifier behind
+    {!read_weights} and {!Wm_watermark.Fingerprint.read}. *)
 
 val read :
   ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
@@ -89,8 +83,10 @@ val read :
 val read_weights :
   ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
   suspect:Weighted.t -> length:int -> verdict
-(** Total-observation convenience: every endpoint is read from [suspect],
-    so no carrier is erased. *)
+(** Total observation: every endpoint is read from [suspect], so no
+    carrier is erased.  Classifies through {!classify_weights} and
+    decodes the verdict {!read} would give on the map of every asked
+    endpoint, without building that map. *)
 
 val binomial_tail : trials:int -> successes:int -> float
 (** P[X >= successes] for X ~ Binomial(trials, 1/2) — the null-hypothesis

@@ -125,16 +125,7 @@ let digest w =
 let read ?jobs t ~original ~suspect =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
-  let observed =
-    Array.fold_left
-      (fun acc { Pairing.fst; snd } ->
-        Tuple.Map.add fst (Weighted.get suspect fst)
-          (Tuple.Map.add snd (Weighted.get suspect snd) acc))
-      Tuple.Map.empty t.pairs
-  in
-  Wm_par.Pool.parallel_map ?jobs
-    (Detector.classify_carrier ~original ~observed)
-    t.pairs
+  Detector.classify_weights ?jobs ~original ~suspect t.pairs
 
 (* Per message bit, a tie-explicit majority over the surviving signal
    carriers.  Silent carriers (zero difference — what collusion leaves

@@ -77,7 +77,7 @@ val digest : Weighted.t -> int
 val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
   Detector.carrier array
 (** Classify the scheme's [times * length] fingerprint carriers against a
-    suspect weight assignment (cf. {!Detector.classify_carrier});
+    suspect weight assignment (through {!Detector.classify_weights});
     parallel over carriers, bit-identical at every job count. *)
 
 val decode : t -> Detector.carrier array -> bool option array

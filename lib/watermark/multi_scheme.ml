@@ -152,8 +152,11 @@ let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
   let g = ws.Weighted.graph in
   match check ws queries (length_of qs @ length_of ix) with
   | Error _ as e -> e
-  | Ok () when options.epsilon <= 0. || options.epsilon > 1. ->
+  (* the negated test also rejects NaN *)
+  | Ok () when not (options.epsilon > 0. && options.epsilon <= 1.) ->
       Error "epsilon must lie in (0, 1]"
+  | Ok () when Option.fold ~none:false ~some:(fun r -> r < 0) options.rho ->
+      Error "rho must be non-negative"
   | Ok () ->
       let systems =
         match qs with

@@ -62,19 +62,20 @@ val prepare :
   ?options:options -> ?qs:Query_system.t list -> ?gf:Gaifman.t ->
   ?ix:Neighborhood.index list -> Weighted.structure -> Query.t list ->
   (t, string) result
-(** Fails (with a message) when the queries are unusable: none given,
+(** Fails (with a message) when the queries are unusable (none given,
     a result arity differs from the weight arity, or no pair survives
-    selection.  [qs] (one per query) overrides the evaluators — pass a
-    {!Query_system.of_custom} value when you have a faster (but
-    semantically identical) way to enumerate result sets than the
-    generic FO evaluator; the scheme itself only consumes the
+    selection) or the options are: [epsilon] outside (0, 1] (NaN
+    included) or a negative [rho].  [qs] (one per query) overrides the
+    evaluators — pass a {!Query_system.of_custom} value when you have a
+    faster (but semantically identical) way to enumerate result sets
+    than the generic FO evaluator; the scheme itself only consumes the
     query-system interface.  [gf] (the structure's Gaifman graph) and
     [ix] (one type index per query of its parameters at the effective
     rho — ignored where its rho differs) skip preparation passes a
-    caller has already done; the serving engine passes them so repeat
-    prepares against a stored dataset, and sharded index construction,
-    reuse cached state.  Results are identical with or without them
-    provided they describe the same structure. *)
+    caller has already done; the serving engine passes [gf] so repeat
+    prepares against a stored dataset reuse its cached graph.  Results
+    are identical with or without them provided they describe the same
+    structure. *)
 
 val update :
   ?qs:Query_system.t list ->

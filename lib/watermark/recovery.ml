@@ -160,10 +160,11 @@ let protect ?(options = default_options) (ws : Weighted.structure) =
   in
   let hosts =
     Array.init k (fun gid ->
-        (* deterministic sibling placement; dedupe when the partition is
-           smaller than the redundancy *)
+        (* deterministic sibling placement; past [k] siblings the
+           placement wraps onto hosts already listed, so a redundancy
+           beyond the group count adds none *)
         let hs =
-          List.init options.redundancy (fun j -> (gid + 1 + j) mod k)
+          List.init (min options.redundancy k) (fun j -> (gid + 1 + j) mod k)
         in
         Array.of_list (List.sort_uniq compare hs))
   in

@@ -153,6 +153,27 @@ let test_cli_two_queries () =
   | Some (c, out) -> Alcotest.fail (Printf.sprintf "detect exit %d: %s" c out)
   | None -> ()
 
+(* Bad scheme options are a diagnostic, not a report or a marked file. *)
+let test_cli_bad_options () =
+  skip_or @@ fun () ->
+  let db = tmp "db6.txt" and marked = tmp "marked6.txt" in
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 12 --transports 10 --seed 6 -o %s" db));
+  List.iter
+    (fun (args, diagnostic) ->
+      match run_cli args with
+      | Some (code, out) ->
+          check bool (args ^ ": nonzero exit") true (code <> 0);
+          check bool (args ^ ": diagnostic") true (contains out diagnostic)
+      | None -> ())
+    [
+      (Printf.sprintf "info %s -q \"Route(u,v)\" --rho=-2" db,
+       "rho must be non-negative");
+      (Printf.sprintf "mark %s -q \"Route(u,v)\" --rho=-1 -m 1 --bits 1 -o %s" db marked,
+       "rho must be non-negative");
+      (Printf.sprintf "info %s -q \"Route(u,v)\" --epsilon nan" db,
+       "epsilon must lie in (0, 1]");
+    ]
+
 let suite =
   [
     ("cli relational cycle", `Slow, test_cli_relational_cycle);
@@ -162,4 +183,5 @@ let suite =
     ("cli rejects --jobs 0", `Slow, test_cli_jobs_zero);
     ("cli update subcommand", `Slow, test_cli_update);
     ("cli marks two queries", `Slow, test_cli_two_queries);
+    ("cli rejects bad scheme options", `Slow, test_cli_bad_options);
   ]

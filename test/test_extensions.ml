@@ -328,6 +328,26 @@ let test_one_query_keeps_system () =
   | Ok scheme ->
       check bool "same system" true (Multi_scheme.query_system scheme == qs)
 
+(* A negative rank or a NaN budget is refused before any typing, with
+   the message the serve and CLI layers pass on. *)
+let test_multi_rejects_bad_options () =
+  let ws = Paper_examples.figure1 in
+  List.iter
+    (fun (options, want) ->
+      match Multi_scheme.prepare ~options ws [ figq ] with
+      | Error m -> check Alcotest.string "message" want m
+      | Ok _ -> Alcotest.failf "accepted %s" want)
+    [
+      ({ Local_scheme.default_options with rho = Some (-1) },
+       "rho must be non-negative");
+      ({ Local_scheme.default_options with rho = Some min_int },
+       "rho must be non-negative");
+      ({ Local_scheme.default_options with epsilon = Float.nan },
+       "epsilon must lie in (0, 1]");
+      ({ Local_scheme.default_options with epsilon = 0. },
+       "epsilon must lie in (0, 1]");
+    ]
+
 let suite =
   [
     ("aggregates on figure 1", `Quick, test_aggregates_basic);
@@ -347,4 +367,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_textio_roundtrip;
     QCheck_alcotest.to_alcotest prop_one_query_list_is_local;
     ("one query keeps the caller's system", `Quick, test_one_query_keeps_system);
+    ("multi-scheme rejects bad options", `Quick, test_multi_rejects_bad_options);
   ]

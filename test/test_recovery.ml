@@ -394,6 +394,22 @@ let test_repair_pinned () =
       check string name (List.assoc name pinned) (repair_digest cap suspect))
     (repair_cases ())
 
+(* Placement wraps after one host per group, so a redundancy beyond
+   the group count costs nothing and places exactly the same copies. *)
+let test_redundancy_capped_by_groups () =
+  let _, _, marked, cap = Lazy.force prepared in
+  let protect redundancy =
+    Recovery.protect
+      ~options:{ Recovery.default_options with Recovery.redundancy }
+      marked
+  in
+  let k = Recovery.ngroups cap in
+  let at_k = protect k and at_max = protect max_int in
+  check int "same groups" k (Recovery.ngroups at_max);
+  check bool "certificates equal those at redundancy = groups" true
+    (Recovery.certificates at_max = Recovery.certificates at_k);
+  check int "one copy per group" k (Array.length (Recovery.certificates at_max).(0))
+
 let suite =
   [
     ("groups partition the universe", `Slow, test_groups_partition);
@@ -409,4 +425,5 @@ let suite =
     ("capsule splicing false-repairs", `Slow, test_splice_causes_false_repairs);
     ("reports render", `Slow, test_reports_render);
     ("repair output pinned", `Slow, test_repair_pinned);
+    ("redundancy capped by the group count", `Slow, test_redundancy_capped_by_groups);
   ]

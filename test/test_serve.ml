@@ -1,14 +1,13 @@
 (* The serving layer (lib/serve): protocol round-trips, scheduler
-   determinism across job counts, and the two sharding identities
-   (sharded index = unsharded index, sharded detect = unsharded
-   detect). *)
+   determinism across job counts, a [shard] operand that changes no
+   response, and the weights-only readers against classification over
+   a full observation map. *)
 
 open Wm_watermark
 
 module Serve = Wm_serve
 module Protocol = Serve.Protocol
 module Engine = Serve.Engine
-module Shard = Serve.Shard
 module Store = Serve.Store
 
 let check = Alcotest.check
@@ -236,7 +235,7 @@ let test_update_reprepares () =
    after every step of an edit script the dataset must be the one a
    fresh put + prepare with the same seed builds on the edited
    structure — the same info and prepare fields, pairs, index, Gaifman
-   graph and shard plan — and the update's Theorem 8 flag must be
+   graph and component count — and the update's Theorem 8 flag must be
    [Incremental.update_decision] computed from scratch. *)
 let random_edit g graph =
   let n = Structure.size graph in
@@ -263,7 +262,6 @@ let same_prep (a : Store.prep) (b : Store.prep) =
   && Tuple.Map.equal ( = ) ia.Neighborhood.types ib.Neighborhood.types
   && ia.Neighborhood.representatives = ib.Neighborhood.representatives
   && a.Store.qspec = b.Store.qspec
-  && a.Store.sharded = b.Store.sharded
 
 let prop_update_equals_fresh_prepare jobs =
   QCheck.Test.make ~count:15
@@ -332,7 +330,7 @@ let prop_update_equals_fresh_prepare jobs =
             && Weighted.equal after.Store.base.Weighted.weights
                  want.Store.base.Weighted.weights
             && after.Store.gf = want.Store.gf
-            && after.Store.plan = want.Store.plan
+            && after.Store.components = want.Store.components
             && same_prep (Option.get after.Store.prep) (Option.get want.Store.prep)
             && (send_ok e (Protocol.Info "d")).Protocol.fields
                = (send_ok fresh (Protocol.Info "d")).Protocol.fields
@@ -485,20 +483,31 @@ let test_schedule_deterministic () =
          let reqs = schedule (Prng.create (0xD0 + seed)) n in
          responses ~jobs:(Some 1) reqs = responses ~jobs:(Some 2) reqs))
 
-(* --- sharding identities --------------------------------------------- *)
+(* --- the shard operand and the weights-only reader -------------------- *)
+
+(* The [shard] operand is validated and ignored: prepares with either
+   value leave the index [Neighborhood.index] builds on one job. *)
+let stored_index e =
+  Local_scheme.index (Option.get (dataset e).Store.prep).Store.scheme
 
 let test_shard_index_equals_unsharded () =
   List.iter
-    (fun (n, seed) ->
-      let ws = rings n seed in
-      let g = ws.Weighted.graph in
-      let gf = Gaifman.of_structure g in
-      let plan = Shard.plan gf in
-      let params = List.init n Tuple.singleton in
-      let reference = Neighborhood.index ~jobs:1 g ~rho:1 params in
-      match Shard.index ~jobs:2 g gf plan ~rho:1 params with
-      | Error m -> Alcotest.fail m
-      | Ok ix ->
+    (fun ((n, seed), jobs) ->
+      let reference =
+        Neighborhood.index ~jobs:1 (rings n seed).Weighted.graph ~rho:1
+          (List.init n Tuple.singleton)
+      in
+      List.iter
+        (fun shard ->
+          let e = Engine.create ~jobs () in
+          let _ = send_ok e (Protocol.Gen { id = "d"; n; seed }) in
+          let _ =
+            send_ok e
+              (Protocol.Prepare
+                 { id = "d"; seed = 11; rho = Some 1; epsilon = 1.0; shard;
+                   qspec = Protocol.Identity })
+          in
+          let ix = stored_index e in
           check bool "type maps equal" true
             (Tuple.Map.equal ( = ) reference.Neighborhood.types
                ix.Neighborhood.types);
@@ -507,15 +516,32 @@ let test_shard_index_equals_unsharded () =
             = ix.Neighborhood.representatives);
           check int "rho" reference.Neighborhood.rho ix.Neighborhood.rho;
           check int "arity" reference.Neighborhood.arity ix.Neighborhood.arity)
-    [ (30, 1); (97, 2); (256, 3) ]
+        [ true; false ])
+    (List.concat_map
+       (fun inst -> [ (inst, 1); (inst, 2) ])
+       [ (30, 1); (97, 2); (256, 3) ])
 
-let test_shard_index_rejects_wide_params () =
-  let ws = rings 30 5 in
-  let g = ws.Weighted.graph in
-  let gf = Gaifman.of_structure g in
-  match Shard.index g gf (Shard.plan gf) ~rho:1 [ Tuple.pair 0 1 ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "arity-2 parameters must not shard"
+(* A two-parameter FO query prepares the same with either operand (an
+   arity-2 parameter set used to be refused under [shard 1]). *)
+let test_shard_flag_accepts_wide_params () =
+  let run shard =
+    let e = Engine.create () in
+    let _ = send_ok e (Protocol.Gen { id = "d"; n = 30; seed = 5 }) in
+    let prepare =
+      Protocol.Prepare
+        { id = "d"; seed = 11; rho = Some 1; epsilon = 1.0; shard;
+          qspec =
+            Protocol.Fo
+              { params = [ "u"; "w" ]; results = [ "v" ];
+                formula = "E(u,v) | E(w,v)" } }
+    in
+    let _ = send_ok e prepare in
+    (Engine.handle e (Protocol.encode_request prepare),
+     Engine.handle e (Protocol.encode_request (Protocol.Info "d")))
+  in
+  let p0, i0 = run false and p1, i1 = run true in
+  check string "prepare response" p0 p1;
+  check string "info response" i0 i1
 
 let verdicts_equal (a : Detector.verdict) (b : Detector.verdict) =
   Bitvec.equal a.Detector.decoded b.Detector.decoded
@@ -526,14 +552,40 @@ let verdicts_equal (a : Detector.verdict) (b : Detector.verdict) =
   && a.Detector.erased = b.Detector.erased
   && a.Detector.confidence = b.Detector.confidence
 
+(* The observation map of every endpoint of [pairs]: total
+   observation, spelled out. *)
+let full_observation pairs suspect =
+  List.fold_left
+    (fun acc { Pairing.fst; snd } ->
+      Tuple.Map.add fst (Weighted.get suspect fst)
+        (Tuple.Map.add snd (Weighted.get suspect snd) acc))
+    Tuple.Map.empty pairs
+
+(* Per-carrier classification over an observation map (the definition
+   in detector.mli), as a test oracle. *)
+let classify_observed ~original ~observed { Pairing.fst; snd } =
+  let seen t = Tuple.Map.mem t observed in
+  if (not (seen fst)) && not (seen snd) then Detector.Erased
+  else
+    let delta t =
+      match Tuple.Map.find_opt t observed with
+      | Some v -> v - Weighted.get original t
+      | None -> 0
+    in
+    let d = delta fst - delta snd in
+    Detector.Cell
+      ( d > 0,
+        if d = 2 || d = -2 then `Strong else if d <> 0 then `Weak else `Silent )
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
 let test_shard_detect_equals_unsharded () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:30 ~name:"sharded read_weights"
+    (QCheck.Test.make ~count:30 ~name:"weights-only readers = observation map"
        QCheck.(pair small_nat small_nat)
        (fun (seed, noise) ->
          let n = 80 + (7 * (seed mod 13)) in
          let ws = rings n (seed + 1) in
-         let gf = Gaifman.of_structure ws.Weighted.graph in
          let scheme =
            let options =
              { Local_scheme.default_options with rho = Some 1; seed = 3 }
@@ -549,28 +601,54 @@ let test_shard_detect_equals_unsharded () =
          let capacity = Local_scheme.capacity scheme in
          let length = 1 + (seed mod capacity) in
          let g = Prng.create (0xAB + seed) in
-         let message = Codec.random g length in
-         let marked =
-           Local_scheme.mark scheme message ws.Weighted.weights
+         let original = ws.Weighted.weights in
+         let fp =
+           match
+             Fingerprint.of_local ~length:(min 4 capacity) ~master:seed scheme
+           with
+           | Ok fp -> fp
+           | Error m -> QCheck.Test.fail_reportf "fingerprint: %s" m
          in
          (* damage a few weights so the carrier classes differ *)
-         let suspect =
+         let damage w =
            List.fold_left
              (fun w _ ->
                Weighted.set_elt w (Prng.int g n) (100 + Prng.int g 900))
-             marked
+             w
              (List.init (noise mod 8) Fun.id)
          in
+         let suspects =
+           [
+             damage
+               (Local_scheme.mark scheme (Codec.random g length) original);
+             damage (Fingerprint.mark_for fp "r1" original);
+           ]
+         in
          let pairs = Local_scheme.pairs scheme in
-         let original = ws.Weighted.weights in
-         let reference =
-           Detector.read_weights ~jobs:1 pairs ~original ~suspect ~length
+         let fp_pairs =
+           take (Fingerprint.times fp * Fingerprint.length fp) pairs
          in
-         let sharded =
-           Shard.read_weights ~jobs:2 (Shard.plan gf) pairs ~original
-             ~suspect ~length
-         in
-         verdicts_equal reference sharded))
+         List.for_all
+           (fun suspect ->
+             let observed = full_observation (take length pairs) suspect in
+             let reference =
+               Detector.read ~jobs:1 pairs ~original ~observed ~length
+             in
+             let fp_reference =
+               Array.of_list
+                 (List.map
+                    (classify_observed ~original
+                       ~observed:(full_observation fp_pairs suspect))
+                    fp_pairs)
+             in
+             List.for_all
+               (fun jobs ->
+                 verdicts_equal reference
+                   (Detector.read_weights ~jobs pairs ~original ~suspect
+                      ~length)
+                 && Fingerprint.read ~jobs fp ~original ~suspect = fp_reference)
+               [ 1; 2 ])
+           suspects))
 
 let test_engine_sharded_prepare_matches () =
   (* through the full protocol: preparing with shard=1 must report the
@@ -602,6 +680,26 @@ let test_engine_sharded_prepare_matches () =
   check string "pairs_available" a0 a1;
   check bool "detect fields identical" true (d0 = d1)
 
+(* A negative rank or a NaN budget is an err frame, not a scheme. *)
+let test_prepare_rejects_bad_options () =
+  let engine = Engine.create () in
+  let _ = send_ok engine (Protocol.Gen { id = "d"; n = 40; seed = 3 }) in
+  List.iter
+    (fun (payload, want) ->
+      match
+        Protocol.decode_response
+          (Engine.handle engine payload)
+      with
+      | Ok { Protocol.status = `Err m; _ } -> check string payload want m
+      | Ok _ -> Alcotest.failf "%s: accepted" payload
+      | Error m -> Alcotest.failf "%s: undecodable response: %s" payload m)
+    [
+      ("prepare d 1 -1 1.0 0 @identity", "rho must be non-negative");
+      ("prepare d 1 - nan 0 @identity", "epsilon must lie in (0, 1]");
+    ];
+  check string "nothing prepared" "0"
+    (fget (send_ok engine (Protocol.Info "d")) "prepared")
+
 let suite =
   [
     ("protocol request round-trip", `Quick, test_request_roundtrip);
@@ -614,9 +712,10 @@ let suite =
     ("snapshot/load round-trip", `Quick, test_snapshot_load_roundtrip);
     ("schedule deterministic across jobs", `Quick, test_schedule_deterministic);
     ("sharded index = unsharded", `Quick, test_shard_index_equals_unsharded);
-    ("sharded index rejects wide params", `Quick, test_shard_index_rejects_wide_params);
+    ("shard flag accepts wide params", `Quick, test_shard_flag_accepts_wide_params);
     ("sharded detect = unsharded (qcheck)", `Quick, test_shard_detect_equals_unsharded);
     ("engine sharded prepare matches", `Quick, test_engine_sharded_prepare_matches);
     ("update == fresh prepare (qcheck)", `Quick, test_update_equals_fresh_prepare);
     ("update reports a dropped capsule", `Quick, test_update_reports_dropped_capsule);
+    ("prepare rejects bad options", `Quick, test_prepare_rejects_bad_options);
   ]
