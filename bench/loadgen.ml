@@ -12,9 +12,8 @@
 
    Requests still carry the [shard] operand of [prepare] and [detect]:
    the server validates it as 0/1 and ignores it, since there is one
-   index path and one detector.  E25's [sharded_index_equal] and
-   [sharded_detect_equal] scalars now pin exactly that, i.e. that the
-   operand changes no response. *)
+   index path and one detector.  The serve suite (test/test_serve.ml)
+   pins that the operand changes no response. *)
 
 open Qpwm
 

@@ -1,57 +1,17 @@
 (* Experiment harness: one table per reproduced artifact of the paper.
 
-     dune exec bench/main.exe            -- all experiments + micro-benches
-     dune exec bench/main.exe -- e5 e7   -- a subset
-     dune exec bench/main.exe -- --no-speed
-     dune exec bench/main.exe -- --jobs 4 --json BENCH_PR2.json
+     dune exec bench/main.exe              -- every experiment, in order
+     dune exec bench/main.exe -- e5 e7     -- a subset
+     dune exec bench/main.exe -- --jobs 4  -- worker count of the Par pool
 
-   With --jobs > 1 the experiments themselves are dispatched on the
-   {!Par} pool (each experiment's output is captured in a buffer and
-   printed in submission order); --json writes per-experiment wall times
-   and recorded scalars to a machine-readable trajectory file.
+   Experiments run one after another and print straight to stdout.  An
+   unknown experiment id or a bad --jobs value prints the usage to
+   stderr and exits 2.
 
    Experiment ids and the paper artifacts they reproduce are indexed in
    DESIGN.md section 4; paper-vs-measured is recorded in EXPERIMENTS.md. *)
 
 open Qpwm
-
-(* --- output plumbing --------------------------------------------------
-   Experiments print through [out].  Under sequential dispatch the sink
-   is unset and output streams to stdout; under parallel dispatch each
-   experiment task installs a per-task buffer in domain-local storage,
-   and the driver prints the buffers in submission order, so the
-   rendered report is identical for every job count. *)
-
-let sink : Buffer.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let out s =
-  match Domain.DLS.get sink with
-  | Some b -> Buffer.add_string b s
-  | None -> Stdlib.print_string s
-
-let print_string = out
-let print_endline s = out s; out "\n"
-let print_newline () = out "\n"
-
-module Printf = struct
-  let printf fmt = Stdlib.Printf.ksprintf out fmt
-  let eprintf = Stdlib.Printf.eprintf
-  let sprintf = Stdlib.Printf.sprintf
-end
-
-(* Same rendering as Texttab.print, routed through [out]. *)
-module Texttab = struct
-  include Texttab
-
-  let print ?title t =
-    (match title with
-    | Some s ->
-        print_newline ();
-        print_endline s;
-        print_endline (String.make (String.length s) '=')
-    | None -> ());
-    print_string (render t)
-end
 
 (* Wall-clock, not CPU time: parallel speedups are invisible to
    [Sys.time], which sums over domains. *)
@@ -59,21 +19,6 @@ let secs f =
   let t0 = Unix.gettimeofday () in
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
-
-(* --- scalar trajectory ------------------------------------------------
-   Experiments may record named scalars; --json dumps them next to the
-   per-experiment wall time.  Guarded by a mutex: under parallel
-   dispatch several experiments record concurrently. *)
-
-let scalar_mutex = Mutex.create ()
-let scalars : (string, (string * Json.t) list ref) Hashtbl.t = Hashtbl.create 8
-
-let record_scalars ~experiment kvs =
-  Mutex.lock scalar_mutex;
-  (match Hashtbl.find_opt scalars experiment with
-  | Some r -> r := !r @ kvs
-  | None -> Hashtbl.add scalars experiment (ref kvs));
-  Mutex.unlock scalar_mutex
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -516,8 +461,6 @@ let e7_biblio_doubling () =
         (if agree then "yes" else "NO"))
     sizes;
   Texttab.print ~title:"E7b. Bibliography doubling series (Biblio_xml pattern)" t;
-  record_scalars ~experiment:"e7"
-    [ ("biblio_prepare_worst_growth", Json.Float !worst_growth) ];
   Printf.printf
     "Prepare grows by at most %.2fx per doubling of the document (linear\n\
      would be 2x, the per-parameter evaluation it replaced was 4x).\n"
@@ -1386,76 +1329,6 @@ let e19 () =
          the p-value is computed over survivors only, while the id-keyed\n\
          aligned detector reads garbage as soon as ids shift."
 
-(* ------------------------------------------------------------------ *)
-(* E20 — strong scaling of the wm_par pool: the two heaviest parallel
-   call sites (neighborhood type indexing, the attack grid) swept over
-   job counts, asserting along the way that every job count produces the
-   jobs=1 result bit for bit.  Run it alone (bench e20) for clean
-   timings: under parallel dispatch of the whole suite the sweeps share
-   the machine with other experiments. *)
-
-let e20 () =
-  header "E20. Strong scaling: wm_par pool, jobs in {1, 2, 4}";
-  let job_counts = [ 1; 2; 4 ] in
-  Printf.printf "recommended domains on this machine: %d\n"
-    (Domain.recommended_domain_count ());
-  let t =
-    Texttab.create [ "workload"; "jobs"; "wall s"; "speedup"; "= jobs 1" ]
-  in
-  let sweep name run equal =
-    let baseline = ref None in
-    let t1 = ref 1.0 in
-    List.iter
-      (fun j ->
-        let x, dt = secs (fun () -> run j) in
-        let same =
-          match !baseline with
-          | None ->
-              baseline := Some x;
-              t1 := dt;
-              true
-          | Some b -> equal b x
-        in
-        Texttab.addf t "%s|%d|%.3f|%.2fx|%s" name j dt (!t1 /. dt)
-          (if same then "yes" else "NO");
-        record_scalars ~experiment:"e20"
-          [
-            (Printf.sprintf "%s_wall_s_j%d" name j, Json.Float dt);
-            (Printf.sprintf "%s_speedup_j%d" name j, Json.Float (!t1 /. dt));
-            (Printf.sprintf "%s_identical_j%d" name j, Json.Bool same);
-          ];
-        if not same then
-          failwith (Printf.sprintf "e20: %s at jobs=%d diverged from jobs=1" name j))
-      job_counts
-  in
-  (* Workload A: rho-2 type indexing of a bounded-degree random graph —
-     sphere extraction plus in-bucket isomorphism, the Theorem 3
-     preprocessing cost. *)
-  let wsa = Random_struct.graph (Prng.create 41) ~n:420 ~max_degree:6 ~edges:940 in
-  let ga = wsa.Weighted.graph in
-  sweep "ntp-index"
-    (fun j -> Neighborhood.index_universe ~jobs:j ga ~rho:2 ~arity:1)
-    (fun (a : Neighborhood.index) b ->
-      Tuple.Map.equal ( = ) a.Neighborhood.types b.Neighborhood.types
-      && a.Neighborhood.representatives = b.Neighborhood.representatives);
-  (* Workload B: the E19 attack grid at redundancy 5, one pool task per
-     cell. *)
-  let wsb = Random_struct.travel (Prng.create 19) ~travels:100 ~transports:400 in
-  sweep "attack-grid"
-    (fun j ->
-      match
-        Attack_suite.run ~jobs:j ~seed:19 ~redundancies:[ 5 ] ~message_bits:4
-          wsb Random_struct.travel_query
-      with
-      | Ok r -> r
-      | Error e -> failwith ("e20: " ^ e))
-    ( = );
-  Texttab.print t;
-  Printf.printf "pool size after the sweeps: %d runners\n" (Par.pool_size ());
-  print_endline
-    "Every job count reproduces the jobs=1 report exactly (the pool's\n\
-     determinism contract); wall time drops with jobs up to the number of\n\
-     hardware domains the runner provides."
 
 (* ------------------------------------------------------------------ *)
 (* E21 — incremental neighborhood-index maintenance: after an edit
@@ -1484,12 +1357,10 @@ let e21 () =
       Tuple.Map.equal ( = ) full.Neighborhood.types inc.Neighborhood.types
       && full.Neighborhood.representatives = inc.Neighborhood.representatives
     in
-    let speedup = t_full /. t_inc in
     Texttab.addf t "%s|%s|%d|%.4f|%.4f|%.1fx|%s" instance name
-      (List.length dirty) t_full t_inc speedup
+      (List.length dirty) t_full t_inc (t_full /. t_inc)
       (if same then "yes" else "NO");
-    if not same then failwith ("e21: incremental reindex diverged on " ^ name);
-    speedup
+    if not same then failwith ("e21: incremental reindex diverged on " ^ name)
   in
   (* Main instance: a 40x40 grid — 1600 elements, the largest structure
      the bench types, and the paper's regime (bounded degree, bounded
@@ -1503,26 +1374,20 @@ let e21 () =
     (Structure.size grid) rho (Neighborhood.ntp prev) t_prev;
   let gcase = case ~instance:"grid 40x40" ~g:grid ~rho ~arity ~prev in
   let mid = Grid.vertex ~h:40 20 20 in
-  let single =
-    gcase "1 tuple insert"
-      [ Structure.Insert_tuple ("H", Tuple.pair mid (Grid.vertex ~h:40 23 23)) ]
-  in
-  let _ =
-    gcase "1 tuple delete"
-      [ Structure.Delete_tuple ("H", Tuple.pair mid (Grid.vertex ~h:40 21 20)) ]
-  in
-  let _ =
-    gcase "8-edit script"
-      (List.concat
-         [
-           List.init 4 (fun i ->
-               Structure.Insert_tuple
-                 ("V", Tuple.pair (Grid.vertex ~h:40 i i) (Grid.vertex ~h:40 (i + 2) i)));
-           [ Structure.Add_element None ];
-           List.init 3 (fun i ->
-               Structure.Insert_tuple ("H", Tuple.pair (Grid.vertex ~h:40 30 i) 1600));
-         ])
-  in
+  gcase "1 tuple insert"
+    [ Structure.Insert_tuple ("H", Tuple.pair mid (Grid.vertex ~h:40 23 23)) ];
+  gcase "1 tuple delete"
+    [ Structure.Delete_tuple ("H", Tuple.pair mid (Grid.vertex ~h:40 21 20)) ];
+  gcase "8-edit script"
+    (List.concat
+       [
+         List.init 4 (fun i ->
+             Structure.Insert_tuple
+               ("V", Tuple.pair (Grid.vertex ~h:40 i i) (Grid.vertex ~h:40 (i + 2) i)));
+         [ Structure.Add_element None ];
+         List.init 3 (fun i ->
+             Structure.Insert_tuple ("H", Tuple.pair (Grid.vertex ~h:40 30 i) 1600));
+       ]);
   (* Contrast row: a random bounded-degree graph where nearly every
      element has its own type (ntp ~ n).  Anchoring one representative
      per surviving old type then costs as much as re-typing everything —
@@ -1530,11 +1395,8 @@ let e21 () =
   let wsr = Random_struct.graph (Prng.create 41) ~n:420 ~max_degree:6 ~edges:940 in
   let gr = wsr.Weighted.graph in
   let prev_r, _ = secs (fun () -> Neighborhood.index_universe gr ~rho ~arity) in
-  let _ =
-    case ~instance:"random n=420" ~g:gr ~rho ~arity ~prev:prev_r
-      "1 tuple insert"
-      [ Structure.Insert_tuple ("E", Tuple.pair 17 230) ]
-  in
+  case ~instance:"random n=420" ~g:gr ~rho ~arity ~prev:prev_r "1 tuple insert"
+    [ Structure.Insert_tuple ("E", Tuple.pair 17 230) ];
   Texttab.print t;
   (* The serving engine's whole [update] request on ring datasets, the
      shape of the pipeline bench's serve workload: an identity prepare
@@ -1564,25 +1426,10 @@ let e21 () =
     1000.0 *. List.nth (List.sort compare times) 4
   in
   let ut = Texttab.create [ "engine update"; "elements"; "p50 ms" ] in
-  let p50s =
-    List.map
-      (fun n ->
-        let p50 = engine_update_p50 n in
-        Texttab.addf ut "one-edge toggle|%d|%.2f" n p50;
-        (n, p50))
-      [ 1_000; 10_000; 100_000 ]
-  in
+  List.iter
+    (fun n -> Texttab.addf ut "one-edge toggle|%d|%.2f" n (engine_update_p50 n))
+    [ 1_000; 10_000; 100_000 ];
   Texttab.print ut;
-  record_scalars ~experiment:"e21"
-    ([
-       ("grid_full_index_wall_s", Json.Float t_prev);
-       ("grid_ntp", Json.Int (Neighborhood.ntp prev));
-       ("single_edit_speedup", Json.Float single);
-       ("single_edit_meets_5x", Json.Bool (single >= 5.0));
-     ]
-    @ List.map
-        (fun (n, p50) -> (Printf.sprintf "engine_update_p50_ms_%d" n, Json.Float p50))
-        p50s);
   Printf.printf
     "A single-tuple edit dirties O(degree^rho) of the grid's %d elements;\n\
      the incremental path re-types that sphere plus one anchor per old\n\
@@ -1593,199 +1440,18 @@ let e21 () =
     (Structure.size grid)
 
 (* ------------------------------------------------------------------ *)
-(* E22 — observability: what the wm_obs layer costs on the two heaviest
-   workloads of E20/E21, and the per-phase breakdown it buys.  Each
-   workload is timed best-of-3 with collection off, then best-of-3 with
-   collection on; the acceptance bar is overhead below 5% on the E21
-   index workload.  The enable flag is process-global, so run this
-   experiment alone (bench e22) for clean numbers — under parallel
-   dispatch the off-phase would also silence concurrent experiments. *)
-
-let e22 () =
-  header "E22. Observability overhead and per-phase breakdown";
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let (), dt = secs f in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  (* Workload A: the E21 full index of the 40x40 grid. *)
-  let grid = (Grid.structure ~w:40 ~h:40).Weighted.graph in
-  let index () = ignore (Neighborhood.index_universe grid ~rho:2 ~arity:1) in
-  (* Workload B: the E20 attack grid at redundancy 5. *)
-  let wsb = Random_struct.travel (Prng.create 19) ~travels:100 ~transports:400 in
-  let attack () =
-    match
-      Attack_suite.run ~seed:19 ~redundancies:[ 5 ] ~message_bits:4 wsb
-        Random_struct.travel_query
-    with
-    | Ok _ -> ()
-    | Error e -> failwith ("e22: " ^ e)
-  in
-  let was = Obs.enabled () in
-  let t = Texttab.create [ "workload"; "off s"; "on s"; "overhead"; "< 5%" ] in
-  let measure name f =
-    Obs.set_enabled false;
-    let off = best_of 3 f in
-    Obs.set_enabled true;
-    let since = Obs.snapshot () in
-    let on = best_of 3 f in
-    let d = Obs.diff ~since (Obs.snapshot ()) in
-    let pct = (on -. off) /. off *. 100. in
-    Texttab.addf t "%s|%.3f|%.3f|%+.1f%%|%s" name off on pct
-      (if pct < 5. then "yes" else "NO");
-    record_scalars ~experiment:"e22"
-      [
-        (name ^ "_off_wall_s", Json.Float off);
-        (name ^ "_on_wall_s", Json.Float on);
-        (name ^ "_overhead_pct", Json.Float pct);
-      ];
-    (d, pct)
-  in
-  let di, pi = measure "ntp-index" index in
-  let da, _ = measure "attack-grid" attack in
-  Obs.set_enabled was;
-  Texttab.print t;
-  print_newline ();
-  print_endline "per-phase breakdown — ntp-index (grid 40x40, 3 runs):";
-  print_string (Obs_report.render di);
-  print_newline ();
-  print_endline "per-phase breakdown — attack grid (R=5, 3 runs):";
-  print_string (Obs_report.render da);
-  record_scalars ~experiment:"e22"
-    [ ("overhead_below_5pct", Json.Bool (pi < 5.0)) ];
-  print_newline ();
-  print_endline
-    "Recording is one domain-local increment per event, so the counters\n\
-     are near-free; the timers/spans cost two clock reads per call.  The\n\
-     acceptance bar (ntp-index overhead < 5%) is recorded as\n\
-     overhead_below_5pct."
-
-(* ------------------------------------------------------------------ *)
-(* E23 — the neighborhood-typing fast path (DESIGN.md 5.9): per-index
-   sphere cache, member-scan dedupe, CSR adjacency and exact partition
-   refinement, measured against the preserved pre-PR pipeline
-   (Neighborhood_ref) at jobs=1 on the two heaviest typing workloads
-   (E20's random graph, E21's grid).  Both pipelines must produce
-   bit-identical indexes; the acceptance bar is a >=2x speedup on the
-   spheres (materialization) phase of the E20 workload.  The iso-check
-   counts under the old Hashtbl.hash bucket keys and the new deep keys
-   are recorded for the CI regression guard.  The obs flag is
-   process-global, so run this experiment alone (bench e23) for clean
-   numbers. *)
-
-let e23 () =
-  header "E23. Neighborhood-typing fast path vs pre-PR pipeline (jobs=1)";
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  let run_obs f =
-    let since = Obs.snapshot () in
-    let x, dt = secs f in
-    (x, dt, Obs.diff ~since (Obs.snapshot ()))
-  in
-  (* best of 2, keeping the obs diff of the faster run *)
-  let best f =
-    let (_, d1, _) as r1 = run_obs f in
-    let (_, d2, _) as r2 = run_obs f in
-    if d2 < d1 then r2 else r1
-  in
-  let timer_s d name =
-    match List.assoc_opt name d.Obs.timers with
-    | Some tt -> tt.Obs.seconds
-    | None -> 0.
-  in
-  let counter_v d name =
-    Option.value ~default:0 (List.assoc_opt name d.Obs.counters)
-  in
-  let t =
-    Texttab.create
-      [ "workload"; "pipeline"; "wall s"; "spheres s"; "iso checks"; "identical" ]
-  in
-  let compare_on ~name g ~rho ~arity =
-    let ix_new, t_new, d_new =
-      best (fun () -> Neighborhood.index_universe ~jobs:1 g ~rho ~arity)
-    in
-    let ix_ref, t_ref, d_ref =
-      best (fun () -> Neighborhood_ref.index_universe ~jobs:1 g ~rho ~arity)
-    in
-    let same =
-      Tuple.Map.equal ( = ) ix_new.Neighborhood.types ix_ref.Neighborhood.types
-      && ix_new.Neighborhood.representatives = ix_ref.Neighborhood.representatives
-    in
-    if not same then failwith ("e23: fast path diverged from reference on " ^ name);
-    (* the work of the pre-split spheres span: extraction, codes, prep
-       and the tree path that replaces codes on tree-shaped balls *)
-    let sp_new =
-      List.fold_left
-        (fun acc k -> acc +. timer_s d_new ("nbh.index." ^ k))
-        0. [ "spheres"; "codes"; "prep"; "tree" ]
-    in
-    let sp_ref = timer_s d_ref "nbh.ref.index.spheres" in
-    let ic_new = counter_v d_new "nbh.iso_checks" in
-    let ic_ref = counter_v d_ref "nbh.ref.iso_checks" in
-    Texttab.addf t "%s|reference|%.3f|%.3f|%d|%s" name t_ref sp_ref ic_ref "-";
-    Texttab.addf t "%s|fast path|%.3f|%.3f|%d|%s" name t_new sp_new ic_new "yes";
-    Printf.printf
-      "%s: wall %.2fx, spheres phase %.2fx; cache hits %d, member scans \
-       deduped %d, refine rounds %d\n"
-      name (t_ref /. t_new) (sp_ref /. sp_new)
-      (counter_v d_new "nbh.sphere_cache_hits")
-      (counter_v d_new "nbh.subs_deduped")
-      (counter_v d_new "nbh.refine_rounds");
-    (t_ref /. t_new, sp_ref /. sp_new, ic_new, ic_ref)
-  in
-  (* Workload A (the acceptance one): the E20 rho-2 unary typing of a
-     bounded-degree random graph, ntp ~ n. *)
-  let wsa = Random_struct.graph (Prng.create 41) ~n:420 ~max_degree:6 ~edges:940 in
-  let wall_a, spheres_a, ic_new, ic_ref =
-    compare_on ~name:"random n=420" wsa.Weighted.graph ~rho:2 ~arity:1
-  in
-  (* Workload B: the E21 40x40 grid — few types, heavy sphere overlap. *)
-  let grid = (Grid.structure ~w:40 ~h:40).Weighted.graph in
-  let wall_b, spheres_b, _, _ =
-    compare_on ~name:"grid 40x40" grid ~rho:2 ~arity:1
-  in
-  (* Workload C: binary tuples — n^2 parameters share n element spheres,
-     so the cache and the member-scan dedupe carry the whole phase. *)
-  let wsc = Random_struct.graph (Prng.create 7) ~n:80 ~max_degree:5 ~edges:170 in
-  let wall_c, spheres_c, _, _ =
-    compare_on ~name:"random n=80 arity=2" wsc.Weighted.graph ~rho:1 ~arity:2
-  in
-  Obs.set_enabled was;
-  Texttab.print t;
-  record_scalars ~experiment:"e23"
-    [
-      ("wall_speedup", Json.Float wall_a);
-      ("spheres_speedup", Json.Float spheres_a);
-      ("grid_wall_speedup", Json.Float wall_b);
-      ("grid_spheres_speedup", Json.Float spheres_b);
-      ("arity2_wall_speedup", Json.Float wall_c);
-      ("arity2_spheres_speedup", Json.Float spheres_c);
-      ("iso_checks_new", Json.Int ic_new);
-      ("iso_checks_baseline", Json.Int ic_ref);
-      ("spheres_meets_2x", Json.Bool (spheres_a >= 2.0));
-    ];
-  Printf.printf
-    "The fast path shares one sphere BFS per element, one member scan per\n\
-     distinct sphere and one sub-Gaifman graph per tuple, and refines to\n\
-     the exact 1-WL fixpoint instead of size-many hashed rounds.  The\n\
-     acceptance bar (spheres-phase speedup >= 2x on the random workload,\n\
-     output bit-identical) is recorded as spheres_meets_2x; the iso-check\n\
-     counts feed the CI guard against bucket-key regressions.\n"
-
 (* E24 — detect-and-recover robustness curves (DESIGN.md 5.10): mark the
    travel workload, protect it with Recovery capsules (Gaifman-local
    groups, keyed certificates replicated across sibling groups), then
    sweep three attack families over increasing intensity and compare the
    detection rate of the plain survivable pipeline against
    repair-then-detect.  The acceptance bar: repair never hurts (repaired
-   rate >= unrepaired on every row — the CI guard), and strictly improves
+   rate >= unrepaired on every row), and strictly improves
    on at least one distortion and one mix-and-match row at an intensity
    where the unrepaired detector fails.  Every trial owns a PRNG derived
    from (row, trial) and all inner phases run at jobs=1, so the table is
-   bit-identical at any --jobs. *)
+   bit-identical at any --jobs.  The recovery suite's "repair curve never
+   hurts" test pins the first half on every row at reduced trials. *)
 
 let e24 () =
   header "E24. Repair-then-detect robustness curves (Recovery capsules)";
@@ -1830,7 +1496,6 @@ let e24 () =
     Texttab.create
       [ "attack"; "intensity"; "unrepaired"; "repaired"; "groups/trial" ]
   in
-  let rows_json = ref [] in
   let run_row idx (family, label, intensity) =
     let un = ref 0 and rp = ref 0 and groups = ref 0 in
     for trial = 0 to trials - 1 do
@@ -1867,17 +1532,7 @@ let e24 () =
     done;
     let fr x = float_of_int x /. float_of_int trials in
     Texttab.addf t "%s|%.2f|%.2f|%.2f|%.1f" label intensity (fr !un) (fr !rp)
-      (float_of_int !groups /. float_of_int trials);
-    rows_json :=
-      Json.Obj
-        [
-          ("attack", Json.String label);
-          ("intensity", Json.Float intensity);
-          ("unrepaired", Json.Float (fr !un));
-          ("repaired", Json.Float (fr !rp));
-        ]
-      :: !rows_json;
-    (label, fr !un, fr !rp)
+      (float_of_int !groups /. float_of_int trials)
   in
   let grid =
     List.concat
@@ -1891,434 +1546,31 @@ let e24 () =
         List.map (fun i -> (`Delete, "delete elements", i)) [ 0.2; 0.4; 0.6 ];
       ]
   in
-  let results = List.mapi run_row grid in
+  List.iteri run_row grid;
   Texttab.print t;
-  let monotone =
-    List.for_all (fun (_, un, rp) -> rp >= un) results
-  in
-  let strict lbl =
-    List.exists (fun (l, un, rp) -> l = lbl && un < 1.0 && rp > un) results
-  in
-  record_scalars ~experiment:"e24"
-    [
-      ("rows", Json.List (List.rev !rows_json));
-      ("trials_per_row", Json.Int trials);
-      ("groups", Json.Int (Recovery.ngroups cap));
-      ("repair_never_hurts", Json.Bool monotone);
-      ("strict_improvement_flips", Json.Bool (strict "random flips"));
-      ("strict_improvement_mix", Json.Bool (strict "mix-and-match"));
-    ];
   Printf.printf
     "Weight-level attacks leave every certificate host alive, so repair\n\
      restores the marked weights exactly and the repaired detector stays\n\
      at 1.00 after the unrepaired one collapses; deletions also remove\n\
      certificate copies, so recovery degrades only when all %d replica\n\
-     hosts of a group die together.  repair_never_hurts and the two\n\
-     strict_improvement flags feed the CI guard.\n"
+     hosts of a group die together.\n"
     Recovery.default_options.Recovery.redundancy
 
-(* ------------------------------------------------------------------ *)
-(* E25: watermarking as a service.  Drives the wm_serve engine through
-   the qpwm-serve/1 protocol (encode -> handle -> decode, exactly the
-   bytes the wire would carry) on two datasets: a million-element
-   regular-rings instance prepared with the identity query system, and
-   a small "live" dataset taking the structural-update/audit/repair
-   traffic.  Measures sustained mixed request throughput and pins that
-   the [shard] operand, which the engine validates and ignores, changes
-   no prepare or detect response.
-
-   WMARK_E25_N and WMARK_E25_REQS override the big-instance size and the
-   request count so CI can run a small configuration; the committed
-   BENCH_PR7.json comes from the full run. *)
-
-let e25 () =
-  header "E25. Watermarking as a service: scheduler (wm_serve)";
-  let env_int name default floor =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= floor -> v
-    | _ -> default
-  in
-  let n = env_int "WMARK_E25_N" 1_000_000 100 in
-  let reqs = env_int "WMARK_E25_REQS" 4_000 100 in
-  let engine = Serve_engine.create () in
-  let send what req =
-    let payload =
-      Serve_engine.handle engine (Serve_protocol.encode_request req)
-    in
-    match Serve_protocol.decode_response payload with
-    | Ok ({ Serve_protocol.status = `Ok _; _ } as r) -> r
-    | Ok { Serve_protocol.status = `Err m; _ } ->
-        failwith (Printf.sprintf "e25 %s: %s" what m)
-    | Error m -> failwith (Printf.sprintf "e25 %s: bad response: %s" what m)
-  in
-  let field r k =
-    match Serve_protocol.field r k with
-    | Some v -> v
-    | None -> failwith ("e25: missing response field " ^ k)
-  in
-  let prepare id ~shard =
-    Serve_protocol.Prepare
-      {
-        id;
-        seed = 25;
-        rho = Some 1;
-        epsilon = 1.0;
-        shard;
-        qspec = Serve_protocol.Identity;
-      }
-  in
-  (* -- shard 1 = shard 0, on a mid-size instance --------------------- *)
-  let mid = min n 50_000 in
-  let _ = send "gen mid" (Serve_protocol.Gen { id = "mid"; n = mid; seed = 7 }) in
-  let p0, unshard_s = secs (fun () -> send "prepare mid" (prepare "mid" ~shard:false)) in
-  let msg = String.init 64 (fun i -> if (i * 5 + 1) mod 3 = 0 then '1' else '0') in
-  let _ = send "mark mid" (Serve_protocol.Mark ("mid", msg)) in
-  let d0 =
-    send "detect mid" (Serve_protocol.Detect { id = "mid"; length = 64; shard = false })
-  in
-  let p1, shard_s = secs (fun () -> send "re-prepare mid" (prepare "mid" ~shard:true)) in
-  let d1 =
-    send "detect mid sharded"
-      (Serve_protocol.Detect { id = "mid"; length = 64; shard = true })
-  in
-  let index_equal =
-    List.for_all
-      (fun k -> field p0 k = field p1 k)
-      [ "capacity"; "ntp"; "pairs_available"; "active"; "max_split" ]
-  in
-  let detect_equal = d0.Serve_protocol.fields = d1.Serve_protocol.fields in
-  let t = Texttab.create [ "step"; "value" ] in
-  Texttab.addf t "mid size|%d" mid;
-  Texttab.addf t "prepare (shard 0)|%.2f s" unshard_s;
-  Texttab.addf t "re-prepare (shard 1)|%.2f s" shard_s;
-  Texttab.addf t "shard 1 index = shard 0|%b" index_equal;
-  Texttab.addf t "shard 1 detect = shard 0|%b" detect_equal;
-  (* -- the million-element dataset ----------------------------------- *)
-  let _, gen_s =
-    secs (fun () -> send "gen big" (Serve_protocol.Gen { id = "big"; n; seed = 0x25 }))
-  in
-  let pb, prep_s = secs (fun () -> send "prepare big" (prepare "big" ~shard:true)) in
-  let capacity = int_of_string (field pb "capacity") in
-  let _ = send "mark big" (Serve_protocol.Mark ("big", msg)) in
-  let db0 =
-    send "detect big" (Serve_protocol.Detect { id = "big"; length = 64; shard = false })
-  in
-  let db1 =
-    send "detect big sharded"
-      (Serve_protocol.Detect { id = "big"; length = 64; shard = true })
-  in
-  let big_detect_equal = db0.Serve_protocol.fields = db1.Serve_protocol.fields in
-  Texttab.addf t "big size|%d" n;
-  Texttab.addf t "gen big|%.2f s" gen_s;
-  Texttab.addf t "prepare big (shard 1)|%.2f s" prep_s;
-  Texttab.addf t "big capacity|%d bits" capacity;
-  Texttab.addf t "big shard 1 detect = shard 0|%b" big_detect_equal;
-  (* -- live dataset for writer-heavy traffic ------------------------- *)
-  let live_n = 2_000 in
-  let _ = send "gen live" (Serve_protocol.Gen { id = "live"; n = live_n; seed = 3 }) in
-  let _ = send "prepare live" (prepare "live" ~shard:true) in
-  let _ = send "mark live" (Serve_protocol.Mark ("live", "1010")) in
-  (* the vault takes weight-level damage (setw) plus audit/repair; the
-     live dataset takes structural updates, which invalidate a capsule
-     by design, so the two writer families get separate datasets *)
-  let _ = send "gen vault" (Serve_protocol.Gen { id = "vault"; n = live_n; seed = 5 }) in
-  let _ = send "prepare vault" (prepare "vault" ~shard:false) in
-  let _ = send "mark vault" (Serve_protocol.Mark ("vault", "1100")) in
-  let _ =
-    send "protect vault"
-      (Serve_protocol.Protect { id = "vault"; key = 0x5EC2E7; redundancy = 2; group_size = 4 })
-  in
-  (* -- sustained mixed workload -------------------------------------- *)
-  let g = Prng.create 0xE25 in
-  let edge_present = ref false in
-  let detect_req () =
-    Serve_protocol.Detect { id = "big"; length = 64; shard = Prng.bool g }
-  in
-  let next_request () =
-    let r = Prng.int g 100 in
-    if r < 40 then detect_req ()
-    else if r < 50 then
-      (* a batch frame: 16 reads scheduled concurrently on the pool *)
-      Serve_protocol.Batch
-        (List.init 16 (fun _ ->
-             Serve_protocol.encode_request (detect_req ())))
-    else if r < 70 then
-      Serve_protocol.Mark
-        ( "big",
-          String.init 64 (fun _ -> if Prng.bool g then '1' else '0') )
-    else if r < 80 then
-      Serve_protocol.Setw
-        { id = "big"; value = 100 + Prng.int g 900; elt = [ Prng.int g n ] }
-    else if r < 85 then Serve_protocol.Info "big"
-    else if r < 90 then
-      Serve_protocol.Detect { id = "live"; length = 4; shard = false }
-    else if r < 93 then Serve_protocol.Audit "vault"
-    else if r < 95 then
-      Serve_protocol.Setw
-        { id = "vault"; value = 100 + Prng.int g 900; elt = [ Prng.int g live_n ] }
-    else if r < 98 then begin
-      (* structural update: toggle one extra edge between two rings of
-         the live instance, re-preparing incrementally each time *)
-      let a = 0 and b = live_n - 1 in
-      let op = if !edge_present then "delete" else "insert" in
-      edge_present := not !edge_present;
-      Serve_protocol.Update
-        ( "live",
-          Stdlib.Printf.sprintf "%s E %d %d\n%s E %d %d\n" op a b op b a )
-    end
-    else Serve_protocol.Repair "vault"
-  in
-  let workload = List.init reqs (fun _ -> next_request ()) in
-  let answered = ref 0 and failed = ref 0 in
-  let (), mixed_s =
-    secs (fun () ->
-        List.iter
-          (fun req ->
-            let what = Serve_protocol.op_name req in
-            let r = send what req in
-            (match r.Serve_protocol.status with
-            | `Ok _ -> ()
-            | `Err _ -> incr failed);
-            answered :=
-              !answered
-              + (match req with Serve_protocol.Batch subs -> List.length subs | _ -> 1))
-          workload)
-  in
-  let rps = float_of_int !answered /. mixed_s in
-  Texttab.addf t "mixed requests|%d (%d frames)" !answered reqs;
-  Texttab.addf t "mixed wall|%.2f s" mixed_s;
-  Texttab.addf t "throughput|%.0f req/s" rps;
-  Texttab.addf t "failures|%d" !failed;
-  Texttab.print t;
-  record_scalars ~experiment:"e25"
-    [
-      ("n", Json.Int n);
-      ("requests", Json.Int !answered);
-      ("throughput_rps", Json.Float rps);
-      ("failures", Json.Int !failed);
-      ("capacity_big", Json.Int capacity);
-      ("prepare_big_s", Json.Float prep_s);
-      ("sharded_index_equal", Json.Bool index_equal);
-      ("sharded_detect_equal", Json.Bool (detect_equal && big_detect_equal));
-    ];
-  Printf.printf
-    "The engine answers the mixed stream against the million-element\n\
-     instance at %.0f req/s: detection reads only the asked prefix of\n\
-     the half-million-pair scheme, marking rewrites O(message) weights,\n\
-     and weights-only updates ride Theorem 7 in O(log n).  The shard\n\
-     operand changes no prepare or detect response (sharded_index_equal,\n\
-     sharded_detect_equal feed the CI guard).\n"
-    rps
 
 (* ------------------------------------------------------------------ *)
-(* E26 — the flat-memory core (PR 8): end-to-end tuples/second.
-
-   Builds, marks and detects over the same op streams twice — once on
-   the columnar Relation/Weighted and once on the frozen pre-flat
-   representations (Relation_ref/Weighted_ref) — at 10^5 and 10^6
-   elements, asserting bit-identical outputs (marked weight bindings,
-   decoded message) along the way.  The CI guard reads
-   load_detect_speedup (>= 2x required) and outputs_equal from
-   BENCH_PR8.json.
-
-   WMARK_E26_N overrides the larger instance size so CI runs small; the
-   committed BENCH_PR8.json comes from the full run. *)
-
-let e26 () =
-  header "E26. Flat-memory core: load/mark/detect throughput (PR 8)";
-  let env_int name default floor =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= floor -> v
-    | _ -> default
-  in
-  let nbig = env_int "WMARK_E26_N" 1_000_000 1_000 in
-  let sizes = if nbig > 100_000 then [ 100_000; nbig ] else [ nbig ] in
-  let t = Texttab.create [ "n"; "stage"; "flat"; "pre-flat"; "speedup" ] in
-  let outputs_equal = ref true in
-  let worst_speedup = ref infinity in
-  let big_scalars = ref [] in
-  List.iter
-    (fun n ->
-      let g = Prng.create (0xE26 + n) in
-      let ws = Random_struct.regular_rings g ~n in
-      let graph = ws.Weighted.graph in
-      let schema = Structure.schema graph in
-      (* identical op streams for both representations, extracted untimed *)
-      let rel_tuples =
-        Structure.fold_relations
-          (fun name r acc -> (name, Relation.to_list r) :: acc)
-          graph []
-      in
-      let wbindings = Weighted.bindings ws.Weighted.weights in
-      let ntuples =
-        List.fold_left (fun acc (_, ts) -> acc + List.length ts) 0 rel_tuples
-        + List.length wbindings
-      in
-      (* load: one bulk sort per relation vs a functional insert per tuple *)
-      let (flat_g, flat_w), flat_load_s =
-        secs (fun () ->
-            let g0 =
-              List.fold_left
-                (fun g (name, ts) ->
-                  Structure.set_relation g name
-                    (Relation.of_list (Schema.arity_of schema name) ts))
-                (Structure.create schema n) rel_tuples
-            in
-            (g0, Weighted.of_list 1 wbindings))
-      in
-      let (ref_rels, ref_w), ref_load_s =
-        secs (fun () ->
-            let rels =
-              List.map
-                (fun (name, ts) ->
-                  ( name,
-                    List.fold_left
-                      (fun r tup -> Relation_ref.add tup r)
-                      (Relation_ref.empty (Schema.arity_of schema name))
-                      ts ))
-                rel_tuples
-            in
-            let w =
-              List.fold_left
-                (fun w (tu, v) -> Weighted_ref.set w tu v)
-                (Weighted_ref.create 1) wbindings
-            in
-            (rels, w))
-      in
-      outputs_equal :=
-        !outputs_equal
-        && Structure.equal flat_g graph
-        && List.for_all
-             (fun (name, r) ->
-               Relation.to_list (Structure.relation flat_g name)
-               = Relation_ref.to_list r)
-             ref_rels
-        && Weighted.bindings flat_w = Weighted_ref.bindings ref_w;
-      (* mark: one +-1 pair per consecutive element pair, full scan *)
-      let pairs =
-        List.init (n / 2) (fun i ->
-            {
-              Pairing.fst = Tuple.singleton (2 * i);
-              snd = Tuple.singleton ((2 * i) + 1);
-            })
-      in
-      let message = Codec.random g (n / 2) in
-      let marks = Pairing.orientation_marks pairs message in
-      let flat_marked, flat_mark_s =
-        secs (fun () -> Weighted.apply_marks flat_w marks)
-      in
-      let ref_marked, ref_mark_s =
-        secs (fun () -> Weighted_ref.apply_marks ref_w marks)
-      in
-      outputs_equal :=
-        !outputs_equal && Weighted.bindings flat_marked = Weighted_ref.bindings ref_marked;
-      (* detect: full decode pass, four weight lookups per pair *)
-      let flat_bits, flat_detect_s =
-        secs (fun () ->
-            let bits = Bitvec.create (n / 2) in
-            List.iteri
-              (fun i { Pairing.fst; snd } ->
-                let d tu = Weighted.get flat_marked tu - Weighted.get flat_w tu in
-                Bitvec.set bits i (d fst - d snd > 0))
-              pairs;
-            bits)
-      in
-      let ref_bits, ref_detect_s =
-        secs (fun () ->
-            let bits = Bitvec.create (n / 2) in
-            List.iteri
-              (fun i { Pairing.fst; snd } ->
-                let d tu =
-                  Weighted_ref.get ref_marked tu - Weighted_ref.get ref_w tu
-                in
-                Bitvec.set bits i (d fst - d snd > 0))
-              pairs;
-            bits)
-      in
-      outputs_equal :=
-        !outputs_equal && Bitvec.equal flat_bits ref_bits
-        && Bitvec.equal flat_bits message;
-      (* flat-only pipeline stages for the tuples/s headline *)
-      let text = Textio.to_string { Weighted.graph = flat_g; weights = flat_marked } in
-      let _parsed, parse_s = secs (fun () -> Textio.of_string text) in
-      let gf, gaifman_s = secs (fun () -> Gaifman.of_structure flat_g) in
-      let (_, ncomps), comp_s = secs (fun () -> Gaifman.component_labels gf) in
-      let speedup =
-        (ref_load_s +. ref_detect_s) /. (flat_load_s +. flat_detect_s)
-      in
-      if speedup < !worst_speedup then worst_speedup := speedup;
-      let e2e = flat_load_s +. flat_mark_s +. flat_detect_s in
-      let tps = float_of_int ntuples /. e2e in
-      Texttab.addf t "%d|load|%.3f s|%.3f s|%.2fx" n flat_load_s ref_load_s
-        (ref_load_s /. flat_load_s);
-      Texttab.addf t "%d|mark|%.3f s|%.3f s|%.2fx" n flat_mark_s ref_mark_s
-        (ref_mark_s /. flat_mark_s);
-      Texttab.addf t "%d|detect|%.3f s|%.3f s|%.2fx" n flat_detect_s
-        ref_detect_s
-        (ref_detect_s /. flat_detect_s);
-      Texttab.addf t "%d|load+detect|%.3f s|%.3f s|%.2fx" n
-        (flat_load_s +. flat_detect_s)
-        (ref_load_s +. ref_detect_s)
-        speedup;
-      Texttab.addf t "%d|parse / gaifman / comps|%.3f / %.3f / %.3f s|-|-" n
-        parse_s gaifman_s comp_s;
-      Texttab.addf t "%d|end-to-end|%.0f tuples/s (%d tuples, %d comps)|-|-" n
-        tps ntuples ncomps;
-      if n = List.nth sizes (List.length sizes - 1) then
-        big_scalars :=
-          [
-            ("n", Json.Int n);
-            ("tuples", Json.Int ntuples);
-            ("flat_load_s", Json.Float flat_load_s);
-            ("ref_load_s", Json.Float ref_load_s);
-            ("flat_mark_s", Json.Float flat_mark_s);
-            ("ref_mark_s", Json.Float ref_mark_s);
-            ("flat_detect_s", Json.Float flat_detect_s);
-            ("ref_detect_s", Json.Float ref_detect_s);
-            ("end_to_end_tuples_per_s", Json.Float tps);
-          ])
-    sizes;
-  Texttab.print t;
-  record_scalars ~experiment:"e26"
-    (!big_scalars
-    @ [
-        ("load_detect_speedup", Json.Float !worst_speedup);
-        ("outputs_equal", Json.Bool !outputs_equal);
-      ]);
-  Printf.printf
-    "The columnar Relation/Weighted load with one sort per relation and\n\
-     detect by binary search over contiguous int rows; the frozen\n\
-     pre-flat representations replay the identical op streams for the\n\
-     baseline.  Marked bindings and the decoded message are asserted\n\
-     bit-identical (outputs_equal); load_detect_speedup is the worst\n\
-     size's (ref load + detect) / (flat load + detect) and feeds the\n\
-     >= 2x CI guard.\n"
-
-(* --- E27: multi-recipient fingerprinting (PR 9) --------------------
-
-   Batch generation of fingerprinted copies through the serving layer
-   (one request, [count] recipients fanned onto the pool, digests as the
-   proof of work), a planted-leak trace over the candidate population,
-   and the collusion grid (coalition size x attack) measured directly on
-   the library.  Two engines at jobs 1 and 2 replay the identical
-   request stream; the raw response bytes must match. *)
+(* E27 — multi-recipient fingerprinting (DESIGN.md 5.13): one prepared
+   scheme serves every recipient.  A planted-leak trace scores the whole
+   candidate population against one recipient's copy under the
+   Sidak-corrected threshold, and the collusion grid (coalition size x
+   attack) checks that only coalition members are ever accused. *)
 
 let e27 () =
-  header "E27. Multi-recipient fingerprinting: batch generation and tracing";
-  let env_int name default floor =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= floor -> v
-    | _ -> default
-  in
-  let n = env_int "WMARK_E27_N" 100_000 500 in
-  let copies = env_int "WMARK_E27_COPIES" 10_000 20 in
-  let population = env_int "WMARK_E27_RECIPIENTS" 1_000 50 in
+  header "E27. Multi-recipient fingerprinting: tracing";
+  let n = 100_000 and population = 1_000 in
   let master = 0xF1D0 and gen_seed = 0x27 and prep_seed = 27 in
   let leak = "r7" in
-  (* The engine's dataset rebuilt locally — same rings, same prepare
-     options, same identity query system — to plant a leaked copy for
-     the serve-side trace and to drive the collusion grid. *)
   let ws = Random_struct.regular_rings (Prng.create gen_seed) ~n in
+  let w = ws.Weighted.weights in
   let qs =
     Query_system.of_custom
       ~params:(List.init (Structure.size ws.Weighted.graph) Tuple.singleton)
@@ -2344,86 +1596,30 @@ let e27 () =
         | Ok f -> f
         | Error m -> failwith ("e27 fingerprint: " ^ m))
   in
-  let length = Fingerprint.length fp and times = Fingerprint.times fp in
-  let planted =
-    Textio.to_string
-      { ws with Weighted.weights = Fingerprint.mark_for fp leak ws.Weighted.weights }
+  let planted = Fingerprint.mark_for fp leak w in
+  let candidates = List.init population (fun i -> "r" ^ string_of_int i) in
+  (* statistics on for the trace alone: fp.tails counts its binomial
+     tail evaluations, a host-speed-independent cost figure *)
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let since = Obs.snapshot () in
+  let (rep, trace_s), tails =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        let r =
+          secs (fun () -> Fingerprint.trace fp ~original:w ~suspect:planted candidates)
+        in
+        let d = Obs.diff ~since (Obs.snapshot ()) in
+        (r, Option.value ~default:0 (List.assoc_opt "fp.tails" d.Obs.counters)))
   in
-  let fpreq =
-    Serve_protocol.Fingerprint
-      { id = "fp"; master; length = Some length; times = Some times;
-        prefix = "r"; count = copies }
-  in
-  let treq =
-    Serve_protocol.Trace
-      { id = "fp"; master; length = Some length; times = Some times;
-        prefix = "r"; count = population; alpha = 0.01; suspect = Some planted }
-  in
-  let run jobs =
-    let engine = Serve_engine.create ~jobs () in
-    let raw req = Serve_engine.handle engine (Serve_protocol.encode_request req) in
-    let ok what payload =
-      match Serve_protocol.decode_response payload with
-      | Ok ({ Serve_protocol.status = `Ok _; _ } as r) -> r
-      | Ok { Serve_protocol.status = `Err m; _ } ->
-          failwith (Printf.sprintf "e27 %s: %s" what m)
-      | Error m -> failwith (Printf.sprintf "e27 %s: bad response: %s" what m)
-    in
-    let _, gen_s =
-      secs (fun () ->
-          ok "gen" (raw (Serve_protocol.Gen { id = "fp"; n; seed = gen_seed })))
-    in
-    let _, prep_s =
-      secs (fun () ->
-          ok "prepare"
-            (raw
-               (Serve_protocol.Prepare
-                  { id = "fp"; seed = prep_seed; rho = Some 1; epsilon = 1.0;
-                    shard = false; qspec = Serve_protocol.Identity })))
-    in
-    let fp_payload, fp_s = secs (fun () -> raw fpreq) in
-    let fp_resp = ok "fingerprint" fp_payload in
-    (* statistics on for the trace alone: fp.tails counts its binomial
-       tail evaluations, a host-speed-independent cost figure *)
-    let was = Obs.enabled () in
-    Obs.set_enabled true;
-    let since = Obs.snapshot () in
-    let (tr_payload, tr_s), tails =
-      Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
-          let r = secs (fun () -> raw treq) in
-          let d = Obs.diff ~since (Obs.snapshot ()) in
-          (r, Option.value ~default:0 (List.assoc_opt "fp.tails" d.Obs.counters)))
-    in
-    let tr_resp = ok "trace" tr_payload in
-    (gen_s, prep_s, fp_payload, fp_resp, fp_s, tr_payload, tr_resp, tr_s, tails)
-  in
-  let gen1, prep1, fpp1, fpr1, fps1, trp1, trr1, trs1, tails1 = run 1 in
-  let _gen2, _prep2, fpp2, _fpr2, fps2, trp2, _trr2, trs2, tails2 = run 2 in
-  let serve_identical = String.equal fpp1 fpp2 && String.equal trp1 trp2 in
-  let field r k =
-    match Serve_protocol.field r k with
-    | Some v -> v
-    | None -> failwith ("e27: missing response field " ^ k)
-  in
-  let leak_traced = field trr1 "accused" = leak && field trr1 "naccused" = "1" in
-  let decided = int_of_string (field trr1 "decided") in
-  let digest_lines =
-    List.length (String.split_on_char '\n' (Option.value ~default:"" fpr1.Serve_protocol.body))
-  in
-  let best_fp_s = Float.min fps1 fps2 in
   let t = Texttab.create [ "step"; "value" ] in
   Texttab.addf t "instance|%d elements (rings), %d recipients" n population;
-  Texttab.addf t "codeword|%d bits x %d repetitions" length times;
-  Texttab.addf t "gen / prepare|%.2f / %.2f s" gen1 prep1;
-  Texttab.addf t "fingerprint %d copies (jobs 1)|%.2f s" copies fps1;
-  Texttab.addf t "fingerprint %d copies (jobs 2)|%.2f s" copies fps2;
-  Texttab.addf t "generation throughput|%.0f copies/s" (float_of_int copies /. best_fp_s);
-  Texttab.addf t "digest lines returned|%d" digest_lines;
-  Texttab.addf t "trace %d candidates (jobs 1 / 2)|%.2f / %.2f s" population trs1 trs2;
-  Texttab.addf t "tail evaluations (jobs 1 / 2), decided bits|%d / %d, %d"
-    tails1 tails2 decided;
-  Texttab.addf t "planted leak %s uniquely accused|%b" leak leak_traced;
-  Texttab.addf t "responses identical across job counts|%b" serve_identical;
+  Texttab.addf t "codeword|%d bits x %d repetitions" (Fingerprint.length fp)
+    (Fingerprint.times fp);
+  Texttab.addf t "trace %d candidates|%.2f s" population trace_s;
+  Texttab.addf t "tail evaluations, decided bits|%d, %d" tails
+    rep.Fingerprint.decided;
+  Texttab.addf t "planted leak %s uniquely accused|%b" leak
+    (rep.Fingerprint.accused = [ leak ]);
   Texttab.print t;
   (* -- the collusion grid ------------------------------------------- *)
   let grid_fp =
@@ -2433,234 +1629,17 @@ let e27 () =
   in
   let report, grid_s =
     secs (fun () ->
-        Fingerprint.run_grid ~alpha:0.001 ~recipients:[ population ] grid_fp
-          ws.Weighted.weights)
+        Fingerprint.run_grid ~alpha:0.001 ~recipients:[ population ] grid_fp w)
   in
   print_newline ();
   print_string (Fingerprint.render_grid report);
   Printf.printf "grid: %.2f s\n" grid_s;
-  let rows = report.Fingerprint.rows in
-  let false_total =
-    List.fold_left
-      (fun a (o : Fingerprint.outcome) -> a + o.false_accusations)
-      0 rows
-  in
-  let all_traced = List.for_all (fun (o : Fingerprint.outcome) -> o.traced) rows in
-  let min_accuracy =
-    List.fold_left (fun a (o : Fingerprint.outcome) -> Float.min a o.accuracy) 1.0 rows
-  in
-  let solo_clean =
-    List.for_all
-      (fun (o : Fingerprint.outcome) ->
-        o.coalition > 1 || (o.false_accusations = 0 && o.accuracy = 1.0))
-      rows
-  in
-  record_scalars ~experiment:"e27"
-    [
-      ("n", Json.Int n);
-      ("copies", Json.Int copies);
-      ("recipients", Json.Int population);
-      ("length", Json.Int length);
-      ("times", Json.Int times);
-      ("fingerprint_s", Json.Float best_fp_s);
-      ("copies_per_s", Json.Float (float_of_int copies /. best_fp_s));
-      ("trace_s", Json.Float (Float.min trs1 trs2));
-      ("trace_tail_evals", Json.Int (max tails1 tails2));
-      ("trace_decided", Json.Int decided);
-      ("serve_identical", Json.Bool serve_identical);
-      ("leak_traced", Json.Bool leak_traced);
-      ("grid_false_accusations", Json.Int false_total);
-      ("grid_all_traced", Json.Bool all_traced);
-      ("grid_min_accuracy", Json.Float min_accuracy);
-      ("grid_no_collusion_clean", Json.Bool solo_clean);
-      ("grid", Fingerprint.grid_to_json report);
-    ];
   Printf.printf
-    "One prepared scheme serves every recipient: the fingerprint request\n\
-     derives %d keys from the master, embeds each codeword on the pool and\n\
-     returns per-copy digests; the trace request scores all %d candidates\n\
-     against the planted copy under the Sidak-corrected threshold.  The\n\
-     grid colludes k copies per cell (majority / mix / interleave, per-copy\n\
-     laundering noise) and must accuse members only — false accusations\n\
-     feed the CI guard.\n"
-    copies population
-
-(* --- E28: decomposition codes in neighborhood typing ---------------
-
-   The one typing path (DESIGN.md 5.14) on four workloads: the 40x40
-   grid, a random sparse graph at average degree ~3 and the biblio-XML
-   element tree flattened to an E-edge structure, all at rho 2, plus
-   the known anti-case, a random graph of degree <= 30 at rho 1 where
-   every sphere is its own type.  Each workload is typed twice
-   (best-of-2).  Typing time is the nbh.index.codes + nbh.index.prep +
-   nbh.index.classify + nbh.index.tree timer total, so the code step is
-   charged its own decompositions and grouping and the tree path
-   (DESIGN.md 5.15) its refinement; sphere extraction is the separate
-   column.  Every index is checked against Neighborhood_ref in-bench.
-   outputs_equal, grid_width_fallbacks, grid_iso_bypassed and the
-   per-row tree_typed counts feed the CI guard via BENCH_PR10.json;
-   they are counters and flags, so the guard does not depend on host
-   speed.
-
-   WMARK_E28_GRID / WMARK_E28_N / WMARK_E28_ARTICLES override the
-   workload sizes so CI runs small; the committed BENCH_PR10.json comes
-   from the full run. *)
-
-let e28 () =
-  header "E28. Decomposition codes in neighborhood typing";
-  let env_int name default floor =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= floor -> v
-    | _ -> default
-  in
-  let gside = env_int "WMARK_E28_GRID" 40 6 in
-  let nrand = env_int "WMARK_E28_N" 360 24 in
-  let articles = env_int "WMARK_E28_ARTICLES" 40 3 in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was)
-  @@ fun () ->
-  let grid = (Grid.structure ~w:gside ~h:gside).Weighted.graph in
-  let sparse =
-    (Random_struct.graph (Prng.create 0xE28) ~n:nrand ~max_degree:3
-       ~edges:(3 * nrand / 2))
-      .Weighted.graph
-  in
-  let dense =
-    (Random_struct.graph (Prng.create 0xE28) ~n:400 ~max_degree:30
-       ~edges:(15 * 400))
-      .Weighted.graph
-  in
-  (* the biblio-XML document tree as a relational structure: one element
-     per node, E = parent-child, document order *)
-  let xmltree =
-    let doc = Biblio_xml.generate (Prng.create articles) ~articles () in
-    let n = Utree.size doc in
-    let edges =
-      List.concat_map
-        (fun p ->
-          List.concat_map (fun c -> [ (p, c); (c, p) ]) (Utree.children doc p))
-        (List.init n (fun i -> i))
-    in
-    Structure.add_pairs (Structure.create Schema.graph n) "E" edges
-  in
-  let timer_s d name =
-    match List.assoc_opt name d.Obs.timers with
-    | Some t -> t.Obs.seconds
-    | None -> 0.0
-  in
-  let counter_of d name =
-    match List.assoc_opt name d.Obs.counters with Some v -> v | None -> 0
-  in
-  let typing d =
-    timer_s d "nbh.index.codes" +. timer_s d "nbh.index.prep"
-    +. timer_s d "nbh.index.classify" +. timer_s d "nbh.index.tree"
-  in
-  (* the nbh.index.* timers are disjoint: spheres is pure extraction *)
-  let extraction d = timer_s d "nbh.index.spheres" in
-  (* one measured index run: (index, typing s, diff) *)
-  let measure g ~rho =
-    let since = Obs.snapshot () in
-    let ix = Neighborhood.index_universe g ~rho ~arity:1 in
-    let d = Obs.diff ~since (Obs.snapshot ()) in
-    (ix, typing d, d)
-  in
-  let best_of_2 g ~rho =
-    let ((_, t1, _) as r1) = measure g ~rho in
-    let ((_, t2, _) as r2) = measure g ~rho in
-    if t1 <= t2 then r1 else r2
-  in
-  (* local-scheme capacity of an index: same-type elements pair up *)
-  let capacity ix =
-    let per_type = Hashtbl.create 64 in
-    Tuple.Map.iter
-      (fun _ ty ->
-        Hashtbl.replace per_type ty
-          (1 + Option.value ~default:0 (Hashtbl.find_opt per_type ty)))
-      ix.Neighborhood.types;
-    Hashtbl.fold (fun _ c acc -> acc + (c / 2)) per_type 0
-  in
-  let t =
-    Texttab.create
-      [ "workload"; "n"; "rho"; "width"; "ntp"; "capacity"; "spheres s";
-        "typing s"; "tree"; "groups"; "bypassed"; "fallbacks"; "= ref" ]
-  in
-  let outputs_equal = ref true in
-  let results =
-    List.map
-      (fun (name, g, rho) ->
-        let width = Neighborhood.max_sphere_width g ~rho in
-        let ix, typing_s, d = best_of_2 g ~rho in
-        let reference = Neighborhood_ref.index_universe g ~rho ~arity:1 in
-        let same =
-          Tuple.Map.equal Int.equal ix.Neighborhood.types
-            reference.Neighborhood.types
-          && ix.Neighborhood.representatives
-             = reference.Neighborhood.representatives
-        in
-        outputs_equal := !outputs_equal && same;
-        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%d|%d|%d|%d|%s" name
-          (Structure.size g) rho width (Neighborhood.ntp ix) (capacity ix)
-          (extraction d) typing_s
-          (counter_of d "nbh.tree.typed")
-          (counter_of d "nbh.bw.groups")
-          (counter_of d "nbh.bw.iso_bypassed")
-          (counter_of d "nbh.bw.width_fallbacks")
-          (if same then "yes" else "NO");
-        if not same then failwith ("e28: typing diverged from reference on " ^ name);
-        let p = String.map (function ' ' | '~' | '=' | '<' -> '_' | c -> c) name in
-        [
-          (p ^ "_sphere_width", Json.Int width);
-          (p ^ "_ntp", Json.Int (Neighborhood.ntp ix));
-          (p ^ "_capacity", Json.Int (capacity ix));
-          (p ^ "_spheres_s", Json.Float (extraction d));
-          (p ^ "_typing_s", Json.Float typing_s);
-          (p ^ "_tree_typed", Json.Int (counter_of d "nbh.tree.typed"));
-          (p ^ "_groups", Json.Int (counter_of d "nbh.bw.groups"));
-          (p ^ "_iso_bypassed", Json.Int (counter_of d "nbh.bw.iso_bypassed"));
-          (p ^ "_decompositions",
-           Json.Int (counter_of d "nbh.bw.decompositions"));
-          (p ^ "_width_fallbacks",
-           Json.Int (counter_of d "nbh.bw.width_fallbacks"));
-        ])
-      [
-        (Printf.sprintf "grid %dx%d" gside gside, grid, 2);
-        (Printf.sprintf "random n=%d d~3" nrand, sparse, 2);
-        (Printf.sprintf "biblio-xml a=%d" articles, xmltree, 2);
-        ("random n=400 d<=30", dense, 1);
-      ]
-  in
-  Texttab.print t;
-  (* stable grid_* names for the CI guard, independent of the
-     size-carrying per-workload prefixes above *)
-  let grid_stable =
-    match results with
-    | grid_row :: _ ->
-        List.map
-          (fun suffix ->
-            let key = "_" ^ suffix in
-            ( "grid" ^ key,
-              snd
-                (List.find
-                   (fun (k, _) -> String.ends_with ~suffix:key k)
-                   grid_row) ))
-          [ "typing_s"; "iso_bypassed"; "width_fallbacks"; "tree_typed" ]
-    | [] -> []
-  in
-  record_scalars ~experiment:"e28"
-    (List.concat results @ grid_stable
-    @ [ ("outputs_equal", Json.Bool !outputs_equal) ]);
-  Printf.printf
-    "Elements whose sphere is a tree are typed by rho rounds of color\n\
-     refinement (tree).  Every other sphere of at most 62 elements is\n\
-     typed by a decomposition code (groups = distinct codes, bypassed =\n\
-     tuples that inherit a group leader's type without an isomorphism\n\
-     test); larger spheres fall back to the generic prep (fallbacks).\n\
-     Typing time is the codes+prep+classify+tree timer total; sphere\n\
-     extraction is the separate spheres column.  Every index is asserted\n\
-     equal to Neighborhood_ref in-bench; outputs_equal,\n\
-     grid_width_fallbacks, grid_iso_bypassed and the tree_typed counts\n\
-     feed the CI guard.\n"
+    "The trace scores all %d candidates against the planted copy under\n\
+     the Sidak-corrected threshold.  The grid colludes k copies per cell\n\
+     (majority / mix / interleave, per-copy laundering noise) and must\n\
+     accuse members only.\n"
+    population
 
 (* ------------------------------------------------------------------ *)
 
@@ -2669,127 +1648,34 @@ let experiments =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
     ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18);
-    ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23);
-    ("e24", e24); ("e25", e25); ("e26", e26); ("e27", e27); ("e28", e28);
+    ("e19", e19); ("e21", e21); ("e24", e24); ("e27", e27);
   ]
 
+let usage why =
+  Printf.eprintf "main.exe: %s\nusage: main.exe [--jobs N] [EXPERIMENT ...]\n\
+                  experiments: %s\n"
+    why (String.concat " " (List.map fst experiments));
+  exit 2
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse acc jobs json = function
-    | [] -> (List.rev acc, jobs, json)
-    | "--jobs" :: v :: rest -> parse acc (int_of_string_opt v) json rest
-    | "--json" :: path :: rest -> parse acc jobs (Some path) rest
-    | a :: rest -> parse (a :: acc) jobs json rest
+  let rec parse ids = function
+    | [] -> List.rev ids
+    | "--jobs" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some j when j >= 1 ->
+            Par.set_jobs (Some j);
+            parse ids rest
+        | _ -> usage (Printf.sprintf "--jobs %s: want a positive integer" v))
+    | [ "--jobs" ] -> usage "--jobs: missing value"
+    | id :: rest ->
+        if List.mem_assoc id experiments then parse (id :: ids) rest
+        else usage ("unknown experiment " ^ id)
   in
-  let args, jobs_arg, json_path = parse [] None None args in
-  (match jobs_arg with Some _ -> Par.set_jobs jobs_arg | None -> ());
-  (* A trajectory file always carries the counters: flip collection on
-     unless the user explicitly opted out with WMARK_STATS=0. *)
-  if json_path <> None && Sys.getenv_opt "WMARK_STATS" <> Some "0" then
-    Obs.set_enabled true;
-  let no_speed = List.mem "--no-speed" args in
-  let wanted = List.filter (fun a -> a <> "--no-speed") args in
+  let ids = parse [] (List.tl (Array.to_list Sys.argv)) in
   let to_run =
-    if wanted = [] then experiments
-    else
-      List.filter_map
-        (fun id ->
-          match List.assoc_opt id experiments with
-          | Some f -> Some (id, f)
-          | None ->
-              Printf.eprintf "unknown experiment %s\n" id;
-              None)
-        wanted
+    if ids = [] then experiments
+    else List.map (fun id -> (id, List.assoc id experiments)) ids
   in
   let t0 = Unix.gettimeofday () in
-  let results =
-    if Par.jobs () <= 1 then
-      (* sequential: stream straight to stdout.  Counter deltas are
-         attributable per experiment only here — under parallel dispatch
-         concurrent experiments share the cells, so the trajectory file
-         then carries one global snapshot instead. *)
-      List.map
-        (fun (id, f) ->
-          let since = Obs.snapshot () in
-          let (), dt = secs f in
-          let obs =
-            if Obs.enabled () then Some (Obs.diff ~since (Obs.snapshot ()))
-            else None
-          in
-          (id, None, dt, obs))
-        to_run
-    else
-      (* parallel: one pool task per experiment, output captured
-         per-task and replayed below in submission order *)
-      Par.map_list
-        (fun (id, f) ->
-          let b = Buffer.create 4096 in
-          let prev = Domain.DLS.get sink in
-          Domain.DLS.set sink (Some b);
-          let (), dt =
-            Fun.protect
-              ~finally:(fun () -> Domain.DLS.set sink prev)
-              (fun () -> secs f)
-          in
-          (id, Some (Buffer.contents b), dt, None))
-        to_run
-  in
-  List.iter
-    (fun (_, captured, _, _) ->
-      match captured with Some s -> Stdlib.print_string s | None -> ())
-    results;
-  if (not no_speed) && wanted = [] then Speed.run ();
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let experiments_json =
-        List.map
-          (fun (id, _, dt, obs) ->
-            Json.Obj
-              ([ ("id", Json.String id); ("wall_s", Json.Float dt) ]
-              @ (match Hashtbl.find_opt scalars id with
-                | Some r -> [ ("scalars", Json.Obj !r) ]
-                | None -> [])
-              @
-              match obs with
-              | Some d ->
-                  [
-                    ( "obs",
-                      Json.Obj
-                        [
-                          ("counters", Obs_report.counters_json d);
-                          ("timers", Obs_report.timers_json d);
-                          ("histos", Obs_report.histos_json d);
-                        ] );
-                  ]
-              | None -> []))
-          results
-      in
-      let global_obs =
-        if Obs.enabled () then begin
-          let s = Obs.snapshot () in
-          [
-            ( "obs",
-              Json.Obj
-                [
-                  ("counters", Obs_report.counters_json s);
-                  ("timers", Obs_report.timers_json s);
-                  ("histos", Obs_report.histos_json s);
-                ] );
-          ]
-        end
-        else []
-      in
-      Json.to_file path
-        (Json.Obj
-           ([
-              ("schema", Json.String "qpwm-bench/1");
-              ("pr", Json.Int 10);
-              ("jobs", Json.Int (Par.jobs ()));
-              ("pool_size", Json.Int (Par.pool_size ()));
-              ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
-              ("experiments", Json.List experiments_json);
-            ]
-           @ global_obs));
-      Stdlib.Printf.printf "\nwrote %s\n" path);
+  List.iter (fun (_, f) -> f ()) to_run;
   Printf.printf "\ntotal: %.1f s (wall)\n" (Unix.gettimeofday () -. t0)

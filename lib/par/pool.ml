@@ -55,8 +55,8 @@ let jobs () =
 (* ------------------------------------------------------------------ *)
 (* The pool: worker domains blocked on one shared queue.  Spawned once,
    at the first parallel call; sized then so later calls asking for more
-   jobs than the machine advertises (the E20 sweep on a small box) still
-   get dedicated runners. *)
+   jobs than the machine advertises (a --jobs 4 run on a 2-core box)
+   still get dedicated runners. *)
 
 type task = unit -> unit
 

@@ -1,8 +1,8 @@
 (** Minimal JSON emission (no parsing, no dependencies).
 
-    The bench harness and the CLI export machine-readable results —
-    the perf trajectory in [BENCH_PR2.json], attack grids behind
-    [wmark attack --json] — without pulling a JSON library into the
+    The CLI exports machine-readable results — attack grids behind
+    [wmark attack --json], [qpwm-trace/1] snapshots behind
+    [--trace-json] — without pulling a JSON library into the
     dependency cone.  Output is UTF-8, RFC 8259: strings are escaped,
     non-finite floats degrade to [null]. *)
 

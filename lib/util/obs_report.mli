@@ -7,26 +7,13 @@ val render : Wm_obs.Obs.snapshot -> string
     per-name aggregation of trace spans.  Empty sections are omitted;
     an entirely empty snapshot renders a short hint instead. *)
 
-val counters_json : Wm_obs.Obs.snapshot -> Json.t
-(** Just the counters, as a flat object — what the bench harness embeds
-    per experiment into BENCH_PR*.json. *)
-
-val timers_json : Wm_obs.Obs.snapshot -> Json.t
-(** Timers as [{name: {calls, seconds}}]. *)
-
-val histo_quantile : Wm_obs.Obs.histo_total -> float -> float
-(** Conservative quantile estimate (seconds) from the fixed bucket
-    layout: the upper bound of the first bucket whose cumulative count
-    reaches the requested fraction of the total; 0 on an empty
-    histogram. *)
-
-val histos_json : Wm_obs.Obs.snapshot -> Json.t
-(** Latency histograms as [{name: {count, sum_s, p50_s, p90_s, p99_s,
-    buckets}}] with [buckets] listing only non-empty cells as
-    [{le_s, n}] ([le_s] is ["inf"] for the overflow bucket). *)
-
 val trace_json : Wm_obs.Obs.snapshot -> Json.t
-(** The full snapshot under schema [qpwm-trace/1]: counters, timers,
-    latency histograms and the individual span events ([name], optional
-    [detail], [domain], [depth], [start_s], [dur_s] — starts are seconds
-    since process start). *)
+(** The full snapshot under schema [qpwm-trace/1]: counters as a flat
+    object, timers as [{name: {calls, seconds}}], latency histograms as
+    [{name: {count, sum_s, p50_s, p90_s, p99_s, buckets}}] and the
+    individual span events ([name], optional [detail], [domain],
+    [depth], [start_s], [dur_s] — starts are seconds since process
+    start).  A histogram quantile is the upper bound of the first bucket
+    whose cumulative count reaches that fraction of the total (0 on an
+    empty histogram); [buckets] lists only non-empty cells as
+    [{le_s, n}] ([le_s] is ["inf"] for the overflow bucket). *)

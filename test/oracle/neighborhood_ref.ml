@@ -3,11 +3,9 @@
    (no sphere cache, no member-scan dedupe), three Gaifman-graph
    constructions per tuple, and hashed colour refinement run for
    size-many rounds with [Hashtbl.hash] bucket keys.  It exists so that
-
-   - property tests can assert the fast path is bit-identical to it
-     (test_perf.ml), and
-   - E23 can measure the speedup against the real old pipeline rather
-     than a synthetic stand-in.
+   the tests (test_perf.ml, test_bounded.ml) can assert the fast path is
+   bit-identical to the real old pipeline rather than a synthetic
+   stand-in.
 
    Its observability lives under [nbh.ref.*] so a comparison run can
    diff both pipelines out of one snapshot. *)

@@ -5,9 +5,8 @@
     per-tuple {!Structure.induced} over {!Gaifman.sphere_tuple} with no
     sphere cache or member-scan sharing, three Gaifman-graph builds per
     tuple, hashed colour refinement run for size-many rounds, and
-    [Hashtbl.hash] bucket keys.  Its only consumers are the property
-    tests asserting the fast path is bit-identical to it, and bench
-    experiment E23 measuring the speedup against it.  Observability is
+    [Hashtbl.hash] bucket keys.  Its only consumers are the tests
+    asserting the fast path is bit-identical to it.  Observability is
     under [nbh.ref.*] so both pipelines can be diffed from one
     snapshot. *)
 

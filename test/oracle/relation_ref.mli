@@ -1,7 +1,6 @@
 (** Frozen pre-flat relation representation (PR 8's [Neighborhood_ref]
     analogue): the balanced-tree implementation [Relation] replaced,
-    kept as the behavioral reference for equivalence tests and the E26
-    baseline.  Same contracts as the matching subset of {!Relation}. *)
+    kept as the behavioral reference for equivalence tests.  Same contracts as the matching subset of {!Relation}. *)
 
 type t
 

@@ -1,6 +1,6 @@
 (** Frozen pre-flat weight-assignment representation: the balanced-map
     implementation {!Weighted} replaced, kept as the behavioral
-    reference for equivalence tests and the E26 baseline.  Carries the
+    reference for equivalence tests.  Carries the
     same [local_distance] default-delta bugfix as the live module (see
     the .ml header); otherwise same contracts as the matching subset of
     {!Weighted}. *)

@@ -384,6 +384,61 @@ let test_tree_grouping () =
   check bool "0 and 2 differ" true
     (Neighborhood.type_of ix [| 0 |] <> Neighborhood.type_of ix [| 2 |])
 
+(* The three typing shapes of the retired E28 experiment at rho 2, each
+   identical to the reference at jobs 1 and 2.  No grid ball is a tree,
+   every grid sphere fits the code step, and grid tuples skip the
+   isomorphism scan through their code group; random degree <= 3 graphs
+   and the biblio-XML element tree (E = parent-child, both ways) are
+   mostly trees, so some of their elements take the tree path. *)
+let test_rho2_shapes () =
+  with_stats @@ fun () ->
+  let deltas name base =
+    let tuples = Neighborhood.all_tuples base ~arity:1 in
+    let reference = Neighborhood_ref.index base ~rho:2 tuples in
+    List.map
+      (fun jobs ->
+        let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho:2 tuples) in
+        check bool
+          (Printf.sprintf "%s, jobs %d: identical to the reference" name jobs)
+          true (equal_index ix reference);
+        (jobs, d))
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun (jobs, d) ->
+      let what s = Printf.sprintf "grid, jobs %d: %s" jobs s in
+      check Alcotest.int (what "no tree-typed element") 0
+        (counter_of d "nbh.tree.typed");
+      check Alcotest.int (what "no width fallback") 0
+        (counter_of d "nbh.bw.width_fallbacks");
+      check bool (what "iso bypassed") true
+        (counter_of d "nbh.bw.iso_bypassed" > 0))
+    (deltas "grid" (grid_graph 12 12));
+  let sparse =
+    (Wm_workload.Random_struct.graph (Prng.create 0xE28) ~n:120 ~max_degree:3
+       ~edges:180)
+      .Weighted.graph
+  in
+  let biblio =
+    let doc = Wm_workload.Biblio_xml.generate (Prng.create 5) ~articles:5 () in
+    let n = Wm_xml.Utree.size doc in
+    Structure.add_pairs (Structure.create Schema.graph n) "E"
+      (List.concat_map
+         (fun p ->
+           List.concat_map (fun c -> [ (p, c); (c, p) ]) (Wm_xml.Utree.children doc p))
+         (List.init n Fun.id))
+  in
+  List.iter
+    (fun (name, base) ->
+      List.iter
+        (fun (jobs, d) ->
+          check bool
+            (Printf.sprintf "%s, jobs %d: some element tree-typed" name jobs)
+            true
+            (counter_of d "nbh.tree.typed" > 0))
+        (deltas name base))
+    [ ("random d<=3", sparse); ("biblio-xml", biblio) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_sparse;
@@ -400,4 +455,6 @@ let suite =
     Alcotest.test_case "tree path: no degree leak" `Quick test_tree_degree_leak;
     Alcotest.test_case "tree path: depth-rho chord" `Quick test_tree_depth_chord;
     Alcotest.test_case "tree path: per-neighbor labels" `Quick test_tree_grouping;
+    Alcotest.test_case "rho-2 shapes: grid, random d<=3, biblio-xml" `Quick
+      test_rho2_shapes;
   ]

@@ -197,6 +197,8 @@ let test_trace_exact_pvalues () =
         rep.Fingerprint.accused;
       check bool (what ^ ": tails <= decided + 1") true
         (counter_value d "fp.tails" <= rep.Fingerprint.decided + 1);
+      (* a zero would mean the counter went dark *)
+      check bool (what ^ ": tails >= 1") true (counter_value d "fp.tails" >= 1);
       List.iter
         (fun (s : Fingerprint.score) ->
           check int (what ^ ": trials = decided") rep.Fingerprint.decided
@@ -425,6 +427,21 @@ let test_keyed_hashes_pinned () =
     (Recovery.certificates
        (Recovery.forge (Prng.create 1) ~fraction:1.0 ~amplitude:0 cap))
 
+(* The collusion grid of the E27 experiment at a test size: every
+   coalition size and attack, each cell traced against the whole
+   population.  Every coalition is traced, and no innocent is accused
+   anywhere on the grid. *)
+let test_grid_all_traced_no_false () =
+  let t, ws = context ~n:2000 ~length:256 ~times:3 () in
+  let g = Fingerprint.run_grid ~recipients:[ 200 ] t ws.Weighted.weights in
+  check int "cells" 9 (List.length g.Fingerprint.rows);
+  List.iter
+    (fun (o : Fingerprint.outcome) ->
+      let what = Printf.sprintf "k=%d %s" o.Fingerprint.coalition o.Fingerprint.attack in
+      check int (what ^ ": no false accusations") 0 o.Fingerprint.false_accusations;
+      check bool (what ^ ": traced") true o.Fingerprint.traced)
+    g.Fingerprint.rows
+
 let suite =
   [
     ("geometry defaults", `Quick, test_geometry_defaults);
@@ -447,4 +464,6 @@ let suite =
     ("majority decode ties", `Quick, test_vote_ties);
     ("verify rejects the unmarked original", `Quick, test_verify_unmarked_original);
     ("keyed hashes pinned", `Quick, test_keyed_hashes_pinned);
+    ("grid: every coalition traced, no false accusations", `Slow,
+      test_grid_all_traced_no_false);
   ]

@@ -373,6 +373,53 @@ let test_textio_bulk_errors () =
       check int "dedup cardinal" 2
         (Relation.cardinal (Structure.relation ws.Weighted.graph "E"))
 
+(* --- marks and decoded bits at scale == the pre-flat path -------------- *)
+
+(* The equivalence half of the retired E26 experiment at a test size: a
+   ring instance's weights bulk-loaded into both representations, one
+   orientation mark per consecutive element pair, then a decode that
+   reads four weights per pair.  Marked bindings and decoded bits must
+   agree, and the bits must be the message. *)
+let test_marks_and_bits_match_ref () =
+  let n = 4000 in
+  let g = Prng.create (0xE26 + n) in
+  let ws = Wm_workload.Random_struct.regular_rings g ~n in
+  let bindings = Weighted.bindings ws.Weighted.weights in
+  let flat_w = Weighted.of_list 1 bindings in
+  let ref_w =
+    List.fold_left
+      (fun w (tu, v) -> Weighted_ref.set w tu v)
+      (Weighted_ref.create 1) bindings
+  in
+  let pairs =
+    List.init (n / 2) (fun i ->
+        {
+          Wm_watermark.Pairing.fst = Tuple.singleton (2 * i);
+          snd = Tuple.singleton ((2 * i) + 1);
+        })
+  in
+  let message = Codec.random g (n / 2) in
+  let marks = Wm_watermark.Pairing.orientation_marks pairs message in
+  let flat_m = Weighted.apply_marks flat_w marks in
+  let ref_m = Weighted_ref.apply_marks ref_w marks in
+  check bool "marked bindings" true
+    (Weighted.bindings flat_m = Weighted_ref.bindings ref_m);
+  let decode ~marked ~original =
+    let bits = Bitvec.create (n / 2) in
+    List.iteri
+      (fun i { Wm_watermark.Pairing.fst; snd } ->
+        let d tu = marked tu - original tu in
+        Bitvec.set bits i (d fst - d snd > 0))
+      pairs;
+    bits
+  in
+  let flat_bits = decode ~marked:(Weighted.get flat_m) ~original:(Weighted.get flat_w) in
+  let ref_bits =
+    decode ~marked:(Weighted_ref.get ref_m) ~original:(Weighted_ref.get ref_w)
+  in
+  check bool "decoded bits" true (Bitvec.equal flat_bits ref_bits);
+  check bool "message decoded" true (Bitvec.equal flat_bits message)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_relation_ops;
@@ -387,4 +434,6 @@ let suite =
     Alcotest.test_case "elt_of_name" `Quick test_elt_of_name;
     QCheck_alcotest.to_alcotest prop_textio_roundtrip;
     Alcotest.test_case "textio bulk-load errors" `Quick test_textio_bulk_errors;
+    Alcotest.test_case "marks and decoded bits == pre-flat (rings)" `Quick
+      test_marks_and_bits_match_ref;
   ]

@@ -410,6 +410,75 @@ let test_redundancy_capped_by_groups () =
     (Recovery.certificates at_max = Recovery.certificates at_k);
   check int "one copy per group" k (Array.length (Recovery.certificates at_max).(0))
 
+(* The E24 repair curve at two trials per row (the experiment runs
+   eight), with the experiment's instance and per-trial seeds: random
+   flips and mix-and-match splices from the complement-marked copy at
+   rising intensity, then element deletions.  Repair never hurts on any
+   row; weight-level attacks leave every certificate host alive, so on
+   those rows the repaired detector is always right. *)
+let test_repair_curve_never_hurts () =
+  let ws = Random_struct.travel (Prng.create 24) ~travels:100 ~transports:400 in
+  let scheme =
+    match Local_scheme.prepare ws Random_struct.travel_query with
+    | Ok s -> s
+    | Error e -> failwith ("test_recovery: " ^ e)
+  in
+  let base = Robust.of_local scheme in
+  let active = Query_system.active (Local_scheme.query_system scheme) in
+  let nactive = List.length active in
+  let marked_w = Robust.mark base ~times message ws.Weighted.weights in
+  let marked = { ws with Weighted.weights = marked_w } in
+  let cap = Recovery.protect marked in
+  let other_w =
+    Robust.mark base ~times
+      (Codec.of_int ~bits (lnot 0b1011 land ((1 lsl bits) - 1)))
+      ws.Weighted.weights
+  in
+  let trials = 2 in
+  let row idx (family, label, intensity) =
+    let un = ref 0 and rp = ref 0 in
+    for trial = 0 to trials - 1 do
+      let g = Prng.create (0xE24001 + (7919 * idx) + trial) in
+      let weights attack =
+        { ws with Weighted.weights = Adversary.apply g attack ~active marked_w }
+      in
+      let suspect =
+        match family with
+        | `Flips ->
+            weights
+              (Adversary.Random_flips
+                 { count = int_of_float (intensity *. float_of_int nactive);
+                   amplitude = 2 })
+        | `Mix ->
+            weights (Adversary.Mix_and_match { other = other_w; fraction = intensity })
+        | `Delete ->
+            Adversary.apply_structural g
+              (Adversary.Delete_tuples { fraction = intensity })
+              marked
+      in
+      let plain, _ =
+        Survivable.detect_structure ~jobs:1 scheme ~times ~length:bits
+          ~original:ws ~suspect
+      in
+      let repaired, _, _ =
+        Recovery.detect_repaired ~jobs:1 cap scheme ~times ~length:bits
+          ~original:ws ~suspect
+      in
+      if Bitvec.equal message plain.Survivable.message then incr un;
+      if Bitvec.equal message repaired.Survivable.message then incr rp
+    done;
+    let what = Printf.sprintf "%s %.2f" label intensity in
+    check bool (what ^ ": repaired >= unrepaired") true (!rp >= !un);
+    if family <> `Delete then check int (what ^ ": repaired 1.00") trials !rp
+  in
+  List.iteri row
+    (List.concat
+       [
+         List.map (fun i -> (`Flips, "random flips", i)) [ 0.25; 0.5; 0.75; 1.0 ];
+         List.map (fun i -> (`Mix, "mix-and-match", i)) [ 0.25; 0.5; 0.75; 1.0 ];
+         List.map (fun i -> (`Delete, "delete elements", i)) [ 0.2; 0.4; 0.6 ];
+       ])
+
 let suite =
   [
     ("groups partition the universe", `Slow, test_groups_partition);
@@ -426,4 +495,5 @@ let suite =
     ("reports render", `Slow, test_reports_render);
     ("repair output pinned", `Slow, test_repair_pinned);
     ("redundancy capped by the group count", `Slow, test_redundancy_capped_by_groups);
+    ("repair curve never hurts", `Slow, test_repair_curve_never_hurts);
   ]
