@@ -214,33 +214,99 @@ let bfs g a ~bound visit =
   done;
   dist
 
-(* A local distance table, so a bounded reach costs the ball it returns
-   rather than the universe: incremental maintenance calls it once per
-   edit script. *)
+(* Per-domain BFS scratch (DESIGN.md 5.9): an epoch-stamped mark array
+   and a queue, [2n] words grown to the largest universe walked so far.
+   A walk bumps the epoch instead of clearing [mark], so it costs the
+   ball it visits rather than the universe; a larger graph regrows both
+   arrays.  Each domain owns its scratch, and no walk calls back into
+   the pool, so walks never share one. *)
+type scratch = {
+  mutable mark : int array;
+  mutable queue : int array;
+  mutable epoch : int;
+  mutable last : int;  (* start of the unexpanded last level *)
+  mutable inner : int;  (* degree sum of the expanded nodes *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { mark = [||]; queue = [||]; epoch = 0; last = 0; inner = 0 })
+
+let scratch n =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.mark < n then begin
+    sc.mark <- Array.make n 0;
+    sc.queue <- Array.make n 0
+  end;
+  sc.epoch <- sc.epoch + 1;
+  sc
+
+let push sc tail v =
+  sc.mark.(v) <- sc.epoch;
+  sc.queue.(tail) <- v
+
+(* Level-synchronous BFS over the scratch queue, whose first [tail]
+   slots hold the stamped sources: every node at distance < [bound]
+   (every node when [bound < 0]) is expanded, in queue order.  Returns
+   the queue length and sets [last] and [inner]. *)
+let walk g sc ~bound tail =
+  let mark = sc.mark and q = sc.queue and ep = sc.epoch in
+  let head = ref 0 and tail = ref tail and d = ref 0 and inner = ref 0 in
+  while (bound < 0 || !d < bound) && !head < !tail do
+    let level_end = !tail in
+    while !head < level_end do
+      let u = q.(!head) in
+      incr head;
+      let lo = g.off.(u) and hi = g.off.(u + 1) in
+      inner := !inner + (hi - lo);
+      for i = lo to hi - 1 do
+        let v = g.nbr.(i) in
+        if mark.(v) <> ep then begin
+          mark.(v) <- ep;
+          q.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    incr d
+  done;
+  sc.last <- !head;
+  sc.inner <- !inner;
+  !tail
+
+(* In-place insertion sort of [a.(lo..hi)]: on short int rows it beats
+   [Array.sort], whose comparison is a closure call. *)
+let isort (a : int array) lo hi =
+  for i = lo + 1 to hi do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* The first [len] queue slots, sorted; balls are usually short. *)
+let sort_prefix (q : int array) len =
+  let s = Array.sub q 0 len in
+  if len <= 32 then isort s 0 (len - 1) else Array.sort icmp s;
+  s
+
 let reach g ~sources ~bound =
   let n = size g in
-  let dist : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let q = Queue.create () in
-  List.iter
-    (fun a ->
-      if a >= 0 && a < n && not (Hashtbl.mem dist a) then begin
-        Hashtbl.add dist a 0;
-        Queue.add a q
-      end)
-    sources;
-  let acc = ref [] in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    acc := u :: !acc;
-    let d = Hashtbl.find dist u in
-    if bound < 0 || d < bound then
-      iter_neighbors g u (fun v ->
-          if not (Hashtbl.mem dist v) then begin
-            Hashtbl.add dist v (d + 1);
-            Queue.add v q
-          end)
-  done;
-  List.sort compare !acc
+  let sc = scratch n in
+  let tail =
+    List.fold_left
+      (fun tail a ->
+        if a >= 0 && a < n && sc.mark.(a) <> sc.epoch then begin
+          push sc tail a;
+          tail + 1
+        end
+        else tail)
+      0 sources
+  in
+  Array.to_list (sort_prefix sc.queue (walk g sc ~bound tail))
 
 let distance g a b =
   if a = b then Some 0
@@ -248,10 +314,10 @@ let distance g a b =
     let dist = bfs g a ~bound:(-1) (fun _ _ -> ()) in
     if dist.(b) < 0 then None else Some dist.(b)
 
-(* Bounded BFS with a local visited table: spheres are degree-bounded
-   and small, and this runs once per element of the universe — [bfs]'s
+(* Bounded BFS from the per-domain scratch: spheres are degree-bounded
+   and small, and this runs once per element of the universe — a fresh
    O(n) distance array per call would make sphere extraction quadratic
-   over the whole instance.
+   over the whole instance.  The walk allocates only its result.
 
    With [~tree], the same walk also decides whether the sphere induces
    a tree.  The sphere is connected, so it does iff its in-sphere degree
@@ -260,52 +326,30 @@ let distance g a b =
    (distance rho, not the root) has at least its parent edge.  So the
    sphere is a tree iff those two counts already make 2(|s| - 1) and no
    shell node has a second in-sphere neighbor — the only membership
-   tests, and the one place edges between two shell nodes show. *)
+   tests, and the one place edges between two shell nodes show.  In BFS
+   order the shell is the unexpanded tail of the queue. *)
 let sphere_walk g ~rho ~tree a =
-  let dist = Hashtbl.create 16 in
-  let q = Queue.create () in
-  Hashtbl.replace dist a 0;
-  Queue.add a q;
-  let acc = ref [ a ] and count = ref 1 in
-  let inner = ref 0 and outer = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    if du < rho then begin
-      inner := !inner + degree g u;
-      iter_neighbors g u (fun v ->
-          if not (Hashtbl.mem dist v) then begin
-            Hashtbl.replace dist v (du + 1);
-            Queue.add v q;
-            acc := v :: !acc;
-            incr count
-          end)
-    end
-    else if u <> a then incr outer
-  done;
+  let sc = scratch (size g) in
+  push sc 0 a;
+  let count = walk g sc ~bound:(max rho 0) 1 in
+  let shell = if rho > 0 then sc.last else count in
   let is_tree =
     tree
+    && sc.inner + (count - shell) = 2 * (count - 1)
     &&
-    !inner + !outer = 2 * (!count - 1)
-    &&
-    (* [acc] is newest first, so the shell is its first [outer] nodes *)
-    let rec leaves i = function
-      | u :: rest when i < !outer ->
-          let k = ref 0 in
-          iter_neighbors g u (fun v -> if Hashtbl.mem dist v then incr k);
-          !k = 1 && leaves (i + 1) rest
-      | _ -> true
-    in
-    leaves 0 !acc
+    let ok = ref true and i = ref shell in
+    while !ok && !i < count do
+      let u = sc.queue.(!i) in
+      let k = ref 0 in
+      for e = g.off.(u) to g.off.(u + 1) - 1 do
+        if sc.mark.(g.nbr.(e)) = sc.epoch then incr k
+      done;
+      ok := !k = 1;
+      incr i
+    done;
+    !ok
   in
-  let s = Array.make !count 0 in
-  List.iter
-    (fun u ->
-      decr count;
-      s.(!count) <- u)
-    !acc;
-  Array.sort icmp s;
-  (s, is_tree)
+  (sort_prefix sc.queue count, is_tree)
 
 let sphere_array g ~rho a = fst (sphere_walk g ~rho ~tree:false a)
 

@@ -94,3 +94,14 @@ val edge_slot : t -> int -> int -> int
 
 val iteri_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors] passing each neighbor's slot first. *)
+
+val bfs : t -> int -> bound:int -> (int -> int -> unit) -> int array
+(** [bfs g a ~bound visit] walks from [a] over a fresh distance array,
+    calling [visit x d] once per element at distance [d <= bound] (every
+    reachable element when [bound < 0]) in distance order, and returns
+    the distance array ([-1] for every element not visited).  It is the
+    plain walk that {!reach} and {!sphere_walk} are tested against. *)
+
+val isort : int array -> int -> int -> unit
+(** [isort a lo hi] sorts [a.(lo..hi)] in place by insertion: the sort
+    for short int rows (sphere walks, refinement signatures). *)

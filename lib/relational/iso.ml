@@ -49,18 +49,9 @@ let cmp_ia (a : int array) (b : int array) =
     !r
   end
 
-(* In-place insertion sort of [a.(lo..hi)] — signatures carry one bounded
-   adjacency row each, where this beats the general sort. *)
-let isort (a : int array) lo hi =
-  for i = lo + 1 to hi do
-    let v = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && a.(!j) > v do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- v
-  done
+(* Signatures carry one bounded adjacency row each, where insertion
+   sort beats the general sort. *)
+let isort = Gaifman.isort
 
 (* Canonical dense renumbering: distinct signatures sorted (content-only
    order), ids assigned in that order.  One permutation sort plus a

@@ -4,11 +4,12 @@ type nbh = {
   original : int array;
 }
 
-(* Observability (DESIGN.md 5.8/5.9).  The counters decompose the cost
-   claims of E20-E23: how many spheres were actually extracted by BFS
-   (vs served from the per-index cache), how many induced-substructure
-   scans the sphere-set dedupe shared, how many exact isomorphism tests
-   ran, and how many the cheap-invariant pre-bucketing avoided. *)
+(* Observability (DESIGN.md 5.8/5.9).  The counters decompose the
+   [nbh.index] layer of the pipeline benchmark (and the fast-path records
+   E20-E23 in EXPERIMENTS.md): how many spheres were actually extracted
+   by BFS (vs served from the per-index cache), how many tuple spheres
+   repeated one already keyed, how many exact isomorphism tests ran,
+   and how many the cheap-invariant pre-bucketing avoided. *)
 module Obs = Wm_obs.Obs
 
 let c_spheres = Obs.counter "nbh.spheres"
@@ -220,6 +221,27 @@ let all_tuples_array g ~arity =
   let n = Structure.size g in
   Array.init (tuple_count n ~arity) (fun ix -> nth_tuple n ~arity ix)
 
+(* Int-array-keyed tables that hash the whole key: the stdlib
+   polymorphic hash stops after ten meaningful words, and sphere keys
+   share long common prefixes.  [hash_prefix a len] hashes the first
+   [len] words, so a key still in a scratch buffer hashes like its
+   copy. *)
+let hash_prefix (a : int array) len =
+  let h = ref len in
+  for i = 0 to len - 1 do
+    h := Iso.mix !h a.(i)
+  done;
+  !h
+
+module Key = struct
+  type t = int array
+
+  let equal (a : int array) b = a = b
+  let hash a = hash_prefix a (Array.length a)
+end
+
+module Ktbl = Hashtbl.Make (Key)
+
 (* --- the shared fast-path context (DESIGN.md 5.9) -------------------
    One [ctx] serves every materialization pass of one index/reindex call:
 
@@ -229,8 +251,9 @@ let all_tuples_array g ~arity =
      at position 0), so the members of a sphere are found by a local
      scan (proportional to the sphere's own tuples) instead of a
      full-relation sweep;
-   - [groups] dedupes that member scan across all tuples sharing one
-     sphere (sorted element set) — heavy overlap at arity >= 2.
+   - [groups] numbers the distinct tuple spheres (sorted element sets)
+     across every pass of the call, so shape keys are built once per
+     sphere — heavy overlap at arity >= 2.
 
    The tables are only mutated in the sequential grouping phases; the
    parallel phases read frozen entries, which keeps the pool's
@@ -257,7 +280,7 @@ type ctx = {
   tree : bool array;
       (* the cached sphere induces a tree; only set by a walk that
          checks, so a [false] is always safe *)
-  groups : (int array, (int * Tuple.t) list option ref) Hashtbl.t;
+  groups : int Ktbl.t;
 }
 
 (* [~local:false] fills every [heads] list in one sweep over the
@@ -290,7 +313,7 @@ let make_ctx ~local g gf ~rho =
            g true;
     spheres = Array.make n [||];
     tree = Array.make n false;
-    groups = Hashtbl.create 256;
+    groups = Ktbl.create 256;
   }
 
 (* Fill [heads.(x)] of a local context from [x]'s closed neighborhood,
@@ -313,10 +336,6 @@ let idx_sorted (s : int array) y =
     if v = y then r := mid else if v < y then lo := mid + 1 else hi := mid - 1
   done;
   !r
-
-(* The member scan of a sphere already grouped by [materialize]. *)
-let members_of ctx s =
-  match !(Hashtbl.find ctx.groups s) with Some m -> m | None -> assert false
 
 (* --- decomposition codes (DESIGN.md 5.14) ----------------------------
 
@@ -360,31 +379,63 @@ let popcount x =
   done;
   !c
 
-(* Flat injective key of sphere [s] with member tuples [members], over
-   the sphere-local ascending renaming: [k; rel_id; arity; elems...;
-   rel_id; arity; elems...] is uniquely decodable, so equal keys mean
-   literally the same renamed structure.  Everything the code step
-   derives per sphere (decomposition, colors and — given center labels
-   — the canonical code) is a deterministic function of this key, which
-   is what makes one decomposition per shape sound. *)
-let shape_key s members =
-  let total =
-    List.fold_left (fun acc (_, t) -> acc + 2 + Array.length t) 1 members
-  in
-  let out = Array.make total 0 in
-  out.(0) <- Array.length s;
-  let p = ref 1 in
-  List.iter
-    (fun (id, t) ->
+(* Flat injective key of sphere [s] over the sphere-local ascending
+   renaming: [k; rel_id; arity; elems...; rel_id; arity; elems...] is
+   uniquely decodable, so equal keys mean literally the same renamed
+   structure.  Everything the code step derives per sphere
+   (decomposition, colors and — given center labels — the canonical
+   code) is a deterministic function of this key, which is what makes
+   one decomposition per shape sound.
+
+   The key is written straight from [heads] into a reused buffer: the
+   member tuples in scan order, elements ascending and each element's
+   [heads] list in order.  That order is canonical under the monotone
+   renaming (a [heads] list is sorted by relation id and tuple), so
+   equal renamed structures write equal keys; and neither [dinfo_of]
+   nor [code_of] depends on tuple order.  [idx_sorted] both tests
+   membership and renames. *)
+type kbuf = { mutable b : int array }
+
+let reserve kb need =
+  let len = Array.length kb.b in
+  if need > len then begin
+    let nb = Array.make (max need (2 * len)) 0 in
+    Array.blit kb.b 0 nb 0 len;
+    kb.b <- nb
+  end
+
+(* Append the member tuples among [heads] (each headed by [s.(i)]) at
+   [p]; returns the new end. *)
+let rec put_heads kb s i p = function
+  | [] -> p
+  | (id, (t : Tuple.t)) :: rest ->
       let a = Array.length t in
-      out.(!p) <- id;
-      out.(!p + 1) <- a;
-      for j = 0 to a - 1 do
-        out.(!p + 2 + j) <- idx_sorted s t.(j)
+      reserve kb (p + 2 + a);
+      let b = kb.b in
+      b.(p) <- id;
+      b.(p + 1) <- a;
+      b.(p + 2) <- i;
+      let j = ref 1 in
+      while
+        !j < a
+        &&
+        let r = idx_sorted s t.(!j) in
+        b.(p + 2 + !j) <- r;
+        r >= 0
+      do
+        incr j
       done;
-      p := !p + 2 + a)
-    members;
-  out
+      put_heads kb s i (if !j = a then p + 2 + a else p) rest
+
+(* Writes the key of [s] at the start of [kb]; returns its length. *)
+let write_key ctx kb s =
+  reserve kb 1;
+  kb.b.(0) <- Array.length s;
+  let p = ref 1 in
+  for i = 0 to Array.length s - 1 do
+    p := put_heads kb s i !p ctx.heads.(s.(i))
+  done;
+  !p
 
 (* [f id off a] for every tuple of a shape key: relation id, offset of
    its first element in the key, arity. *)
@@ -395,18 +446,6 @@ let iter_key_tuples key f =
     f key.(!p) (!p + 2) a;
     p := !p + 2 + a
   done
-
-(* Int-array-keyed tables that hash the whole key: the stdlib
-   polymorphic hash stops after ten meaningful words, and sphere keys
-   share long common prefixes. *)
-module Key = struct
-  type t = int array
-
-  let equal (a : int array) b = a = b
-  let hash a = Array.fold_left (fun h x -> Iso.mix h x) (Array.length a) a
-end
-
-module Ktbl = Hashtbl.Make (Key)
 
 (* One shape's decomposition data, alive only inside its code task: the
    shape key, the min-degree tree decomposition of its Gaifman graph and
@@ -519,62 +558,96 @@ let sphere_union ctx c =
         buf;
       Array.sub buf 0 !w
 
+module Itbl = Hashtbl.Make (Int)
+
+(* The shape id of the key in [buf.(0 .. len-1)] among [(key, id)]
+   candidates, or -1. *)
+let rec find_key (buf : int array) len = function
+  | [] -> -1
+  | (key, u) :: rest ->
+      let same = ref (Array.length key = len) and i = ref 0 in
+      while !same && !i < len do
+        same := key.(!i) = buf.(!i);
+        incr i
+      done;
+      if !same then u else find_key buf len rest
+
+(* The shape of each of [dist.(lo .. hi-1)], [-1] past the engine's
+   size limit, by a first-seen numbering local to this range; returns
+   it with the range's distinct keys, first-seen.  Every key is written
+   into one buffer and hashed in place; only a new shape's key is
+   copied. *)
+let key_range ctx dist (lo, hi) =
+  let kb = { b = Array.make 256 0 } in
+  let tbl = Itbl.create 16 in
+  let shape = Array.make (hi - lo) (-1) in
+  let keys = ref [] and nk = ref 0 in
+  for d = lo to hi - 1 do
+    let s = dist.(d) in
+    if Array.length s <= max_code_sphere then begin
+      let len = write_key ctx kb s in
+      let h = hash_prefix kb.b len in
+      let cands = try Itbl.find tbl h with Not_found -> [] in
+      let u = find_key kb.b len cands in
+      if u >= 0 then shape.(d - lo) <- u
+      else begin
+        let key = Array.sub kb.b 0 len in
+        Itbl.replace tbl h ((key, !nk) :: cands);
+        keys := key :: !keys;
+        shape.(d - lo) <- !nk;
+        incr nk
+      end
+    end
+  done;
+  (shape, Array.of_list (List.rev !keys))
+
 (* Phase C' of [materialize]: group the slots whose pointed spheres have
    equal decomposition codes.  [grp.(i)] is the slot whose
    materialization slot [i] inherits; leaders have [grp.(i) = i].
+   [dist] holds the call's distinct spheres in first-seen order and
+   [sid.(i)] slot [i]'s ([-1] at arity 0, which has no center to root a
+   code at).
 
-   The call's distinct spheres are renamed and keyed in parallel, and
-   equal keys share one shape; only a shape's first sphere is kept.
-   Each shape is one parallel task: it rebuilds the key from that
-   sphere, builds the shape's decomposition, emits the code of every
-   distinct center-label vector the shape serves, and drops the
-   decomposition, so nothing per sphere outlives this step.  Equal codes
-   are grouped sequentially in slot order, so the first slot of a code
-   leads. *)
-let code_groups ctx ?jobs tups sets =
+   The distinct spheres are keyed in one parallel task per contiguous
+   range, and the ranges' keys are merged in order, so every shape is
+   numbered at its first sphere whatever the job count.  Each shape is
+   one parallel task: it builds the shape's decomposition from its key,
+   emits the code of every distinct center-label vector the shape
+   serves, and drops the decomposition.  Codes are interned once per
+   (shape, center labels) pair, and slots grouped by code id in slot
+   order, so the first slot of a code leads. *)
+let code_groups ctx ?jobs tups sets sid dist =
   let nt = Array.length tups in
   let grp = Array.init nt (fun i -> i) in
-  (* distinct spheres of the call in first-seen order; sid.(i) is slot
-     i's (arity 0 has no center to root a code at) *)
-  let stbl = Ktbl.create (max 16 nt) in
-  let sid = Array.make nt (-1) in
-  let dist = ref [] and nd = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if Array.length c > 0 then
-        match Ktbl.find_opt stbl sets.(i) with
-        | Some d -> sid.(i) <- d
-        | None ->
-            Ktbl.add stbl sets.(i) !nd;
-            sid.(i) <- !nd;
-            dist := sets.(i) :: !dist;
-            incr nd)
-    tups;
-  let dist = Array.of_list (List.rev !dist) in
-  (* shape keys; [||] marks a sphere past the engine's size limit *)
-  let keys =
-    Wm_par.Pool.parallel_map ?jobs
-      (fun s ->
-        let k = Array.length s in
-        if k > max_code_sphere then [||]
-        else shape_key s (members_of ctx s))
-      dist
+  let nd = Array.length dist in
+  let nranges =
+    max 1 (min (nd / 64) (match jobs with Some j -> j | None -> Wm_par.Pool.jobs ()))
   in
-  let shape = Array.make !nd (-1) in
-  let ktbl = Ktbl.create (max 16 !nd) in
+  let ranges = Array.init nranges (fun r -> (r * nd / nranges, (r + 1) * nd / nranges)) in
+  let keyed = Wm_par.Pool.parallel_map ?jobs (key_range ctx dist) ranges in
+  let shape = Array.make nd (-1) in
+  let ktbl = Ktbl.create 16 in
   let reps = ref [] and nshapes = ref 0 in
   Array.iteri
-    (fun d key ->
-      if Array.length key = 0 then Obs.incr c_bw_fallbacks
-      else
-        match Ktbl.find_opt ktbl key with
-        | Some u -> shape.(d) <- u
-        | None ->
-            Ktbl.add ktbl key !nshapes;
-            shape.(d) <- !nshapes;
-            reps := dist.(d) :: !reps;
-            incr nshapes)
-    keys;
+    (fun r (lshape, keys) ->
+      let global =
+        Array.map
+          (fun key ->
+            match Ktbl.find_opt ktbl key with
+            | Some u -> u
+            | None ->
+                Ktbl.add ktbl key !nshapes;
+                reps := key :: !reps;
+                incr nshapes;
+                !nshapes - 1)
+          keys
+      in
+      let lo = fst ranges.(r) in
+      Array.iteri
+        (fun j u ->
+          if u < 0 then Obs.incr c_bw_fallbacks else shape.(lo + j) <- global.(u))
+        lshape)
+    keyed;
   (* distinct center-label vectors per shape: slot i's code is
      codes.(su.(i)).(sj.(i)) *)
   let su = Array.make nt (-1) and sj = Array.make nt (-1) in
@@ -603,23 +676,36 @@ let code_groups ctx ?jobs tups sets =
     - !nshapes);
   let codes =
     Wm_par.Pool.parallel_mapi ?jobs
-      (fun u s ->
-        let di = dinfo_of (shape_key s (members_of ctx s)) in
+      (fun u key ->
+        let di = dinfo_of key in
         Array.of_list (List.rev_map (code_of di) cls.(u)))
       (Array.of_list (List.rev !reps))
   in
-  let tbl = Ktbl.create (max 16 nt) in
+  (* one id per distinct code, then the first slot of each id leads *)
+  let ids = Ktbl.create 16 in
+  let cid =
+    Array.map
+      (Array.map (fun cd ->
+           match Ktbl.find_opt ids cd with
+           | Some c -> c
+           | None ->
+               let c = Ktbl.length ids in
+               Ktbl.add ids cd c;
+               c))
+      codes
+  in
+  let lead = Array.make (Ktbl.length ids) (-1) in
   for i = 0 to nt - 1 do
     if su.(i) >= 0 then begin
-      let cd = codes.(su.(i)).(sj.(i)) in
-      match Ktbl.find_opt tbl cd with
-      | Some l ->
-          grp.(i) <- l;
-          Obs.incr c_bw_bypassed
-      | None -> Ktbl.add tbl cd i
+      let c = cid.(su.(i)).(sj.(i)) in
+      if lead.(c) < 0 then lead.(c) <- i
+      else begin
+        grp.(i) <- lead.(c);
+        Obs.incr c_bw_bypassed
+      end
     end
   done;
-  Obs.add c_bw_groups (Ktbl.length tbl);
+  Obs.add c_bw_groups (Ktbl.length ids);
   grp
 
 (* Phase A (parallel): BFS the spheres of [tups]' elements not yet
@@ -663,29 +749,48 @@ let fill_spheres ctx ?jobs ~tree tups =
    test, for code-group leaders only; members share their leader's
    triple. *)
 let materialize ctx ?jobs tups =
-  (* Phase B (sequential, cheap): tuple spheres by union, grouped by
-     sphere so the member scan below runs once per distinct sphere. *)
-  let sets =
+  (* Phase B (sequential, cheap): tuple spheres by union.  Each
+     distinct sphere is numbered once per context (a repeat counts as
+     deduped across both passes of a reindex) and once per call, which
+     is the order the code step keys them in. *)
+  let nt = Array.length tups in
+  let sets, sid, dist =
     Obs.span t_spheres @@ fun () ->
     let sets = Array.map (fun c -> sphere_union ctx c) tups in
-    let fresh = ref [] in
-    Array.iter
-      (fun s ->
-        if Hashtbl.mem ctx.groups s then Obs.incr c_subs_deduped
-        else begin
-          Hashtbl.add ctx.groups s (ref None);
-          fresh := s :: !fresh
+    let gid =
+      Array.map
+        (fun s ->
+          match Ktbl.find_opt ctx.groups s with
+          | Some g ->
+              Obs.incr c_subs_deduped;
+              g
+          | None ->
+              let g = Ktbl.length ctx.groups in
+              Ktbl.add ctx.groups s g;
+              g)
+        sets
+    in
+    (* this call's distinct spheres, first-seen *)
+    let local = Array.make (Ktbl.length ctx.groups) (-1) in
+    let sid = Array.make nt (-1) in
+    let dist = ref [] and nd = ref 0 in
+    Array.iteri
+      (fun i c ->
+        if Array.length c > 0 then begin
+          let g = gid.(i) in
+          if local.(g) < 0 then begin
+            local.(g) <- !nd;
+            dist := sets.(i) :: !dist;
+            incr nd
+          end;
+          sid.(i) <- local.(g)
         end)
-      sets;
-    (* Phase C (parallel): one member scan per fresh sphere group. *)
-    let fresh = Array.of_list (List.rev !fresh) in
-    Array.iter (Array.iter (ensure_heads ctx)) fresh;
-    let scanned = Wm_par.Pool.parallel_map ?jobs (fun s -> members_in ctx s) fresh in
-    Array.iteri (fun i s -> Hashtbl.find ctx.groups s := Some scanned.(i)) fresh;
-    sets
+      tups;
+    let dist = Array.of_list (List.rev !dist) in
+    Array.iter (Array.iter (ensure_heads ctx)) dist;
+    (sets, sid, dist)
   in
-  let nt = Array.length tups in
-  let grp = Obs.span t_codes @@ fun () -> code_groups ctx ?jobs tups sets in
+  let grp = Obs.span t_codes @@ fun () -> code_groups ctx ?jobs tups sets sid dist in
   (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
      cheap key, certificate, refinement prep.  Group members inherit
      their leader's triple — physically the same prep, so every
@@ -700,7 +805,7 @@ let materialize ctx ?jobs tups =
     (fun i ->
       let c = tups.(i) in
       let s = sets.(i) in
-      let members = members_of ctx s in
+      let members = members_in ctx s in
       let k = Array.length s in
       (* Renaming: the tuple's own elements first (stable center ids),
          then the rest of the sphere in ascending order. *)

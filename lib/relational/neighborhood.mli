@@ -38,8 +38,8 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
     the result — type ids included — is bit-identical to the sequential
     [jobs:1] fold for every job count.
 
-    Element spheres are memoized per call, and the induced-substructure
-    member scan is shared by all tuples with one sphere (DESIGN.md
+    Element spheres are memoized per call, walked from per-domain
+    scratch, and each distinct tuple sphere is keyed once (DESIGN.md
     5.9).  Every sphere of at most 62 elements — the word-sized limit of
     {!Tdecomp.eliminate_masks} — is first typed by a canonical
     decomposition code (DESIGN.md 5.14), computed in one task per
@@ -54,7 +54,7 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
     in the sphere BFS itself — is typed by its color after exactly
     [rho] rounds of exact color refinement over the whole structure.
     That costs O(rho * (n + |E|) * log n) once per call, on one domain,
-    with no member scan, shape key, decomposition or prep for those
+    with no shape key, decomposition or prep for those
     elements; only the elements with cyclic balls pay the per-sphere
     costs above.  The refinement is skipped when no ball is a tree. *)
 

@@ -408,8 +408,10 @@ let make graph weights =
     weights;
   { graph; weights }
 
-(* The E26 hot path: the universe is 0..n-1 so the singleton key rows
-   are already sorted — fill both flat buffers directly, no overlay. *)
+(* The hot path of every generated workload (the pipeline benchmark's
+   inputs among them; E26 in EXPERIMENTS.md records the flat-core
+   measurements): the universe is 0..n-1 so the singleton key rows are
+   already sorted — fill both flat buffers directly, no overlay. *)
 let weigh f g =
   let n = Structure.size g in
   let keys = Array.init n Fun.id in

@@ -70,7 +70,8 @@ let ftoa = Printf.sprintf "%.6f"
    own parameter and its own (singleton) result set.  Constant-time per
    parameter, which is what lets the engine prepare million-element
    datasets the generic FO evaluator cannot touch (Remark 1's escape
-   hatch; measured by E25). *)
+   hatch; the [serve] workload of the pipeline benchmark times it, and
+   E25 in EXPERIMENTS.md records the million-element runs). *)
 let identity_query =
   lazy (Parser.query_of_string ~params:[ "u" ] ~results:[ "v" ] "u = v")
 

@@ -251,6 +251,136 @@ let test_iso_checks_no_worse_than_ref () =
     (Printf.sprintf "fast %d <= ref %d" fast slow)
     true (fast <= slow)
 
+(* --- scratch walks (DESIGN.md 5.9) ------------------------------------ *)
+
+(* The plain reference ball: [Gaifman.bfs] over a fresh distance array,
+   and whether it induces a tree — connected, so iff it has exactly
+   |ball| - 1 induced edges. *)
+let plain_ball gf ~rho a =
+  let dist = Gaifman.bfs gf a ~bound:rho (fun _ _ -> ()) in
+  let ball = List.filter (fun x -> dist.(x) >= 0) (List.init (Gaifman.size gf) Fun.id) in
+  let edges =
+    List.fold_left
+      (fun acc x ->
+        List.fold_left
+          (fun acc y -> if x < y && dist.(y) >= 0 then acc + 1 else acc)
+          acc (Gaifman.neighbors gf x))
+      0 ball
+  in
+  (ball, edges = List.length ball - 1)
+
+let prop_sphere_walk_stale_scratch =
+  (* walks interleave over a small and a larger graph, so a walk that
+     skipped its epoch bump would see the last walk's marks, and one that
+     kept a too-small scratch would index past it; whole-universe index
+     runs at jobs 1 and 2 in between use the same per-domain scratch *)
+  QCheck.Test.make ~count:40 ~name:"sphere_walk == plain ball, interleaved graphs"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = Prng.create (0x5C2A + seed) in
+      let small = random_graph g in
+      let large =
+        let n = 30 + Prng.int g 40 in
+        (Wm_workload.Random_struct.graph g ~n ~max_degree:4 ~edges:(2 * n))
+          .Weighted.graph
+      in
+      let graphs = [| (small, Gaifman.of_structure small); (large, Gaifman.of_structure large) |] in
+      let walk_ok k =
+        let _, gf = graphs.(k) in
+        let a = Prng.int g (Gaifman.size gf) in
+        let rho = Prng.int g 4 in
+        let tree = Prng.int g 2 = 0 in
+        let s, t = Gaifman.sphere_walk gf ~rho ~tree a in
+        let ball, is_tree = plain_ball gf ~rho a in
+        Array.to_list s = ball && t = (tree && is_tree)
+      in
+      let index_ok k =
+        let st, _ = graphs.(k) in
+        let rho = Prng.int g 3 in
+        let one = Neighborhood.index_universe ~jobs:1 st ~rho ~arity:1 in
+        equal_index one (Neighborhood.index_universe ~jobs:2 st ~rho ~arity:1)
+        && equal_index one (Neighborhood_ref.index_universe st ~rho ~arity:1)
+      in
+      List.for_all
+        (fun step ->
+          let k = step land 1 in
+          if step mod 5 = 4 then index_ok k else walk_ok k)
+        (List.init 30 Fun.id))
+
+let prop_reach_matches_bfs =
+  QCheck.Test.make ~count:60 ~name:"Gaifman.reach == union of bfs balls"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = Prng.create (0x2EAC + seed) in
+      let gf = Gaifman.of_structure (random_graph g) in
+      let n = Gaifman.size gf in
+      (* out-of-range and repeated sources included *)
+      let sources = List.init (Prng.int g 4) (fun _ -> Prng.int g (n + 3) - 1) in
+      let bound = Prng.int g 5 - 1 in
+      let expected =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun a ->
+               if a < 0 || a >= n then []
+               else begin
+                 let acc = ref [] in
+                 ignore (Gaifman.bfs gf a ~bound (fun x _ -> acc := x :: !acc));
+                 !acc
+               end)
+             sources)
+      in
+      Gaifman.reach gf ~sources ~bound = expected)
+
+(* --- arity-2 typing over long shared sphere prefixes -------------------- *)
+
+let test_pairs_not_quadratic () =
+  (* Pairs (755, n-1-i) on a 150x150 grid at rho 2: every tuple sphere
+     shares the ball of 755 as its smallest elements.  A sphere table
+     hashing only a key's first words put them all in one bucket, and
+     8 000 pairs took 3.4-3.6 s on a 2-core x86-64 container; the
+     whole-array key takes under 0.1 s there. *)
+  let g = (Wm_workload.Grid.structure ~w:150 ~h:150).Weighted.graph in
+  let n = Structure.size g in
+  let pairs = List.init 8_000 (fun i -> Tuple.pair 755 (n - 1 - i)) in
+  let t0 = Unix.gettimeofday () in
+  let ix = Neighborhood.index ~jobs:1 g ~rho:2 pairs in
+  let dt = Unix.gettimeofday () -. t0 in
+  check bool (Printf.sprintf "8000 pairs typed in %.3f s <= 1 s" dt) true (dt <= 1.0);
+  let prefix = List.filteri (fun i _ -> i < 1_000) pairs in
+  let ref_ix = Neighborhood_ref.index g ~rho:2 prefix in
+  (* type ids number classes by first occurrence, so a prefix keeps its
+     ids and the representatives of the classes it opens *)
+  check bool "1000-pair prefix == reference" true
+    (List.for_all
+       (fun c -> Neighborhood.type_of ix c = Neighborhood.type_of ref_ix c)
+       prefix
+    && Array.for_all2 ( = ) ref_ix.representatives
+         (Array.sub ix.representatives 0 (Array.length ref_ix.representatives)))
+
+(* --- allocation of whole-universe typing -------------------------------- *)
+
+let test_index_allocation () =
+  (* Minor words of one arity-1 index of a 60x60 grid at rho 2, with the
+     observability layer off.  Spheres, shape keys and code groups come
+     from reused scratch, so the cost is per shape plus the per-slot
+     classification and renumbering: 1 304 599 words measured with OCaml
+     5.1.1, against 3 948 583 when every sphere walk built a hash table
+     and every sphere a member list and a key.  The bound is 1.25x the
+     measured figure. *)
+  let g = (Wm_workload.Grid.structure ~w:60 ~h:60).Weighted.graph in
+  let was = Wm_obs.Obs.enabled () in
+  Wm_obs.Obs.set_enabled false;
+  let words =
+    Fun.protect
+      ~finally:(fun () -> Wm_obs.Obs.set_enabled was)
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        ignore (Neighborhood.index_universe ~jobs:1 g ~rho:2 ~arity:1);
+        Gc.minor_words () -. w0)
+  in
+  let bound = 1.25 *. 1_304_599. in
+  check bool (Printf.sprintf "%.0f minor words <= %.0f" words bound) true (words <= bound)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_universe_matches_ref;
@@ -264,4 +394,9 @@ let suite =
     Alcotest.test_case "fast-path cache counters" `Quick test_cache_counters;
     Alcotest.test_case "iso checks <= reference" `Quick
       test_iso_checks_no_worse_than_ref;
+    QCheck_alcotest.to_alcotest prop_sphere_walk_stale_scratch;
+    QCheck_alcotest.to_alcotest prop_reach_matches_bfs;
+    Alcotest.test_case "arity-2 pairs over a shared ball" `Quick
+      test_pairs_not_quadratic;
+    Alcotest.test_case "index allocation bound" `Quick test_index_allocation;
   ]
