@@ -1432,8 +1432,8 @@ let e21 () =
   Texttab.print ut;
   Printf.printf
     "A single-tuple edit dirties O(degree^rho) of the grid's %d elements;\n\
-     the incremental path re-types that sphere plus one anchor per old\n\
-     type and re-buckets by cached certificate (DESIGN.md 5.7).  The\n\
+     the incremental path types that sphere's tuples and one anchor per\n\
+     old type in one classification pass (DESIGN.md 5.7).  The\n\
      acceptance bar is a >=5x speedup on the single-edit rows; the random\n\
      row shows the honest limit when ntp ~ n.  The engine rows time a\n\
      whole serve [update] request: the same edit at 10^3 to 10^5 elements.\n"

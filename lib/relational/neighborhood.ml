@@ -106,72 +106,86 @@ let heads_at g gf rel_names x =
     rel_names;
   !acc
 
-(* Tuples of the structure lying entirely inside the sphere [s] (sorted
-   element-set array), given the tuples each element heads: a scan local
-   to [s] that meets every tuple once, at its first element.  Membership
-   is binary search in [s] — a universe-sized seen-array here would cost
-   O(n) per distinct sphere, quadratic when (as on the ring workloads)
-   almost every sphere is distinct. *)
-let mem_sorted (s : int array) y =
-  let lo = ref 0 and hi = ref (Array.length s - 1) and found = ref false in
-  while (not !found) && !lo <= !hi do
+(* Index of [y] in the sorted array [s], or -1: binary search, which
+   both tests sphere membership and renames a sphere to 0..|s|-1.  A
+   universe-sized seen-array here would cost O(n) per distinct sphere,
+   quadratic when (as on the ring workloads) almost every sphere is
+   distinct. *)
+let idx_sorted (s : int array) y =
+  let lo = ref 0 and hi = ref (Array.length s - 1) and r = ref (-1) in
+  while !r < 0 && !lo <= !hi do
     let mid = (!lo + !hi) lsr 1 in
     let v = s.(mid) in
-    if v = y then found := true
-    else if v < y then lo := mid + 1
-    else hi := mid - 1
+    if v = y then r := mid else if v < y then lo := mid + 1 else hi := mid - 1
   done;
-  !found
+  !r
 
+(* Tuples of the structure lying entirely inside the sphere [s] (sorted
+   element-set array), given the tuples each element heads: a scan local
+   to [s] that meets every tuple once, at its first element. *)
 let sphere_members heads s =
   let acc = ref [] in
   Array.iter
     (fun x ->
       List.iter
         (fun ((_, t) as entry) ->
-          if Array.for_all (fun y -> mem_sorted s y) t then acc := entry :: !acc)
+          if Array.for_all (fun y -> idx_sorted s y >= 0) t then acc := entry :: !acc)
         (heads x))
     s;
   !acc
 
-let of_tuple g gf ~rho c =
-  Obs.incr c_spheres;
-  let sphere = Array.of_list (Gaifman.sphere_tuple gf ~rho c) in
-  (* The tuple's own elements first so their new ids are stable, then
-     the rest of the sphere ascending — the order [Structure.induced]
-     would rename in, without its sweep over every relation. *)
-  let new_id = Hashtbl.create 16 in
-  let order = ref [] in
-  let place x =
-    if not (Hashtbl.mem new_id x) then begin
-      Hashtbl.add new_id x (Hashtbl.length new_id);
-      order := x :: !order
+(* N_rho(c) without display names, from the tuple's sorted sphere [s]
+   and the sphere's [members] (relation id, tuple): the tuple's own
+   elements take the first ids, so the center is stable, then the rest
+   of [s] ascending — the order [Structure.induced] would rename in,
+   without its sweep over every relation.  Members are grouped per
+   relation id.  Also returns the renamed member tuples, from which
+   [materialize] builds the sub-Gaifman graph. *)
+let renamed_sphere schema rel_names c s members =
+  let k = Array.length s in
+  let perm = Array.make k (-1) and original = Array.make k 0 and next = ref 0 in
+  let place i =
+    if perm.(i) < 0 then begin
+      perm.(i) <- !next;
+      original.(!next) <- s.(i);
+      incr next
     end
   in
-  Array.iter place c;
-  Array.iter place sphere;
-  let original = Array.of_list (List.rev !order) in
-  let names =
-    if Structure.has_names g then
-      Some (Array.map (fun x -> Structure.name_of g x) original)
-    else None
-  in
-  let rel_names = sorted_rel_names g in
-  let by_rel = Array.make (Array.length rel_names) [] in
+  Array.iter (fun x -> place (idx_sorted s x)) c;
+  for i = 0 to k - 1 do
+    place i
+  done;
+  let ren y = perm.(idx_sorted s y) in
+  let by_rel = Array.make (Array.length rel_names) [] and renamed = ref [] in
   List.iter
-    (fun (id, t) -> by_rel.(id) <- Array.map (Hashtbl.find new_id) t :: by_rel.(id))
-    (sphere_members (heads_at g gf rel_names) sphere);
-  let sub = ref (Structure.create ?names (Structure.schema g) (Array.length original)) in
+    (fun (id, t) ->
+      let rt = Array.map ren t in
+      renamed := rt :: !renamed;
+      by_rel.(id) <- rt :: by_rel.(id))
+    members;
+  let sub = ref (Structure.create schema k) in
   Array.iteri
     (fun id ts ->
-      if ts <> [] then
+      if ts <> [] then begin
         let name = rel_names.(id) in
-        sub :=
-          Structure.set_relation !sub name
-            (Relation.of_list (Relation.arity (Structure.relation g name)) ts))
+        let arity = Relation.arity (Structure.relation !sub name) in
+        sub := Structure.set_relation !sub name (Relation.of_list arity ts)
+      end)
     by_rel;
-  let center = List.map (Hashtbl.find new_id) (Array.to_list c) in
-  { sub = !sub; center; original }
+  ({ sub = !sub; center = List.map ren (Array.to_list c); original }, !renamed)
+
+let of_tuple g gf ~rho c =
+  Obs.incr c_spheres;
+  let s = Array.of_list (Gaifman.sphere_tuple gf ~rho c) in
+  let rel_names = sorted_rel_names g in
+  let nb, _ =
+    renamed_sphere (Structure.schema g) rel_names c s
+      (sphere_members (heads_at g gf rel_names) s)
+  in
+  if Structure.has_names g then
+    let names = Array.map (Structure.name_of g) nb.original in
+    { nb with sub = Structure.with_names nb.sub names }
+  else nb
 
 let equivalent g gf ~rho a b =
   let na = of_tuple g gf ~rho a and nb = of_tuple g gf ~rho b in
@@ -243,17 +257,14 @@ end
 module Ktbl = Hashtbl.Make (Key)
 
 (* --- the shared fast-path context (DESIGN.md 5.9) -------------------
-   One [ctx] serves every materialization pass of one index/reindex call:
+   One [ctx] serves the [run_index] of one index/reindex call:
 
    - [spheres] memoizes [Gaifman.sphere_array] per element, so a tuple
      sphere is a union of cached arrays instead of arity-many BFS runs;
    - [heads] maps each element to the structure tuples it heads (holds
      at position 0), so the members of a sphere are found by a local
      scan (proportional to the sphere's own tuples) instead of a
-     full-relation sweep;
-   - [groups] numbers the distinct tuple spheres (sorted element sets)
-     across every pass of the call, so shape keys are built once per
-     sphere — heavy overlap at arity >= 2.
+     full-relation sweep.
 
    The tables are only mutated in the sequential grouping phases; the
    parallel phases read frozen entries, which keeps the pool's
@@ -274,20 +285,23 @@ type ctx = {
       (* [heads.(x)] is filled: all of it for a whole-structure
          context, on demand for a local one *)
   tree_ok : bool;
-      (* the tree path applies: every relation has arity 1 or 2, and
-         there are at most 31, so fact and label sets fit a word *)
+      (* the tree path applies: a whole-structure context (the
+         refinement colors every element), every relation has arity 1
+         or 2, and there are at most 31, so fact and label sets fit a
+         word *)
   spheres : int array array;  (* [||] until computed: spheres are nonempty *)
   tree : bool array;
       (* the cached sphere induces a tree; only set by a walk that
          checks, so a [false] is always safe *)
-  groups : int Ktbl.t;
 }
 
 (* [~local:false] fills every [heads] list in one sweep over the
    relations — the right trade when the call types the whole universe.
    [~local:true] leaves them empty, to be filled by {!ensure_heads} for
    the sphere elements a call actually touches, so an incremental
-   reindex costs its spheres rather than the structure. *)
+   reindex costs its spheres rather than the structure.  A local
+   context never takes the tree path: its refinement runs over the
+   whole structure. *)
 let make_ctx ~local g gf ~rho =
   let n = Structure.size g in
   let rel_names = sorted_rel_names g in
@@ -307,13 +321,13 @@ let make_ctx ~local g gf ~rho =
     heads;
     heads_ready = Array.make n (not local);
     tree_ok =
-      Array.length rel_names <= 31
+      (not local)
+      && Array.length rel_names <= 31
       && Structure.fold_relations
            (fun _ r acc -> acc && (Relation.arity r = 1 || Relation.arity r = 2))
            g true;
     spheres = Array.make n [||];
     tree = Array.make n false;
-    groups = Ktbl.create 256;
   }
 
 (* Fill [heads.(x)] of a local context from [x]'s closed neighborhood,
@@ -326,16 +340,6 @@ let ensure_heads ctx x =
   end
 
 let members_in ctx s = sphere_members (Array.get ctx.heads) s
-
-(* Index of [y] in the sorted sphere array [s]; [y] must be a member. *)
-let idx_sorted (s : int array) y =
-  let lo = ref 0 and hi = ref (Array.length s - 1) and r = ref (-1) in
-  while !r < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = s.(mid) in
-    if v = y then r := mid else if v < y then lo := mid + 1 else hi := mid - 1
-  done;
-  !r
 
 (* --- decomposition codes (DESIGN.md 5.14) ----------------------------
 
@@ -750,41 +754,27 @@ let fill_spheres ctx ?jobs ~tree tups =
    triple. *)
 let materialize ctx ?jobs tups =
   (* Phase B (sequential, cheap): tuple spheres by union.  Each
-     distinct sphere is numbered once per context (a repeat counts as
-     deduped across both passes of a reindex) and once per call, which
-     is the order the code step keys them in. *)
+     distinct sphere is numbered once, first-seen, which is the order
+     the code step keys them in; a repeat (heavy overlap at arity >= 2)
+     counts as deduped. *)
   let nt = Array.length tups in
   let sets, sid, dist =
     Obs.span t_spheres @@ fun () ->
     let sets = Array.map (fun c -> sphere_union ctx c) tups in
-    let gid =
-      Array.map
-        (fun s ->
-          match Ktbl.find_opt ctx.groups s with
-          | Some g ->
-              Obs.incr c_subs_deduped;
-              g
-          | None ->
-              let g = Ktbl.length ctx.groups in
-              Ktbl.add ctx.groups s g;
-              g)
-        sets
-    in
-    (* this call's distinct spheres, first-seen *)
-    let local = Array.make (Ktbl.length ctx.groups) (-1) in
+    let seen = Ktbl.create 256 in
     let sid = Array.make nt (-1) in
-    let dist = ref [] and nd = ref 0 in
+    let dist = ref [] in
     Array.iteri
       (fun i c ->
-        if Array.length c > 0 then begin
-          let g = gid.(i) in
-          if local.(g) < 0 then begin
-            local.(g) <- !nd;
-            dist := sets.(i) :: !dist;
-            incr nd
-          end;
-          sid.(i) <- local.(g)
-        end)
+        if Array.length c > 0 then
+          match Ktbl.find_opt seen sets.(i) with
+          | Some d ->
+              Obs.incr c_subs_deduped;
+              sid.(i) <- d
+          | None ->
+              sid.(i) <- Ktbl.length seen;
+              Ktbl.add seen sets.(i) sid.(i);
+              dist := sets.(i) :: !dist)
       tups;
     let dist = Array.of_list (List.rev !dist) in
     Array.iter (Array.iter (ensure_heads ctx)) dist;
@@ -803,52 +793,21 @@ let materialize ctx ?jobs tups =
     Obs.span t_prep @@ fun () ->
     Wm_par.Pool.parallel_map ?jobs
     (fun i ->
-      let c = tups.(i) in
       let s = sets.(i) in
-      let members = members_in ctx s in
       let k = Array.length s in
-      (* Renaming: the tuple's own elements first (stable center ids),
-         then the rest of the sphere in ascending order. *)
-      let new_id = Hashtbl.create (2 * k) in
-      let pos = ref 0 in
-      let place x =
-        if not (Hashtbl.mem new_id x) then begin
-          Hashtbl.add new_id x !pos;
-          incr pos
-        end
+      let nb, renamed =
+        renamed_sphere schema ctx.rel_names tups.(i) s (members_in ctx s)
       in
-      Array.iter place c;
-      Array.iter place s;
-      let ren t = Array.map (fun x -> Hashtbl.find new_id x) t in
-      let by_rel = Array.make (Array.length ctx.rel_names) [] in
-      let renamed_all = ref [] in
-      List.iter
-        (fun (id, t) ->
-          let rt = ren t in
-          renamed_all := rt :: !renamed_all;
-          by_rel.(id) <- rt :: by_rel.(id))
-        members;
-      let sub = ref (Structure.create schema k) in
-      Array.iteri
-        (fun id ts ->
-          if ts <> [] then begin
-            let name = ctx.rel_names.(id) in
-            let arity = Relation.arity (Structure.relation !sub name) in
-            sub := Structure.set_relation !sub name (Relation.of_list arity ts)
-          end)
-        by_rel;
-      let sub = !sub in
-      let gf_sub = Gaifman.of_tuples ~n:k !renamed_all in
-      let center = List.map (Hashtbl.find new_id) (Array.to_list c) in
-      let prep = Iso.prep ~gf:gf_sub sub center in
+      let gf_sub = Gaifman.of_tuples ~n:k renamed in
+      let prep = Iso.prep ~gf:gf_sub nb.sub nb.center in
       (* Cheap invariants, deep-hashed: sphere size, member count, degree
          multiset of the sub-Gaifman graph, center equality pattern. *)
       let degs = Gaifman.degrees gf_sub in
       Array.sort icmp degs;
       let h = ref (Iso.mix 0x9e3779b9 k) in
-      h := Iso.mix !h (List.length members);
+      h := Iso.mix !h (List.length renamed);
       Array.iter (fun d -> h := Iso.mix !h d) degs;
-      List.iter (fun x -> h := Iso.mix !h x) center;
+      List.iter (fun x -> h := Iso.mix !h x) nb.center;
       (!h, Iso.certificate_of_prep prep, prep))
     leaders
   in
@@ -882,13 +841,11 @@ let bucket_slots keyed =
       match Hashtbl.find_opt btbl (ck, cert) with
       | Some slots -> slots := i :: !slots
       | None ->
-          Hashtbl.add btbl (ck, cert) (ref [ i ]);
-          border := (ck, cert) :: !border)
+          let slots = ref [ i ] in
+          Hashtbl.add btbl (ck, cert) slots;
+          border := slots :: !border)
     keyed;
-  Array.of_list
-    (List.rev_map
-       (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find btbl k))))
-       !border)
+  Array.of_list (List.rev_map (fun slots -> Array.of_list (List.rev !slots)) !border)
 
 (* --- tree-shaped balls (DESIGN.md 5.15) ------------------------------
 
@@ -984,7 +941,7 @@ let classify_slots ctx ?jobs tups =
   let keyed, grp = materialize ctx ?jobs tups in
   Obs.span t_classify @@ fun () ->
   (* Phase 2 (sequential, cheap): bucket the slots. *)
-  let buckets = Array.map snd (bucket_slots keyed) in
+  let buckets = bucket_slots keyed in
   Obs.add c_buckets (Array.length buckets);
   (* Phase 3 (parallel): exact classification inside each bucket.
      Buckets are independent; within one bucket the search is the
@@ -1157,14 +1114,10 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
     let touches c = Array.exists (fun x -> Hashtbl.mem in_a x) c in
     let gone c = Array.exists (fun x -> x >= n) c in
     (* Anchors: for every old type that still has a member untouched by
-       the affected region, its first such member in enumeration order —
-       its neighborhood is unchanged, so it stands in for the whole class
-       during reclassification, and it is where the class first occurs
-       among the untouched tuples.  Old classes cannot merge (their
-       untouched members stay non-isomorphic), so matching an anchor is
-       unambiguous.  A class whose representative is untouched anchors
-       there; only the others scan the old index. *)
-    let ntp_old = Array.length prev.representatives in
+       the affected region, its first such member in enumeration order.
+       Its neighborhood is unchanged, so every untouched member of the
+       class keeps the anchor's new type.  A class whose representative
+       is untouched anchors there; only the others scan the old index. *)
     let untouched c = not (gone c || touches c) in
     let anchor =
       Array.map
@@ -1182,146 +1135,52 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
         prev.types
     end;
     let anchors =
-      let acc = ref [] in
-      for ty = ntp_old - 1 downto 0 do
-        match anchor.(ty) with
-        | Some c -> acc := (ty, c) :: !acc
-        | None -> ()
-      done;
-      Array.of_list !acc
+      List.sort enum_compare (List.filter_map Fun.id (Array.to_list anchor))
     in
-    (* Anchors are one per surviving class, pairwise non-isomorphic, so
-       the code grouping never merges them — the grp component is
-       irrelevant here. *)
-    let anchor_tups = Array.map snd anchors in
-    fill_spheres ctx ?jobs ~tree:false anchor_tups;
-    let anchor_keyed, _ = materialize ctx ?jobs anchor_tups in
-    let atbl : (int * int, (int * Iso.prep) list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    Array.iteri
-      (fun i (ck, cert, prep) ->
-        let ty = fst anchors.(i) in
-        match Hashtbl.find_opt atbl (ck, cert) with
-        | Some l -> l := (ty, prep) :: !l
-        | None -> Hashtbl.add atbl (ck, cert) (ref [ (ty, prep) ]))
-      anchor_keyed;
-    Obs.add c_anchors (Array.length anchors);
-    (* Affected tuples, in enumeration order so numbering below matches
-       the from-scratch index; everything else keeps its old class.  At
-       arity 1 they are the affected elements themselves. *)
+    Obs.add c_anchors (List.length anchors);
+    (* Affected tuples, in enumeration order; at arity 1 they are the
+       affected elements themselves. *)
     let at =
       if arity = 1 then
-        Array.of_list
-          (List.filter_map
-             (fun x -> if x < n then Some (Tuple.singleton x) else None)
-             affected)
+        List.filter_map
+          (fun x -> if x < n then Some (Tuple.singleton x) else None)
+          affected
       else begin
         let acc = ref [] in
         iter_all_tuples g ~arity (fun c -> if touches c then acc := c :: !acc);
-        Array.of_list (List.rev !acc)
+        List.rev !acc
       end
     in
-    Obs.add c_affected_tuples (Array.length at);
-    fill_spheres ctx ?jobs ~tree:false at;
-    let keyed, grp = materialize ctx ?jobs at in
-    let buckets = bucket_slots keyed in
-    (* Class keys: [0 .. ntp_old-1] are surviving old classes, [ntp_old + i]
-       is a fresh class led by affected slot [i].  A fresh leader is not
-       isomorphic to any anchor of its bucket, hence to no surviving old
-       class; so every tuple matches at most one candidate and the result
-       does not depend on how buckets are scheduled. *)
-    let classified =
-      Wm_par.Pool.parallel_map ?jobs
-        (fun (key, slots) ->
-          let anchors_here =
-            match Hashtbl.find_opt atbl key with
-            | Some l -> List.rev !l
-            | None -> []
-          in
-          let reps = ref [] in
-          let local : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          Array.map
-            (fun i ->
-              let cls =
-                if grp.(i) <> i then
-                  (* code group: the slot's prep is physically its
-                     group leader's, so the scan below would repeat the
-                     leader's matches — copy its class. *)
-                  match Hashtbl.find_opt local grp.(i) with
-                  | Some cls -> cls
-                  | None -> assert false (* same triple => same bucket *)
-                else begin
-                  let _, _, prep = keyed.(i) in
-                  let iso (_, r) = iso_check prep r in
-                  match List.find_opt iso anchors_here with
-                  | Some (ty, _) -> ty
-                  | None -> (
-                      match List.find_opt iso !reps with
-                      | Some (cls, _) -> cls
-                      | None ->
-                          let cls = ntp_old + i in
-                          reps := (cls, prep) :: !reps;
-                          cls)
-                end
-              in
-              Hashtbl.replace local i cls;
-              cls)
-            slots)
-        buckets
+    Obs.add c_affected_tuples (List.length at);
+    (* Every class of the edited structure first occurs, in enumeration
+       order, at its anchor (its untouched members are exactly the old
+       class's) or at an affected tuple.  So [run_index] over the two,
+       merged in that order, numbers the classes as the from-scratch
+       index does: type ids and representatives come out bit-identical. *)
+    let ix =
+      run_index ctx ?jobs
+        (Array.of_list (List.merge enum_compare anchors at))
+        ~rho ~arity
     in
-    let cls = Array.make (Array.length at) (-1) in
-    Array.iteri
-      (fun b (_, slots) ->
-        Array.iteri (fun k i -> cls.(i) <- classified.(b).(k)) slots)
-      buckets;
-    (* Renumber by first occurrence, as the from-scratch phase 4 does: a
-       class first occurs at its anchor or at its first affected member,
-       whichever comes first in enumeration order.  Classes are numbered
-       in that order, so type ids and representatives come out
-       bit-identical. *)
-    let first = Hashtbl.create 64 in
-    Array.iter (fun (ty, c) -> Hashtbl.replace first ty c) anchors;
-    Array.iteri
-      (fun i c ->
-        match Hashtbl.find_opt first cls.(i) with
-        | Some f when enum_compare f c <= 0 -> ()
-        | _ -> Hashtbl.replace first cls.(i) c)
-      at;
-    let order =
-      List.sort
-        (fun (_, a) (_, b) -> enum_compare a b)
-        (Hashtbl.fold (fun k c acc -> (k, c) :: acc) first [])
-    in
-    let ty_of_cls = Hashtbl.create 64 in
-    List.iteri (fun ty (k, _) -> Hashtbl.replace ty_of_cls k ty) order;
-    (* Untouched tuples keep their class: when no surviving class moves,
+    (* Untouched tuples move to their anchor's new type: when none moves,
        the old map only needs the affected tuples written in.  (An old
-       class without an anchor has no untouched member left, so its
-       -1 never survives that.) *)
-    let relabel ty =
-      Option.value ~default:(-1) (Hashtbl.find_opt ty_of_cls ty)
+       class without an anchor has no untouched member left, so its -1
+       never survives that.) *)
+    let new_ty =
+      Array.map (function Some c -> Tuple.Map.find c ix.types | None -> -1) anchor
     in
-    let moved = Array.exists (fun (ty, _) -> relabel ty <> ty) anchors in
+    let relabel = Array.get new_ty in
+    let moved = ref false in
+    Array.iteri (fun ty t -> if t >= 0 && t <> ty then moved := true) new_ty;
     let kept =
       if n < Structure.size old then
         Tuple.Map.filter_map
           (fun c ty -> if gone c then None else Some (relabel ty))
           prev.types
-      else if moved then Tuple.Map.map relabel prev.types
+      else if !moved then Tuple.Map.map relabel prev.types
       else prev.types
     in
-    let types = ref kept in
-    Array.iteri
-      (fun i c ->
-        types := Tuple.Map.add c (Hashtbl.find ty_of_cls cls.(i)) !types)
-      at;
-    {
-      rho;
-      arity;
-      types = !types;
-      representatives = Array.of_list (List.map snd order);
-    }
+    { ix with types = Tuple.Map.fold Tuple.Map.add ix.types kept }
   end
 
 let ntp ix = Array.length ix.representatives

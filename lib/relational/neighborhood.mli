@@ -90,15 +90,16 @@ val reindex :
     universe index of the pre-edit structure [old], and the dirty set its
     edits reported (see {!Structure.apply_edits}).  [old_gf] and [gf] are
     the Gaifman graphs of [old] and [g]; the caller holds them (see
-    {!Gaifman.refresh}), so none is built here.  Only tuples touching
-    {!affected_elements} are re-materialized and re-bucketed; each one is
-    matched against an {e anchor} (the first untouched member) of every
-    surviving old class before opening a fresh class.  Classes are then
-    renumbered by first occurrence; when no surviving class changes id,
-    the old type map is kept and only the affected tuples are patched
-    in.  Falls back to a full rebuild when the affected tuples exceed
-    [threshold] (default [0.5]) of the universe.  Only meaningful when
-    [prev] indexes all of [old]'s U^arity. *)
+    {!Gaifman.refresh}), so none is built here.  The tuples touching
+    {!affected_elements} and one {e anchor} per surviving old class (its
+    first untouched member) are typed together, in enumeration order,
+    by the classifier {!index_universe} runs: every class first occurs
+    at one of them, so that yields the from-scratch type ids and
+    representatives.  Untouched tuples take their anchor's new id; when
+    none moves, the old type map is kept and only the affected tuples
+    are patched in.  Falls back to a full rebuild when the affected
+    tuples exceed [threshold] (default [0.5]) of the universe.  Only
+    meaningful when [prev] indexes all of [old]'s U^arity. *)
 
 val ntp : index -> int
 (** Number of types = |S|. *)
@@ -107,4 +108,6 @@ val type_of : index -> Tuple.t -> int
 (** @raise Not_found if the tuple was not indexed. *)
 
 val all_tuples : Structure.t -> arity:int -> Tuple.t list
-(** U^arity in lexicographic order (helper shared with the evaluator). *)
+(** U^arity in enumeration order: the first coordinate cycles fastest,
+    so the last is the most significant (helper shared with the
+    evaluator). *)

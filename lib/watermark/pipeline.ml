@@ -1,10 +1,5 @@
 let mark_relational ?options (ws : Weighted.structure) q ~message =
-  let prepared =
-    match options with
-    | Some o -> Local_scheme.prepare ~options:o ws q
-    | None -> Local_scheme.prepare ws q
-  in
-  match prepared with
+  match Local_scheme.prepare ?options ws q with
   | Error e -> Error e
   | Ok scheme ->
       if Bitvec.length message > Local_scheme.capacity scheme then
@@ -33,12 +28,7 @@ let prepare_xml ?options doc pattern =
   match Wm_xml.Pattern.compile pattern ~alphabet with
   | exception Wm_trees.Mso_compile.Unsupported msg -> Error msg
   | query -> (
-      let prepared =
-        match options with
-        | Some o -> Tree_scheme.prepare ~options:o binary query
-        | None -> Tree_scheme.prepare binary query
-      in
-      match prepared with
+      match Tree_scheme.prepare ?options binary query with
       | Error e -> Error e
       | Ok scheme -> Ok { scheme; binary; pattern })
 
