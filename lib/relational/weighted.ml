@@ -74,36 +74,39 @@ let find_key w t =
   done;
   !found
 
+(* Row of [t] in a compacted value ([nover = 0]), -1 if absent.
+   Singleton keys are plain ints.  When they are dense — ascending
+   distinct with first 0 and last nk-1, i.e. keys.(i) = i, the shape
+   [weigh] builds over a full universe — the row is the key itself;
+   otherwise an int binary search with no closure or boxing. *)
+let find_row w t =
+  if w.arity = 1 then begin
+    let x = t.(0) in
+    let nk = w.nk in
+    if nk > 0 && w.keys.(0) = 0 && w.keys.(nk - 1) = nk - 1 then
+      if x >= 0 && x < nk then x else -1
+    else begin
+      let lo = ref 0 and hi = ref (nk - 1) and res = ref (-1) in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        let k = Array.unsafe_get w.keys mid in
+        if k < x then lo := mid + 1
+        else if k > x then hi := mid - 1
+        else begin
+          res := mid;
+          lo := !hi + 1
+        end
+      done;
+      !res
+    end
+  end
+  else find_key w t
+
 let get w t =
   if Tuple.arity t <> w.arity then w.default
   else if w.nover = 0 then
-    if w.arity = 1 then begin
-      (* Singleton keys are plain ints.  When they are dense — ascending
-         distinct with first 0 and last nk-1, i.e. keys.(i) = i, the
-         shape [weigh] builds over a full universe — lookup is O(1);
-         otherwise an int binary search with no closure or boxing. *)
-      let x = t.(0) in
-      let nk = w.nk in
-      if nk > 0 && w.keys.(0) = 0 && w.keys.(nk - 1) = nk - 1 then
-        if x >= 0 && x < nk then w.vals.{x} else w.default
-      else begin
-        let lo = ref 0 and hi = ref (nk - 1) and res = ref w.default in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) lsr 1 in
-          let k = Array.unsafe_get w.keys mid in
-          if k < x then lo := mid + 1
-          else if k > x then hi := mid - 1
-          else begin
-            res := w.vals.{mid};
-            lo := !hi + 1
-          end
-        done;
-        !res
-      end
-    end
-    else
-      let i = find_key w t in
-      if i < 0 then w.default else w.vals.{i}
+    let i = find_row w t in
+    if i < 0 then w.default else w.vals.{i}
   else
     match Tuple.Map.find_opt t w.over with
     | Some v -> v
@@ -266,100 +269,113 @@ let support w = List.map fst (bindings w)
 
 let add_delta w t d = set w t (get w t + d)
 
-(* Bulk mark application: net delta per tuple, each resolved to its key
-   row once.  When every marked tuple already has a row — the case for
-   every scheme mark and fingerprint copy, whose pair endpoints carry
-   weights — the result shares [keys] with the input (nothing ever
-   mutates a key array) and only [vals] is copied and patched, O(nk)
-   blit plus O(m log nk).  Otherwise one merged rebuild of both flat
-   buffers, O(nk + m log m).  Either way the same observable result as
-   folding [add_delta]: every marked tuple ends with an explicit entry
-   valued [get w t + net t], net-zero marks included. *)
+(* Bulk mark application, with the same observable result as folding
+   [add_delta]: every marked tuple ends with an explicit entry valued
+   [get w t + net t], net-zero marks included.  Each mark's row is
+   resolved first ([find_row]: O(1) on a dense singleton assignment, a
+   binary search otherwise).  When every row exists — every scheme mark
+   and fingerprint copy, whose pair endpoints carry weights — the result
+   shares [keys] with the input (nothing ever mutates a key array), and
+   [vals] is blitted and patched mark by mark, deltas summing in place:
+   O(nk) blit plus O(m) lookups, no sort.  Only a mark that adds a key
+   takes the merge path: net delta per tuple (sort, collapse), then one
+   merged rebuild of both flat buffers, O(nk + m log m). *)
+let merge_marks base marks =
+  let arr = Array.of_list marks in
+  let m = Array.length arr in
+  (* Deltas sum, so order within equal keys is irrelevant: sort by
+     tuple, skipped when the stream is already ascending, then collapse
+     runs in one sweep. *)
+  let sorted = ref true in
+  let i = ref 1 in
+  while !sorted && !i < m do
+    if Tuple.compare (fst arr.(!i - 1)) (fst arr.(!i)) > 0 then sorted := false;
+    incr i
+  done;
+  if not !sorted then
+    Array.sort (fun (ta, _) (tb, _) -> Tuple.compare ta tb) arr;
+  let dts = Array.make m [||] and dds = Array.make m 0 in
+  let nd = ref 0 in
+  Array.iter
+    (fun (t, d) ->
+      if !nd > 0 && Tuple.compare dts.(!nd - 1) t = 0 then
+        dds.(!nd - 1) <- dds.(!nd - 1) + d
+      else begin
+        dts.(!nd) <- t;
+        dds.(!nd) <- d;
+        incr nd
+      end)
+    arr;
+  let nd = !nd in
+  let a = base.arity in
+  let fresh = ref 0 in
+  for j = 0 to nd - 1 do
+    if find_row base dts.(j) < 0 then incr fresh
+  done;
+  let nk = base.nk + !fresh in
+  let keys = Array.make (nk * a) 0 in
+  let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
+  let wi = ref 0 and i = ref 0 and j = ref 0 in
+  let put_row src off v =
+    Array.blit src off keys (!wi * a) a;
+    vals.{!wi} <- v;
+    incr wi
+  in
+  while !i < base.nk || !j < nd do
+    if !j >= nd then begin
+      put_row base.keys (!i * a) base.vals.{!i};
+      incr i
+    end
+    else if !i >= base.nk then begin
+      put_row dts.(!j) 0 (base.default + dds.(!j));
+      incr j
+    end
+    else
+      let c = cmp_key base !i dts.(!j) in
+      if c < 0 then begin
+        put_row base.keys (!i * a) base.vals.{!i};
+        incr i
+      end
+      else if c > 0 then begin
+        put_row dts.(!j) 0 (base.default + dds.(!j));
+        incr j
+      end
+      else begin
+        put_row dts.(!j) 0 (base.vals.{!i} + dds.(!j));
+        incr i;
+        incr j
+      end
+  done;
+  { base with nk; keys; vals }
+
 let apply_marks w marks =
   if marks = [] then w
   else begin
-    let arr = Array.of_list marks in
-    let m = Array.length arr in
-    Array.iter
+    List.iter
       (fun (t, _) ->
         if Tuple.arity t <> w.arity then
           invalid_arg "Weighted.set: arity mismatch")
-      arr;
-    (* Net delta per tuple.  Deltas sum, so order within equal keys is
-       irrelevant: sort by tuple — skipped when the stream is already
-       ascending, the common shape of an orientation-mark list — then
-       collapse runs in one sweep. *)
-    let sorted = ref true in
-    let i = ref 1 in
-    while !sorted && !i < m do
-      if Tuple.compare (fst arr.(!i - 1)) (fst arr.(!i)) > 0 then
-        sorted := false;
-      incr i
-    done;
-    if not !sorted then
-      Array.sort (fun (ta, _) (tb, _) -> Tuple.compare ta tb) arr;
-    let dts = Array.make m [||] and dds = Array.make m 0 in
-    let nd = ref 0 in
-    Array.iter
-      (fun (t, d) ->
-        if !nd > 0 && Tuple.compare dts.(!nd - 1) t = 0 then
-          dds.(!nd - 1) <- dds.(!nd - 1) + d
-        else begin
-          dts.(!nd) <- t;
-          dds.(!nd) <- d;
-          incr nd
-        end)
-      arr;
-    let nd = !nd in
+      marks;
     let base = compact w in
-    let a = base.arity in
-    let rows = Array.init nd (fun j -> find_key base dts.(j)) in
-    let fresh = Array.fold_left (fun n r -> if r < 0 then n + 1 else n) 0 rows in
-    let nk = base.nk + fresh in
-    let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
-    if fresh = 0 then begin
+    let rows = Array.make (List.length marks) 0 in
+    let all_found = ref true in
+    List.iteri
+      (fun j (t, _) ->
+        let r = find_row base t in
+        if r < 0 then all_found := false;
+        rows.(j) <- r)
+      marks;
+    if !all_found then begin
+      let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout base.nk in
       Bigarray.Array1.blit base.vals vals;
-      for j = 0 to nd - 1 do
-        let r = rows.(j) in
-        vals.{r} <- vals.{r} + dds.(j)
-      done;
+      List.iteri
+        (fun j (_, d) ->
+          let r = rows.(j) in
+          vals.{r} <- vals.{r} + d)
+        marks;
       { base with vals }
     end
-    else begin
-      let keys = Array.make (nk * a) 0 in
-      let wi = ref 0 and i = ref 0 and j = ref 0 in
-      let put_row src off v =
-        Array.blit src off keys (!wi * a) a;
-        vals.{!wi} <- v;
-        incr wi
-      in
-      while !i < base.nk || !j < nd do
-        if !j >= nd then begin
-          put_row base.keys (!i * a) base.vals.{!i};
-          incr i
-        end
-        else if !i >= base.nk then begin
-          put_row dts.(!j) 0 (base.default + dds.(!j));
-          incr j
-        end
-        else
-          let c = cmp_key base !i dts.(!j) in
-          if c < 0 then begin
-            put_row base.keys (!i * a) base.vals.{!i};
-            incr i
-          end
-          else if c > 0 then begin
-            put_row dts.(!j) 0 (base.default + dds.(!j));
-            incr j
-          end
-          else begin
-            put_row dts.(!j) 0 (base.vals.{!i} + dds.(!j));
-            incr i;
-            incr j
-          end
-      done;
-      { base with nk; keys; vals }
-    end
+    else merge_marks base marks
   end
 
 let local_distance a b =

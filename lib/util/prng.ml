@@ -1,24 +1,39 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a mutable [int64]
+   record field would box a fresh value on every draw.  [mix] and
+   [bits64] are inlined into the draws below, so [bool] and [int] keep
+   the whole step in registers and allocate nothing.  Callers in other
+   modules see only the abstract type; under [-opaque] (dune's dev
+   profile) nothing is inlined across modules, so a per-draw hot loop
+   elsewhere should call [bool]/[int], not [bits64], whose result is
+   boxed at the call boundary (DESIGN.md 5.13). *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  set64 g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy g = Bytes.copy g
 
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let[@inline] bits64 g =
+  let s = Int64.add (get64 g 0) golden_gamma in
+  set64 g 0 s;
+  mix s
 
-let split g =
-  let s = bits64 g in
-  { state = mix s }
+let split g = of_state (mix (bits64 g))
 
 let int g n =
   assert (n > 0);
@@ -29,7 +44,7 @@ let int g n =
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
 
-let float g x =
+let[@inline] float g x =
   let b = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   b /. 9007199254740992.0 *. x
 

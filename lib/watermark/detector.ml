@@ -144,7 +144,11 @@ let log_choose n k =
   done;
   !acc
 
-let binomial_tail_p ~p ~trials ~successes =
+(* The upper tail summed from k = successes up, each term's
+   coefficient read through [lc k] = [log_choose trials k]: one
+   summation order whether the coefficients are rebuilt per term or read
+   from a precomputed row, so both give the same bits. *)
+let tail_sum ~p ~trials ~successes lc =
   (* The negated comparison also rejects NaN, which every [<] test lets
      through. *)
   if not (p >= 0. && p <= 1.) then
@@ -160,14 +164,21 @@ let binomial_tail_p ~p ~trials ~successes =
       total :=
         !total
         +. exp
-             (log_choose trials k
+             (lc k
              +. (float_of_int k *. lp)
              +. (float_of_int (trials - k) *. lq))
     done;
     min 1. !total
   end
 
+let binomial_tail_p ~p ~trials ~successes =
+  tail_sum ~p ~trials ~successes (log_choose trials)
+
 let binomial_tail ~trials ~successes = binomial_tail_p ~p:0.5 ~trials ~successes
+
+let binomial_tails ~trials =
+  let row = Array.init (max 0 trials + 1) (log_choose trials) in
+  fun successes -> tail_sum ~p:0.5 ~trials ~successes (Array.get row)
 
 let match_pvalue ~expected verdict =
   let n = Bitvec.length expected in

@@ -93,8 +93,7 @@ val binomial_tail : trials:int -> successes:int -> float
     p-value of observing that much sign agreement by chance.  Costs
     O((trials - successes) * trials) [log]s, since each term rebuilds its
     binomial coefficient: a caller scoring many tests at one [trials]
-    (e.g. {!Fingerprint.trace}) should evaluate each distinct
-    [successes] once and reuse the result. *)
+    should use {!binomial_tails}. *)
 
 val binomial_tail_p : p:float -> trials:int -> successes:int -> float
 (** General-[p] upper tail.  Raises [Invalid_argument] unless
@@ -128,3 +127,11 @@ val is_marked : ?alpha:float -> verdict -> bool
     count against the conservative ceiling 1/4 on the chance that
     unrelated 1-local noise fakes an exact +-2 antisymmetric pair, over
     the surviving (non-erased) carriers. *)
+
+val binomial_tails : trials:int -> int -> float
+(** [binomial_tails ~trials] is [binomial_tail ~trials] for many
+    [successes] values at one [trials] (e.g. {!Fingerprint.trace}): the
+    row of [log C(trials, k)], k = 0 .. trials, is computed once by the
+    same function and each tail sums the same terms in the same order, so
+    every result is bit-identical to {!binomial_tail} at O(trials - successes)
+    [exp]s per call instead of O((trials - successes) * trials) [log]s. *)

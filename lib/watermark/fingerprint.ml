@@ -26,6 +26,7 @@ type t = {
   pairs : Pairing.pair array;  (* the marked prefix: times * length pairs *)
   active : Tuple.t list;
   master : int;
+  prefix : int;  (* the master key hashed once: [master_prefix master] *)
   length : int;
   times : int;
 }
@@ -38,14 +39,19 @@ let master t = t.master
 
 (* FNV-1a with the master key mixed in as a prefix (same construction as
    the recovery layer's keyed certificates): without the master key the
-   per-recipient keys, and hence the codewords, are unpredictable. *)
-let recipient_key ~master rid =
+   per-recipient keys, and hence the codewords, are unpredictable.  The
+   prefix depends on the master alone, so a context hashes it once. *)
+let master_prefix master =
   let h = Fnv.string Fnv.basis (string_of_int master) in
-  let h = (h lxor 0x7C) * Fnv.prime in
-  Fnv.string h rid land max_int
+  (h lxor 0x7C) * Fnv.prime
 
-let codeword t rid =
-  Codec.random (Prng.create (recipient_key ~master:t.master rid)) t.length
+let key_of_prefix prefix rid = Fnv.string prefix rid land max_int
+
+let recipient_key ~master rid = key_of_prefix (master_prefix master) rid
+
+let codeword_prng t rid = Prng.create (key_of_prefix t.prefix rid)
+
+let codeword t rid = Codec.random (codeword_prng t rid) t.length
 
 (* --- construction ---------------------------------------------------- *)
 
@@ -87,6 +93,7 @@ let make ?length ?times ~master ~capacity ~pairs ~active embed =
           pairs = prefix_pairs (times * length) pairs;
           active;
           master;
+          prefix = master_prefix master;
           length;
           times;
         }
@@ -160,19 +167,22 @@ type trace_report = {
   accused : string list;
 }
 
+(* Fused: bit [i] of the codeword is the [i]-th draw of the recipient's
+   stream ({!Codec.random}), compared as it is drawn — no codeword
+   vector, no closure, and no allocation per draw (DESIGN.md 5.13). *)
 let score t decoded rid =
   if Array.length decoded <> t.length then
     invalid_arg "Fingerprint.score: decoded length mismatch";
-  let cw = codeword t rid in
+  let g = codeword_prng t rid in
   let agree = ref 0 and trials = ref 0 in
-  Array.iteri
-    (fun i v ->
-      match v with
-      | Some b ->
-          incr trials;
-          if b = Bitvec.get cw i then incr agree
-      | None -> ())
-    decoded;
+  for i = 0 to t.length - 1 do
+    let bit = Prng.bool g in
+    match decoded.(i) with
+    | Some b ->
+        incr trials;
+        if b = bit then incr agree
+    | None -> ()
+  done;
   (!agree, !trials)
 
 let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
@@ -192,10 +202,11 @@ let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
      alone: one tail per distinct count, filled on this domain in
      candidate order, instead of one per candidate. *)
   let tails = Array.make (decided + 1) Float.nan in
+  let tail_of = Detector.binomial_tails ~trials:decided in
   let tail k =
     if Float.is_nan tails.(k) then begin
       Obs.incr c_tails;
-      tails.(k) <- Detector.binomial_tail ~trials:decided ~successes:k
+      tails.(k) <- tail_of k
     end;
     tails.(k)
   in

@@ -66,7 +66,12 @@ val codeword : t -> string -> Bitvec.t
 val mark_for : t -> string -> Weighted.t -> Weighted.t
 (** [mark_for t rid w] embeds [rid]'s codeword ([times] interleaved
     repetitions) into the original weights [w] — one recipient's
-    fingerprinted copy.  Deterministic; O(times * length) marks. *)
+    fingerprinted copy.  Deterministic; O(times * length) marks.
+
+    Cost: one blit of the weights per copy (the marked rows already
+    exist, so {!Weighted.apply_marks} copies the value buffer and
+    patches it; no key array is rebuilt), plus [length] PRNG draws for
+    the codeword. *)
 
 val digest : Weighted.t -> int
 (** A non-negative FNV digest of the full weight assignment (ascending
@@ -106,7 +111,9 @@ type trace_report = {
 val score : t -> bool option array -> string -> int * int
 (** [score t decoded rid] is [(agreements, trials)] of [rid]'s codeword
     against the decoded bits — exposed for the serving layer and tests;
-    {!trace} wraps it with the p-value and the corrected threshold. *)
+    {!trace} wraps it with the p-value and the corrected threshold.
+    Draws the codeword bit by bit ([length t] PRNG draws) instead of
+    building it; the counts equal those of {!codeword}. *)
 
 val trace :
   ?jobs:int -> ?alpha:float -> t -> original:Weighted.t ->
@@ -117,11 +124,14 @@ val trace :
     tests.  Raises [Invalid_argument] on an empty candidate list.
     Deterministic and bit-identical at every job count.
 
-    Cost: one carrier read, O(candidates x length) scoring, and at most
-    [decided + 1] binomial-tail evaluations — every candidate shares
+    Cost: one carrier read, [candidates x length] PRNG draws for the
+    scoring (one FNV pass over each id, then one allocation-free draw
+    per codeword bit, compared in place), and at most [decided + 1]
+    binomial-tail evaluations — every candidate shares
     [trials = decided], so each distinct agreement count is evaluated
-    once ({!Detector.binomial_tail}, bit-identical to a per-candidate
-    call) and looked up thereafter. *)
+    once over a per-trace row of log binomial coefficients
+    ({!Detector.binomial_tails}, bit-identical to a per-candidate
+    {!Detector.binomial_tail}) and looked up thereafter. *)
 
 val verify : t -> string -> original:Weighted.t -> suspect:Weighted.t -> bool
 (** Exact single-recipient check: {!read} then {!decode} the carriers

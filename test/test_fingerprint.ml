@@ -222,6 +222,121 @@ let test_trace_exact_pvalues () =
        (fun (s : Fingerprint.score) -> Float.equal s.Fingerprint.pvalue 1.0)
        rep.Fingerprint.scores)
 
+(* --- the fused scorer against the codeword ----------------------------- *)
+
+(* [score] draws the codeword bit by bit; the reference materialises it
+   with the public [codeword] and reads it back with [Bitvec.get]. *)
+let reference_score t decoded rid =
+  let cw = Fingerprint.codeword t rid in
+  let agree = ref 0 and trials = ref 0 in
+  Array.iteri
+    (fun i v ->
+      match v with
+      | Some b ->
+          incr trials;
+          if b = Bitvec.get cw i then incr agree
+      | None -> ())
+    decoded;
+  (!agree, !trials)
+
+(* One prepared scheme; each case layers its own master and geometry. *)
+let differential_scheme =
+  lazy
+    (let ws = Random_struct.regular_rings (Prng.create 23) ~n:900 in
+     let qs = identity_qs (Structure.size ws.Weighted.graph) in
+     match Local_scheme.prepare ~qs ws (Lazy.force identity_query) with
+     | Error e -> Alcotest.fail ("prepare: " ^ e)
+     | Ok scheme -> (scheme, ws.Weighted.weights))
+
+(* A suspect whose decoded bits are exactly [decoded]: carrier [j]
+   repeats bit [j mod length] (the {!Codec.repeat} layout); a [Some b]
+   bit orients all its carriers to [b], a [None] bit leaves them
+   silent. *)
+let suspect_decoding scheme w ~length ~times decoded =
+  let pairs = Array.of_list (Local_scheme.pairs scheme) in
+  let marks = ref [] in
+  for j = (times * length) - 1 downto 0 do
+    match decoded.(j mod length) with
+    | None -> ()
+    | Some b ->
+        let { Pairing.fst; snd } = pairs.(j) in
+        let d = if b then 1 else -1 in
+        marks := (fst, d) :: (snd, -d) :: !marks
+  done;
+  Weighted.apply_marks w !marks
+
+let prop_fused_score_matches_codeword =
+  QCheck.Test.make ~count:60 ~name:"fused scorer == codeword reference"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let scheme, w = Lazy.force differential_scheme in
+      let g = Prng.create seed in
+      let length = 1 + Prng.int g 130 in
+      let capacity = Local_scheme.capacity scheme in
+      let times = 1 + Prng.int g (min 3 (capacity / length)) in
+      let master = Prng.int g max_int - (max_int / 2) in
+      let t =
+        match Fingerprint.of_local ~length ~times ~master scheme with
+        | Ok t -> t
+        | Error e -> Alcotest.fail e
+      in
+      let ncand = 1 + Prng.int g 300 in
+      let candidates =
+        List.init ncand (fun i -> Printf.sprintf "c%d-%d" i (Prng.int g 1000))
+      in
+      let decoded =
+        match seed mod 4 with
+        | 0 -> Array.make length None (* decided = 0 *)
+        | 1 ->
+            (* one candidate's codeword, partly erased: an accusation *)
+            let cw =
+              Fingerprint.codeword t (List.nth candidates (Prng.int g ncand))
+            in
+            Array.init length (fun i ->
+                if Prng.bernoulli g 0.1 then None else Some (Bitvec.get cw i))
+        | _ ->
+            let p = Prng.float g 1.0 in
+            Array.init length (fun _ ->
+                if Prng.bernoulli g p then None else Some (Prng.bool g))
+      in
+      let scores_ok =
+        List.for_all
+          (fun rid ->
+            Fingerprint.score t decoded rid = reference_score t decoded rid)
+          candidates
+      in
+      let suspect = suspect_decoding scheme w ~length ~times decoded in
+      let read_ok =
+        Fingerprint.decode t (Fingerprint.read t ~original:w ~suspect)
+        = decoded
+      in
+      let alpha = 0.01 in
+      let threshold = Detector.sidak ~alpha ~tests:ncand in
+      let same (rep : Fingerprint.trace_report) =
+        List.length rep.scores = ncand
+        && List.for_all2
+             (fun rid (s : Fingerprint.score) ->
+               let agreements, trials = reference_score t decoded rid in
+               let pvalue =
+                 Detector.binomial_tail ~trials ~successes:agreements
+               in
+               s.rid = rid && s.agreements = agreements && s.trials = trials
+               && Float.equal s.pvalue pvalue
+               && s.accused = (pvalue <= threshold))
+             candidates rep.scores
+        && rep.accused
+           = List.filter
+               (fun rid ->
+                 let agreements, trials = reference_score t decoded rid in
+                 Detector.binomial_tail ~trials ~successes:agreements
+                 <= threshold)
+               candidates
+      in
+      let trace jobs =
+        Fingerprint.trace ~jobs ~alpha t ~original:w ~suspect candidates
+      in
+      scores_ok && read_ok && same (trace 1) && same (trace 2))
+
 (* --- determinism across job counts ----------------------------------- *)
 
 let test_trace_jobs_invariant () =
@@ -466,4 +581,5 @@ let suite =
     ("keyed hashes pinned", `Quick, test_keyed_hashes_pinned);
     ("grid: every coalition traced, no false accusations", `Slow,
       test_grid_all_traced_no_false);
+    QCheck_alcotest.to_alcotest prop_fused_score_matches_codeword;
   ]

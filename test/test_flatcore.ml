@@ -228,6 +228,50 @@ let test_apply_marks_persistent () =
     check int "c2 only at its own marks" (v + net m2 x) (Weighted.get c2 (t1 x))
   done
 
+(* Both [apply_marks] branches on the shapes the schemes mark: a dense
+   full-universe singleton assignment ([Weighted.weigh], keys 0..n-1,
+   rows resolved in O(1)) and a complete arity-2 assignment (binary
+   search), against the fold in [Weighted_ref].  Marks on existing rows
+   take the in-place branch; a singleton outside 0..n-1 (x >= nk or
+   x < 0) is a fresh key and must take the merge. *)
+let test_apply_marks_dense_ref () =
+  let n = 40 in
+  let f i = (7 * i) mod 13 in
+  let dense = (Weighted.weigh f (Structure.create Schema.graph n)).Weighted.weights in
+  let dense_ref = Weighted_ref.of_list 1 (List.init n (fun i -> (Tuple.singleton i, f i))) in
+  let t1 = Tuple.singleton and t2 x y = Tuple.of_list [ x; y ] in
+  let pairs = List.concat_map (fun x -> List.init 6 (fun y -> (t2 x y, x - y))) [ 0; 1; 2; 3; 4 ] in
+  let full2 = Weighted.of_list 2 pairs and full2_ref = Weighted_ref.of_list 2 pairs in
+  let case (what, w, wr, marks) =
+    let got = Weighted.apply_marks w marks in
+    check bool what true (same_weighted got (Weighted_ref.apply_marks wr marks));
+    (* the input is untouched either way *)
+    check bool (what ^ ": input unchanged") true (same_weighted w wr)
+  in
+  List.iter case
+    [
+      ("dense, existing rows", dense, dense_ref, [ (t1 0, 1); (t1 39, -1); (t1 17, 1); (t1 3, -1) ]);
+      ("dense, repeated tuples", dense, dense_ref,
+        [ (t1 5, 1); (t1 5, 1); (t1 6, -1); (t1 5, -1); (t1 6, 1); (t1 6, 1) ]);
+      ("dense, x = nk", dense, dense_ref, [ (t1 2, 1); (t1 n, -1) ]);
+      ("dense, x > nk", dense, dense_ref, [ (t1 (n + 7), 1); (t1 1, -1); (t1 (n + 7), 1) ]);
+      ("dense, x < 0", dense, dense_ref, [ (t1 (-1), 1); (t1 0, -1); (t1 (-5), -1) ]);
+      ("dense, both ends", dense, dense_ref, [ (t1 (-2), 1); (t1 (n + 1), -1); (t1 20, 1) ]);
+      ("arity 2, existing rows", full2, full2_ref, [ (t2 4 5, 1); (t2 0 0, -1); (t2 4 5, 1); (t2 2 3, -1) ]);
+      ("arity 2, fresh keys", full2, full2_ref, [ (t2 4 6, 1); (t2 0 0, -1); (t2 (-1) 2, 1) ]);
+    ];
+  (* random mark streams over the same two bases, mostly in range *)
+  let g = Prng.create 0xDE25E in
+  for _ = 1 to 200 do
+    let m = Prng.int g 12 in
+    let d () = if Prng.bool g then 1 else -1 in
+    let lo = if Prng.int g 4 = 0 then -3 else 0 in
+    let marks1 = List.init m (fun _ -> (t1 (lo + Prng.int g (n + 2)), d ())) in
+    let marks2 = List.init m (fun _ -> (t2 (Prng.int g 5) (Prng.int g 7), d ())) in
+    case ("dense, random", dense, dense_ref, marks1);
+    case ("arity 2, random", full2, full2_ref, marks2)
+  done
+
 let prop_apply_marks_fold =
   QCheck.Test.make ~count:150 ~name:"apply_marks == fold of add_delta"
     QCheck.(int_range 0 1_000_000)
@@ -436,4 +480,6 @@ let suite =
     Alcotest.test_case "textio bulk-load errors" `Quick test_textio_bulk_errors;
     Alcotest.test_case "marks and decoded bits == pre-flat (rings)" `Quick
       test_marks_and_bits_match_ref;
+    Alcotest.test_case "apply_marks dense universe == Weighted_ref" `Quick
+      test_apply_marks_dense_ref;
   ]

@@ -28,6 +28,57 @@ let test_prng_split_independent () =
   let ys = List.init 8 (fun _ -> Prng.bits64 child) in
   check bool "streams differ" true (xs <> ys)
 
+(* Known answers: the stream every seeded result in the project replays
+   (marks, codewords, attack cells, generated workloads).  Any change of
+   the generator's representation must keep them. *)
+let prng_kat =
+  [
+    ( 0,
+      [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+        0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+        0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ] );
+    ( 42,
+      [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+        0x581CE1FF0E4AE394L; 0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+        0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L ] );
+    ( max_int,
+      [ 0x43DF0885536978A6L; 0x101018CC4A4CADFDL; 0xF7123DB96BB11521L;
+        0x6EB32F7EE5175C16L; 0xB954958D2F637748L; 0xE07958AFD6D62EB7L;
+        0xBCE9AAA54AFDB47EL; 0x07EEA021A2857177L ] );
+    ( -1,
+      [ 0xE4D971771B652C20L; 0xE99FF867DBF682C9L; 0x382FF84CB27281E9L;
+        0x6D1DB36CCBA982D2L; 0xB4A0472E578069AEL; 0xD31DADBDA438BB33L;
+        0xF14F2CF802083FA5L; 0x405DA438A39E8064L ] );
+  ]
+
+let test_prng_known_answers () =
+  List.iter
+    (fun (seed, want) ->
+      let g = Prng.create seed in
+      List.iteri
+        (fun i w ->
+          check int64 (Printf.sprintf "create %d, draw %d" seed i) w
+            (Prng.bits64 g))
+        want)
+    prng_kat;
+  let g = Prng.create 7 in
+  let child = Prng.split g in
+  List.iteri
+    (fun i w -> check int64 (Printf.sprintf "split child, draw %d" i) w
+        (Prng.bits64 child))
+    [ 0xF33DC6BD55FFA86BL; 0xE1332A7DB412C5A9L; 0xE6AF094F768935B3L;
+      0x0FDF2D08F5C29727L ];
+  check int64 "parent after split" 0x044C3CD7F43C661CL (Prng.bits64 g);
+  let copied = Prng.copy (Prng.create 42) in
+  check int64 "copy" 0xBDD732262FEB6E95L (Prng.bits64 copied);
+  check int "int 1000" 853 (Prng.int (Prng.create 42) 1000);
+  check bool "bool" true (Prng.bool (Prng.create 42));
+  check (float 0.) "float 1.0" 0x1.7bae644c5fd6dp-1
+    (Prng.float (Prng.create 42) 1.0);
+  let g = Prng.create 42 in
+  check string "16 bools" "1100001010100100"
+    (String.init 16 (fun _ -> if Prng.bool g then '1' else '0'))
+
 let test_prng_int_range () =
   let g = Prng.create 1 in
   for _ = 1 to 1000 do
@@ -326,4 +377,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_vote_spec;
     ("codec redundancy", `Quick, test_redundancy);
     ("atomic write keeps the old file", `Quick, test_atomic_write_keeps_old_file);
+    ("prng known answers", `Quick, test_prng_known_answers);
   ]
