@@ -537,6 +537,7 @@ let e8 () =
     Texttab.create
       [ "formula"; "free"; "states"; "labels"; "compile ms"; "oracle checks"; "agree" ]
   in
+  let disagree = ref [] in
   List.iter
     (fun (name, text, free) ->
       let phi = Parser.mso_of_string text in
@@ -568,9 +569,14 @@ let e8 () =
         (Dta.nstates compiled.Mso_compile.auto)
         (Alphabet.size compiled.Mso_compile.alpha)
         (ms *. 1000.) !checks
-        (if !agree then "yes" else "NO"))
+        (if !agree then "yes" else "NO");
+      if not !agree then disagree := name :: !disagree)
     formulas;
-  Texttab.print t
+  Texttab.print t;
+  if !disagree <> [] then
+    failwith
+      ("e8: compiled automaton disagrees with the MSO oracle on "
+      ^ String.concat ", " (List.rev !disagree))
 
 (* ------------------------------------------------------------------ *)
 (* E9 — Example 4 at scale: XML watermarking. *)

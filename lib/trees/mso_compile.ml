@@ -221,9 +221,7 @@ let compile ~base ~free phi =
         let p = pos fv' v in
         let big = alpha_for fv' in
         let dta =
-          Dta.make ~nstates:(Dta.nstates acc.dta) ~nlabels:(Alphabet.size big)
-            ~final:(Dta.is_final acc.dta)
-            (fun ql qr l -> Dta.delta acc.dta ql qr (Alphabet.drop_bit big p l))
+          Dta.relabel acc.dta ~nlabels:(Alphabet.size big) (Alphabet.drop_bit big p)
         in
         { dta; fv = fv' }
       end
@@ -321,10 +319,7 @@ let compile ~base ~free phi =
   in
   let auto =
     if free = sorted then result.dta
-    else
-      Dta.make ~nstates:(Dta.nstates result.dta) ~nlabels:(Alphabet.size alpha)
-        ~final:(Dta.is_final result.dta)
-        (fun ql qr l -> Dta.delta result.dta ql qr (to_internal l))
+    else Dta.relabel result.dta ~nlabels:(Alphabet.size alpha) to_internal
   in
   { auto; alpha; base; free_bits = List.mapi (fun i v -> (v, i)) free }
 
@@ -349,7 +344,3 @@ let accepts t tree ~elems ~sets =
         sets
   in
   Dta.accepts t.auto tree ~label_of:(Alphabet.labeler t.alpha tree pebbles)
-
-let size_report t =
-  Printf.sprintf "states=%d labels=%d" (Dta.nstates t.auto)
-    (Alphabet.size t.alpha)

@@ -39,6 +39,3 @@ val accepts :
 (** Run the compiled automaton on T_{assignment}: element variables pebble
     one node, set variables pebble a set of nodes.  All free variables must
     be assigned. *)
-
-val size_report : t -> string
-(** "states=.., labels=.." — experiment E8 reports compiled sizes. *)

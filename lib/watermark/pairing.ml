@@ -49,13 +49,14 @@ let orientation_marks pairs message =
   let l = Bitvec.length message in
   if l > List.length pairs then
     invalid_arg "Pairing.orientation_marks: message longer than capacity";
-  List.concat
-    (List.mapi
-       (fun i { fst; snd } ->
-         if i >= l then []
-         else if Bitvec.get message i then [ (fst, 1); (snd, -1) ]
-         else [ (fst, -1); (snd, 1) ])
-       pairs)
+  (* One pass, two conses and two marks per pair. *)
+  let[@tail_mod_cons] rec go i = function
+    | { fst; snd } :: rest when i < l ->
+        let s = if Bitvec.get message i then 1 else -1 in
+        (fst, s) :: (snd, -s) :: go (i + 1) rest
+    | _ -> []
+  in
+  go 0 pairs
 
 (* Inverted result-set index: for each active element, the ascending list
    of parameter indexes whose result set contains it.  A parameter's

@@ -2,7 +2,9 @@
    for the library's faster ones: the per-parameter result set, the full
    pairing product, list-signature minimization and Hashtbl-based
    projection plus subset construction.  Each library version must agree
-   with its reference exactly, state numbering included. *)
+   with its reference exactly, state numbering included.  Last, a
+   set-of-states simulation of nondeterministic automata, against which
+   determinization is checked language-wise. *)
 
 open Wm_trees
 
@@ -205,3 +207,44 @@ let table_string auto =
   Buffer.contents b
 
 let table_digest auto = Digest.to_hex (Digest.string (table_string auto))
+
+(* A nondeterministic automaton as its successor function: the states it
+   may take on (left, right, letter), [-1] = [*]. *)
+type nta = { final : int -> bool; succ : int -> int -> int -> int list }
+
+(* A deterministic automaton read as a nondeterministic one. *)
+let nta_of_dta d = { final = Dta.is_final d; succ = (fun ql qr l -> [ Dta.delta d ql qr l ]) }
+
+(* Existential projection of pebble bit [bit]: on a letter of the smaller
+   alphabet, either extension's transition. *)
+let nta_project d ~alpha ~bit =
+  let small =
+    Alphabet.make ~base_size:alpha.Alphabet.base_size ~bits:(alpha.Alphabet.bits - 1)
+  in
+  {
+    final = Dta.is_final d;
+    succ =
+      (fun ql qr l ->
+        [
+          Dta.delta d ql qr (Alphabet.insert_bit small bit false l);
+          Dta.delta d ql qr (Alphabet.insert_bit small bit true l);
+        ]);
+  }
+
+(* Set-of-states simulation: each node holds every state some run can
+   reach there. *)
+let nta_accepts nta tree ~label_of =
+  let state = Array.make (Btree.size tree) Iset.empty in
+  let side = function None -> Iset.singleton (-1) | Some c -> state.(c) in
+  Array.iter
+    (fun v ->
+      let left = side (Btree.left tree v) and right = side (Btree.right tree v) in
+      state.(v) <-
+        Iset.fold
+          (fun ql acc ->
+            Iset.fold
+              (fun qr acc -> Iset.union acc (Iset.of_list (nta.succ ql qr (label_of v))))
+              right acc)
+          left Iset.empty)
+    (Btree.postorder tree);
+  Iset.exists nta.final state.(Btree.root tree)

@@ -115,35 +115,41 @@ let test_dta_reduce_minimize () =
   check int "minimized to 2" 2 (Dta.nstates m);
   check bool "language preserved" true (Dta.equivalent m parity_a)
 
-let test_run_with_hole () =
-  let states = Dta.run parity_a tree1 ~label_of:(plain_label tree1) in
-  (* Cutting at any node and re-inserting its computed state reproduces the
-     root state. *)
-  for v = 1 to Btree.size tree1 - 1 do
-    check int
-      (Printf.sprintf "hole at %d" v)
-      states.(Btree.root tree1)
-      (Dta.run_with_hole parity_a tree1 ~label_of:(plain_label tree1) ~hole:v
-         (Some states.(v)))
-  done;
-  (* Removing the left subtree of the root (2 a's inside incl. root? the
-     subtree at 1 holds one 'a') changes parity accordingly. *)
-  let without_left =
-    Dta.run_with_hole parity_a tree1 ~label_of:(plain_label tree1) ~hole:1 None
-  in
-  (* Remaining 'a's: nodes 0 and 4 -> even -> state 0. *)
-  check int "hole=None drops subtree" 0 without_left
+(* A DTA as an NTA: widened by a pebble bit it ignores, then projected
+   back over that bit, so every entry has a single successor. *)
+let nta_of_dta d =
+  let alpha = Alphabet.make ~base_size:(Dta.nlabels d) ~bits:1 in
+  let wide = Dta.relabel d ~nlabels:(Alphabet.size alpha) (Alphabet.drop_bit alpha 0) in
+  Nta.project wide ~alpha ~bit:0
 
 let test_nta_determinize_preserves () =
-  let nta = Nta.of_dta parity_a in
-  let det = Nta.determinize nta in
+  let det = Nta.determinize (nta_of_dta parity_a) in
   check bool "same language" true (Dta.equivalent (Dta.minimize det) parity_a);
+  let nta = Tree_ref.nta_of_dta parity_a in
   let g = Prng.create 11 in
   for _ = 1 to 30 do
     let t = Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 15) in
     let lbl v = Btree.label t v in
     check bool "nta eval agrees" (Dta.accepts parity_a t ~label_of:lbl)
-      (Nta.accepts nta t ~label_of:lbl)
+      (Tree_ref.nta_accepts nta t ~label_of:lbl)
+  done;
+  (* A genuinely nondeterministic projection: determinize agrees with the
+     set-of-states simulation. *)
+  let alpha = Alphabet.make ~base_size:2 ~bits:1 in
+  let d =
+    Dta.make ~nstates:2 ~nlabels:(Alphabet.size alpha)
+      ~final:(fun q -> q = 1)
+      (fun ql qr l ->
+        let c q = if q < 0 then 0 else q in
+        (c ql + c qr + if Alphabet.bit alpha l 0 then 1 else 0) mod 2)
+  in
+  let det = Nta.determinize (Nta.project d ~alpha ~bit:0) in
+  let nta = Tree_ref.nta_project d ~alpha ~bit:0 in
+  for _ = 1 to 30 do
+    let t = Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 15) in
+    let lbl v = Btree.label t v in
+    check bool "projected nta eval agrees" (Dta.accepts det t ~label_of:lbl)
+      (Tree_ref.nta_accepts nta t ~label_of:lbl)
   done
 
 (* --- MSO compilation versus the oracle ------------------------------ *)
@@ -350,7 +356,7 @@ let prop_determinize_of_dta_is_identity_language =
     dta_gen
     (fun seed ->
       with_random_setup seed (fun a _ _ ->
-          Dta.equivalent a (Nta.determinize (Nta.of_dta a))))
+          Dta.equivalent a (Nta.determinize (nta_of_dta a))))
 
 (* The O(n*m) context-acceptance result_set must agree with per-candidate
    automaton runs. *)
@@ -466,6 +472,70 @@ let prop_determinize_matches_reference =
         (Nta.determinize (Nta.project d ~alpha ~bit))
         (Tree_ref.project_determinize d ~alpha ~bit))
 
+(* Like [skewed_dta], over up to 64 letters, each of which copies its
+   column from one of 1-4 templates: letters share columns, as on the
+   compiler's pebble alphabets, so the letter classes are exercised. *)
+let templated_dta g ~nlabels =
+  let nstates = 1 + Prng.int g 7 in
+  let hot = 1 + Prng.int g nstates in
+  let w = nstates + 1 in
+  let templates =
+    Array.init (1 + Prng.int g 4) (fun _ ->
+        Array.init (w * w) (fun _ ->
+            if Prng.int g 10 < 8 then Prng.int g hot else Prng.int g nstates))
+  in
+  let pick = Array.init nlabels (fun _ -> Prng.int g (Array.length templates)) in
+  let finals = Array.init nstates (fun _ -> Prng.bool g) in
+  Dta.make ~nstates ~nlabels
+    ~final:(fun q -> finals.(q))
+    (fun ql qr l -> templates.(pick.(l)).(((ql + 1) * w) + qr + 1))
+
+let prop_templated_product =
+  QCheck.Test.make ~count:50 ~name:"templated: product = reduced pairing table"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let nlabels = 1 + Prng.int g 64 in
+      let a = templated_dta g ~nlabels and b = templated_dta g ~nlabels in
+      List.for_all
+        (fun final ->
+          same_table (Dta.product a b ~final)
+            (Dta.reduce (Tree_ref.full_product a b ~final)))
+        [ ( && ); ( || ); ( <> ) ])
+
+let prop_templated_minimize =
+  QCheck.Test.make ~count:50 ~name:"templated: minimize = list-signature"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let a = templated_dta g ~nlabels:(1 + Prng.int g 64) in
+      same_table (Dta.minimize a) (Tree_ref.minimize a))
+
+let prop_templated_determinize =
+  QCheck.Test.make ~count:50 ~name:"templated: project+determinize = Hashtbl"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let bits = 1 + Prng.int g 4 in
+      let alpha = Alphabet.make ~base_size:(1 + Prng.int g (64 lsr bits)) ~bits in
+      let d = templated_dta g ~nlabels:(Alphabet.size alpha) in
+      let bit = Prng.int g bits in
+      same_table
+        (Nta.determinize (Nta.project d ~alpha ~bit))
+        (Tree_ref.project_determinize d ~alpha ~bit))
+
+let prop_relabel_is_make =
+  QCheck.Test.make ~count:100 ~name:"relabel = closure-built make" dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let d = templated_dta g ~nlabels:(1 + Prng.int g 64) in
+      let nlabels = 1 + Prng.int g 64 in
+      let f = Array.init nlabels (fun _ -> Prng.int g (Dta.nlabels d)) in
+      same_table
+        (Dta.relabel d ~nlabels (Array.get f))
+        (Dta.make ~nstates:(Dta.nstates d) ~nlabels ~final:(Dta.is_final d)
+           (fun ql qr l -> Dta.delta d ql qr f.(l))))
+
 let suite =
   [
     ("btree shape", `Quick, test_btree_shape);
@@ -476,7 +546,6 @@ let suite =
     ("dta boolean ops", `Quick, test_dta_boolean_ops);
     ("dta emptiness", `Quick, test_dta_empty);
     ("dta reduce/minimize", `Quick, test_dta_reduce_minimize);
-    ("dta run with hole", `Quick, test_run_with_hole);
     ("nta determinize", `Quick, test_nta_determinize_preserves);
     ("mso: label atom", `Quick, test_mso_label);
     ("mso: S1", `Quick, test_mso_s1);
@@ -502,4 +571,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_product_is_reduced_pairing;
     QCheck_alcotest.to_alcotest prop_minimize_matches_reference;
     QCheck_alcotest.to_alcotest prop_determinize_matches_reference;
+    QCheck_alcotest.to_alcotest prop_templated_product;
+    QCheck_alcotest.to_alcotest prop_templated_minimize;
+    QCheck_alcotest.to_alcotest prop_templated_determinize;
+    QCheck_alcotest.to_alcotest prop_relabel_is_make;
   ]
