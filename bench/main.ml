@@ -473,6 +473,7 @@ let e7 () =
       [ "query"; "m"; "size"; "|W|"; "|W|/4m"; "capacity"; "max |dist|";
         "detected"; "prepare ms" ]
   in
+  let failed = ref [] in
   List.iter
     (fun (qname, q) ->
       List.iter
@@ -501,10 +502,16 @@ let e7 () =
               done;
               Texttab.addf t "%s|%d|%d|%d|%d|%d|%d|%d/%d|%.0f" qname
                 r.Tree_scheme.states size r.Tree_scheme.active
-                r.Tree_scheme.predicted_pairs cap !worst !ok trials (ms *. 1000.))
+                r.Tree_scheme.predicted_pairs cap !worst !ok trials (ms *. 1000.);
+              if !ok < trials || !worst > 1 then
+                failed := Printf.sprintf "%s size=%d" qname size :: !failed)
         [ 150; 300; 600 ])
     (Lazy.force tree_queries);
   Texttab.print t;
+  if !failed <> [] then
+    failwith
+      ("e7: a detection missed or the distortion exceeded 1 on "
+      ^ String.concat ", " (List.rev !failed));
   print_endline
     "Capacity tracks the Theta(|W|/m) prediction (the lemma's |W|/4m with\n\
      behavioral pairing finding twins in most blocks), and the per-message\n\
@@ -695,7 +702,7 @@ let e10 () =
   match Local_scheme.prepare ~options ws q with
   | Error e -> print_endline e
   | Ok scheme ->
-      let base = Robust.of_local scheme in
+      let base = Local_scheme.carriers scheme in
       let qs = Local_scheme.query_system scheme in
       let active = Query_system.active qs in
       let bits = 4 in
@@ -704,7 +711,7 @@ let e10 () =
         Texttab.create [ "attack"; "budget d'"; "R=1"; "R=3"; "R=5" ]
       in
       let rate times attack_of seed budget_out =
-        if times * bits > base.Robust.capacity then "n/a"
+        if times * bits > Carriers.capacity base then "n/a"
         else begin
           let ok = ref 0 in
           for k = 1 to trials do
@@ -1280,7 +1287,7 @@ let e19 () =
   | Ok xs ->
       let scheme = xs.Pipeline.scheme in
       let bits = 4 in
-      let base = Robust.of_tree scheme in
+      let base = Tree_scheme.carriers scheme in
       let times = Robust.redundancy_for base ~message_length:bits in
       let message = Codec.of_int ~bits 0b1011 in
       let marked =
@@ -1296,9 +1303,7 @@ let e19 () =
           let g = Prng.create (100 + i) in
           let suspect = Adversary.apply_tree g attack marked in
           let rv, _ =
-            Survivable.detect_tree
-              ~pairs:(Tree_scheme.pairs scheme)
-              ~times ~length:bits ~original:doc suspect
+            Survivable.detect_tree base ~times ~length:bits ~original:doc suspect
           in
           let naive =
             match
@@ -1469,7 +1474,7 @@ let e24 () =
     | Ok s -> s
     | Error e -> failwith ("e24: " ^ e)
   in
-  let base = Robust.of_local scheme in
+  let base = Local_scheme.carriers scheme in
   let qs = Local_scheme.query_system scheme in
   Query_system.precompute qs;
   let active = Query_system.active qs in
@@ -1486,14 +1491,14 @@ let e24 () =
   in
   let detect_plain suspect =
     let rv, _ =
-      Survivable.detect_structure ~jobs:1 scheme ~times ~length:bits
+      Survivable.detect_structure ~jobs:1 base ~times ~length:bits
         ~original:ws ~suspect
     in
     Bitvec.equal message rv.Survivable.message
   in
   let detect_rep suspect =
     let rv, report, _ =
-      Recovery.detect_repaired ~jobs:1 cap scheme ~times ~length:bits
+      Recovery.detect_repaired ~jobs:1 cap base ~times ~length:bits
         ~original:ws ~suspect
     in
     (Bitvec.equal message rv.Survivable.message, report.Recovery.repaired)

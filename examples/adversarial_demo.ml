@@ -32,7 +32,7 @@ let () =
     | Ok s -> s
     | Error e -> failwith e
   in
-  let base = Robust.of_local scheme in
+  let base = Local_scheme.carriers scheme in
   let bits = 4 in
   Format.printf "capacity %d bits; message length %d@."
     (Local_scheme.capacity scheme) bits;
@@ -40,7 +40,7 @@ let () =
   let table = Texttab.create [ "attack"; "R=1"; "R=3"; "R=5" ] in
   let row name attack_of seed =
     let rate times =
-      if times * bits > Robust.(base.capacity) then "n/a"
+      if times * bits > Carriers.capacity base then "n/a"
       else Printf.sprintf "%.2f"
           (detection_rate scheme base ~times ~bits ws.Weighted.weights attack_of seed)
     in

@@ -59,7 +59,7 @@ let () =
 
   (* The same data re-sold with small perturbations still convicts when the
      mark is spread redundantly. *)
-  let base = Robust.of_local scheme in
+  let base = Local_scheme.carriers scheme in
   let times = Robust.redundancy_for base ~message_length:bits in
   let message = Codec.of_int ~bits 3 in
   let hardened = Robust.mark base ~times message original.Weighted.weights in

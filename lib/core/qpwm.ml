@@ -16,8 +16,9 @@
       trees and automata;
     - {!Xml}, {!Utree}, {!Encode}, {!Pattern}: XML documents;
     - {!Setfam}, {!Vc}, {!Query_vc}: VC-dimension;
-    - {!Query_system}, {!Distortion}, {!Pairing}, {!Multi_scheme} (and
-      its one-query view {!Local_scheme}),
+    - {!Query_system}, {!Distortion}, {!Pairing}, {!Carriers} (the
+      selected pairs and their message format, shared by both schemes),
+      {!Multi_scheme} (and its one-query view {!Local_scheme}),
       {!Tree_scheme}, {!Detector}, {!Adversary}, {!Robust},
       {!Capacity}, {!Incremental}, {!Agrawal_kiernan}, {!Pipeline}:
       the watermarking core;
@@ -90,6 +91,7 @@ module Query_vc = Wm_vc.Query_vc
 module Query_system = Wm_watermark.Query_system
 module Distortion = Wm_watermark.Distortion
 module Pairing = Wm_watermark.Pairing
+module Carriers = Wm_watermark.Carriers
 module Local_scheme = Wm_watermark.Local_scheme
 module Tree_scheme = Wm_watermark.Tree_scheme
 module Multi_scheme = Wm_watermark.Multi_scheme

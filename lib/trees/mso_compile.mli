@@ -6,20 +6,24 @@
     x = y), equality, set membership, and one unary predicate per letter of
     Sigma written as an atom named by the letter, e.g. [exam(x)].
 
-    The compilation is compositional over a {e fixed} pebble alphabet
-    Sigma x {0,1}^K, where K counts the free variables plus all
-    (alpha-renamed) bound variables: atoms become 3-5 state automata that
-    read only their own bits, conjunction and disjunction become products,
-    negation becomes complement intersected with the singleton validity of
-    the free element variables, and quantifiers become bit projection
-    followed by subset-construction determinization.  Keeping the alphabet
-    fixed turns cylindrification into a no-op (an automaton simply ignores
-    bits it does not read); projected bits must be 0 on input trees, which
-    they are — the caller only pebbles free variables. *)
+    The compilation is compositional, each subformula over its own pebble
+    alphabet Sigma x {0,1}^k with one bit per free variable of the
+    subformula, in sorted order: atoms become 3-5 state automata over
+    their one or two variables; conjunction and disjunction cylindrify
+    each operand to the union of the two variable sets (one inserted bit
+    per missing variable, read through {!Dta.relabel} with
+    {!Alphabet.drop_bit}, so the operand ignores it) and take the
+    product; negation becomes complement intersected with the singleton
+    validity of the free element variables; and quantifiers become bit
+    projection, which removes the bound variable's bit, followed by
+    subset-construction determinization.  The alphabets thus grow and
+    shrink with the variables in scope.  The final automaton is
+    cylindrified to the declared free variables and its bits permuted
+    into the caller's order. *)
 
 type t = {
   auto : Dta.t;  (** deterministic, complete, reduced *)
-  alpha : Alphabet.t;  (** Sigma x {0,1}^K *)
+  alpha : Alphabet.t;  (** Sigma x {0,1}^k, bit i for the i-th free variable *)
   base : string array;  (** Sigma *)
   free_bits : (string * int) list;  (** free variable -> pebble bit *)
 }

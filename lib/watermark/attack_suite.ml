@@ -143,7 +143,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
       let nactive = List.length active in
       let grid = match grid with Some g -> g | None -> default_grid ~active:nactive in
       let capacity = Local_scheme.capacity scheme in
-      let base = Robust.of_local scheme in
+      let base = Local_scheme.carriers scheme in
       let message = Codec.of_int ~bits:message_bits (0b1011 land ((1 lsl message_bits) - 1)) in
       let usable = List.filter (fun r -> r * message_bits <= capacity) redundancies in
       if usable = [] then
@@ -273,7 +273,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
           let rv, _alignment =
             (* jobs:1 — the cell is already one parallel task; nesting
                pool batches inside a cell would only add queue churn *)
-            Survivable.detect_structure ~jobs:1 scheme ~times
+            Survivable.detect_structure ~jobs:1 base ~times
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
           let carriers = times * message_bits in
@@ -288,7 +288,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
              restore what the surviving certificates support, re-run the
              survivable detector on the repaired copy. *)
           let rv_rep, rep_report, _ =
-            Recovery.detect_repaired ~jobs:1 !capsule scheme ~times
+            Recovery.detect_repaired ~jobs:1 !capsule base ~times
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
           let rep_bit_errors = Codec.hamming message rv_rep.Survivable.message in

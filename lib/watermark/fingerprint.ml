@@ -22,9 +22,7 @@ let t_grid = Obs.timer "fp.grid"
 let t_cell = Obs.timer "fp.cell"
 
 type t = {
-  embed : Bitvec.t -> Weighted.t -> Weighted.t;
-  pairs : Pairing.pair array;  (* the marked prefix: times * length pairs *)
-  active : Tuple.t list;
+  carriers : Carriers.t;  (* the marked prefix: times * length pairs *)
   master : int;
   prefix : int;  (* the master key hashed once: [master_prefix master] *)
   length : int;
@@ -76,41 +74,26 @@ let geometry ?length ?times capacity =
            length capacity)
     else Ok (length, times)
 
-let prefix_pairs n pairs =
-  let rec go n acc = function
-    | p :: rest when n > 0 -> go (n - 1) (p :: acc) rest
-    | _ -> Array.of_list (List.rev acc)
-  in
-  go n [] pairs
-
-let make ?length ?times ~master ~capacity ~pairs ~active embed =
-  match geometry ?length ?times capacity with
+let of_local ?length ?times ~master scheme =
+  let carriers = Multi_scheme.carriers scheme in
+  match geometry ?length ?times (Carriers.capacity carriers) with
   | Error _ as e -> e
   | Ok (length, times) ->
       Ok
         {
-          embed;
-          pairs = prefix_pairs (times * length) pairs;
-          active;
+          carriers = Carriers.prefix carriers (times * length);
           master;
           prefix = master_prefix master;
           length;
           times;
         }
 
-let of_local ?length ?times ~master scheme =
-  make ?length ?times ~master
-    ~capacity:(Multi_scheme.capacity scheme)
-    ~pairs:(Multi_scheme.pairs scheme)
-    ~active:(Query_system.active (Multi_scheme.query_system scheme))
-    (Multi_scheme.mark scheme)
-
 (* --- generation ------------------------------------------------------ *)
 
 let mark_for t rid w =
   Obs.time t_mark @@ fun () ->
   Obs.incr c_copies;
-  t.embed (Codec.repeat ~times:t.times (codeword t rid)) w
+  Carriers.mark t.carriers (Codec.repeat ~times:t.times (codeword t rid)) w
 
 let digest w =
   let h = ref (Fnv.string Fnv.basis "qpwm-fp/1") in
@@ -132,7 +115,8 @@ let digest w =
 let read ?jobs t ~original ~suspect =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
-  Detector.classify_weights ?jobs ~original ~suspect t.pairs
+  Detector.classify_weights ?jobs ~original ~suspect
+    (Array.of_list (Carriers.pairs t.carriers))
 
 (* Per message bit, a tie-explicit majority over the surviving signal
    carriers.  Silent carriers (zero difference — what collusion leaves
@@ -272,6 +256,7 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
         Adversary.Coalition_interleave;
       ]) ?(prefix = "r") t w =
   Obs.time t_grid @@ fun () ->
+  let active = Query_system.active (Carriers.query_system t.carriers) in
   let cells =
     List.concat_map
       (fun nrec ->
@@ -301,11 +286,11 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
             Adversary.apply
               (Adversary.copy_prng ~cell_seed ~copy:ci)
               (Adversary.Uniform_noise { amplitude = noise })
-              ~active:t.active m)
+              ~active m)
         coalition
     in
     let colluded =
-      Adversary.apply_collusion g attack ~active:t.active copies
+      Adversary.apply_collusion g attack ~active copies
     in
     let rep =
       (* jobs:1 — the cell is already one pool task *)

@@ -35,7 +35,8 @@
     (recipient count x coalition size x attack) grid. *)
 
 type t
-(** A fingerprinting context: a prepared carrier scheme plus the master
+(** A fingerprinting context: the marked prefix of a prepared scheme's
+    carriers ({!Carriers.prefix}, [times * length] pairs) plus the master
     key and the codeword geometry (length, repetitions). *)
 
 val of_local :

@@ -68,3 +68,4 @@ let mark t message w =
 
 let detect = Multi_scheme.detect
 let detect_weights = Multi_scheme.detect_weights
+let carriers = Multi_scheme.carriers

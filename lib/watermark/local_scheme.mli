@@ -70,3 +70,6 @@ val detect : t -> original:Weighted.t -> server:Query_system.server ->
 
 val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
   length:int -> Bitvec.t
+
+val carriers : t -> Carriers.t
+(** {!Multi_scheme.carriers}. *)

@@ -23,8 +23,7 @@ type report = {
 
 type t = {
   systems : Query_system.t list;
-  combined : Query_system.t;
-  selected : Pairing.pair list;
+  carriers : Carriers.t;
   rep : report;
   indexes : Neighborhood.index list;
   options : options;
@@ -108,11 +107,11 @@ let assemble ~options ~g ~queries ~systems ~degree ~indexes =
     in
     if selected = [] then Error "no pair survived eps-good selection"
     else
+      let carriers = Carriers.make combined selected in
       Ok
         {
           systems;
-          combined;
-          selected;
+          carriers;
           indexes;
           options;
           rep =
@@ -124,7 +123,7 @@ let assemble ~options ~g ~queries ~systems ~degree ~indexes =
               eta;
               active = List.length active;
               pairs_available = List.length all_pairs;
-              pairs_selected = List.length selected;
+              pairs_selected = Carriers.capacity carriers;
               budget;
               max_split;
             };
@@ -220,34 +219,18 @@ let update ?qs t ~old ~old_gf (ws : Weighted.structure) ~gf queries ~dirty =
           ~degree:(Gaifman.max_degree gf) ~indexes
 
 let report t = t.rep
-(* O(1): the report already carries the selected-pair count, and a
-   serving engine consults the capacity on every mark/detect request. *)
-let capacity t = t.rep.pairs_selected
-let pairs t = t.selected
-let query_system t = t.combined
+let carriers t = t.carriers
+let capacity t = Carriers.capacity t.carriers
+let pairs t = Carriers.pairs t.carriers
+let query_system t = Carriers.query_system t.carriers
 let indexes t = t.indexes
-
-let mark t message w =
-  (* Pairs beyond the message carry no marks; truncating first keeps a
-     short-message mark O(message) instead of O(capacity), which is what
-     a serving engine marking against a half-million-pair scheme needs. *)
-  let l = Bitvec.length message in
-  if l > capacity t then
-    invalid_arg "Multi_scheme.mark: message longer than capacity";
-  let rec take n = function
-    | x :: rest when n > 0 -> x :: take (n - 1) rest
-    | _ -> []
-  in
-  Weighted.apply_marks w (Pairing.orientation_marks (take l t.selected) message)
+let mark t message w = Carriers.mark t.carriers message w
 
 let detect t ~original ~server ~length =
-  if length > capacity t then
-    invalid_arg "Multi_scheme.detect: length exceeds capacity";
-  let observed = Query_system.reconstruct t.combined server in
-  (Detector.read t.selected ~original ~observed ~length).Detector.decoded
+  Carriers.detect t.carriers ~original ~server ~length
 
 let detect_weights t ~original ~suspect ~length =
-  detect t ~original ~server:(Query_system.server t.combined suspect) ~length
+  Carriers.detect_weights t.carriers ~original ~suspect ~length
 
 let distortion t w w' =
   List.mapi (fun i qs -> (i, Distortion.global qs w w')) t.systems

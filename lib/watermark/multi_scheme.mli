@@ -120,23 +120,21 @@ val indexes : t -> Neighborhood.index list
 (** Per-query neighborhood indexes (what {!update} maintains). *)
 
 val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
-(** Embed a message of length <= capacity into the weights (must be the
-    weights [prepare] saw, or a weights-only update of them — Theorem 7);
-    only the first [length message] pairs are touched.  Raises
-    [Invalid_argument] on a message longer than the capacity. *)
+(** {!Carriers.mark}: the weights must be those [prepare] saw, or a
+    weights-only update of them (Theorem 7). *)
 
 val detect : t -> original:Weighted.t -> server:Query_system.server ->
   length:int -> Bitvec.t
-(** Read back an embedded message of the given length, using only the
-    answers the suspect server gives to the registered queries
-    ({!Detector.read}'s decoded bits).  Ambiguous pairs (difference of
-    unexpected magnitude, e.g. after an attack) decode by sign, ties and
-    unobserved pairs to 0. *)
+(** {!Carriers.detect}: reads the message from the answers the suspect
+    server gives to the registered queries alone. *)
 
 val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
   length:int -> Bitvec.t
-(** Convenience wrapper building an honest server over suspect weights. *)
 
 val distortion : t -> Weighted.t -> Weighted.t -> (int * int) list
 (** Per-query global distortion (query index, max |f' - f|) — for checking
     the simultaneous certificate. *)
+
+val carriers : t -> Carriers.t
+(** The selected pairs over {!query_system}: {!capacity}, {!pairs},
+    {!mark}, {!detect} and {!detect_weights} read this value. *)

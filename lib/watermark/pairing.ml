@@ -47,14 +47,14 @@ let s_partition qs ~canonical =
 
 let orientation_marks pairs message =
   let l = Bitvec.length message in
-  if l > List.length pairs then
-    invalid_arg "Pairing.orientation_marks: message longer than capacity";
-  (* One pass, two conses and two marks per pair. *)
+  (* One pass, two conses and two marks per pair; the pairs past the
+     message are never visited, so a short message costs O(message). *)
   let[@tail_mod_cons] rec go i = function
-    | { fst; snd } :: rest when i < l ->
+    | _ when i >= l -> []
+    | { fst; snd } :: rest ->
         let s = if Bitvec.get message i then 1 else -1 in
         (fst, s) :: (snd, -s) :: go (i + 1) rest
-    | _ -> []
+    | [] -> invalid_arg "Pairing.orientation_marks: message longer than capacity"
   in
   go 0 pairs
 

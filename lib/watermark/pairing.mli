@@ -20,8 +20,9 @@ val s_partition : Query_system.t -> canonical:Tuple.t list -> pair list
 
 val orientation_marks : pair list -> Bitvec.t -> (Tuple.t * int) list
 (** Bit i of the message orients pair i: 1 embeds (+1 on fst, -1 on snd),
-    0 embeds (-1, +1).  Pairs beyond the message length are untouched.
-    The message must not be longer than the pair list. *)
+    0 embeds (-1, +1).  Pairs beyond the message length are never
+    visited.  Raises [Invalid_argument] when the message is longer than
+    the pair list. *)
 
 val split_counts : Query_system.t -> pair list -> (Tuple.t * int) list
 (** For every parameter, the number of listed pairs its result set splits

@@ -594,10 +594,10 @@ let repair ?jobs c ~suspect =
     | None -> Weighted.make !sg !sw),
     report )
 
-let detect_repaired ?jobs c scheme ~times ~length ~original ~suspect =
+let detect_repaired ?jobs c carriers ~times ~length ~original ~suspect =
   let repaired_ws, report = repair ?jobs c ~suspect in
   let rv, _alignment =
-    Survivable.detect_structure ?jobs scheme ~times ~length ~original
+    Survivable.detect_structure ?jobs carriers ~times ~length ~original
       ~suspect:repaired_ws
   in
   let rv =

@@ -145,7 +145,7 @@ val repair :
     result is deterministic; [jobs] only parallelizes the audit phase. *)
 
 val detect_repaired :
-  ?jobs:int -> capsule -> Multi_scheme.t -> times:int -> length:int ->
+  ?jobs:int -> capsule -> Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   Survivable.robust_verdict * repair_report * Weighted.structure
 (** The repair-then-detect pipeline: audit, repair, then

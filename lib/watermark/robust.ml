@@ -1,45 +1,17 @@
-type base = {
-  capacity : int;
-  embed : Bitvec.t -> Weighted.t -> Weighted.t;
-  extract : original:Weighted.t -> server:Query_system.server -> Bitvec.t;
-}
+let redundancy_for c ~message_length =
+  Codec.redundancy ~capacity:(Carriers.capacity c) ~length:message_length
 
-let of_local scheme =
-  {
-    capacity = Multi_scheme.capacity scheme;
-    embed = (fun m w -> Multi_scheme.mark scheme m w);
-    extract =
-      (fun ~original ~server ->
-        Multi_scheme.detect scheme ~original ~server
-          ~length:(Multi_scheme.capacity scheme));
-  }
+let mark c ~times message w =
+  let capacity = Carriers.capacity c in
+  if times * Bitvec.length message > capacity then
+    invalid_arg "Robust.mark: over capacity";
+  (* the repeated message, zero-padded to every carrier *)
+  let padded =
+    Bitvec.of_list capacity (Bitvec.to_list (Codec.repeat ~times message))
+  in
+  Carriers.mark c padded w
 
-let of_tree scheme =
-  {
-    capacity = Tree_scheme.capacity scheme;
-    embed = (fun m w -> Tree_scheme.mark scheme m w);
-    extract =
-      (fun ~original ~server ->
-        Tree_scheme.detect scheme ~original ~server
-          ~length:(Tree_scheme.capacity scheme));
-  }
-
-let redundancy_for base ~message_length =
-  Codec.redundancy ~capacity:base.capacity ~length:message_length
-
-let pad v n =
-  let out = Bitvec.create n in
-  for i = 0 to min (Bitvec.length v) n - 1 do
-    Bitvec.set out i (Bitvec.get v i)
-  done;
-  out
-
-let mark base ~times message w =
-  let l = Bitvec.length message in
-  if times * l > base.capacity then invalid_arg "Robust.mark: over capacity";
-  base.embed (pad (Codec.repeat ~times message) base.capacity) w
-
-let detect base ~times ~length ~original ~server =
-  let raw = base.extract ~original ~server in
+let detect c ~times ~length ~original ~server =
+  let raw = Carriers.detect c ~original ~server ~length:(Carriers.capacity c) in
   let votes = Codec.vote ~times ~length (fun j -> Some (Bitvec.get raw j)) in
   Bitvec.of_bools (Array.map (( = ) (Some true)) votes)

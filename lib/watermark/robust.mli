@@ -8,28 +8,18 @@
     the failure probability decays with R, which experiment E10 measures
     against attack budgets. *)
 
-type base = {
-  capacity : int;
-  embed : Bitvec.t -> Weighted.t -> Weighted.t;
-      (** message of length [capacity] -> marked weights *)
-  extract : original:Weighted.t -> server:Query_system.server -> Bitvec.t;
-      (** read back all [capacity] bits *)
-}
-(** A non-adversarial scheme reduced to its carrier interface. *)
+val redundancy_for : Carriers.t -> message_length:int -> int
+(** {!Wm_util.Codec.redundancy} of the carriers' capacity: the largest
+    odd R with R * message_length <= capacity (>= 1). *)
 
-val of_local : Multi_scheme.t -> base
-val of_tree : Tree_scheme.t -> base
-
-val redundancy_for : base -> message_length:int -> int
-(** {!Wm_util.Codec.redundancy} of the base's capacity: the largest odd
-    R with R * message_length <= capacity (>= 1). *)
-
-val mark : base -> times:int -> Bitvec.t -> Weighted.t -> Weighted.t
-(** Embed [times] interleaved copies. *)
+val mark : Carriers.t -> times:int -> Bitvec.t -> Weighted.t -> Weighted.t
+(** Embed [times] interleaved copies, zero-padded to the full capacity:
+    every carrier is oriented. *)
 
 val detect :
-  base -> times:int -> length:int -> original:Weighted.t ->
+  Carriers.t -> times:int -> length:int -> original:Weighted.t ->
   server:Query_system.server -> Bitvec.t
 (** Decode a length-[length] message by {!Wm_util.Codec.vote} over the
-    first [times * length] carriers; a tied bit (even [times]) reads
-    as 0. *)
+    first [times * length] carriers, all capacity bits read through
+    {!Carriers.detect}: an unobserved carrier votes 0 rather than
+    abstaining, and a tied bit (even [times]) reads as 0. *)

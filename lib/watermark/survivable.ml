@@ -149,9 +149,6 @@ let align_trees ~original ~suspect =
 
 (* --- degraded-mode reading ------------------------------------------- *)
 
-let read ?jobs pairs ~original alignment ~length =
-  Detector.read ?jobs pairs ~original ~observed:alignment.observed ~length
-
 type robust_verdict = {
   message : Bitvec.t;
   carriers : Detector.verdict;
@@ -160,8 +157,11 @@ type robust_verdict = {
   all_erased : bool;
 }
 
-let detect_robust ?jobs ~pairs ~times ~length ~original alignment =
-  let carriers = read ?jobs pairs ~original alignment ~length:(times * length) in
+let detect_robust ?jobs c ~times ~length ~original alignment =
+  let carriers =
+    Detector.read ?jobs (Carriers.pairs c) ~original
+      ~observed:alignment.observed ~length:(times * length)
+  in
   let erasure = carriers.Detector.erasure in
   let votes =
     Codec.vote ~times ~length (fun j ->
@@ -192,22 +192,21 @@ let match_pvalue ~expected rv =
     ~expected:(Codec.repeat ~times:rv.times expected)
     rv.carriers
 
-let detect_structure ?jobs scheme ~times ~length
-    ~(original : Weighted.structure) ~(suspect : Weighted.structure) =
-  let pairs = Multi_scheme.pairs scheme in
+let detect_structure ?jobs c ~times ~length ~(original : Weighted.structure)
+    ~(suspect : Weighted.structure) =
   let endpoints =
-    List.concat_map (fun { Pairing.fst; snd } -> [ fst; snd ]) pairs
+    List.concat_map (fun { Pairing.fst; snd } -> [ fst; snd ]) (Carriers.pairs c)
   in
   let alignment =
     align_structures ?jobs ~tuples:endpoints ~original ~suspect ()
   in
-  ( detect_robust ?jobs ~pairs ~times ~length
-      ~original:original.Weighted.weights alignment,
+  ( detect_robust ?jobs c ~times ~length ~original:original.Weighted.weights
+      alignment,
     alignment )
 
-let detect_tree ?jobs ~pairs ~times ~length ~original suspect =
+let detect_tree ?jobs c ~times ~length ~original suspect =
   let alignment = align_trees ~original ~suspect in
-  ( detect_robust ?jobs ~pairs ~times ~length
+  ( detect_robust ?jobs c ~times ~length
       ~original:(Wm_xml.Utree.weights original)
       alignment,
     alignment )

@@ -54,12 +54,6 @@ val align_trees :
     deleting one exam of a student erases at most that student's later
     exams. *)
 
-val read :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t -> alignment ->
-  length:int -> Detector.verdict
-(** {!Detector.read} over the aligned observations: unmatched carriers are
-    erasures, half-matched pairs vote by their surviving endpoint. *)
-
 (** {1 Redundant (Fact 1 wrapper) decoding with erasures} *)
 
 type robust_verdict = {
@@ -79,11 +73,13 @@ type robust_verdict = {
 }
 
 val detect_robust :
-  ?jobs:int -> pairs:Pairing.pair list -> times:int -> length:int ->
+  ?jobs:int -> Carriers.t -> times:int -> length:int ->
   original:Weighted.t -> alignment -> robust_verdict
 (** Decode a [length]-bit message embedded with {!Robust.mark} [~times]
-    (the {!Wm_util.Codec.repeat} layout) from whatever carriers survived,
-    by {!Wm_util.Codec.vote}, the same vote as {!Robust.detect}.  Erased
+    (the {!Wm_util.Codec.repeat} layout) from whatever carriers survived:
+    {!Detector.read} over the aligned observations (an unmatched carrier
+    is an erasure, a half-matched one votes by its surviving endpoint),
+    then {!Wm_util.Codec.vote}, the same vote as {!Robust.detect}.  Erased
     copies abstain from the majority instead of voting 0, so a bit is lost
     only when a majority of its {e surviving} copies is corrupted, or
     every copy is erased. *)
@@ -95,15 +91,16 @@ val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
 (** {1 End-to-end conveniences} *)
 
 val detect_structure :
-  ?jobs:int -> Multi_scheme.t -> times:int -> length:int ->
+  ?jobs:int -> Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   robust_verdict * alignment
-(** Align (on the scheme's pair endpoints) and decode in one step. *)
+(** Align (on the carriers' pair endpoints) and decode in one step; the
+    carriers come from {!Multi_scheme.carriers}. *)
 
 val detect_tree :
-  ?jobs:int -> pairs:Pairing.pair list -> times:int -> length:int ->
+  ?jobs:int -> Carriers.t -> times:int -> length:int ->
   original:Wm_xml.Utree.t -> Wm_xml.Utree.t ->
   robust_verdict * alignment
-(** [detect_tree ~pairs ~times ~length ~original suspect] — same for XML
-    documents; [pairs] come from {!Tree_scheme.pairs} (node ids in the
-    binary encoding coincide with document node ids). *)
+(** [detect_tree c ~times ~length ~original suspect] — same for XML
+    documents, with the carriers of {!Tree_scheme.carriers} (node ids in
+    the binary encoding coincide with document node ids). *)

@@ -18,14 +18,7 @@ type report = {
 
 type block = { broot : int; hole : int option; members : int list }
 
-type t = {
-  tree : Btree.t;
-  query : Tree_query.t;
-  qs : Query_system.t;
-  selected : Pairing.pair list;
-  paired_blocks : block list;
-  rep : report;
-}
+type t = { carriers : Carriers.t; paired_blocks : block list; rep : report }
 
 (* Behaviors of the candidates of one block: for each entering state q of
    the hole (just [-1] without a hole), the state reached at [broot] with
@@ -219,10 +212,7 @@ let prepare ?(options = default_options) tree query =
         in
         Ok
           {
-            tree;
-            query;
-            qs;
-            selected;
+            carriers = Carriers.make qs selected;
             paired_blocks = List.map fst paired;
             rep;
           }
@@ -230,31 +220,15 @@ let prepare ?(options = default_options) tree query =
   end
 
 let report t = t.rep
-let capacity t = List.length t.selected
-let pairs t = t.selected
-
+let carriers t = t.carriers
+let capacity t = Carriers.capacity t.carriers
+let pairs t = Carriers.pairs t.carriers
 let regions t = List.map (fun b -> (b.broot, b.hole)) t.paired_blocks
-
-let query_system t = t.qs
-
-let mark t message w =
-  Weighted.apply_marks w (Pairing.orientation_marks t.selected message)
+let query_system t = Carriers.query_system t.carriers
+let mark t message w = Carriers.mark t.carriers message w
 
 let detect t ~original ~server ~length =
-  if length > capacity t then
-    invalid_arg "Tree_scheme.detect: length exceeds capacity";
-  let observed = Query_system.reconstruct t.qs server in
-  let delta b =
-    match Tuple.Map.find_opt b observed with
-    | Some v -> v - Weighted.get original b
-    | None -> 0
-  in
-  let message = Bitvec.create length in
-  List.iteri
-    (fun i { Pairing.fst; snd } ->
-      if i < length then Bitvec.set message i (delta fst - delta snd > 0))
-    t.selected;
-  message
+  Carriers.detect t.carriers ~original ~server ~length
 
 let detect_weights t ~original ~suspect ~length =
-  detect t ~original ~server:(Query_system.server t.qs suspect) ~length
+  Carriers.detect_weights t.carriers ~original ~suspect ~length

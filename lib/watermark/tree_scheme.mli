@@ -54,7 +54,16 @@ val regions : t -> (int * int option) list
 val query_system : t -> Query_system.t
 
 val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
+(** {!Carriers.mark}. *)
+
 val detect : t -> original:Weighted.t -> server:Query_system.server ->
   length:int -> Bitvec.t
+(** {!Carriers.detect}: the per-pair sign of the reconstructed weight
+    differences, through {!Detector.read}. *)
+
 val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
   length:int -> Bitvec.t
+
+val carriers : t -> Carriers.t
+(** The behavioral pairs over {!query_system}: {!capacity}, {!pairs},
+    {!mark}, {!detect} and {!detect_weights} read this value. *)

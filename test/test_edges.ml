@@ -79,12 +79,17 @@ let test_capacity_empty_deltas () =
     (raises (fun () -> Capacity.count ~deltas:[] qs (Capacity.Max_le 1)))
 
 let test_robust_guards () =
+  let qs =
+    Query_system.of_custom ~params:[] ~result_set:(fun _ -> Tuple.Set.empty)
+      ~weight_arity:1
+  in
+  let pair i =
+    { Pairing.fst = Tuple.singleton (2 * i); snd = Tuple.singleton ((2 * i) + 1) }
+  in
   check bool "redundancy needs positive length" true
     (raises (fun () ->
          Robust.redundancy_for
-           { Robust.capacity = 10;
-             embed = (fun _ w -> w);
-             extract = (fun ~original ~server:_ -> Wm_util.Bitvec.create 10 |> fun v -> ignore original; v) }
+           (Carriers.make qs (List.init 10 pair))
            ~message_length:0))
 
 let test_detector_guards () =

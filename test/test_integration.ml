@@ -33,7 +33,7 @@ let test_relational_three_tier () =
   check int "tight default rho" 0 (Local_scheme.report scheme).Local_scheme.rho;
   let bits = 3 in
   check bool "capacity for 8 servers" true (Local_scheme.capacity scheme >= bits);
-  let base = Robust.of_local scheme in
+  let base = Local_scheme.carriers scheme in
   let times = Robust.redundancy_for base ~message_length:bits in
   let copies =
     List.init 8 (fun i ->

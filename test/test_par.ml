@@ -275,7 +275,7 @@ let test_survivable_deterministic () =
   | Error e -> Alcotest.fail e
   | Ok scheme ->
       let times = 2 and bits = 4 in
-      let base = Robust.of_local scheme in
+      let base = Local_scheme.carriers scheme in
       let message = Wm_util.Codec.of_int ~bits 0b1011 in
       let marked = Robust.mark base ~times message ws.Weighted.weights in
       let suspect =
@@ -285,7 +285,7 @@ let test_survivable_deterministic () =
           { ws with Weighted.weights = marked }
       in
       let detect j =
-        Survivable.detect_structure ~jobs:j scheme ~times ~length:bits
+        Survivable.detect_structure ~jobs:j base ~times ~length:bits
           ~original:ws ~suspect
       in
       let reference = detect 1 in

@@ -24,7 +24,7 @@ let prepared =
      match Local_scheme.prepare ws q with
      | Error e -> failwith ("test_recovery: " ^ e)
      | Ok scheme ->
-         let base = Robust.of_local scheme in
+         let base = Local_scheme.carriers scheme in
          let marked_w = Robust.mark base ~times message ws.Weighted.weights in
          let marked = { ws with Weighted.weights = marked_w } in
          (ws, scheme, marked, Recovery.protect marked))
@@ -203,6 +203,7 @@ let test_detect_repaired_beats_naive () =
   let ws, scheme, marked, cap = Lazy.force prepared in
   (* heavy bit-flipping: enough corrupted carriers that naive majority
      decoding loses the message *)
+  let base = Local_scheme.carriers scheme in
   let qs = Local_scheme.query_system scheme in
   let active = Query_system.active qs in
   let attacked_w =
@@ -212,11 +213,10 @@ let test_detect_repaired_beats_naive () =
   in
   let suspect = { marked with Weighted.weights = attacked_w } in
   let naive, _ =
-    Survivable.detect_structure scheme ~times ~length:bits ~original:ws ~suspect
+    Survivable.detect_structure base ~times ~length:bits ~original:ws ~suspect
   in
   let rv, report, _ =
-    Recovery.detect_repaired cap scheme ~times ~length:bits ~original:ws
-      ~suspect
+    Recovery.detect_repaired cap base ~times ~length:bits ~original:ws ~suspect
   in
   check bool "repair restored the message" true
     (Bitvec.equal message rv.Survivable.message);
@@ -254,7 +254,7 @@ let test_splice_causes_false_repairs () =
     match Local_scheme.prepare ws q with
     | Error e -> failwith e
     | Ok scheme ->
-        let base = Robust.of_local scheme in
+        let base = Local_scheme.carriers scheme in
         {
           ws with
           Weighted.weights =
@@ -325,7 +325,7 @@ let repair_cases () =
     let other =
       { ws with
         Weighted.weights =
-          Robust.mark (Robust.of_local scheme) ~times (Codec.of_int ~bits 0b0100)
+          Robust.mark (Local_scheme.carriers scheme) ~times (Codec.of_int ~bits 0b0100)
             ws.Weighted.weights }
     in
     Recovery.splice (Prng.create 47) ~fraction:0.5 cap ~other:(Recovery.protect other)
@@ -423,7 +423,7 @@ let test_repair_curve_never_hurts () =
     | Ok s -> s
     | Error e -> failwith ("test_recovery: " ^ e)
   in
-  let base = Robust.of_local scheme in
+  let base = Local_scheme.carriers scheme in
   let active = Query_system.active (Local_scheme.query_system scheme) in
   let nactive = List.length active in
   let marked_w = Robust.mark base ~times message ws.Weighted.weights in
@@ -457,11 +457,11 @@ let test_repair_curve_never_hurts () =
               marked
       in
       let plain, _ =
-        Survivable.detect_structure ~jobs:1 scheme ~times ~length:bits
+        Survivable.detect_structure ~jobs:1 base ~times ~length:bits
           ~original:ws ~suspect
       in
       let repaired, _, _ =
-        Recovery.detect_repaired ~jobs:1 cap scheme ~times ~length:bits
+        Recovery.detect_repaired ~jobs:1 cap base ~times ~length:bits
           ~original:ws ~suspect
       in
       if Bitvec.equal message plain.Survivable.message then incr un;

@@ -27,7 +27,7 @@ let prepared =
      match Local_scheme.prepare ws q with
      | Error e -> failwith ("test_survivable: " ^ e)
      | Ok scheme ->
-         let base = Robust.of_local scheme in
+         let base = Local_scheme.carriers scheme in
          let marked = Robust.mark base ~times message ws.Weighted.weights in
          (ws, scheme, base, { ws with Weighted.weights = marked }))
 
@@ -39,8 +39,8 @@ let aligned_detect ws scheme base (suspect : Weighted.structure) =
     ~server:(Query_system.server qs suspect.Weighted.weights)
 
 let survivable_detect ws scheme (suspect : Weighted.structure) =
-  Survivable.detect_structure scheme ~times ~length:bits ~original:ws
-    ~suspect
+  Survivable.detect_structure (Local_scheme.carriers scheme) ~times
+    ~length:bits ~original:ws ~suspect
 
 (* --- the acceptance contrast ----------------------------------------- *)
 
@@ -174,7 +174,7 @@ let xml_prepared =
      match Pipeline.prepare_xml doc School_xml.example4_pattern with
      | Error e -> failwith ("test_survivable xml: " ^ e)
      | Ok xs ->
-         let base = Robust.of_tree xs.Pipeline.scheme in
+         let base = Tree_scheme.carriers xs.Pipeline.scheme in
          let r = Robust.redundancy_for base ~message_length:bits in
          let marked =
            Wm_xml.Utree.with_weights doc
@@ -183,8 +183,7 @@ let xml_prepared =
          (doc, xs, r, marked))
 
 let xml_detect doc xs r suspect =
-  Survivable.detect_tree
-    ~pairs:(Tree_scheme.pairs xs.Pipeline.scheme)
+  Survivable.detect_tree (Tree_scheme.carriers xs.Pipeline.scheme)
     ~times:r ~length:bits ~original:doc suspect
 
 let test_xml_identity_alignment () =

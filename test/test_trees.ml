@@ -260,24 +260,6 @@ let test_tree_query_basics () =
   let w = Trees_gen.random_weights (Prng.create 1) tree1 ~lo:1 ~hi:1 in
   check int "f = #children" 2 (Tree_query.f q tree1 ~weights:w (Tuple.singleton 0))
 
-(* Property: determinization of a projected automaton preserves the
-   nondeterministic semantics. *)
-let prop_determinize_agrees =
-  QCheck.Test.make ~count:40 ~name:"determinize agrees with NTA simulation"
-    QCheck.(int_range 1 40)
-    (fun seed ->
-      let g = Prng.create seed in
-      let alpha = Alphabet.make ~base_size:2 ~bits:1 in
-      (* Build an NTA by projecting the bit of a singleton automaton
-         product. *)
-      let phi = Parser.mso_of_string "exists x. a(x)" in
-      let compiled = Mso_compile.compile ~base ~free:[] phi in
-      ignore alpha;
-      let tree = Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 12) in
-      Mso_compile.accepts compiled tree ~elems:[] ~sets:[]
-      = List.exists (fun v -> Btree.label_name tree v = "a")
-          (List.init (Btree.size tree) Fun.id))
-
 (* Random-automaton algebra: boolean operations and minimization must act
    on the recognized languages, not just on the particular automata built
    by the MSO compiler. *)
@@ -291,6 +273,29 @@ let random_dta g ~nstates ~nlabels =
     ~final:(fun q -> finals.(q))
     (fun ql qr l ->
       table.((((ql + 1) * (nstates + 1)) + (qr + 1)) * nlabels + l))
+
+(* Property: determinization of a projected automaton preserves the
+   nondeterministic semantics.  Projecting the pebble bit of a random DTA
+   over a 1-bit alphabet gives an NTA with two successors per entry; its
+   subset construction must accept exactly the trees the set-of-states
+   simulation of the same projection accepts. *)
+let prop_determinize_agrees =
+  QCheck.Test.make ~count:40 ~name:"determinize agrees with NTA simulation"
+    QCheck.(int_range 1 40)
+    (fun seed ->
+      let g = Prng.create seed in
+      let alpha = Alphabet.make ~base_size:2 ~bits:1 in
+      let d = random_dta g ~nstates:(2 + Prng.int g 3) ~nlabels:(Alphabet.size alpha) in
+      let det = Nta.determinize (Nta.project d ~alpha ~bit:0) in
+      let nta = Tree_ref.nta_project d ~alpha ~bit:0 in
+      List.for_all
+        (fun _ ->
+          let tree =
+            Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 12)
+          in
+          let label_of = Btree.label tree in
+          Dta.accepts det tree ~label_of = Tree_ref.nta_accepts nta tree ~label_of)
+        (List.init 10 Fun.id))
 
 let dta_gen = QCheck.int_range 1 10_000
 

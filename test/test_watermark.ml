@@ -572,7 +572,7 @@ let test_robust_majority_under_flips () =
   match Local_scheme.prepare ~options:{ Local_scheme.default_options with rho = Some 1 } ws adjacency with
   | Error e -> Alcotest.fail e
   | Ok scheme ->
-      let base = Robust.of_local scheme in
+      let base = Local_scheme.carriers scheme in
       let message = msg [ true; false; true ] in
       let times = Robust.redundancy_for base ~message_length:3 in
       check bool "redundancy >= 3" true (times >= 3);
@@ -595,7 +595,7 @@ let test_robust_full_reset_erases () =
   match Local_scheme.prepare ~options:{ Local_scheme.default_options with rho = Some 1 } ws adjacency with
   | Error e -> Alcotest.fail e
   | Ok scheme ->
-      let base = Robust.of_local scheme in
+      let base = Local_scheme.carriers scheme in
       let message = msg [ true; true; true ] in
       let times = Robust.redundancy_for base ~message_length:3 in
       let marked = Robust.mark base ~times message ws.Weighted.weights in
@@ -870,6 +870,63 @@ let test_tree_scheme_pairs_pinned () =
   prepared "biblio, 60 articles" (Wm_xml.Encode.to_binary_abstract ~constants doc) q
     "00badb5f7526d5de6a37c7429e816ef3"
 
+(* Tree detection reads each pair's sign from the weights reconstructed
+   out of the server's answers, an unobserved endpoint reading as an
+   unchanged weight.  The server here drops every answer naming a chosen
+   node, so pair i is fully observed (i mod 4 = 0), loses its [fst]
+   (1), its [snd] (2) or both endpoints (3); a fully unobserved pair
+   decodes to 0 whatever it carries. *)
+let test_tree_detect_partial_server () =
+  let g = Prng.create 23 in
+  let tree = Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:400 in
+  match Tree_scheme.prepare tree (child_query ()) with
+  | Error e -> Alcotest.fail e
+  | Ok scheme ->
+      let pairs = Array.of_list (Tree_scheme.pairs scheme) in
+      let length = Array.length pairs in
+      check bool "pairs of all four kinds" true (length >= 8);
+      let weights = Trees_gen.random_weights g tree ~lo:10 ~hi:99 in
+      let message = Codec.of_bool_list (List.init length (fun i -> i mod 5 <> 0)) in
+      let marked = Tree_scheme.mark scheme message weights in
+      let dropped = Tuple.Hashtbl.create 16 in
+      Array.iteri
+        (fun i { Pairing.fst; snd } ->
+          if i mod 4 = 1 || i mod 4 = 3 then Tuple.Hashtbl.replace dropped fst ();
+          if i mod 4 = 2 || i mod 4 = 3 then Tuple.Hashtbl.replace dropped snd ())
+        pairs;
+      let honest = Query_system.server (Tree_scheme.query_system scheme) marked in
+      let server a =
+        List.filter (fun (b, _) -> not (Tuple.Hashtbl.mem dropped b)) (honest a)
+      in
+      let delta b =
+        if Tuple.Hashtbl.mem dropped b then 0
+        else Weighted.get marked b - Weighted.get weights b
+      in
+      let expected =
+        Array.to_list
+          (Array.map (fun { Pairing.fst; snd } -> delta fst - delta snd > 0) pairs)
+      in
+      List.iter
+        (fun jobs ->
+          let decoded =
+            Fun.protect
+              ~finally:(fun () -> Wm_par.Pool.set_jobs None)
+              (fun () ->
+                Wm_par.Pool.set_jobs (Some jobs);
+                Tree_scheme.detect scheme ~original:weights ~server ~length)
+          in
+          let name what = Printf.sprintf "jobs=%d: %s" jobs what in
+          check (list bool) (name "per-pair sign") expected
+            (Codec.to_bool_list decoded);
+          Array.iteri
+            (fun i _ ->
+              check bool
+                (name (Printf.sprintf "pair %d" i))
+                (i mod 4 <> 3 && Bitvec.get message i)
+                (Bitvec.get decoded i))
+            pairs)
+        [ 1; 2 ]
+
 let suite =
   [
     ("query system mirrors query", `Quick, test_qs_matches_query);
@@ -912,4 +969,5 @@ let suite =
     ("local mark over capacity", `Quick, test_local_mark_over_capacity);
     ("tree scheme pairs pinned", `Quick, test_tree_scheme_pairs_pinned);
     QCheck_alcotest.to_alcotest prop_pairing_tail_matches_reference;
+    ("tree detect on a partial server", `Quick, test_tree_detect_partial_server);
   ]
