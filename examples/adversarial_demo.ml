@@ -16,8 +16,7 @@ let detection_rate scheme base ~times ~bits original attack_of seed =
     let marked = Robust.mark base ~times message original in
     let attacked = Adversary.apply g (attack_of g) ~active marked in
     let decoded =
-      Robust.detect base ~times ~length:bits ~original
-        ~server:(Query_system.server qs attacked)
+      Robust.detect base ~times ~length:bits ~original ~suspect:attacked
     in
     if Bitvec.equal decoded message then incr ok
   done;

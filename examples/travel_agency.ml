@@ -71,7 +71,7 @@ let () =
   in
   let decoded' =
     Robust.detect base ~times ~length:bits ~original:original.Weighted.weights
-      ~server:(Query_system.server (Local_scheme.query_system scheme) attacked)
+      ~suspect:attacked
   in
   Format.printf
     "after a 10-flip attack on a redundancy-%d copy: decoded %a -> %s@." times

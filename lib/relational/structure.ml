@@ -4,23 +4,8 @@ type t = {
   schema : Schema.t;
   size : int;
   names : string array option;
-  (* name -> lowest element id carrying it; built eagerly whenever a
-     names array is installed and never mutated afterwards, so sharing
-     a structure across wm_par domains stays race-free.  Lowest id wins
-     on duplicate names, matching the first-match linear scan this
-     index replaced (DESIGN.md 5.12). *)
-  idx : (string, int) Hashtbl.t option;
   rels : Relation.t Smap.t;
 }
-
-let index_names = function
-  | None -> None
-  | Some a ->
-      let h = Hashtbl.create (max 16 (Array.length a)) in
-      for i = Array.length a - 1 downto 0 do
-        Hashtbl.replace h a.(i) i
-      done;
-      Some h
 
 let create ?names schema size =
   if size < 0 then invalid_arg "Structure.create: negative size";
@@ -33,7 +18,7 @@ let create ?names schema size =
       (fun m (s : Schema.symbol) -> Smap.add s.name (Relation.empty s.arity) m)
       Smap.empty (Schema.symbols schema)
   in
-  { schema; size; names; idx = index_names names; rels }
+  { schema; size; names; rels }
 
 let schema g = g.schema
 let size g = g.size
@@ -55,27 +40,29 @@ let fold_universe f g acc =
 let name_of g i =
   match g.names with Some a -> a.(i) | None -> string_of_int i
 
-let elt_of_name g name =
-  match g.idx with
-  | None -> raise Not_found
-  | Some h -> (
-      match Hashtbl.find_opt h name with
-      | Some i -> i
-      | None -> raise Not_found)
+(* -1 marks a name carried by several elements.  The table is built by
+   the call and only read by the closure, so the lookup can be shared
+   across wm_par domains. *)
+let name_index g =
+  let h = Hashtbl.create (max 16 g.size) in
+  for x = 0 to g.size - 1 do
+    let n = name_of g x in
+    Hashtbl.replace h n (if Hashtbl.mem h n then -1 else x)
+  done;
+  fun n ->
+    match Hashtbl.find_opt h n with Some x when x >= 0 -> Some x | _ -> None
 
 let has_names g = g.names <> None
 
 let with_default_names g =
   match g.names with
   | Some _ -> g
-  | None ->
-      let names = Some (Array.init g.size string_of_int) in
-      { g with names; idx = index_names names }
+  | None -> { g with names = Some (Array.init g.size string_of_int) }
 
 let with_names g names =
   if Array.length names <> g.size then
     invalid_arg "Structure.with_names: names length mismatch";
-  { g with names = Some names; idx = index_names (Some names) }
+  { g with names = Some names }
 
 let relation g name =
   match Smap.find_opt name g.rels with
@@ -136,7 +123,7 @@ let induced g sub =
   let rels =
     Smap.map (fun r -> Relation.rename rename (Relation.restrict keep r)) g.rels
   in
-  ({ schema = g.schema; size = k; names; idx = index_names names; rels }, old)
+  ({ schema = g.schema; size = k; names; rels }, old)
 
 (* --- edits ---------------------------------------------------------- *)
 
@@ -175,7 +162,7 @@ let apply_edit g = function
                    if i < g.size then base.(i)
                    else Option.value ~default:(string_of_int i) name))
       in
-      ({ g with size = g.size + 1; names; idx = index_names names }, [ fresh ])
+      ({ g with size = g.size + 1; names }, [ fresh ])
   | Remove_element x ->
       if x <> g.size - 1 then
         invalid_arg
@@ -202,7 +189,7 @@ let apply_edit g = function
       let names =
         match g.names with Some a -> Some (Array.sub a 0 x) | None -> None
       in
-      ( { g with size = x; names; idx = index_names names; rels },
+      ( { g with size = x; names; rels },
         List.sort_uniq compare !dirty )
 
 let apply_edits g edits =

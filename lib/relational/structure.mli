@@ -29,10 +29,15 @@ val fold_universe : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val name_of : t -> int -> string
 (** Display name; defaults to the decimal element id. *)
 
-val elt_of_name : t -> string -> int
-(** Inverse lookup, O(1) via an index built when names are installed;
-    the lowest id wins when names collide. @raise Not_found if no
-    element has that name. *)
+val name_index : t -> string -> int option
+(** Inverse of {!name_of}: [name_index g] indexes the display names of
+    [g] once, in O(size), and returns the lookup, [Some x] for the one
+    element named [n].  A name no element carries, or that several
+    elements carry, resolves to [None]: matching one of several
+    same-named rows would pick a row at random.  Apply it once and keep
+    the lookup, since every application rebuilds the index.  The one
+    name lookup behind {!Wm_watermark.Survivable}'s realignment and
+    {!Wm_watermark.Recovery}'s audit and repair. *)
 
 val has_names : t -> bool
 (** Does the structure carry an explicit names array? *)

@@ -432,7 +432,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
           ("distorted", itoa a.Recovery.distorted);
           ("erased", itoa a.Recovery.erased);
           ("blind", itoa a.Recovery.blind);
-          ("suspicion", ftoa (Detector.suspicion a.Recovery.tamper));
+          ("suspicion", ftoa (Recovery.suspicion a));
         ]
   | Repair id ->
       let result =

@@ -277,12 +277,11 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
           let carriers = times * message_bits in
-          let erased = rv.Survivable.carriers.Detector.erased in
-          let bit_errors = Codec.hamming message rv.Survivable.message in
+          let erased = rv.Robust.carriers.Detector.erased in
+          let bit_errors = Codec.hamming message rv.Robust.message in
           let naive =
             Robust.detect base ~times ~length:message_bits
-              ~original:ws.Weighted.weights
-              ~server:(Query_system.server qs suspect_ws.Weighted.weights)
+              ~original:ws.Weighted.weights ~suspect:suspect_ws.Weighted.weights
           in
           (* Repair-then-detect: audit the suspect against the capsule,
              restore what the surviving certificates support, re-run the
@@ -291,7 +290,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
             Recovery.detect_repaired ~jobs:1 !capsule base ~times
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
-          let rep_bit_errors = Codec.hamming message rv_rep.Survivable.message in
+          let rep_bit_errors = Codec.hamming message rv_rep.Robust.message in
           let findings = rep_report.Recovery.findings in
           let pvalue = Survivable.match_pvalue ~expected:message rv in
           {
@@ -309,10 +308,10 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
             pvalue;
             accused = pvalue <= accuse_threshold;
             distortion;
-            recovered = Bitvec.equal message rv.Survivable.message;
+            recovered = Bitvec.equal message rv.Robust.message;
             naive_recovered = Bitvec.equal message naive;
             type_drift;
-            rec_recovered = Bitvec.equal message rv_rep.Survivable.message;
+            rec_recovered = Bitvec.equal message rv_rep.Robust.message;
             recovered_bits = max 0 (bit_errors - rep_bit_errors);
             false_repairs = max 0 (rep_bit_errors - bit_errors);
             groups_repaired = rep_report.Recovery.repaired;

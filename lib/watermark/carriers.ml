@@ -20,10 +20,8 @@ let mark t message w =
   Weighted.apply_marks w (Pairing.orientation_marks t.pairs message)
 
 let detect t ~original ~server ~length =
-  if length > t.capacity then
-    invalid_arg "Carriers.detect: length exceeds capacity";
   let observed = Query_system.reconstruct t.qs server in
   (Detector.read t.pairs ~original ~observed ~length).Detector.decoded
 
 let detect_weights t ~original ~suspect ~length =
-  detect t ~original ~server:(Query_system.server t.qs suspect) ~length
+  (Detector.read_weights t.pairs ~original ~suspect ~length).Detector.decoded

@@ -3,11 +3,9 @@
 
     Theorems 3 and 5 embed a message the same way: bit i orients selected
     pair i (+1 on [fst] and -1 on [snd] for a 1, the reverse for a 0), and
-    detection reconstructs the active weights from the server's answers
-    ({!Query_system.reconstruct}) and reads each pair's sign
-    ({!Detector.read}).  {!Multi_scheme} and {!Tree_scheme} build one such
-    value when they prepare; {!Robust}, {!Fingerprint} and {!Survivable}
-    take it. *)
+    detection reads each pair's sign ({!Detector.read}).  {!Multi_scheme}
+    and {!Tree_scheme} build one such value when they prepare; {!Robust},
+    {!Fingerprint} and {!Survivable} take it. *)
 
 type t
 
@@ -34,13 +32,18 @@ val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
 val detect :
   t -> original:Weighted.t -> server:Query_system.server -> length:int ->
   Bitvec.t
-(** Read back [length] bits using only the server's answers to the
-    query system's parameters: {!Detector.read}'s decoded bits over the
-    reconstructed weights.  A pair decodes by the sign of its observed
-    difference, an unobserved endpoint reading as an unchanged weight;
-    ties and wholly unobserved pairs decode to 0.  Raises
-    [Invalid_argument] when [length] exceeds the capacity. *)
+(** The paper's query-answer model: read back [length] bits using only
+    the server's answers to the query system's parameters, as
+    {!Detector.read}'s decoded bits over the weights
+    {!Query_system.reconstruct} rebuilds.  A pair decodes by the sign of
+    its observed difference, an unobserved endpoint reading as an
+    unchanged weight; ties and wholly unobserved pairs decode to 0.
+    Raises [Invalid_argument] when [length] exceeds the capacity. *)
 
 val detect_weights :
   t -> original:Weighted.t -> suspect:Weighted.t -> length:int -> Bitvec.t
-(** {!detect} against an honest server over the suspect weights. *)
+(** {!detect} against an honest server over the suspect weights, read
+    straight from them by {!Detector.read_weights}: every pair endpoint
+    is an active tuple, so the server would answer each one with its
+    suspect weight, and nothing is reconstructed.  Only the first
+    [length] carriers are read. *)

@@ -8,14 +8,6 @@ let c_carriers = Obs.counter "det.carriers"
 let c_erased = Obs.counter "det.erased"
 let t_read = Obs.timer "det.read"
 
-type tamper = {
-  t_groups : int;
-  t_intact : int;
-  t_distorted : int;
-  t_erased : int;
-  t_blind : int;
-}
-
 type verdict = {
   decoded : Bitvec.t;
   erasure : Bitvec.t;
@@ -24,14 +16,7 @@ type verdict = {
   silent : int;
   erased : int;
   confidence : float;
-  tamper : tamper option;
 }
-
-let with_tamper v t = { v with tamper = Some t }
-
-let suspicion t =
-  if t.t_groups = 0 then 0.
-  else float_of_int (t.t_groups - t.t_intact) /. float_of_int t.t_groups
 
 (* What one carrier contributes, computed independently per pair — the
    unit of work the domain pool parallelizes. *)
@@ -95,7 +80,6 @@ let verdict_of_carriers carriers =
     confidence =
       (if read_count = 0 then 0.
        else float_of_int (!strong + !weak) /. float_of_int read_count);
-    tamper = None;
   }
 
 (* First [n] elements, stopping early — [List.filteri] would traverse
@@ -193,23 +177,15 @@ let match_pvalue ~expected verdict =
   done;
   binomial_tail ~trials:!trials ~successes:!agree
 
-(* Multiple-testing corrections.  A sweep that scores n hypotheses at
+(* Multiple-testing correction.  A sweep that scores n hypotheses at
    per-test level alpha accuses a wrong one with probability up to
    n * alpha; tracing thousands of candidate recipients, or judging every
    cell of an attack grid, must shrink the per-test threshold to keep the
    family-wise error at alpha. *)
-
-let check_correction who ~alpha ~tests =
-  if not (alpha > 0. && alpha <= 1.) then
-    invalid_arg (who ^ ": alpha must be in (0, 1]");
-  if tests < 1 then invalid_arg (who ^ ": tests must be >= 1")
-
-let bonferroni ~alpha ~tests =
-  check_correction "Detector.bonferroni" ~alpha ~tests;
-  alpha /. float_of_int tests
-
 let sidak ~alpha ~tests =
-  check_correction "Detector.sidak" ~alpha ~tests;
+  if not (alpha > 0. && alpha <= 1.) then
+    invalid_arg "Detector.sidak: alpha must be in (0, 1]";
+  if tests < 1 then invalid_arg "Detector.sidak: tests must be >= 1";
   1. -. ((1. -. alpha) ** (1. /. float_of_int tests))
 
 let is_marked ?(alpha = 0.01) verdict =

@@ -22,18 +22,6 @@
     sign-consistency over the survivors gives a p-value for ownership
     claims. *)
 
-type tamper = {
-  t_groups : int;  (** Gaifman-local groups the recovery layer audited *)
-  t_intact : int;  (** groups whose keyed certificate verified *)
-  t_distorted : int;  (** groups whose content disagrees with the certificate *)
-  t_erased : int;  (** groups with no surviving member *)
-  t_blind : int;  (** groups with no surviving authentic certificate copy *)
-}
-(** Tamper localization, attached by {!Wm_watermark.Recovery.audit}:
-    instead of the binary "erased or ok" a carrier gives, the tamper map
-    says {e where} a suspect copy was damaged, group by group, so
-    detection degrades gracefully into localized suspicion. *)
-
 type verdict = {
   decoded : Bitvec.t;
   erasure : Bitvec.t;  (** bit i set when carrier i was erased *)
@@ -42,18 +30,9 @@ type verdict = {
   silent : int;  (** observed pairs with zero difference *)
   erased : int;  (** pairs with no observed endpoint at all *)
   confidence : float;  (** (strong + weak) / pairs surviving *)
-  tamper : tamper option;
-      (** localization report when a recovery audit ran; [None] from the
-          plain readers *)
 }
-
-val with_tamper : verdict -> tamper -> verdict
-(** Attach a recovery audit's localization to a verdict. *)
-
-val suspicion : tamper -> float
-(** Fraction of audited groups that are not intact — 0 on a pristine
-    copy, 1 when every group was distorted, erased or lost its
-    certificate. *)
+(** One read of the carriers.  Where a suspect copy was damaged, group by
+    group, is {!Wm_watermark.Recovery.audit}'s separate answer. *)
 
 (** {1 Carriers} *)
 
@@ -108,18 +87,14 @@ val match_pvalue : expected:Bitvec.t -> verdict -> float
     subset attack cannot manufacture disagreement by deleting carriers.
     Small value = confident accusation. *)
 
-val bonferroni : alpha:float -> tests:int -> float
-(** [alpha / tests] — the per-test threshold that keeps the family-wise
-    false-accusation probability of [tests] simultaneous hypothesis tests
-    at most [alpha].  Raises [Invalid_argument] unless [0 < alpha <= 1]
-    and [tests >= 1]. *)
-
 val sidak : alpha:float -> tests:int -> float
-(** [1 - (1 - alpha)^(1/tests)] — the exact correction under independent
-    tests, slightly less conservative than {!bonferroni} (equal at
-    [tests = 1]).  This is what {!Wm_watermark.Fingerprint.trace} and the
-    attack grid's per-cell verdicts apply before accusing.  Same
-    [Invalid_argument] conditions as {!bonferroni}. *)
+(** [1 - (1 - alpha)^(1/tests)] — the per-test threshold that keeps the
+    family-wise false-accusation probability of [tests] independent
+    simultaneous hypothesis tests at exactly [alpha]; slightly less
+    conservative than Bonferroni's [alpha / tests] (equal at
+    [tests = 1]).  This is what {!Wm_watermark.Fingerprint.trace} and
+    the attack grid's per-cell verdicts apply before accusing.  Raises
+    [Invalid_argument] unless [0 < alpha <= 1] and [tests >= 1]. *)
 
 val is_marked : ?alpha:float -> verdict -> bool
 (** Does the carrier signal itself (ignoring the message value) reject the

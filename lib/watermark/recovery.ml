@@ -233,24 +233,12 @@ type audit = {
   erased : int;
   blind : int;
   forged_rejected : int;
-  tamper : Detector.tamper;
 }
 
-module Smap = Map.Make (String)
-
-(* name -> suspect element, duplicated names excluded (matching one of
-   several same-named rows would restore data into the wrong row; an
-   erasure is honest) — the Survivable convention. *)
-let name_index g =
-  let index, dup =
-    Structure.fold_universe
-      (fun x (index, dup) ->
-        let n = Structure.name_of g x in
-        if Smap.mem n index then (index, Smap.add n () dup)
-        else (Smap.add n x index, dup))
-      g (Smap.empty, Smap.empty)
-  in
-  Smap.filter (fun n _ -> not (Smap.mem n dup)) index
+let suspicion a =
+  let groups = Array.length a.statuses in
+  if groups = 0 then 0.
+  else float_of_int (groups - a.intact) /. float_of_int groups
 
 (* Classify one group against the suspect; returns the status, the
    authentic record used (if any), and how many available copies were
@@ -311,8 +299,9 @@ let classify c ~alive ~lookup ~suspect_inc ~suspect_name ~sweights gid =
 
 let audit_context c (suspect : Weighted.structure) =
   let sg = suspect.Weighted.graph in
-  let index = name_index sg in
-  let lookup n = Smap.find_opt n index in
+  (* duplicated names do not resolve: matching one of several same-named
+     rows would restore data into the wrong row, an erasure is honest *)
+  let lookup = Structure.name_index sg in
   let alive =
     Array.map
       (fun gr -> Array.exists (fun n -> lookup n <> None) gr.names)
@@ -338,14 +327,6 @@ let assemble_audit results =
     erased;
     blind;
     forged_rejected;
-    tamper =
-      {
-        Detector.t_groups = Array.length statuses;
-        t_intact = intact;
-        t_distorted = distorted;
-        t_erased = erased;
-        t_blind = blind;
-      };
   }
 
 let classify_all ?jobs c (suspect : Weighted.structure) =
@@ -381,17 +362,16 @@ let repair ?jobs c ~suspect =
   let results = classify_all ?jobs c suspect in
   let findings = assemble_audit results in
   (* Mutable repair state: the structure grows fresh elements (named as
-     the originals), so the name table is maintained alongside.  Groups
-     are processed in gid order — deterministic at every job count. *)
+     the originals), recorded in an overlay over the suspect's name
+     lookup.  Groups are processed in gid order — deterministic at every
+     job count. *)
   let sg = ref (Structure.with_default_names suspect.Weighted.graph) in
   let sw = ref suspect.Weighted.weights in
-  let table =
-    ref
-      (Smap.filter_map
-         (fun _ x -> Some x)
-         (name_index !sg))
+  let lookup = Structure.name_index !sg in
+  let created = Hashtbl.create 16 in
+  let resolve n =
+    match Hashtbl.find_opt created n with Some x -> Some x | None -> lookup n
   in
-  let resolve n = Smap.find_opt n !table in
   let restored_weights = ref 0
   and restored_elements = ref 0
   and restored_tuples = ref 0
@@ -425,7 +405,7 @@ let repair ?jobs c ~suspect =
                 sg := g';
                 (match fresh with
                 | [ x ] ->
-                    table := Smap.add n x !table;
+                    Hashtbl.replace created n x;
                     incr restored_elements
                 | _ -> assert false))
           c.groups.(gid).names)
@@ -600,13 +580,6 @@ let detect_repaired ?jobs c carriers ~times ~length ~original ~suspect =
     Survivable.detect_structure ?jobs carriers ~times ~length ~original
       ~suspect:repaired_ws
   in
-  let rv =
-    {
-      rv with
-      Survivable.carriers =
-        Detector.with_tamper rv.Survivable.carriers report.findings.tamper;
-    }
-  in
   (rv, report, repaired_ws)
 
 (* --- reporting -------------------------------------------------------- *)
@@ -627,7 +600,7 @@ let render_audit c a =
     Buffer.add_string buf
       (Printf.sprintf "rejected %d forged certificate copies\n" a.forged_rejected);
   Buffer.add_string buf
-    (Printf.sprintf "suspicion: %.2f\n" (Detector.suspicion a.tamper));
+    (Printf.sprintf "suspicion: %.2f\n" (suspicion a));
   Array.iteri
     (fun gid s ->
       if s <> Intact then
@@ -649,7 +622,7 @@ let audit_json c a =
         ("erased", Int a.erased);
         ("blind", Int a.blind);
         ("forged_rejected", Int a.forged_rejected);
-        ("suspicion", Float (Detector.suspicion a.tamper));
+        ("suspicion", Float (suspicion a));
         ( "dirty_groups",
           List
             (List.map

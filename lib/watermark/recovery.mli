@@ -23,8 +23,8 @@
 
     {!audit} classifies every group of a suspect copy as intact /
     distorted / erased (plus {e blind} when every certificate copy is
-    gone), yielding the {!Detector.tamper} map that turns a binary
-    verdict into localized suspicion.  {!repair} restores distorted and
+    gone), the tamper map that turns a binary verdict into localized
+    {!suspicion}.  {!repair} restores distorted and
     erased groups from their surviving authentic records — weights,
     missing elements, and missing tuples — and reports its confidence.
     Repair-then-detect is the degraded-mode pipeline measured by
@@ -103,16 +103,20 @@ type audit = {
   blind : int;
   forged_rejected : int;  (** record copies that failed certificate
                               verification *)
-  tamper : Detector.tamper;  (** the same counts, in the shape
-                                 {!Detector.with_tamper} attaches *)
 }
 
 val audit : ?jobs:int -> capsule -> suspect:Weighted.structure -> audit
 (** Classify every group against a suspect copy.  Elements are realigned
-    by display name (ambiguous duplicated names count as missing, as in
-    {!Survivable}); group classification is per-group local and runs on
-    the {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds
-    1, bit-identical at every job count. *)
+    by display name through {!Wm_relational.Structure.name_index}
+    (ambiguous duplicated names count as missing, as in {!Survivable});
+    group classification is per-group local and runs on the
+    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1,
+    bit-identical at every job count. *)
+
+val suspicion : audit -> float
+(** Fraction of audited groups that are not intact — 0 on a pristine
+    copy (or one with no groups), 1 when every group was distorted,
+    erased or lost its certificate. *)
 
 val dirty_groups : audit -> int list
 (** Gids not classified [Intact], ascending — the localized suspicion. *)
@@ -147,11 +151,10 @@ val repair :
 val detect_repaired :
   ?jobs:int -> capsule -> Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
-  Survivable.robust_verdict * repair_report * Weighted.structure
+  Robust.verdict * repair_report * Weighted.structure
 (** The repair-then-detect pipeline: audit, repair, then
-    {!Survivable.detect_structure} on the repaired copy, with the tamper
-    map attached to the verdict's carriers
-    ({!Detector.verdict}[.tamper]). *)
+    {!Survivable.detect_structure} on the repaired copy.  The audit's
+    tamper map is the report's [findings]. *)
 
 (** {1 Reporting} *)
 

@@ -6,7 +6,9 @@
     move each weight by a bounded amount and does not know the pair
     positions must corrupt a majority of a bit's R copies to flip it —
     the failure probability decays with R, which experiment E10 measures
-    against attack budgets. *)
+    against attack budgets.  {!vote} is the one repetition vote: {!detect}
+    and the realigning {!Survivable.detect_robust} both decode through
+    it. *)
 
 val redundancy_for : Carriers.t -> message_length:int -> int
 (** {!Wm_util.Codec.redundancy} of the carriers' capacity: the largest
@@ -16,10 +18,37 @@ val mark : Carriers.t -> times:int -> Bitvec.t -> Weighted.t -> Weighted.t
 (** Embed [times] interleaved copies, zero-padded to the full capacity:
     every carrier is oriented. *)
 
+type verdict = {
+  message : Bitvec.t;
+      (** {!Wm_util.Codec.vote} per message bit over the {e surviving}
+          copies; a tie or an all-erased bit reads as 0 *)
+  carriers : Detector.verdict;  (** the raw carrier-level verdict *)
+  times : int;
+  erased_bits : int;  (** message bits all of whose copies were erased *)
+  all_erased : bool;
+      (** {e every} carrier was erased: the message field is vacuous
+          (all-zero by the tie rule, not decoded),
+          {!Survivable.match_pvalue} is the uninformative 1.0 over zero
+          trials, and no ownership claim of any kind is supported.
+          Callers must check this flag before reading [message] — a
+          total wipe-out is an explicit verdict, not a confident
+          all-zero decode. *)
+}
+
+val vote : times:int -> length:int -> Detector.verdict -> verdict
+(** Decode a [length]-bit message embedded with {!mark} [~times] (the
+    {!Wm_util.Codec.repeat} layout) from a verdict over its first
+    [times * length] carriers: carrier [t * length + i] votes for bit [i]
+    by {!Wm_util.Codec.vote}, and an erased carrier abstains instead of
+    voting 0, so a bit is lost only when a majority of its {e surviving}
+    copies is corrupted, or every copy is erased.  Raises
+    [Invalid_argument] unless the verdict covers exactly
+    [times * length] carriers and [times > 0]. *)
+
 val detect :
   Carriers.t -> times:int -> length:int -> original:Weighted.t ->
-  server:Query_system.server -> Bitvec.t
-(** Decode a length-[length] message by {!Wm_util.Codec.vote} over the
-    first [times * length] carriers, all capacity bits read through
-    {!Carriers.detect}: an unobserved carrier votes 0 rather than
-    abstaining, and a tied bit (even [times]) reads as 0. *)
+  suspect:Weighted.t -> Bitvec.t
+(** The voted message of a weights-only suspect copy: the first
+    [times * length] carriers read by {!Detector.read_weights} (total
+    observation, so no carrier abstains), then {!vote}.  A tied bit (even
+    [times]) reads as 0. *)

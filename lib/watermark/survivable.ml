@@ -22,22 +22,6 @@ let record_alignment a =
 
 (* --- relational alignment: match by element display names ------------- *)
 
-module Smap = Map.Make (String)
-
-(* name -> element for the suspect; duplicated names are ambiguous and
-   excluded (matching one of several same-named rows would decode noise,
-   an erasure is honest). *)
-let name_index g =
-  let index, dup =
-    Structure.fold_universe
-      (fun x (index, dup) ->
-        let n = Structure.name_of g x in
-        if Smap.mem n index then (index, Smap.add n () dup)
-        else (Smap.add n x index, dup))
-      g (Smap.empty, Smap.empty)
-  in
-  Smap.filter (fun n _ -> not (Smap.mem n dup)) index
-
 let align_structures ?jobs ?tuples ~(original : Weighted.structure)
     ~(suspect : Weighted.structure) () =
   Obs.time t_align @@ fun () ->
@@ -48,13 +32,16 @@ let align_structures ?jobs ?tuples ~(original : Weighted.structure)
     | None -> Weighted.support original.Weighted.weights
   in
   let og = original.Weighted.graph in
-  let index = name_index suspect.Weighted.graph in
+  (* a duplicated suspect name is ambiguous and does not resolve:
+     matching one of several same-named rows would decode noise, an
+     erasure is honest *)
+  let find = Structure.name_index suspect.Weighted.graph in
   let locate t =
     let out = Array.make (Tuple.arity t) (-1) in
     let ok = ref true in
     Array.iteri
       (fun i x ->
-        match Smap.find_opt (Structure.name_of og x) index with
+        match find (Structure.name_of og x) with
         | Some y -> out.(i) <- y
         | None -> ok := false)
       t;
@@ -149,45 +136,12 @@ let align_trees ~original ~suspect =
 
 (* --- degraded-mode reading ------------------------------------------- *)
 
-type robust_verdict = {
-  message : Bitvec.t;
-  carriers : Detector.verdict;
-  times : int;
-  erased_bits : int;
-  all_erased : bool;
-}
-
 let detect_robust ?jobs c ~times ~length ~original alignment =
-  let carriers =
-    Detector.read ?jobs (Carriers.pairs c) ~original
-      ~observed:alignment.observed ~length:(times * length)
-  in
-  let erasure = carriers.Detector.erasure in
-  let votes =
-    Codec.vote ~times ~length (fun j ->
-        if Bitvec.get erasure j then None
-        else Some (Bitvec.get carriers.Detector.decoded j))
-  in
-  let message = Bitvec.of_bools (Array.map (( = ) (Some true)) votes) in
-  let erased_bits = ref 0 in
-  for i = 0 to length - 1 do
-    let lost = ref true in
-    for t = 0 to times - 1 do
-      if not (Bitvec.get erasure ((t * length) + i)) then lost := false
-    done;
-    if !lost then incr erased_bits
-  done;
-  (* Total wipe-out is an explicit verdict, not a zero-trials binomial
-     call decoding to a confident all-zero message. *)
-  {
-    message;
-    carriers;
-    times;
-    erased_bits = !erased_bits;
-    all_erased = carriers.Detector.erased = times * length;
-  }
+  Robust.vote ~times ~length
+    (Detector.read ?jobs (Carriers.pairs c) ~original
+       ~observed:alignment.observed ~length:(times * length))
 
-let match_pvalue ~expected rv =
+let match_pvalue ~expected (rv : Robust.verdict) =
   Detector.match_pvalue
     ~expected:(Codec.repeat ~times:rv.times expected)
     rv.carriers

@@ -10,7 +10,8 @@
 
     {ul
     {- relational elements are matched by their display names (the key
-       columns of the row, materialized by the structural attacks);}
+       columns of the row, materialized by the structural attacks),
+       through {!Wm_relational.Structure.name_index};}
     {- XML value nodes are matched by their root-to-node path, where each
        ancestor is identified by its tag and the non-numeric text of its
        subtree, plus an ordinal among same-path siblings.}}
@@ -56,35 +57,17 @@ val align_trees :
 
 (** {1 Redundant (Fact 1 wrapper) decoding with erasures} *)
 
-type robust_verdict = {
-  message : Bitvec.t;
-      (** {!Wm_util.Codec.vote} per message bit over the {e surviving}
-          copies; a tie or an all-erased bit reads as 0 *)
-  carriers : Detector.verdict;  (** the raw carrier-level verdict *)
-  times : int;
-  erased_bits : int;  (** message bits all of whose copies were erased *)
-  all_erased : bool;
-      (** {e every} carrier was erased: the message field is vacuous
-          (all-zero by the tie rule, not decoded), {!match_pvalue} is the
-          uninformative 1.0 over zero trials, and no ownership claim of
-          any kind is supported.  Callers must check this flag before
-          reading [message] — a total wipe-out is an explicit verdict,
-          not a confident all-zero decode. *)
-}
-
 val detect_robust :
   ?jobs:int -> Carriers.t -> times:int -> length:int ->
-  original:Weighted.t -> alignment -> robust_verdict
+  original:Weighted.t -> alignment -> Robust.verdict
 (** Decode a [length]-bit message embedded with {!Robust.mark} [~times]
-    (the {!Wm_util.Codec.repeat} layout) from whatever carriers survived:
-    {!Detector.read} over the aligned observations (an unmatched carrier
-    is an erasure, a half-matched one votes by its surviving endpoint),
-    then {!Wm_util.Codec.vote}, the same vote as {!Robust.detect}.  Erased
-    copies abstain from the majority instead of voting 0, so a bit is lost
-    only when a majority of its {e surviving} copies is corrupted, or
-    every copy is erased. *)
+    from whatever carriers survived: {!Detector.read} over the aligned
+    observations (an unmatched carrier is an erasure, a half-matched one
+    votes by its surviving endpoint), then {!Robust.vote}, the vote
+    {!Robust.detect} takes too.  Erased copies abstain from the
+    majority. *)
 
-val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
+val match_pvalue : expected:Bitvec.t -> Robust.verdict -> float
 (** Carrier-level p-value of the suspect agreeing with [expected],
     conditioned on surviving carriers only. *)
 
@@ -93,14 +76,14 @@ val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
 val detect_structure :
   ?jobs:int -> Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
-  robust_verdict * alignment
+  Robust.verdict * alignment
 (** Align (on the carriers' pair endpoints) and decode in one step; the
     carriers come from {!Multi_scheme.carriers}. *)
 
 val detect_tree :
   ?jobs:int -> Carriers.t -> times:int -> length:int ->
   original:Wm_xml.Utree.t -> Wm_xml.Utree.t ->
-  robust_verdict * alignment
+  Robust.verdict * alignment
 (** [detect_tree c ~times ~length ~original suspect] — same for XML
     documents, with the carriers of {!Tree_scheme.carriers} (node ids in
     the binary encoding coincide with document node ids). *)

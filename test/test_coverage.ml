@@ -53,7 +53,8 @@ let test_query_answer_shape () =
   let ws = Paper_examples.travel in
   let answers =
     Query.answer ws Paper_examples.travel_query
-      (Tuple.singleton (Structure.elt_of_name ws.Weighted.graph "India discovery"))
+      (Tuple.singleton
+         (Option.get (Structure.name_index ws.Weighted.graph "India discovery")))
   in
   check int "two transports" 2 (List.length answers);
   check int "durations sum" ((16 * 60) + 55)
@@ -61,12 +62,10 @@ let test_query_answer_shape () =
 
 let test_structure_names () =
   let ws = Paper_examples.travel in
+  let find = Structure.name_index ws.Weighted.graph in
   check string "name" "F21"
-    (Structure.name_of ws.Weighted.graph
-       (Structure.elt_of_name ws.Weighted.graph "F21"));
-  match Structure.elt_of_name ws.Weighted.graph "Nonexistent" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "unknown name resolved"
+    (Structure.name_of ws.Weighted.graph (Option.get (find "F21")));
+  check bool "unknown name unresolved" true (find "Nonexistent" = None)
 
 let test_btree_of_spec_alphabet_guard () =
   match

@@ -340,28 +340,30 @@ let test_universe_iteration () =
   let empty = Structure.create schema 0 in
   check int "empty fold" 0 (Structure.fold_universe (fun _ acc -> acc + 1) empty 0)
 
+(* The one name lookup, [Structure.name_index]. *)
 let test_elt_of_name () =
   let schema = Schema.make ~weight_arity:1 [ { Schema.name = "E"; arity = 2 } ] in
+  let find = Structure.name_index in
   let g = Structure.create schema 4 in
-  (match Structure.elt_of_name g "a" with
-  | _ -> Alcotest.fail "expected Not_found without names"
-  | exception Not_found -> ());
-  let g = Structure.with_names g [| "a"; "b"; "a"; "d" |] in
-  check int "first name" 0 (Structure.elt_of_name g "a");
-  check int "middle name" 1 (Structure.elt_of_name g "b");
-  check int "last name" 3 (Structure.elt_of_name g "d");
-  (match Structure.elt_of_name g "zz" with
-  | _ -> Alcotest.fail "expected Not_found for unknown name"
-  | exception Not_found -> ());
-  (* index follows edits: appended elements are findable, removed not *)
+  check (Alcotest.option int) "no such name without names" None (find g "a");
+  let g = Structure.with_names g [| "a"; "b"; "c"; "d" |] in
+  check (Alcotest.option int) "first name" (Some 0) (find g "a");
+  check (Alcotest.option int) "middle name" (Some 1) (find g "b");
+  check (Alcotest.option int) "last name" (Some 3) (find g "d");
+  check (Alcotest.option int) "unknown name" None (find g "zz");
+  (* the lookup follows edits: appended elements are findable, removed not *)
   let g1, _ = Structure.apply_edit g (Structure.Add_element (Some "e")) in
-  check int "appended name" 4 (Structure.elt_of_name g1 "e");
+  check (Alcotest.option int) "appended name" (Some 4) (find g1 "e");
   let g2, _ = Structure.apply_edit g1 (Structure.Remove_element 4) in
-  (match Structure.elt_of_name g2 "e" with
-  | _ -> Alcotest.fail "expected Not_found after removal"
-  | exception Not_found -> ());
+  check (Alcotest.option int) "removed name" None (find g2 "e");
   let g3 = Structure.with_default_names (Structure.create schema 3) in
-  check int "default names indexed" 2 (Structure.elt_of_name g3 "2")
+  check (Alcotest.option int) "default names indexed" (Some 2) (find g3 "2");
+  check (Alcotest.option int) "implicit default names" (Some 2)
+    (find (Structure.create schema 3) "2");
+  (* a duplicated name is ambiguous and resolves to nothing *)
+  let dup = Structure.with_names g [| "a"; "b"; "a"; "d" |] in
+  check (Alcotest.option int) "duplicated name" None (find dup "a");
+  check (Alcotest.option int) "unique name beside a duplicate" (Some 1) (find dup "b")
 
 (* --- Textio round-trips over the flat representations ---------------- *)
 

@@ -59,7 +59,7 @@ let test_relational_three_tier () =
   in
   let decoded =
     Robust.detect base ~times ~length:bits ~original:owner_db.Weighted.weights
-      ~server:(Query_system.server qs attacked)
+      ~suspect:attacked
   in
   check int "server 5 convicted" 5 (Codec.to_int decoded)
 

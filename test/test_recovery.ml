@@ -57,7 +57,7 @@ let test_audit_identity_intact () =
   let a = Recovery.audit cap ~suspect:marked in
   check int "all intact" (Recovery.ngroups cap) a.Recovery.intact;
   check int "no dirty groups" 0 (List.length (Recovery.dirty_groups a));
-  check bool "zero suspicion" true (Detector.suspicion a.Recovery.tamper = 0.)
+  check bool "zero suspicion" true (Recovery.suspicion a = 0.)
 
 let test_audit_survives_renumbering () =
   let _, _, marked, cap = Lazy.force prepared in
@@ -115,7 +115,7 @@ let test_audit_erased_groups () =
   in
   let a = Recovery.audit cap ~suspect:attacked in
   check bool "some groups fully erased" true (a.Recovery.erased > 0);
-  check bool "suspicion grew" true (Detector.suspicion a.Recovery.tamper > 0.);
+  check bool "suspicion grew" true (Recovery.suspicion a > 0.);
   check int "statuses cover all groups" (Recovery.ngroups cap)
     (a.Recovery.intact + a.Recovery.distorted + a.Recovery.erased
     + a.Recovery.blind)
@@ -219,9 +219,9 @@ let test_detect_repaired_beats_naive () =
     Recovery.detect_repaired cap base ~times ~length:bits ~original:ws ~suspect
   in
   check bool "repair restored the message" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   check bool "tamper map attached" true
-    (rv.Survivable.carriers.Detector.tamper <> None);
+    (report.Recovery.findings = Recovery.audit cap ~suspect);
   check bool "repair strictly improves carrier agreement" true
     (Survivable.match_pvalue ~expected:message rv
     <= Survivable.match_pvalue ~expected:message naive);
@@ -464,8 +464,8 @@ let test_repair_curve_never_hurts () =
         Recovery.detect_repaired ~jobs:1 cap base ~times ~length:bits
           ~original:ws ~suspect
       in
-      if Bitvec.equal message plain.Survivable.message then incr un;
-      if Bitvec.equal message repaired.Survivable.message then incr rp
+      if Bitvec.equal message plain.Robust.message then incr un;
+      if Bitvec.equal message repaired.Robust.message then incr rp
     done;
     let what = Printf.sprintf "%s %.2f" label intensity in
     check bool (what ^ ": repaired >= unrepaired") true (!rp >= !un);

@@ -32,11 +32,10 @@ let prepared =
          (ws, scheme, base, { ws with Weighted.weights = marked }))
 
 (* The aligned (id-keyed) detection path the paper's model gives us: read
-   the suspect's weights through the original query system. *)
-let aligned_detect ws scheme base (suspect : Weighted.structure) =
-  let qs = Local_scheme.query_system scheme in
+   the suspect's weights at the original carriers' ids. *)
+let aligned_detect ws base (suspect : Weighted.structure) =
   Robust.detect base ~times ~length:bits ~original:ws.Weighted.weights
-    ~server:(Query_system.server qs suspect.Weighted.weights)
+    ~suspect:suspect.Weighted.weights
 
 let survivable_detect ws scheme (suspect : Weighted.structure) =
   Survivable.detect_structure (Local_scheme.carriers scheme) ~times
@@ -56,12 +55,12 @@ let test_delete20_survivable_recovers () =
     (Structure.size attacked.Weighted.graph < Structure.size ws.Weighted.graph);
   let rv, alignment = survivable_detect ws scheme attacked in
   check bool "survivable recovers the message" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   let p = Survivable.match_pvalue ~expected:message rv in
   check bool "significant (p < 0.01)" true (p < 0.01);
   check bool "some carriers were lost" true (alignment.Survivable.missing > 0);
   (* The aligned detector reads renumbered ids as garbage and fails. *)
-  let naive = aligned_detect ws scheme base attacked in
+  let naive = aligned_detect ws base attacked in
   check bool "aligned detector loses the message" false
     (Bitvec.equal message naive)
 
@@ -74,7 +73,7 @@ let test_subset_sample_recovers () =
   in
   let rv, _ = survivable_detect ws scheme attacked in
   check bool "recovered from a 50% sample" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   check bool "significant" true (Survivable.match_pvalue ~expected:message rv < 0.01)
 
 let test_insert_noise_recovers () =
@@ -88,7 +87,7 @@ let test_insert_noise_recovers () =
     (Structure.size attacked.Weighted.graph > Structure.size ws.Weighted.graph);
   let rv, alignment = survivable_detect ws scheme attacked in
   check bool "recovered after noise insertion" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   (* Insertions add new rows but delete none: every carrier survives. *)
   check int "no carriers lost" 0 alignment.Survivable.missing
 
@@ -102,9 +101,9 @@ let test_shuffle_recovers () =
   let rv, alignment = survivable_detect ws scheme attacked in
   check int "every carrier realigned" 0 alignment.Survivable.missing;
   check bool "recovered after renumbering" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   check bool "aligned detector loses the message" false
-    (Bitvec.equal message (aligned_detect ws scheme base attacked))
+    (Bitvec.equal message (aligned_detect ws base attacked))
 
 (* --- erasure accounting ---------------------------------------------- *)
 
@@ -116,7 +115,7 @@ let test_erasure_partition () =
       marked
   in
   let rv, _ = survivable_detect ws scheme attacked in
-  let v = rv.Survivable.carriers in
+  let v = rv.Robust.carriers in
   (* Every carrier is exactly one of strong / weak / silent / erased. *)
   check int "partition of the carriers" (times * bits)
     (v.Detector.strong + v.Detector.weak + v.Detector.silent + v.Detector.erased);
@@ -130,8 +129,8 @@ let test_identity_alignment_is_total () =
   let ws, scheme, _, marked = Lazy.force prepared in
   let rv, alignment = survivable_detect ws scheme marked in
   check int "nothing missing" 0 alignment.Survivable.missing;
-  check int "nothing erased" 0 rv.Survivable.carriers.Detector.erased;
-  check bool "exact read" true (Bitvec.equal message rv.Survivable.message)
+  check int "nothing erased" 0 rv.Robust.carriers.Detector.erased;
+  check bool "exact read" true (Bitvec.equal message rv.Robust.message)
 
 (* On total wipe-out every bit is an erasure, not a confident zero. *)
 let test_all_erased () =
@@ -142,8 +141,8 @@ let test_all_erased () =
       ws
   in
   let rv, _ = survivable_detect ws scheme empty in
-  check int "all message bits erased" bits rv.Survivable.erased_bits;
-  check bool "all_erased verdict is explicit" true rv.Survivable.all_erased;
+  check int "all message bits erased" bits rv.Robust.erased_bits;
+  check bool "all_erased verdict is explicit" true rv.Robust.all_erased;
   check bool "no significance claimed" true
     (Survivable.match_pvalue ~expected:message rv >= 0.5);
   (* a partial attack must NOT raise the flag *)
@@ -153,7 +152,7 @@ let test_all_erased () =
       (let _, _, _, marked = Lazy.force prepared in marked)
   in
   let rv', _ = survivable_detect ws scheme partial in
-  check bool "partial survival is not all_erased" false rv'.Survivable.all_erased
+  check bool "partial survival is not all_erased" false rv'.Robust.all_erased
 
 (* Regression pin: the zero-trials binomial is the uninformative 1.0 —
    the value the all-erasures verdict bottoms out on — never an
@@ -203,7 +202,7 @@ let test_xml_delete_subtrees () =
   check bool "tree shrank" true (Wm_xml.Utree.size attacked < Wm_xml.Utree.size marked);
   let rv, _ = xml_detect doc xs r attacked in
   check bool "recovered after subtree deletion" true
-    (Bitvec.equal message rv.Survivable.message);
+    (Bitvec.equal message rv.Robust.message);
   check bool "significant" true
     (Survivable.match_pvalue ~expected:message rv < 0.01)
 
@@ -215,7 +214,7 @@ let test_xml_reorder_siblings () =
   check int "same size" (Wm_xml.Utree.size marked) (Wm_xml.Utree.size attacked);
   let rv, _ = xml_detect doc xs r attacked in
   check bool "recovered after reordering" true
-    (Bitvec.equal message rv.Survivable.message)
+    (Bitvec.equal message rv.Robust.message)
 
 (* --- determinism: same seed, same perturbed output -------------------- *)
 
@@ -267,7 +266,9 @@ let test_tree_attacks_deterministic () =
       Adversary.Strip_values { fraction = 0.5 };
     ]
 
-(* The attack suite itself is a pure function of its seed. *)
+(* The attack suite itself is a pure function of its seed, and its CSV
+   is pinned across commits: a change that moves any grid cell fails
+   here. *)
 let test_attack_suite_deterministic () =
   let ws = Random_struct.travel (Prng.create 5) ~travels:60 ~transports:200 in
   let run () =
@@ -278,7 +279,36 @@ let test_attack_suite_deterministic () =
     | Ok r -> Attack_suite.to_csv r
     | Error e -> failwith e
   in
-  check string "identical CSV" (run ()) (run ())
+  let csv = run () in
+  check string "identical CSV" csv (run ());
+  check string "pinned CSV digest" "14bffaf8a06835cc3e17c5efd63a8cb8"
+    (Digest.to_hex (Digest.string csv))
+
+(* Robust.vote on a hand-built verdict: erased copies abstain instead of
+   voting 0, so a bit whose only surviving copy reads 1 decodes to 1. *)
+let test_vote_erasures_abstain () =
+  let times = 3 and length = 2 in
+  (* carrier t * length + i votes for bit i; only carrier 4 survives *)
+  let erasure = Bitvec.create (times * length) in
+  List.iter (fun j -> Bitvec.set erasure j true) [ 0; 1; 2; 3; 5 ];
+  let decoded = Bitvec.create (times * length) in
+  Bitvec.set decoded 4 true;
+  let carriers =
+    {
+      Detector.decoded;
+      erasure;
+      strong = 1;
+      weak = 0;
+      silent = 0;
+      erased = 5;
+      confidence = 1.;
+    }
+  in
+  let v = Robust.vote ~times ~length carriers in
+  check (Alcotest.list bool) "lone survivor decides bit 0" [ true; false ]
+    (Codec.to_bool_list v.Robust.message);
+  check int "bit 1 lost every copy" 1 v.Robust.erased_bits;
+  check bool "not all erased" false v.Robust.all_erased
 
 let suite =
   [
@@ -297,4 +327,5 @@ let suite =
     ("structural attacks deterministic", `Slow, test_structural_attacks_deterministic);
     ("tree attacks deterministic", `Slow, test_tree_attacks_deterministic);
     ("attack suite deterministic", `Slow, test_attack_suite_deterministic);
+    ("repetition vote: erasures abstain", `Quick, test_vote_erasures_abstain);
   ]

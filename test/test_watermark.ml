@@ -586,7 +586,7 @@ let test_robust_majority_under_flips () =
       in
       let decoded =
         Robust.detect base ~times ~length:3 ~original:ws.Weighted.weights
-          ~server:(Query_system.server qs attacked)
+          ~suspect:attacked
       in
       check bool "majority survives" true (Bitvec.equal decoded message)
 
@@ -608,7 +608,7 @@ let test_robust_full_reset_erases () =
       in
       let decoded =
         Robust.detect base ~times ~length:3 ~original:ws.Weighted.weights
-          ~server:(Query_system.server qs attacked)
+          ~suspect:attacked
       in
       (* Full knowledge of the original erases everything: all-zero read. *)
       check bool "erased" false (Bitvec.equal decoded message)
@@ -927,6 +927,59 @@ let test_tree_detect_partial_server () =
             pairs)
         [ 1; 2 ]
 
+(* One carrier reader: reading the suspect's weights straight from the
+   pair endpoints decodes what the query-answer model decodes over an
+   honest server, since every endpoint is an active tuple. *)
+let prop_detect_weights_is_honest_detect =
+  let identity = Parser.query_of_string ~params:[ "u" ] ~results:[ "v" ] "u = v" in
+  QCheck.Test.make ~count:16
+    ~name:"detect_weights = detect over an honest server, jobs 1 and 2"
+    QCheck.(pair (int_range 1 1000) (int_range 0 3))
+    (fun (seed, case) ->
+      let g = Prng.create seed in
+      let local q rho =
+        let ws = Random_struct.regular_rings g ~n:(20 + Prng.int g 30) in
+        Local_scheme.prepare
+          ~options:{ Local_scheme.default_options with rho = Some rho; seed }
+          ws q
+        |> Result.map (fun s -> (Local_scheme.carriers s, ws.Weighted.weights))
+      in
+      let prepared =
+        match case with
+        | 0 -> local identity 1
+        | 1 -> local adjacency 1
+        | 2 -> local adjacency 2
+        | _ ->
+            let tree =
+              Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(80 + Prng.int g 60)
+            in
+            Tree_scheme.prepare tree (child_query ())
+            |> Result.map (fun s ->
+                   (Tree_scheme.carriers s, Trees_gen.random_weights g tree ~lo:5 ~hi:50))
+      in
+      match prepared with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok (c, original) ->
+          let length = Carriers.capacity c in
+          let qs = Carriers.query_system c in
+          let marked = Carriers.mark c (Codec.random g length) original in
+          (* noise leaves strong, weak and silent carriers to read *)
+          let suspect =
+            Adversary.apply g (Adversary.Uniform_noise { amplitude = 2 })
+              ~active:(Query_system.active qs) marked
+          in
+          List.for_all
+            (fun jobs ->
+              Fun.protect
+                ~finally:(fun () -> Wm_par.Pool.set_jobs None)
+                (fun () ->
+                  Wm_par.Pool.set_jobs (Some jobs);
+                  Bitvec.equal
+                    (Carriers.detect_weights c ~original ~suspect ~length)
+                    (Carriers.detect c ~original
+                       ~server:(Query_system.server qs suspect) ~length)))
+            [ 1; 2 ])
+
 let suite =
   [
     ("query system mirrors query", `Quick, test_qs_matches_query);
@@ -970,4 +1023,5 @@ let suite =
     ("tree scheme pairs pinned", `Quick, test_tree_scheme_pairs_pinned);
     QCheck_alcotest.to_alcotest prop_pairing_tail_matches_reference;
     ("tree detect on a partial server", `Quick, test_tree_detect_partial_server);
+    QCheck_alcotest.to_alcotest prop_detect_weights_is_honest_detect;
   ]
