@@ -143,6 +143,13 @@ let e3 () =
           if Query_vc.maximal_on ws.Weighted.graph Shatter.query then "yes" else "NO"
         else "yes"
       in
+      (* A computed tree-width upper bound for the n x n grid, from an
+         actual validated decomposition (the exact value is min(w,h) = n). *)
+      let grid = (Grid.structure ~w:n ~h:n).Weighted.graph in
+      let td = Treewidth.by_min_degree grid in
+      (match Treewidth.validate grid td with
+      | Ok () -> ()
+      | Error e -> failwith (Printf.sprintf "E3: %dx%d grid decomposition invalid: %s" n n e));
       let g = Prng.create (100 + n) in
       List.iter
         (fun h ->
@@ -152,12 +159,8 @@ let e3 () =
             in
             let marks = Array.to_list (Array.map (fun w -> (w, 1)) marked) in
             let d = Distortion.of_marks qs marks in
-            (* A *computed* tree-width upper bound for the n x n grid, from
-               an actual validated decomposition (the exact value is
-               min(w,h) = n). *)
-            let grid = (Grid.structure ~w:n ~h:n).Weighted.graph in
             Texttab.addf t "%d|%s|%s|%d|%d|%d" n vc maximal h d
-              (Treewidth.heuristic_width grid)
+              (Treewidth.width td)
           end)
         [ 1; n / 2; n ])
     [ 4; 8; 12 ];

@@ -183,16 +183,8 @@ let info_cmd =
     Printf.printf "capacity       : %d bits\n" r.Multi_scheme.pairs_selected;
     Printf.printf "budget         : %d (certified max distortion %d)\n"
       r.Multi_scheme.budget r.Multi_scheme.max_split;
-    (* Width survey: the instance-level heuristic treewidth, and the max
-       over the per-sphere decompositions that typing builds, at the
-       largest rank in use. *)
-    let g = ws.Weighted.graph in
-    let rho = List.fold_left max 0 r.Multi_scheme.rho in
     Printf.printf "treewidth      : <= %d (min-degree heuristic)\n"
-      (Treewidth.heuristic_width g);
-    Printf.printf "sphere width   : max %d at rho %d\n"
-      (Neighborhood.max_sphere_width g ~rho)
-      rho
+      (Treewidth.heuristic_width ws.Weighted.graph)
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v

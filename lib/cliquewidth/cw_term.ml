@@ -64,23 +64,6 @@ let eval term =
     es;
   !g
 
-let labels_after term =
-  let next = ref 0 in
-  let rec go = function
-    | Vertex l ->
-        let id = !next in
-        incr next;
-        [ (id, l) ]
-    | Union (s, t) -> go s @ go t
-    | Add_edges (_, _, t) -> go t
-    | Relabel (a, b, t) ->
-        List.map (fun (v, l) -> (v, if l = a then b else l)) (go t)
-  in
-  let vs = go term in
-  let out = Array.make (List.length vs) 0 in
-  List.iter (fun (v, l) -> out.(v) <- l) vs;
-  out
-
 let clique n =
   if n < 1 then invalid_arg "Cw_term.clique";
   let rec go i acc =

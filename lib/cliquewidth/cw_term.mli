@@ -37,9 +37,6 @@ val eval : t -> Structure.t
 (** The graph over schema {!Schema.graph} (symmetric edge relation),
     universe = vertices in leaf preorder. *)
 
-val labels_after : t -> int array
-(** Final label of each vertex (diagnostic). *)
-
 val clique : int -> t
 (** K_n with 2 labels. *)
 

@@ -2,15 +2,94 @@ module Iset = Set.Make (Int)
 
 type t = { bags : int list array; edges : (int * int) list }
 
-(* The elimination engine lives in Wm_relational.Tdecomp (the
-   neighborhood indexer's bounded-width fast path runs it on per-sphere
-   sub-Gaifman graphs and cannot depend on this library); this module
-   keeps the structure-level API and the exact validity checker. *)
-let of_decomp (d : Tdecomp.t) =
-  { bags = Array.map Array.to_list d.Tdecomp.bags; edges = d.Tdecomp.edges }
+type heuristic = Min_degree | Min_fill
 
 let width t =
   Array.fold_left (fun acc bag -> max acc (List.length bag - 1)) 0 t.bags
+
+(* --- the elimination engine ------------------------------------------
+
+   The classical elimination orderings: repeatedly pick a vertex
+   (minimum degree, or minimum fill-in), make its neighborhood a
+   clique, and drop it; the elimination cliques are the bags, glued in
+   elimination order.  Always a valid decomposition; the width is an
+   upper bound on the true tree-width, exact on chordal graphs.  Ties
+   break to the lowest vertex id, so the decomposition is a
+   deterministic function of the graph. *)
+
+(* Missing edges among the neighbors of [v] — the number of fill edges
+   eliminating [v] would add. *)
+let fill_count adj v =
+  let nb = adj.(v) in
+  let missing = ref 0 in
+  Iset.iter
+    (fun a ->
+      Iset.iter
+        (fun b -> if a < b && not (Iset.mem b adj.(a)) then incr missing)
+        nb)
+    nb;
+  !missing
+
+(* The bag of elimination step s attaches to the step of the
+   earliest-eliminated remaining member of its bag; last bags of
+   components attach to the final bag, so the bag graph is always one
+   tree even on disconnected inputs (validated by the cliquewidth
+   tests). *)
+let glue_edges n bags step_of =
+  let edges = ref [] in
+  for s = 0 to n - 1 do
+    let v = ref (-1) in
+    Array.iter (fun u -> if step_of.(u) = s then v := u) bags.(s);
+    if Array.length bags.(s) > 1 then begin
+      let next = ref max_int in
+      Array.iter (fun u -> if u <> !v then next := min !next step_of.(u)) bags.(s);
+      edges := (s, !next) :: !edges
+    end
+    else if s < n - 1 then edges := (s, n - 1) :: !edges
+  done;
+  !edges
+
+let eliminate ?(heuristic = Min_degree) gf =
+  let n = Gaifman.size gf in
+  let adj =
+    Array.init n (fun v ->
+        let s = ref Iset.empty in
+        Gaifman.iter_neighbors gf v (fun w -> s := Iset.add w !s);
+        !s)
+  in
+  let alive = Array.make n true in
+  let step_of = Array.make n (-1) in
+  let bags = Array.make n [||] in
+  for step = 0 to n - 1 do
+    (* minimum-key alive vertex; strict [<] keeps the lowest id on ties *)
+    let best = ref (-1) and best_key = ref (max_int, max_int) in
+    for v = 0 to n - 1 do
+      if alive.(v) then begin
+        let key =
+          match heuristic with
+          | Min_degree -> (Iset.cardinal adj.(v), 0)
+          | Min_fill -> (fill_count adj v, Iset.cardinal adj.(v))
+        in
+        if !best < 0 || key < !best_key then begin
+          best := v;
+          best_key := key
+        end
+      end
+    done;
+    let v = !best in
+    step_of.(v) <- step;
+    bags.(step) <- Array.of_list (Iset.elements (Iset.add v adj.(v)));
+    (* make the neighborhood a clique, drop v *)
+    Iset.iter
+      (fun a ->
+        Iset.iter
+          (fun b -> if a <> b then adj.(a) <- Iset.add b adj.(a))
+          adj.(v);
+        adj.(a) <- Iset.remove v adj.(a))
+      adj.(v);
+    alive.(v) <- false
+  done;
+  { bags = Array.map Array.to_list bags; edges = glue_edges n bags step_of }
 
 let validate g t =
   let n = Structure.size g in
@@ -110,15 +189,7 @@ let validate g t =
     end
   end
 
-let by_min_degree g =
-  of_decomp
-    (Tdecomp.eliminate ~heuristic:Tdecomp.Min_degree (Gaifman.of_structure g))
-
-let by_min_fill g =
-  of_decomp
-    (Tdecomp.eliminate ~heuristic:Tdecomp.Min_fill (Gaifman.of_structure g))
-
-let of_sphere ?(heuristic = Tdecomp.Min_degree) gf =
-  of_decomp (Tdecomp.eliminate ~heuristic gf)
-
+let by_min_degree g = eliminate ~heuristic:Min_degree (Gaifman.of_structure g)
+let by_min_fill g = eliminate ~heuristic:Min_fill (Gaifman.of_structure g)
+let of_sphere = eliminate
 let heuristic_width g = width (by_min_degree g)

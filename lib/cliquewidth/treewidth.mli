@@ -15,6 +15,8 @@ type t = {
   edges : (int * int) list;  (** tree edges between bag indices *)
 }
 
+type heuristic = Min_degree | Min_fill
+
 val width : t -> int
 (** max bag size - 1. *)
 
@@ -30,8 +32,8 @@ val by_min_degree : Structure.t -> t
     the elimination cliques, glued in elimination order (one tree, even on
     disconnected structures).  Always valid (checked by the tests); the
     width is an upper bound on the true tree-width, exact on chordal
-    graphs.  Delegates to {!Tdecomp.eliminate}, the engine shared with
-    the neighborhood indexer's bounded-width fast path. *)
+    graphs.  Ties break to the lowest vertex id, so the decomposition is
+    a deterministic function of the structure. *)
 
 val by_min_fill : Structure.t -> t
 (** The min-fill elimination heuristic: eliminate the vertex whose
@@ -39,7 +41,7 @@ val by_min_fill : Structure.t -> t
     then lowest id, as tie-breaks).  Often tighter than min-degree on
     near-chordal graphs; same validity guarantees. *)
 
-val of_sphere : ?heuristic:Tdecomp.heuristic -> Gaifman.t -> t
+val of_sphere : ?heuristic:heuristic -> Gaifman.t -> t
 (** Decompose a caller-provided (sub-)Gaifman graph — e.g. the CSR
     sphere graph the neighborhood fast-path context already built —
     without re-deriving adjacency from a structure.  [heuristic]

@@ -55,7 +55,6 @@ module Relation = Wm_relational.Relation
 module Structure = Wm_relational.Structure
 module Weighted = Wm_relational.Weighted
 module Gaifman = Wm_relational.Gaifman
-module Tdecomp = Wm_relational.Tdecomp
 module Iso = Wm_relational.Iso
 module Neighborhood = Wm_relational.Neighborhood
 module Textio = Wm_relational.Textio

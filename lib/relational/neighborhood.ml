@@ -23,8 +23,6 @@ let c_affected_elements = Obs.counter "nbh.reindex.affected_elements"
 let c_affected_tuples = Obs.counter "nbh.reindex.affected_tuples"
 let c_anchors = Obs.counter "nbh.reindex.anchors"
 let c_fallbacks = Obs.counter "nbh.reindex.threshold_fallbacks"
-let c_bw_decomps = Obs.counter "nbh.bw.decompositions"
-let c_bw_decomp_hits = Obs.counter "nbh.bw.decomp_cache_hits"
 let c_bw_groups = Obs.counter "nbh.bw.groups"
 let c_bw_bypassed = Obs.counter "nbh.bw.iso_bypassed"
 let c_bw_fallbacks = Obs.counter "nbh.bw.width_fallbacks"
@@ -32,7 +30,7 @@ let c_tree_typed = Obs.counter "nbh.tree.typed"
 let t_index = Obs.timer "nbh.index"
 let t_reindex = Obs.timer "nbh.reindex"
 let t_spheres = Obs.timer "nbh.index.spheres"
-let t_codes = Obs.timer "nbh.index.codes"
+let t_shapes = Obs.timer "nbh.index.shapes"
 let t_prep = Obs.timer "nbh.index.prep"
 let t_classify = Obs.timer "nbh.index.classify"
 let t_renumber = Obs.timer "nbh.index.renumber"
@@ -279,7 +277,7 @@ type ctx = {
   rel_names : string array;
       (* dense relation id -> schema name, name-sorted: the ids are an
          injective, structure-independent relation code for the flat
-         sphere encodings *)
+         shape keys *)
   heads : (int * Tuple.t) list array;
   heads_ready : bool array;
       (* [heads.(x)] is filled: all of it for a whole-structure
@@ -341,62 +339,46 @@ let ensure_heads ctx x =
 
 let members_in ctx s = sphere_members (Array.get ctx.heads) s
 
-(* --- decomposition codes (DESIGN.md 5.14) ----------------------------
+(* --- shape groups (DESIGN.md 5.14) ------------------------------------
 
-   Every sphere of at most [max_code_sphere] elements is typed through a
-   {e canonical decomposition code}.  Rename the sphere to 0..|s|-1 in
-   ascending element order (center-independent, so the result is shared
-   by every tuple with this sphere) and key it by the injective flat
-   encoding of its renamed member list: equal keys are literally the
-   same renamed structure, so on translation-regular instances (grids,
-   paths, balanced trees) thousands of spheres collapse onto a handful
-   of shapes.  Each shape gets one min-degree decomposition, and each
-   distinct (shape, center labels) pair one code: a flat int encoding
-   of the whole pointed sphere under the relabeling the rooted
-   decomposition induces.  Tuples with equal codes inherit their group
-   leader's materialization and classification outright.
+   Every sphere of at most [max_keyed_sphere] elements is keyed by its
+   {e shape}: rename the sphere to 0..|s|-1 in ascending element order
+   (center-independent, so the key is shared by every tuple with this
+   sphere) and take the injective flat encoding of its renamed member
+   list.  Equal keys are literally the same renamed structure, so on
+   translation-regular instances (grids, rings, balanced trees)
+   thousands of spheres collapse onto a handful of shapes.  Tuples with
+   an equal (shape, center labels) pair have literally equal pointed
+   spheres: they form one group, led by its first slot, and members
+   inherit the leader's materialization and classification outright.
 
-   Soundness is one-directional by construction: the encoding lists
-   every member tuple of every relation under a bijective relabeling,
-   so equal codes imply isomorphic pointed spheres {e exactly} — a
-   group member is genuinely isomorphic to its leader, and inheriting
-   the leader's (cheap key, certificate, prep) triple and in-bucket
-   match reproduces what the generic scan would have computed for it.
-   The converse (isomorphic spheres getting equal codes) is heuristic —
-   the relabeling depends on the min-degree decomposition — and a miss
-   only costs a redundant leader, never a wrong type: leaders still go
-   through the exact certificate-bucketed isomorphism scan.  Output is
-   therefore bit-identical to the plain isomorphism classification at
-   every job count. *)
+   Equal groups imply isomorphic pointed spheres exactly; isomorphic
+   spheres with different shapes (a shuffled universe) only cost a
+   redundant leader, never a wrong type, since leaders still go through
+   the exact certificate-bucketed isomorphism scan.  Output is therefore
+   bit-identical to the plain isomorphism classification at every job
+   count. *)
 
-(* The largest sphere the code step takes: the word-sized limit of the
-   bitmask engine {!Tdecomp.eliminate_masks}, a property of that engine
-   rather than a setting.  Larger spheres go straight to the generic
-   prep, which every group leader runs anyway. *)
-let max_code_sphere = 62
-
-let popcount x =
-  let c = ref 0 and x = ref x in
-  while !x <> 0 do
-    x := !x land (!x - 1);
-    incr c
-  done;
-  !c
+(* The largest sphere that gets a shape key.  A key costs a pass over
+   the sphere's member tuples and pays only when the shape repeats;
+   large spheres rarely do.  On a 2 000-element random graph of degree
+   <= 10 at rho 2, where no shape repeats, keying the larger spheres
+   too made a jobs-1 [index_universe] ~18% slower (1.23 -> 1.45 s, the
+   median of three alternating runs on a 2-core host), so they go
+   straight to the generic prep, which every group leader runs
+   anyway. *)
+let max_keyed_sphere = 62
 
 (* Flat injective key of sphere [s] over the sphere-local ascending
    renaming: [k; rel_id; arity; elems...; rel_id; arity; elems...] is
    uniquely decodable, so equal keys mean literally the same renamed
-   structure.  Everything the code step derives per sphere
-   (decomposition, colors and — given center labels — the canonical
-   code) is a deterministic function of this key, which is what makes
-   one decomposition per shape sound.
+   structure.
 
    The key is written straight from [heads] into a reused buffer: the
    member tuples in scan order, elements ascending and each element's
    [heads] list in order.  That order is canonical under the monotone
    renaming (a [heads] list is sorted by relation id and tuple), so
-   equal renamed structures write equal keys; and neither [dinfo_of]
-   nor [code_of] depends on tuple order.  [idx_sorted] both tests
+   equal renamed structures write equal keys.  [idx_sorted] both tests
    membership and renames. *)
 type kbuf = { mutable b : int array }
 
@@ -441,100 +423,6 @@ let write_key ctx kb s =
   done;
   !p
 
-(* [f id off a] for every tuple of a shape key: relation id, offset of
-   its first element in the key, arity. *)
-let iter_key_tuples key f =
-  let p = ref 1 in
-  while !p < Array.length key do
-    let a = key.(!p + 1) in
-    f key.(!p) (!p + 2) a;
-    p := !p + 2 + a
-  done
-
-(* One shape's decomposition data, alive only inside its code task: the
-   shape key, the min-degree tree decomposition of its Gaifman graph and
-   iso-invariant vertex colors. *)
-type dinfo = { d_key : int array; d_dec : Tdecomp.t; d_colors : int array }
-
-let dinfo_of key =
-  let k = key.(0) in
-  let adj = Array.make k 0 in
-  let inc = Array.make k [] in
-  iter_key_tuples key (fun id off a ->
-      for i = 0 to a - 1 do
-        let v = key.(off + i) in
-        inc.(v) <- Iso.mix id i :: inc.(v);
-        for j = 0 to a - 1 do
-          let w = key.(off + j) in
-          if v <> w then adj.(v) <- adj.(v) lor (1 lsl w)
-        done
-      done);
-  (* Iso-invariant vertex colors: degree plus the sorted multiset of
-     (relation id, position) incidences.  Relation ids are name-sorted
-     dense ids, fixed per ctx, so the invariant holds across every
-     sphere one index call compares. *)
-  let colors =
-    Array.init k (fun v ->
-        let l = List.sort icmp inc.(v) in
-        List.fold_left Iso.mix (Iso.mix 0x811c9dc5 (popcount adj.(v))) l)
-  in
-  { d_key = key; d_dec = Tdecomp.eliminate_masks adj; d_colors = colors }
-
-(* The flat injective encoding of one pointed sphere under the
-   decomposition's canonical relabeling: [k; #centers; center labels;
-   #tuples] and then every member tuple as [rel_id; arity; labels...],
-   sorted.  Every component is length-prefixed, so the encoding is
-   uniquely decodable: equal arrays imply equal relabeled structures,
-   centers included. *)
-let cmp_tuple (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then icmp la lb
-  else begin
-    let i = ref 0 and r = ref 0 in
-    while !r = 0 && !i < la do
-      r := icmp a.(!i) b.(!i);
-      incr i
-    done;
-    !r
-  end
-
-let code_of di cl =
-  let key = di.d_key in
-  let colors =
-    if Array.length cl = 0 then di.d_colors
-    else begin
-      let cp = Array.copy di.d_colors in
-      Array.iteri (fun j v -> cp.(v) <- Iso.mix cp.(v) (j + 1)) cl;
-      cp
-    end
-  in
-  let pi = Tdecomp.canonical_labels di.d_dec ~colors ~root:cl.(0) in
-  let ts = ref [] and nts = ref 0 in
-  iter_key_tuples key (fun id off a ->
-      let t = Array.make (a + 2) id in
-      t.(1) <- a;
-      for j = 0 to a - 1 do
-        t.(j + 2) <- pi.(key.(off + j))
-      done;
-      ts := t :: !ts;
-      incr nts);
-  let ts = Array.of_list !ts in
-  Array.sort cmp_tuple ts;
-  let ncl = Array.length cl in
-  (* the key and the tuple records have the same length *)
-  let out = Array.make (Array.length key + ncl + 2) 0 in
-  out.(0) <- key.(0);
-  out.(1) <- ncl;
-  Array.iteri (fun j v -> out.(2 + j) <- pi.(v)) cl;
-  out.(2 + ncl) <- !nts;
-  let p = ref (3 + ncl) in
-  Array.iter
-    (fun t ->
-      Array.blit t 0 out !p (Array.length t);
-      p := !p + Array.length t)
-    ts;
-  out
-
 (* Sorted union of the cached element spheres of [c]. *)
 let sphere_union ctx c =
   let sphere_of x = ctx.spheres.(x) in
@@ -576,11 +464,11 @@ let rec find_key (buf : int array) len = function
       done;
       if !same then u else find_key buf len rest
 
-(* The shape of each of [dist.(lo .. hi-1)], [-1] past the engine's
-   size limit, by a first-seen numbering local to this range; returns
-   it with the range's distinct keys, first-seen.  Every key is written
-   into one buffer and hashed in place; only a new shape's key is
-   copied. *)
+(* The shape of each of [dist.(lo .. hi-1)], [-1] past
+   [max_keyed_sphere], by a first-seen numbering local to this range;
+   returns it with the range's distinct keys, first-seen.  Every key is
+   written into one buffer and hashed in place; only a new shape's key
+   is copied. *)
 let key_range ctx dist (lo, hi) =
   let kb = { b = Array.make 256 0 } in
   let tbl = Itbl.create 16 in
@@ -588,7 +476,7 @@ let key_range ctx dist (lo, hi) =
   let keys = ref [] and nk = ref 0 in
   for d = lo to hi - 1 do
     let s = dist.(d) in
-    if Array.length s <= max_code_sphere then begin
+    if Array.length s <= max_keyed_sphere then begin
       let len = write_key ctx kb s in
       let h = hash_prefix kb.b len in
       let cands = try Itbl.find tbl h with Not_found -> [] in
@@ -605,22 +493,17 @@ let key_range ctx dist (lo, hi) =
   done;
   (shape, Array.of_list (List.rev !keys))
 
-(* Phase C' of [materialize]: group the slots whose pointed spheres have
-   equal decomposition codes.  [grp.(i)] is the slot whose
-   materialization slot [i] inherits; leaders have [grp.(i) = i].
+(* Phase C' of [materialize]: group the slots whose pointed spheres are
+   literally equal, by (shape, center labels).  [grp.(i)] is the slot
+   whose materialization slot [i] inherits; leaders have [grp.(i) = i].
    [dist] holds the call's distinct spheres in first-seen order and
-   [sid.(i)] slot [i]'s ([-1] at arity 0, which has no center to root a
-   code at).
+   [sid.(i)] slot [i]'s ([-1] at arity 0, which has no center).
 
    The distinct spheres are keyed in one parallel task per contiguous
    range, and the ranges' keys are merged in order, so every shape is
-   numbered at its first sphere whatever the job count.  Each shape is
-   one parallel task: it builds the shape's decomposition from its key,
-   emits the code of every distinct center-label vector the shape
-   serves, and drops the decomposition.  Codes are interned once per
-   (shape, center labels) pair, and slots grouped by code id in slot
-   order, so the first slot of a code leads. *)
-let code_groups ctx ?jobs tups sets sid dist =
+   numbered at its first sphere whatever the job count.  Slots are then
+   grouped in slot order, so the first slot of a group leads. *)
+let shape_groups ctx ?jobs tups sets sid dist =
   let nt = Array.length tups in
   let grp = Array.init nt (fun i -> i) in
   let nd = Array.length dist in
@@ -631,7 +514,6 @@ let code_groups ctx ?jobs tups sets sid dist =
   let keyed = Wm_par.Pool.parallel_map ?jobs (key_range ctx dist) ranges in
   let shape = Array.make nd (-1) in
   let ktbl = Ktbl.create 16 in
-  let reps = ref [] and nshapes = ref 0 in
   Array.iteri
     (fun r (lshape, keys) ->
       let global =
@@ -640,10 +522,9 @@ let code_groups ctx ?jobs tups sets sid dist =
             match Ktbl.find_opt ktbl key with
             | Some u -> u
             | None ->
-                Ktbl.add ktbl key !nshapes;
-                reps := key :: !reps;
-                incr nshapes;
-                !nshapes - 1)
+                let u = Ktbl.length ktbl in
+                Ktbl.add ktbl key u;
+                u)
           keys
       in
       let lo = fst ranges.(r) in
@@ -652,64 +533,23 @@ let code_groups ctx ?jobs tups sets sid dist =
           if u < 0 then Obs.incr c_bw_fallbacks else shape.(lo + j) <- global.(u))
         lshape)
     keyed;
-  (* distinct center-label vectors per shape: slot i's code is
-     codes.(su.(i)).(sj.(i)) *)
-  let su = Array.make nt (-1) and sj = Array.make nt (-1) in
-  let cls = Array.make !nshapes [] and ncls = Array.make !nshapes 0 in
-  let ctbl = Ktbl.create (max 16 nt) in
+  (* one group per (shape, center labels), led by its first slot *)
+  let gtbl = Ktbl.create (max 16 nt) in
   Array.iteri
     (fun i c ->
       let u = if sid.(i) < 0 then -1 else shape.(sid.(i)) in
       if u >= 0 then begin
-        su.(i) <- u;
         let s = sets.(i) in
-        let ckey = Array.make (1 + Array.length c) u in
-        Array.iteri (fun j x -> ckey.(j + 1) <- idx_sorted s x) c;
-        match Ktbl.find_opt ctbl ckey with
-        | Some j -> sj.(i) <- j
-        | None ->
-            Ktbl.add ctbl ckey ncls.(u);
-            sj.(i) <- ncls.(u);
-            cls.(u) <- Array.sub ckey 1 (Array.length c) :: cls.(u);
-            ncls.(u) <- ncls.(u) + 1
+        let gkey = Array.make (1 + Array.length c) u in
+        Array.iteri (fun j x -> gkey.(j + 1) <- idx_sorted s x) c;
+        match Ktbl.find_opt gtbl gkey with
+        | Some l ->
+            grp.(i) <- l;
+            Obs.incr c_bw_bypassed
+        | None -> Ktbl.add gtbl gkey i
       end)
     tups;
-  Obs.add c_bw_decomps !nshapes;
-  Obs.add c_bw_decomp_hits
-    (Array.fold_left (fun acc u -> if u >= 0 then acc + 1 else acc) 0 su
-    - !nshapes);
-  let codes =
-    Wm_par.Pool.parallel_mapi ?jobs
-      (fun u key ->
-        let di = dinfo_of key in
-        Array.of_list (List.rev_map (code_of di) cls.(u)))
-      (Array.of_list (List.rev !reps))
-  in
-  (* one id per distinct code, then the first slot of each id leads *)
-  let ids = Ktbl.create 16 in
-  let cid =
-    Array.map
-      (Array.map (fun cd ->
-           match Ktbl.find_opt ids cd with
-           | Some c -> c
-           | None ->
-               let c = Ktbl.length ids in
-               Ktbl.add ids cd c;
-               c))
-      codes
-  in
-  let lead = Array.make (Ktbl.length ids) (-1) in
-  for i = 0 to nt - 1 do
-    if su.(i) >= 0 then begin
-      let c = cid.(su.(i)).(sj.(i)) in
-      if lead.(c) < 0 then lead.(c) <- i
-      else begin
-        grp.(i) <- lead.(c);
-        Obs.incr c_bw_bypassed
-      end
-    end
-  done;
-  Obs.add c_bw_groups (Ktbl.length ids);
+  Obs.add c_bw_groups (Ktbl.length gtbl);
   grp
 
 (* Phase A (parallel): BFS the spheres of [tups]' elements not yet
@@ -750,12 +590,12 @@ let fill_spheres ctx ?jobs ~tree tups =
 (* Materialize classification data for every tuple, whose element
    spheres {!fill_spheres} has cached: bucket key (cheap invariants),
    certificate, and the {!Iso.prep} reused by every exact in-bucket
-   test, for code-group leaders only; members share their leader's
+   test, for shape-group leaders only; members share their leader's
    triple. *)
 let materialize ctx ?jobs tups =
   (* Phase B (sequential, cheap): tuple spheres by union.  Each
      distinct sphere is numbered once, first-seen, which is the order
-     the code step keys them in; a repeat (heavy overlap at arity >= 2)
+     the shape step keys them in; a repeat (heavy overlap at arity >= 2)
      counts as deduped. *)
   let nt = Array.length tups in
   let sets, sid, dist =
@@ -780,7 +620,7 @@ let materialize ctx ?jobs tups =
     Array.iter (Array.iter (ensure_heads ctx)) dist;
     (sets, sid, dist)
   in
-  let grp = Obs.span t_codes @@ fun () -> code_groups ctx ?jobs tups sets sid dist in
+  let grp = Obs.span t_shapes @@ fun () -> shape_groups ctx ?jobs tups sets sid dist in
   (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
      cheap key, certificate, refinement prep.  Group members inherit
      their leader's triple — physically the same prep, so every
@@ -950,7 +790,7 @@ let classify_slots ctx ?jobs tups =
      is isomorphic to.  Representatives of one bucket are pairwise
      non-isomorphic, so a member matches at most one of them and the
      leader is well defined regardless of search order.  A slot whose
-     code group leader (grp, Phase C' of [materialize]) sits earlier in
+     shape group leader (grp, Phase C' of [materialize]) sits earlier in
      the same bucket — it shares the triple, so it must — copies that
      slot's answer without scanning: its prep is physically the
      leader's, so the scan could only repeat the leader's matches. *)
@@ -1189,24 +1029,3 @@ let type_of ix c =
   match Tuple.Map.find_opt c ix.types with
   | Some ty -> ty
   | None -> raise Not_found
-
-(* Per-sphere width survey for `wmark info`: the min-degree heuristic
-   width of every element's rho-sphere substructure — the graphs whose
-   decompositions the code step builds. *)
-let max_sphere_width ?jobs g ~rho =
-  let gf = Gaifman.of_structure g in
-  let ctx = make_ctx ~local:false g gf ~rho in
-  let n = Structure.size g in
-  let widths =
-    Wm_par.Pool.parallel_map ?jobs
-      (fun x ->
-        let s = Gaifman.sphere_array gf ~rho x in
-        let members = members_in ctx s in
-        let renamed =
-          List.map (fun (_, t) -> Array.map (fun y -> idx_sorted s y) t) members
-        in
-        let gf_s = Gaifman.of_tuples ~n:(Array.length s) renamed in
-        Tdecomp.width (Tdecomp.eliminate gf_s))
-      (Array.init n (fun x -> x))
-  in
-  Array.fold_left max 0 widths

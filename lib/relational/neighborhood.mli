@@ -40,28 +40,21 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
 
     Element spheres are memoized per call, walked from per-domain
     scratch, and each distinct tuple sphere is keyed once (DESIGN.md
-    5.9).  Every sphere of at most 62 elements — the word-sized limit of
-    {!Tdecomp.eliminate_masks} — is first typed by a canonical
-    decomposition code (DESIGN.md 5.14), computed in one task per
-    distinct renamed sphere shape.  Equal codes imply isomorphic
-    pointed spheres, so only one tuple per code group runs the
-    refinement prep and the in-bucket isomorphism scan.  Larger spheres
-    go straight to that generic prep.  The choice depends only on the
-    input, and the result equals plain isomorphism classification.
+    5.9).  Every sphere of at most 62 elements is keyed by its renamed
+    shape (DESIGN.md 5.14); tuples with an equal shape and equal center
+    labels have literally equal pointed spheres, so only one tuple per
+    such group runs the refinement prep and the in-bucket isomorphism
+    scan.  Larger spheres go straight to that generic prep.  The choice
+    depends only on the input, and the result equals plain isomorphism
+    classification.
 
     Tree path (DESIGN.md 5.15): for arity-1 tuples over relations of
     arity 1 or 2, every element whose rho-ball induces a tree — decided
     in the sphere BFS itself — is typed by its color after exactly
     [rho] rounds of exact color refinement over the whole structure.
     That costs O(rho * (n + |E|) * log n) once per call, on one domain,
-    with no shape key, decomposition or prep for those
-    elements; only the elements with cyclic balls pay the per-sphere
-    costs above.  The refinement is skipped when no ball is a tree. *)
-
-val max_sphere_width : ?jobs:int -> Structure.t -> rho:int -> int
-(** The largest min-degree heuristic width over all elements' rho-sphere
-    substructures — the graphs whose decompositions the code step
-    builds ([wmark info] surfaces it). *)
+    with no shape key or prep for those elements; only the elements with
+    cyclic balls pay the per-sphere costs above.  The refinement is skipped when no ball is a tree. *)
 
 val index_universe : ?jobs:int -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no

@@ -61,11 +61,6 @@ let is_subset a b =
   done;
   !ok
 
-let iter_set f v =
-  for i = 0 to v.len - 1 do
-    if get v i then f i
-  done
-
 let to_list v =
   let acc = ref [] in
   for i = v.len - 1 downto 0 do

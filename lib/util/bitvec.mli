@@ -33,9 +33,6 @@ val diff : t -> t -> t
 val is_subset : t -> t -> bool
 (** [is_subset a b] iff every bit of [a] is set in [b]. *)
 
-val iter_set : (int -> unit) -> t -> unit
-(** Iterate over indices of set bits, ascending. *)
-
 val to_list : t -> int list
 (** Indices of set bits, ascending. *)
 

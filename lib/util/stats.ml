@@ -27,8 +27,6 @@ let quantile q a =
   let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
   s.(max 0 (min (n - 1) i))
 
-let imean a = mean (Array.map float_of_int a)
-
 let imax a =
   (* Seed with a.(0), not 0: folding from 0 silently clamps all-negative
      inputs to 0. *)

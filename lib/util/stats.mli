@@ -18,8 +18,6 @@ val min_max : float array -> float * float
 val quantile : float -> float array -> float
 (** [quantile q a] with [0 <= q <= 1]; nearest-rank on a sorted copy. *)
 
-val imean : int array -> float
-
 val imax : int array -> int
 (** Largest element; [imax] of an empty array is 0 (all our uses measure
     non-negative distortions, where 0 is the correct neutral element).

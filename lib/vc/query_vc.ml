@@ -24,6 +24,3 @@ let maximal_on g q =
   let ix = of_query g q in
   let all = List.init (Array.length ix.index) Fun.id in
   Vc.is_maximal ix.fam ~active:all
-
-let bounded_on_class make q ~sizes ~bound =
-  List.for_all (fun n -> dimension_of_query (make n) q <= bound) sizes

@@ -21,9 +21,3 @@ val dimension_of_query : Structure.t -> Query.t -> int
 val maximal_on : Structure.t -> Query.t -> bool
 (** The impossibility condition of Theorem 2: VC(psi, G) = |W| because W
     itself is shattered. *)
-
-val bounded_on_class : (int -> Structure.t) -> Query.t -> sizes:int list ->
-  bound:int -> bool
-(** [bounded_on_class make q ~sizes ~bound] checks VC(psi, make n) <= bound
-    for each listed size — the empirical side of "psi has bounded
-    VC-dimension on K". *)

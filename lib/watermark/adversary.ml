@@ -72,8 +72,6 @@ let describe = function
       Printf.sprintf "pairwise offset %+d on %d known pairs" delta
         (List.length pairs)
 
-let global_budget_used qs ~before ~after = Distortion.global qs before after
-
 (* ------------------------------------------------------------------ *)
 (* Collusion: k recipients pool their differently-fingerprinted copies. *)
 

@@ -53,11 +53,6 @@ val apply :
 
 val describe : attack -> string
 
-val global_budget_used :
-  Query_system.t -> before:Weighted.t -> after:Weighted.t -> int
-(** The d' the attack actually spent (max query-weight change) — reported
-    next to detection rates in experiment E10. *)
-
 (** {1 Collusion attacks}
 
     A coalition of k recipients, each holding a copy fingerprinted with

@@ -26,11 +26,6 @@ let of_marks qs marks =
       max acc (abs s))
     0 (Query_system.params qs)
 
-let worst_params qs w w' ~top =
-  per_param qs w w'
-  |> List.sort (fun (_, a) (_, b) -> compare (abs b) (abs a))
-  |> List.filteri (fun i _ -> i < top)
-
 type aggregate = Sum | Mean | Min | Max
 
 let f_agg agg qs w a =

@@ -17,10 +17,6 @@ val of_marks : Query_system.t -> (Tuple.t * int) list -> int
 (** Global distortion a mark list would induce, without materializing the
     marked weights (deltas summed per parameter). *)
 
-val worst_params : Query_system.t -> Weighted.t -> Weighted.t -> top:int -> (Tuple.t * int) list
-(** The [top] parameters with the largest absolute distortion — experiment
-    diagnostics. *)
-
 (** {1 Other aggregates}
 
     The paper notes that the sum in f can be replaced by mean, min or max

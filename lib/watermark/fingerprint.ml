@@ -361,31 +361,3 @@ let render_grid r =
     r.rows;
   Printf.sprintf "codeword: %d bits x %d copies, alpha %g (Sidak-corrected)\n%s"
     r.length r.times r.alpha (Texttab.render t)
-
-let outcome_to_json o =
-  Json.Obj
-    [
-      ("grid_index", Json.Int o.grid_index);
-      ("cell_seed", Json.Int o.cell_seed);
-      ("recipients", Json.Int o.recipients);
-      ("coalition", Json.Int o.coalition);
-      ("attack", Json.String o.attack);
-      ("params", Json.String o.params);
-      ("noise", Json.Int o.noise);
-      ("caught", Json.Int o.caught);
-      ("false_accusations", Json.Int o.false_accusations);
-      ("traced", Json.Bool o.traced);
-      ("accuracy", Json.Float o.accuracy);
-      ("threshold", Json.Float o.threshold);
-      ("min_member_p", Json.Float o.min_member_p);
-      ("min_innocent_p", Json.Float o.min_innocent_p);
-    ]
-
-let grid_to_json r =
-  Json.Obj
-    [
-      ("length", Json.Int r.length);
-      ("times", Json.Int r.times);
-      ("alpha", Json.Float r.alpha);
-      ("rows", Json.List (List.map outcome_to_json r.rows));
-    ]

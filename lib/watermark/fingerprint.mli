@@ -188,4 +188,3 @@ val run_grid :
     cell; bit-identical at every job count. *)
 
 val render_grid : grid_report -> string
-val grid_to_json : grid_report -> Wm_util.Json.t

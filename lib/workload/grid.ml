@@ -26,5 +26,3 @@ let neighbors_query =
          atom "V" [ "u"; "v" ];
          atom "V" [ "v"; "u" ];
        ])
-
-let tree_width ~w ~h = min w h

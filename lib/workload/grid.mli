@@ -20,6 +20,3 @@ val vertex : h:int -> int -> int -> int
 val neighbors_query : Query.t
 (** psi(u, v) = H(u,v) | H(v,u) | V(u,v) | V(v,u) — a local query usable by
     the Theorem 3 scheme on grids (degree 4). *)
-
-val tree_width : w:int -> h:int -> int
-(** min w h — the classical grid tree-width (reported in E3's table). *)

@@ -16,10 +16,6 @@ let full n =
   done;
   weigh !g
 
-let full_active n =
-  let subsets = 1 lsl n in
-  List.init n (fun b -> subsets + b)
-
 let half n =
   if n < 2 || n > 20 || n mod 2 <> 0 then
     invalid_arg "Shatter.half: need even n with 2 <= n <= 20";
@@ -41,11 +37,6 @@ let half n =
     g := Structure.add_tuple !g "E" (Tuple.pair hub (first_active + b))
   done;
   weigh !g
-
-let half_active n =
-  let h = n / 2 in
-  let first_active = (1 lsl h) + 1 in
-  List.init n (fun b -> first_active + b)
 
 let half_free n =
   let h = n / 2 in

@@ -19,14 +19,9 @@ val query : Query.t
 val full : int -> Weighted.structure
 (** [full n] for 1 <= n <= 16 (the structure has 2^n + n elements). *)
 
-val full_active : int -> int list
-(** The element ids of the active set W of [full n] (the last n). *)
-
 val half : int -> Weighted.structure
 (** [half n] for even n, 2 <= n <= 20. *)
 
-val half_active : int -> int list
-(** Active elements of [half n] (the last n ids). *)
 
 val half_free : int -> int list
 (** The n/2 active elements that occur only in W_hub — the carriers of the

@@ -1,9 +1,10 @@
-(* Decomposition codes in neighborhood typing (DESIGN.md 5.14): every
-   sphere of at most 62 elements is typed through a canonical
-   decomposition code, larger ones through the generic prep.  The codes
-   must be a pure speedup — bit-identical to the frozen Neighborhood_ref
-   pipeline for any structure and job count, spheres on both sides of
-   the size limit included. *)
+(* Shape groups in neighborhood typing (DESIGN.md 5.14): every sphere of
+   at most 62 elements is keyed by its renamed shape, and tuples with an
+   equal shape and equal center labels share one leader; larger spheres
+   go through the generic prep alone.  The groups must be a pure
+   speedup — bit-identical to the frozen Neighborhood_ref pipeline for
+   any structure and job count, spheres on both sides of the size limit
+   included. *)
 
 open Wm_util
 
@@ -58,7 +59,7 @@ let two_stars a b =
 
 (* [two_stars a b] plus one leaf-leaf chord per star: the hubs' spheres
    keep their a + 1 and b + 1 elements but are no longer trees, so they
-   take the code step instead of the tree path. *)
+   take the shape step instead of the tree path. *)
 let chorded_stars a b =
   let s = two_stars a b in
   let hub2 = a + 1 in
@@ -123,9 +124,9 @@ let obs_delta f =
   let r = f () in
   (r, Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()))
 
-(* Hubs of 62 and 63 elements: the first is the largest sphere the code
-   step takes, the second the smallest it leaves to the generic prep.
-   Plain star spheres are trees and never reach the code step, so each
+(* Hubs of 62 and 63 elements: the first is the largest sphere the shape
+   step keys, the second the smallest it leaves to the generic prep.
+   Plain star spheres are trees and never reach the shape step, so each
    star carries one chord; the unchorded pair is all tree-typed. *)
 let test_straddle () =
   with_stats @@ fun () ->
@@ -162,6 +163,13 @@ let test_straddle () =
         (counter_of d "nbh.bw.iso_bypassed" > 0))
     [ 1; 2 ]
 
+(* A random graph of degree <= 30 on 400 elements: at rho 1 every
+   sphere fits the shape step, and no two share a shape. *)
+let dense_graph () =
+  (Wm_workload.Random_struct.graph (Prng.create 0xD30) ~n:400 ~max_degree:30
+     ~edges:6000)
+    .Weighted.graph
+
 let test_counters () =
   with_stats @@ fun () ->
   let base = grid_graph 6 6 in
@@ -172,16 +180,22 @@ let test_counters () =
         obs_delta (fun () -> Neighborhood.index_universe ~jobs base ~rho:1 ~arity:2)
       in
       check bool "identical to the reference" true (equal_index ix reference);
-      check bool "decompositions built" true
-        (counter_of d "nbh.bw.decompositions" > 0);
-      (* arity 2: many tuples share a sphere shape, so most are served
-         without a decomposition of their own *)
-      check bool "decomposition cache hit" true
-        (counter_of d "nbh.bw.decomp_cache_hits" > 0);
-      check bool "groups formed" true (counter_of d "nbh.bw.groups" > 0);
-      check bool "iso bypassed" true (counter_of d "nbh.bw.iso_bypassed" > 0);
+      (* every one of the 1 296 pairs is a group member or leads one *)
+      check Alcotest.int "groups" 377
+        (counter_of d "nbh.bw.groups");
+      check Alcotest.int "iso bypassed" (1296 - 377)
+        (counter_of d "nbh.bw.iso_bypassed");
       check Alcotest.int "no fallbacks" 0
         (counter_of d "nbh.bw.width_fallbacks"))
+    [ 1; 2 ];
+  let dense = dense_graph () in
+  let reference = Neighborhood_ref.index_universe dense ~rho:1 ~arity:1 in
+  List.iter
+    (fun jobs ->
+      check bool
+        (Printf.sprintf "degree <= 30, jobs %d: identical to the reference" jobs)
+        true
+        (equal_index (Neighborhood.index_universe ~jobs dense ~rho:1 ~arity:1) reference))
     [ 1; 2 ]
 
 (* --- reindex over edit scripts under the bound ------------------------ *)
@@ -256,24 +270,6 @@ let test_dispatcher () =
         (name ^ ": nbh.bw.* deltas identical at jobs 1 and 2")
         (bw_counters d1) (bw_counters d2))
     [ ("straddle", straddle_graph ()); ("two stars", two_stars 61 62) ]
-
-let test_max_sphere_width () =
-  (* path: rho-1 spheres are sub-paths, width 1; the straddle graph's
-     clique spheres reach width 4 *)
-  let tree = tree_graph (Prng.create 7) in
-  check bool "tree spheres have width <= 1" true
-    (Neighborhood.max_sphere_width tree ~rho:1 <= 1);
-  let st = straddle_graph () in
-  check Alcotest.int "straddle max sphere width" 4
-    (Neighborhood.max_sphere_width st ~rho:1);
-  (* width is no gate: the clique's width-4 spheres take the code path *)
-  with_stats @@ fun () ->
-  let _, d =
-    obs_delta (fun () ->
-        Neighborhood.index st ~rho:1 (Neighborhood.all_tuples st ~arity:1))
-  in
-  check Alcotest.int "no fallbacks on small spheres" 0
-    (counter_of d "nbh.bw.width_fallbacks")
 
 (* --- tree-shaped balls: rho rounds of exact color refinement -------- *)
 
@@ -364,7 +360,7 @@ let test_tree_degree_leak () =
 
 (* A two-way 5-cycle beside a two-way 7-path at rho 2: every cycle ball
    closes through an edge between two depth-2 elements, so the cycle
-   stays on the code path and does not take the path center's type,
+   stays on the shape path and does not take the path center's type,
    which two refinement rounds alone would give it. *)
 let test_tree_depth_chord () =
   let both (a, b) = [ (a, b); (b, a) ] in
@@ -386,8 +382,8 @@ let test_tree_grouping () =
 
 (* The three typing shapes of the retired E28 experiment at rho 2, each
    identical to the reference at jobs 1 and 2.  No grid ball is a tree,
-   every grid sphere fits the code step, and grid tuples skip the
-   isomorphism scan through their code group; random degree <= 3 graphs
+   every grid sphere fits the shape step, and grid tuples skip the
+   isomorphism scan through their shape group; random degree <= 3 graphs
    and the biblio-XML element tree (E = parent-child, both ways) are
    mostly trees, so some of their elements take the tree path. *)
 let test_rho2_shapes () =
@@ -404,16 +400,29 @@ let test_rho2_shapes () =
         (jobs, d))
       [ 1; 2 ]
   in
+  (* a shuffled universe renames every sphere differently, so isomorphic
+     grid spheres get distinct shapes *)
+  let shuffled =
+    (Wm_watermark.Adversary.apply_structural (Prng.create 0x5F)
+       Wm_watermark.Adversary.Shuffle_universe
+       (Wm_workload.Grid.structure ~w:20 ~h:20))
+      .Weighted.graph
+  in
   List.iter
-    (fun (jobs, d) ->
-      let what s = Printf.sprintf "grid, jobs %d: %s" jobs s in
-      check Alcotest.int (what "no tree-typed element") 0
-        (counter_of d "nbh.tree.typed");
-      check Alcotest.int (what "no width fallback") 0
-        (counter_of d "nbh.bw.width_fallbacks");
-      check bool (what "iso bypassed") true
-        (counter_of d "nbh.bw.iso_bypassed" > 0))
-    (deltas "grid" (grid_graph 12 12));
+    (fun (name, base, groups) ->
+      List.iter
+        (fun (jobs, d) ->
+          let what s = Printf.sprintf "%s, jobs %d: %s" name jobs s in
+          check Alcotest.int (what "no tree-typed element") 0
+            (counter_of d "nbh.tree.typed");
+          check Alcotest.int (what "no width fallback") 0
+            (counter_of d "nbh.bw.width_fallbacks");
+          check Alcotest.int (what "groups") groups (counter_of d "nbh.bw.groups");
+          check Alcotest.int (what "iso bypassed")
+            (Structure.size base - groups)
+            (counter_of d "nbh.bw.iso_bypassed"))
+        (deltas name base))
+    [ ("grid", grid_graph 12 12, 25); ("shuffled grid", shuffled, 400) ];
   let sparse =
     (Wm_workload.Random_struct.graph (Prng.create 0xE28) ~n:120 ~max_degree:3
        ~edges:180)
@@ -450,7 +459,6 @@ let suite =
       test_straddle;
     Alcotest.test_case "bw counters" `Quick test_counters;
     Alcotest.test_case "dispatcher precedence" `Quick test_dispatcher;
-    Alcotest.test_case "max_sphere_width survey" `Quick test_max_sphere_width;
     QCheck_alcotest.to_alcotest prop_tree_path;
     Alcotest.test_case "tree path: no degree leak" `Quick test_tree_degree_leak;
     Alcotest.test_case "tree path: depth-rho chord" `Quick test_tree_depth_chord;

@@ -263,7 +263,7 @@ let test_of_sphere () =
   check int "min-degree agree"
     (Treewidth.width (Treewidth.by_min_degree g))
     (Treewidth.width td);
-  let tf = Treewidth.of_sphere ~heuristic:Tdecomp.Min_fill gf in
+  let tf = Treewidth.of_sphere ~heuristic:Treewidth.Min_fill gf in
   check bool "min-fill valid" true (Treewidth.validate g tf = Ok ());
   check int "min-fill agree"
     (Treewidth.width (Treewidth.by_min_fill g))
