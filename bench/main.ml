@@ -52,9 +52,11 @@ let e1 () =
   let ix = Neighborhood.index g ~rho:1 (Query.all_params g q) in
   Printf.printf "ntp(1, G) = %d (paper: 3)\n" (Neighborhood.ntp ix);
   let canonical = Array.to_list ix.Neighborhood.representatives in
-  let pairs = Pairing.s_partition qs ~canonical in
+  let pairing = Pairing.make qs ~canonical in
+  let ranked = Pairing.s_partition pairing in
+  let pairs = Pairing.to_pairs pairing ranked in
   let t = Texttab.create [ "u"; "type"; "W_u"; "cl(u)"; "distortion" ] in
-  let classes = Pairing.classes qs ~canonical in
+  let classes = Pairing.classes pairing in
   let marks =
     Pairing.orientation_marks pairs (Codec.of_int ~bits:(List.length pairs) 1)
   in
@@ -84,7 +86,7 @@ let e1 () =
           (fun p ->
             Printf.sprintf "(%s,%s)" (name p.Pairing.fst.(0)) (name p.Pairing.snd.(0)))
           pairs))
-    (Pairing.max_split qs pairs)
+    (Pairing.max_split pairing ranked)
 
 (* ------------------------------------------------------------------ *)
 (* E2 — Theorem 1: #Mark(=1) equals the permanent. *)
@@ -213,8 +215,13 @@ let e4 () =
                ~length:bits)
         then incr detected
       done;
+      let pairing = Pairing.make qs ~canonical:[] in
+      let rank w =
+        Option.value ~default:(-1) (Array.find_index (Tuple.equal w) (Pairing.active pairing))
+      in
+      let ranked = Array.of_list (List.map (fun p -> (rank p.Pairing.fst, rank p.Pairing.snd)) pairs) in
       Texttab.addf t "%d|%s|%d|%d|%d|%d/%d" n vc bits
-        (Pairing.max_split qs pairs)
+        (Pairing.max_split pairing ranked)
         !worst !detected trials)
     [ 8; 12; 16; 20 ];
   Texttab.print t;
@@ -1367,27 +1374,50 @@ let e19 () =
    index_universe.  The point of the experiment is the wall-clock gap on
    the largest bench instance. *)
 
+(* E21 times every row [e21_reps] times and reports the median with the
+   interquartile range: one sample of a millisecond-scale call moves by
+   tens of percent on a shared host. *)
+let e21_reps = 21
+
+(* The result of the last of [e21_reps] runs of [f], the median of their
+   times and the interquartile range. *)
+let timed_reps f =
+  let last = ref None in
+  let ts =
+    Array.init e21_reps (fun _ ->
+        let r, t = secs f in
+        last := Some r;
+        t)
+  in
+  ( Option.get !last,
+    Stats.quantile 0.5 ts,
+    Stats.quantile 0.75 ts -. Stats.quantile 0.25 ts )
+
 let e21 () =
   header "E21. Incremental reindex vs full re-index (Gaifman locality)";
   let t =
     Texttab.create
-      [ "instance"; "edit script"; "dirty"; "full s"; "incr s"; "speedup"; "identical" ]
+      [ "instance"; "edit script"; "dirty"; "full s"; "IQR"; "incr s"; "IQR"; "speedup";
+        "identical" ]
   in
   let case ~instance ~g ~rho ~arity ~prev name edits =
     let edited, dirty = Structure.apply_edits g edits in
-    let full, t_full = secs (fun () -> Neighborhood.index_universe edited ~rho ~arity) in
+    let full, t_full, iqr_full =
+      timed_reps (fun () -> Neighborhood.index_universe edited ~rho ~arity)
+    in
     let old_gf = Gaifman.of_structure g in
-    let inc, t_inc =
-      secs (fun () ->
+    let inc, t_inc, iqr_inc =
+      timed_reps (fun () ->
           Neighborhood.reindex ~old:g ~old_gf edited
             ~gf:(Gaifman.refresh edited ~prev:old_gf ~dirty) ~prev ~dirty)
     in
     let same =
-      Tuple.Map.equal ( = ) full.Neighborhood.types inc.Neighborhood.types
+      full.Neighborhood.tuples = inc.Neighborhood.tuples
+      && full.Neighborhood.types = inc.Neighborhood.types
       && full.Neighborhood.representatives = inc.Neighborhood.representatives
     in
-    Texttab.addf t "%s|%s|%d|%.4f|%.4f|%.1fx|%s" instance name
-      (List.length dirty) t_full t_inc (t_full /. t_inc)
+    Texttab.addf t "%s|%s|%d|%.4f|%.4f|%.4f|%.4f|%.1fx|%s" instance name
+      (List.length dirty) t_full iqr_full t_inc iqr_inc (t_full /. t_inc)
       (if same then "yes" else "NO");
     if not same then failwith ("e21: incremental reindex diverged on " ^ name)
   in
@@ -1397,10 +1427,9 @@ let e21 () =
      types the incremental path must anchor. *)
   let grid = (Grid.structure ~w:40 ~h:40).Weighted.graph in
   let rho = 2 and arity = 1 in
-  let prev, t_prev = secs (fun () -> Neighborhood.index_universe grid ~rho ~arity) in
-  Printf.printf
-    "grid 40x40: %d elements, rho=%d, ntp=%d (%.3f s full index)\n"
-    (Structure.size grid) rho (Neighborhood.ntp prev) t_prev;
+  let prev = Neighborhood.index_universe grid ~rho ~arity in
+  Printf.printf "grid 40x40: %d elements, rho=%d, ntp=%d; times are medians of %d runs\n"
+    (Structure.size grid) rho (Neighborhood.ntp prev) e21_reps;
   let gcase = case ~instance:"grid 40x40" ~g:grid ~rho ~arity ~prev in
   let mid = Grid.vertex ~h:40 20 20 in
   gcase "1 tuple insert"
@@ -1423,15 +1452,15 @@ let e21 () =
      locality buys nothing when the type count grows with the instance. *)
   let wsr = Random_struct.graph (Prng.create 41) ~n:420 ~max_degree:6 ~edges:940 in
   let gr = wsr.Weighted.graph in
-  let prev_r, _ = secs (fun () -> Neighborhood.index_universe gr ~rho ~arity) in
+  let prev_r = Neighborhood.index_universe gr ~rho ~arity in
   case ~instance:"random n=420" ~g:gr ~rho ~arity ~prev:prev_r "1 tuple insert"
     [ Structure.Insert_tuple ("E", Tuple.pair 17 230) ];
   Texttab.print t;
   (* The serving engine's whole [update] request on ring datasets, the
      shape of the pipeline bench's serve workload: an identity prepare
      at rho 1, a mark, then the same one-edge toggle between the
-     first and the last ring, p50 over the toggles. *)
-  let engine_update_p50 n =
+     first and the last ring, p50 and IQR over the toggles. *)
+  let engine_update n =
     let engine = Serve_engine.create () in
     let send req =
       let payload = Serve_engine.handle engine (Serve_protocol.encode_request req) in
@@ -1447,16 +1476,18 @@ let e21 () =
            qspec = Serve_protocol.Identity });
     send (Serve_protocol.Mark ("live", "1011"));
     let times =
-      List.init 9 (fun i ->
+      Array.init e21_reps (fun i ->
           let op = if i mod 2 = 0 then "insert" else "delete" in
           let body = Printf.sprintf "%s E 0 %d\n%s E %d 0\n" op (n - 1) op (n - 1) in
-          snd (secs (fun () -> send (Serve_protocol.Update ("live", body)))))
+          1000.0 *. snd (secs (fun () -> send (Serve_protocol.Update ("live", body)))))
     in
-    1000.0 *. List.nth (List.sort compare times) 4
+    (Stats.quantile 0.5 times, Stats.quantile 0.75 times -. Stats.quantile 0.25 times)
   in
-  let ut = Texttab.create [ "engine update"; "elements"; "p50 ms" ] in
+  let ut = Texttab.create [ "engine update"; "elements"; "p50 ms"; "IQR ms" ] in
   List.iter
-    (fun n -> Texttab.addf ut "one-edge toggle|%d|%.2f" n (engine_update_p50 n))
+    (fun n ->
+      let p50, iqr = engine_update n in
+      Texttab.addf ut "one-edge toggle|%d|%.2f|%.2f" n p50 iqr)
     [ 1_000; 10_000; 100_000 ];
   Texttab.print ut;
   Printf.printf

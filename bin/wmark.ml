@@ -48,7 +48,10 @@ let results_term =
   Arg.(value & opt string "v" & info [ "results" ] ~docv:"VARS" ~doc)
 
 let rho_term =
-  let doc = "Locality rank (default: Gaifman bound of the formula)." in
+  let doc =
+    "Locality rank of the neighborhood types (default: 1, whatever the \
+     formula's own locality bound)."
+  in
   Arg.(value & opt (some int) (Some 1) & info [ "rho" ] ~docv:"RHO" ~doc)
 
 let epsilon_term =

@@ -35,16 +35,18 @@ let () =
   let canonical = Array.to_list ix.Neighborhood.representatives in
   Format.printf "@.canonical parameters S = {%s}@."
     (String.concat ", " (List.map (fun t -> name t.(0)) canonical));
+  let pairing = Pairing.make qs ~canonical in
   let t2 = Texttab.create [ "w"; "cl(w)" ] in
   List.iter
     (fun (w, cl) ->
       Texttab.add_row t2
         [ name w.(0); String.concat "," (List.map string_of_int cl) ])
-    (Pairing.classes qs ~canonical);
+    (Pairing.classes pairing);
   Texttab.print ~title:"Figure 4: classes of active weighted elements" t2;
 
   (* The S-partition and the two markings of one message bit. *)
-  let pairs = Pairing.s_partition qs ~canonical in
+  let ranked = Pairing.s_partition pairing in
+  let pairs = Pairing.to_pairs pairing ranked in
   Format.printf "@.S-partition pairs: %s@."
     (String.concat ", "
        (List.map
@@ -68,4 +70,4 @@ let () =
   show_marking "Pair marking from the S-partition, bit = 1"
     (Pairing.orientation_marks pairs (Codec.of_int ~bits:(List.length pairs) 1));
   Format.printf "@.max split over all parameters: %d (certifies |distortion| <= 1)@."
-    (Pairing.max_split qs pairs)
+    (Pairing.max_split pairing ranked)

@@ -192,7 +192,8 @@ let equivalent g gf ~rho a b =
 type index = {
   rho : int;
   arity : int;
-  types : int Tuple.Map.t;
+  tuples : Tuple.t array;
+  types : int array;
   representatives : Tuple.t array;
 }
 
@@ -232,6 +233,29 @@ let all_tuples g ~arity =
 let all_tuples_array g ~arity =
   let n = Structure.size g in
   Array.init (tuple_count n ~arity) (fun ix -> nth_tuple n ~arity ix)
+
+(* The inverse of [nth_tuple]: below [tuple_count], so no overflow. *)
+let tuple_rank n (c : Tuple.t) =
+  let r = ref 0 in
+  for j = Array.length c - 1 downto 0 do
+    r := (!r * n) + c.(j)
+  done;
+  !r
+
+(* Enumeration order of two tuples: shorter first, then the last
+   coordinate is the most significant (see [nth_tuple]), whatever the
+   universe size. *)
+let enum_compare (a : Tuple.t) (b : Tuple.t) =
+  let la = Array.length a in
+  if la <> Array.length b then icmp la (Array.length b)
+  else begin
+    let r = ref 0 and j = ref (la - 1) in
+    while !r = 0 && !j >= 0 do
+      r := icmp a.(!j) b.(!j);
+      decr j
+    done;
+    !r
+  end
 
 (* Int-array-keyed tables that hash the whole key: the stdlib
    polymorphic hash stops after ten meaningful words, and sphere keys
@@ -452,7 +476,7 @@ let sphere_union ctx c =
 
 module Itbl = Hashtbl.Make (Int)
 
-(* The shape id of the key in [buf.(0 .. len-1)] among [(key, id)]
+(* The id of the key in [buf.(0 .. len-1)] among [(key, id)]
    candidates, or -1. *)
 let rec find_key (buf : int array) len = function
   | [] -> -1
@@ -464,34 +488,46 @@ let rec find_key (buf : int array) len = function
       done;
       if !same then u else find_key buf len rest
 
+(* Exact interning of keys in a scratch buffer: hashed whole in place,
+   compared exactly, ids dense and first-seen; only a new key is copied
+   (onto [keys], newest first). *)
+type interner = {
+  itbl : (int array * int) list Itbl.t;
+  mutable keys : int array list;
+  mutable count : int;
+}
+
+let interner () = { itbl = Itbl.create 16; keys = []; count = 0 }
+
+let intern it (buf : int array) len =
+  let h = hash_prefix buf len in
+  let cands = try Itbl.find it.itbl h with Not_found -> [] in
+  let u = find_key buf len cands in
+  if u >= 0 then u
+  else begin
+    let key = Array.sub buf 0 len and u = it.count in
+    Itbl.replace it.itbl h ((key, u) :: cands);
+    it.keys <- key :: it.keys;
+    it.count <- u + 1;
+    u
+  end
+
 (* The shape of each of [dist.(lo .. hi-1)], [-1] past
    [max_keyed_sphere], by a first-seen numbering local to this range;
    returns it with the range's distinct keys, first-seen.  Every key is
-   written into one buffer and hashed in place; only a new shape's key
-   is copied. *)
+   written into one buffer and interned from there. *)
 let key_range ctx dist (lo, hi) =
   let kb = { b = Array.make 256 0 } in
-  let tbl = Itbl.create 16 in
+  let it = interner () in
   let shape = Array.make (hi - lo) (-1) in
-  let keys = ref [] and nk = ref 0 in
   for d = lo to hi - 1 do
     let s = dist.(d) in
     if Array.length s <= max_keyed_sphere then begin
       let len = write_key ctx kb s in
-      let h = hash_prefix kb.b len in
-      let cands = try Itbl.find tbl h with Not_found -> [] in
-      let u = find_key kb.b len cands in
-      if u >= 0 then shape.(d - lo) <- u
-      else begin
-        let key = Array.sub kb.b 0 len in
-        Itbl.replace tbl h ((key, !nk) :: cands);
-        keys := key :: !keys;
-        shape.(d - lo) <- !nk;
-        incr nk
-      end
+      shape.(d - lo) <- intern it kb.b len
     end
   done;
-  (shape, Array.of_list (List.rev !keys))
+  (shape, Array.of_list (List.rev it.keys))
 
 (* Phase C' of [materialize]: group the slots whose pointed spheres are
    literally equal, by (shape, center labels).  [grp.(i)] is the slot
@@ -697,8 +733,9 @@ let bucket_slots keyed =
    round-r signature is the element's round-(r-1) color, then one
    (label, round-(r-1) color) pair per Gaifman neighbor, sorted; the
    label is the set of (relation id, position of the element) over every
-   tuple joining the two, grouped per neighbor.  Ids are dense by exact
-   signature comparison ({!Iso.dense_renumber}), never a hash.
+   tuple joining the two, grouped per neighbor.  Ids come from exact
+   interning: the whole signature is hashed and then compared exactly,
+   so ids are first-seen, not canonical.
 
    The round-r color of y depends only on the r-ball of y, so the final
    color of x is an invariant of its pointed sphere.  On a tree sphere it
@@ -729,27 +766,36 @@ let tree_colors ctx =
             end)
           r)
     ctx.rel_names;
-  (* dense label ids by rank among the distinct labels *)
-  let distinct = Array.of_list (List.sort_uniq icmp (Array.to_list label)) in
-  let lid = Array.map (idx_sorted distinct) label in
-  let col = ref (Iso.dense_renumber (Array.map (fun m -> [| m |]) own)) in
+  (* only equality of colors matters, so ids are interned first-seen
+     from one buffer *)
+  let kb = { b = Array.make 64 0 } in
+  let intern_word it m =
+    kb.b.(0) <- m;
+    intern it kb.b 1
+  in
+  let lid = Array.map (intern_word (interner ())) label in
+  let it0 = interner () in
+  let col = ref (Array.map (intern_word it0) own) and k = ref it0.count in
   for _ = 1 to ctx.crho do
-    let c, k = !col in
+    let c = !col and kc = !k in
+    let it = interner () in
     col :=
-      Iso.dense_renumber
-        (Array.init n (fun x ->
-             let d = Gaifman.degree gf x in
-             let s = Array.make (d + 1) c.(x) in
-             (* label id and color packed into one int: exact, as every
-                color is below [k] *)
-             let i = ref 1 in
-             Gaifman.iteri_neighbors gf x (fun e w ->
-                 s.(!i) <- (lid.(e) * k) + c.(w);
-                 incr i);
-             Iso.isort s 1 d;
-             s))
+      Array.init n (fun x ->
+          let d = Gaifman.degree gf x in
+          reserve kb (d + 1);
+          let s = kb.b in
+          s.(0) <- c.(x);
+          (* label id and color packed into one int: exact, as every
+             color is below [kc] *)
+          let i = ref 1 in
+          Gaifman.iteri_neighbors gf x (fun e w ->
+              s.(!i) <- (lid.(e) * kc) + c.(w);
+              incr i);
+          Iso.isort s 1 d;
+          intern it s (d + 1));
+    k := it.count
   done;
-  fst !col
+  !col
 
 (* The tree path of [run_index]: every slot whose element's sphere is a
    tree gets its leader, the first slot with its final color; returns
@@ -873,28 +919,24 @@ let run_index ctx ?jobs tups ~rho ~arity =
     end
   in
   (* Phase 4 (sequential): number the classes by first occurrence, which
-     reproduces the type ids of the plain sequential fold exactly. *)
+     reproduces the type ids of the plain sequential fold exactly.  A
+     leader is the first slot of its class, so it is numbered before any
+     slot that names it.  Rows stay in slot order: enumeration order,
+     except for [index]. *)
   Obs.span t_renumber @@ fun () ->
-  let ty_of_leader = Hashtbl.create 64 in
-  let reps = ref [] in
-  let next_ty = ref 0 in
-  let types = ref Tuple.Map.empty in
-  Array.iteri
-    (fun i c ->
-      let l = leader.(i) in
-      let ty =
-        match Hashtbl.find_opt ty_of_leader l with
-        | Some ty -> ty
-        | None ->
-            let ty = !next_ty in
-            incr next_ty;
-            Hashtbl.add ty_of_leader l ty;
-            reps := tups.(l) :: !reps;
-            ty
-      in
-      types := Tuple.Map.add c ty !types)
-    tups;
-  { rho; arity; types = !types; representatives = Array.of_list (List.rev !reps) }
+  let ty_of_leader = Array.make n (-1) and reps = ref [] and next_ty = ref 0 in
+  let types =
+    Array.map
+      (fun l ->
+        if ty_of_leader.(l) < 0 then begin
+          ty_of_leader.(l) <- !next_ty;
+          incr next_ty;
+          reps := tups.(l) :: !reps
+        end;
+        ty_of_leader.(l))
+      leader
+  in
+  { rho; arity; tuples = tups; types; representatives = Array.of_list (List.rev !reps) }
 
 (* The context's Gaifman graph and [heads] lists are charged to the
    spheres timer, so the [nbh.index.*] timers add up to [nbh.index]. *)
@@ -907,7 +949,11 @@ let index ?jobs g ~rho tuples =
   let ctx = make_index_ctx g ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
-  run_index ctx ?jobs tups ~rho ~arity
+  let ix = run_index ctx ?jobs tups ~rho ~arity in
+  (* the slots are in list order, the rows in enumeration order *)
+  let ord = Array.init (Array.length tups) Fun.id in
+  Array.sort (fun i j -> enum_compare tups.(i) tups.(j)) ord;
+  { ix with tuples = Array.map (Array.get tups) ord; types = Array.map (Array.get ix.types) ord }
 
 let index_universe ?jobs g ~rho ~arity =
   Obs.span t_index @@ fun () ->
@@ -922,15 +968,16 @@ let affected_elements ~old_gf ~gf ~rho ~dirty =
     (Gaifman.reach old_gf ~sources:dirty ~bound:rho
     @ Gaifman.reach gf ~sources:dirty ~bound:rho)
 
-(* Enumeration order of two tuples of one arity: the last coordinate is
-   the most significant (see [nth_tuple]), whatever the universe size. *)
-let enum_compare (a : Tuple.t) (b : Tuple.t) =
-  let r = ref 0 and j = ref (Array.length a - 1) in
-  while !r = 0 && !j >= 0 do
-    r := icmp a.(!j) b.(!j);
-    decr j
+let ntp ix = Array.length ix.representatives
+
+let type_of ix c =
+  let lo = ref 0 and hi = ref (Array.length ix.tuples - 1) and r = ref (-1) in
+  while !r < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let o = enum_compare ix.tuples.(mid) c in
+    if o = 0 then r := mid else if o < 0 then lo := mid + 1 else hi := mid - 1
   done;
-  !r
+  if !r < 0 then raise Not_found else ix.types.(!r)
 
 let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
   Obs.span t_reindex @@ fun () ->
@@ -964,16 +1011,13 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
         (fun c -> if untouched c then Some c else None)
         prev.representatives
     in
-    if Array.exists Option.is_none anchor then begin
-      let need = Array.map Option.is_none anchor in
-      Tuple.Map.iter
-        (fun c ty ->
-          if need.(ty) && untouched c then
-            match anchor.(ty) with
-            | Some a when enum_compare a c <= 0 -> ()
-            | _ -> anchor.(ty) <- Some c)
-        prev.types
-    end;
+    (* The old rows are in enumeration order, so the first untouched
+       member a scan meets is its class's first. *)
+    Array.iteri
+      (fun k c ->
+        let ty = prev.types.(k) in
+        if Option.is_none anchor.(ty) && untouched c then anchor.(ty) <- Some c)
+      prev.tuples;
     let anchors =
       List.sort enum_compare (List.filter_map Fun.id (Array.to_list anchor))
     in
@@ -1002,30 +1046,20 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
         (Array.of_list (List.merge enum_compare anchors at))
         ~rho ~arity
     in
-    (* Untouched tuples move to their anchor's new type: when none moves,
-       the old map only needs the affected tuples written in.  (An old
-       class without an anchor has no untouched member left, so its -1
-       never survives that.) *)
+    (* Untouched tuples move to their anchor's new type: the old types
+       are copied by rank through that relabeling, and the typed rows
+       written over them.  (An old class without an anchor has no
+       untouched member left, and a tuple new to the universe is
+       affected, so no -1 survives that.) *)
     let new_ty =
-      Array.map (function Some c -> Tuple.Map.find c ix.types | None -> -1) anchor
+      Array.map (function Some c -> type_of ix c | None -> -1) anchor
     in
-    let relabel = Array.get new_ty in
-    let moved = ref false in
-    Array.iteri (fun ty t -> if t >= 0 && t <> ty then moved := true) new_ty;
-    let kept =
-      if n < Structure.size old then
-        Tuple.Map.filter_map
-          (fun c ty -> if gone c then None else Some (relabel ty))
-          prev.types
-      else if !moved then Tuple.Map.map relabel prev.types
-      else prev.types
+    let n_old = Structure.size old in
+    let tuples = if n = n_old then prev.tuples else all_tuples_array g ~arity in
+    let old_type c =
+      if Tuple.max_elt c < n_old then new_ty.(prev.types.(tuple_rank n_old c)) else -1
     in
-    { ix with types = Tuple.Map.fold Tuple.Map.add ix.types kept }
+    let types = Array.map old_type tuples in
+    Array.iteri (fun j c -> types.(tuple_rank n c) <- ix.types.(j)) ix.tuples;
+    { ix with tuples; types }
   end
-
-let ntp ix = Array.length ix.representatives
-
-let type_of ix c =
-  match Tuple.Map.find_opt c ix.types with
-  | Some ty -> ty
-  | None -> raise Not_found

@@ -22,12 +22,13 @@ val equivalent :
 type index = {
   rho : int;
   arity : int;  (** arity of the indexed tuples (0 when none) *)
-  types : int Tuple.Map.t;  (** type id of every indexed tuple *)
+  tuples : Tuple.t array;  (** indexed tuples in {!all_tuples} order *)
+  types : int array;  (** [types.(i)] is the type id of [tuples.(i)] *)
   representatives : Tuple.t array;  (** representatives.(ty) has type ty *)
 }
-(** A computed type index over a set of tuples: type ids are dense in
-    [0 .. ntp-1] and [representatives] realizes the paper's canonical
-    parameter set S. *)
+(** A computed type index over a set of tuples, one row per tuple: type
+    ids are dense in [0 .. ntp-1] and [representatives] realizes the
+    paper's canonical parameter set S. *)
 
 val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
 (** Types every listed tuple: pre-buckets by cheap invariants (sphere
@@ -52,9 +53,12 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
     arity 1 or 2, every element whose rho-ball induces a tree — decided
     in the sphere BFS itself — is typed by its color after exactly
     [rho] rounds of exact color refinement over the whole structure.
-    That costs O(rho * (n + |E|) * log n) once per call, on one domain,
+    Each round numbers its signatures by exact interning (ids
+    first-seen, not canonical), so the refinement costs
+    O(rho * (n + |E|)) hash-table work once per call, on one domain,
     with no shape key or prep for those elements; only the elements with
-    cyclic balls pay the per-sphere costs above.  The refinement is skipped when no ball is a tree. *)
+    cyclic balls pay the per-sphere costs above.  The refinement is
+    skipped when no ball is a tree. *)
 
 val index_universe : ?jobs:int -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no
@@ -88,17 +92,18 @@ val reindex :
     first untouched member) are typed together, in enumeration order,
     by the classifier {!index_universe} runs: every class first occurs
     at one of them, so that yields the from-scratch type ids and
-    representatives.  Untouched tuples take their anchor's new id; when
-    none moves, the old type map is kept and only the affected tuples
-    are patched in.  Falls back to a full rebuild when the affected
-    tuples exceed [threshold] (default [0.5]) of the universe.  Only
-    meaningful when [prev] indexes all of [old]'s U^arity. *)
+    representatives.  Untouched tuples take their anchor's new id, copied
+    by rank, and the affected tuples are written in.  Falls back to a
+    full rebuild when the affected tuples exceed [threshold] (default
+    [0.5]) of the universe.  Only meaningful when [prev] indexes all of
+    [old]'s U^arity. *)
 
 val ntp : index -> int
 (** Number of types = |S|. *)
 
 val type_of : index -> Tuple.t -> int
-(** @raise Not_found if the tuple was not indexed. *)
+(** By binary search over [tuples].
+    @raise Not_found if the tuple was not indexed. *)
 
 val all_tuples : Structure.t -> arity:int -> Tuple.t list
 (** U^arity in enumeration order: the first coordinate cycles fastest,

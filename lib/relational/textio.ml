@@ -6,6 +6,10 @@ let error_to_string e =
   if e.line > 0 then Printf.sprintf "line %d: %s" e.line e.message
   else e.message
 
+(* Readers allocate per element, so a declared size beyond this is an
+   error, not an allocation failure. *)
+let max_size = 1 lsl 24
+
 (* Names may contain characters the line format cannot carry raw: '#'
    starts a comment, leading/trailing/doubled spaces are eaten by trim and
    word splitting, '%' is our escape lead, and control bytes (every
@@ -377,6 +381,8 @@ let of_string_result text =
       match !size with Some n -> n | None -> fail "missing size"
     in
     if size < 0 then fail ~line:size_line "negative size %d" size;
+    if size > max_size then
+      fail ~line:size_line "size %d exceeds the limit of %d elements" size max_size;
     let schema =
       match Schema.make ~weight_arity:!weight_arity symbols with
       | s -> s

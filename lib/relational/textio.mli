@@ -85,3 +85,8 @@ val edits_of_string_result : string -> (Structure.edit list, error) result
 
 val edits_of_string : string -> Structure.edit list
 (** @raise Format_error on malformed content. *)
+
+val max_size : int
+(** The largest [size] a structure file may declare, 2^24 (above the
+    10^7-element scale the system targets); more is a line-numbered
+    error. *)

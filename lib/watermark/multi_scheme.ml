@@ -72,10 +72,11 @@ let count_bound g queries =
    reproduces the same scheme. *)
 let assemble ~options ~g ~queries ~systems ~degree ~indexes =
   let combined, canonical = union systems indexes in
-  let active = Query_system.active combined in
-  if active = [] then Error "query has no active weighted elements"
+  let pairing = Pairing.make combined ~canonical in
+  let active = Array.length (Pairing.active pairing) in
+  if active = 0 then Error "query has no active weighted elements"
   else begin
-    let all_pairs = Pairing.s_partition combined ~canonical in
+    let all_pairs = Pairing.s_partition pairing in
     let budget = int_of_float (ceil (1.0 /. options.epsilon)) in
     let eta =
       List.map2
@@ -85,7 +86,7 @@ let assemble ~options ~g ~queries ~systems ~degree ~indexes =
     let selected, max_split =
       let g0 = Prng.create options.seed in
       match options.selection with
-      | `Greedy -> Pairing.select_greedy g0 combined all_pairs ~budget
+      | `Greedy -> Pairing.select_greedy g0 pairing all_pairs ~budget
       | `Random tries ->
           (* p = 1 / (eta (2N)^eps) with the largest per-query eta and N
              summed over the queries: the union's parameters are the
@@ -96,18 +97,18 @@ let assemble ~options ~g ~queries ~systems ~degree ~indexes =
                *. (float_of_int (2 * count_bound g queries) ** options.epsilon))
           in
           let rec attempt i =
-            if i = 0 then []
+            if i = 0 then [||]
             else
-              match Pairing.select_random g0 combined all_pairs ~p ~budget with
-              | Some pairs when pairs <> [] -> pairs
+              match Pairing.select_random g0 pairing all_pairs ~p ~budget with
+              | Some pairs when pairs <> [||] -> pairs
               | _ -> attempt (i - 1)
           in
           let pairs = attempt tries in
-          (pairs, if pairs = [] then 0 else Pairing.max_split combined pairs)
+          (pairs, Pairing.max_split pairing pairs)
     in
-    if selected = [] then Error "no pair survived eps-good selection"
+    if selected = [||] then Error "no pair survived eps-good selection"
     else
-      let carriers = Carriers.make combined selected in
+      let carriers = Carriers.make combined (Pairing.to_pairs pairing selected) in
       Ok
         {
           systems;
@@ -121,8 +122,8 @@ let assemble ~options ~g ~queries ~systems ~degree ~indexes =
               rho = List.map (fun ix -> ix.Neighborhood.rho) indexes;
               ntp = List.map Neighborhood.ntp indexes;
               eta;
-              active = List.length active;
-              pairs_available = List.length all_pairs;
+              active;
+              pairs_available = Array.length all_pairs;
               pairs_selected = Carriers.capacity carriers;
               budget;
               max_split;

@@ -1,49 +1,131 @@
 type pair = { fst : Tuple.t; snd : Tuple.t }
 
-(* cl(w) through the canonical result sets themselves: each canonical
-   index is listed under the elements of its W_a, so an active element
-   costs one lookup instead of one membership test per canonical
-   parameter.  Indexes are visited in descending order, so every list
-   comes out ascending. *)
-let classes qs ~canonical =
-  let member = Tuple.Hashtbl.create 64 in
-  List.iter
-    (fun (i, a) ->
-      Tuple.Set.iter
-        (fun w ->
-          let l = Option.value ~default:[] (Tuple.Hashtbl.find_opt member w) in
-          Tuple.Hashtbl.replace member w (i :: l))
-        (Query_system.result_set qs a))
-    (List.rev (List.mapi (fun i a -> (i, a)) canonical));
-  List.map
-    (fun w ->
-      (w, Option.value ~default:[] (Tuple.Hashtbl.find_opt member w)))
-    (Query_system.active qs)
+(* Dense ranks of equal-length tuples in [Tuple.compare] order, and
+   their count: a radix sort of the positions, one counting pass per
+   coordinate from the last over the span of the (universe) elements. *)
+let rank_tuples (ts : Tuple.t array) =
+  let m = Array.length ts in
+  let lo = Array.fold_left (Array.fold_left min) max_int ts in
+  let span = Array.fold_left (Array.fold_left max) min_int ts - lo + 1 in
+  let order = ref (Array.init m Fun.id) in
+  for j = (if m = 0 then 0 else Array.length ts.(0)) - 1 downto 0 do
+    let start = Array.make (span + 1) 0 and next = Array.make m 0 in
+    let key e = ts.(e).(j) - lo in
+    Array.iter (fun e -> start.(key e + 1) <- start.(key e + 1) + 1) !order;
+    for d = 1 to span do
+      start.(d) <- start.(d) + start.(d - 1)
+    done;
+    Array.iter
+      (fun e ->
+        next.(start.(key e)) <- e;
+        start.(key e) <- start.(key e) + 1)
+      !order;
+    order := next
+  done;
+  let rank = Array.make m 0 and r = ref (-1) in
+  Array.iteri
+    (fun k e ->
+      if k = 0 || not (Tuple.equal ts.(e) ts.(!order.(k - 1))) then incr r;
+      rank.(e) <- !r)
+    !order;
+  (rank, !r + 1)
+
+(* The result sets as one CSR over active-element ranks, kept as its
+   transpose: the parameters whose result set holds rank [r] are
+   [inv.(inv_off.(r) .. inv_off.(r+1)-1)], ascending, and row [m] (one
+   past the last rank) is empty.  A result set splits a pair iff it holds
+   exactly one endpoint, so the parameters a pair touches are the
+   symmetric difference of its endpoints' rows.  [cls.(r)] is cl(w) of
+   rank [r]. *)
+type t = {
+  active : Tuple.t array;
+  nparams : int;
+  inv_off : int array;
+  inv : int array;
+  cls : int list array;
+}
+
+let make qs ~canonical =
+  let params = Array.of_list (Query_system.params qs) in
+  let np = Array.length params in
+  (* rows [0, np) are the parameters' result sets, then the canonical *)
+  let rows =
+    Array.map
+      (fun a -> Array.of_list (Tuple.Set.elements (Query_system.result_set qs a)))
+      (Array.append params (Array.of_list canonical))
+  in
+  let ent = Array.concat (Array.to_list rows) in
+  let off = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun i r -> off.(i + 1) <- off.(i) + Array.length r) rows;
+  let rank, nr = rank_tuples ent in
+  (* W: the ranks some parameter row holds, renumbered densely in order *)
+  let act = Array.make nr (-1) and m = ref 0 in
+  for e = 0 to off.(np) - 1 do
+    act.(rank.(e)) <- 0
+  done;
+  Array.iteri
+    (fun r a ->
+      if a = 0 then begin
+        act.(r) <- !m;
+        incr m
+      end)
+    act;
+  let m = !m and at e = act.(rank.(e)) in
+  let active = Array.make m [||] and inv_off = Array.make (m + 2) 0 in
+  for e = 0 to off.(np) - 1 do
+    active.(at e) <- ent.(e);
+    inv_off.(at e + 1) <- inv_off.(at e + 1) + 1
+  done;
+  for r = 1 to m + 1 do
+    inv_off.(r) <- inv_off.(r) + inv_off.(r - 1)
+  done;
+  (* the transpose, filled parameter by parameter so every row ascends *)
+  let inv = Array.make off.(np) 0 and fill = Array.sub inv_off 0 m in
+  for i = 0 to np - 1 do
+    for e = off.(i) to off.(i + 1) - 1 do
+      inv.(fill.(at e)) <- i;
+      fill.(at e) <- fill.(at e) + 1
+    done
+  done;
+  (* cl(w), canonical indexes in descending order so every list ascends;
+     members of no parameter's row are not active *)
+  let cls = Array.make m [] in
+  for i = Array.length rows - 1 downto np do
+    for e = off.(i) to off.(i + 1) - 1 do
+      if at e >= 0 then cls.(at e) <- (i - np) :: cls.(at e)
+    done
+  done;
+  { active; nparams = np; inv_off; inv; cls }
+
+let active t = t.active
+
+let classes t = List.init (Array.length t.active) (fun r -> (t.active.(r), t.cls.(r)))
 
 (* Greedy pairing inside each class group, in ascending order: walking
    the active elements in order, each one pairs with the pending element
    of its class if there is one, and is left pending otherwise — the
    consecutive pairs of each sorted group, with an odd group's last
    element dropped.  A pair is recorded at its first element's position,
-   so the pairs come out sorted by [fst] with no sort. *)
-let s_partition qs ~canonical =
-  let cls = Array.of_list (classes qs ~canonical) in
-  let partner = Array.make (Array.length cls) (-1) in
+   so the pairs come out sorted by their first rank with no sort. *)
+let s_partition t =
+  let m = Array.length t.active in
+  let partner = Array.make m (-1) in
   let pending = Hashtbl.create 16 in
   Array.iteri
-    (fun i (_, cl) ->
+    (fun r cl ->
       match Hashtbl.find_opt pending cl with
-      | Some j ->
-          partner.(j) <- i;
+      | Some q ->
+          partner.(q) <- r;
           Hashtbl.remove pending cl
-      | None -> Hashtbl.replace pending cl i)
-    cls;
-  let pairs = ref [] in
-  for i = Array.length cls - 1 downto 0 do
-    if partner.(i) >= 0 then
-      pairs := { fst = fst cls.(i); snd = fst cls.(partner.(i)) } :: !pairs
-  done;
-  !pairs
+      | None -> Hashtbl.replace pending cl r)
+    t.cls;
+  Array.of_seq
+    (Seq.filter_map
+       (fun r -> if partner.(r) >= 0 then Some (r, partner.(r)) else None)
+       (Seq.init m Fun.id))
+
+let to_pairs t ranked =
+  Array.to_list (Array.map (fun (a, b) -> { fst = t.active.(a); snd = t.active.(b) }) ranked)
 
 let orientation_marks pairs message =
   let l = Bitvec.length message in
@@ -58,75 +140,53 @@ let orientation_marks pairs message =
   in
   go 0 pairs
 
-(* Inverted result-set index: for each active element, the ascending list
-   of parameter indexes whose result set contains it.  A parameter's
-   result set splits a pair iff it contains exactly one endpoint, so the
-   parameters a pair touches are the symmetric difference of its
-   endpoints' lists — O(result-set mass) once, then O(touches) per pair,
-   instead of the O(pairs * params) full scan that made selection
-   quadratic on large instances (the serving engine prepares
-   million-element structures).  Parameters are visited in descending
-   order, so each list is built ascending. *)
-let inverted qs =
-  let params = Array.of_list (Query_system.params qs) in
-  let owner = Tuple.Hashtbl.create (2 * Array.length params) in
-  for i = Array.length params - 1 downto 0 do
-    Tuple.Set.iter
-      (fun w ->
-        let l = Option.value ~default:[] (Tuple.Hashtbl.find_opt owner w) in
-        Tuple.Hashtbl.replace owner w (i :: l))
-      (Query_system.result_set qs params.(i))
+(* [f] on each parameter that splits the pair of ranks [(a, b)],
+   ascending, while it answers [true]; whether it always did.  Rank -1,
+   outside W, reads the empty row [m]. *)
+let for_all_split t (a, b) f =
+  let m = Array.length t.active in
+  let a = if a < 0 then m else a and b = if b < 0 then m else b in
+  let i = ref t.inv_off.(a) and j = ref t.inv_off.(b) and ok = ref true in
+  let ie = t.inv_off.(a + 1) and je = t.inv_off.(b + 1) in
+  while !ok && (!i < ie || !j < je) do
+    let x = if !i < ie then t.inv.(!i) else max_int in
+    let y = if !j < je then t.inv.(!j) else max_int in
+    if x <= y then incr i;
+    if y <= x then incr j;
+    if x <> y then ok := f (min x y)
   done;
-  let param_ixs w = Option.value ~default:[] (Tuple.Hashtbl.find_opt owner w) in
-  (params, param_ixs)
+  !ok
 
-let rec sym_diff (a : int list) b =
-  match (a, b) with
-  | [], r | r, [] -> r
-  | x :: xs, y :: ys ->
-      if x < y then x :: sym_diff xs b
-      else if y < x then y :: sym_diff a ys
-      else sym_diff xs ys
+let count_split t split pr =
+  ignore (for_all_split t pr (fun i -> split.(i) <- split.(i) + 1; true))
 
-let split_counts qs pairs =
-  let params, param_ixs = inverted qs in
-  let split = Array.make (Array.length params) 0 in
-  List.iter
-    (fun { fst; snd } ->
-      List.iter
-        (fun i -> split.(i) <- split.(i) + 1)
-        (sym_diff (param_ixs fst) (param_ixs snd)))
-    pairs;
-  Array.to_list (Array.mapi (fun i a -> (a, split.(i))) params)
+let split_counts t ranked =
+  let split = Array.make t.nparams 0 in
+  Array.iter (count_split t split) ranked;
+  split
 
-let max_split qs pairs =
-  List.fold_left (fun acc (_, c) -> max acc c) 0 (split_counts qs pairs)
+let max_split t ranked = Array.fold_left max 0 (split_counts t ranked)
 
-let select_random g qs pairs ~p ~budget =
-  let chosen = List.filter (fun _ -> Prng.bernoulli g p) pairs in
-  if max_split qs chosen <= budget then Some chosen else None
+let filteri f a =
+  Array.of_seq (Seq.filter_map (fun (i, x) -> if f i x then Some x else None) (Array.to_seqi a))
 
-let select_greedy g qs pairs ~budget =
-  let arr = Array.of_list pairs in
-  (* the permutation a shuffle of [arr] would apply, drawn on indexes so
-     the admitted pairs can be read back in input order *)
-  let order = Array.init (Array.length arr) Fun.id in
+let select_random g t ranked ~p ~budget =
+  let chosen = filteri (fun _ _ -> Prng.bernoulli g p) ranked in
+  if max_split t chosen <= budget then Some chosen else None
+
+let select_greedy g t ranked ~budget =
+  (* the permutation a shuffle of [ranked] would apply, drawn on indexes
+     so the admitted pairs can be read back in input order *)
+  let order = Array.init (Array.length ranked) Fun.id in
   Prng.shuffle g order;
-  (* Incremental split counts per parameter, maintained through the
-     inverted index; admission order and outcome are identical to the
-     full-scan formulation. *)
-  let params, param_ixs = inverted qs in
-  let split = Array.make (Array.length params) 0 in
-  let admitted = Array.make (Array.length arr) false in
+  let split = Array.make t.nparams 0 in
+  let admitted = Array.make (Array.length ranked) false in
   Array.iter
     (fun k ->
-      let pr = arr.(k) in
-      let touches = sym_diff (param_ixs pr.fst) (param_ixs pr.snd) in
-      if List.for_all (fun i -> split.(i) + 1 <= budget) touches then begin
-        List.iter (fun i -> split.(i) <- split.(i) + 1) touches;
+      if for_all_split t ranked.(k) (fun i -> split.(i) < budget) then begin
+        count_split t split ranked.(k);
         admitted.(k) <- true
       end)
     order;
-  (* [split] now holds the exact split counts of the chosen pairs, so
-     their maximum is [max_split] of the result without a second index *)
-  (List.filteri (fun k _ -> admitted.(k)) pairs, Array.fold_left max 0 split)
+  (* [split] holds the chosen pairs' exact split counts *)
+  (filteri (fun k _ -> admitted.(k)) ranked, Array.fold_left max 0 split)

@@ -6,17 +6,37 @@
     marking a pair (+1, -1) keeps every canonical parameter's f unchanged
     (Proposition 1), and the distortion on non-canonical parameters is
     controlled by how many selected pairs a result set {e splits}
-    (contains exactly one endpoint of). *)
+    (contains exactly one endpoint of).
+
+    Pairing runs on int ranks: {!make} reads every result set once into
+    one CSR over the ranks of the active elements, and partition, split
+    counts and selection work on pairs of ranks.  Elements come back only
+    in the {!pair}s of {!to_pairs}.  Rank [-1] stands for an element
+    outside W, which lies in no result set. *)
 
 type pair = { fst : Tuple.t; snd : Tuple.t }
 
-val classes : Query_system.t -> canonical:Tuple.t list -> (Tuple.t * int list) list
+type t
+(** Result sets over active-element ranks, with the classes of one
+    canonical list.  Rank [r] is [(active t).(r)]. *)
+
+val make : Query_system.t -> canonical:Tuple.t list -> t
+(** Reads each parameter's and canonical parameter's result set once and
+    ranks the elements by a radix sort of their coordinates: linear in
+    the total result-set size, comparing ints only. *)
+
+val active : t -> Tuple.t array
+(** W, ascending. *)
+
+val classes : t -> (Tuple.t * int list) list
 (** cl(w) for every active element, as sorted lists of canonical indexes. *)
 
-val s_partition : Query_system.t -> canonical:Tuple.t list -> pair list
+val s_partition : t -> (int * int) array
 (** Greedy pairing inside each class group, in ascending element order
     (consecutive members pair up; an odd group's last member is dropped).
-    Deterministic given the query system; sorted by [fst]. *)
+    Deterministic given the query system; sorted by first rank. *)
+
+val to_pairs : t -> (int * int) array -> pair list
 
 val orientation_marks : pair list -> Bitvec.t -> (Tuple.t * int) list
 (** Bit i of the message orients pair i: 1 embeds (+1 on fst, -1 on snd),
@@ -24,28 +44,28 @@ val orientation_marks : pair list -> Bitvec.t -> (Tuple.t * int) list
     visited.  Raises [Invalid_argument] when the message is longer than
     the pair list. *)
 
-val split_counts : Query_system.t -> pair list -> (Tuple.t * int) list
-(** For every parameter, the number of listed pairs its result set splits
-    — an upper bound on |f' - f| there, valid for every message. *)
+val split_counts : t -> (int * int) array -> int array
+(** For every parameter, in {!Query_system.params} order, the number of
+    listed pairs its result set splits — an upper bound on |f' - f|
+    there, valid for every message. *)
 
-val max_split : Query_system.t -> pair list -> int
+val max_split : t -> (int * int) array -> int
 
 val select_random :
-  Prng.t -> Query_system.t -> pair list -> p:float -> budget:int ->
-  pair list option
+  Prng.t -> t -> (int * int) array -> p:float -> budget:int ->
+  (int * int) array option
 (** The paper's randomized selection (Proposition 2): keep each pair with
     probability [p]; succeed if the worst-case split count stays within
     [budget].  One draw; [None] on failure. *)
 
 val select_greedy :
-  Prng.t -> Query_system.t -> pair list -> budget:int -> pair list * int
+  Prng.t -> t -> (int * int) array -> budget:int -> (int * int) array * int
 (** Deterministic-capacity variant: shuffle, then admit pairs one by one,
     skipping any that would push some parameter's split count over
     [budget].  Never fails; dominates the random draw's capacity.  Also
     returns the chosen pairs' {!max_split}, read off the split counts the
-    admission pass maintains rather than from a second inverted index.
-    The chosen pairs keep their input order — sorted by [fst] for the
-    output of {!s_partition}.  (A
-    deviation from the paper noted in DESIGN.md — the marker "generates
-    random W' and checks until an eps-good marking is obtained"; greedy
-    admission reaches the same certificate with fewer retries.) *)
+    admission pass maintains.  The chosen pairs keep their input order.
+    (A deviation from the paper noted in DESIGN.md — the marker
+    "generates random W' and checks until an eps-good marking is
+    obtained"; greedy admission reaches the same certificate with fewer
+    retries.) *)

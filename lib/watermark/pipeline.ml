@@ -1,20 +1,3 @@
-let mark_relational ?options (ws : Weighted.structure) q ~message =
-  match Local_scheme.prepare ?options ws q with
-  | Error e -> Error e
-  | Ok scheme ->
-      if Bitvec.length message > Local_scheme.capacity scheme then
-        Error
-          (Printf.sprintf "message needs %d bits but capacity is %d"
-             (Bitvec.length message)
-             (Local_scheme.capacity scheme))
-      else
-        let marked = Local_scheme.mark scheme message ws.Weighted.weights in
-        Ok (scheme, { ws with Weighted.weights = marked })
-
-let detect_relational scheme ~original ~suspect ~length =
-  Local_scheme.detect_weights scheme ~original:original.Weighted.weights
-    ~suspect:suspect.Weighted.weights ~length
-
 type xml_scheme = {
   scheme : Tree_scheme.t;
   binary : Wm_trees.Btree.t;

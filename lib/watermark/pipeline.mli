@@ -1,28 +1,10 @@
-(** End-to-end helpers: the five-minute API.
-
-    These wrap the full paper pipeline for the two document kinds:
-
-    - relational: structure + FO query --(Theorem 3)--> marked structure;
-    - XML: document + pattern --(encode, compile, Theorem 5)--> marked
-      document.
+(** End-to-end helpers for XML documents: document + pattern --(encode,
+    compile, Theorem 5)--> marked document.  (A relational structure
+    needs no wrapper: {!Local_scheme.prepare} then {!Local_scheme.mark}.)
 
     Preparation is deterministic given (document, query, options), so the
     owner re-runs it at detection time and reads the mark from the suspect
     server's answers. *)
-
-(** {1 Relational documents} *)
-
-val mark_relational :
-  ?options:Local_scheme.options ->
-  Weighted.structure -> Query.t -> message:Bitvec.t ->
-  (Local_scheme.t * Weighted.structure, string) result
-(** Prepare and embed; fails if the message exceeds capacity. *)
-
-val detect_relational :
-  Local_scheme.t -> original:Weighted.structure -> suspect:Weighted.structure ->
-  length:int -> Bitvec.t
-
-(** {1 XML documents} *)
 
 type xml_scheme = {
   scheme : Tree_scheme.t;

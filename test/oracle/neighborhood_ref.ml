@@ -322,10 +322,28 @@ let index ?jobs g ~rho tuples =
       in
       types := Tuple.Map.add c ty !types)
     tups;
+  (* Output in the library's rank-addressed form: the type map's rows
+     in enumeration order (shorter first, then the last coordinate most
+     significant). *)
+  let enum_compare (a : Tuple.t) b =
+    let la = Array.length a in
+    if la <> Array.length b then compare la (Array.length b)
+    else begin
+      let r = ref 0 and j = ref (la - 1) in
+      while !r = 0 && !j >= 0 do
+        r := compare a.(!j) b.(!j);
+        decr j
+      done;
+      !r
+    end
+  in
+  let rows = Array.of_list (Tuple.Map.bindings !types) in
+  Array.sort (fun (a, _) (b, _) -> enum_compare a b) rows;
   {
     Neighborhood.rho;
     arity;
-    types = !types;
+    tuples = Array.map fst rows;
+    types = Array.map snd rows;
     representatives = Array.of_list (List.rev !reps);
   }
 

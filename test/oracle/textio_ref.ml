@@ -5,7 +5,9 @@
    input must parse to the same structure or fail with the same
    {line; message}, and every structure must print to the same bytes;
    test/test_fuzz.ml drives spliced files and edit scripts through both.
-   The file IO of the library module is left out. *)
+   The file IO of the library module is left out.  One deliberate
+   deviation: it carries the library's cap on the declared [size], so a
+   file both reject stays an equal error. *)
 
 exception Format_error of string
 
@@ -177,6 +179,8 @@ let of_string_result text =
       match !size with Some n -> n | None -> fail "missing size"
     in
     if size < 0 then fail ~line:size_line "negative size %d" size;
+    if size > Textio.max_size then
+      fail ~line:size_line "size %d exceeds the limit of %d elements" size Textio.max_size;
     let schema =
       match Schema.make ~weight_arity:!weight_arity symbols with
       | s -> s

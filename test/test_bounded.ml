@@ -19,7 +19,7 @@ let reindex ?jobs ?threshold ~old g ~prev ~dirty =
 
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
   a.rho = b.rho && a.arity = b.arity
-  && Tuple.Map.equal Int.equal a.types b.types
+  && a.tuples = b.tuples && a.types = b.types
   && a.representatives = b.representatives
 
 let sparse_graph g =

@@ -66,6 +66,40 @@ let test_cli_info_and_vc () =
   | Some (c, out) -> Alcotest.fail (Printf.sprintf "vc exit %d: %s" c out)
   | None -> ()
 
+(* [wmark info] on a conjunctive query whose CQ rank is 2 (the chain's
+   middle variable is two atoms from either end), pinned byte for byte:
+   without [--rho] the types are taken at rank 1, the documented
+   default, not at the formula's own bound. *)
+let test_cli_info_rho_default () =
+  skip_or @@ fun () ->
+  let db = tmp "db_rho.txt" in
+  let q = "exists w z y. (Route(u,w) & Route(z,w) & Route(z,y) & Route(v,y))" in
+  check (Alcotest.option int) "CQ rank" (Some 2) (Locality.cq_rank (Parser.fo_of_string q));
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 12 --transports 10 --seed 6 -o %s" db));
+  let report ~rho ~ntp ~max_split =
+    String.concat ""
+      [
+        "gaifman degree : 13\n";
+        Printf.sprintf "locality rank  : %d\n" rho;
+        Printf.sprintf "types (ntp)    : %d\n" ntp;
+        "active |W|     : 12\n";
+        "pairs          : 5 available, 5 selected\n";
+        "capacity       : 5 bits\n";
+        Printf.sprintf "budget         : 1 (certified max distortion %d)\n" max_split;
+        "treewidth      : <= 9 (min-degree heuristic)\n";
+      ]
+  in
+  List.iter
+    (fun (flag, expected) ->
+      match run_cli (Printf.sprintf "info %s -q %s%s" db (Filename.quote q) flag) with
+      | Some (0, out) -> check Alcotest.string ("info" ^ flag) expected out
+      | Some (c, out) -> Alcotest.fail (Printf.sprintf "info exit %d: %s" c out)
+      | None -> ())
+    [
+      ("", report ~rho:1 ~ntp:15 ~max_split:1);
+      (" --rho 2", report ~rho:2 ~ntp:28 ~max_split:0);
+    ]
+
 let test_cli_xml_cycle () =
   skip_or @@ fun () ->
   let doc = tmp "school.xml" and marked = tmp "schoolm.xml" in
@@ -99,6 +133,23 @@ let test_cli_bad_input () =
   | Some (code, out) ->
       check bool "nonzero exit" true (code <> 0);
       check bool "diagnostic" true (contains out "wmark:")
+  | None -> ()
+
+(* A 36-byte file declaring 10^18 elements is a line-numbered input
+   error (exit 1), not an allocation failure. *)
+let test_cli_oversized_size () =
+  skip_or @@ fun () ->
+  let big = tmp "big.txt" in
+  let oc = open_out big in
+  output_string oc "schema E/2\nsize 1234567890123456789\n";
+  close_out oc;
+  match run_cli (Printf.sprintf "info %s -q 'E(u,v)'" big) with
+  | Some (code, out) ->
+      check int "exit 1" 1 code;
+      check Alcotest.string "diagnostic"
+        "wmark: bad input file: line 2: size 1234567890123456789 exceeds the \
+         limit of 16777216 elements\n"
+        out
   | None -> ()
 
 let test_cli_jobs_zero () =
@@ -184,4 +235,6 @@ let suite =
     ("cli update subcommand", `Slow, test_cli_update);
     ("cli marks two queries", `Slow, test_cli_two_queries);
     ("cli rejects bad scheme options", `Slow, test_cli_bad_options);
+    ("cli info rho default", `Slow, test_cli_info_rho_default);
+    ("cli rejects an oversized size", `Slow, test_cli_oversized_size);
   ]

@@ -126,7 +126,8 @@ let prop_index_transparent =
         with_stats on @@ fun () -> Neighborhood.index_universe g ~rho:1 ~arity:1
       in
       let off = run false and on = run true in
-      Tuple.Map.equal ( = ) off.Neighborhood.types on.Neighborhood.types
+      off.Neighborhood.tuples = on.Neighborhood.tuples
+      && off.Neighborhood.types = on.Neighborhood.types
       && off.Neighborhood.representatives = on.Neighborhood.representatives)
 
 (* Detector: a mark embedded and read back under both settings produces

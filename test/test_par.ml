@@ -183,8 +183,8 @@ let prop_index_deterministic =
       List.for_all
         (fun j ->
           let ix = Neighborhood.index_universe ~jobs:j g ~rho ~arity:1 in
-          Tuple.Map.equal ( = ) reference.Neighborhood.types
-            ix.Neighborhood.types
+          reference.Neighborhood.tuples = ix.Neighborhood.tuples
+          && reference.Neighborhood.types = ix.Neighborhood.types
           && reference.Neighborhood.representatives
              = ix.Neighborhood.representatives)
         job_counts)

@@ -259,7 +259,8 @@ let same_prep (a : Store.prep) (b : Store.prep) =
   Local_scheme.report a.Store.scheme = Local_scheme.report b.Store.scheme
   && Local_scheme.pairs a.Store.scheme = Local_scheme.pairs b.Store.scheme
   && ia.Neighborhood.rho = ib.Neighborhood.rho
-  && Tuple.Map.equal ( = ) ia.Neighborhood.types ib.Neighborhood.types
+  && ia.Neighborhood.tuples = ib.Neighborhood.tuples
+  && ia.Neighborhood.types = ib.Neighborhood.types
   && ia.Neighborhood.representatives = ib.Neighborhood.representatives
   && a.Store.qspec = b.Store.qspec
 
@@ -509,8 +510,8 @@ let test_shard_index_equals_unsharded () =
           in
           let ix = stored_index e in
           check bool "type maps equal" true
-            (Tuple.Map.equal ( = ) reference.Neighborhood.types
-               ix.Neighborhood.types);
+            (reference.Neighborhood.tuples = ix.Neighborhood.tuples
+            && reference.Neighborhood.types = ix.Neighborhood.types);
           check bool "representatives equal" true
             (reference.Neighborhood.representatives
             = ix.Neighborhood.representatives);
@@ -700,6 +701,18 @@ let test_prepare_rejects_bad_options () =
   check string "nothing prepared" "0"
     (fget (send_ok engine (Protocol.Info "d")) "prepared")
 
+(* A structure declaring more elements than [Textio.max_size] is an err
+   frame naming the line, and the engine keeps serving. *)
+let test_put_rejects_oversized () =
+  let engine = Engine.create () in
+  let r = send engine (Protocol.Put ("big", "schema E/2\nsize 1234567890123456789\n")) in
+  (match r.Protocol.status with
+  | `Err m ->
+      check string "line-numbered error"
+        "line 2: size 1234567890123456789 exceeds the limit of 16777216 elements" m
+  | `Ok _ -> Alcotest.fail "oversized put accepted");
+  ignore (send_ok engine Protocol.Ping)
+
 let suite =
   [
     ("protocol request round-trip", `Quick, test_request_roundtrip);
@@ -718,4 +731,5 @@ let suite =
     ("update == fresh prepare (qcheck)", `Quick, test_update_equals_fresh_prepare);
     ("update reports a dropped capsule", `Quick, test_update_reports_dropped_capsule);
     ("prepare rejects bad options", `Quick, test_prepare_rejects_bad_options);
+    ("put rejects an oversized size", `Quick, test_put_rejects_oversized);
   ]

@@ -20,6 +20,11 @@ let fig_qs () = Query_system.of_relational fig.Weighted.graph figq
 
 let msg bits = Codec.of_bool_list bits
 
+(* Element pairs as ranks of the pairing [p]; -1 outside W. *)
+let ranked p pairs =
+  let rank w = Option.value ~default:(-1) (Array.find_index (Tuple.equal w) (Pairing.active p)) in
+  Array.of_list (List.map (fun { Pairing.fst; snd } -> (rank fst, rank snd)) pairs)
+
 (* --- query systems -------------------------------------------------- *)
 
 let test_qs_matches_query () =
@@ -72,7 +77,7 @@ let test_classes_figure4 () =
   let qs = fig_qs () in
   let canonical = canonical_of_figure1 () in
   check int "three canonical params" 3 (List.length canonical);
-  let classes = Pairing.classes qs ~canonical in
+  let classes = Pairing.classes (Pairing.make qs ~canonical) in
   let cl x = List.assoc (Tuple.singleton x) classes in
   (* Figure 4: cl(a) = cl(b) = cl(c); cl(d) has two types; cl(e) one;
      cl(f) empty. *)
@@ -86,7 +91,8 @@ let test_classes_figure4 () =
 let test_s_partition_figure4 () =
   let qs = fig_qs () in
   let canonical = canonical_of_figure1 () in
-  let pairs = Pairing.s_partition qs ~canonical in
+  let p = Pairing.make qs ~canonical in
+  let pairs = Pairing.to_pairs p (Pairing.s_partition p) in
   (* Only {a,b,c} groups more than one element: exactly one pair. *)
   check int "one pair" 1 (List.length pairs);
   let p = List.hd pairs in
@@ -111,12 +117,15 @@ let test_orientation_marks () =
 let test_split_counts () =
   let qs = fig_qs () in
   (* The pair (d,e): split by W_c (only d) and W_f (only e), not by W_a. *)
-  let pairs = [ { Pairing.fst = Tuple.singleton 3; snd = Tuple.singleton 4 } ] in
-  let counts = Pairing.split_counts qs pairs in
+  let p = Pairing.make qs ~canonical:[] in
+  let pairs = ranked p [ { Pairing.fst = Tuple.singleton 3; snd = Tuple.singleton 4 } ] in
+  let counts =
+    List.combine (Query_system.params qs) (Array.to_list (Pairing.split_counts p pairs))
+  in
   check int "W_a unsplit" 0 (List.assoc (Tuple.singleton 0) counts);
   check int "W_c split" 1 (List.assoc (Tuple.singleton 2) counts);
   check int "W_f split" 1 (List.assoc (Tuple.singleton 5) counts);
-  check int "max" 1 (Pairing.max_split qs pairs)
+  check int "max" 1 (Pairing.max_split p pairs)
 
 (* The pairing tail against its plain formulation: membership tests per
    canonical parameter for cl(w), sorted class groups paired up and the
@@ -208,13 +217,65 @@ let prop_pairing_tail_matches_reference =
         Prng.shuffle g a;
         Array.to_list a
       in
+      let p = Pairing.make qs ~canonical in
+      let select pairs =
+        let chosen, split =
+          Pairing.select_greedy (Prng.create seed) p (ranked p pairs) ~budget
+        in
+        (Pairing.to_pairs p chosen, split)
+      in
       Query_system.active qs = active
-      && Pairing.classes qs ~canonical = classes
-      && Pairing.s_partition qs ~canonical = partition
-      && Pairing.select_greedy (Prng.create seed) qs partition ~budget
-         = greedy partition ~budget
-      && Pairing.select_greedy (Prng.create seed) qs shuffled ~budget
-         = greedy shuffled ~budget)
+      && Array.to_list (Pairing.active p) = active
+      && Pairing.classes p = classes
+      && Pairing.to_pairs p (Pairing.s_partition p) = partition
+      && select partition = greedy partition ~budget
+      && select shuffled = greedy shuffled ~budget)
+
+(* The rank-based pairing against the frozen Tuple-set formulation
+   (Pairing_ref): random query systems whose result sets overlap, at
+   weight arity 1 and 2, canonical lists with repeats.  Classes, the
+   partition, split counts, both selections (greedy also on a shuffled
+   candidate order) and the max split of loose pairs, some of whose
+   endpoints lie outside W. *)
+let prop_pairing_matches_ref =
+  QCheck.Test.make ~count:80 ~name:"CSR pairing == Pairing_ref"
+    QCheck.(pair (int_range 0 100_000) (int_range 1 2))
+    (fun (seed, arity) ->
+      let g = Prng.create (0xC5A + seed) in
+      let n = 3 + Prng.int g 12 and np = 2 + Prng.int g 30 in
+      let elt () = Array.init arity (fun _ -> Prng.int g n) in
+      let sets =
+        Array.init np (fun _ -> Tuple.Set.of_list (List.init (Prng.int g 6) (fun _ -> elt ())))
+      in
+      let qs =
+        Query_system.of_custom
+          ~params:(List.init np Tuple.singleton)
+          ~result_set:(fun a -> sets.(a.(0)))
+          ~weight_arity:arity
+      in
+      let canonical = List.init (Prng.int g 5) (fun _ -> Tuple.singleton (Prng.int g np)) in
+      let p = Pairing.make qs ~canonical in
+      let cands = Pairing.s_partition p in
+      let partition = Pairing_ref.s_partition qs ~canonical in
+      let budget = 1 + Prng.int g 3 in
+      let shuffled = Array.copy cands in
+      Prng.shuffle g shuffled;
+      let greedy c =
+        let chosen, split = Pairing.select_greedy (Prng.create seed) p c ~budget in
+        (Pairing.to_pairs p chosen, split)
+      in
+      let loose = List.init 6 (fun _ -> { Pairing.fst = elt (); snd = elt () }) in
+      Pairing.classes p = Pairing_ref.classes qs ~canonical
+      && Pairing.to_pairs p cands = partition
+      && List.combine (Query_system.params qs) (Array.to_list (Pairing.split_counts p cands))
+         = Pairing_ref.split_counts qs partition
+      && greedy cands = Pairing_ref.select_greedy (Prng.create seed) qs partition ~budget
+      && greedy shuffled
+         = Pairing_ref.select_greedy (Prng.create seed) qs (Pairing.to_pairs p shuffled) ~budget
+      && Option.map (Pairing.to_pairs p)
+           (Pairing.select_random (Prng.create seed) p cands ~p:0.5 ~budget)
+         = Pairing_ref.select_random (Prng.create seed) qs partition ~p:0.5 ~budget
+      && Pairing.max_split p (ranked p loose) = Pairing_ref.max_split qs loose)
 
 (* --- local scheme (Theorem 3) ---------------------------------------- *)
 
@@ -436,7 +497,8 @@ let test_remark1_zero_distortion () =
   in
   let ps = pairs free in
   check int "n/4 pairs" (n / 4) (List.length ps);
-  check int "zero split everywhere" 0 (Pairing.max_split qs ps);
+  let p = Pairing.make qs ~canonical:[] in
+  check int "zero split everywhere" 0 (Pairing.max_split p (ranked p ps));
   let message = Codec.random (Prng.create 3) (List.length ps) in
   let marks = Pairing.orientation_marks ps message in
   check int "zero global distortion" 0 (Distortion.of_marks qs marks)
@@ -1024,4 +1086,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pairing_tail_matches_reference;
     ("tree detect on a partial server", `Quick, test_tree_detect_partial_server);
     QCheck_alcotest.to_alcotest prop_detect_weights_is_honest_detect;
+    QCheck_alcotest.to_alcotest prop_pairing_matches_ref;
   ]
