@@ -310,7 +310,9 @@ let e5 () =
      calibrated for the worst-case eta, which is loose on rings)."
 
 (* ------------------------------------------------------------------ *)
-(* E6 — Remark 2: |W| = 5000, 1/eps = 40, 8 bits, 64 copies. *)
+(* E6 — Remark 2: |W| = 5000, 1/eps = 40, 8 bits, 64 copies.  A gate:
+   after its table it raises when prepare fails, when a copy is
+   misidentified or when the worst distortion exceeds the budget. *)
 
 let e6 () =
   header "E6. Remark 2: |W| = 5000, distortion budget 40, 64 marked copies";
@@ -335,7 +337,9 @@ let e6 () =
         Local_scheme.prepare ~options ~qs ws Paper_examples.figure1_query)
   in
   match scheme with
-  | Error e -> print_endline ("prepare failed: " ^ e)
+  | Error e ->
+      print_endline ("prepare failed: " ^ e);
+      failwith ("e6: prepare failed: " ^ e)
   | Ok scheme ->
       let r = Local_scheme.report scheme in
       Printf.printf
@@ -373,7 +377,12 @@ let e6 () =
         "64 copies: %d distinct, all identified: %s, worst distortion %d <= 40\n"
         distinct
         (if all_ok then "yes" else "NO")
-        worst
+        worst;
+      if not all_ok then failwith "e6: a marked copy was misidentified";
+      if worst > r.Local_scheme.budget then
+        failwith
+          (Printf.sprintf "e6: distortion %d exceeds the budget of %d" worst
+             r.Local_scheme.budget)
 
 (* ------------------------------------------------------------------ *)
 (* E7 — Theorem 5: the tree scheme. *)
@@ -1525,7 +1534,6 @@ let e24 () =
   in
   let base = Local_scheme.carriers scheme in
   let qs = Local_scheme.query_system scheme in
-  Query_system.precompute qs;
   let active = Query_system.active qs in
   let nactive = List.length active in
   let marked_w = Robust.mark base ~times message ws.Weighted.weights in

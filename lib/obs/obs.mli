@@ -1,8 +1,8 @@
 (** wm_obs — low-overhead observability: counters, timers, trace spans.
 
     The three performance-critical subsystems (the wm_par domain pool,
-    the neighborhood-type indexer, the memoized query system / detector
-    stack) instrument themselves through this module.  Design rules:
+    the neighborhood-type indexer, the query system / detector stack)
+    instrument themselves through this module.  Design rules:
 
     - {b Domain safety without contention.}  Every counter, timer and
       span buffer accumulates into a per-domain cell ({!Domain.DLS});

@@ -96,11 +96,15 @@ let resolve_query (ds : Store.dataset) = function
       else
         try
           let q = Parser.query_of_string ~params ~results formula in
-          Ok
-            ( Query_system.of_relational ds.base.Weighted.graph q,
-              q,
-              Protocol.string_of_qspec
-                (Protocol.Fo { params; results; formula }) )
+          (* rejected before [of_relational] evaluates every result set *)
+          if Query.result_arity q <> Weighted.arity ds.base.Weighted.weights then
+            Error "result arity differs from weight arity"
+          else
+            Ok
+              ( Query_system.of_relational ds.base.Weighted.graph q,
+                q,
+                Protocol.string_of_qspec
+                  (Protocol.Fo { params; results; formula }) )
         with Parser.Error m -> Error ("fo query: " ^ m))
 
 (* --- endpoint helpers ------------------------------------------------ *)

@@ -2,8 +2,8 @@
 
     Holds, per id, the weighted structure plus the derived state the
     serving endpoints reuse across requests: the cached Gaifman graph
-    and its component count, the prepared scheme (with its frozen
-    query-system memo and neighborhood index), and a recovery capsule.
+    and its component count, the prepared scheme (with its query-system
+    table and neighborhood index), and a recovery capsule.
     Only the weighted structure persists to disk (one Textio file per id
     under the store directory); derived state is a deterministic
     function of it and is rebuilt on demand after a restart.

@@ -136,9 +136,6 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
   | Error e -> Error ("attack suite: " ^ e)
   | Ok scheme ->
       let qs = Local_scheme.query_system scheme in
-      (* Freeze the query system's memos: grid cells share it read-only
-         across domains. *)
-      Query_system.precompute qs;
       let active = Query_system.active qs in
       let nactive = List.length active in
       let grid = match grid with Some g -> g | None -> default_grid ~active:nactive in

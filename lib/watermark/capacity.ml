@@ -1,24 +1,17 @@
 type condition = Max_le of int | Max_eq of int | All_eq of int
 
 let count_with qs ~deltas ~leaf_ok ~prune =
-  let elements = Array.of_list (Query_system.active qs) in
-  let k = Array.length elements in
-  let params = Array.of_list (Query_system.params qs) in
-  let np = Array.length params in
-  let membership =
-    (* For each element index, the parameter indices whose result set
-       contains it. *)
-    Array.map
-      (fun w ->
-        Array.to_list
-          (Array.mapi
-             (fun pi a ->
-               if Tuple.Set.mem w (Query_system.result_set qs a) then Some pi
-               else None)
-             params)
-        |> List.filter_map Fun.id)
-      elements
-  in
+  let k = Array.length (Query_system.active_array qs) in
+  let off, ranks = Query_system.rows qs in
+  let np = Array.length off - 1 in
+  (* For each element rank, the ascending parameter indices whose result
+     set contains it: the table's rows, transposed. *)
+  let membership = Array.make k [] in
+  for pi = np - 1 downto 0 do
+    for e = off.(pi) to off.(pi + 1) - 1 do
+      membership.(ranks.(e)) <- pi :: membership.(ranks.(e))
+    done
+  done;
   (* suffix.(pi).(i): how many elements with index >= i belong to param pi. *)
   let suffix = Array.make_matrix np (k + 1) 0 in
   for i = k - 1 downto 0 do
@@ -77,7 +70,7 @@ let count_all_eq qs ~deltas d =
 let max_active = 26
 
 let count ?(deltas = [ -1; 0; 1 ]) qs cond =
-  if List.length (Query_system.active qs) > max_active then
+  if Array.length (Query_system.active_array qs) > max_active then
     invalid_arg "Capacity.count: too many active elements for brute force";
   if deltas = [] then invalid_arg "Capacity.count: empty delta set";
   match cond with

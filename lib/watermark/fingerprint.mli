@@ -89,8 +89,9 @@ val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
 val decode : t -> Detector.carrier array -> bool option array
 (** Per message bit, {!Wm_util.Codec.vote} over its carriers: strong and
     weak carriers vote their orientation, silent and erased ones
-    abstain.  [Some b] on a strict majority, [None] when the carriers
-    tie or all abstain. *)
+    abstain ({!Robust.vote} says why the owner's vote counts a silent
+    carrier as 0 instead).  [Some b] on a strict majority, [None] when
+    the carriers tie or all abstain. *)
 
 type score = {
   rid : string;

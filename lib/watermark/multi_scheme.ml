@@ -33,7 +33,7 @@ type t = {
    query's type index: parameters carry their query index as a leading
    component.  Result sets (hence active sets, split counts, distortion)
    are untouched — only parameter identity is enriched.  A union of one
-   system is that system itself: no tag, no second memo, so a one-query
+   system is that system itself: no tag, no second table, so a one-query
    scheme pairs exactly as the paper's single-query construction does. *)
 let tag i a = Tuple.concat (Tuple.singleton i) a
 

@@ -98,9 +98,9 @@ val update :
     serving engine caches one per dataset and refreshes it once per edit
     script with {!Wm_relational.Gaifman.refresh}), so the update builds
     none.  [qs] are the query systems of [ws], as in {!prepare}; without
-    them each query memo of [t] is carried over through
-    {!Query_system.refresh} at that query's radius instead of starting
-    cold.  [queries] must be the list [t] was prepared with (same length,
+    them each query system of [t] is carried over through
+    {!Query_system.refresh} at that query's radius instead of being
+    built from scratch.  [queries] must be the list [t] was prepared with (same length,
     same order).  After a type-changing update the marker re-embeds
     (Theorem 8's dichotomy): use
     {!Wm_watermark.Incremental.update_decision_ix}. *)

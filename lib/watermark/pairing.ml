@@ -1,37 +1,7 @@
 type pair = { fst : Tuple.t; snd : Tuple.t }
 
-(* Dense ranks of equal-length tuples in [Tuple.compare] order, and
-   their count: a radix sort of the positions, one counting pass per
-   coordinate from the last over the span of the (universe) elements. *)
-let rank_tuples (ts : Tuple.t array) =
-  let m = Array.length ts in
-  let lo = Array.fold_left (Array.fold_left min) max_int ts in
-  let span = Array.fold_left (Array.fold_left max) min_int ts - lo + 1 in
-  let order = ref (Array.init m Fun.id) in
-  for j = (if m = 0 then 0 else Array.length ts.(0)) - 1 downto 0 do
-    let start = Array.make (span + 1) 0 and next = Array.make m 0 in
-    let key e = ts.(e).(j) - lo in
-    Array.iter (fun e -> start.(key e + 1) <- start.(key e + 1) + 1) !order;
-    for d = 1 to span do
-      start.(d) <- start.(d) + start.(d - 1)
-    done;
-    Array.iter
-      (fun e ->
-        next.(start.(key e)) <- e;
-        start.(key e) <- start.(key e) + 1)
-      !order;
-    order := next
-  done;
-  let rank = Array.make m 0 and r = ref (-1) in
-  Array.iteri
-    (fun k e ->
-      if k = 0 || not (Tuple.equal ts.(e) ts.(!order.(k - 1))) then incr r;
-      rank.(e) <- !r)
-    !order;
-  (rank, !r + 1)
-
-(* The result sets as one CSR over active-element ranks, kept as its
-   transpose: the parameters whose result set holds rank [r] are
+(* The query system's rows over active-element ranks, transposed: the
+   parameters whose result set holds rank [r] are
    [inv.(inv_off.(r) .. inv_off.(r+1)-1)], ascending, and row [m] (one
    past the last rank) is empty.  A result set splits a pair iff it holds
    exactly one endpoint, so the parameters a pair touches are the
@@ -46,54 +16,27 @@ type t = {
 }
 
 let make qs ~canonical =
-  let params = Array.of_list (Query_system.params qs) in
-  let np = Array.length params in
-  (* rows [0, np) are the parameters' result sets, then the canonical *)
-  let rows =
-    Array.map
-      (fun a -> Array.of_list (Tuple.Set.elements (Query_system.result_set qs a)))
-      (Array.append params (Array.of_list canonical))
-  in
-  let ent = Array.concat (Array.to_list rows) in
-  let off = Array.make (Array.length rows + 1) 0 in
-  Array.iteri (fun i r -> off.(i + 1) <- off.(i) + Array.length r) rows;
-  let rank, nr = rank_tuples ent in
-  (* W: the ranks some parameter row holds, renumbered densely in order *)
-  let act = Array.make nr (-1) and m = ref 0 in
-  for e = 0 to off.(np) - 1 do
-    act.(rank.(e)) <- 0
-  done;
-  Array.iteri
-    (fun r a ->
-      if a = 0 then begin
-        act.(r) <- !m;
-        incr m
-      end)
-    act;
-  let m = !m and at e = act.(rank.(e)) in
-  let active = Array.make m [||] and inv_off = Array.make (m + 2) 0 in
-  for e = 0 to off.(np) - 1 do
-    active.(at e) <- ent.(e);
-    inv_off.(at e + 1) <- inv_off.(at e + 1) + 1
-  done;
+  let active = Query_system.active_array qs in
+  let off, ranks = Query_system.rows qs in
+  let np = Array.length off - 1 and m = Array.length active in
+  let inv_off = Array.make (m + 2) 0 in
+  Array.iter (fun r -> inv_off.(r + 1) <- inv_off.(r + 1) + 1) ranks;
   for r = 1 to m + 1 do
     inv_off.(r) <- inv_off.(r) + inv_off.(r - 1)
   done;
   (* the transpose, filled parameter by parameter so every row ascends *)
-  let inv = Array.make off.(np) 0 and fill = Array.sub inv_off 0 m in
+  let inv = Array.make (Array.length ranks) 0 and fill = Array.sub inv_off 0 m in
   for i = 0 to np - 1 do
     for e = off.(i) to off.(i + 1) - 1 do
-      inv.(fill.(at e)) <- i;
-      fill.(at e) <- fill.(at e) + 1
+      inv.(fill.(ranks.(e))) <- i;
+      fill.(ranks.(e)) <- fill.(ranks.(e)) + 1
     done
   done;
-  (* cl(w), canonical indexes in descending order so every list ascends;
-     members of no parameter's row are not active *)
+  (* cl(w), canonical indexes in descending order so every list ascends *)
   let cls = Array.make m [] in
-  for i = Array.length rows - 1 downto np do
-    for e = off.(i) to off.(i + 1) - 1 do
-      if at e >= 0 then cls.(at e) <- (i - np) :: cls.(at e)
-    done
+  let canonical = Array.of_list canonical in
+  for c = Array.length canonical - 1 downto 0 do
+    Array.iter (fun r -> cls.(r) <- c :: cls.(r)) (Query_system.ranks qs canonical.(c))
   done;
   { active; nparams = np; inv_off; inv; cls }
 

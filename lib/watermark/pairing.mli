@@ -8,11 +8,12 @@
     controlled by how many selected pairs a result set {e splits}
     (contains exactly one endpoint of).
 
-    Pairing runs on int ranks: {!make} reads every result set once into
-    one CSR over the ranks of the active elements, and partition, split
-    counts and selection work on pairs of ranks.  Elements come back only
-    in the {!pair}s of {!to_pairs}.  Rank [-1] stands for an element
-    outside W, which lies in no result set. *)
+    Pairing runs on int ranks: {!make} transposes the query system's
+    rows (result sets over the ranks of the active elements, see
+    {!Query_system.rows}), and partition, split counts and selection work
+    on pairs of ranks.  Elements come back only in the {!pair}s of
+    {!to_pairs}.  Rank [-1] stands for an element outside W, which lies in
+    no result set. *)
 
 type pair = { fst : Tuple.t; snd : Tuple.t }
 
@@ -21,9 +22,10 @@ type t
     canonical list.  Rank [r] is [(active t).(r)]. *)
 
 val make : Query_system.t -> canonical:Tuple.t list -> t
-(** Reads each parameter's and canonical parameter's result set once and
-    ranks the elements by a radix sort of their coordinates: linear in
-    the total result-set size, comparing ints only. *)
+(** Transposes the query system's rows and reads cl(w) off the
+    canonical parameters' rows: linear in the total result-set size,
+    comparing ints only.  A canonical tuple that is not a parameter is
+    evaluated and its members looked up in W. *)
 
 val active : t -> Tuple.t array
 (** W, ascending. *)

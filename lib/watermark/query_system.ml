@@ -1,112 +1,131 @@
-(* Observability: the memoization behavior of [result_set] (frozen-map
-   hits vs. mutex-guarded cache hits vs. full evaluations) and the reach
-   of edit-scoped refreshes. *)
+(* Observability: how many result sets were evaluated (every parameter's
+   once, at construction, plus each ask on a non-parameter tuple) and the
+   reach of edit-scoped refreshes. *)
 module Obs = Wm_obs.Obs
 
-let c_frozen_hits = Obs.counter "qs.frozen_hits"
-let c_cache_hits = Obs.counter "qs.cache_hits"
-let c_misses = Obs.counter "qs.misses"
+let c_evals = Obs.counter "qs.evals"
 let c_refreshes = Obs.counter "qs.refreshes"
 let c_refresh_kept = Obs.counter "qs.refresh_kept"
 let c_refresh_candidates = Obs.counter "qs.refresh_candidates"
 
+(* The table.  Slot [i] holds parameter [params.(i)] and its result set
+   [sets.(i)]; [slots] maps a parameter back to its slot.  W is [active],
+   ascending, and row [i] — the ranks in W of [sets.(i)]'s elements,
+   ascending — is [ranks.(off.(i) .. off.(i+1)-1)].  Nothing is written
+   after construction, so a value is shared across domains as it is. *)
 type t = {
-  params : Tuple.t list;
+  params : Tuple.t array;
+  slots : int Tuple.Hashtbl.t;
+  sets : Tuple.Set.t array;
   result_fn : Tuple.t -> Tuple.Set.t;
   weight_arity : int;
-  mutable frozen : Tuple.Set.t Tuple.Map.t;
-      (* lock-free read path: written only by [precompute]/[refresh] before
-         the value is shared across domains *)
-  cache : Tuple.Set.t Tuple.Hashtbl.t; (* guarded by [lock] *)
-  lock : Mutex.t;
-  mutable active : Tuple.Set.t option;
+  active : Tuple.t array;
+  off : int array;
+  ranks : int array;
 }
 
-let make params result_fn weight_arity =
-  {
-    params;
-    result_fn;
-    weight_arity;
-    frozen = Tuple.Map.empty;
-    cache = Tuple.Hashtbl.create (List.length params);
-    lock = Mutex.create ();
-    active = None;
-  }
+(* Dense ranks of equal-length tuples in [Tuple.compare] order, and
+   their count: a radix sort of the positions, one counting pass per
+   coordinate from the last over the span of the (universe) elements. *)
+let rank_tuples (ts : Tuple.t array) =
+  let m = Array.length ts in
+  let lo = Array.fold_left (Array.fold_left min) max_int ts in
+  let span = Array.fold_left (Array.fold_left max) min_int ts - lo + 1 in
+  let order = ref (Array.init m Fun.id) in
+  for j = (if m = 0 then 0 else Array.length ts.(0)) - 1 downto 0 do
+    let start = Array.make (span + 1) 0 and next = Array.make m 0 in
+    let key e = ts.(e).(j) - lo in
+    Array.iter (fun e -> start.(key e + 1) <- start.(key e + 1) + 1) !order;
+    for d = 1 to span do
+      start.(d) <- start.(d) + start.(d - 1)
+    done;
+    Array.iter
+      (fun e ->
+        next.(start.(key e)) <- e;
+        start.(key e) <- start.(key e) + 1)
+      !order;
+    order := next
+  done;
+  let rank = Array.make m 0 and r = ref (-1) in
+  Array.iteri
+    (fun k e ->
+      if k = 0 || not (Tuple.equal ts.(e) ts.(!order.(k - 1))) then incr r;
+      rank.(e) <- !r)
+    !order;
+  (rank, !r + 1)
+
+(* The one place W is computed: every row's elements side by side, ranked
+   together.  Ranks preserve order, so each row of ranks ascends like its
+   set, and the element of rank [r] is W's [r]-th. *)
+let tabulate params ~set ~result_fn ~weight_arity =
+  let params = Array.of_list params in
+  let np = Array.length params in
+  let sets = Array.map set params in
+  let slots = Tuple.Hashtbl.create np in
+  Array.iteri (fun i a -> Tuple.Hashtbl.replace slots a i) params;
+  let off = Array.make (np + 1) 0 in
+  Array.iteri (fun i s -> off.(i + 1) <- off.(i) + Tuple.Set.cardinal s) sets;
+  let ent = Array.make off.(np) [||] in
+  Array.iteri
+    (fun i s -> ignore (Tuple.Set.fold (fun b k -> ent.(k) <- b; k + 1) s off.(i)))
+    sets;
+  let ranks, m = rank_tuples ent in
+  let active = Array.make m [||] in
+  Array.iteri (fun e r -> active.(r) <- ent.(e)) ranks;
+  { params; slots; sets; result_fn; weight_arity; active; off; ranks }
+
+let of_custom ~params ~result_set ~weight_arity =
+  Obs.add c_evals (List.length params);
+  tabulate params ~set:result_set ~result_fn:result_set ~weight_arity
 
 let of_relational g q =
-  make (Query.all_params g q) (Query.result_set g q) (Query.result_arity q)
+  of_custom ~params:(Query.all_params g q) ~result_set:(Query.result_set g q)
+    ~weight_arity:(Query.result_arity q)
 
 let of_tree tq tree =
   let module Tq = Wm_trees.Tree_query in
-  let result_fn =
+  let result_set =
     if Tq.k tq = 1 && Tq.s tq = 1 then
       let sets = Tq.result_sets tq tree in
       fun a -> sets.(a.(0))
     else Tq.result_set tq tree
   in
-  make (Tq.all_params tq tree) result_fn (Tq.s tq)
+  of_custom ~params:(Tq.all_params tq tree) ~result_set ~weight_arity:(Tq.s tq)
 
-let of_custom ~params ~result_set ~weight_arity =
-  make params result_set weight_arity
-
-let params t = t.params
+let params t = Array.to_list t.params
 let weight_arity t = t.weight_arity
 
 let result_set t a =
-  match Tuple.Map.find_opt a t.frozen with
-  | Some s ->
-      Obs.incr c_frozen_hits;
-      s
-  | None -> (
-      Mutex.lock t.lock;
-      match Tuple.Hashtbl.find_opt t.cache a with
-      | Some s ->
-          Mutex.unlock t.lock;
-          Obs.incr c_cache_hits;
-          s
-      | None ->
-          (* Evaluate outside the lock: [result_fn] is deterministic, so a
-             racing domain computing the same miss stores the same set and
-             either store may win. *)
-          Mutex.unlock t.lock;
-          Obs.incr c_misses;
-          let s = t.result_fn a in
-          Mutex.lock t.lock;
-          Tuple.Hashtbl.replace t.cache a s;
-          Mutex.unlock t.lock;
-          s)
-
-let active_set t =
-  match t.active with
-  | Some s -> s
+  match Tuple.Hashtbl.find_opt t.slots a with
+  | Some i -> t.sets.(i)
   | None ->
-      (* Balanced unions: folding one result set at a time into a growing
-         set pays a path copy per element even when, as for singleton or
-         disjoint ascending result sets, halves join in logarithmic time. *)
-      let sets = Array.of_list (List.map (result_set t) t.params) in
-      let rec union lo hi =
-        if hi - lo = 0 then Tuple.Set.empty
-        else if hi - lo = 1 then sets.(lo)
-        else
-          let mid = (lo + hi) / 2 in
-          Tuple.Set.union (union lo mid) (union mid hi)
-      in
-      let s = union 0 (Array.length sets) in
-      t.active <- Some s;
-      s
+      Obs.incr c_evals;
+      t.result_fn a
 
-let active t = Tuple.Set.elements (active_set t)
+let active t = Array.to_list t.active
+let active_array t = t.active
+let rows t = (t.off, t.ranks)
 
-let precompute t =
-  (* Promote every param's result set into the frozen map and materialize
-     the active set.  After this, [result_set] on a param never touches the
-     hashtable; only misses on non-param tuples do, and those go through
-     [lock]. *)
-  t.frozen <-
-    List.fold_left
-      (fun m a -> Tuple.Map.add a (result_set t a) m)
-      t.frozen t.params;
-  ignore (active_set t)
+(* The rank of [b] in W, or -1 *)
+let rank t b =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Tuple.compare b t.active.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length t.active)
+
+let ranks t a =
+  match Tuple.Hashtbl.find_opt t.slots a with
+  | Some i -> Array.sub t.ranks t.off.(i) (t.off.(i + 1) - t.off.(i))
+  | None ->
+      Obs.incr c_evals;
+      Tuple.Set.to_seq (t.result_fn a)
+      |> Seq.map (rank t)
+      |> Seq.filter (fun r -> r >= 0)
+      |> Array.of_seq
 
 (* --- edit-scoped refresh --------------------------------------------- *)
 
@@ -147,32 +166,23 @@ let refresh t ~result_fn ~holds ~params ~size ~affected =
                   else Lazy.force universe))))
       (List.init r Fun.id)
   in
-  let patch a s =
-    let kept = Tuple.Set.filter (fun b -> not (touched b)) s in
-    List.fold_left
-      (fun acc b -> if holds a b then Tuple.Set.add b acc else acc)
-      kept candidates
-  in
   Obs.add c_refresh_candidates (List.length candidates);
-  let survivors = ref Tuple.Map.empty in
-  let add a s =
-    if (not (touched a)) && not (Tuple.Map.mem a !survivors) then
-      survivors := Tuple.Map.add a (patch a s) !survivors
+  (* A parameter that avoids the region keeps its row, patched: results
+     touching the region are dropped, then [holds] re-asks every
+     candidate.  The others are evaluated afresh. *)
+  let set a =
+    match Tuple.Hashtbl.find_opt t.slots a with
+    | Some i when not (touched a) ->
+        Obs.incr c_refresh_kept;
+        let kept = Tuple.Set.filter (fun b -> not (touched b)) t.sets.(i) in
+        List.fold_left
+          (fun acc b -> if holds a b then Tuple.Set.add b acc else acc)
+          kept candidates
+    | _ ->
+        Obs.incr c_evals;
+        result_fn a
   in
-  Tuple.Map.iter add t.frozen;
-  Mutex.lock t.lock;
-  Tuple.Hashtbl.iter add t.cache;
-  Mutex.unlock t.lock;
-  Obs.add c_refresh_kept (Tuple.Map.cardinal !survivors);
-  {
-    params;
-    result_fn;
-    weight_arity = t.weight_arity;
-    frozen = !survivors;
-    cache = Tuple.Hashtbl.create (List.length params);
-    lock = Mutex.create ();
-    active = None;
-  }
+  tabulate params ~set ~result_fn ~weight_arity:t.weight_arity
 
 let refresh_relational t g q ~affected =
   let holds a b =
@@ -201,4 +211,4 @@ let reconstruct_some _t srv params =
       List.fold_left (fun acc (b, v) -> Tuple.Map.add b v acc) acc (srv a))
     Tuple.Map.empty params
 
-let reconstruct t srv = reconstruct_some t srv t.params
+let reconstruct t srv = reconstruct_some t srv (params t)

@@ -4,9 +4,12 @@
     structures (Section 3) and automaton queries over trees (Section 4) —
     present the same surface to a marker/detector: a set of possible
     parameters, a result-set function W_a, and weights.  A query system
-    value captures that surface once, with memoized result sets (the
-    evaluator is called once per parameter, and the cost is the substrate's
-    to report, not to hide).
+    value captures that surface once, as a table built at construction:
+    every parameter's W_a, evaluated exactly once (the cost is the
+    substrate's to report, not to hide), and W = union of the W_a as one
+    ascending array, each parameter's row held as ranks in it.  The table
+    is immutable, so a value is shared across {!Wm_par.Pool} domains as it
+    is.
 
     The {e server} type models the data server of the 3-tier setting: the
     only thing a detector may touch.  A server answers a parameter with
@@ -30,21 +33,26 @@ val params : t -> Tuple.t list
 val weight_arity : t -> int
 
 val result_set : t -> Tuple.t -> Tuple.Set.t
-(** W_a (memoized). *)
+(** W_a: a table read on a parameter, a plain (unmemoized) evaluation on
+    any other tuple. *)
 
 val active : t -> Tuple.t list
 (** W as a sorted list. *)
 
-val active_set : t -> Tuple.Set.t
+val active_array : t -> Tuple.t array
+(** W, ascending: the element of rank [r] is [(active_array t).(r)].
+    Shared, not copied: read only. *)
 
-val precompute : t -> unit
-(** Force every memo (all result sets, the active set) eagerly, promoting
-    params into a lock-free frozen map.  A query system is safe to share
-    across {!Wm_par.Pool} domains with or without this call — cache misses
-    on tuples outside [params] (survivable realignment asks those) go
-    through an internal mutex — but precomputing keeps the common path
-    lock-free.  Parallel call sites ({!Wm_watermark.Attack_suite.run}) call
-    this before fanning out. *)
+val rows : t -> int array * int array
+(** The table over W ranks: with [(off, ranks) = rows t], parameter [i]
+    (in {!params} order) holds [ranks.(off.(i)) .. ranks.(off.(i+1) - 1)],
+    ascending; [off] has one entry more than there are parameters.
+    Shared, not copied: read only. *)
+
+val ranks : t -> Tuple.t -> int array
+(** The ranks of W_a's members of W, ascending: a copy of the row of a
+    parameter, an evaluation and a binary search in W for any other
+    tuple. *)
 
 val refresh :
   t ->
@@ -54,17 +62,17 @@ val refresh :
   size:int ->
   affected:int list ->
   t
-(** Edit-scoped cache carry-over: a query system for the edited substrate
-    ([result_fn]/[params] evaluate there, [size] is its universe) whose
-    memo is seeded from this one instead of starting cold.  A cached entry
-    survives when its parameter tuple avoids [affected] (see
+(** Edit-scoped carry-over: the query system of the edited substrate
+    ([result_fn]/[params] evaluate there, [size] is its universe), built
+    from this one's rows instead of from scratch.  A parameter's row
+    survives when the parameter avoids [affected] (see
     {!Wm_relational.Neighborhood.affected_elements}) and stays in range;
     its result set is patched by dropping results touching the affected
     region and re-asking [holds param result] for every candidate result
-    tuple that touches it.  Parameters inside the region are dropped and
-    re-evaluated lazily.  Sound for queries local at the radius used to
-    compute [affected] — the same assumption the scheme's type index makes
-    (DESIGN.md 5.7). *)
+    tuple that touches it.  Parameters inside the region, and new ones,
+    are evaluated.  Sound for queries local at the radius used to
+    compute [affected] — the same assumption the scheme's type index
+    makes (DESIGN.md 5.7). *)
 
 val refresh_relational : t -> Structure.t -> Query.t -> affected:int list -> t
 (** {!refresh} specialized to an FO query over the edited structure:

@@ -41,9 +41,16 @@ val vote : times:int -> length:int -> Detector.verdict -> verdict
     [times * length] carriers: carrier [t * length + i] votes for bit [i]
     by {!Wm_util.Codec.vote}, and an erased carrier abstains instead of
     voting 0, so a bit is lost only when a majority of its {e surviving}
-    copies is corrupted, or every copy is erased.  Raises
-    [Invalid_argument] unless the verdict covers exactly
-    [times * length] carriers and [times > 0]. *)
+    copies is corrupted, or every copy is erased.  A {e silent} carrier
+    (zero difference) is not erased: it votes the 0 that {!Detector.read}
+    decodes there, so every observed copy counts, and the strength of the
+    evidence is weighed apart, by the p-value over surviving carriers.
+    {!Fingerprint.decode} lets silent carriers abstain instead, on
+    purpose: its decided bits are the trials of every candidate's
+    agreement test, and unmarked data is silent almost everywhere, so a
+    silent 0 would match every codeword's 0 bits and could accuse an
+    innocent.  Raises [Invalid_argument] unless the verdict
+    covers exactly [times * length] carriers and [times > 0]. *)
 
 val detect :
   Carriers.t -> times:int -> length:int -> original:Weighted.t ->

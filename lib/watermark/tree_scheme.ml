@@ -76,11 +76,11 @@ let prepare ?(options = default_options) tree query =
     let alpha = Tree_query.alpha query in
     let m = Dta.nstates auto in
     let qs = Query_system.of_tree query tree in
-    let active = Query_system.active_set qs in
+    let active = Query_system.active_array qs in
     let n = Btree.size tree in
     let active_node = Array.make n false in
-    Tuple.Set.iter (fun b -> active_node.(b.(0)) <- true) active;
-    let nactive = Tuple.Set.cardinal active in
+    Array.iter (fun b -> active_node.(b.(0)) <- true) active;
+    let nactive = Array.length active in
     if nactive = 0 then Error "query has no active weighted elements"
     else begin
       let threshold =

@@ -1,4 +1,4 @@
-(* The pairing tail as it stood before the CSR (DESIGN.md 5.15): result
+(* The pairing tail as it stood before the CSR (DESIGN.md 5.2): result
    sets as [Tuple.Set]s, cl(w) and the inverted index as
    [Tuple.Hashtbl]s of int lists, split counts by list symmetric
    difference.  Frozen as the equivalence reference for the rank-based
@@ -21,10 +21,16 @@ let classes qs ~canonical =
           Tuple.Hashtbl.replace member w (i :: l))
         (Query_system.result_set qs a))
     (List.rev (List.mapi (fun i a -> (i, a)) canonical));
+  (* W as the fold of unions of the result sets, not the table's own *)
+  let active =
+    List.fold_left
+      (fun acc a -> Tuple.Set.union acc (Query_system.result_set qs a))
+      Tuple.Set.empty (Query_system.params qs)
+  in
   List.map
     (fun w ->
       (w, Option.value ~default:[] (Tuple.Hashtbl.find_opt member w)))
-    (Query_system.active qs)
+    (Tuple.Set.elements active)
 
 (* Greedy pairing inside each class group, in ascending order: walking
    the active elements in order, each one pairs with the pending element

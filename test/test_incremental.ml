@@ -192,33 +192,51 @@ let test_affected_elements () =
 let edge_query =
   Query.make ~params:[ "u" ] ~results:[ "v" ] (Fo.atom "E" [ "u"; "v" ])
 
+(* Membership of (u, v) read off v's 1-ball, not u's: an untouched
+   parameter keeps its row only if the refresh re-asks the results near
+   the edits.  Its graphs are sparse, so most parameters are untouched
+   and an edit often gives an isolated element its first successor. *)
+let has_successor_query =
+  Query.make ~params:[ "u" ] ~results:[ "v" ] (Fo.exists "w" (Fo.atom "E" [ "v"; "w" ]))
+
+let sparse_graph g =
+  let n = 20 + Prng.int g 20 in
+  (Wm_workload.Random_struct.graph g ~n ~max_degree:3 ~edges:(Prng.int g 10)).Weighted.graph
+
 let test_query_refresh_matches_fresh () =
-  for seed = 0 to 7 do
-    let g = Prng.create (0x9F5 + seed) in
-    let base = random_graph g in
-    let qs = Wm_watermark.Query_system.of_relational base edge_query in
-    (* exercise both the frozen (precomputed) and the cold path *)
-    if seed mod 2 = 0 then Wm_watermark.Query_system.precompute qs;
-    let script = random_script g base (1 + Prng.int g 4) in
-    let edited, dirty = Structure.apply_edits base script in
-    let old_gf = Gaifman.of_structure base in
-    let gf = Gaifman.of_structure edited in
-    let affected = Neighborhood.affected_elements ~old_gf ~gf ~rho:1 ~dirty in
-    let refreshed =
-      Wm_watermark.Query_system.refresh_relational qs edited edge_query
-        ~affected
-    in
-    let fresh = Wm_watermark.Query_system.of_relational edited edge_query in
-    List.iter
-      (fun a ->
+  List.iter
+    (fun (name, q, graph) ->
+      for seed = 0 to 7 do
+        let g = Prng.create (0x9F5 + seed) in
+        let base = graph g in
+        let qs = Wm_watermark.Query_system.of_relational base q in
+        let script = random_script g base (1 + Prng.int g 4) in
+        let edited, dirty = Structure.apply_edits base script in
+        let old_gf = Gaifman.of_structure base in
+        let gf = Gaifman.of_structure edited in
+        let affected = Neighborhood.affected_elements ~old_gf ~gf ~rho:1 ~dirty in
+        let refreshed =
+          Wm_watermark.Query_system.refresh_relational qs edited q ~affected
+        in
+        let fresh = Wm_watermark.Query_system.of_relational edited q in
+        List.iter
+          (fun a ->
+            check bool
+              (Printf.sprintf "%s seed %d: result set of param %d" name seed a.(0))
+              true
+              (Tuple.Set.equal
+                 (Wm_watermark.Query_system.result_set refreshed a)
+                 (Wm_watermark.Query_system.result_set fresh a)))
+          (Wm_watermark.Query_system.params fresh);
         check bool
-          (Printf.sprintf "seed %d: result set of param %d" seed a.(0))
+          (Printf.sprintf "%s seed %d: W and its rows" name seed)
           true
-          (Tuple.Set.equal
-             (Wm_watermark.Query_system.result_set refreshed a)
-             (Wm_watermark.Query_system.result_set fresh a)))
-      (Wm_watermark.Query_system.params fresh)
-  done
+          (Wm_watermark.Query_system.active refreshed
+           = Wm_watermark.Query_system.active fresh
+          && Wm_watermark.Query_system.rows refreshed
+             = Wm_watermark.Query_system.rows fresh)
+      done)
+    [ ("edge", edge_query, random_graph); ("has-successor", has_successor_query, sparse_graph) ]
 
 (* Remove_element shrinks the universe under the weights; keep these
    scripts growth/churn-only so the weighted structure stays valid. *)

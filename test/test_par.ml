@@ -110,24 +110,20 @@ let test_pool_grows_on_demand () =
     (Array.for_all Fun.id reached)
 
 let test_concurrent_cache_misses () =
-  (* Query_system.result_set on tuples outside [params] writes the shared
-     memo: hammer one fresh (non-precomputed) system from many domains and
-     compare against a cold sequential reference.  Under WMARK_JOBS>=2 the
-     unguarded hashtable version of this crashes or corrupts. *)
+  (* A query system is an immutable table, shared across domains with no
+     lock: read one system from many domains at once and compare every
+     result set against the evaluator's, asked sequentially. *)
   let ws = Random_struct.travel (Wm_util.Prng.create 11) ~travels:6 ~transports:18 in
   let q = Random_struct.travel_query in
   let g = ws.Weighted.graph in
   let probes =
     Array.of_list (Neighborhood.all_tuples g ~arity:1)
   in
-  let reference =
-    let qs = Query_system.of_relational g q in
-    Array.map (fun a -> Query_system.result_set qs a) probes
-  in
+  let reference = Array.map (Query.result_set g q) probes in
   List.iter
     (fun j ->
       let qs = Query_system.of_relational g q in
-      (* every domain asks every probe, all misses at first *)
+      (* every domain asks every probe *)
       let got =
         Pool.parallel_map ~jobs:j
           (fun _ -> Array.map (fun a -> Query_system.result_set qs a) probes)

@@ -681,7 +681,8 @@ let test_engine_sharded_prepare_matches () =
   check string "pairs_available" a0 a1;
   check bool "detect fields identical" true (d0 = d1)
 
-(* A negative rank or a NaN budget is an err frame, not a scheme. *)
+(* A negative rank, a NaN budget or a result arity other than the
+   weights' is an err frame, not a scheme. *)
 let test_prepare_rejects_bad_options () =
   let engine = Engine.create () in
   let _ = send_ok engine (Protocol.Gen { id = "d"; n = 40; seed = 3 }) in
@@ -697,6 +698,8 @@ let test_prepare_rejects_bad_options () =
     [
       ("prepare d 1 -1 1.0 0 @identity", "rho must be non-negative");
       ("prepare d 1 - nan 0 @identity", "epsilon must lie in (0, 1]");
+      ("prepare d 1 - 1.0 0 @fo u v,w E(u,v) & E(u,w)",
+       "result arity differs from weight arity");
     ];
   check string "nothing prepared" "0"
     (fget (send_ok engine (Protocol.Info "d")) "prepared")

@@ -310,6 +310,48 @@ let test_vote_erasures_abstain () =
   check int "bit 1 lost every copy" 1 v.Robust.erased_bits;
   check bool "not all erased" false v.Robust.all_erased
 
+(* The two abstention rules of the one repetition vote, on one hand-built
+   read of 3 x 2 carriers: bit 0 has one strong 1 and two silent
+   carriers, bit 1 one strong 0, one erasure and one silent carrier.
+   {!Robust.vote} counts a silent carrier as the 0 it reads, so bit 0
+   decodes 0; {!Fingerprint.decode} lets it abstain, so bit 0 decodes 1.
+   Flipping either rule changes one of the two answers. *)
+let test_vote_silent_carriers () =
+  let times = 3 and length = 2 in
+  let cells =
+    Detector.
+      [|
+        Cell (true, `Strong); Cell (false, `Strong);
+        Cell (false, `Silent); Erased;
+        Cell (false, `Silent); Cell (false, `Silent);
+      |]
+  in
+  let bits f = Bitvec.of_bools (Array.map f cells) in
+  let count f = Array.fold_left (fun n c -> if f c then n + 1 else n) 0 cells in
+  let verdict =
+    {
+      Detector.decoded = bits (function Detector.Cell (b, _) -> b | Erased -> false);
+      erasure = bits (( = ) Detector.Erased);
+      strong = count (function Detector.Cell (_, `Strong) -> true | _ -> false);
+      weak = 0;
+      silent = count (function Detector.Cell (_, `Silent) -> true | _ -> false);
+      erased = count (( = ) Detector.Erased);
+      confidence = 0.4;
+    }
+  in
+  let v = Robust.vote ~times ~length verdict in
+  check (Alcotest.list bool) "Robust.vote: silent carriers vote 0" [ false; false ]
+    (Codec.to_bool_list v.Robust.message);
+  let _, scheme, _, _ = Lazy.force prepared in
+  match Fingerprint.of_local ~length ~times ~master:0x51 scheme with
+  | Error e -> Alcotest.fail e
+  | Ok fp ->
+      check
+        (Alcotest.array (Alcotest.option bool))
+        "Fingerprint.decode: silent carriers abstain"
+        [| Some true; Some false |]
+        (Fingerprint.decode fp cells)
+
 let suite =
   [
     ("delete 20%: survivable vs aligned", `Slow, test_delete20_survivable_recovers);
@@ -328,4 +370,5 @@ let suite =
     ("tree attacks deterministic", `Slow, test_tree_attacks_deterministic);
     ("attack suite deterministic", `Slow, test_attack_suite_deterministic);
     ("repetition vote: erasures abstain", `Quick, test_vote_erasures_abstain);
+    ("repetition vote: silent carriers", `Slow, test_vote_silent_carriers);
   ]

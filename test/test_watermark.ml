@@ -127,33 +127,123 @@ let test_split_counts () =
   check int "W_f split" 1 (List.assoc (Tuple.singleton 5) counts);
   check int "max" 1 (Pairing.max_split p pairs)
 
+let child_query () =
+  let phi = Parser.mso_of_string "S1(x,y) | S2(x,y)" in
+  let compiled =
+    Wm_trees.Mso_compile.compile ~base:[| "a"; "b" |] ~free:[ "x"; "y" ] phi
+  in
+  Wm_trees.Tree_query.of_compiled compiled ~params:[ "x" ] ~results:[ "y" ]
+
+(* A query system for the pairing properties, with the evaluator it was
+   built from, its parameters, the tuples a canonical list draws from and
+   a random tuple of the weight arity over the universe. *)
+type family = {
+  qs : Query_system.t;
+  params : Tuple.t array;
+  eval : Tuple.t -> Tuple.Set.t;
+  canon : Tuple.t array;
+  elt : unit -> Tuple.t;
+}
+
+(* [sets.(i)] is W_a of the singleton [a = (i)]; the last four are asked
+   only as canonical tuples, never as parameters. *)
+let custom_family g sets ~arity ~n =
+  let np = Array.length sets - 4 in
+  let eval a = sets.(a.(0)) in
+  {
+    qs =
+      Query_system.of_custom ~params:(List.init np Tuple.singleton) ~result_set:eval
+        ~weight_arity:arity;
+    params = Array.init np Tuple.singleton;
+    eval;
+    canon = Array.init (np + 4) Tuple.singleton;
+    elt = (fun () -> Array.init arity (fun _ -> Prng.int g n));
+  }
+
+(* Substrate query systems: a random FO query over a random graph, the
+   travel query over a small travel database, or the child query over a
+   random tree.  Canonical lists draw parameters. *)
+let fo_queries =
+  [|
+    ([ "u" ], [ "v" ], "E(u,v)");
+    ([ "u" ], [ "v" ], "E(u,v) | E(v,u)");
+    ([ "u" ], [ "v" ], "exists w. (E(u,w) & E(w,v))");
+    ([ "u" ], [ "v" ], "u = v | E(u,v)");
+    ([ "u" ], [ "v" ], "~E(u,v) & ~(u = v)");
+    ([ "u" ], [ "v"; "w" ], "E(u,v) & E(v,w)");
+    ([ "u"; "w" ], [ "v" ], "E(u,v) & E(v,w)");
+  |]
+
+let substrate_family g =
+  let relational (ws : Weighted.structure) q =
+    let gr = ws.Weighted.graph in
+    let params = Array.of_list (Query.all_params gr q) in
+    {
+      qs = Query_system.of_relational gr q;
+      params;
+      eval = Query.result_set gr q;
+      canon = params;
+      elt =
+        (fun () -> Array.init (Query.result_arity q) (fun _ -> Prng.int g (Structure.size gr)));
+    }
+  in
+  match Prng.int g 3 with
+  | 0 ->
+      let n = 3 + Prng.int g 10 in
+      let params, results, phi = fo_queries.(Prng.int g (Array.length fo_queries)) in
+      relational
+        (Random_struct.graph g ~n ~max_degree:3 ~edges:(Prng.int g (2 * n)))
+        (Parser.query_of_string ~params ~results phi)
+  | 1 ->
+      relational
+        (Random_struct.travel g ~travels:(1 + Prng.int g 4) ~transports:(2 + Prng.int g 8))
+        Random_struct.travel_query
+  | _ ->
+      let tree = Trees_gen.random_tree g ~alphabet:[ "a"; "b" ] ~size:(1 + Prng.int g 30) in
+      let tq = child_query () in
+      let params = Array.of_list (Wm_trees.Tree_query.all_params tq tree) in
+      {
+        qs = Query_system.of_tree tq tree;
+        params;
+        eval = Wm_trees.Tree_query.result_set tq tree;
+        canon = params;
+        elt = (fun () -> Tuple.singleton (Prng.int g (Wm_trees.Btree.size tree)));
+      }
+
+(* Every tuple a canonical list may hold, parameter or not, reads the
+   evaluator's W_a. *)
+let asks_agree f =
+  Array.for_all (fun a -> Tuple.Set.equal (Query_system.result_set f.qs a) (f.eval a)) f.canon
+
+let canonical_of g f =
+  List.init (Prng.int g 5) (fun _ -> f.canon.(Prng.int g (Array.length f.canon)))
+
 (* The pairing tail against its plain formulation: membership tests per
    canonical parameter for cl(w), sorted class groups paired up and the
-   pairs sorted, a fold of unions for the active set, and greedy
-   admission over a shuffled copy of the pairs that rescans every
-   parameter's result set, the admitted pairs put back in input order.
-   Random query systems with overlapping result sets; the greedy pass
-   also sees its input in a shuffled order. *)
+   pairs sorted, a fold of unions of the evaluator's result sets for the
+   active set, and greedy admission over a shuffled copy of the pairs
+   that rescans every parameter's result set, the admitted pairs put back
+   in input order.  Random custom query systems with overlapping result
+   sets (canonical lists holding non-parameters too), FO, travel and tree
+   query systems; the greedy pass also sees its input in a shuffled
+   order. *)
 let prop_pairing_tail_matches_reference =
   QCheck.Test.make ~count:60 ~name:"pairing tail == plain formulation"
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = Prng.create (0x9A1 + seed) in
-      let n = 4 + Prng.int g 40 in
-      let sets =
-        Array.init n (fun _ ->
-            Tuple.Set.of_list
-              (List.init (Prng.int g 4) (fun _ -> Tuple.singleton (Prng.int g n))))
+      let f =
+        if Prng.bool g then substrate_family g
+        else
+          let n = 4 + Prng.int g 40 in
+          custom_family g ~arity:1 ~n
+            (Array.init (n + 4) (fun _ ->
+                 Tuple.Set.of_list
+                   (List.init (Prng.int g 4) (fun _ -> Tuple.singleton (Prng.int g n)))))
       in
-      let qs =
-        Query_system.of_custom
-          ~params:(List.init n Tuple.singleton)
-          ~result_set:(fun a -> sets.(a.(0)))
-          ~weight_arity:1
-      in
-      let canonical =
-        List.init (1 + Prng.int g 4) (fun _ -> Tuple.singleton (Prng.int g n))
-      in
+      let sets = Array.map f.eval f.params in
+      let n = Array.length sets in
+      let canonical = canonical_of g f in
       let active =
         Array.fold_left Tuple.Set.union Tuple.Set.empty sets |> Tuple.Set.elements
       in
@@ -162,7 +252,7 @@ let prop_pairing_tail_matches_reference =
           (fun w ->
             ( w,
               List.filter_map
-                (fun (i, a) -> if Tuple.Set.mem w sets.(a.(0)) then Some i else None)
+                (fun (i, a) -> if Tuple.Set.mem w (f.eval a) then Some i else None)
                 (List.mapi (fun i a -> (i, a)) canonical) ))
           active
       in
@@ -217,14 +307,15 @@ let prop_pairing_tail_matches_reference =
         Prng.shuffle g a;
         Array.to_list a
       in
-      let p = Pairing.make qs ~canonical in
+      let p = Pairing.make f.qs ~canonical in
       let select pairs =
         let chosen, split =
           Pairing.select_greedy (Prng.create seed) p (ranked p pairs) ~budget
         in
         (Pairing.to_pairs p chosen, split)
       in
-      Query_system.active qs = active
+      asks_agree f
+      && Query_system.active f.qs = active
       && Array.to_list (Pairing.active p) = active
       && Pairing.classes p = classes
       && Pairing.to_pairs p (Pairing.s_partition p) = partition
@@ -232,8 +323,9 @@ let prop_pairing_tail_matches_reference =
       && select shuffled = greedy shuffled ~budget)
 
 (* The rank-based pairing against the frozen Tuple-set formulation
-   (Pairing_ref): random query systems whose result sets overlap, at
-   weight arity 1 and 2, canonical lists with repeats.  Classes, the
+   (Pairing_ref): random custom query systems whose result sets overlap,
+   at weight arity 1 and 2, canonical lists with repeats and
+   non-parameters, and FO, travel and tree query systems.  Classes, the
    partition, split counts, both selections (greedy also on a shuffled
    candidate order) and the max split of loose pairs, some of whose
    endpoints lie outside W. *)
@@ -242,18 +334,17 @@ let prop_pairing_matches_ref =
     QCheck.(pair (int_range 0 100_000) (int_range 1 2))
     (fun (seed, arity) ->
       let g = Prng.create (0xC5A + seed) in
-      let n = 3 + Prng.int g 12 and np = 2 + Prng.int g 30 in
-      let elt () = Array.init arity (fun _ -> Prng.int g n) in
-      let sets =
-        Array.init np (fun _ -> Tuple.Set.of_list (List.init (Prng.int g 6) (fun _ -> elt ())))
+      let f =
+        if Prng.bool g then substrate_family g
+        else
+          let n = 3 + Prng.int g 12 and np = 2 + Prng.int g 30 in
+          let elt () = Array.init arity (fun _ -> Prng.int g n) in
+          custom_family g ~arity ~n
+            (Array.init (np + 4) (fun _ ->
+                 Tuple.Set.of_list (List.init (Prng.int g 6) (fun _ -> elt ()))))
       in
-      let qs =
-        Query_system.of_custom
-          ~params:(List.init np Tuple.singleton)
-          ~result_set:(fun a -> sets.(a.(0)))
-          ~weight_arity:arity
-      in
-      let canonical = List.init (Prng.int g 5) (fun _ -> Tuple.singleton (Prng.int g np)) in
+      let qs = f.qs in
+      let canonical = canonical_of g f in
       let p = Pairing.make qs ~canonical in
       let cands = Pairing.s_partition p in
       let partition = Pairing_ref.s_partition qs ~canonical in
@@ -264,8 +355,9 @@ let prop_pairing_matches_ref =
         let chosen, split = Pairing.select_greedy (Prng.create seed) p c ~budget in
         (Pairing.to_pairs p chosen, split)
       in
-      let loose = List.init 6 (fun _ -> { Pairing.fst = elt (); snd = elt () }) in
-      Pairing.classes p = Pairing_ref.classes qs ~canonical
+      let loose = List.init 6 (fun _ -> { Pairing.fst = f.elt (); snd = f.elt () }) in
+      asks_agree f
+      && Pairing.classes p = Pairing_ref.classes qs ~canonical
       && Pairing.to_pairs p cands = partition
       && List.combine (Query_system.params qs) (Array.to_list (Pairing.split_counts p cands))
          = Pairing_ref.split_counts qs partition
@@ -504,13 +596,6 @@ let test_remark1_zero_distortion () =
   check int "zero global distortion" 0 (Distortion.of_marks qs marks)
 
 (* --- tree scheme (Theorem 5) ------------------------------------------ *)
-
-let child_query () =
-  let phi = Parser.mso_of_string "S1(x,y) | S2(x,y)" in
-  let compiled =
-    Wm_trees.Mso_compile.compile ~base:[| "a"; "b" |] ~free:[ "x"; "y" ] phi
-  in
-  Wm_trees.Tree_query.of_compiled compiled ~params:[ "x" ] ~results:[ "y" ]
 
 let test_tree_scheme_roundtrip () =
   let g = Prng.create 17 in
