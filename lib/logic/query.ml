@@ -24,11 +24,6 @@ let result_set g q a =
 
 let all_params g q = Neighborhood.all_tuples g ~arity:(param_arity q)
 
-let active g q =
-  List.fold_left
-    (fun acc a -> Tuple.Set.union acc (result_set g q a))
-    Tuple.Set.empty (all_params g q)
-
 let weight_of w s = Tuple.Set.fold (fun b acc -> acc + Weighted.get w b) s 0
 
 let f (ws : Weighted.structure) q a =

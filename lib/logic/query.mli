@@ -26,11 +26,6 @@ val result_set : Structure.t -> t -> Tuple.t -> Tuple.Set.t
 val all_params : Structure.t -> t -> Tuple.t list
 (** U^r, every possible final-user input. *)
 
-val active : Structure.t -> t -> Tuple.Set.t
-(** W = union of W_a over all parameters: the active weighted elements.
-    Distortions outside W are invisible to final users and useless for
-    watermarking (Section 1). *)
-
 val weight_of : Weighted.t -> Tuple.Set.t -> int
 (** Sum of weights over a result set. *)
 

@@ -46,65 +46,77 @@ let max_degree g =
 
 let icmp (a : int) b = compare a b
 
-(* Counting-sort [m] directed edges (self-loops already excluded) into
-   rows, then sort and dedupe each row in place. *)
-let csr_of_edges n src dst m =
-  let cnt = Array.make (n + 1) 0 in
-  for e = 0 to m - 1 do
-    cnt.(src.(e) + 1) <- cnt.(src.(e) + 1) + 1
-  done;
-  for a = 1 to n do
-    cnt.(a) <- cnt.(a) + cnt.(a - 1)
-  done;
-  let pos = Array.copy cnt in
-  let row = Array.make m 0 in
-  for e = 0 to m - 1 do
-    let a = src.(e) in
-    row.(pos.(a)) <- dst.(e);
-    pos.(a) <- pos.(a) + 1
-  done;
+(* In-place insertion sort of [a.(lo..hi)]: on short int rows it beats
+   [Array.sort], whose comparison is a closure call. *)
+let isort (a : int array) lo hi =
+  for i = lo + 1 to hi do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Sort [a.(lo .. hi-1)] in place: [isort] up to 32 entries, beyond
+   that (hubs) [Array.sort] on a copy. *)
+let sort_range (a : int array) lo hi =
+  if hi - lo <= 32 then isort a lo (hi - 1)
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort icmp s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
+(* The CSR of the directed pairs [edges] emits (self-loops already
+   excluded).  [edges] is run twice with the same enumeration: once to
+   count each row, then to counting-sort the pairs into one row buffer,
+   filling every row from its end.  The rows are then sorted and
+   deduplicated in place, each compacted down onto the end of the
+   previous one, and [off] rewritten as it goes.  The buffer and the
+   offsets are the only arrays, but for one trimmed copy when there
+   were duplicates, so equal graphs stay structurally equal. *)
+let csr_of_edges n edges =
   let off = Array.make (n + 1) 0 in
-  let nbr = Array.make m 0 in
+  edges (fun a _ -> off.(a) <- off.(a) + 1);
+  for a = 1 to n do
+    off.(a) <- off.(a) + off.(a - 1)
+  done;
+  let nbr = Array.make off.(n) 0 in
+  edges (fun a v ->
+      let p = off.(a) - 1 in
+      off.(a) <- p;
+      nbr.(p) <- v);
   let w = ref 0 in
   for a = 0 to n - 1 do
+    let lo = off.(a) and hi = off.(a + 1) in
     off.(a) <- !w;
-    let lo = cnt.(a) and hi = cnt.(a + 1) in
-    if hi > lo then begin
-      let slice = Array.sub row lo (hi - lo) in
-      Array.sort icmp slice;
-      Array.iter
-        (fun v ->
-          if !w = off.(a) || nbr.(!w - 1) <> v then begin
-            nbr.(!w) <- v;
-            incr w
-          end)
-        slice
-    end
+    sort_range nbr lo hi;
+    for i = lo to hi - 1 do
+      let v = nbr.(i) in
+      if !w = off.(a) || nbr.(!w - 1) <> v then begin
+        nbr.(!w) <- v;
+        incr w
+      end
+    done
   done;
   off.(n) <- !w;
-  { off; nbr = Array.sub nbr 0 !w }
+  { off; nbr = (if !w = Array.length nbr then nbr else Array.sub nbr 0 !w) }
 
-(* Shared two-pass edge gather over flat tuple rows: the callback is
-   invoked twice with identical enumerations of (buffer, offset, arity)
-   rows — first to count directed pairs exactly, then to emit them.
-   Feeding it [Relation.iter_flat] means a million-tuple structure is
-   scanned with no per-tuple allocation at all. *)
+(* Every directed pair of distinct cells of each flat tuple row that
+   [iter_rows] enumerates as (buffer, offset, arity).  Feeding it
+   [Relation.iter_flat] means a million-tuple structure is scanned with
+   no per-tuple allocation at all. *)
 let build n iter_rows =
-  let m = ref 0 in
-  iter_rows (fun _ _ k -> m := !m + (k * (k - 1)));
-  let src = Array.make (max 1 !m) 0 and dst = Array.make (max 1 !m) 0 in
-  let p = ref 0 in
-  iter_rows (fun (buf : int array) off k ->
-      for i = 0 to k - 1 do
-        for j = 0 to k - 1 do
-          if i <> j && buf.(off + i) <> buf.(off + j) then begin
-            src.(!p) <- buf.(off + i);
-            dst.(!p) <- buf.(off + j);
-            incr p
-          end
-        done
-      done);
-  csr_of_edges n src dst !p
+  csr_of_edges n (fun edge ->
+      iter_rows (fun (buf : int array) off k ->
+          for i = off to off + k - 1 do
+            let x = buf.(i) in
+            for j = off to off + k - 1 do
+              if buf.(j) <> x then edge x buf.(j)
+            done
+          done))
 
 let of_structure g =
   build (Structure.size g) (fun f ->
@@ -168,7 +180,12 @@ let refresh g ~prev ~dirty =
           done)
         r)
     g ();
-  let fresh = csr_of_edges !k !src !dst !m in
+  let fresh =
+    csr_of_edges !k (fun edge ->
+        for e = 0 to !m - 1 do
+          edge !src.(e) !dst.(e)
+        done)
+  in
   let off = Array.make (n + 1) 0 in
   for a = 0 to n - 1 do
     let d = if is_dirty.(a) then degree fresh rank.(a) else degree prev a in
@@ -273,19 +290,6 @@ let walk g sc ~bound tail =
   sc.last <- !head;
   sc.inner <- !inner;
   !tail
-
-(* In-place insertion sort of [a.(lo..hi)]: on short int rows it beats
-   [Array.sort], whose comparison is a closure call. *)
-let isort (a : int array) lo hi =
-  for i = lo + 1 to hi do
-    let v = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && a.(!j) > v do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- v
-  done
 
 (* The first [len] queue slots, sorted; balls are usually short. *)
 let sort_prefix (q : int array) len =

@@ -42,66 +42,22 @@ let iso_check pa pb =
   Obs.incr c_iso_checks;
   Iso.isomorphic_prep pa pb
 
-(* The tuples of [r] headed by [x] (first element [x]), ascending, found
-   from the Gaifman graph alone: a tuple's elements are pairwise
-   adjacent or equal, so the rest of it lies in the closed neighborhood N
-   of [x].  Letting every later position range over N costs
-   |N|^(arity-1) membership probes — one at arity 1, linear in the
-   degree at arity 2.  When that exceeds the relation's size (a hub at
-   arity 3 or more) one scan of the relation is cheaper, and takes it. *)
-let tuples_from gf r x =
-  let a = Relation.arity r in
-  let card = Relation.cardinal r in
-  let nb = Gaifman.degree gf x + 1 in
-  let rec probes k acc = if k = 0 || acc > card then acc else probes (k - 1) (acc * nb) in
-  let acc = ref [] in
-  if probes (a - 1) 1 > card then
-    Relation.iter_flat
-      (fun buf off -> if buf.(off) = x then acc := Array.sub buf off a :: !acc)
-      r
-  else begin
-    (* N ascending: [x] merged into its sorted, loop-free neighbor row *)
-    let cand = Array.make nb x in
-    let i = ref 0 and placed = ref false in
-    Gaifman.iter_neighbors gf x (fun y ->
-        if y > x && not !placed then begin
-          placed := true;
-          incr i
-        end;
-        cand.(!i) <- y;
-        incr i);
-    let t = Array.make a x in
-    let rec fill j =
-      if j = a then begin
-        if Relation.mem t r then acc := Array.copy t :: !acc
-      end
-      else
-        Array.iter
-          (fun y ->
-            t.(j) <- y;
-            fill (j + 1))
-          cand
-    in
-    fill 1
-  end;
-  List.rev !acc
-
 (* Relation names, sorted: a dense relation id is a position here. *)
 let sorted_rel_names g =
   Array.of_list
     (List.sort compare (Structure.fold_relations (fun name _ acc -> name :: acc) g []))
 
-(* (relation id, tuple) for every tuple headed by [x], in the order a
-   sweep over the relations in id order leaves: the reverse of
-   (relation id, tuple) ascending. *)
-let heads_at g gf rel_names x =
+(* (relation id, tuple) for every tuple headed by [x] (holding it at
+   position 0), each relation read over its sorted row range: the
+   reverse of (relation id, tuple) ascending.  [rels] is indexed by
+   relation id. *)
+let heads_at rels x =
   let acc = ref [] in
   Array.iteri
-    (fun id name ->
-      List.iter
-        (fun t -> acc := (id, t) :: !acc)
-        (tuples_from gf (Structure.relation g name) x))
-    rel_names;
+    (fun id r ->
+      let a = Relation.arity r in
+      Relation.iter_headed x (fun buf off -> acc := (id, Array.sub buf off a) :: !acc) r)
+    rels;
   !acc
 
 (* Index of [y] in the sorted array [s], or -1: binary search, which
@@ -176,9 +132,10 @@ let of_tuple g gf ~rho c =
   Obs.incr c_spheres;
   let s = Array.of_list (Gaifman.sphere_tuple gf ~rho c) in
   let rel_names = sorted_rel_names g in
+  let rels = Array.map (Structure.relation g) rel_names in
   let nb, _ =
     renamed_sphere (Structure.schema g) rel_names c s
-      (sphere_members (heads_at g gf rel_names) s)
+      (sphere_members (heads_at rels) s)
   in
   if Structure.has_names g then
     let names = Array.map (Structure.name_of g) nb.original in
@@ -284,9 +241,11 @@ module Ktbl = Hashtbl.Make (Key)
    - [spheres] memoizes [Gaifman.sphere_array] per element, so a tuple
      sphere is a union of cached arrays instead of arity-many BFS runs;
    - [heads] maps each element to the structure tuples it heads (holds
-     at position 0), so the members of a sphere are found by a local
-     scan (proportional to the sphere's own tuples) instead of a
-     full-relation sweep.
+     at position 0), read on demand from the sorted row range of each
+     relation, so the members of a sphere are found by a local scan
+     (proportional to the sphere's own tuples) instead of a
+     full-relation sweep, and only the elements of spheres a call
+     materializes pay for theirs.
 
    The tables are only mutated in the sequential grouping phases; the
    parallel phases read frozen entries, which keeps the pool's
@@ -302,10 +261,9 @@ type ctx = {
       (* dense relation id -> schema name, name-sorted: the ids are an
          injective, structure-independent relation code for the flat
          shape keys *)
+  rels : Relation.t array;  (* relation id -> relation *)
   heads : (int * Tuple.t) list array;
-  heads_ready : bool array;
-      (* [heads.(x)] is filled: all of it for a whole-structure
-         context, on demand for a local one *)
+  heads_ready : bool array;  (* [heads.(x)] is filled *)
   tree_ok : bool;
       (* the tree path applies: a whole-structure context (the
          refinement colors every element), every relation has arity 1
@@ -317,48 +275,33 @@ type ctx = {
          checks, so a [false] is always safe *)
 }
 
-(* [~local:false] fills every [heads] list in one sweep over the
-   relations — the right trade when the call types the whole universe.
-   [~local:true] leaves them empty, to be filled by {!ensure_heads} for
-   the sphere elements a call actually touches, so an incremental
-   reindex costs its spheres rather than the structure.  A local
-   context never takes the tree path: its refinement runs over the
-   whole structure. *)
+(* [~local:true] is the context of an incremental reindex, which never
+   takes the tree path: its refinement runs over the whole structure. *)
 let make_ctx ~local g gf ~rho =
   let n = Structure.size g in
   let rel_names = sorted_rel_names g in
-  let heads = Array.make n [] in
-  if not local then
-    Array.iteri
-      (fun id name ->
-        Relation.iter
-          (fun t -> heads.(t.(0)) <- (id, t) :: heads.(t.(0)))
-          (Structure.relation g name))
-      rel_names;
+  let rels = Array.map (Structure.relation g) rel_names in
   {
     cg = g;
     cgf = gf;
     crho = rho;
     rel_names;
-    heads;
-    heads_ready = Array.make n (not local);
+    rels;
+    heads = Array.make n [];
+    heads_ready = Array.make n false;
     tree_ok =
       (not local)
-      && Array.length rel_names <= 31
-      && Structure.fold_relations
-           (fun _ r acc -> acc && (Relation.arity r = 1 || Relation.arity r = 2))
-           g true;
+      && Array.length rels <= 31
+      && Array.for_all (fun r -> Relation.arity r = 1 || Relation.arity r = 2) rels;
     spheres = Array.make n [||];
     tree = Array.make n false;
   }
 
-(* Fill [heads.(x)] of a local context from [x]'s closed neighborhood,
-   in the order the whole-structure sweep leaves.  Sequential phases
-   only. *)
+(* Sequential phases only. *)
 let ensure_heads ctx x =
   if not ctx.heads_ready.(x) then begin
     ctx.heads_ready.(x) <- true;
-    ctx.heads.(x) <- heads_at ctx.cg ctx.cgf ctx.rel_names x
+    ctx.heads.(x) <- heads_at ctx.rels x
   end
 
 let members_in ctx s = sphere_members (Array.get ctx.heads) s
@@ -632,7 +575,8 @@ let materialize ctx ?jobs tups =
   (* Phase B (sequential, cheap): tuple spheres by union.  Each
      distinct sphere is numbered once, first-seen, which is the order
      the shape step keys them in; a repeat (heavy overlap at arity >= 2)
-     counts as deduped. *)
+     counts as deduped.  The [heads] of every element of those spheres
+     are filled here, for the parallel phases to read. *)
   let nt = Array.length tups in
   let sets, sid, dist =
     Obs.span t_spheres @@ fun () ->
@@ -751,8 +695,7 @@ let tree_colors ctx =
   let own = Array.make n 0 and label = Array.make (Gaifman.edge_slots gf) 0 in
   let set a i bit = a.(i) <- a.(i) lor (1 lsl bit) in
   Array.iteri
-    (fun id name ->
-      let r = Structure.relation ctx.cg name in
+    (fun id r ->
       if Relation.arity r = 1 then
         Relation.iter_flat (fun buf o -> set own buf.(o) id) r
       else
@@ -765,7 +708,7 @@ let tree_colors ctx =
               set label (Gaifman.edge_slot gf v u) ((2 * id) + 1)
             end)
           r)
-    ctx.rel_names;
+    ctx.rels;
   (* only equality of colors matters, so ids are interned first-seen
      from one buffer *)
   let kb = { b = Array.make 64 0 } in
@@ -938,8 +881,9 @@ let run_index ctx ?jobs tups ~rho ~arity =
   in
   { rho; arity; tuples = tups; types; representatives = Array.of_list (List.rev !reps) }
 
-(* The context's Gaifman graph and [heads] lists are charged to the
-   spheres timer, so the [nbh.index.*] timers add up to [nbh.index]. *)
+(* The context's Gaifman graph is charged to the spheres timer, as are
+   the [heads] lists filled in [materialize], so the [nbh.index.*]
+   timers add up to [nbh.index]. *)
 let make_index_ctx g ~rho =
   Obs.span t_spheres @@ fun () ->
   make_ctx ~local:false g (Gaifman.of_structure g) ~rho

@@ -52,16 +52,16 @@ let is_empty r = cardinal r = 0
    call per cell, which dominates binary search and sorting here. *)
 let icmp (x : int) y = if x < y then -1 else if x > y then 1 else 0
 
-(* data row [i] vs tuple [t], lexicographic (equal arities). *)
+(* data row [i] vs tuple [t], lexicographic (equal arities); a loop,
+   so no closure is allocated per comparison. *)
 let cmp_row r i (t : Tuple.t) =
   let base = i * r.arity in
-  let rec go j =
-    if j = r.arity then 0
-    else
-      let c = icmp r.data.(base + j) t.(j) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+  let c = ref 0 and j = ref 0 in
+  while !c = 0 && !j < r.arity do
+    c := icmp r.data.(base + !j) t.(!j);
+    incr j
+  done;
+  !c
 
 (* Index of [t] among the data rows, -1 if absent. *)
 let find_row r t =
@@ -187,6 +187,64 @@ let iter_flat f r =
             | _ ->
                 f r.data (!i * a);
                 incr i)
+    done
+  end
+
+(* The first data row whose first cell is at least [x]. *)
+let first_row_from r x =
+  let lo = ref 0 and hi = ref r.nrows in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if r.data.(mid * r.arity) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Data row [i] exists and is headed by [x]. *)
+let row_headed r x i = i < r.nrows && r.data.(i * r.arity) = x
+
+(* The first tuple of the overlay set [s] that [above] accepts ([above]
+   monotone), if it is headed by [x]; [[||]] (no tuple has arity 0)
+   otherwise.  No allocation but the predicate's closure. *)
+let next_headed x above s =
+  if Tuple.Set.is_empty s then [||]
+  else
+    match Tuple.Set.find_first above s with
+    | t when t.(0) = x -> t
+    | _ -> [||]
+    | exception Not_found -> [||]
+
+(* The live rows headed by [x]: the data rows of one binary-searched
+   range, merged with the overlay's own ranges — the [dels] among them
+   skipped, the [adds] headed by [x] interleaved — as [iter_flat] merges
+   the whole relation. *)
+let iter_headed x f r =
+  let a = r.arity in
+  let i = ref (first_row_from r x) in
+  if r.nadds = 0 && r.ndels = 0 then
+    while row_headed r x !i do
+      f r.data (!i * a);
+      incr i
+    done
+  else begin
+    let after (t : Tuple.t) u = Tuple.compare u t > 0 in
+    let from_x (u : Tuple.t) = u.(0) >= x in
+    let del = ref (next_headed x from_x r.dels) in
+    let add = ref (next_headed x from_x r.adds) in
+    while row_headed r x !i || Array.length !add > 0 do
+      if row_headed r x !i && Array.length !del > 0 && cmp_row r !i !del = 0 then begin
+        del := next_headed x (after !del) r.dels;
+        incr i
+      end
+      else if
+        Array.length !add > 0 && ((not (row_headed r x !i)) || cmp_row r !i !add > 0)
+      then begin
+        f !add 0;
+        add := next_headed x (after !add) r.adds
+      end
+      else begin
+        f r.data (!i * a);
+        incr i
+      end
     done
   end
 

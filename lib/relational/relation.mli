@@ -78,3 +78,10 @@ val of_flat : int -> int array -> int -> t
     taken over: it may become the relation's own storage, so the caller
     must not use it afterwards.
     @raise Invalid_argument if [arity < 1]. *)
+
+val iter_headed : int -> (int array -> int -> unit) -> t -> unit
+(** [iter_headed x f r] is [iter_flat f r] restricted to the tuples
+    whose first cell is [x], in the same ascending order: one binary
+    search of the sorted rows, then the rows headed by [x] and the
+    overlay entries headed by [x] — O(log |r| + k + overlay range) for
+    [k] such tuples, never a full scan. *)

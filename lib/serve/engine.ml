@@ -206,9 +206,15 @@ let rec dispatch t ~jobs (req : Protocol.req) =
       | Error m -> err m
       | Ok _ -> ok "snapshot" [ ("id", id) ])
   | Prepare { id; seed; rho; epsilon; shard = _; qspec } ->
+      let options = { Local_scheme.default_options with seed; rho; epsilon } in
       let result =
         Store.update t.store id @@ fun ds ->
-        match resolve_query ds qspec with
+        (* the option checks first: resolving an FO query evaluates
+           every result set *)
+        match
+          Result.bind (Local_scheme.check_options options) (fun () ->
+              resolve_query ds qspec)
+        with
         | Error m -> Error m
         | Ok (qs, q, qtext) -> (
             let rho =
@@ -216,14 +222,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
               | Some r -> r
               | None -> Locality.best_rank q.Query.phi
             in
-            let options =
-              {
-                Local_scheme.default_options with
-                seed;
-                rho = Some rho;
-                epsilon;
-              }
-            in
+            let options = { options with rho = Some rho } in
             match Local_scheme.prepare ~options ~qs ~gf:ds.gf ds.base q with
             | Error m -> Error m
             | Ok scheme ->

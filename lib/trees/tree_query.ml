@@ -212,14 +212,6 @@ let result_set (t : t) tree a =
 let all_params (t : t) tree =
   List.map Tuple.of_list (tuples_over (Btree.size tree) t.k)
 
-let active (t : t) tree =
-  if t.k = 1 && t.s = 1 then
-    Array.fold_left Tuple.Set.union Tuple.Set.empty (result_sets t tree)
-  else
-    List.fold_left
-      (fun acc a -> Tuple.Set.union acc (result_set t tree a))
-      Tuple.Set.empty (all_params t tree)
-
 let f t tree ~weights a =
   Tuple.Set.fold
     (fun b acc -> acc + Weighted.get weights b)

@@ -42,11 +42,6 @@ val result_set : t -> Btree.t -> Tuple.t -> Tuple.Set.t
 val all_params : t -> Btree.t -> Tuple.t list
 (** All k-tuples of nodes (size^k of them). *)
 
-val active : t -> Btree.t -> Tuple.Set.t
-(** W = union of W_a: the {!result_sets} pass for k = s = 1, otherwise
-    size^(k+s) automaton runs — see DESIGN.md 5.2 on evaluator cost being
-    part of the reproduced substrate. *)
-
 val f : t -> Btree.t -> weights:Weighted.t -> Tuple.t -> int
 (** Weight of the query result for a parameter (the f of Section 1). *)
 

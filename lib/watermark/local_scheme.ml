@@ -69,3 +69,5 @@ let mark t message w =
 let detect = Multi_scheme.detect
 let detect_weights = Multi_scheme.detect_weights
 let carriers = Multi_scheme.carriers
+
+let check_options = Multi_scheme.check_options

@@ -73,3 +73,6 @@ val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
 
 val carriers : t -> Carriers.t
 (** {!Multi_scheme.carriers}. *)
+
+val check_options : options -> (unit, string) result
+(** {!Multi_scheme.check_options}. *)

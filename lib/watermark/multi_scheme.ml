@@ -147,16 +147,22 @@ let check (ws : Weighted.structure) queries lists =
 
 let length_of = function None -> [] | Some l -> [ List.length l ]
 
+let check_options options =
+  (* the negated test also rejects NaN *)
+  if not (options.epsilon > 0. && options.epsilon <= 1.) then
+    Error "epsilon must lie in (0, 1]"
+  else if Option.fold ~none:false ~some:(fun r -> r < 0) options.rho then
+    Error "rho must be non-negative"
+  else Ok ()
+
 let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
     queries =
   let g = ws.Weighted.graph in
-  match check ws queries (length_of qs @ length_of ix) with
+  match
+    Result.bind (check ws queries (length_of qs @ length_of ix)) (fun () ->
+        check_options options)
+  with
   | Error _ as e -> e
-  (* the negated test also rejects NaN *)
-  | Ok () when not (options.epsilon > 0. && options.epsilon <= 1.) ->
-      Error "epsilon must lie in (0, 1]"
-  | Ok () when Option.fold ~none:false ~some:(fun r -> r < 0) options.rho ->
-      Error "rho must be non-negative"
   | Ok () ->
       let systems =
         match qs with

@@ -138,3 +138,9 @@ val distortion : t -> Weighted.t -> Weighted.t -> (int * int) list
 val carriers : t -> Carriers.t
 (** The selected pairs over {!query_system}: {!capacity}, {!pairs},
     {!mark}, {!detect} and {!detect_weights} read this value. *)
+
+val check_options : options -> (unit, string) result
+(** The option checks {!prepare} makes, with its messages: [epsilon]
+    outside (0, 1] (NaN included) or a negative [rho] is an [Error].
+    They read no structure, so a caller that builds query systems
+    first (the serving engine) runs them before any evaluation. *)

@@ -466,6 +466,42 @@ let test_marks_and_bits_match_ref () =
   check bool "decoded bits" true (Bitvec.equal flat_bits ref_bits);
   check bool "message decoded" true (Bitvec.equal flat_bits message)
 
+(* --- range read of the rows headed by one element ---------------------- *)
+
+(* [iter_headed x] against [iter_flat] filtered on the first cell: a bulk
+   build (data rows) edited by an add/remove script, so the overlay holds
+   adds and dels on both sides of the data rows — scripts long enough to
+   cross the compaction threshold too — at arity 1 to 3, for every [x]
+   in the universe and two outside it, and on the empty relation. *)
+let prop_iter_headed =
+  QCheck.Test.make ~count:150 ~name:"Relation.iter_headed == iter_flat filtered"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g = Prng.create (0x4EAD + seed) in
+      let ar = 1 + Prng.int g 3 in
+      let range = 1 + Prng.int g 8 in
+      let r0 = Relation.of_list ar (rand_tuples g ~count:(Prng.int g 120) ar range) in
+      let r =
+        List.fold_left
+          (fun r t -> if Prng.bernoulli g 0.5 then Relation.add t r else Relation.remove t r)
+          r0
+          (rand_tuples g ~count:(Prng.int g (if Prng.bool g then 40 else 200)) ar range)
+      in
+      let rows f =
+        let acc = ref [] in
+        f (fun buf off -> acc := Array.sub buf off ar :: !acc);
+        List.rev !acc
+      in
+      List.for_all
+        (fun r ->
+          List.for_all
+            (fun x ->
+              rows (fun f -> Relation.iter_headed x f r)
+              = rows (fun f ->
+                    Relation.iter_flat (fun buf off -> if buf.(off) = x then f buf off) r))
+            (List.init (range + 2) (fun x -> x - 1)))
+        [ r; r0; Relation.empty ar ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_relation_ops;
@@ -484,4 +520,5 @@ let suite =
       test_marks_and_bits_match_ref;
     Alcotest.test_case "apply_marks dense universe == Weighted_ref" `Quick
       test_apply_marks_dense_ref;
+    QCheck_alcotest.to_alcotest prop_iter_headed;
   ]

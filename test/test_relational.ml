@@ -180,10 +180,13 @@ let test_travel_example3 () =
 let test_travel_active () =
   (* Active weighted elements: {F21, G12, R5, F2, T33}; G13 is inactive. *)
   let t = Paper_examples.travel in
-  let w = Query.active t.Weighted.graph Paper_examples.travel_query in
+  let w =
+    Wm_watermark.Query_system.(
+      active (of_relational t.Weighted.graph Paper_examples.travel_query))
+  in
   let name_of x = Structure.name_of t.Weighted.graph x in
   let names =
-    List.map (fun tu -> name_of tu.(0)) (Tuple.Set.elements w)
+    List.map (fun tu -> name_of tu.(0)) w
     |> List.sort compare
   in
   check (list string) "active set" [ "F2"; "F21"; "G12"; "R5"; "T33" ] names

@@ -716,6 +716,33 @@ let test_put_rejects_oversized () =
   | `Ok _ -> Alcotest.fail "oversized put accepted");
   ignore (send_ok engine Protocol.Ping)
 
+(* Bad scheme options are rejected before the FO query system is built:
+   a NaN epsilon evaluates no result set, while the same query with a
+   valid epsilon evaluates one per element, so the counter is live. *)
+let test_prepare_checks_options_first () =
+  let engine = Engine.create () in
+  let _ = send_ok engine (Protocol.Gen { id = "d"; n = 400; seed = 7 }) in
+  let evals payload =
+    let was = Wm_obs.Obs.enabled () in
+    Wm_obs.Obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Wm_obs.Obs.set_enabled was) @@ fun () ->
+    let since = Wm_obs.Obs.snapshot () in
+    let r = Engine.handle engine payload in
+    let d = Wm_obs.Obs.diff ~since (Wm_obs.Obs.snapshot ()) in
+    match Protocol.decode_response r with
+    | Ok resp ->
+        (resp.Protocol.status, Option.value ~default:0 (List.assoc_opt "qs.evals" d.Wm_obs.Obs.counters))
+    | Error m -> Alcotest.failf "%s: undecodable response: %s" payload m
+  in
+  (match evals "prepare d 1 - nan 0 @fo u v E(u,v)" with
+  | `Err m, n ->
+      check string "message" "epsilon must lie in (0, 1]" m;
+      check int "no result set evaluated" 0 n
+  | `Ok _, _ -> Alcotest.fail "nan epsilon accepted");
+  match evals "prepare d 1 - 1.0 0 @fo u v E(u,v)" with
+  | `Ok _, n -> check int "one result set per element" 400 n
+  | `Err m, _ -> Alcotest.failf "valid prepare rejected: %s" m
+
 let suite =
   [
     ("protocol request round-trip", `Quick, test_request_roundtrip);
@@ -735,4 +762,5 @@ let suite =
     ("update reports a dropped capsule", `Quick, test_update_reports_dropped_capsule);
     ("prepare rejects bad options", `Quick, test_prepare_rejects_bad_options);
     ("put rejects an oversized size", `Quick, test_put_rejects_oversized);
+    ("prepare checks options before evaluating", `Quick, test_prepare_checks_options_first);
   ]

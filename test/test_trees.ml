@@ -254,8 +254,8 @@ let test_tree_query_basics () =
   check (list int) "children of root" [ 1; 4 ]
     (List.map (fun t -> t.(0)) (Tuple.Set.elements w0));
   (* Active = all non-root nodes. *)
-  let active = Tree_query.active q tree1 in
-  check int "active count" 5 (Tuple.Set.cardinal active);
+  let active = Wm_watermark.Query_system.(active_array (of_tree q tree1)) in
+  check int "active count" 5 (Array.length active);
   (* f with unit weights counts children. *)
   let w = Trees_gen.random_weights (Prng.create 1) tree1 ~lo:1 ~hi:1 in
   check int "f = #children" 2 (Tree_query.f q tree1 ~weights:w (Tuple.singleton 0))
