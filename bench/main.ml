@@ -26,7 +26,7 @@ let header title =
 (* Embed/detect straight from an explicit pair list (E3/E4 use synthetic
    pair sets outside any prepared scheme). *)
 let embed_pairs pairs message w =
-  Weighted.apply_marks w (Pairing.orientation_marks pairs message)
+  Weighted.apply_mark_iter w (Pairing.iter_orientation_marks pairs message)
 
 let read_pairs pairs ~original ~suspect ~length =
   let message = Bitvec.create length in
@@ -1630,7 +1630,9 @@ let e24 () =
    scheme serves every recipient.  A planted-leak trace scores the whole
    candidate population against one recipient's copy under the
    Sidak-corrected threshold, and the collusion grid (coalition size x
-   attack) checks that only coalition members are ever accused. *)
+   attack) checks that only coalition members are ever accused.  After
+   printing, it raises unless the planted leak alone is accused, every
+   grid cell is traced and no cell accuses an innocent. *)
 
 let e27 () =
   header "E27. Multi-recipient fingerprinting: tracing";
@@ -1707,7 +1709,21 @@ let e27 () =
      the Sidak-corrected threshold.  The grid colludes k copies per cell\n\
      (majority / mix / interleave, per-copy laundering noise) and must\n\
      accuse members only.\n"
-    population
+    population;
+  (* the gate, after the tables so a failure still shows them *)
+  if rep.Fingerprint.accused <> [ leak ] then
+    failwith
+      (Printf.sprintf "e27: the trace accused [%s], not the planted leak %s alone"
+         (String.concat "," rep.Fingerprint.accused) leak);
+  List.iter
+    (fun (o : Fingerprint.outcome) ->
+      let cell = Printf.sprintf "k=%d %s" o.Fingerprint.coalition o.Fingerprint.attack in
+      if not o.Fingerprint.traced then failwith ("e27: grid cell not traced: " ^ cell);
+      if o.Fingerprint.false_accusations > 0 then
+        failwith
+          (Printf.sprintf "e27: grid cell %s accused %d innocents" cell
+             o.Fingerprint.false_accusations))
+    report.Fingerprint.rows
 
 (* ------------------------------------------------------------------ *)
 

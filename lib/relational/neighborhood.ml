@@ -881,16 +881,17 @@ let run_index ctx ?jobs tups ~rho ~arity =
   in
   { rho; arity; tuples = tups; types; representatives = Array.of_list (List.rev !reps) }
 
-(* The context's Gaifman graph is charged to the spheres timer, as are
-   the [heads] lists filled in [materialize], so the [nbh.index.*]
-   timers add up to [nbh.index]. *)
-let make_index_ctx g ~rho =
+(* The context's Gaifman graph, when built here, is charged to the
+   spheres timer, as are the [heads] lists filled in [materialize], so
+   the [nbh.index.*] timers add up to [nbh.index]. *)
+let make_index_ctx ?gf g ~rho =
   Obs.span t_spheres @@ fun () ->
-  make_ctx ~local:false g (Gaifman.of_structure g) ~rho
+  let gf = match gf with Some gf -> gf | None -> Gaifman.of_structure g in
+  make_ctx ~local:false g gf ~rho
 
-let index ?jobs g ~rho tuples =
+let index ?jobs ?gf g ~rho tuples =
   Obs.span t_index @@ fun () ->
-  let ctx = make_index_ctx g ~rho in
+  let ctx = make_index_ctx ?gf g ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
   let ix = run_index ctx ?jobs tups ~rho ~arity in
@@ -899,9 +900,9 @@ let index ?jobs g ~rho tuples =
   Array.sort (fun i j -> enum_compare tups.(i) tups.(j)) ord;
   { ix with tuples = Array.map (Array.get tups) ord; types = Array.map (Array.get ix.types) ord }
 
-let index_universe ?jobs g ~rho ~arity =
+let index_universe ?jobs ?gf g ~rho ~arity =
   Obs.span t_index @@ fun () ->
-  let ctx = make_index_ctx g ~rho in
+  let ctx = make_index_ctx ?gf g ~rho in
   run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =

@@ -30,7 +30,8 @@ type index = {
     ids are dense in [0 .. ntp-1] and [representatives] realizes the
     paper's canonical parameter set S. *)
 
-val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
+val index :
+  ?jobs:int -> ?gf:Gaifman.t -> Structure.t -> rho:int -> Tuple.t list -> index
 (** Types every listed tuple: pre-buckets by cheap invariants (sphere
     size, tuple count, degree multiset, center pattern) and by
     {!Iso.certificate}, then verifies with exact isomorphism inside each
@@ -58,11 +59,16 @@ val index : ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> index
     O(rho * (n + |E|)) hash-table work once per call, on one domain,
     with no shape key or prep for those elements; only the elements with
     cyclic balls pay the per-sphere costs above.  The refinement is
-    skipped when no ball is a tree. *)
+    skipped when no ball is a tree.
 
-val index_universe : ?jobs:int -> Structure.t -> rho:int -> arity:int -> index
+    [gf] is the Gaifman graph of the structure when the caller already
+    holds it ({!Gaifman.of_structure} of the same structure); without it
+    one is built for this call. *)
+
+val index_universe :
+  ?jobs:int -> ?gf:Gaifman.t -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no
-    [n^arity] cons-list is ever materialized). *)
+    [n^arity] cons-list is ever materialized).  [gf], as for {!index}. *)
 
 val affected_elements :
   old_gf:Gaifman.t -> gf:Gaifman.t -> rho:int -> dirty:int list -> int list

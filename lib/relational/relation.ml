@@ -73,20 +73,24 @@ let find_row r t =
   done;
   !found
 
-(* rows [i] and [j] of one flat buffer *)
+(* rows [i] and [j] of one flat buffer; loops like [cmp_row], so no
+   closure is allocated per comparison (a sort or a bulk build makes one
+   per row). *)
 let cmp_rows arity (buf : int array) i j =
   let bi = i * arity and bj = j * arity in
-  let rec go p =
-    if p = arity then 0
-    else
-      let c = icmp buf.(bi + p) buf.(bj + p) in
-      if c <> 0 then c else go (p + 1)
-  in
-  go 0
+  let p = ref 0 and c = ref 0 in
+  while !c = 0 && !p < arity do
+    c := icmp buf.(bi + !p) buf.(bj + !p);
+    incr p
+  done;
+  !c
 
 let rows_equal arity (buf : int array) bi (out : int array) bo =
-  let rec go p = p = arity || (buf.(bi + p) = out.(bo + p) && go (p + 1)) in
-  go 0
+  let p = ref 0 in
+  while !p < arity && buf.(bi + !p) = out.(bo + !p) do
+    incr p
+  done;
+  !p = arity
 
 (* Sort [k] rows of [buf] and drop duplicates; returns (rows, data).
    [buf] must be private to the caller (it is returned directly on the
@@ -364,13 +368,12 @@ let union a b =
   let out = Array.make ((fa.nrows + fb.nrows) * ar) 0 in
   let cmp i j =
     let bi = i * ar and bj = j * ar in
-    let rec go p =
-      if p = ar then 0
-      else
-        let c = icmp fa.data.(bi + p) fb.data.(bj + p) in
-        if c <> 0 then c else go (p + 1)
-    in
-    go 0
+    let p = ref 0 and c = ref 0 in
+    while !c = 0 && !p < ar do
+      c := icmp fa.data.(bi + !p) fb.data.(bj + !p);
+      incr p
+    done;
+    !c
   in
   let w = ref 0 and i = ref 0 and j = ref 0 in
   let emit (src : int array) off =

@@ -1,16 +1,19 @@
 type t = int array
 
+(* Shorter tuples first, then lexicographic.  A plain loop: a local
+   recursive helper would allocate a closure on every call, and every
+   [Set]/[Map] step below makes one. *)
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let c = Stdlib.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb
+  else begin
+    let i = ref 0 and c = ref 0 in
+    while !c = 0 && !i < la do
+      c := Int.compare (Array.unsafe_get a !i) (Array.unsafe_get b !i);
+      incr i
+    done;
+    !c
+  end
 
 let equal a b = compare a b = 0
 

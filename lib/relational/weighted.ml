@@ -177,8 +177,11 @@ let compact w =
 
 let overlay_limit w = max 64 (w.nk / 4)
 
+let check_arity w t =
+  if Tuple.arity t <> w.arity then invalid_arg "Weighted.set: arity mismatch"
+
 let set w t v =
-  if Tuple.arity t <> w.arity then invalid_arg "Weighted.set: arity mismatch";
+  check_arity w t;
   let nover = if Tuple.Map.mem t w.over then w.nover else w.nover + 1 in
   let w = { w with over = Tuple.Map.add t v w.over; nover } in
   if w.nover > overlay_limit w then compact w else w
@@ -271,15 +274,9 @@ let add_delta w t d = set w t (get w t + d)
 
 (* Bulk mark application, with the same observable result as folding
    [add_delta]: every marked tuple ends with an explicit entry valued
-   [get w t + net t], net-zero marks included.  Each mark's row is
-   resolved first ([find_row]: O(1) on a dense singleton assignment, a
-   binary search otherwise).  When every row exists — every scheme mark
-   and fingerprint copy, whose pair endpoints carry weights — the result
-   shares [keys] with the input (nothing ever mutates a key array), and
-   [vals] is blitted and patched mark by mark, deltas summing in place:
-   O(nk) blit plus O(m) lookups, no sort.  Only a mark that adds a key
-   takes the merge path: net delta per tuple (sort, collapse), then one
-   merged rebuild of both flat buffers, O(nk + m log m). *)
+   [get w t + net t], net-zero marks included.  Only a mark that adds a
+   key comes here: net delta per tuple (sort, collapse), then one merged
+   rebuild of both flat buffers, O(nk + m log m). *)
 let merge_marks base marks =
   let arr = Array.of_list marks in
   let m = Array.length arr in
@@ -348,35 +345,66 @@ let merge_marks base marks =
   done;
   { base with nk; keys; vals }
 
+exception Fresh_key
+
+(* The in-place path of [apply_mark_iter]: the first mark compacts [w]
+   and blits its values into a fresh buffer, and every mark then patches
+   its row there ([find_row]: O(1) on a dense singleton assignment, a
+   binary search otherwise), deltas summing in place.  When every row
+   exists — every scheme mark and fingerprint copy, whose pair endpoints
+   carry weights — the result shares [keys] with the input (nothing ever
+   mutates a key array): O(nk) blit plus O(m) lookups, no sort, no mark
+   list and no per-mark scratch.  A mark with no row abandons the buffer
+   for [merge_marks], which replays the marks as a list. *)
+let apply_mark_iter w iter =
+  let base = ref w and vals = ref no_vals and started = ref false in
+  let patch t d =
+    check_arity w t;
+    if not !started then begin
+      started := true;
+      base := compact w;
+      vals := Bigarray.Array1.create Bigarray.int Bigarray.c_layout !base.nk;
+      Bigarray.Array1.blit !base.vals !vals
+    end;
+    let r = find_row !base t in
+    if r < 0 then raise_notrace Fresh_key;
+    let v = !vals in
+    Bigarray.Array1.unsafe_set v r (Bigarray.Array1.unsafe_get v r + d)
+  in
+  match iter patch with
+  | () -> if !started then { !base with vals = !vals } else w
+  | exception Fresh_key ->
+      let marks = ref [] in
+      iter (fun t d ->
+          check_arity w t;
+          marks := (t, d) :: !marks);
+      merge_marks !base (List.rev !marks)
+
 let apply_marks w marks =
-  if marks = [] then w
-  else begin
-    List.iter
-      (fun (t, _) ->
-        if Tuple.arity t <> w.arity then
-          invalid_arg "Weighted.set: arity mismatch")
-      marks;
-    let base = compact w in
-    let rows = Array.make (List.length marks) 0 in
-    let all_found = ref true in
-    List.iteri
-      (fun j (t, _) ->
-        let r = find_row base t in
-        if r < 0 then all_found := false;
-        rows.(j) <- r)
-      marks;
-    if !all_found then begin
-      let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout base.nk in
-      Bigarray.Array1.blit base.vals vals;
-      List.iteri
-        (fun j (_, d) ->
-          let r = rows.(j) in
-          vals.{r} <- vals.{r} + d)
-        marks;
-      { base with vals }
-    end
-    else merge_marks base marks
-  end
+  apply_mark_iter w (fun f -> List.iter (fun (t, d) -> f t d) marks)
+
+(* FNV-1a over the explicit entries, one step per key cell and one per
+   value: a loop over the flat buffers on a compacted value, the
+   per-entry callback only while an overlay is pending. *)
+let fnv h w =
+  let a = w.arity and p = Wm_util.Fnv.prime in
+  let h = ref h in
+  if w.nover = 0 then
+    for i = 0 to w.nk - 1 do
+      for c = i * a to (i * a) + a - 1 do
+        h := (!h lxor Array.unsafe_get w.keys c) * p
+      done;
+      h := (!h lxor Bigarray.Array1.unsafe_get w.vals i) * p
+    done
+  else
+    iter_bindings_flat
+      (fun buf off v ->
+        for c = off to off + a - 1 do
+          h := (!h lxor buf.(c)) * p
+        done;
+        h := (!h lxor v) * p)
+      w;
+  !h
 
 let local_distance a b =
   if a.arity <> b.arity then invalid_arg "Weighted.local_distance: arity";

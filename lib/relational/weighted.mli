@@ -55,11 +55,7 @@ val add_delta : t -> Tuple.t -> int -> t
 
 val apply_marks : t -> (Tuple.t * int) list -> t
 (** Adds every listed delta; the list is a mark in the paper's sense.
-    Same result as folding {!add_delta}.  When every marked tuple already
-    has an explicit entry (as pair endpoints do) the result shares the
-    input's key array and copies only the weights, so the input is left
-    unchanged and copies marked from one base stay independent; a mark
-    that adds keys rebuilds both buffers in one merge. *)
+    The list view of {!apply_mark_iter}. *)
 
 val local_distance : t -> t -> int
 (** sup-distance max_w |W(w) - W'(w)| over {e all} tuples: the union of
@@ -94,3 +90,22 @@ val of_flat : ?default:int -> int -> int array -> int array -> int -> t
     sort when the keys are already ascending.  Both buffers are taken
     over (they may be reordered in place or become the value's own), so
     the caller must not use them afterwards. *)
+
+val apply_mark_iter : t -> ((Tuple.t -> int -> unit) -> unit) -> t
+(** [apply_mark_iter w iter] adds every delta [iter] passes to its
+    callback: [iter f] calls [f t d] once per mark, and must make the
+    same calls each time it is run (it is replayed when a mark adds a
+    key).  Same result as folding {!add_delta}; raises
+    [Invalid_argument] on a tuple of the wrong arity.  When every marked
+    tuple already has an explicit entry (as pair endpoints do) the result
+    shares the input's key array, and the marks are summed straight into
+    one fresh copy of the weights, with no mark list and no scratch per
+    mark; the input is left unchanged, so copies marked from one base
+    stay independent.  A mark that adds keys rebuilds both buffers in one
+    merge.  No mark at all returns [w] itself. *)
+
+val fnv : int -> t -> int
+(** [fnv h w] folds the explicit entries, in ascending tuple order, into
+    the FNV-1a state [h] ({!Wm_util.Fnv}): per entry, [h <- (h lxor x) *
+    prime] for each key cell [x] and then for the weight.  On a value
+    with no pending overlay this is one loop over the flat buffers. *)

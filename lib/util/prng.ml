@@ -44,6 +44,19 @@ let int g n =
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
 
+(* [k] successive [bool] draws, draw [i] in bit [i]: the low bit of each
+   output is or-ed in, so no draw ends in a data-dependent branch, and
+   the state is stored once. *)
+let bools g k =
+  if k < 0 || k > 62 then invalid_arg "Prng.bools: want 0 <= k <= 62";
+  let s = ref (get64 g 0) and acc = ref 0 in
+  for i = 0 to k - 1 do
+    s := Int64.add !s golden_gamma;
+    acc := !acc lor ((Int64.to_int (mix !s) land 1) lsl i)
+  done;
+  set64 g 0 !s;
+  !acc
+
 let[@inline] float g x =
   let b = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   b /. 9007199254740992.0 *. x

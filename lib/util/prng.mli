@@ -52,3 +52,9 @@ val sample : t -> int -> 'a array -> 'a array
 
 val subset : t -> float -> 'a list -> 'a list
 (** [subset g p xs] keeps each element independently with probability [p]. *)
+
+val bools : t -> int -> int
+(** [bools g k] makes [k] successive {!bool} draws and packs draw [i]
+    into bit [i] of the result (1 for [true]); the generator ends where
+    [k] calls of [bool] would leave it.  Branch-free per draw.  Requires
+    [0 <= k <= 62], so the result is non-negative. *)

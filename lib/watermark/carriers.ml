@@ -17,7 +17,7 @@ let query_system t = t.qs
 let mark t message w =
   if Bitvec.length message > t.capacity then
     invalid_arg "Carriers.mark: message longer than capacity";
-  Weighted.apply_marks w (Pairing.orientation_marks t.pairs message)
+  Weighted.apply_mark_iter w (Pairing.iter_orientation_marks t.pairs message)
 
 let detect t ~original ~server ~length =
   let observed = Query_system.reconstruct t.qs server in

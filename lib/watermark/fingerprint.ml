@@ -95,20 +95,12 @@ let mark_for t rid w =
   Obs.incr c_copies;
   Carriers.mark t.carriers (Codec.repeat ~times:t.times (codeword t rid)) w
 
+(* The header (format tag, arity, default), then every binding through
+   {!Weighted.fnv}: one loop over the flat buffers, no call per entry. *)
 let digest w =
-  let h = ref (Fnv.string Fnv.basis "qpwm-fp/1") in
-  let mix x = h := (!h lxor x) * Fnv.prime in
-  mix (Weighted.arity w);
-  mix (Weighted.default w);
-  let arity = Weighted.arity w in
-  Weighted.iter_bindings_flat
-    (fun buf off v ->
-      for i = off to off + arity - 1 do
-        mix buf.(i)
-      done;
-      mix v)
-    w;
-  !h land max_int
+  let mix h x = (h lxor x) * Fnv.prime in
+  let h = mix (Fnv.string Fnv.basis "qpwm-fp/1") (Weighted.arity w) in
+  Weighted.fnv (mix h (Weighted.default w)) w land max_int
 
 (* --- tracing --------------------------------------------------------- *)
 
@@ -151,36 +143,63 @@ type trace_report = {
   accused : string list;
 }
 
-(* Fused: bit [i] of the codeword is the [i]-th draw of the recipient's
-   stream ({!Codec.random}), compared as it is drawn — no codeword
-   vector, no closure, and no allocation per draw (DESIGN.md 5.13). *)
-let score t decoded rid =
+(* The decided bits, 62 to a word: bit [i] of the decoded array is bit
+   [i mod 62] of word [i / 62], set in [known] when the bit is decided
+   and in [value] when it is decided true.  Word [w] of a codeword is
+   the next {!Prng.bools} draw of the recipient's stream ({!Codec.random}
+   draws bit [i] as its [i]-th [bool]), so a candidate's agreements are
+   one popcount per word, with no branch per bit (DESIGN.md 5.13). *)
+type packed = { known : int array; value : int array; decided : int }
+
+let word_bits = 62
+
+(* SWAR population count; exact for the non-negative 62-bit words here. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
+
+let pack t decoded =
   if Array.length decoded <> t.length then
     invalid_arg "Fingerprint.score: decoded length mismatch";
+  let words = (t.length + word_bits - 1) / word_bits in
+  let known = Array.make words 0 and value = Array.make words 0 in
+  Array.iteri
+    (fun i v ->
+      let w = i / word_bits and bit = 1 lsl (i mod word_bits) in
+      match v with
+      | Some b ->
+          known.(w) <- known.(w) lor bit;
+          if b then value.(w) <- value.(w) lor bit
+      | None -> ())
+    decoded;
+  { known; value; decided = Array.fold_left (fun n k -> n + popcount k) 0 known }
+
+let agreements t p rid =
   let g = codeword_prng t rid in
-  let agree = ref 0 and trials = ref 0 in
-  for i = 0 to t.length - 1 do
-    let bit = Prng.bool g in
-    match decoded.(i) with
-    | Some b ->
-        incr trials;
-        if b = bit then incr agree
-    | None -> ()
+  let agree = ref 0 in
+  for w = 0 to Array.length p.known - 1 do
+    let c = Prng.bools g (min word_bits (t.length - (w * word_bits))) in
+    let same = lnot (c lxor Array.unsafe_get p.value w) in
+    agree := !agree + popcount (Array.unsafe_get p.known w land same)
   done;
-  (!agree, !trials)
+  !agree
+
+let score t decoded rid =
+  let p = pack t decoded in
+  (agreements t p rid, p.decided)
 
 let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
   if candidates = [] then invalid_arg "Fingerprint.trace: no candidates";
   Obs.time t_trace @@ fun () ->
   Obs.incr c_traces;
   let carriers = read ?jobs t ~original ~suspect in
-  let decoded = decode t carriers in
-  let decided =
-    Array.fold_left (fun n v -> if v = None then n else n + 1) 0 decoded
-  in
+  let packed = pack t (decode t carriers) in
+  let decided = packed.decided in
   let n = List.length candidates in
   let threshold = Detector.sidak ~alpha ~tests:n in
-  let counts = Wm_par.Pool.map_list ?jobs (score t decoded) candidates in
+  let counts = Wm_par.Pool.map_list ?jobs (agreements t packed) candidates in
   (* Every candidate is scored against the same decided bits, so trials
      is always [decided] and a p-value depends on the agreement count
      alone: one tail per distinct count, filled on this domain in
@@ -196,9 +215,9 @@ let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
   in
   let scores =
     List.map2
-      (fun rid (agreements, trials) ->
+      (fun rid agreements ->
         let pvalue = tail agreements in
-        { rid; agreements; trials; pvalue; accused = pvalue <= threshold })
+        { rid; agreements; trials = decided; pvalue; accused = pvalue <= threshold })
       candidates counts
   in
   Obs.add c_scored n;

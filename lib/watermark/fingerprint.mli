@@ -69,16 +69,25 @@ val mark_for : t -> string -> Weighted.t -> Weighted.t
     repetitions) into the original weights [w] — one recipient's
     fingerprinted copy.  Deterministic; O(times * length) marks.
 
-    Cost: one blit of the weights per copy (the marked rows already
-    exist, so {!Weighted.apply_marks} copies the value buffer and
-    patches it; no key array is rebuilt), plus [length] PRNG draws for
-    the codeword. *)
+    Cost: one blit of the weights per copy plus O(times * length)
+    patches: {!Carriers.mark} runs the orientation rule
+    ({!Pairing.iter_orientation_marks}) straight into the copy's value
+    buffer through {!Weighted.apply_mark_iter}, so no key array is
+    rebuilt, no (tuple, delta) list is built and no carrier-length
+    scratch is allocated; plus [length] PRNG draws for the codeword.
+    Minor allocation is a few dozen words per copy (the codeword and
+    its repetition; the value buffer is a Bigarray outside the OCaml
+    heap). *)
 
 val digest : Weighted.t -> int
 (** A non-negative FNV digest of the full weight assignment (ascending
     binding order) — how the serving layer ships proof of 10^4 generated
     copies over the wire without shipping the copies: equal weights give
-    equal digests at every job count. *)
+    equal digests at every job count.
+
+    Cost: one serial FNV pass ({!Weighted.fnv}), a loop over the flat
+    key and value buffers with no call per entry; allocation-free on a
+    value without a pending overlay. *)
 
 val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
   Detector.carrier array
@@ -114,8 +123,11 @@ val score : t -> bool option array -> string -> int * int
 (** [score t decoded rid] is [(agreements, trials)] of [rid]'s codeword
     against the decoded bits — exposed for the serving layer and tests;
     {!trace} wraps it with the p-value and the corrected threshold.
-    Draws the codeword bit by bit ([length t] PRNG draws) instead of
-    building it; the counts equal those of {!codeword}. *)
+    Packs the decided bits 62 to a word (known, value), then draws the
+    codeword a word at a time ({!Wm_util.Prng.bools}: [length t] draws,
+    no branch per draw) and counts agreements by one popcount per word,
+    without building the codeword; the counts equal those of
+    {!codeword}. *)
 
 val trace :
   ?jobs:int -> ?alpha:float -> t -> original:Weighted.t ->
@@ -126,9 +138,12 @@ val trace :
     tests.  Raises [Invalid_argument] on an empty candidate list.
     Deterministic and bit-identical at every job count.
 
-    Cost: one carrier read, [candidates x length] PRNG draws for the
-    scoring (one FNV pass over each id, then one allocation-free draw
-    per codeword bit, compared in place), and at most [decided + 1]
+    Cost: one carrier read, one packing of the decided bits, then
+    [candidates x length] PRNG draws for the scoring (per candidate one
+    FNV pass over its id, then per 62-bit word one branch-free
+    {!Wm_util.Prng.bools} draw and one popcount against the packed
+    bits; a candidate allocates only its generator and its report
+    cells), and at most [decided + 1]
     binomial-tail evaluations — every candidate shares
     [trials = decided], so each distinct agreement count is evaluated
     once over a per-trace row of log binomial coefficients

@@ -11,8 +11,8 @@ let propagate ~original ~marked ~updated =
     updated support
 
 let type_set g ~rho ~arity =
-  let ix = Neighborhood.index_universe g ~rho ~arity in
   let gf = Gaifman.of_structure g in
+  let ix = Neighborhood.index_universe ~gf g ~rho ~arity in
   Array.map
     (fun rep -> Neighborhood.of_tuple g gf ~rho rep)
     ix.Neighborhood.representatives

@@ -186,7 +186,7 @@ let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
             match ix with
             | Some ix when ix.Neighborhood.rho = rho -> ix
             | Some _ | None ->
-                Neighborhood.index g ~rho (Query_system.params qs))
+                Neighborhood.index ~gf g ~rho (Query_system.params qs))
           (List.combine queries systems)
           given
       in

@@ -70,18 +70,28 @@ let s_partition t =
 let to_pairs t ranked =
   Array.to_list (Array.map (fun (a, b) -> { fst = t.active.(a); snd = t.active.(b) }) ranked)
 
-let orientation_marks pairs message =
+(* The one orientation rule: bit [i] of the message orients pair [i],
+   [f fst s] then [f snd (-s)] with [s] = +1 for a 1 and -1 for a 0.
+   The pairs past the message are never visited, so a short message
+   costs O(message). *)
+let iter_orientation_marks pairs message f =
   let l = Bitvec.length message in
-  (* One pass, two conses and two marks per pair; the pairs past the
-     message are never visited, so a short message costs O(message). *)
-  let[@tail_mod_cons] rec go i = function
-    | _ when i >= l -> []
-    | { fst; snd } :: rest ->
+  if List.compare_length_with pairs l < 0 then
+    invalid_arg "Pairing.orientation_marks: message longer than capacity";
+  let rec go i = function
+    | { fst; snd } :: rest when i < l ->
         let s = if Bitvec.get message i then 1 else -1 in
-        (fst, s) :: (snd, -s) :: go (i + 1) rest
-    | [] -> invalid_arg "Pairing.orientation_marks: message longer than capacity"
+        f fst s;
+        f snd (-s);
+        go (i + 1) rest
+    | _ -> ()
   in
   go 0 pairs
+
+let orientation_marks pairs message =
+  let marks = ref [] in
+  iter_orientation_marks pairs message (fun t d -> marks := (t, d) :: !marks);
+  List.rev !marks
 
 (* [f] on each parameter that splits the pair of ranks [(a, b)],
    ascending, while it answers [true]; whether it always did.  Rank -1,

@@ -41,10 +41,7 @@ val s_partition : t -> (int * int) array
 val to_pairs : t -> (int * int) array -> pair list
 
 val orientation_marks : pair list -> Bitvec.t -> (Tuple.t * int) list
-(** Bit i of the message orients pair i: 1 embeds (+1 on fst, -1 on snd),
-    0 embeds (-1, +1).  Pairs beyond the message length are never
-    visited.  Raises [Invalid_argument] when the message is longer than
-    the pair list. *)
+(** The marks of {!iter_orientation_marks}, as a list in call order. *)
 
 val split_counts : t -> (int * int) array -> int array
 (** For every parameter, in {!Query_system.params} order, the number of
@@ -71,3 +68,12 @@ val select_greedy :
     "generates random W' and checks until an eps-good marking is
     obtained"; greedy admission reaches the same certificate with fewer
     retries.) *)
+
+val iter_orientation_marks :
+  pair list -> Bitvec.t -> (Tuple.t -> int -> unit) -> unit
+(** [iter_orientation_marks pairs message f]: bit i of the message
+    orients pair i, 1 embeds (+1 on fst, -1 on snd) and 0 embeds (-1,
+    +1); [f] is called on fst then snd, pair by pair.  Pairs beyond the
+    message length are never visited.  Raises [Invalid_argument], before
+    any call, when the message is longer than the pair list.  Runs the
+    same calls every time, so it can drive {!Weighted.apply_mark_iter}. *)

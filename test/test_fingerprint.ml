@@ -224,7 +224,8 @@ let test_trace_exact_pvalues () =
 
 (* --- the fused scorer against the codeword ----------------------------- *)
 
-(* [score] draws the codeword bit by bit; the reference materialises it
+(* [score] draws the codeword 62 bits at a time and counts agreements
+   by popcount over packed decided bits; the reference materialises it
    with the public [codeword] and reads it back with [Bitvec.get]. *)
 let reference_score t decoded rid =
   let cw = Fingerprint.codeword t rid in
@@ -265,77 +266,88 @@ let suspect_decoding scheme w ~length ~times decoded =
   done;
   Weighted.apply_marks w !marks
 
+(* The scorer packs 62 codeword bits to a word, so besides a random
+   length every case also runs at the lengths on either side of the
+   first two word boundaries and at the production length 128. *)
+let word_boundary_lengths = [ 61; 62; 63; 124; 125; 128 ]
+
+(* One case of the property below at codeword length [length]: the
+   remaining geometry, master, candidates and decoded bits come from
+   [g]; [seed mod 4] picks how the bits are decided. *)
+let fused_case ~seed g length =
+  let scheme, w = Lazy.force differential_scheme in
+  let capacity = Local_scheme.capacity scheme in
+  let times = 1 + Prng.int g (min 3 (capacity / length)) in
+  let master = Prng.int g max_int - (max_int / 2) in
+  let t =
+    match Fingerprint.of_local ~length ~times ~master scheme with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let ncand = 1 + Prng.int g 300 in
+  let candidates =
+    List.init ncand (fun i -> Printf.sprintf "c%d-%d" i (Prng.int g 1000))
+  in
+  let decoded =
+    match seed mod 4 with
+    | 0 -> Array.make length None (* decided = 0 *)
+    | 1 ->
+        (* one candidate's codeword, partly erased: an accusation *)
+        let cw =
+          Fingerprint.codeword t (List.nth candidates (Prng.int g ncand))
+        in
+        Array.init length (fun i ->
+            if Prng.bernoulli g 0.1 then None else Some (Bitvec.get cw i))
+    | _ ->
+        let p = Prng.float g 1.0 in
+        Array.init length (fun _ ->
+            if Prng.bernoulli g p then None else Some (Prng.bool g))
+  in
+  let scores_ok =
+    List.for_all
+      (fun rid ->
+        Fingerprint.score t decoded rid = reference_score t decoded rid)
+      candidates
+  in
+  let suspect = suspect_decoding scheme w ~length ~times decoded in
+  let read_ok =
+    Fingerprint.decode t (Fingerprint.read t ~original:w ~suspect)
+    = decoded
+  in
+  let alpha = 0.01 in
+  let threshold = Detector.sidak ~alpha ~tests:ncand in
+  let same (rep : Fingerprint.trace_report) =
+    List.length rep.scores = ncand
+    && List.for_all2
+         (fun rid (s : Fingerprint.score) ->
+           let agreements, trials = reference_score t decoded rid in
+           let pvalue =
+             Detector.binomial_tail ~trials ~successes:agreements
+           in
+           s.rid = rid && s.agreements = agreements && s.trials = trials
+           && Float.equal s.pvalue pvalue
+           && s.accused = (pvalue <= threshold))
+         candidates rep.scores
+    && rep.accused
+       = List.filter
+           (fun rid ->
+             let agreements, trials = reference_score t decoded rid in
+             Detector.binomial_tail ~trials ~successes:agreements
+             <= threshold)
+           candidates
+  in
+  let trace jobs =
+    Fingerprint.trace ~jobs ~alpha t ~original:w ~suspect candidates
+  in
+  scores_ok && read_ok && same (trace 1) && same (trace 2)
+
 let prop_fused_score_matches_codeword =
   QCheck.Test.make ~count:60 ~name:"fused scorer == codeword reference"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let scheme, w = Lazy.force differential_scheme in
       let g = Prng.create seed in
-      let length = 1 + Prng.int g 130 in
-      let capacity = Local_scheme.capacity scheme in
-      let times = 1 + Prng.int g (min 3 (capacity / length)) in
-      let master = Prng.int g max_int - (max_int / 2) in
-      let t =
-        match Fingerprint.of_local ~length ~times ~master scheme with
-        | Ok t -> t
-        | Error e -> Alcotest.fail e
-      in
-      let ncand = 1 + Prng.int g 300 in
-      let candidates =
-        List.init ncand (fun i -> Printf.sprintf "c%d-%d" i (Prng.int g 1000))
-      in
-      let decoded =
-        match seed mod 4 with
-        | 0 -> Array.make length None (* decided = 0 *)
-        | 1 ->
-            (* one candidate's codeword, partly erased: an accusation *)
-            let cw =
-              Fingerprint.codeword t (List.nth candidates (Prng.int g ncand))
-            in
-            Array.init length (fun i ->
-                if Prng.bernoulli g 0.1 then None else Some (Bitvec.get cw i))
-        | _ ->
-            let p = Prng.float g 1.0 in
-            Array.init length (fun _ ->
-                if Prng.bernoulli g p then None else Some (Prng.bool g))
-      in
-      let scores_ok =
-        List.for_all
-          (fun rid ->
-            Fingerprint.score t decoded rid = reference_score t decoded rid)
-          candidates
-      in
-      let suspect = suspect_decoding scheme w ~length ~times decoded in
-      let read_ok =
-        Fingerprint.decode t (Fingerprint.read t ~original:w ~suspect)
-        = decoded
-      in
-      let alpha = 0.01 in
-      let threshold = Detector.sidak ~alpha ~tests:ncand in
-      let same (rep : Fingerprint.trace_report) =
-        List.length rep.scores = ncand
-        && List.for_all2
-             (fun rid (s : Fingerprint.score) ->
-               let agreements, trials = reference_score t decoded rid in
-               let pvalue =
-                 Detector.binomial_tail ~trials ~successes:agreements
-               in
-               s.rid = rid && s.agreements = agreements && s.trials = trials
-               && Float.equal s.pvalue pvalue
-               && s.accused = (pvalue <= threshold))
-             candidates rep.scores
-        && rep.accused
-           = List.filter
-               (fun rid ->
-                 let agreements, trials = reference_score t decoded rid in
-                 Detector.binomial_tail ~trials ~successes:agreements
-                 <= threshold)
-               candidates
-      in
-      let trace jobs =
-        Fingerprint.trace ~jobs ~alpha t ~original:w ~suspect candidates
-      in
-      scores_ok && read_ok && same (trace 1) && same (trace 2))
+      List.for_all (fused_case ~seed g)
+        ((1 + Prng.int g 130) :: word_boundary_lengths))
 
 (* --- determinism across job counts ----------------------------------- *)
 
@@ -555,6 +567,46 @@ let test_grid_all_traced_no_false () =
       check bool (what ^ ": traced") true o.Fingerprint.traced)
     g.Fingerprint.rows
 
+(* [digest] folds the flat buffers inside [Weighted]; the reference
+   folds the same FNV steps over [bindings] (header: tag, arity,
+   default; then per entry its key cells and its weight).  Compacted
+   and overlay-carrying weights, singleton and pair keys, a negative
+   default and the empty assignment. *)
+let reference_digest w =
+  let mix h x = (h lxor x) * Fnv.prime in
+  let h = mix (Fnv.string Fnv.basis "qpwm-fp/1") (Weighted.arity w) in
+  let h = mix h (Weighted.default w) in
+  List.fold_left
+    (fun h (t, v) -> mix (Array.fold_left mix h t) v)
+    h (Weighted.bindings w)
+  land max_int
+
+let test_digest_reference () =
+  let g = Prng.create 0xD16 in
+  let t1 = Tuple.singleton and t2 x y = Tuple.of_list [ x; y ] in
+  let ring = (Random_struct.regular_rings (Prng.create 5) ~n:300).Weighted.weights in
+  let w2 =
+    Weighted.of_list ~default:(-4) 2
+      (List.init 200 (fun i -> (t2 (i mod 17) (i * 7 mod 23), Prng.int g 50 - 25)))
+  in
+  (* overlays: overridden rows and overlay-only keys below the
+     compaction limit, so the per-entry merge walk is what is hashed *)
+  let edit w tuple n =
+    List.fold_left
+      (fun w _ -> Weighted.set w (tuple ()) (Prng.int g 100))
+      w (List.init n Fun.id)
+  in
+  let ring_live = edit ring (fun () -> t1 (Prng.int g 320)) 40 in
+  let w2_live = edit w2 (fun () -> t2 (Prng.int g 20) (Prng.int g 25)) 30 in
+  List.iter
+    (fun (what, w) ->
+      check int what (reference_digest w) (Fingerprint.digest w))
+    [
+      ("ring", ring); ("ring, live overlay", ring_live); ("pairs", w2);
+      ("pairs, live overlay", w2_live); ("empty", Weighted.create ~default:9 3);
+      ("marked copy", Weighted.add_delta ring (t1 3) 1);
+    ]
+
 let suite =
   [
     ("geometry defaults", `Quick, test_geometry_defaults);
@@ -580,4 +632,5 @@ let suite =
     ("grid: every coalition traced, no false accusations", `Slow,
       test_grid_all_traced_no_false);
     QCheck_alcotest.to_alcotest prop_fused_score_matches_codeword;
+    ("digest == FNV fold over bindings", `Quick, test_digest_reference);
   ]

@@ -502,6 +502,90 @@ let prop_iter_headed =
             (List.init (range + 2) (fun x -> x - 1)))
         [ r; r0; Relation.empty ar ])
 
+(* --- the orientation mark iterator against a fold of add_delta -------
+
+   [Carriers.mark] drives [Pairing.iter_orientation_marks] straight into
+   [Weighted.apply_mark_iter]; the result must equal the orientation
+   rule (bit i: +s on fst, -s on snd) folded through [add_delta] one
+   mark at a time, on weights with a live overlay, with endpoints that
+   have no row (the merge path), for an empty message and a message
+   that stops short of the pairs, and the input must stay untouched.
+   Arity mismatches and over-long messages are rejected. *)
+
+module Pairing = Wm_watermark.Pairing
+
+let orient_fold w pairs message =
+  let w = ref w in
+  List.iteri
+    (fun i { Pairing.fst; snd } ->
+      if i < Bitvec.length message then begin
+        let s = if Bitvec.get message i then 1 else -1 in
+        w := Weighted.add_delta (Weighted.add_delta !w fst s) snd (-s)
+      end)
+    pairs;
+  !w
+
+let test_mark_iter_fold () =
+  let t1 = Tuple.singleton in
+  let pair a b = { Pairing.fst = t1 a; snd = t1 b } in
+  let base = Weighted.of_list ~default:2 1 (List.init 80 (fun i -> (t1 (2 * i), i))) in
+  (* overlay: an overridden row (6) and an overlay-only key (9) *)
+  let live = Weighted.set (Weighted.set base (t1 6) 50) (t1 9) 7 in
+  let existing = List.init 30 (fun i -> pair (4 * i) ((4 * i) + 2)) in
+  let via_overlay = pair 9 6 :: pair 6 8 :: existing in
+  (* 1, 161 and -3 have no row: the merge path *)
+  let fresh = pair 0 1 :: pair 161 2 :: existing @ [ pair (-3) 4 ] in
+  let g = Prng.create 0x17E4 in
+  let case what w pairs len =
+    let message = Codec.random g len in
+    let before = Weighted.bindings w in
+    let got =
+      Weighted.apply_mark_iter w (Pairing.iter_orientation_marks pairs message)
+    and want = orient_fold w pairs message in
+    let listed = Weighted.apply_marks w (Pairing.orientation_marks pairs message) in
+    let same a b =
+      Weighted.default a = Weighted.default b
+      && Weighted.bindings a = Weighted.bindings b
+    in
+    check bool (what ^ ": == fold") true (same got want);
+    check bool (what ^ ": list view") true (same listed want);
+    check bool (what ^ ": input unchanged") true (Weighted.bindings w = before)
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (what, pairs) ->
+          List.iter
+            (fun len -> case (Printf.sprintf "%s, %d bits" what len) w pairs len)
+            [ 1; 5; List.length pairs ])
+        [ ("existing rows", existing); ("overlay rows", via_overlay); ("fresh keys", fresh) ])
+    [ base; live ];
+  (* no mark at all: the input itself, overlay and all *)
+  let empty = Bitvec.create 0 in
+  check bool "empty message returns the input" true
+    (Weighted.apply_mark_iter live (Pairing.iter_orientation_marks existing empty) == live);
+  check bool "empty mark list returns the input" true (Weighted.apply_marks live [] == live);
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let bad = { Pairing.fst = Tuple.of_list [ 0; 2 ]; snd = t1 4 } in
+  List.iter
+    (fun (what, pairs) ->
+      check bool ("arity mismatch: " ^ what) true
+        (raises (fun () ->
+             Weighted.apply_mark_iter live
+               (Pairing.iter_orientation_marks pairs
+                  (Codec.random g (List.length pairs))))))
+    [
+      ("first mark", bad :: existing); ("after in-place marks", existing @ [ bad ]);
+      ("after a fresh key", pair 1 0 :: existing @ [ bad ]);
+    ];
+  let called = ref false in
+  check bool "message longer than the pairs" true
+    (raises (fun () ->
+         Pairing.iter_orientation_marks existing
+           (Codec.random g (List.length existing + 1))
+           (fun _ _ -> called := true)));
+  check bool "rejected before any mark" false !called
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_relation_ops;
@@ -521,4 +605,6 @@ let suite =
     Alcotest.test_case "apply_marks dense universe == Weighted_ref" `Quick
       test_apply_marks_dense_ref;
     QCheck_alcotest.to_alcotest prop_iter_headed;
+    Alcotest.test_case "orientation mark iterator == fold of add_delta" `Quick
+      test_mark_iter_fold;
   ]

@@ -348,6 +348,33 @@ let test_atomic_write_keeps_old_file () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* [Prng.bools g k] packs the next [k] [bool] draws, draw [i] in bit
+   [i], and leaves the stream where [k] [bool] calls would: the draws
+   after it must match too.  Out-of-range [k] is rejected. *)
+let test_prng_bools () =
+  List.iter
+    (fun seed ->
+      for k = 0 to 62 do
+        let g = Prng.create seed and h = Prng.create seed in
+        let want = ref 0 in
+        for i = 0 to k - 1 do
+          if Prng.bool h then want := !want lor (1 lsl i)
+        done;
+        let what = Printf.sprintf "seed %d, k %d" seed k in
+        check int what !want (Prng.bools g k);
+        check int64 (what ^ ": state after") (Prng.bits64 h) (Prng.bits64 g)
+      done)
+    [ 0; 42; -7; max_int ];
+  let g = Prng.create 42 in
+  check int "16 bools, packed" 0b0010010101000011 (Prng.bools g 16);
+  List.iter
+    (fun k ->
+      check bool (Printf.sprintf "k %d rejected" k) true
+        (match Prng.bools (Prng.create 1) k with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ -1; 63 ]
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -378,4 +405,5 @@ let suite =
     ("codec redundancy", `Quick, test_redundancy);
     ("atomic write keeps the old file", `Quick, test_atomic_write_keeps_old_file);
     ("prng known answers", `Quick, test_prng_known_answers);
+    ("prng packed bools", `Quick, test_prng_bools);
   ]
