@@ -1178,7 +1178,12 @@ let e17 () =
             let marked = Local_scheme.mark scheme message ws.Weighted.weights in
             let server = Query_system.server qs marked in
             let subset = Array.to_list (Prng.sample g asked params) in
-            let observed = Query_system.reconstruct_some qs server subset in
+            let observed =
+              List.fold_left
+                (fun acc a ->
+                  List.fold_left (fun acc (b, v) -> Tuple.Map.add b v acc) acc (server a))
+                Tuple.Map.empty subset
+            in
             let v =
               Detector.read (Local_scheme.pairs scheme)
                 ~original:ws.Weighted.weights ~observed ~length:cap

@@ -281,17 +281,9 @@ let update_cmd =
     let edited, dirty = Structure.apply_edits ws.Weighted.graph edits in
     let n' = Structure.size edited in
     (* weights of removed elements disappear with them *)
-    let weights' =
-      List.fold_left
-        (fun w (t, v) ->
-          if Array.for_all (fun x -> x >= 0 && x < n') t then Weighted.set w t v
-          else w)
-        (Weighted.create
-           ~default:(Weighted.default ws.Weighted.weights)
-           (Weighted.arity ws.Weighted.weights))
-        (Weighted.bindings ws.Weighted.weights)
+    let ws' =
+      Weighted.make edited (Weighted.restrict (fun x -> x < n') ws.Weighted.weights)
     in
-    let ws' = Weighted.make edited weights' in
     let old_gf = Gaifman.of_structure ws.Weighted.graph in
     let gf = Gaifman.refresh edited ~prev:old_gf ~dirty in
     match Multi_scheme.update scheme ~old:ws ~old_gf ws' ~gf queries ~dirty with

@@ -44,8 +44,6 @@ let max_degree g =
   done;
   !best
 
-let icmp (a : int) b = compare a b
-
 (* In-place insertion sort of [a.(lo..hi)]: on short int rows it beats
    [Array.sort], whose comparison is a closure call. *)
 let isort (a : int array) lo hi =
@@ -65,7 +63,7 @@ let sort_range (a : int array) lo hi =
   if hi - lo <= 32 then isort a lo (hi - 1)
   else begin
     let s = Array.sub a lo (hi - lo) in
-    Array.sort icmp s;
+    Array.sort Int.compare s;
     Array.blit s 0 a lo (hi - lo)
   end
 
@@ -294,7 +292,7 @@ let walk g sc ~bound tail =
 (* The first [len] queue slots, sorted; balls are usually short. *)
 let sort_prefix (q : int array) len =
   let s = Array.sub q 0 len in
-  if len <= 32 then isort s 0 (len - 1) else Array.sort icmp s;
+  if len <= 32 then isort s 0 (len - 1) else Array.sort Int.compare s;
   s
 
 let reach g ~sources ~bound =
@@ -433,7 +431,7 @@ let local_groups g ~max_size =
               Queue.add v q
             end)
       done;
-      groups := List.sort icmp !members :: !groups
+      groups := List.sort Int.compare !members :: !groups
     end
   done;
   Array.of_list (List.rev !groups)

@@ -37,22 +37,6 @@ type prep = {
   cert : int;
 }
 
-let cmp_ia (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
-  else begin
-    let r = ref 0 and i = ref 0 in
-    while !r = 0 && !i < la do
-      r := compare a.(!i) b.(!i);
-      incr i
-    done;
-    !r
-  end
-
-(* Signatures carry one bounded adjacency row each, where insertion
-   sort beats the general sort. *)
-let isort = Gaifman.isort
-
 (* Canonical dense renumbering: distinct signatures sorted (content-only
    order), ids assigned in that order.  One permutation sort plus a
    linear sweep — no hashing of the signatures.  Signatures are flat int
@@ -60,12 +44,12 @@ let isort = Gaifman.isort
 let dense_renumber sigs =
   let n = Array.length sigs in
   let idx = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> cmp_ia sigs.(i) sigs.(j)) idx;
+  Array.sort (fun i j -> Tuple.compare sigs.(i) sigs.(j)) idx;
   let colors = Array.make n 0 in
   let k = ref 0 in
   Array.iteri
     (fun p i ->
-      if p > 0 && cmp_ia sigs.(idx.(p - 1)) sigs.(i) <> 0 then incr k;
+      if p > 0 && Tuple.compare sigs.(idx.(p - 1)) sigs.(i) <> 0 then incr k;
       colors.(i) <- !k)
     idx;
   (colors, if n = 0 then 0 else !k + 1)
@@ -136,7 +120,7 @@ let refine_fixpoint gf ((colors0, k0), hs0) =
           Gaifman.iter_neighbors gf a (fun v ->
               s.(!i) <- !colors.(v);
               incr i);
-          isort s 1 deg;
+          Gaifman.isort s 1 deg;
           s)
     in
     let colors', k' = dense_renumber sigs in
@@ -155,7 +139,7 @@ let refine_fixpoint gf ((colors0, k0), hs0) =
             Gaifman.iter_neighbors gf a (fun v ->
                 nh.(!i) <- cur.(v);
                 incr i);
-            isort nh 0 (deg - 1);
+            Gaifman.isort nh 0 (deg - 1);
             Array.fold_left mix cur.(a) nh);
       colors := colors';
       k := k';
@@ -180,7 +164,7 @@ let refine_fixpoint gf ((colors0, k0), hs0) =
           Gaifman.iter_neighbors gf a (fun v ->
               nh.(!i) <- cur.(v);
               incr i);
-          isort nh 0 (deg - 1);
+          Gaifman.isort nh 0 (deg - 1);
           Array.fold_left mix cur.(a) nh)
   done;
   Obs.add c_refine_rounds !rounds;

@@ -49,13 +49,3 @@ val mix : int -> int -> int
 (** The deep FNV-style int mixer behind the certificate — exposed so
     bucket keys elsewhere (cheap invariants) hash every component instead
     of the ~10 nodes [Hashtbl.hash] samples. *)
-
-val dense_renumber : int array array -> int array * int
-(** [dense_renumber sigs] is [(ids, k)]: exact dense ids in [0 .. k-1]
-    for flat int signatures, equal ids iff equal arrays, numbered in
-    sorted signature order.  The refinement's own renumbering, shared
-    with the neighborhood indexer's tree path. *)
-
-val isort : int array -> int -> int -> unit
-(** [isort a lo hi] sorts [a.(lo..hi)] in place by insertion — the
-    refinement's sort for short signature rows. *)

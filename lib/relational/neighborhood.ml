@@ -36,8 +36,6 @@ let t_classify = Obs.timer "nbh.index.classify"
 let t_renumber = Obs.timer "nbh.index.renumber"
 let t_tree = Obs.timer "nbh.index.tree"
 
-let icmp (a : int) b = compare a b
-
 let iso_check pa pb =
   Obs.incr c_iso_checks;
   Iso.isomorphic_prep pa pb
@@ -204,11 +202,11 @@ let tuple_rank n (c : Tuple.t) =
    universe size. *)
 let enum_compare (a : Tuple.t) (b : Tuple.t) =
   let la = Array.length a in
-  if la <> Array.length b then icmp la (Array.length b)
+  if la <> Array.length b then Int.compare la (Array.length b)
   else begin
     let r = ref 0 and j = ref (la - 1) in
     while !r = 0 && !j >= 0 do
-      r := icmp a.(!j) b.(!j);
+      r := Int.compare a.(!j) b.(!j);
       decr j
     done;
     !r
@@ -406,7 +404,7 @@ let sphere_union ctx c =
           Array.blit s 0 buf !p (Array.length s);
           p := !p + Array.length s)
         parts;
-      Array.sort icmp buf;
+      Array.sort Int.compare buf;
       let w = ref 0 in
       Array.iter
         (fun v ->
@@ -623,7 +621,7 @@ let materialize ctx ?jobs tups =
       (* Cheap invariants, deep-hashed: sphere size, member count, degree
          multiset of the sub-Gaifman graph, center equality pattern. *)
       let degs = Gaifman.degrees gf_sub in
-      Array.sort icmp degs;
+      Array.sort Int.compare degs;
       let h = ref (Iso.mix 0x9e3779b9 k) in
       h := Iso.mix !h (List.length renamed);
       Array.iter (fun d -> h := Iso.mix !h d) degs;
@@ -734,7 +732,7 @@ let tree_colors ctx =
           Gaifman.iteri_neighbors gf x (fun e w ->
               s.(!i) <- (lid.(e) * kc) + c.(w);
               incr i);
-          Iso.isort s 1 d;
+          Gaifman.isort s 1 d;
           intern it s (d + 1));
     k := it.count
   done;

@@ -48,99 +48,14 @@ let is_empty r = cardinal r = 0
 
 (* --- row primitives ------------------------------------------------- *)
 
-(* Int comparison, kept monomorphic: the generic [compare] costs a C
-   call per cell, which dominates binary search and sorting here. *)
-let icmp (x : int) y = if x < y then -1 else if x > y then 1 else 0
+(* Index of [t] among the data rows; negative if absent, as
+   [Tuple.find_row]. *)
+let find_row r t = Tuple.find_row r.arity r.data r.nrows t
 
-(* data row [i] vs tuple [t], lexicographic (equal arities); a loop,
-   so no closure is allocated per comparison. *)
-let cmp_row r i (t : Tuple.t) =
-  let base = i * r.arity in
-  let c = ref 0 and j = ref 0 in
-  while !c = 0 && !j < r.arity do
-    c := icmp r.data.(base + !j) t.(!j);
-    incr j
-  done;
-  !c
+(* data row [i] vs tuple [t] (equal arities) *)
+let cmp_row r i t = Tuple.compare_at r.arity r.data (i * r.arity) t 0
 
-(* Index of [t] among the data rows, -1 if absent. *)
-let find_row r t =
-  let lo = ref 0 and hi = ref (r.nrows - 1) and found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let c = cmp_row r mid t in
-    if c = 0 then found := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-(* rows [i] and [j] of one flat buffer; loops like [cmp_row], so no
-   closure is allocated per comparison (a sort or a bulk build makes one
-   per row). *)
-let cmp_rows arity (buf : int array) i j =
-  let bi = i * arity and bj = j * arity in
-  let p = ref 0 and c = ref 0 in
-  while !c = 0 && !p < arity do
-    c := icmp buf.(bi + !p) buf.(bj + !p);
-    incr p
-  done;
-  !c
-
-let rows_equal arity (buf : int array) bi (out : int array) bo =
-  let p = ref 0 in
-  while !p < arity && buf.(bi + !p) = out.(bo + !p) do
-    incr p
-  done;
-  !p = arity
-
-(* Sort [k] rows of [buf] and drop duplicates; returns (rows, data).
-   [buf] must be private to the caller (it is returned directly on the
-   fast path).  Bulk sources are usually already ascending — [to_list]
-   of a relation, a file saved by Textio — so sortedness is checked in
-   one O(k) sweep first and the heapsort skipped when it holds. *)
-let sort_dedup_rows arity buf k =
-  let sorted = ref true in
-  let i = ref 1 in
-  while !sorted && !i < k do
-    if cmp_rows arity buf (!i - 1) !i > 0 then sorted := false;
-    incr i
-  done;
-  if !sorted then begin
-    let dups = ref 0 in
-    for i = 1 to k - 1 do
-      if rows_equal arity buf (i * arity) buf ((i - 1) * arity) then incr dups
-    done;
-    if !dups = 0 then (k, buf)
-    else begin
-      let out = Array.make ((k - !dups) * arity) 0 in
-      let w = ref 0 in
-      for i = 0 to k - 1 do
-        if i = 0 || not (rows_equal arity buf (i * arity) buf ((i - 1) * arity))
-        then begin
-          Array.blit buf (i * arity) out (!w * arity) arity;
-          incr w
-        end
-      done;
-      (!w, out)
-    end
-  end
-  else begin
-    let idx = Array.init k (fun i -> i) in
-    Array.sort (fun i j -> cmp_rows arity buf i j) idx;
-    let out = Array.make (k * arity) 0 in
-    let w = ref 0 in
-    Array.iter
-      (fun i ->
-        if !w = 0
-           || not (rows_equal arity buf (i * arity) out ((!w - 1) * arity))
-        then begin
-          Array.blit buf (i * arity) out (!w * arity) arity;
-          incr w
-        end)
-      idx;
-    (!w, if !w = k then out else Array.sub out 0 (!w * arity))
-  end
-
-let of_rows arity (nrows, data) =
+let of_rows arity nrows data =
   {
     arity;
     nrows;
@@ -169,29 +84,23 @@ let iter_flat f r =
     let dels =
       ref (List.rev (Tuple.Set.fold (fun t acc -> find_row r t :: acc) r.dels []))
     in
-    let adds = ref (Tuple.Set.elements r.adds) in
     let i = ref 0 in
-    while !i < r.nrows || !adds <> [] do
-      match !dels with
-      | d :: rest when d = !i ->
-          dels := rest;
-          incr i
-      | _ -> (
-          if !i >= r.nrows then (
-            match !adds with
-            | t :: rest ->
-                f t 0;
-                adds := rest
-            | [] -> ())
-          else
-            match !adds with
-            | t :: rest when cmp_row r !i t > 0 ->
-                f t 0;
-                adds := rest
-            | _ ->
-                f r.data (!i * a);
-                incr i)
-    done
+    let rows_to e =
+      while !i < e do
+        (match !dels with
+        | d :: rest when d = !i -> dels := rest
+        | _ -> f r.data (!i * a));
+        incr i
+      done
+    in
+    (* An add is never a data row: it finds its place by binary search,
+       and the data rows before it are emitted without a comparison. *)
+    Tuple.Set.iter
+      (fun t ->
+        rows_to (-find_row r t - 1);
+        f t 0)
+      r.adds;
+    rows_to r.nrows
   end
 
 (* The first data row whose first cell is at least [x]. *)
@@ -252,11 +161,7 @@ let iter_headed x f r =
     done
   end
 
-(* The tuple at (buf, off) as a Tuple.t, sharing when it already is one. *)
-let tup arity (buf : int array) off =
-  if off = 0 && Array.length buf = arity then buf else Array.sub buf off arity
-
-let iter f r = iter_flat (fun buf off -> f (tup r.arity buf off)) r
+let iter f r = iter_flat (fun buf off -> f (Tuple.of_row r.arity buf off)) r
 
 let fold f r acc =
   let acc = ref acc in
@@ -287,13 +192,11 @@ let flatten r =
         Array.blit buf off out !w r.arity;
         w := !w + r.arity)
       r;
-    of_rows r.arity (n, out)
+    of_rows r.arity n out
   end
 
-let overlay_limit r = max 64 (r.nrows / 4)
-
 let maybe_compact r =
-  if r.nadds + r.ndels > overlay_limit r then flatten r else r
+  if r.nadds + r.ndels > Tuple.overlay_limit r.nrows then flatten r else r
 
 (* --- point queries and updates -------------------------------------- *)
 
@@ -326,8 +229,8 @@ let remove t r =
    ascending and distinct (a file saved by Textio). *)
 let of_flat ar buf k =
   if ar < 1 then invalid_arg "Relation.empty: arity < 1";
-  let buf = if Array.length buf = k * ar then buf else Array.sub buf 0 (k * ar) in
-  of_rows ar (sort_dedup_rows ar buf k)
+  let n = Tuple.sort_rows ar buf k (fun _ _ -> ()) in
+  of_rows ar n (if Array.length buf = n * ar then buf else Array.sub buf 0 (n * ar))
 
 let of_list ar ts =
   if ar < 1 then invalid_arg "Relation.empty: arity < 1";
@@ -357,7 +260,7 @@ let filter p r =
         w := !w + a
       end)
     r;
-  of_rows a (!n, out)
+  of_rows a !n out
 
 let restrict keep r = filter (fun t -> Array.for_all keep t) r
 
@@ -366,46 +269,28 @@ let union a b =
   let fa = flatten a and fb = flatten b in
   let ar = a.arity in
   let out = Array.make ((fa.nrows + fb.nrows) * ar) 0 in
-  let cmp i j =
-    let bi = i * ar and bj = j * ar in
-    let p = ref 0 and c = ref 0 in
-    while !c = 0 && !p < ar do
-      c := icmp fa.data.(bi + !p) fb.data.(bj + !p);
-      incr p
-    done;
-    !c
-  in
   let w = ref 0 and i = ref 0 and j = ref 0 in
   let emit (src : int array) off =
     Array.blit src off out (!w * ar) ar;
     incr w
   in
   while !i < fa.nrows || !j < fb.nrows do
-    if !i >= fa.nrows then begin
+    let c =
+      if !i >= fa.nrows then 1
+      else if !j >= fb.nrows then -1
+      else Tuple.compare_at ar fa.data (!i * ar) fb.data (!j * ar)
+    in
+    if c <= 0 then begin
+      emit fa.data (!i * ar);
+      incr i;
+      if c = 0 then incr j
+    end
+    else begin
       emit fb.data (!j * ar);
       incr j
     end
-    else if !j >= fb.nrows then begin
-      emit fa.data (!i * ar);
-      incr i
-    end
-    else
-      let c = cmp !i !j in
-      if c < 0 then begin
-        emit fa.data (!i * ar);
-        incr i
-      end
-      else if c > 0 then begin
-        emit fb.data (!j * ar);
-        incr j
-      end
-      else begin
-        emit fa.data (!i * ar);
-        incr i;
-        incr j
-      end
   done;
-  of_rows ar (!w, if !w * ar = Array.length out then out else Array.sub out 0 (!w * ar))
+  of_rows ar !w (if !w * ar = Array.length out then out else Array.sub out 0 (!w * ar))
 
 let rename f r =
   let a = r.arity in
@@ -419,7 +304,7 @@ let rename f r =
       done;
       w := !w + a)
     r;
-  of_rows a (sort_dedup_rows a buf n)
+  of_flat a buf n
 
 let equal a b =
   a.arity = b.arity

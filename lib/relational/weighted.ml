@@ -48,58 +48,19 @@ let create ?(default = 0) arity =
 let arity w = w.arity
 let default w = w.default
 
-(* Monomorphic int comparison — the generic [compare] costs a C call
-   per cell, which dominates the binary search. *)
-let icmp (x : int) y = if x < y then -1 else if x > y then 1 else 0
+(* Index of [t] among the key rows; negative if absent, as
+   [Tuple.find_row]. *)
+let find_key w t = Tuple.find_row w.arity w.keys w.nk t
 
-(* key row [i] vs tuple [t], lexicographic (equal arities).  A plain
-   loop: a local recursive helper would allocate a closure per call on
-   the binary-search and merge hot paths. *)
-let cmp_key w i (t : Tuple.t) =
-  let base = i * w.arity in
-  let j = ref 0 and c = ref 0 in
-  while !c = 0 && !j < w.arity do
-    c := icmp w.keys.(base + !j) t.(!j);
-    incr j
-  done;
-  !c
-
-(* Index of [t] among the key rows, -1 if absent. *)
-let find_key w t =
-  let lo = ref 0 and hi = ref (w.nk - 1) and found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let c = cmp_key w mid t in
-    if c = 0 then found := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-(* Row of [t] in a compacted value ([nover = 0]), -1 if absent.
-   Singleton keys are plain ints.  When they are dense — ascending
-   distinct with first 0 and last nk-1, i.e. keys.(i) = i, the shape
-   [weigh] builds over a full universe — the row is the key itself;
-   otherwise an int binary search with no closure or boxing. *)
+(* Row of [t] in a compacted value ([nover = 0]), negative if absent.  When
+   singleton keys are dense — ascending distinct with first 0 and last
+   nk-1, i.e. keys.(i) = i, the shape [weigh] builds over a full
+   universe — the row is the key itself; otherwise a binary search. *)
 let find_row w t =
-  if w.arity = 1 then begin
+  let nk = w.nk in
+  if w.arity = 1 && nk > 0 && w.keys.(0) = 0 && w.keys.(nk - 1) = nk - 1 then
     let x = t.(0) in
-    let nk = w.nk in
-    if nk > 0 && w.keys.(0) = 0 && w.keys.(nk - 1) = nk - 1 then
-      if x >= 0 && x < nk then x else -1
-    else begin
-      let lo = ref 0 and hi = ref (nk - 1) and res = ref (-1) in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        let k = Array.unsafe_get w.keys mid in
-        if k < x then lo := mid + 1
-        else if k > x then hi := mid - 1
-        else begin
-          res := mid;
-          lo := !hi + 1
-        end
-      done;
-      !res
-    end
-  end
+    if x >= 0 && x < nk then x else -1
   else find_key w t
 
 let get w t =
@@ -115,7 +76,9 @@ let get w t =
         if i < 0 then w.default else w.vals.{i}
 
 (* Explicit entries in ascending tuple order, as (buffer, offset, value);
-   zero per-entry allocation on a compacted value. *)
+   zero per-entry allocation on a compacted value.  An overlay entry
+   finds its place among the key rows by binary search, and the rows
+   before it are emitted without a comparison. *)
 let iter_bindings_flat f w =
   let a = w.arity in
   if w.nover = 0 then
@@ -123,35 +86,25 @@ let iter_bindings_flat f w =
       f w.keys (i * a) w.vals.{i}
     done
   else begin
-    let over = ref (Tuple.Map.bindings w.over) in
     let i = ref 0 in
-    while !i < w.nk || !over <> [] do
-      match !over with
-      | [] ->
-          f w.keys (!i * a) w.vals.{!i};
+    let rows_to e =
+      while !i < e do
+        f w.keys (!i * a) w.vals.{!i};
+        incr i
+      done
+    in
+    Tuple.Map.iter
+      (fun t v ->
+        let r = find_key w t in
+        if r >= 0 then begin
+          (* overridden row: the overlay value wins *)
+          rows_to r;
           incr i
-      | (t, v) :: rest ->
-          if !i >= w.nk then begin
-            f t 0 v;
-            over := rest
-          end
-          else
-            let c = cmp_key w !i t in
-            if c < 0 then begin
-              f w.keys (!i * a) w.vals.{!i};
-              incr i
-            end
-            else if c > 0 then begin
-              f t 0 v;
-              over := rest
-            end
-            else begin
-              (* overridden row: the overlay value wins *)
-              f t 0 v;
-              over := rest;
-              incr i
-            end
-    done
+        end
+        else rows_to (-r - 1);
+        f t 0 v)
+      w.over;
+    rows_to w.nk
   end
 
 let count_bindings w =
@@ -175,8 +128,6 @@ let compact w =
     { w with nk = n; keys; vals; over = Tuple.Map.empty; nover = 0 }
   end
 
-let overlay_limit w = max 64 (w.nk / 4)
-
 let check_arity w t =
   if Tuple.arity t <> w.arity then invalid_arg "Weighted.set: arity mismatch"
 
@@ -184,68 +135,28 @@ let set w t v =
   check_arity w t;
   let nover = if Tuple.Map.mem t w.over then w.nover else w.nover + 1 in
   let w = { w with over = Tuple.Map.add t v w.over; nover } in
-  if w.nover > overlay_limit w then compact w else w
+  if w.nover > Tuple.overlay_limit w.nk then compact w else w
 
 let set_elt w x v = set w (Tuple.singleton x) v
 let get_elt w x = get w (Tuple.singleton x)
 
 (* Bulk build from [k] flat entries: key row [i] in cells
    [i * arity ..] of [keys], its weight in [vals.(i)].  Both buffers are
-   taken over.  Later occurrences of a key win, like the fold of [set]
-   this replaces.  Already-ascending input (bindings of another
-   assignment, a saved file) skips the sort; otherwise a stable sort
-   keeps equal keys in input order.  Runs of equal keys then collapse
-   in place, the last value kept. *)
+   taken over.  One [Tuple.sort_rows]: equal keys collapse, and each
+   kept key takes the value of its last occurrence, like the fold of
+   [set] this replaces. *)
 let of_flat ?(default = 0) arity keys vals k =
   let w0 = create ~default arity in
   if k = 0 then w0
   else begin
-    let cmp_rows (keys : int array) i j =
-      let bi = i * arity and bj = j * arity in
-      let p = ref 0 and c = ref 0 in
-      while !c = 0 && !p < arity do
-        c := icmp keys.(bi + !p) keys.(bj + !p);
-        incr p
-      done;
-      !c
-    in
-    let sorted = ref true in
-    let i = ref 1 in
-    while !sorted && !i < k do
-      if cmp_rows keys (!i - 1) !i > 0 then sorted := false;
-      incr i
-    done;
-    let keys, vals =
-      if !sorted then (keys, vals)
-      else begin
-        let order = Array.init k Fun.id in
-        Array.stable_sort (cmp_rows keys) order;
-        ( Array.init (k * arity) (fun c ->
-              keys.((order.(c / arity) * arity) + (c mod arity))),
-          Array.init k (fun i -> vals.(order.(i))) )
-      end
-    in
-    let nk = ref 0 in
-    for r = 0 to k - 1 do
-      if !nk > 0 && cmp_rows keys (!nk - 1) r = 0 then vals.(!nk - 1) <- vals.(r)
-      else begin
-        if !nk < r then begin
-          Array.blit keys (r * arity) keys (!nk * arity) arity;
-          vals.(!nk) <- vals.(r)
-        end;
-        incr nk
-      end
-    done;
-    let nk = !nk in
+    let vbig = Bigarray.Array1.create Bigarray.int Bigarray.c_layout k in
+    let nk = Tuple.sort_rows arity keys k (fun i r -> vbig.{i} <- vals.(r)) in
     let keys =
       if Array.length keys = nk * arity then keys
       else Array.sub keys 0 (nk * arity)
     in
-    let vbig = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
-    for i = 0 to nk - 1 do
-      vbig.{i} <- vals.(i)
-    done;
-    { w0 with nk; keys; vals = vbig }
+    let vals = if nk = k then vbig else Bigarray.Array1.sub vbig 0 nk in
+    { w0 with nk; keys; vals }
   end
 
 let of_list ?default arity l =
@@ -260,90 +171,94 @@ let of_list ?default arity l =
     l;
   of_flat ?default arity keys vals k
 
-let tup arity (buf : int array) off =
-  if off = 0 && Array.length buf = arity then buf else Array.sub buf off arity
-
 let bindings w =
   let acc = ref [] in
-  iter_bindings_flat (fun buf off v -> acc := (tup w.arity buf off, v) :: !acc) w;
+  iter_bindings_flat
+    (fun buf off v -> acc := (Tuple.of_row w.arity buf off, v) :: !acc)
+    w;
   List.rev !acc
 
 let support w = List.map fst (bindings w)
+
+(* Two walks: the first only decides whether anything drops, so a
+   weight assignment that keeps every entry is returned uncopied. *)
+let restrict keep w =
+  let a = w.arity in
+  let keeps buf off =
+    let ok = ref true in
+    for c = off to off + a - 1 do
+      if not (keep buf.(c)) then ok := false
+    done;
+    !ok
+  in
+  let n = ref 0 and all = ref true in
+  iter_bindings_flat (fun buf off _ -> if keeps buf off then incr n else all := false) w;
+  if !all then w
+  else begin
+    let keys = Array.make (!n * a) 0 and vals = Array.make !n 0 and i = ref 0 in
+    iter_bindings_flat
+      (fun buf off v ->
+        if keeps buf off then begin
+          Array.blit buf off keys (!i * a) a;
+          vals.(!i) <- v;
+          incr i
+        end)
+      w;
+    of_flat ~default:w.default a keys vals !n
+  end
 
 let add_delta w t d = set w t (get w t + d)
 
 (* Bulk mark application, with the same observable result as folding
    [add_delta]: every marked tuple ends with an explicit entry valued
    [get w t + net t], net-zero marks included.  Only a mark that adds a
-   key comes here: net delta per tuple (sort, collapse), then one merged
-   rebuild of both flat buffers, O(nk + m log m). *)
+   key comes here: the marked keys sorted and collapsed, each delta
+   summed into its key's row, then one merged rebuild of both flat
+   buffers, O(nk + m log m). *)
 let merge_marks base marks =
-  let arr = Array.of_list marks in
-  let m = Array.length arr in
-  (* Deltas sum, so order within equal keys is irrelevant: sort by
-     tuple, skipped when the stream is already ascending, then collapse
-     runs in one sweep. *)
-  let sorted = ref true in
-  let i = ref 1 in
-  while !sorted && !i < m do
-    if Tuple.compare (fst arr.(!i - 1)) (fst arr.(!i)) > 0 then sorted := false;
-    incr i
-  done;
-  if not !sorted then
-    Array.sort (fun (ta, _) (tb, _) -> Tuple.compare ta tb) arr;
-  let dts = Array.make m [||] and dds = Array.make m 0 in
-  let nd = ref 0 in
-  Array.iter
-    (fun (t, d) ->
-      if !nd > 0 && Tuple.compare dts.(!nd - 1) t = 0 then
-        dds.(!nd - 1) <- dds.(!nd - 1) + d
-      else begin
-        dts.(!nd) <- t;
-        dds.(!nd) <- d;
-        incr nd
-      end)
-    arr;
-  let nd = !nd in
   let a = base.arity in
-  let fresh = ref 0 in
-  for j = 0 to nd - 1 do
-    if find_row base dts.(j) < 0 then incr fresh
-  done;
-  let nk = base.nk + !fresh in
-  let keys = Array.make (nk * a) 0 in
-  let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nk in
-  let wi = ref 0 and i = ref 0 and j = ref 0 in
-  let put_row src off v =
-    Array.blit src off keys (!wi * a) a;
-    vals.{!wi} <- v;
-    incr wi
-  in
+  let m = List.length marks in
+  let dk = Array.make (m * a) 0 in
+  List.iteri (fun i (t, _) -> Array.blit t 0 dk (i * a) a) marks;
+  let nd = Tuple.sort_rows a dk m (fun _ _ -> ()) in
+  let dd = Array.make nd 0 in
+  List.iter
+    (fun (t, d) ->
+      let j = Tuple.find_row a dk nd t in
+      dd.(j) <- dd.(j) + d)
+    marks;
+  let cap = base.nk + nd in
+  let keys = Array.make (cap * a) 0 in
+  let vals = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
+  let nk = ref 0 and i = ref 0 and j = ref 0 in
   while !i < base.nk || !j < nd do
-    if !j >= nd then begin
-      put_row base.keys (!i * a) base.vals.{!i};
+    let c =
+      if !j >= nd then -1
+      else if !i >= base.nk then 1
+      else Tuple.compare_at a base.keys (!i * a) dk (!j * a)
+    in
+    if c < 0 then begin
+      Array.blit base.keys (!i * a) keys (!nk * a) a;
+      vals.{!nk} <- base.vals.{!i};
       incr i
     end
-    else if !i >= base.nk then begin
-      put_row dts.(!j) 0 (base.default + dds.(!j));
+    else begin
+      Array.blit dk (!j * a) keys (!nk * a) a;
+      vals.{!nk} <- (if c = 0 then base.vals.{!i} else base.default) + dd.(!j);
+      if c = 0 then incr i;
       incr j
-    end
-    else
-      let c = cmp_key base !i dts.(!j) in
-      if c < 0 then begin
-        put_row base.keys (!i * a) base.vals.{!i};
-        incr i
-      end
-      else if c > 0 then begin
-        put_row dts.(!j) 0 (base.default + dds.(!j));
-        incr j
-      end
-      else begin
-        put_row dts.(!j) 0 (base.vals.{!i} + dds.(!j));
-        incr i;
-        incr j
-      end
+    end;
+    incr nk
   done;
-  { base with nk; keys; vals }
+  let nk = !nk in
+  if nk = cap then { base with nk; keys; vals }
+  else
+    {
+      base with
+      nk;
+      keys = Array.sub keys 0 (nk * a);
+      vals = Bigarray.Array1.sub vals 0 nk;
+    }
 
 exception Fresh_key
 

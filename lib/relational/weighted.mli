@@ -109,3 +109,9 @@ val fnv : int -> t -> int
     the FNV-1a state [h] ({!Wm_util.Fnv}): per entry, [h <- (h lxor x) *
     prime] for each key cell [x] and then for the weight.  On a value
     with no pending overlay this is one loop over the flat buffers. *)
+
+val restrict : (int -> bool) -> t -> t
+(** [restrict keep w] keeps the explicit entries all of whose elements
+    satisfy [keep], with their weights and [w]'s default — the weights
+    of an induced substructure, as {!Relation.restrict} is its
+    relations.  [w] itself when no entry drops. *)

@@ -140,21 +140,6 @@ let put_structure t ~op id ws =
   | Error m -> err m
   | Ok () -> ok op (dataset_fields ds)
 
-(* Mirror [wmark update]'s weight carry-over: entries all of whose
-   elements survive in the edited universe keep their value.  Only a
-   universe that shrank can drop any, so otherwise the weights are kept
-   as they are, uncopied. *)
-let carry_weights ~n n' w =
-  if n' >= n then w
-  else
-    List.fold_left
-      (fun acc (tup, v) ->
-        if Array.for_all (fun x -> x >= 0 && x < n') tup then
-          Weighted.set acc tup v
-        else acc)
-      (Weighted.create ~default:(Weighted.default w) (Weighted.arity w))
-      (Weighted.bindings w)
-
 (* --- dispatch -------------------------------------------------------- *)
 
 (* [jobs] is the width available to *inner* parallel operations: writers
@@ -331,15 +316,16 @@ let rec dispatch t ~jobs (req : Protocol.req) =
             match g' with
             | Error m -> Error ("update: " ^ m)
             | Ok (g', dirty) -> (
-                let n = Structure.size ds.base.Weighted.graph in
                 let n' = Structure.size g' in
+                (* weights of removed elements disappear with them *)
+                let keep x = x < n' in
                 let base =
                   {
                     Weighted.graph = g';
-                    weights = carry_weights ~n n' ds.base.Weighted.weights;
+                    weights = Weighted.restrict keep ds.base.Weighted.weights;
                   }
                 in
-                let cur = carry_weights ~n n' ds.cur in
+                let cur = Weighted.restrict keep ds.cur in
                 (* the one Gaifman refresh of this edit script: the
                    reindex, the Theorem 8 decision and the component
                    count all read it *)

@@ -15,24 +15,24 @@ let of_marks qs marks =
       let prev = Option.value ~default:0 (Tuple.Hashtbl.find_opt delta t) in
       Tuple.Hashtbl.replace delta t (prev + d))
     marks;
-  List.fold_left
-    (fun acc a ->
-      let s =
-        Tuple.Set.fold
-          (fun b acc ->
-            acc + Option.value ~default:0 (Tuple.Hashtbl.find_opt delta b))
-          (Query_system.result_set qs a) 0
-      in
-      max acc (abs s))
-    0 (Query_system.params qs)
+  let active = Query_system.active_array qs and off, ranks = Query_system.rows qs in
+  let worst = ref 0 in
+  for i = 0 to Array.length off - 2 do
+    let s = ref 0 in
+    for k = off.(i) to off.(i + 1) - 1 do
+      let d = Tuple.Hashtbl.find_opt delta active.(ranks.(k)) in
+      s := !s + Option.value ~default:0 d
+    done;
+    worst := max !worst (abs !s)
+  done;
+  !worst
 
 type aggregate = Sum | Mean | Min | Max
 
 let f_agg agg qs w a =
+  (* descending: the float sums below depend on this order *)
   let values =
-    Tuple.Set.fold
-      (fun b acc -> float_of_int (Weighted.get w b) :: acc)
-      (Query_system.result_set qs a) []
+    List.rev_map (fun (_, v) -> float_of_int v) (Query_system.server qs w a)
   in
   match (agg, values) with
   | _, [] -> 0.

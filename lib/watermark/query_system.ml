@@ -8,15 +8,15 @@ let c_refreshes = Obs.counter "qs.refreshes"
 let c_refresh_kept = Obs.counter "qs.refresh_kept"
 let c_refresh_candidates = Obs.counter "qs.refresh_candidates"
 
-(* The table.  Slot [i] holds parameter [params.(i)] and its result set
-   [sets.(i)]; [slots] maps a parameter back to its slot.  W is [active],
-   ascending, and row [i] — the ranks in W of [sets.(i)]'s elements,
-   ascending — is [ranks.(off.(i) .. off.(i+1)-1)].  Nothing is written
-   after construction, so a value is shared across domains as it is. *)
+(* The table.  Slot [i] holds parameter [params.(i)]; [slots] maps a
+   parameter back to its slot.  W is [active], ascending, and row [i] —
+   the ranks in W of W_[params.(i)]'s elements, ascending — is
+   [ranks.(off.(i) .. off.(i+1)-1)]: the only copy of the result sets.
+   Nothing is written after construction, so a value is shared across
+   domains as it is. *)
 type t = {
   params : Tuple.t array;
   slots : int Tuple.Hashtbl.t;
-  sets : Tuple.Set.t array;
   result_fn : Tuple.t -> Tuple.Set.t;
   weight_arity : int;
   active : Tuple.t array;
@@ -54,9 +54,10 @@ let rank_tuples (ts : Tuple.t array) =
     !order;
   (rank, !r + 1)
 
-(* The one place W is computed: every row's elements side by side, ranked
-   together.  Ranks preserve order, so each row of ranks ascends like its
-   set, and the element of rank [r] is W's [r]-th. *)
+(* The one place W is computed: every W_a evaluated once, its elements
+   laid side by side with the others' and ranked together.  Ranks
+   preserve order, so each row of ranks ascends like its set, and the
+   element of rank [r] is W's [r]-th.  The sets themselves are dropped. *)
 let tabulate params ~set ~result_fn ~weight_arity =
   let params = Array.of_list params in
   let np = Array.length params in
@@ -72,7 +73,7 @@ let tabulate params ~set ~result_fn ~weight_arity =
   let ranks, m = rank_tuples ent in
   let active = Array.make m [||] in
   Array.iteri (fun e r -> active.(r) <- ent.(e)) ranks;
-  { params; slots; sets; result_fn; weight_arity; active; off; ranks }
+  { params; slots; result_fn; weight_arity; active; off; ranks }
 
 let of_custom ~params ~result_set ~weight_arity =
   Obs.add c_evals (List.length params);
@@ -82,22 +83,43 @@ let of_relational g q =
   of_custom ~params:(Query.all_params g q) ~result_set:(Query.result_set g q)
     ~weight_arity:(Query.result_arity q)
 
+(* One pass yields every W_a of a one-parameter, one-result query; the
+   table keeps their rows, not the sets. *)
 let of_tree tq tree =
   let module Tq = Wm_trees.Tree_query in
-  let result_set =
+  let params = Tq.all_params tq tree and result_fn = Tq.result_set tq tree in
+  let set =
     if Tq.k tq = 1 && Tq.s tq = 1 then
       let sets = Tq.result_sets tq tree in
       fun a -> sets.(a.(0))
-    else Tq.result_set tq tree
+    else result_fn
   in
-  of_custom ~params:(Tq.all_params tq tree) ~result_set ~weight_arity:(Tq.s tq)
+  Obs.add c_evals (List.length params);
+  tabulate params ~set ~result_fn ~weight_arity:(Tq.s tq)
 
 let params t = Array.to_list t.params
 let weight_arity t = t.weight_arity
 
+(* [f] folded over row [i]'s elements from the greatest down. *)
+let fold_row t i f acc =
+  let acc = ref acc in
+  for k = t.off.(i + 1) - 1 downto t.off.(i) do
+    acc := f t.active.(t.ranks.(k)) !acc
+  done;
+  !acc
+
+(* [f] folded over W_a from the greatest element down: a parameter's
+   row, one evaluation on any other tuple. *)
+let fold_result t a f acc =
+  match Tuple.Hashtbl.find_opt t.slots a with
+  | Some i -> fold_row t i f acc
+  | None ->
+      Obs.incr c_evals;
+      Seq.fold_left (fun acc b -> f b acc) acc (Tuple.Set.to_rev_seq (t.result_fn a))
+
 let result_set t a =
   match Tuple.Hashtbl.find_opt t.slots a with
-  | Some i -> t.sets.(i)
+  | Some i -> Tuple.Set.of_list (fold_row t i List.cons [])
   | None ->
       Obs.incr c_evals;
       t.result_fn a
@@ -174,7 +196,11 @@ let refresh t ~result_fn ~holds ~params ~size ~affected =
     match Tuple.Hashtbl.find_opt t.slots a with
     | Some i when not (touched a) ->
         Obs.incr c_refresh_kept;
-        let kept = Tuple.Set.filter (fun b -> not (touched b)) t.sets.(i) in
+        let kept =
+          fold_row t i
+            (fun b acc -> if touched b then acc else Tuple.Set.add b acc)
+            Tuple.Set.empty
+        in
         List.fold_left
           (fun acc b -> if holds a b then Tuple.Set.add b acc else acc)
           kept candidates
@@ -196,19 +222,14 @@ let refresh_relational t g q ~affected =
     ~params:(Query.all_params g q)
     ~size:(Structure.size g) ~affected
 
-let f t w a =
-  Tuple.Set.fold (fun b acc -> acc + Weighted.get w b) (result_set t a) 0
+let f t w a = fold_result t a (fun b acc -> acc + Weighted.get w b) 0
 
 type server = Tuple.t -> (Tuple.t * int) list
 
-let server t w a =
-  Tuple.Set.fold (fun b acc -> (b, Weighted.get w b) :: acc) (result_set t a) []
-  |> List.rev
+let server t w a = fold_result t a (fun b acc -> (b, Weighted.get w b) :: acc) []
 
-let reconstruct_some _t srv params =
-  List.fold_left
+let reconstruct t srv =
+  Array.fold_left
     (fun acc a ->
       List.fold_left (fun acc (b, v) -> Tuple.Map.add b v acc) acc (srv a))
-    Tuple.Map.empty params
-
-let reconstruct t srv = reconstruct_some t srv (params t)
+    Tuple.Map.empty t.params

@@ -33,8 +33,8 @@ val params : t -> Tuple.t list
 val weight_arity : t -> int
 
 val result_set : t -> Tuple.t -> Tuple.Set.t
-(** W_a: a table read on a parameter, a plain (unmemoized) evaluation on
-    any other tuple. *)
+(** W_a: built from the table row on a parameter, a plain (unmemoized)
+    evaluation on any other tuple. *)
 
 val active : t -> Tuple.t list
 (** W as a sorted list. *)
@@ -97,9 +97,3 @@ val reconstruct : t -> server -> int Tuple.Map.t
     be recovered by asking A_a for all possible values of a".  When answers
     disagree across parameters (a cheating server), the value seen last in
     parameter order wins; honest servers are consistent. *)
-
-val reconstruct_some : t -> server -> Tuple.t list -> int Tuple.Map.t
-(** Like {!reconstruct} but asking only the listed parameters — a detector
-    on a query budget (a real owner probing a pirate site cannot fire
-    millions of requests).  Elements not covered by any asked parameter are
-    absent from the map and read as silent carriers downstream. *)

@@ -586,6 +586,114 @@ let test_mark_iter_fold () =
            (fun _ _ -> called := true)));
   check bool "rejected before any mark" false !called
 
+(* --- the row toolkit against list references --------------------------
+
+   [Tuple.compare_at] against a list comparison of the two sub-arrays,
+   [Tuple.find_row] against a linear scan (insertion points included),
+   and [Tuple.sort_rows] against [List.sort_uniq] with a last-wins fold
+   for the reported rows: arity 1-3, no rows, all rows equal, ascending
+   (distinct or not), descending, duplicates at both ends, and buffers
+   longer than their rows. *)
+
+let prop_row_toolkit =
+  QCheck.Test.make ~count:300 ~name:"Tuple row toolkit == list references"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g = Prng.create (0x70C + seed) in
+      let len = 1 + Prng.int g 3 and range = 1 + Prng.int g 4 in
+      let k = if Prng.int g 8 = 0 then 0 else Prng.int g 30 in
+      let drawn = rand_tuples g ~count:k len range in
+      let ascending = List.sort Tuple.compare drawn in
+      let uniq = List.sort_uniq Tuple.compare drawn in
+      let rows =
+        match Prng.int g 6 with
+        | 0 -> ascending
+        | 1 -> uniq
+        | 2 -> List.rev ascending
+        | 3 -> List.map (fun _ -> List.hd drawn) drawn
+        | 4 -> (
+            match (uniq, List.rev uniq) with
+            | lo :: _, hi :: _ -> (lo :: lo :: drawn) @ [ hi; hi ]
+            | _ -> drawn)
+        | _ -> drawn
+      in
+      let k = List.length rows and distinct = List.sort_uniq Tuple.compare rows in
+      let slack = Prng.int g 3 * len in
+      let buf = Array.make ((k * len) + slack) (-1) in
+      List.iteri (fun i t -> Array.blit t 0 buf (i * len) len) rows;
+      let reported = ref [] in
+      let n = Tuple.sort_rows len buf k (fun i r -> reported := (i, r) :: !reported) in
+      let kept = List.init n (fun i -> Array.sub buf (i * len) len) in
+      let last_of t =
+        fst
+          (List.fold_left
+             (fun (last, j) u -> ((if Tuple.equal t u then j else last), j + 1))
+             (-1, 0) rows)
+      in
+      let sorted_ok =
+        kept = distinct
+        && List.rev !reported = List.mapi (fun i t -> (i, last_of t)) distinct
+      in
+      (* the index of [t], or -p-1 with p the number of rows below it *)
+      let scan t =
+        let below =
+          List.length (List.filter (fun u -> Tuple.compare u t < 0) distinct)
+        in
+        if List.exists (Tuple.equal t) distinct then below else -below - 1
+      in
+      let probes = distinct @ rand_tuples g ~count:10 len range in
+      let search_ok =
+        List.for_all (fun t -> Tuple.find_row len buf n t = scan t) probes
+      in
+      let sign c = Int.compare c 0 in
+      let compare_ok =
+        List.for_all
+          (fun _ ->
+            let a = rand_tuple g (1 + Prng.int g 6) range
+            and b = rand_tuple g (1 + Prng.int g 6) range in
+            let l = Prng.int g (1 + min (Array.length a) (Array.length b)) in
+            let i = Prng.int g (Array.length a - l + 1)
+            and j = Prng.int g (Array.length b - l + 1) in
+            let sa = Array.sub a i l and sb = Array.sub b j l in
+            let expect = sign (compare (Array.to_list sa) (Array.to_list sb)) in
+            sign (Tuple.compare_at l a i b j) = expect
+            && sign (Tuple.compare sa sb) = expect
+            && (match Tuple.compare_at (l + 1) a (Array.length a - l) b 0 with
+               | _ -> false
+               | exception Invalid_argument _ -> true))
+          (List.init 10 Fun.id)
+      in
+      sorted_ok && search_ok && compare_ok)
+
+(* [Weighted.restrict]: the input itself when no entry drops, otherwise
+   the fold of [set] over the surviving bindings (compacted and
+   overlay-carrying inputs, arity 1 and 2). *)
+let test_weighted_restrict () =
+  let g = Prng.create 0x4E57 in
+  for _ = 1 to 200 do
+    let ar = 1 + Prng.int g 2 and range = 2 + Prng.int g 8 in
+    let default = Prng.int g 5 in
+    let entries n = List.init n (fun _ -> (rand_tuple g ar range, Prng.int g 100)) in
+    let w = Weighted.of_list ~default ar (entries (Prng.int g 40)) in
+    let w =
+      if Prng.bool g then List.fold_left (fun w (t, v) -> Weighted.set w t v) w (entries 5)
+      else w
+    in
+    let cut = Prng.int g (range + 1) in
+    let keep x = x < cut in
+    let r = Weighted.restrict keep w in
+    let folded =
+      List.fold_left
+        (fun acc (t, v) -> if Array.for_all keep t then Weighted.set acc t v else acc)
+        (Weighted.create ~default ar) (Weighted.bindings w)
+    in
+    check bool "== fold of set" true
+      (Weighted.bindings r = Weighted.bindings folded && Weighted.default r = default);
+    if List.for_all (fun (t, _) -> Array.for_all keep t) (Weighted.bindings w) then
+      check bool "nothing dropped: the input itself" true (r == w);
+    check bool "keep all: the input itself" true (Weighted.restrict (fun _ -> true) w == w)
+  done
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_relation_ops;
@@ -607,4 +715,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_iter_headed;
     Alcotest.test_case "orientation mark iterator == fold of add_delta" `Quick
       test_mark_iter_fold;
+
+    QCheck_alcotest.to_alcotest prop_row_toolkit;
+    Alcotest.test_case "Weighted.restrict == fold of set" `Quick test_weighted_restrict;
   ]

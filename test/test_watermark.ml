@@ -1127,6 +1127,60 @@ let prop_detect_weights_is_honest_detect =
                        ~server:(Query_system.server qs suspect) ~length)))
             [ 1; 2 ])
 
+(* [result_set], [f] and [server] read a parameter's row and evaluate
+   any other tuple; either way they must equal the evaluator.  Custom
+   systems ask their four non-parameter canonicals; FO systems built
+   over a random part of U^r ask the rest of U^r as non-parameters; the
+   substrate systems (FO, travel, tree) have every in-range tuple as a
+   parameter. *)
+let prop_reads_match_evaluator =
+  QCheck.Test.make ~count:80 ~name:"result_set, f and server == evaluator"
+    QCheck.(pair (int_range 0 100_000) (int_range 1 2))
+    (fun (seed, arity) ->
+      let g = Prng.create (0x5E7 + seed) in
+      let f =
+        match Prng.int g 3 with
+        | 0 -> substrate_family g
+        | 1 ->
+            let n = 3 + Prng.int g 12 and np = 2 + Prng.int g 30 in
+            let elt () = Array.init arity (fun _ -> Prng.int g n) in
+            custom_family g ~arity ~n
+              (Array.init (np + 4) (fun _ ->
+                   Tuple.Set.of_list (List.init (Prng.int g 6) (fun _ -> elt ()))))
+        | _ ->
+            let n = 3 + Prng.int g 8 in
+            let params, results, phi = fo_queries.(Prng.int g (Array.length fo_queries)) in
+            let gr =
+              (Random_struct.graph g ~n ~max_degree:3 ~edges:(Prng.int g (2 * n))).Weighted.graph
+            in
+            let q = Parser.query_of_string ~params ~results phi in
+            let all = Array.of_list (Query.all_params gr q) in
+            let eval = Query.result_set gr q in
+            let params = List.filter (fun _ -> Prng.bool g) (Array.to_list all) in
+            {
+              qs =
+                Query_system.of_custom ~params ~result_set:eval
+                  ~weight_arity:(Query.result_arity q);
+              params = Array.of_list params;
+              eval;
+              canon = all;
+              elt = (fun () -> Array.init (Query.result_arity q) (fun _ -> Prng.int g n));
+            }
+      in
+      let w =
+        Weighted.of_list ~default:(Prng.int g 3)
+          (Query_system.weight_arity f.qs)
+          (List.init (Prng.int g 30) (fun _ -> (f.elt (), Prng.int g 50)))
+      in
+      Array.for_all
+        (fun a ->
+          let s = f.eval a in
+          Tuple.Set.equal (Query_system.result_set f.qs a) s
+          && Query_system.f f.qs w a = Tuple.Set.fold (fun b acc -> acc + Weighted.get w b) s 0
+          && Query_system.server f.qs w a
+             = List.map (fun b -> (b, Weighted.get w b)) (Tuple.Set.elements s))
+        f.canon)
+
 let suite =
   [
     ("query system mirrors query", `Quick, test_qs_matches_query);
@@ -1172,4 +1226,6 @@ let suite =
     ("tree detect on a partial server", `Quick, test_tree_detect_partial_server);
     QCheck_alcotest.to_alcotest prop_detect_weights_is_honest_detect;
     QCheck_alcotest.to_alcotest prop_pairing_matches_ref;
+
+    QCheck_alcotest.to_alcotest prop_reads_match_evaluator;
   ]
