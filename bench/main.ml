@@ -2,7 +2,7 @@
 
      dune exec bench/main.exe              -- every experiment, in order
      dune exec bench/main.exe -- e5 e7     -- a subset
-     dune exec bench/main.exe -- --jobs 4  -- worker count of the Par pool
+     dune exec bench/main.exe -- --jobs 4  -- the one job count (Par.set_jobs)
 
    Experiments run one after another and print straight to stdout.  An
    unknown experiment id or a bad --jobs value prints the usage to
@@ -1523,7 +1523,7 @@ let e21 () =
    rate >= unrepaired on every row), and strictly improves
    on at least one distortion and one mix-and-match row at an intensity
    where the unrepaired detector fails.  Every trial owns a PRNG derived
-   from (row, trial) and all inner phases run at jobs=1, so the table is
+   from (row, trial) and every phase is deterministic, so the table is
    bit-identical at any --jobs.  The recovery suite's "repair curve never
    hurts" test pins the first half on every row at reduced trials. *)
 
@@ -1553,14 +1553,14 @@ let e24 () =
   in
   let detect_plain suspect =
     let rv, _ =
-      Survivable.detect_structure ~jobs:1 base ~times ~length:bits
+      Survivable.detect_structure base ~times ~length:bits
         ~original:ws ~suspect
     in
     Bitvec.equal message rv.Robust.message
   in
   let detect_rep suspect =
     let rv, report, _ =
-      Recovery.detect_repaired ~jobs:1 cap base ~times ~length:bits
+      Recovery.detect_repaired cap base ~times ~length:bits
         ~original:ws ~suspect
     in
     (Bitvec.equal message rv.Robust.message, report.Recovery.repaired)

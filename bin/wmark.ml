@@ -64,9 +64,10 @@ let seed_term =
 
 let jobs_term =
   let doc =
-    "Worker domains for the parallel sections (type indexing, detection, \
-     the attack grid).  Default: $(b,WMARK_JOBS) or the machine's \
-     recommended domain count; 1 forces sequential execution.  Results \
+    "Job count for the pooled sections (the attack grid, trace scoring, \
+     recovery audits, serve fingerprint copies): the calling domain plus \
+     N-1 worker domains.  Default: $(b,WMARK_JOBS) or the machine's \
+     recommended domain count; 1 runs everything sequentially.  Results \
      are identical for every value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -904,7 +905,7 @@ let serve_cmd =
     (match dir with
     | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
     | _ -> ());
-    let engine = Serve_engine.create ?dir ?jobs () in
+    let engine = Serve_engine.create ?dir () in
     match socket with
     | None ->
         set_binary_mode_in stdin true;

@@ -18,7 +18,7 @@ let c_domains_spawned = Obs.counter "pool.domains_spawned"
 let t_batch_wait = Obs.timer "pool.batch_wait"
 
 (* ------------------------------------------------------------------ *)
-(* Job-count resolution: ?jobs argument > set_jobs > WMARK_JOBS > hw. *)
+(* Job-count resolution: set_jobs > WMARK_JOBS > hw. *)
 
 let override : int option Atomic.t = Atomic.make None
 
@@ -53,10 +53,9 @@ let jobs () =
   match Atomic.get override with Some j -> j | None -> default_jobs ()
 
 (* ------------------------------------------------------------------ *)
-(* The pool: worker domains blocked on one shared queue.  Spawned once,
-   at the first parallel call; sized then so later calls asking for more
-   jobs than the machine advertises (a --jobs 4 run on a 2-core box)
-   still get dedicated runners. *)
+(* The pool: worker domains blocked on one shared queue.  Spawned at the
+   first parallel call with exactly the runners the job count asks for,
+   and grown when a later call asks for more. *)
 
 type task = unit -> unit
 
@@ -100,17 +99,16 @@ let the_pool : pool option ref = ref None
 let spawn_mutex = Mutex.create ()
 
 (* [get_pool ~want] returns the shared pool, grown to at least [want]
-   runners: a later [set_jobs]/[--jobs] above the first-call size spawns
-   the missing worker domains (under [spawn_mutex]) instead of being
-   silently clamped.  The pool never shrinks — fewer jobs just chunk the
-   index range over fewer tasks. *)
-let get_pool ~want () =
+   runners: a later [set_jobs]/[--jobs] above the current size spawns the
+   missing worker domains (under [spawn_mutex]) instead of being silently
+   clamped.  The pool never shrinks — fewer jobs just chunk the index
+   range over fewer tasks. *)
+let get_pool ~want =
   Mutex.lock spawn_mutex;
   let p =
     match !the_pool with
     | Some p -> p
     | None ->
-        let runners = max 4 (jobs ()) in
         let p =
           {
             m = Mutex.create ();
@@ -118,12 +116,9 @@ let get_pool ~want () =
             queue = Queue.create ();
             stop = false;
             domains = [];
-            runners;
+            runners = 1;
           }
         in
-        p.domains <-
-          List.init (runners - 1) (fun _ -> Domain.spawn (fun () -> worker_loop p));
-        Obs.add c_domains_spawned (runners - 1);
         at_exit (fun () -> shutdown p);
         the_pool := Some p;
         p
@@ -147,6 +142,12 @@ let pool_size () = match !the_pool with Some p -> p.runners | None -> 1
    exceptions into the batch record, so a raising task can never take a
    worker down or leave the queue wedged. *)
 
+(* Set on a domain while it runs a pool task.  A combinator called from a
+   task body then runs as the plain sequential loop: the enclosing
+   section already keeps every runner busy, so a nested batch would only
+   add queue traffic. *)
+let in_task = Domain.DLS.new_key (fun () -> false)
+
 type batch = {
   bm : Mutex.t;
   bdone : Condition.t;
@@ -164,12 +165,15 @@ let run_tasks p (tasks : task array) =
     }
   in
   let wrap t () =
+    let outer = Domain.DLS.get in_task in
+    Domain.DLS.set in_task true;
     let failure =
       try
         t ();
         None
       with e -> Some (e, Printexc.get_raw_backtrace ())
     in
+    Domain.DLS.set in_task outer;
     Mutex.lock b.bm;
     (match (failure, b.first_exn) with
     | Some f, None -> b.first_exn <- Some f
@@ -184,9 +188,9 @@ let run_tasks p (tasks : task array) =
   Mutex.unlock p.m;
   Obs.incr c_batches;
   Obs.add c_tasks_enqueued (Array.length tasks);
-  (* Help: the caller is a runner too.  It may execute tasks of other
-     in-flight batches (nested sections); wrapped tasks never raise, so
-     helping is exception-free. *)
+  (* Help: the caller is a runner too.  It may execute tasks of another
+     domain's in-flight batch; wrapped tasks never raise, so helping is
+     exception-free. *)
   let rec help () =
     match try_pop p with
     | Some t ->
@@ -206,49 +210,26 @@ let run_tasks p (tasks : task array) =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* [run_indices j body n]: body i for every i in [0, n), chunked over up
-   to [j] runners.  Chunks are contiguous index ranges, so each slot is
-   written exactly once, by exactly one task. *)
-let run_indices j body n =
-  if j <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      body i
-    done
-  else begin
-    let p = get_pool ~want:j () in
-    let nchunks = max 1 (min n (j * 8)) in
-    let tasks =
-      Array.init nchunks (fun c ->
-          let lo = c * n / nchunks and hi = ((c + 1) * n / nchunks) - 1 in
-          fun () ->
-            for i = lo to hi do
-              body i
-            done)
-    in
-    run_tasks p tasks
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Combinators *)
 
-let resolve = function Some j -> max 1 j | None -> jobs ()
-
-let parallel_mapi ?jobs f a =
-  let j = resolve jobs in
-  let n = Array.length a in
-  if j <= 1 || n <= 1 then Array.mapi f a
+(* Chunks are contiguous index ranges, so each slot is written exactly
+   once, by exactly one task. *)
+let parallel_map f a =
+  let j = jobs () and n = Array.length a in
+  if j <= 1 || n <= 1 || Domain.DLS.get in_task then Array.map f a
   else begin
+    let p = get_pool ~want:j in
     let out = Array.make n None in
-    run_indices j (fun i -> out.(i) <- Some (f i a.(i))) n;
-    Array.map (function Some v -> v | None -> assert false) out
+    let nchunks = min n (j * 8) in
+    run_tasks p
+      (Array.init nchunks (fun c ->
+           let lo = c * n / nchunks and hi = ((c + 1) * n / nchunks) - 1 in
+           fun () ->
+             for i = lo to hi do
+               out.(i) <- Some (f a.(i))
+             done));
+    Array.map Option.get out
   end
 
-let parallel_map ?jobs f a = parallel_mapi ?jobs (fun _ x -> f x) a
-
-let parallel_reduce ?jobs ~map ~combine ~init a =
-  (* map in parallel, fold sequentially in index order: bit-identical to
-     [Array.fold_left (fun acc x -> combine acc (map x)) init a] without
-     requiring [combine] to be associative. *)
-  Array.fold_left combine init (parallel_map ?jobs map a)
-
-let map_list ?jobs f l = Array.to_list (parallel_map ?jobs f (Array.of_list l))
+let map_list f l = Array.to_list (parallel_map f (Array.of_list l))

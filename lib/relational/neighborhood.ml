@@ -245,11 +245,9 @@ module Ktbl = Hashtbl.Make (Key)
      full-relation sweep, and only the elements of spheres a call
      materializes pay for theirs.
 
-   The tables are only mutated in the sequential grouping phases; the
-   parallel phases read frozen entries, which keeps the pool's
-   bit-identical-for-every-job-count contract.  The one exception is
-   [tree], written by the sphere walks one element slot per task, the
-   pool's own slot-addressed discipline. *)
+   A context belongs to one call on one domain: typing runs no pool
+   section (DESIGN.md 5.6), so the tables are filled and read in
+   program order. *)
 
 type ctx = {
   cg : Structure.t;
@@ -430,15 +428,11 @@ let rec find_key (buf : int array) len = function
       if !same then u else find_key buf len rest
 
 (* Exact interning of keys in a scratch buffer: hashed whole in place,
-   compared exactly, ids dense and first-seen; only a new key is copied
-   (onto [keys], newest first). *)
-type interner = {
-  itbl : (int array * int) list Itbl.t;
-  mutable keys : int array list;
-  mutable count : int;
-}
+   compared exactly, ids dense and first-seen; only a new key is
+   copied. *)
+type interner = { itbl : (int array * int) list Itbl.t; mutable count : int }
 
-let interner () = { itbl = Itbl.create 16; keys = []; count = 0 }
+let interner () = { itbl = Itbl.create 16; count = 0 }
 
 let intern it (buf : int array) len =
   let h = hash_prefix buf len in
@@ -448,68 +442,38 @@ let intern it (buf : int array) len =
   else begin
     let key = Array.sub buf 0 len and u = it.count in
     Itbl.replace it.itbl h ((key, u) :: cands);
-    it.keys <- key :: it.keys;
     it.count <- u + 1;
     u
   end
 
-(* The shape of each of [dist.(lo .. hi-1)], [-1] past
-   [max_keyed_sphere], by a first-seen numbering local to this range;
-   returns it with the range's distinct keys, first-seen.  Every key is
-   written into one buffer and interned from there. *)
-let key_range ctx dist (lo, hi) =
+(* The shape of each sphere of [dist], [-1] past [max_keyed_sphere],
+   numbered first-seen.  Every key is written into one buffer and
+   interned from there. *)
+let key_spheres ctx dist =
   let kb = { b = Array.make 256 0 } in
   let it = interner () in
-  let shape = Array.make (hi - lo) (-1) in
-  for d = lo to hi - 1 do
-    let s = dist.(d) in
-    if Array.length s <= max_keyed_sphere then begin
-      let len = write_key ctx kb s in
-      shape.(d - lo) <- intern it kb.b len
-    end
-  done;
-  (shape, Array.of_list (List.rev it.keys))
+  Array.map
+    (fun s ->
+      if Array.length s > max_keyed_sphere then begin
+        Obs.incr c_bw_fallbacks;
+        -1
+      end
+      else
+        let len = write_key ctx kb s in
+        intern it kb.b len)
+    dist
 
 (* Phase C' of [materialize]: group the slots whose pointed spheres are
    literally equal, by (shape, center labels).  [grp.(i)] is the slot
    whose materialization slot [i] inherits; leaders have [grp.(i) = i].
    [dist] holds the call's distinct spheres in first-seen order and
    [sid.(i)] slot [i]'s ([-1] at arity 0, which has no center).
-
-   The distinct spheres are keyed in one parallel task per contiguous
-   range, and the ranges' keys are merged in order, so every shape is
-   numbered at its first sphere whatever the job count.  Slots are then
-   grouped in slot order, so the first slot of a group leads. *)
-let shape_groups ctx ?jobs tups sets sid dist =
+   Slots are grouped in slot order, so the first slot of a group
+   leads. *)
+let shape_groups ctx tups sets sid dist =
   let nt = Array.length tups in
   let grp = Array.init nt (fun i -> i) in
-  let nd = Array.length dist in
-  let nranges =
-    max 1 (min (nd / 64) (match jobs with Some j -> j | None -> Wm_par.Pool.jobs ()))
-  in
-  let ranges = Array.init nranges (fun r -> (r * nd / nranges, (r + 1) * nd / nranges)) in
-  let keyed = Wm_par.Pool.parallel_map ?jobs (key_range ctx dist) ranges in
-  let shape = Array.make nd (-1) in
-  let ktbl = Ktbl.create 16 in
-  Array.iteri
-    (fun r (lshape, keys) ->
-      let global =
-        Array.map
-          (fun key ->
-            match Ktbl.find_opt ktbl key with
-            | Some u -> u
-            | None ->
-                let u = Ktbl.length ktbl in
-                Ktbl.add ktbl key u;
-                u)
-          keys
-      in
-      let lo = fst ranges.(r) in
-      Array.iteri
-        (fun j u ->
-          if u < 0 then Obs.incr c_bw_fallbacks else shape.(lo + j) <- global.(u))
-        lshape)
-    keyed;
+  let shape = key_spheres ctx dist in
   (* one group per (shape, center labels), led by its first slot *)
   let gtbl = Ktbl.create (max 16 nt) in
   Array.iteri
@@ -529,38 +493,25 @@ let shape_groups ctx ?jobs tups sets sid dist =
   Obs.add c_bw_groups (Ktbl.length gtbl);
   grp
 
-(* Phase A (parallel): BFS the spheres of [tups]' elements not yet
-   cached; with [~tree] the same walk records whether each sphere
-   induces a tree. *)
-let fill_spheres ctx ?jobs ~tree tups =
+(* Phase A: BFS the spheres of [tups]' elements not yet cached; with
+   [~tree] the same walk records whether each sphere induces a tree. *)
+let fill_spheres ctx ~tree tups =
   Obs.span t_spheres @@ fun () ->
-  let n = Structure.size ctx.cg in
-  let pending = Array.make n false in
-  let missing = ref [] and nmiss = ref 0 and lookups = ref 0 in
+  let nmiss = ref 0 and lookups = ref 0 in
   Array.iter
     (fun c ->
       Array.iter
         (fun x ->
           incr lookups;
-          if Array.length ctx.spheres.(x) = 0 && not pending.(x) then begin
-            pending.(x) <- true;
-            missing := x :: !missing;
+          (* a walked sphere holds at least its center *)
+          if Array.length ctx.spheres.(x) = 0 then begin
+            let s, t = Gaifman.sphere_walk ctx.cgf ~rho:ctx.crho ~tree x in
+            ctx.spheres.(x) <- s;
+            ctx.tree.(x) <- t;
             incr nmiss
           end)
         c)
     tups;
-  let missing = Array.of_list (List.rev !missing) in
-  (* each task records its element's tree bit in its own slot, so no
-     pair outlives the walk *)
-  let computed =
-    Wm_par.Pool.parallel_map ?jobs
-      (fun x ->
-        let s, t = Gaifman.sphere_walk ctx.cgf ~rho:ctx.crho ~tree x in
-        ctx.tree.(x) <- t;
-        s)
-      missing
-  in
-  Array.iteri (fun i x -> ctx.spheres.(x) <- computed.(i)) missing;
   Obs.add c_spheres !nmiss;
   Obs.add c_sphere_hits (!lookups - !nmiss)
 
@@ -569,12 +520,12 @@ let fill_spheres ctx ?jobs ~tree tups =
    certificate, and the {!Iso.prep} reused by every exact in-bucket
    test, for shape-group leaders only; members share their leader's
    triple. *)
-let materialize ctx ?jobs tups =
+let materialize ctx tups =
   (* Phase B (sequential, cheap): tuple spheres by union.  Each
      distinct sphere is numbered once, first-seen, which is the order
      the shape step keys them in; a repeat (heavy overlap at arity >= 2)
      counts as deduped.  The [heads] of every element of those spheres
-     are filled here, for the parallel phases to read. *)
+     are filled here, for the phases below to read. *)
   let nt = Array.length tups in
   let sets, sid, dist =
     Obs.span t_spheres @@ fun () ->
@@ -598,8 +549,8 @@ let materialize ctx ?jobs tups =
     Array.iter (Array.iter (ensure_heads ctx)) dist;
     (sets, sid, dist)
   in
-  let grp = Obs.span t_shapes @@ fun () -> shape_groups ctx ?jobs tups sets sid dist in
-  (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
+  let grp = Obs.span t_shapes @@ fun () -> shape_groups ctx tups sets sid dist in
+  (* Phase D: per-leader substructure, sub-Gaifman graph,
      cheap key, certificate, refinement prep.  Group members inherit
      their leader's triple — physically the same prep, so every
      downstream isomorphism answer is the one the leader gets. *)
@@ -609,7 +560,7 @@ let materialize ctx ?jobs tups =
   let schema = Structure.schema ctx.cg in
   let lkeyed =
     Obs.span t_prep @@ fun () ->
-    Wm_par.Pool.parallel_map ?jobs
+    Array.map
     (fun i ->
       let s = sets.(i) in
       let k = Array.length s in
@@ -761,16 +712,16 @@ let tree_leaders ctx tups leader =
 
 (* Exact classification of [tups]: each slot's leader, the first slot of
    its isomorphism class. *)
-let classify_slots ctx ?jobs tups =
+let classify_slots ctx tups =
   let n = Array.length tups in
-  (* Phase 1 (parallel): materialize every neighborhood's classification
-     data through the shared context. *)
-  let keyed, grp = materialize ctx ?jobs tups in
+  (* Phase 1: materialize every neighborhood's classification data
+     through the shared context. *)
+  let keyed, grp = materialize ctx tups in
   Obs.span t_classify @@ fun () ->
   (* Phase 2 (sequential, cheap): bucket the slots. *)
   let buckets = bucket_slots keyed in
   Obs.add c_buckets (Array.length buckets);
-  (* Phase 3 (parallel): exact classification inside each bucket.
+  (* Phase 3: exact classification inside each bucket.
      Buckets are independent; within one bucket the search is the
      sequential scan against the bucket's representatives.  For each
      slot we record its leader: the slot of the first bucket member it
@@ -782,65 +733,52 @@ let classify_slots ctx ?jobs tups =
      slot's answer without scanning: its prep is physically the
      leader's, so the scan could only repeat the leader's matches. *)
   let leader = Array.make n (-1) in
-  let classified =
-    Wm_par.Pool.parallel_map ?jobs
+  let nreps =
+    Array.map
       (fun slots ->
         let reps = ref [] in
-        let local : (int, int) Hashtbl.t = Hashtbl.create 16 in
-        let leaders =
-          Array.map
-            (fun i ->
-              let l =
-                if grp.(i) <> i then
-                  match Hashtbl.find_opt local grp.(i) with
-                  | Some l -> l
-                  | None -> assert false (* same triple => same bucket *)
-                else begin
-                  let _, _, prep = keyed.(i) in
-                  match
-                    List.find_opt (fun (_, rep) -> iso_check prep rep) !reps
-                  with
-                  | Some (l, _) -> l
-                  | None ->
-                      reps := (i, prep) :: !reps;
-                      i
-                end
-              in
-              Hashtbl.replace local i l;
-              l)
-            slots
-        in
-        (leaders, List.length !reps))
+        Array.iter
+          (fun i ->
+            leader.(i) <-
+              (if grp.(i) <> i then begin
+                 (* same triple => same bucket, scanned earlier *)
+                 assert (leader.(grp.(i)) >= 0);
+                 leader.(grp.(i))
+               end
+               else
+                 let _, _, prep = keyed.(i) in
+                 match
+                   List.find_opt (fun (_, rep) -> iso_check prep rep) !reps
+                 with
+                 | Some (l, _) -> l
+                 | None ->
+                     reps := (i, prep) :: !reps;
+                     i))
+          slots;
+        List.length !reps)
       buckets
   in
-  Array.iteri
-    (fun b slots ->
-      Array.iteri (fun k i -> leader.(i) <- (fst classified.(b)).(k)) slots)
-    buckets;
   (if Obs.enabled () then
      (* What pre-bucketing saved: a bucket-less scan compares each tuple
         against every representative outside its own bucket as well. *)
-     let total_reps =
-       Array.fold_left (fun acc (_, r) -> acc + r) 0 classified
-     in
+     let total_reps = Array.fold_left ( + ) 0 nreps in
      Array.iteri
        (fun b slots ->
-         Obs.add c_iso_avoided
-           (Array.length slots * (total_reps - snd classified.(b))))
+         Obs.add c_iso_avoided (Array.length slots * (total_reps - nreps.(b))))
        buckets);
   leader
 
-let run_index ctx ?jobs tups ~rho ~arity =
+let run_index ctx tups ~rho ~arity =
   let n = Array.length tups in
   Obs.add c_tuples_typed n;
   let trees = arity = 1 && ctx.tree_ok in
-  fill_spheres ctx ?jobs ~tree:trees tups;
+  fill_spheres ctx ~tree:trees tups;
   let leader = Array.make n (-1) in
   let typed =
     if trees then Obs.span t_tree (fun () -> tree_leaders ctx tups leader) else 0
   in
   let leader =
-    if typed = 0 then classify_slots ctx ?jobs tups
+    if typed = 0 then classify_slots ctx tups
     else begin
       (* the cyclic slots, on a sub-array that keeps slot order so their
          leaders map back to first slots *)
@@ -855,7 +793,7 @@ let run_index ctx ?jobs tups ~rho ~arity =
       if typed < n then
         Array.iteri
           (fun j l -> leader.(rest.(j)) <- rest.(l))
-          (classify_slots ctx ?jobs (Array.map (fun i -> tups.(i)) rest));
+          (classify_slots ctx (Array.map (fun i -> tups.(i)) rest));
       leader
     end
   in
@@ -887,21 +825,21 @@ let make_index_ctx ?gf g ~rho =
   let gf = match gf with Some gf -> gf | None -> Gaifman.of_structure g in
   make_ctx ~local:false g gf ~rho
 
-let index ?jobs ?gf g ~rho tuples =
+let index ?gf g ~rho tuples =
   Obs.span t_index @@ fun () ->
   let ctx = make_index_ctx ?gf g ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
-  let ix = run_index ctx ?jobs tups ~rho ~arity in
+  let ix = run_index ctx tups ~rho ~arity in
   (* the slots are in list order, the rows in enumeration order *)
   let ord = Array.init (Array.length tups) Fun.id in
   Array.sort (fun i j -> enum_compare tups.(i) tups.(j)) ord;
   { ix with tuples = Array.map (Array.get tups) ord; types = Array.map (Array.get ix.types) ord }
 
-let index_universe ?jobs ?gf g ~rho ~arity =
+let index_universe ?gf g ~rho ~arity =
   Obs.span t_index @@ fun () ->
   let ctx = make_index_ctx ?gf g ~rho in
-  run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
+  run_index ctx (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =
   (* Both graphs: an inserted edge shortens distances only in the new graph,
@@ -922,7 +860,7 @@ let type_of ix c =
   done;
   if !r < 0 then raise Not_found else ix.types.(!r)
 
-let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
+let reindex ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
   Obs.span t_reindex @@ fun () ->
   let rho = prev.rho and arity = prev.arity in
   let n = Structure.size g in
@@ -937,7 +875,7 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
     Obs.incr c_fallbacks;
     Obs.span t_index @@ fun () ->
     let ctx = Obs.span t_spheres (fun () -> make_ctx ~local:false g gf ~rho) in
-    run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
+    run_index ctx (all_tuples_array g ~arity) ~rho ~arity
   end
   else begin
     let ctx = make_ctx ~local:true g gf ~rho in
@@ -985,7 +923,7 @@ let reindex ?jobs ?(threshold = 0.5) ~old ~old_gf g ~gf ~prev ~dirty =
        merged in that order, numbers the classes as the from-scratch
        index does: type ids and representatives come out bit-identical. *)
     let ix =
-      run_index ctx ?jobs
+      run_index ctx
         (Array.of_list (List.merge enum_compare anchors at))
         ~rho ~arity
     in

@@ -31,14 +31,13 @@ type index = {
     paper's canonical parameter set S. *)
 
 val index :
-  ?jobs:int -> ?gf:Gaifman.t -> Structure.t -> rho:int -> Tuple.t list -> index
+  ?gf:Gaifman.t -> Structure.t -> rho:int -> Tuple.t list -> index
 (** Types every listed tuple: pre-buckets by cheap invariants (sphere
     size, tuple count, degree multiset, center pattern) and by
     {!Iso.certificate}, then verifies with exact isomorphism inside each
     bucket.  Sphere extraction and in-bucket classification run on the
-    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1;
-    the result — type ids included — is bit-identical to the sequential
-    [jobs:1] fold for every job count.
+    {!Wm_par.Pool}; the result — type ids included — is bit-identical to
+    the sequential fold for every job count.
 
     Element spheres are memoized per call, walked from per-domain
     scratch, and each distinct tuple sphere is keyed once (DESIGN.md
@@ -66,7 +65,7 @@ val index :
     one is built for this call. *)
 
 val index_universe :
-  ?jobs:int -> ?gf:Gaifman.t -> Structure.t -> rho:int -> arity:int -> index
+  ?gf:Gaifman.t -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no
     [n^arity] cons-list is ever materialized).  [gf], as for {!index}. *)
 
@@ -78,7 +77,6 @@ val affected_elements :
     the edits (DESIGN.md 5.7). *)
 
 val reindex :
-  ?jobs:int ->
   ?threshold:float ->
   old:Structure.t ->
   old_gf:Gaifman.t ->

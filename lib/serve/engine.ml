@@ -1,14 +1,11 @@
 (* The request engine behind [wmark serve] (DESIGN.md 5.11).
 
    [handle] decodes one frame payload, dispatches it against the store,
-   and encodes the response.  [Batch] frames go through the scheduler:
-   maximal runs of consecutive read-only sub-requests execute
-   concurrently on the {!Wm_par.Pool} (each against the last published
-   dataset version, with inner operations pinned to one job), writers
-   run sequentially in arrival order.  Because readers are pure
-   functions of a published version and writers publish atomically, the
-   response list is byte-identical at every job count — the property
-   test/test_serve.ml pins.
+   and encodes the response.  [Batch] sub-requests are answered one
+   after another in arrival order.  The fingerprint endpoint generates
+   its copies on the {!Wm_par.Pool}, one task per copy, and [trace]
+   scores its candidates there; every response is byte-identical at
+   every job count — the property test/test_serve.ml pins.
 
    Determinism rule for responses: no timings, no absolute paths the
    client did not supply, no iteration order of any hash table.  All
@@ -22,7 +19,6 @@ module Pool = Wm_par.Pool
 let c_requests = Obs.counter "serve.requests"
 let c_errors = Obs.counter "serve.errors"
 let c_batches = Obs.counter "serve.batches"
-let c_batched_reads = Obs.counter "serve.batched_reads"
 
 (* One latency histogram per endpoint, created eagerly so the stats
    report lists every op from the start. *)
@@ -41,13 +37,9 @@ let histo_of op =
   | Some h -> h
   | None -> List.assoc "invalid" histos
 
-type t = {
-  store : Store.t;
-  jobs : int option;  (* pool width for batched reads; None = pool default *)
-  mutable stopped : bool;
-}
+type t = { store : Store.t; mutable stopped : bool }
 
-let create ?dir ?jobs () = { store = Store.create ?dir (); jobs; stopped = false }
+let create ?dir () = { store = Store.create ?dir (); stopped = false }
 let store t = t.store
 let stopped t = t.stopped
 
@@ -142,10 +134,7 @@ let put_structure t ~op id ws =
 
 (* --- dispatch -------------------------------------------------------- *)
 
-(* [jobs] is the width available to *inner* parallel operations: writers
-   and lone requests get the engine's configured width, sub-requests of
-   a batched read run get 1 (the batch itself owns the pool). *)
-let rec dispatch t ~jobs (req : Protocol.req) =
+let rec dispatch t (req : Protocol.req) =
   match req with
   | Ping -> ok "ping" []
   | Stats -> ok "stats" ~body:(Obs_report.render (Obs.snapshot ())) []
@@ -261,7 +250,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
              capacity)
       else
         let verdict =
-          Detector.read_weights ?jobs
+          Detector.read_weights
             (Local_scheme.pairs prep.scheme)
             ~original:ds.base.Weighted.weights ~suspect:ds.cur ~length
         in
@@ -411,7 +400,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
       with_dataset t id @@ fun ds ->
       with_capsule ds @@ fun _ cap ->
       let a =
-        Recovery.audit ?jobs cap
+        Recovery.audit cap
           ~suspect:{ Weighted.graph = ds.base.Weighted.graph; weights = ds.cur }
       in
       ok "audit"
@@ -462,7 +451,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
              copies — combined digest first, per-recipient lines in the
              body, all independent of the job count *)
           let lines =
-            Pool.map_list ?jobs
+            Pool.map_list
               (fun i ->
                 let rid = prefix ^ itoa i in
                 Printf.sprintf "%s %x" rid
@@ -496,7 +485,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
           | Error m -> err m
           | Ok suspect ->
               let rep =
-                Fingerprint.trace ?jobs ~alpha fp
+                Fingerprint.trace ~alpha fp
                   ~original:ds.base.Weighted.weights ~suspect
                   (List.init count (fun i -> prefix ^ itoa i))
               in
@@ -525,49 +514,26 @@ let rec dispatch t ~jobs (req : Protocol.req) =
         [ ("n", itoa (List.length resps)) ]
         ~body:(String.concat "" (List.map Frame.encode resps))
 
-(* The scheduler: walk the decoded sub-requests in arrival order;
-   maximal runs of read-only requests fan out on the pool (inner
-   operations single-job — the run owns the pool), writers and malformed
-   requests run inline.  Readers see the version published by the last
-   preceding writer, exactly as in the sequential order, so the response
-   list is independent of the job count. *)
+(* Sub-requests run in arrival order, each seeing the writes of the ones
+   before it; a nested batch is refused. *)
 and run_batch t subs =
-  let items =
-    List.map
-      (fun payload ->
-        match Protocol.decode_request payload with
-        | Ok (Protocol.Batch _) -> Error "batch: nesting not allowed"
-        | other -> other)
-      subs
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | Ok req :: _ as l when Protocol.is_read req ->
-        let rec split run = function
-          | Ok req :: rest when Protocol.is_read req ->
-              split (req :: run) rest
-          | rest -> (List.rev run, rest)
-        in
-        let run, rest = split [] l in
-        Obs.add c_batched_reads (List.length run);
-        let resps =
-          Pool.map_list ?jobs:t.jobs
-            (fun req -> observe t ~jobs:(Some 1) req)
-            run
-        in
-        go (List.rev_append resps acc) rest
-    | Ok req :: rest -> go (observe t ~jobs:t.jobs req :: acc) rest
-    | Error m :: rest ->
-        Obs.incr c_errors;
-        go (err m :: acc) rest
-  in
-  go [] items
+  List.map
+    (fun payload ->
+      match Protocol.decode_request payload with
+      | Ok (Protocol.Batch _) ->
+          Obs.incr c_errors;
+          err "batch: nesting not allowed"
+      | Ok req -> observe t req
+      | Error m ->
+          Obs.incr c_errors;
+          err m)
+    subs
 
 (* Per-endpoint latency, recorded around the dispatch proper. *)
-and observe t ~jobs req =
+and observe t req =
   Obs.incr c_requests;
   Obs.observe_span (histo_of (Protocol.op_name req)) @@ fun () ->
-  let resp = dispatch t ~jobs req in
+  let resp = dispatch t req in
   if String.length resp >= 3 && String.sub resp 0 3 = "err" then
     Obs.incr c_errors;
   resp
@@ -578,4 +544,4 @@ let handle t payload =
       Obs.incr c_requests;
       Obs.incr c_errors;
       Obs.observe_span (histo_of "invalid") (fun () -> err m)
-  | Ok req -> observe t ~jobs:t.jobs req
+  | Ok req -> observe t req

@@ -1,11 +1,9 @@
 (** The request engine behind [wmark serve] (DESIGN.md 5.11).
 
     Decodes frame payloads ({!Protocol}), dispatches them against the
-    dataset {!Store}, and encodes responses.  [batch] frames go through
-    the scheduler: maximal runs of consecutive read-only sub-requests
-    execute concurrently on the {!Wm_par.Pool} against the last
-    published dataset version, writers serialize in arrival order — so
-    the response list is byte-identical at every job count.  Responses
+    dataset {!Store}, and encodes responses.  [batch] sub-requests are
+    answered in arrival order, each after the writes before it; the
+    response list is byte-identical at every job count.  Responses
     carry no timings; per-endpoint latency lands in [serve.lat.*]
     histograms ({!Wm_obs.Obs.histo}) and [serve.*] counters, surfaced by
     the [stats] endpoint and the CLI's [--stats]/[--trace-json]
@@ -13,10 +11,8 @@
 
 type t
 
-val create : ?dir:string -> ?jobs:int -> unit -> t
-(** [dir] enables [load]/[snapshot] default paths ([<dir>/<id>.qpwm]);
-    [jobs] caps the pool width used for batched reads and inner parallel
-    phases (default: the pool's configured width). *)
+val create : ?dir:string -> unit -> t
+(** [dir] enables [load]/[snapshot] default paths ([<dir>/<id>.qpwm]). *)
 
 val store : t -> Store.t
 

@@ -80,17 +80,6 @@ let op_name = function
   | Trace _ -> "trace"
   | Batch _ -> "batch"
 
-(* Read-only requests may be batched onto the pool against the last
-   published dataset version; everything else is a writer and
-   serializes.  [Batch] is classified by its contents at scheduling
-   time, not here. *)
-let is_read = function
-  | Ping | Stats | Info _ | Detect _ | Audit _ | Fingerprint _ | Trace _ ->
-      true
-  | Shutdown | Put _ | Gen _ | Load _ | Snapshot _ | Prepare _ | Mark _
-  | Setw _ | Update _ | Protect _ | Repair _ | Batch _ ->
-      false
-
 (* --- request encoding ----------------------------------------------- *)
 
 let with_body header = function

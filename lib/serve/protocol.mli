@@ -24,7 +24,7 @@ type query_spec =
 
 type req =
   | Ping
-  | Stats  (** observability report (text body) — never batched *)
+  | Stats  (** observability report (text body) *)
   | Shutdown
   | Info of string
   | Put of string * string  (** id, Textio structure text as body *)
@@ -80,10 +80,6 @@ val string_of_qspec : query_spec -> string
 val op_name : req -> string
 (** The histogram/latency label, e.g. ["detect"]. *)
 
-val is_read : req -> bool
-(** Read-only requests run concurrently against the last published
-    dataset version; writers serialize.  [Batch] classifies by contents
-    at scheduling time and is a writer here. *)
 
 val encode_request : req -> string
 val decode_request : string -> (req, string) result

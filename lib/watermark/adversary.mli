@@ -99,7 +99,7 @@ val describe_collusion : collusion -> string
     their display name (materialized via
     {!Wm_relational.Structure.with_default_names} when absent), the moral
     equivalent of rows keeping their key columns when other rows are
-    deleted.  {!Survivable.align_structures} re-identifies carriers
+    deleted.  {!Survivable.detect_structure} re-identifies carriers
     through those names. *)
 
 type structural =

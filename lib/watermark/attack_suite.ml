@@ -129,7 +129,7 @@ let default_grid ~active =
 let cell_prng ~seed ~redundancy ~index =
   Prng.create ((seed * 1_000_003) + (redundancy * 1009) + index)
 
-let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
+let run ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
     ?(redundancies = [ 1; 3; 5 ]) ?(message_bits = 4) ?grid ?only ?workload
     (ws : Weighted.structure) q =
   match Local_scheme.prepare ~options ws q with
@@ -254,7 +254,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
                   Gaifman.refresh suspect.Weighted.graph ~prev:base_gf ~dirty
                 in
                 let suspect_ix =
-                  Neighborhood.reindex ~jobs:1 ~old:ws.Weighted.graph
+                  Neighborhood.reindex ~old:ws.Weighted.graph
                     ~old_gf:base_gf suspect.Weighted.graph ~gf ~prev:base_ix
                     ~dirty
                 in
@@ -268,9 +268,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
                 (suspect, None, Some drift)
           in
           let rv, _alignment =
-            (* jobs:1 — the cell is already one parallel task; nesting
-               pool batches inside a cell would only add queue churn *)
-            Survivable.detect_structure ~jobs:1 base ~times
+            Survivable.detect_structure base ~times
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
           let carriers = times * message_bits in
@@ -284,7 +282,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
              restore what the surviving certificates support, re-run the
              survivable detector on the repaired copy. *)
           let rv_rep, rep_report, _ =
-            Recovery.detect_repaired ~jobs:1 !capsule base ~times
+            Recovery.detect_repaired !capsule base ~times
               ~length:message_bits ~original:ws ~suspect:suspect_ws
           in
           let rep_bit_errors = Codec.hamming message rv_rep.Robust.message in
@@ -330,7 +328,7 @@ let run ?jobs ?(options = Local_scheme.default_options) ?(seed = 0xA77AC)
             t_cell
             (fun () -> run_cell cell)
         in
-        let rows = Wm_par.Pool.map_list ?jobs timed_cell cells in
+        let rows = Wm_par.Pool.map_list timed_cell cells in
         Ok
           {
             workload =

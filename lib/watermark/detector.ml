@@ -18,8 +18,7 @@ type verdict = {
   confidence : float;
 }
 
-(* What one carrier contributes, computed independently per pair — the
-   unit of work the domain pool parallelizes. *)
+(* What one carrier contributes, computed independently per pair. *)
 type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
 
 (* [d] is the observed difference delta(fst) - delta(snd). *)
@@ -41,11 +40,9 @@ let classify_carrier ~original ~observed { Pairing.fst; snd } =
 
 (* Total observation: both endpoints are read straight from [suspect],
    so no carrier is erased and no observation map is needed. *)
-let classify_weights ?jobs ~original ~suspect pairs =
+let classify_weights ~original ~suspect pairs =
   let delta t = Weighted.get suspect t - Weighted.get original t in
-  Wm_par.Pool.parallel_map ?jobs
-    (fun { Pairing.fst; snd } -> cell (delta fst - delta snd))
-    pairs
+  Array.map (fun { Pairing.fst; snd } -> cell (delta fst - delta snd)) pairs
 
 (* Sequential accumulation of per-carrier classifications, in index
    order — shared by both readers, so a total observation decodes the
@@ -103,21 +100,18 @@ let counted length classify =
   Obs.add c_carriers length;
   verdict_of_carriers (classify ())
 
-let read ?jobs pairs ~original ~observed ~length =
+let read pairs ~original ~observed ~length =
   let asked = take_asked "Detector.read" pairs length in
   counted length @@ fun () ->
-  (* parallel phase: each carrier is classified on its own; the
-     sequential accumulation is in index order, so the verdict is
-     bit-identical to the jobs=1 loop *)
-  Wm_par.Pool.parallel_map ?jobs (classify_carrier ~original ~observed) asked
+  Array.map (classify_carrier ~original ~observed) asked
 
-let read_weights ?jobs pairs ~original ~suspect ~length =
+let read_weights pairs ~original ~suspect ~length =
   (* Only the first [length] carriers are read — a serving engine
      answering thousands of short detects per second on a scheme with
      hundreds of thousands of pairs must not pay O(capacity) per
      request. *)
   let asked = take_asked "Detector.read_weights" pairs length in
-  counted length @@ fun () -> classify_weights ?jobs ~original ~suspect asked
+  counted length @@ fun () -> classify_weights ~original ~suspect asked
 
 (* log C(n,k) via lgamma-free accumulation to stay in float range. *)
 let log_choose n k =

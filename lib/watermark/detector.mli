@@ -41,26 +41,22 @@ type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
     decoded bit with its signal class. *)
 
 val classify_weights :
-  ?jobs:int -> original:Weighted.t -> suspect:Weighted.t ->
+  original:Weighted.t -> suspect:Weighted.t ->
   Pairing.pair array -> carrier array
 (** Classify each pair with both endpoints read straight from [suspect]
-    (total observation: no carrier is erased), on the {!Wm_par.Pool}
-    when [jobs] exceeds 1; bit-identical at every job count.  Builds no
-    observation map and counts nothing: the one classifier behind
-    {!read_weights} and {!Wm_watermark.Fingerprint.read}. *)
+    (total observation: no carrier is erased).  Builds no observation
+    map and counts nothing: the one classifier behind {!read_weights}
+    and {!Wm_watermark.Fingerprint.read}. *)
 
 val read :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
+  Pairing.pair list -> original:Weighted.t ->
   observed:int Tuple.Map.t -> length:int -> verdict
 (** Decode [length] bits from the pair list, classifying each carrier.
     A pair with {e no} observed endpoint is an erasure; a pair with one
-    observed endpoint still votes by the sign of the surviving half.
-    Carriers are independent, so classification runs on the
-    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1;
-    the verdict is bit-identical for every job count. *)
+    observed endpoint still votes by the sign of the surviving half. *)
 
 val read_weights :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
+  Pairing.pair list -> original:Weighted.t ->
   suspect:Weighted.t -> length:int -> verdict
 (** Total observation: every endpoint is read from [suspect], so no
     carrier is erased.  Classifies through {!classify_weights} and

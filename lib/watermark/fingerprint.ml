@@ -104,10 +104,10 @@ let digest w =
 
 (* --- tracing --------------------------------------------------------- *)
 
-let read ?jobs t ~original ~suspect =
+let read t ~original ~suspect =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
-  Detector.classify_weights ?jobs ~original ~suspect
+  Detector.classify_weights ~original ~suspect
     (Array.of_list (Carriers.pairs t.carriers))
 
 (* Per message bit, a tie-explicit majority over the surviving signal
@@ -190,16 +190,16 @@ let score t decoded rid =
   let p = pack t decoded in
   (agreements t p rid, p.decided)
 
-let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
+let trace ?(alpha = 0.01) t ~original ~suspect candidates =
   if candidates = [] then invalid_arg "Fingerprint.trace: no candidates";
   Obs.time t_trace @@ fun () ->
   Obs.incr c_traces;
-  let carriers = read ?jobs t ~original ~suspect in
+  let carriers = read t ~original ~suspect in
   let packed = pack t (decode t carriers) in
   let decided = packed.decided in
   let n = List.length candidates in
   let threshold = Detector.sidak ~alpha ~tests:n in
-  let counts = Wm_par.Pool.map_list ?jobs (agreements t packed) candidates in
+  let counts = Wm_par.Pool.map_list (agreements t packed) candidates in
   (* Every candidate is scored against the same decided bits, so trials
      is always [decided] and a p-value depends on the agreement count
      alone: one tail per distinct count, filled on this domain in
@@ -267,7 +267,7 @@ let attack_tag = function
   | Adversary.Coalition_mix -> "mix"
   | Adversary.Coalition_interleave -> "interleave"
 
-let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
+let run_grid ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
     ?(recipients = [ 1000 ]) ?(coalitions = [ 1; 2; 3 ])
     ?(attacks =
       [
@@ -312,8 +312,7 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
       Adversary.apply_collusion g attack ~active copies
     in
     let rep =
-      (* jobs:1 — the cell is already one pool task *)
-      trace ~jobs:1 ~alpha t ~original:w ~suspect:colluded
+      trace ~alpha t ~original:w ~suspect:colluded
         (List.init nrec rid)
     in
     let is_member = Array.make nrec false in
@@ -360,7 +359,7 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
       t_cell
       (fun () -> run_cell cell)
   in
-  let rows = Wm_par.Pool.map_list ?jobs timed_cell cells in
+  let rows = Wm_par.Pool.map_list timed_cell cells in
   { length = t.length; times = t.times; alpha; rows }
 
 let render_grid r =

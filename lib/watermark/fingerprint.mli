@@ -89,11 +89,10 @@ val digest : Weighted.t -> int
     key and value buffers with no call per entry; allocation-free on a
     value without a pending overlay. *)
 
-val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
+val read : t -> original:Weighted.t -> suspect:Weighted.t ->
   Detector.carrier array
 (** Classify the scheme's [times * length] fingerprint carriers against a
-    suspect weight assignment (through {!Detector.classify_weights});
-    parallel over carriers, bit-identical at every job count. *)
+    suspect weight assignment (through {!Detector.classify_weights}). *)
 
 val decode : t -> Detector.carrier array -> bool option array
 (** Per message bit, {!Wm_util.Codec.vote} over its carriers: strong and
@@ -130,7 +129,7 @@ val score : t -> bool option array -> string -> int * int
     {!codeword}. *)
 
 val trace :
-  ?jobs:int -> ?alpha:float -> t -> original:Weighted.t ->
+  ?alpha:float -> t -> original:Weighted.t ->
   suspect:Weighted.t -> string list -> trace_report
 (** Read the suspect's carriers once, then score every candidate
     (parallel over candidates) and accuse those below the Šidák-corrected
@@ -190,7 +189,7 @@ type grid_report = {
 }
 
 val run_grid :
-  ?jobs:int -> ?seed:int -> ?alpha:float -> ?noise:int ->
+  ?seed:int -> ?alpha:float -> ?noise:int ->
   ?recipients:int list -> ?coalitions:int list ->
   ?attacks:Adversary.collusion list -> ?prefix:string -> t -> Weighted.t ->
   grid_report

@@ -32,7 +32,7 @@
 
     Everything here is deterministic: [protect] is a pure function of
     (structure, options), audits and repairs are bit-identical at every
-    [jobs] count. *)
+    job count. *)
 
 type options = {
   key : int;  (** certificate key; detection-side must match marker-side *)
@@ -105,13 +105,12 @@ type audit = {
                               verification *)
 }
 
-val audit : ?jobs:int -> capsule -> suspect:Weighted.structure -> audit
+val audit : capsule -> suspect:Weighted.structure -> audit
 (** Classify every group against a suspect copy.  Elements are realigned
     by display name through {!Wm_relational.Structure.name_index}
     (ambiguous duplicated names count as missing, as in {!Survivable});
     group classification is per-group local and runs on the
-    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1,
-    bit-identical at every job count. *)
+    {!Wm_par.Pool}, bit-identical at every job count. *)
 
 val suspicion : audit -> float
 (** Fraction of audited groups that are not intact — 0 on a pristine
@@ -135,7 +134,7 @@ type repair_report = {
 }
 
 val repair :
-  ?jobs:int -> capsule -> suspect:Weighted.structure ->
+  capsule -> suspect:Weighted.structure ->
   Weighted.structure * repair_report
 (** Best-effort restoration: for every [Distorted] or [Erased] group with
     a surviving authentic record, re-create missing members (fresh
@@ -146,10 +145,10 @@ val repair :
     element order (attacker noise elements moved to the end), so a fully
     repaired copy reads through the plain id-keyed detectors, not only
     the name-aligned ones.  Groups are repaired in gid order, so the
-    result is deterministic; [jobs] only parallelizes the audit phase. *)
+    result is deterministic; only the audit phase runs on the pool. *)
 
 val detect_repaired :
-  ?jobs:int -> capsule -> Carriers.t -> times:int -> length:int ->
+  capsule -> Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   Robust.verdict * repair_report * Weighted.structure
 (** The repair-then-detect pipeline: audit, repair, then

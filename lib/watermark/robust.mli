@@ -7,8 +7,8 @@
     positions must corrupt a majority of a bit's R copies to flip it —
     the failure probability decays with R, which experiment E10 measures
     against attack budgets.  {!vote} is the one repetition vote: {!detect}
-    and the realigning {!Survivable.detect_robust} both decode through
-    it. *)
+    and the realigning {!Survivable.detect_structure} and
+    {!Survivable.detect_tree} all decode through it. *)
 
 val redundancy_for : Carriers.t -> message_length:int -> int
 (** {!Wm_util.Codec.redundancy} of the carriers' capacity: the largest

@@ -22,15 +22,10 @@ let record_alignment a =
 
 (* --- relational alignment: match by element display names ------------- *)
 
-let align_structures ?jobs ?tuples ~(original : Weighted.structure)
-    ~(suspect : Weighted.structure) () =
+let align_structures tuples ~(original : Weighted.structure)
+    ~(suspect : Weighted.structure) =
   Obs.time t_align @@ fun () ->
   record_alignment @@
-  let tuples =
-    match tuples with
-    | Some ts -> ts
-    | None -> Weighted.support original.Weighted.weights
-  in
   let og = original.Weighted.graph in
   (* a duplicated suspect name is ambiguous and does not resolve:
      matching one of several same-named rows would decode noise, an
@@ -47,18 +42,13 @@ let align_structures ?jobs ?tuples ~(original : Weighted.structure)
       t;
     if !ok then Some (Weighted.get suspect.Weighted.weights out) else None
   in
-  (* each carrier endpoint is located independently (parallel phase);
-     the alignment map is then folded sequentially in input order *)
-  let located =
-    Wm_par.Pool.map_list ?jobs (fun t -> (t, locate t)) tuples
-  in
   let observed, matched, missing =
     List.fold_left
-      (fun (obs, m, s) (t, hit) ->
-        match hit with
+      (fun (obs, m, s) t ->
+        match locate t with
         | Some v -> (Tuple.Map.add t v obs, m + 1, s)
         | None -> (obs, m, s + 1))
-      (Tuple.Map.empty, 0, 0) located
+      (Tuple.Map.empty, 0, 0) tuples
   in
   { observed; total = matched + missing; matched; missing }
 
@@ -136,9 +126,9 @@ let align_trees ~original ~suspect =
 
 (* --- degraded-mode reading ------------------------------------------- *)
 
-let detect_robust ?jobs c ~times ~length ~original alignment =
+let detect_robust c ~times ~length ~original alignment =
   Robust.vote ~times ~length
-    (Detector.read ?jobs (Carriers.pairs c) ~original
+    (Detector.read (Carriers.pairs c) ~original
        ~observed:alignment.observed ~length:(times * length))
 
 let match_pvalue ~expected (rv : Robust.verdict) =
@@ -146,21 +136,19 @@ let match_pvalue ~expected (rv : Robust.verdict) =
     ~expected:(Codec.repeat ~times:rv.times expected)
     rv.carriers
 
-let detect_structure ?jobs c ~times ~length ~(original : Weighted.structure)
+let detect_structure c ~times ~length ~(original : Weighted.structure)
     ~(suspect : Weighted.structure) =
   let endpoints =
     List.concat_map (fun { Pairing.fst; snd } -> [ fst; snd ]) (Carriers.pairs c)
   in
-  let alignment =
-    align_structures ?jobs ~tuples:endpoints ~original ~suspect ()
-  in
-  ( detect_robust ?jobs c ~times ~length ~original:original.Weighted.weights
+  let alignment = align_structures endpoints ~original ~suspect in
+  ( detect_robust c ~times ~length ~original:original.Weighted.weights
       alignment,
     alignment )
 
-let detect_tree ?jobs c ~times ~length ~original suspect =
+let detect_tree c ~times ~length ~original suspect =
   let alignment = align_trees ~original ~suspect in
-  ( detect_robust ?jobs c ~times ~length
+  ( detect_robust c ~times ~length
       ~original:(Wm_xml.Utree.weights original)
       alignment,
     alignment )

@@ -21,10 +21,8 @@
     sign statistics and from {!Detector.match_pvalue}'s trials, so
     detection confidence degrades gracefully with the attack budget
     instead of collapsing.  Carrier location and classification are
-    per-carrier local, so both run on the {!Wm_par.Pool} when [?jobs]
-    (default {!Wm_par.Pool.jobs}) exceeds 1, with results bit-identical
-    to [jobs:1].  This is the regime studied for locally
-    treelike databases (Chattopadhyay–Praveen, arXiv:1909.11369) and graph
+    per-carrier local: the regime studied for locally treelike
+    databases (Chattopadhyay–Praveen, arXiv:1909.11369) and graph
     watermarking under node deletion (Eppstein et al., arXiv:1605.09425). *)
 
 type alignment = {
@@ -36,17 +34,6 @@ type alignment = {
   missing : int;
 }
 
-val align_structures :
-  ?jobs:int ->
-  ?tuples:Tuple.t list ->
-  original:Weighted.structure ->
-  suspect:Weighted.structure ->
-  unit ->
-  alignment
-(** Align the listed original tuples (default: the support of the original
-    weights) against the suspect by element names.  Names duplicated in
-    the suspect are ambiguous and count as missing. *)
-
 val align_trees :
   original:Wm_xml.Utree.t -> suspect:Wm_xml.Utree.t -> alignment
 (** Align the original's value nodes against the suspect by path
@@ -57,16 +44,6 @@ val align_trees :
 
 (** {1 Redundant (Fact 1 wrapper) decoding with erasures} *)
 
-val detect_robust :
-  ?jobs:int -> Carriers.t -> times:int -> length:int ->
-  original:Weighted.t -> alignment -> Robust.verdict
-(** Decode a [length]-bit message embedded with {!Robust.mark} [~times]
-    from whatever carriers survived: {!Detector.read} over the aligned
-    observations (an unmatched carrier is an erasure, a half-matched one
-    votes by its surviving endpoint), then {!Robust.vote}, the vote
-    {!Robust.detect} takes too.  Erased copies abstain from the
-    majority. *)
-
 val match_pvalue : expected:Bitvec.t -> Robust.verdict -> float
 (** Carrier-level p-value of the suspect agreeing with [expected],
     conditioned on surviving carriers only. *)
@@ -74,14 +51,14 @@ val match_pvalue : expected:Bitvec.t -> Robust.verdict -> float
 (** {1 End-to-end conveniences} *)
 
 val detect_structure :
-  ?jobs:int -> Carriers.t -> times:int -> length:int ->
+  Carriers.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   Robust.verdict * alignment
 (** Align (on the carriers' pair endpoints) and decode in one step; the
     carriers come from {!Multi_scheme.carriers}. *)
 
 val detect_tree :
-  ?jobs:int -> Carriers.t -> times:int -> length:int ->
+  Carriers.t -> times:int -> length:int ->
   original:Wm_xml.Utree.t -> Wm_xml.Utree.t ->
   Robust.verdict * alignment
 (** [detect_tree c ~times ~length ~original suspect] — same for XML

@@ -247,7 +247,7 @@ let distinct_tuples tuples =
       end)
     tuples
 
-let index ?jobs g ~rho tuples =
+let index g ~rho tuples =
   Obs.span t_index @@ fun () ->
   let gf = Gaifman.of_structure g in
   let tups = Array.of_list (distinct_tuples tuples) in
@@ -256,7 +256,7 @@ let index ?jobs g ~rho tuples =
   Obs.add c_tuples_typed n;
   let keyed =
     Obs.span t_spheres @@ fun () ->
-    Wm_par.Pool.parallel_map ?jobs
+    Array.map
       (fun c ->
         let nb = of_tuple g gf ~rho c in
         (nb, cheap_invariants nb, certificate nb.Neighborhood.sub nb.Neighborhood.center))
@@ -282,7 +282,7 @@ let index ?jobs g ~rho tuples =
   let leader = Array.make n (-1) in
   let classified =
     Obs.span t_classify @@ fun () ->
-    Wm_par.Pool.parallel_map ?jobs
+    Array.map
       (fun slots ->
         let reps = ref [] in
         let leaders =
@@ -347,5 +347,5 @@ let index ?jobs g ~rho tuples =
     representatives = Array.of_list (List.rev !reps);
   }
 
-let index_universe ?jobs g ~rho ~arity =
-  { (index ?jobs g ~rho (all_tuples g ~arity)) with Neighborhood.arity }
+let index_universe g ~rho ~arity =
+  { (index g ~rho (all_tuples g ~arity)) with Neighborhood.arity }

@@ -11,12 +11,12 @@
     snapshot. *)
 
 val index :
-  ?jobs:int -> Structure.t -> rho:int -> Tuple.t list -> Neighborhood.index
+  Structure.t -> rho:int -> Tuple.t list -> Neighborhood.index
 (** The original {!Neighborhood.index}: same result — type ids and
     representatives included — computed the slow way. *)
 
 val index_universe :
-  ?jobs:int -> Structure.t -> rho:int -> arity:int -> Neighborhood.index
+  Structure.t -> rho:int -> arity:int -> Neighborhood.index
 (** The original {!Neighborhood.index_universe}, including the
     [n^arity] cons-list enumeration. *)
 

@@ -13,8 +13,8 @@ let bool = Alcotest.bool
 
 (* [Neighborhood.reindex] with both Gaifman graphs built from scratch, so
    the contract is checked independently of [Gaifman.refresh]. *)
-let reindex ?jobs ?threshold ~old g ~prev ~dirty =
-  Neighborhood.reindex ?jobs ?threshold ~old ~old_gf:(Gaifman.of_structure old)
+let reindex ?threshold ~old g ~prev ~dirty =
+  Neighborhood.reindex ?threshold ~old ~old_gf:(Gaifman.of_structure old)
     g ~gf:(Gaifman.of_structure g) ~prev ~dirty
 
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
@@ -80,7 +80,7 @@ let prop_bounded_matches ~name ~count mk =
       let tuples = Neighborhood.all_tuples base ~arity in
       let reference = Neighborhood_ref.index base ~rho tuples in
       both_jobs (fun jobs ->
-          equal_index (Neighborhood.index ~jobs base ~rho tuples) reference))
+          equal_index (Jobs.index jobs base ~rho tuples) reference))
 
 let prop_sparse =
   prop_bounded_matches ~count:30
@@ -104,7 +104,7 @@ let prop_cache_off =
       let reference = Neighborhood_ref.index_universe base ~rho ~arity:2 in
       both_jobs (fun jobs ->
           equal_index
-            (Neighborhood.index_universe ~jobs base ~rho ~arity:2)
+            (Jobs.index_universe jobs base ~rho ~arity:2)
             reference))
 
 (* --- the sphere-size boundary ----------------------------------------- *)
@@ -135,7 +135,7 @@ let test_straddle () =
   let reference = Neighborhood_ref.index plain ~rho:1 tuples in
   List.iter
     (fun jobs ->
-      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs plain ~rho:1 tuples) in
+      let ix, d = obs_delta (fun () -> Jobs.index jobs plain ~rho:1 tuples) in
       check bool
         (Printf.sprintf "jobs %d: plain stars identical to the reference" jobs)
         true (equal_index ix reference);
@@ -149,7 +149,7 @@ let test_straddle () =
   let reference = Neighborhood_ref.index base ~rho:1 tuples in
   List.iter
     (fun jobs ->
-      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho:1 tuples) in
+      let ix, d = obs_delta (fun () -> Jobs.index jobs base ~rho:1 tuples) in
       check bool
         (Printf.sprintf "jobs %d: identical to the reference" jobs)
         true (equal_index ix reference);
@@ -177,7 +177,7 @@ let test_counters () =
   List.iter
     (fun jobs ->
       let ix, d =
-        obs_delta (fun () -> Neighborhood.index_universe ~jobs base ~rho:1 ~arity:2)
+        obs_delta (fun () -> Jobs.index_universe jobs base ~rho:1 ~arity:2)
       in
       check bool "identical to the reference" true (equal_index ix reference);
       (* every one of the 1 296 pairs is a group member or leads one *)
@@ -195,7 +195,7 @@ let test_counters () =
       check bool
         (Printf.sprintf "degree <= 30, jobs %d: identical to the reference" jobs)
         true
-        (equal_index (Neighborhood.index_universe ~jobs dense ~rho:1 ~arity:1) reference))
+        (equal_index (Jobs.index_universe jobs dense ~rho:1 ~arity:1) reference))
     [ 1; 2 ]
 
 (* --- reindex over edit scripts under the bound ------------------------ *)
@@ -241,10 +241,10 @@ let prop_reindex_one_path =
       let edited, dirty = Structure.apply_edits base script in
       let reference = Neighborhood_ref.index_universe edited ~rho ~arity in
       both_jobs (fun jobs ->
-          let prev = Neighborhood.index_universe ~jobs base ~rho ~arity in
+          let prev = Jobs.index_universe jobs base ~rho ~arity in
           let inc =
-            reindex ~jobs ~threshold:2.0 ~old:base edited ~prev
-              ~dirty
+            Jobs.with_jobs jobs (fun () ->
+                reindex ~threshold:2.0 ~old:base edited ~prev ~dirty)
           in
           equal_index inc reference))
 
@@ -260,7 +260,7 @@ let test_dispatcher () =
   List.iter
     (fun (name, base) ->
       let run jobs =
-        obs_delta (fun () -> Neighborhood.index_universe ~jobs base ~rho:1 ~arity:1)
+        obs_delta (fun () -> Jobs.index_universe jobs base ~rho:1 ~arity:1)
       in
       let ix1, d1 = run 1 and ix2, d2 = run 2 in
       check bool (name ^ ": index identical at jobs 1 and 2") true
@@ -325,7 +325,7 @@ let prop_tree_path =
       let tuples = Neighborhood.all_tuples base ~arity:1 in
       let reference = Neighborhood_ref.index base ~rho tuples in
       both_jobs (fun jobs ->
-          equal_index (Neighborhood.index ~jobs base ~rho tuples) reference))
+          equal_index (Jobs.index jobs base ~rho tuples) reference))
 
 (* Index [base] at [rho] at jobs 1 and 2, check it against the reference
    and [nbh.tree.typed] against [typed], and return it. *)
@@ -335,7 +335,7 @@ let tree_case name base ~rho ~typed =
   let reference = Neighborhood_ref.index base ~rho tuples in
   List.iter
     (fun jobs ->
-      let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho tuples) in
+      let ix, d = obs_delta (fun () -> Jobs.index jobs base ~rho tuples) in
       check bool
         (Printf.sprintf "%s, jobs %d: identical to the reference" name jobs)
         true (equal_index ix reference);
@@ -393,7 +393,7 @@ let test_rho2_shapes () =
     let reference = Neighborhood_ref.index base ~rho:2 tuples in
     List.map
       (fun jobs ->
-        let ix, d = obs_delta (fun () -> Neighborhood.index ~jobs base ~rho:2 tuples) in
+        let ix, d = obs_delta (fun () -> Jobs.index jobs base ~rho:2 tuples) in
         check bool
           (Printf.sprintf "%s, jobs %d: identical to the reference" name jobs)
           true (equal_index ix reference);

@@ -136,7 +136,7 @@ let test_trace_coalition_of_thousand () =
       copies
   in
   let rep =
-    Fingerprint.trace ~jobs:1 t ~original:w ~suspect:colluded thousand_rids
+    Fingerprint.trace t ~original:w ~suspect:colluded thousand_rids
   in
   check (Alcotest.list Alcotest.string) "accused exactly the coalition"
     coalition rep.Fingerprint.accused;
@@ -147,7 +147,7 @@ let test_trace_single_leaker () =
   let t, ws = context ~n:400 () in
   let w = ws.Weighted.weights in
   let marked = Fingerprint.mark_for t "r421" w in
-  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:marked thousand_rids in
+  let rep = Fingerprint.trace t ~original:w ~suspect:marked thousand_rids in
   check (Alcotest.list Alcotest.string) "single leaker accused" [ "r421" ]
     rep.Fingerprint.accused;
   check int "all bits decided" (Fingerprint.length t) rep.Fingerprint.decided
@@ -155,7 +155,7 @@ let test_trace_single_leaker () =
 let test_trace_clean_copy_accuses_nobody () =
   let t, ws = context ~n:400 () in
   let w = ws.Weighted.weights in
-  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:w thousand_rids in
+  let rep = Fingerprint.trace t ~original:w ~suspect:w thousand_rids in
   check (Alcotest.list Alcotest.string) "no accusations" []
     rep.Fingerprint.accused;
   check int "nothing decided" 0 rep.Fingerprint.decided
@@ -190,7 +190,8 @@ let test_trace_exact_pvalues () =
     (fun (what, suspect, accused) ->
       let since = Wm_obs.Obs.snapshot () in
       let rep =
-        Fingerprint.trace ~jobs:1 t ~original:w ~suspect thousand_rids
+        Jobs.with_jobs 1 (fun () ->
+            Fingerprint.trace t ~original:w ~suspect thousand_rids)
       in
       let d = Wm_obs.Obs.diff ~since (Wm_obs.Obs.snapshot ()) in
       check (Alcotest.list Alcotest.string) (what ^ ": accused") accused
@@ -209,13 +210,15 @@ let test_trace_exact_pvalues () =
                   ~successes:s.Fingerprint.agreements)))
         rep.Fingerprint.scores;
       check bool (what ^ ": jobs 1 = jobs 2") true
-        (rep = Fingerprint.trace ~jobs:2 t ~original:w ~suspect thousand_rids))
+        (rep
+        = Jobs.with_jobs 2 (fun () ->
+              Fingerprint.trace t ~original:w ~suspect thousand_rids)))
     [
       ("single leaker", Fingerprint.mark_for t "r421" w, [ "r421" ]);
       ("coalition of 3", coalition, [ "r5"; "r50"; "r500" ]);
       ("original", w, []);
     ];
-  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:w thousand_rids in
+  let rep = Fingerprint.trace t ~original:w ~suspect:w thousand_rids in
   check int "original: nothing decided" 0 rep.Fingerprint.decided;
   check bool "original: every p-value is 1" true
     (List.for_all
@@ -337,7 +340,8 @@ let fused_case ~seed g length =
            candidates
   in
   let trace jobs =
-    Fingerprint.trace ~jobs ~alpha t ~original:w ~suspect candidates
+    Jobs.with_jobs jobs (fun () ->
+        Fingerprint.trace ~alpha t ~original:w ~suspect candidates)
   in
   scores_ok && read_ok && same (trace 1) && same (trace 2)
 
@@ -364,7 +368,8 @@ let test_trace_jobs_invariant () =
       copies
   in
   let rep jobs =
-    Fingerprint.trace ~jobs t ~original:w ~suspect:colluded thousand_rids
+    Jobs.with_jobs jobs (fun () ->
+        Fingerprint.trace t ~original:w ~suspect:colluded thousand_rids)
   in
   check bool "jobs 1 = jobs 2" true (rep 1 = rep 2);
   check bool "jobs 1 = jobs 4" true (rep 1 = rep 4)
@@ -373,9 +378,10 @@ let test_grid_jobs_invariant () =
   let t, ws = context ~n:200 () in
   let w = ws.Weighted.weights in
   let grid jobs =
-    Fingerprint.run_grid ~jobs ~recipients:[ 60 ] ~coalitions:[ 1; 2 ]
-      ~attacks:[ Adversary.Coalition_majority; Adversary.Coalition_mix ]
-      t w
+    Jobs.with_jobs jobs (fun () ->
+        Fingerprint.run_grid ~recipients:[ 60 ] ~coalitions:[ 1; 2 ]
+          ~attacks:[ Adversary.Coalition_majority; Adversary.Coalition_mix ]
+          t w)
   in
   let g1 = grid 1 and g2 = grid 2 in
   check bool "grid jobs 1 = jobs 2" true (g1 = g2);
@@ -385,7 +391,7 @@ let test_grid_no_collusion_row_clean () =
   let t, ws = context ~n:900 ~length:256 () in
   let w = ws.Weighted.weights in
   let g =
-    Fingerprint.run_grid ~jobs:1 ~recipients:[ 200 ] ~coalitions:[ 1; 3 ]
+    Fingerprint.run_grid ~recipients:[ 200 ] ~coalitions:[ 1; 3 ]
       ~attacks:[ Adversary.Coalition_majority ] t w
   in
   List.iter

@@ -1,9 +1,11 @@
 (* The incremental-reindex contract: for ANY structure, ANY edit script and
    ANY job count, Neighborhood.reindex over the dirty set the edits report
    is bit-identical — type ids, representatives, ntp — to a from-scratch
-   index_universe of the edited structure.  CI runs this suite under the
-   default jobs and again with WMARK_JOBS=2, which covers the parallel
-   phases of both paths. *)
+   index_universe of the edited structure.  Both paths read the
+   process-wide job count; CI runs this suite under the default count and
+   again with WMARK_JOBS=2, so every property covers the pooled typing
+   phases, and "reindex is job-count independent" compares jobs 1 with
+   jobs 2 in one run through [Jobs.with_jobs]. *)
 
 open Wm_util
 
@@ -13,8 +15,8 @@ let int = Alcotest.int
 
 (* [Neighborhood.reindex] with both Gaifman graphs built from scratch, so
    the contract is checked independently of [Gaifman.refresh]. *)
-let reindex ?jobs ?threshold ~old g ~prev ~dirty =
-  Neighborhood.reindex ?jobs ?threshold ~old ~old_gf:(Gaifman.of_structure old)
+let reindex ?threshold ~old g ~prev ~dirty =
+  Neighborhood.reindex ?threshold ~old ~old_gf:(Gaifman.of_structure old)
     g ~gf:(Gaifman.of_structure g) ~prev ~dirty
 
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
@@ -94,13 +96,11 @@ let prop_reindex_jobs1 =
       let prev = Neighborhood.index_universe base ~rho ~arity in
       let script = random_script g base 3 in
       let edited, dirty = Structure.apply_edits base script in
-      let a =
-        reindex ~jobs:1 ~threshold:2.0 ~old:base edited ~prev
-          ~dirty
+      let reindex_at jobs =
+        Jobs.with_jobs jobs (fun () ->
+            reindex ~threshold:2.0 ~old:base edited ~prev ~dirty)
       in
-      let b =
-        reindex ~threshold:2.0 ~old:base edited ~prev ~dirty
-      in
+      let a = reindex_at 1 and b = reindex_at 2 in
       equal_index a b)
 
 (* --- deterministic corners ------------------------------------------- *)

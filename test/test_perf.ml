@@ -12,8 +12,8 @@ let int = Alcotest.int
 
 (* [Neighborhood.reindex] with both Gaifman graphs built from scratch, so
    the contract is checked independently of [Gaifman.refresh]. *)
-let reindex ?jobs ?threshold ~old g ~prev ~dirty =
-  Neighborhood.reindex ?jobs ?threshold ~old ~old_gf:(Gaifman.of_structure old)
+let reindex ?threshold ~old g ~prev ~dirty =
+  Neighborhood.reindex ?threshold ~old ~old_gf:(Gaifman.of_structure old)
     g ~gf:(Gaifman.of_structure g) ~prev ~dirty
 
 let equal_index (a : Neighborhood.index) (b : Neighborhood.index) =
@@ -72,7 +72,7 @@ let prop_cache_off_identity =
       List.for_all
         (fun jobs ->
           equal_index
-            (Neighborhood.index_universe ~jobs base ~rho ~arity)
+            (Jobs.index_universe jobs base ~rho ~arity)
             reference)
         [ 1; 2 ])
 
@@ -84,8 +84,8 @@ let prop_jobs_independent =
       let base = random_graph g in
       let rho = 1 + Prng.int g 2 in
       equal_index
-        (Neighborhood.index_universe ~jobs:1 base ~rho ~arity:2)
-        (Neighborhood.index_universe ~jobs:2 base ~rho ~arity:2))
+        (Jobs.index_universe 1 base ~rho ~arity:2)
+        (Jobs.index_universe 2 base ~rho ~arity:2))
 
 (* --- reindex over edit scripts == reference from scratch ------------- *)
 
@@ -162,13 +162,14 @@ let prop_rank_addressed_matches_ref =
       in
       List.for_all
         (fun jobs ->
-          let prev = Neighborhood.index_universe ~jobs base ~rho ~arity in
+          let prev = Jobs.index_universe jobs base ~rho ~arity in
           rows_agree prev (Neighborhood_ref.index_universe base ~rho ~arity)
           && List.for_all
                (fun edits ->
                  let edited, dirty = Structure.apply_edits base edits in
                  rows_agree
-                   (reindex ~jobs ~threshold:2.0 ~old:base edited ~prev ~dirty)
+                   (Jobs.with_jobs jobs (fun () ->
+                        reindex ~threshold:2.0 ~old:base edited ~prev ~dirty))
                    (Neighborhood_ref.index_universe edited ~rho ~arity))
                [ grow; shrink ])
         [ 1; 2 ])
@@ -336,8 +337,8 @@ let prop_sphere_walk_stale_scratch =
       let index_ok k =
         let st, _ = graphs.(k) in
         let rho = Prng.int g 3 in
-        let one = Neighborhood.index_universe ~jobs:1 st ~rho ~arity:1 in
-        equal_index one (Neighborhood.index_universe ~jobs:2 st ~rho ~arity:1)
+        let one = Jobs.index_universe 1 st ~rho ~arity:1 in
+        equal_index one (Jobs.index_universe 2 st ~rho ~arity:1)
         && equal_index one (Neighborhood_ref.index_universe st ~rho ~arity:1)
       in
       List.for_all
@@ -382,7 +383,7 @@ let test_pairs_not_quadratic () =
   let n = Structure.size g in
   let pairs = List.init 8_000 (fun i -> Tuple.pair 755 (n - 1 - i)) in
   let t0 = Unix.gettimeofday () in
-  let ix = Neighborhood.index ~jobs:1 g ~rho:2 pairs in
+  let ix = Jobs.index 1 g ~rho:2 pairs in
   let dt = Unix.gettimeofday () -. t0 in
   check bool (Printf.sprintf "8000 pairs typed in %.3f s <= 1 s" dt) true (dt <= 1.0);
   let prefix = List.filteri (fun i _ -> i < 1_000) pairs in
@@ -422,7 +423,8 @@ let test_index_allocation () =
      figure. *)
   let g = (Wm_workload.Grid.structure ~w:60 ~h:60).Weighted.graph in
   let words =
-    minor_words_of (fun () -> Neighborhood.index_universe ~jobs:1 g ~rho:2 ~arity:1)
+    Jobs.with_jobs 1 (fun () ->
+        minor_words_of (fun () -> Neighborhood.index_universe g ~rho:2 ~arity:1))
   in
   let bound = 1.25 *. 560_895. in
   check bool (Printf.sprintf "%.0f minor words <= %.0f" words bound) true (words <= bound)
@@ -441,7 +443,8 @@ let test_tree_index_allocation () =
     (Wm_workload.Random_struct.regular_rings (Prng.create 7) ~n:3000).Weighted.graph
   in
   let words =
-    minor_words_of (fun () -> Neighborhood.index_universe ~jobs:1 g ~rho:1 ~arity:1)
+    Jobs.with_jobs 1 (fun () ->
+        minor_words_of (fun () -> Neighborhood.index_universe g ~rho:1 ~arity:1))
   in
   let bound = 1.25 *. 128_918. in
   check bool (Printf.sprintf "%.0f minor words <= %.0f" words bound) true (words <= bound)
@@ -449,7 +452,7 @@ let test_tree_index_allocation () =
 (* --- allocation of traitor tracing ---------------------------------------- *)
 
 let test_trace_allocation () =
-  (* Minor words of one [Fingerprint.trace ~jobs:1] over 2 000 candidates
+  (* Minor words of one [Fingerprint.trace] at one job over 2 000 candidates
      at codeword length 128, observability off, on a leaked copy.  The
      scorer draws the codeword 62 bits at a time from an unboxed
      SplitMix64 state and counts agreements by popcount against the
@@ -485,9 +488,10 @@ let test_trace_allocation () =
     Fun.protect
       ~finally:(fun () -> Wm_obs.Obs.set_enabled was)
       (fun () ->
+        Jobs.with_jobs 1 @@ fun () ->
         let w0 = Gc.minor_words () in
         let rep =
-          Wm_watermark.Fingerprint.trace ~jobs:1 fp ~original:w ~suspect:leaked
+          Wm_watermark.Fingerprint.trace fp ~original:w ~suspect:leaked
             candidates
         in
         (Gc.minor_words () -. w0, rep.Wm_watermark.Fingerprint.accused))
@@ -553,13 +557,11 @@ let test_detect_weights_allocation () =
   let marked = Wm_watermark.Local_scheme.mark scheme message w in
   let was = Wm_obs.Obs.enabled () in
   Wm_obs.Obs.set_enabled false;
-  Wm_par.Pool.set_jobs (Some 1);
   let words, decoded =
     Fun.protect
-      ~finally:(fun () ->
-        Wm_par.Pool.set_jobs None;
-        Wm_obs.Obs.set_enabled was)
+      ~finally:(fun () -> Wm_obs.Obs.set_enabled was)
       (fun () ->
+        Jobs.with_jobs 1 @@ fun () ->
         let w0 = Gc.minor_words () in
         let decoded =
           Wm_watermark.Local_scheme.detect_weights scheme ~original:w
@@ -585,18 +587,16 @@ let test_prepare_allocation () =
   let ws = Wm_workload.Random_struct.regular_rings (Prng.create 15) ~n:3000 in
   let g = ws.Weighted.graph in
   let gf = Gaifman.of_structure g in
-  let ix = Neighborhood.index_universe ~jobs:1 g ~rho:1 ~arity:1 in
+  let ix = Jobs.index_universe 1 g ~rho:1 ~arity:1 in
   let q = Parser.query_of_string ~params:[ "u" ] ~results:[ "v" ] "u = v" in
   let options = { Wm_watermark.Local_scheme.default_options with rho = Some 1 } in
   let was = Wm_obs.Obs.enabled () in
   Wm_obs.Obs.set_enabled false;
-  Wm_par.Pool.set_jobs (Some 1);
   let words, capacity =
     Fun.protect
-      ~finally:(fun () ->
-        Wm_par.Pool.set_jobs None;
-        Wm_obs.Obs.set_enabled was)
+      ~finally:(fun () -> Wm_obs.Obs.set_enabled was)
       (fun () ->
+        Jobs.with_jobs 1 @@ fun () ->
         let w0 = Gc.minor_words () in
         let qs =
           Wm_watermark.Query_system.of_custom
@@ -721,11 +721,14 @@ let prop_edited_index_matches_ref =
       in
       List.for_all
         (fun jobs ->
-          let prev = Neighborhood.index_universe ~jobs base ~rho ~arity in
-          equal_index (Neighborhood.index_universe ~jobs edited ~rho ~arity) want
-          && equal_index (Neighborhood.index ~jobs edited ~rho some)
+          let prev = Jobs.index_universe jobs base ~rho ~arity in
+          equal_index (Jobs.index_universe jobs edited ~rho ~arity) want
+          && equal_index (Jobs.index jobs edited ~rho some)
                (Neighborhood_ref.index edited ~rho some)
-          && equal_index (reindex ~jobs ~threshold:2.0 ~old:base edited ~prev ~dirty) want)
+          && equal_index
+               (Jobs.with_jobs jobs (fun () ->
+                    reindex ~threshold:2.0 ~old:base edited ~prev ~dirty))
+               want)
         [ 1; 2 ])
 
 let test_gaifman_allocation () =
@@ -767,8 +770,8 @@ let prop_given_gaifman_matches_ref =
       let want_some = Neighborhood_ref.index edited ~rho some in
       List.for_all
         (fun jobs ->
-          equal_index (Neighborhood.index_universe ~jobs ~gf edited ~rho ~arity) want_all
-          && equal_index (Neighborhood.index ~jobs ~gf edited ~rho some) want_some)
+          equal_index (Jobs.index_universe jobs ~gf edited ~rho ~arity) want_all
+          && equal_index (Jobs.index jobs ~gf edited ~rho some) want_some)
         [ 1; 2 ])
 
 (* --- allocation of the comparison loops ----------------------------------- *)

@@ -96,8 +96,8 @@ let test_audit_localizes_edits () =
   let expected =
     List.sort_uniq compare (List.map (Recovery.group_of cap) dirty)
   in
-  let a1 = Recovery.audit ~jobs:1 cap ~suspect in
-  let a2 = Recovery.audit ~jobs:2 cap ~suspect in
+  let a1 = Jobs.with_jobs 1 (fun () -> Recovery.audit cap ~suspect) in
+  let a2 = Jobs.with_jobs 2 (fun () -> Recovery.audit cap ~suspect) in
   check bool "audit independent of jobs" true
     (a1.Recovery.statuses = a2.Recovery.statuses);
   check bool "dirty groups are exactly the edited ones" true
@@ -190,8 +190,8 @@ let test_repair_deterministic_across_jobs () =
       (Adversary.Delete_tuples { fraction = 0.2 })
       marked
   in
-  let r1, rep1 = Recovery.repair ~jobs:1 cap ~suspect:attacked in
-  let r2, rep2 = Recovery.repair ~jobs:2 cap ~suspect:attacked in
+  let r1, rep1 = Jobs.with_jobs 1 (fun () -> Recovery.repair cap ~suspect:attacked) in
+  let r2, rep2 = Jobs.with_jobs 2 (fun () -> Recovery.repair cap ~suspect:attacked) in
   check string "identical repaired structure"
     (Textio.to_string r1) (Textio.to_string r2);
   check int "identical repaired count" rep1.Recovery.repaired
@@ -457,11 +457,11 @@ let test_repair_curve_never_hurts () =
               marked
       in
       let plain, _ =
-        Survivable.detect_structure ~jobs:1 base ~times ~length:bits
+        Survivable.detect_structure base ~times ~length:bits
           ~original:ws ~suspect
       in
       let repaired, _, _ =
-        Recovery.detect_repaired ~jobs:1 cap base ~times ~length:bits
+        Recovery.detect_repaired cap base ~times ~length:bits
           ~original:ws ~suspect
       in
       if Bitvec.equal message plain.Robust.message then incr un;

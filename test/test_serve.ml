@@ -160,8 +160,8 @@ let fget r k =
   | Some v -> v
   | None -> Alcotest.failf "missing field %s" k
 
-let setup_engine ?jobs ~n ~seed () =
-  let engine = Engine.create ?jobs () in
+let setup_engine ~n ~seed () =
+  let engine = Engine.create () in
   let _ = send_ok engine (Protocol.Gen { id = "d"; n; seed }) in
   let _ =
     send_ok engine
@@ -269,6 +269,7 @@ let prop_update_equals_fresh_prepare jobs =
     ~name:(Printf.sprintf "update == fresh put + prepare (jobs=%d)" jobs)
     QCheck.(int_range 0 100_000)
     (fun seed ->
+      Jobs.with_jobs jobs @@ fun () ->
       let g = Prng.create (0x5E2 + seed) in
       let n = 10 + Prng.int g 30 in
       let shard = Prng.bool g in
@@ -282,7 +283,7 @@ let prop_update_equals_fresh_prepare jobs =
       let prepare =
         Protocol.Prepare { id = "d"; seed; rho; epsilon = 1.0; shard; qspec }
       in
-      let e = Engine.create ~jobs () in
+      let e = Engine.create () in
       let _ = send_ok e (Protocol.Put ("d", Textio.to_string (rings n seed))) in
       let _ = send_ok e prepare in
       let rec steps k =
@@ -299,7 +300,7 @@ let prop_update_equals_fresh_prepare jobs =
             (List.init (1 + Prng.int g 3) Fun.id)
         in
         let script = List.rev script in
-        let fresh = Engine.create ~jobs () in
+        let fresh = Engine.create () in
         let _ =
           send_ok fresh
             (Protocol.Put
@@ -375,16 +376,18 @@ let test_update_reports_dropped_capsule () =
    byte-identical at every job count, and tracing a planted copy through
    the endpoint must accuse exactly the planted recipient. *)
 let test_fingerprint_trace_endpoints () =
-  let e1 = setup_engine ~jobs:1 ~n:300 ~seed:6 () in
-  let e2 = setup_engine ~jobs:2 ~n:300 ~seed:6 () in
-  let raw e req = Engine.handle e (Protocol.encode_request req) in
+  let e1 = Jobs.with_jobs 1 (setup_engine ~n:300 ~seed:6) in
+  let e2 = Jobs.with_jobs 2 (setup_engine ~n:300 ~seed:6) in
+  let raw jobs e req =
+    Jobs.with_jobs jobs (fun () -> Engine.handle e (Protocol.encode_request req))
+  in
   let fpreq =
     Protocol.Fingerprint
       { id = "d"; master = 7; length = Some 64; times = None; prefix = "r";
         count = 20 }
   in
-  check string "fingerprint bytes identical across job counts" (raw e1 fpreq)
-    (raw e2 fpreq);
+  check string "fingerprint bytes identical across job counts" (raw 1 e1 fpreq)
+    (raw 2 e2 fpreq);
   let r = send_ok e1 fpreq in
   check string "count" "20" (fget r "count");
   check int "one digest line per copy" 20
@@ -425,8 +428,8 @@ let test_fingerprint_trace_endpoints () =
   let r = send_ok e1 (treq (Some planted)) in
   check string "accused the planted recipient" "r5" (fget r "accused");
   check string "trace bytes identical across job counts"
-    (raw e1 (treq (Some planted)))
-    (raw e2 (treq (Some planted)));
+    (raw 1 e1 (treq (Some planted)))
+    (raw 2 e2 (treq (Some planted)));
   let r = send_ok e1 (treq None) in
   check string "clean current copy accuses nobody" "" (fget r "accused")
 
@@ -472,8 +475,9 @@ let schedule g n =
   in
   List.init n req
 
-let responses ~jobs reqs =
-  let engine = setup_engine ?jobs ~n:100 ~seed:13 () in
+let responses jobs reqs =
+  Jobs.with_jobs jobs @@ fun () ->
+  let engine = setup_engine ~n:100 ~seed:13 () in
   List.map (fun r -> Engine.handle engine (Protocol.encode_request r)) reqs
 
 let test_schedule_deterministic () =
@@ -482,7 +486,7 @@ let test_schedule_deterministic () =
        QCheck.(pair small_nat (int_bound 25))
        (fun (seed, n) ->
          let reqs = schedule (Prng.create (0xD0 + seed)) n in
-         responses ~jobs:(Some 1) reqs = responses ~jobs:(Some 2) reqs))
+         responses 1 reqs = responses 2 reqs))
 
 (* --- the shard operand and the weights-only reader -------------------- *)
 
@@ -495,12 +499,13 @@ let test_shard_index_equals_unsharded () =
   List.iter
     (fun ((n, seed), jobs) ->
       let reference =
-        Neighborhood.index ~jobs:1 (rings n seed).Weighted.graph ~rho:1
+        Neighborhood.index (rings n seed).Weighted.graph ~rho:1
           (List.init n Tuple.singleton)
       in
       List.iter
         (fun shard ->
-          let e = Engine.create ~jobs () in
+          Jobs.with_jobs jobs @@ fun () ->
+          let e = Engine.create () in
           let _ = send_ok e (Protocol.Gen { id = "d"; n; seed }) in
           let _ =
             send_ok e
@@ -633,7 +638,8 @@ let test_shard_detect_equals_unsharded () =
            (fun suspect ->
              let observed = full_observation (take length pairs) suspect in
              let reference =
-               Detector.read ~jobs:1 pairs ~original ~observed ~length
+               Jobs.with_jobs 1 (fun () ->
+                   Detector.read pairs ~original ~observed ~length)
              in
              let fp_reference =
                Array.of_list
@@ -644,10 +650,10 @@ let test_shard_detect_equals_unsharded () =
              in
              List.for_all
                (fun jobs ->
+                 Jobs.with_jobs jobs @@ fun () ->
                  verdicts_equal reference
-                   (Detector.read_weights ~jobs pairs ~original ~suspect
-                      ~length)
-                 && Fingerprint.read ~jobs fp ~original ~suspect = fp_reference)
+                   (Detector.read_weights pairs ~original ~suspect ~length)
+                 && Fingerprint.read fp ~original ~suspect = fp_reference)
                [ 1; 2 ])
            suspects))
 

@@ -1056,10 +1056,7 @@ let test_tree_detect_partial_server () =
       List.iter
         (fun jobs ->
           let decoded =
-            Fun.protect
-              ~finally:(fun () -> Wm_par.Pool.set_jobs None)
-              (fun () ->
-                Wm_par.Pool.set_jobs (Some jobs);
+            Jobs.with_jobs jobs (fun () ->
                 Tree_scheme.detect scheme ~original:weights ~server ~length)
           in
           let name what = Printf.sprintf "jobs=%d: %s" jobs what in
@@ -1117,10 +1114,7 @@ let prop_detect_weights_is_honest_detect =
           in
           List.for_all
             (fun jobs ->
-              Fun.protect
-                ~finally:(fun () -> Wm_par.Pool.set_jobs None)
-                (fun () ->
-                  Wm_par.Pool.set_jobs (Some jobs);
+              Jobs.with_jobs jobs (fun () ->
                   Bitvec.equal
                     (Carriers.detect_weights c ~original ~suspect ~length)
                     (Carriers.detect c ~original
